@@ -73,9 +73,10 @@ bench-analysis: build
 bench-server: build
 	dune exec bench/main.exe -- server
 
-# Regenerates BENCH_parallel.json (CSR-vs-list search, 1/2/4-domain batch
-# and mining scaling, with the host core count — the determinism booleans
-# in it double as a smoke test, so this runs as part of `make check`).
+# Regenerates BENCH_parallel.json (1/2/4-domain batch and mining scaling,
+# with the host core count; the 4-domain speedups are null on hosts with
+# fewer than 4 cores — the determinism booleans in it double as a smoke
+# test, so this runs as part of `make check`).
 bench-parallel: build
 	dune exec bench/main.exe -- parallel
 
@@ -110,13 +111,12 @@ bench-refine: build
 bench-proto: build
 	dune exec bench/main.exe -- proto
 
-# Regenerates BENCH_scale.json (mega-world generation, CSR kernel vs list
-# search, package-cone sharded batch vs the sequential oracle, and mmap
-# warm-start vs full-deserialize times, at 10k/100k methods by default —
-# BENCH_SCALE_SIZES=10000,100000,1000000 adds the million-method row).
-# The section exits nonzero on any shard/mmap identity divergence or a CSR
-# kernel slowdown at >= 100k methods, so this is the scale gate inside
-# `make check`.
+# Regenerates BENCH_scale.json (mega-world generation, search-kernel and
+# end-to-end query times, package-cone sharded batch vs the sequential
+# oracle, and mmap vs read-into-memory warm-start times, at 10k/100k
+# methods by default — BENCH_SCALE_SIZES=10000,100000,1000000 adds the
+# million-method row). The section exits nonzero on any shard/mmap
+# identity divergence, so this is the scale gate inside `make check`.
 bench-scale: build
 	dune exec bench/main.exe -- --section scale
 

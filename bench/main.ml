@@ -102,10 +102,16 @@ let section_perf () =
     time_of (fun () -> Mining.Enrich.enrich graph (Apidata.Api.program ()))
   in
   Printf.printf "corpus mining + enrichment:              %.4f s\n" mine_t;
-  (* the paper's on-disk graph: 8 MB, loaded in 1.5 s *)
-  let path = Filename.temp_file "prospector" ".graph" in
-  let save_t, size = time_of (fun () -> Prospector.Serialize.save graph path) in
-  let load_graph_t, _ = time_of (fun () -> Prospector.Serialize.load path) in
+  (* the paper's on-disk graph: 8 MB, loaded in 1.5 s. The snapshot is read
+     whole into memory (no mmap), as the paper's load was. *)
+  let frozen = Query.freeze graph in
+  let path = Filename.temp_file "prospector" ".froz" in
+  let save_t, size =
+    time_of (fun () -> Prospector.Serialize.save_frozen frozen path)
+  in
+  let load_graph_t, _ =
+    time_of (fun () -> Prospector.Serialize.load_frozen ~mmap:false path)
+  in
   Sys.remove path;
   Printf.printf "graph on disk: %d KiB, saved in %.4f s, loaded in %.4f s (paper: 8 MB, 1.5 s)\n"
     (size / 1024) save_t load_graph_t;
@@ -115,15 +121,16 @@ let section_perf () =
       (fun (p : Problems.t) ->
         fst
           (time_of (fun () ->
-               Query.run ~graph ~hierarchy (Query.query p.Problems.tin p.Problems.tout))))
+               Query.run ~frozen ~hierarchy (Query.query p.Problems.tin p.Problems.tout))))
       Problems.all
   in
   let synth_h = Corpusgen.Workload.scaling_api ~classes:2000 in
   let synth_build_t, synth_g = time_of (fun () -> Sig_graph.build synth_h) in
   let qs = Corpusgen.Workload.random_queries synth_h synth_g ~count:40 ~seed:9 in
+  let synth_fz = Query.freeze synth_g in
   let times_synth =
     List.map
-      (fun q -> fst (time_of (fun () -> Query.run ~graph:synth_g ~hierarchy:synth_h q)))
+      (fun q -> fst (time_of (fun () -> Query.run ~frozen:synth_fz ~hierarchy:synth_h q)))
       qs
   in
   let all_times = times_curated @ times_synth in
@@ -156,8 +163,9 @@ let section_scaling () =
       let h = Corpusgen.Workload.scaling_api ~classes in
       let build_t, g = time_of (fun () -> Sig_graph.build h) in
       let qs = Corpusgen.Workload.random_queries h g ~count:20 ~seed:17 in
+      let frozen = Query.freeze g in
       let times =
-        List.map (fun q -> fst (time_of (fun () -> Query.run ~graph:g ~hierarchy:h q))) qs
+        List.map (fun q -> fst (time_of (fun () -> Query.run ~frozen ~hierarchy:h q))) qs
       in
       let s = Stats.of_graph g in
       Printf.printf "%-10d %-10d %-10d %-14.4f %-14.5f\n" classes s.Stats.nodes
@@ -265,7 +273,9 @@ let section_figures () =
       ( Prospector.Graph.find_type_node g spurious_q.Query.tin,
         Prospector.Graph.find_type_node g spurious_q.Query.tout )
     with
-    | Some src, Some dst -> Prospector.Search.shortest_cost g ~sources:[ src ] ~target:dst
+    | Some src, Some dst ->
+        Prospector.Search.Csr.shortest_cost (Prospector.Graph.freeze g)
+          ~sources:[ src ] ~target:dst
     | _ -> None
   in
   Printf.printf
@@ -462,13 +472,14 @@ let section_cache () =
       Problems.all
   in
   let nq = List.length qs in
+  let frozen = Query.freeze graph in
   (* Reachability pruning, measured without any caching. *)
   let base_t, baseline =
-    time_of (fun () -> List.map (fun q -> Query.run ~graph ~hierarchy q) qs)
+    time_of (fun () -> List.map (fun q -> Query.run ~frozen ~hierarchy q) qs)
   in
   let build_t, reach = time_of (fun () -> Prospector.Reach.build graph) in
   let pruned_t, pruned =
-    time_of (fun () -> List.map (fun q -> Query.run ~reach ~graph ~hierarchy q) qs)
+    time_of (fun () -> List.map (fun q -> Query.run ~reach ~frozen ~hierarchy q) qs)
   in
   let n_nodes = Prospector.Reach.node_count reach in
   let cone_fractions =
@@ -499,15 +510,16 @@ let section_cache () =
   let synth_h = Corpusgen.Workload.layered_api ~classes:2000 in
   let synth_g = Sig_graph.build synth_h in
   let synth_qs = Corpusgen.Workload.random_queries synth_h synth_g ~count:40 ~seed:23 in
+  let synth_fz = Query.freeze synth_g in
   let sbase_t, sbase =
     time_of (fun () ->
-        List.map (fun q -> Query.run ~graph:synth_g ~hierarchy:synth_h q) synth_qs)
+        List.map (fun q -> Query.run ~frozen:synth_fz ~hierarchy:synth_h q) synth_qs)
   in
   let sbuild_t, synth_reach = time_of (fun () -> Prospector.Reach.build synth_g) in
   let spruned_t, spruned =
     time_of (fun () ->
         List.map
-          (fun q -> Query.run ~reach:synth_reach ~graph:synth_g ~hierarchy:synth_h q)
+          (fun q -> Query.run ~reach:synth_reach ~frozen:synth_fz ~hierarchy:synth_h q)
           synth_qs)
   in
   let sn = Prospector.Reach.node_count synth_reach in
@@ -537,12 +549,12 @@ let section_cache () =
   let miss_qs = Corpusgen.Workload.random_misses synth_g ~count:40 ~seed:29 in
   let mbase_t, mbase =
     time_of (fun () ->
-        List.map (fun q -> Query.run ~graph:synth_g ~hierarchy:synth_h q) miss_qs)
+        List.map (fun q -> Query.run ~frozen:synth_fz ~hierarchy:synth_h q) miss_qs)
   in
   let mpruned_t, mpruned =
     time_of (fun () ->
         List.map
-          (fun q -> Query.run ~reach:synth_reach ~graph:synth_g ~hierarchy:synth_h q)
+          (fun q -> Query.run ~reach:synth_reach ~frozen:synth_fz ~hierarchy:synth_h q)
           miss_qs)
   in
   Printf.printf "unsolvable queries (%d), O(1) rejection:\n" (List.length miss_qs);
@@ -634,10 +646,11 @@ let section_analysis () =
         done;
         !last)
   in
-  let plain_t, plain = run_passes (fun q -> Query.run ~graph ~hierarchy q) in
+  let frozen = Query.freeze graph in
+  let plain_t, plain = run_passes (fun q -> Query.run ~frozen ~hierarchy q) in
   let v = Query.verifier (Analysis.Verify.sound hierarchy) in
   let verified_t, verified =
-    run_passes (fun q -> Query.run ~verify:v ~graph ~hierarchy q)
+    run_passes (fun q -> Query.run ~verify:v ~frozen ~hierarchy q)
   in
   let per_q t = t *. 1000.0 /. float_of_int (passes * nq) in
   Printf.printf "Table 1 workload (%d queries, %d passes):\n" nq passes;
@@ -843,38 +856,20 @@ let section_server () =
 (* ------------------------------------------------------------------ *)
 
 let section_parallel () =
-  rule "Domain-parallel engine — CSR snapshots and multicore fan-out";
+  rule "Domain-parallel engine — multicore fan-out";
   let module Pool = Prospector_parallel.Pool in
   let cores = Domain.recommended_domain_count () in
   Printf.printf "host: %d recommended domain(s)%s\n" cores
-    (if cores = 1 then " — expect no parallel speedup on this machine" else "");
-  (* CSR frozen view vs the adjacency-list graph, uncached and unpruned,
-     over a synthetic workload large enough for the search to dominate. *)
+    (if cores < 4 then " — too few for a 4-domain speedup claim" else "");
+  (* A speedup over 4 domains is only reported where 4 domains can run at
+     once; below that the ratio measures time-slicing, not parallelism. *)
+  let speedup_4v1 t1 t4 =
+    if cores < 4 then "null" else Printf.sprintf "%.3f" (t1 /. t4)
+  in
   let h = Corpusgen.Workload.layered_api ~classes:2000 in
   let g = Sig_graph.build h in
   let qs = Corpusgen.Workload.random_queries h g ~count:40 ~seed:31 in
   let nq = List.length qs in
-  let passes = 3 in
-  let run_passes f =
-    time_of (fun () ->
-        let last = ref [] in
-        for _ = 1 to passes do
-          last := List.map f qs
-        done;
-        !last)
-  in
-  let list_t, list_rs = run_passes (fun q -> Query.run ~graph:g ~hierarchy:h q) in
-  let freeze_t, frozen = time_of (fun () -> Prospector.Graph.freeze g) in
-  let csr_t, csr_rs =
-    run_passes (fun q -> Query.run ~frozen ~graph:g ~hierarchy:h q)
-  in
-  let csr_identical = list_rs = csr_rs in
-  Printf.printf
-    "CSR vs adjacency list (%d queries x %d passes, uncached):\n" nq passes;
-  Printf.printf
-    "  list: %.4f s    csr: %.4f s    speedup %.2fx (freeze cost %.4f s)\n"
-    list_t csr_t (list_t /. csr_t) freeze_t;
-  Printf.printf "  csr results identical to list: %b\n" csr_identical;
   (* Batch fan-out at 1/2/4 domains: a fresh engine per job count so every
      run pays the same cold misses; the reach-index build inside the first
      batch uses the same pool. *)
@@ -894,8 +889,8 @@ let section_parallel () =
       Printf.printf "  jobs=%d: %.4f s  (%.0f queries/s)\n" jobs t
         (float_of_int nq /. t))
     [ (1, b1_t); (2, b2_t); (4, b4_t) ];
-  Printf.printf "  4-domain speedup: %.2fx    byte-identical across jobs: %b\n"
-    (b1_t /. b4_t) batch_identical;
+  Printf.printf "  4-domain speedup: %s    byte-identical across jobs: %b\n"
+    (speedup_4v1 b1_t b4_t) batch_identical;
   (* Mining fan-out over the bundled corpus. *)
   let hierarchy = Apidata.Api.hierarchy () in
   let prog =
@@ -915,38 +910,29 @@ let section_parallel () =
   let mining_identical = m1 = m4 in
   Printf.printf "mining (%d examples x 20 passes):\n" (List.length m1);
   Printf.printf
-    "  jobs=1: %.4f s    jobs=4: %.4f s    speedup %.2fx    identical: %b\n"
-    m1_t m4_t (m1_t /. m4_t) mining_identical;
+    "  jobs=1: %.4f s    jobs=4: %.4f s    speedup %s    identical: %b\n"
+    m1_t m4_t (speedup_4v1 m1_t m4_t) mining_identical;
   let json =
     Printf.sprintf
       "{\n\
       \  \"cores\": %d,\n\
-      \  \"csr\": {\n\
-      \    \"queries\": %d,\n\
-      \    \"passes\": %d,\n\
-      \    \"list_s\": %.6f,\n\
-      \    \"csr_s\": %.6f,\n\
-      \    \"speedup\": %.3f,\n\
-      \    \"freeze_s\": %.6f,\n\
-      \    \"identical\": %b\n\
-      \  },\n\
       \  \"batch\": {\n\
+      \    \"queries\": %d,\n\
       \    \"jobs1_s\": %.6f,\n\
       \    \"jobs2_s\": %.6f,\n\
       \    \"jobs4_s\": %.6f,\n\
-      \    \"speedup_4v1\": %.3f,\n\
+      \    \"speedup_4v1\": %s,\n\
       \    \"identical\": %b\n\
       \  },\n\
       \  \"mining\": {\n\
       \    \"jobs1_s\": %.6f,\n\
       \    \"jobs4_s\": %.6f,\n\
-      \    \"speedup_4v1\": %.3f,\n\
+      \    \"speedup_4v1\": %s,\n\
       \    \"identical\": %b\n\
       \  }\n\
        }\n"
-      cores nq passes list_t csr_t (list_t /. csr_t) freeze_t csr_identical
-      b1_t b2_t b4_t (b1_t /. b4_t) batch_identical m1_t m4_t (m1_t /. m4_t)
-      mining_identical
+      cores nq b1_t b2_t b4_t (speedup_4v1 b1_t b4_t) batch_identical m1_t
+      m4_t (speedup_4v1 m1_t m4_t) mining_identical
   in
   write_bench ~model_methods:(hier_methods h) "BENCH_parallel.json" json
 
@@ -974,7 +960,7 @@ let section_topk () =
         for _ = 1 to passes do
           last :=
             List.map
-              (fun q -> Query.run_info ~settings ~frozen ~graph:g ~hierarchy:h q)
+              (fun q -> Query.run_info ~settings ~frozen ~hierarchy:h q)
               qs
         done;
         !last)
@@ -1404,12 +1390,13 @@ let section_proto () =
   (* -- query overhead at Warn, and the equivalence gates ------------- *)
   let protocol_check j = Analysis.Protolint.violations model j in
   let passes = 5 in
+  let frozen = Query.freeze graph in
   let run_all ~protocol ~strategy () =
     List.map
       (fun (p : Problems.t) ->
         Query.run
           ~settings:{ Query.default_settings with protocol; strategy }
-          ~protocol_check ~graph ~hierarchy
+          ~protocol_check ~frozen ~hierarchy
           (Query.query p.Problems.tin p.Problems.tout))
       Problems.all
   in
@@ -1516,6 +1503,7 @@ let section_micro () =
   let parse_q =
     Query.query "org.eclipse.core.resources.IFile" "org.eclipse.jdt.core.dom.ASTNode"
   in
+  let frozen = Query.freeze graph in
   let tests =
     [
       Test.make ~name:"load_api_model"
@@ -1525,14 +1513,14 @@ let section_micro () =
       Test.make ~name:"query_table1_row1"
         (Staged.stage (fun () ->
              ignore
-               (Query.run ~graph ~hierarchy
+               (Query.run ~frozen ~hierarchy
                   (Query.query "java.io.InputStream" "java.io.BufferedReader"))));
       Test.make ~name:"query_parsing_example"
-        (Staged.stage (fun () -> ignore (Query.run ~graph ~hierarchy parse_q)));
+        (Staged.stage (fun () -> ignore (Query.run ~frozen ~hierarchy parse_q)));
       Test.make ~name:"assist_multi_source"
         (Staged.stage (fun () ->
              ignore
-               (Query.run_multi ~graph ~hierarchy
+               (Query.run_multi ~frozen ~hierarchy
                   ~vars:
                     [
                       ("ep", Javamodel.Jtype.ref_of_string "org.eclipse.ui.IEditorPart");
@@ -1570,8 +1558,7 @@ let section_micro () =
 (* ------------------------------------------------------------------ *)
 
 (* Gates `make check` at reduced sizes (10k/100k): a shard or mmap identity
-   divergence, or a CSR slowdown at >= 100k methods, exits nonzero. The
-   full million-method row is opt-in:
+   divergence exits nonzero. The full million-method row is opt-in:
 
      BENCH_SCALE_SIZES=10000,100000,1000000 dune exec bench/main.exe -- scale
 
@@ -1636,26 +1623,14 @@ let section_scale () =
     let nq = List.length qs in
     Printf.printf "  reach index: %.2f s; %d solvable queries sampled\n%!"
       reach_t nq;
-    (* The flat CSR kernels vs the adjacency-list interpreter: the per-query
-       search kernels (backward 0-1 BFS to the target, forward BFS from the
-       source), repeated until the measurement is search-bound. End-to-end
-       latency is enumeration-bound — the arena explores the same path set
-       either way — so it is reported separately below and only checked for
-       identity; the kernel ratio is what the flat lanes buy. *)
+    (* The per-query search kernels (backward 0-1 BFS to the target, forward
+       BFS from the source), repeated until the measurement is search-bound.
+       End-to-end latency is enumeration-bound, so it is reported separately
+       below. *)
     let module S = Prospector.Search in
     let passes = max 2 (4_000_000 / ((edges * nq) + 1)) in
-    let kern_list_t, _ =
-      time_of (fun () ->
-          for _ = 1 to passes do
-            List.iter
-              (fun (si, di) ->
-                ignore (S.distances_to g ~target:di : int array);
-                ignore (S.distances_from g ~sources:[ si ] : int array))
-              pairs
-          done)
-    in
     let scratch = S.Scratch.create () in
-    let kern_csr_t, _ =
+    let kern_t, _ =
       time_of (fun () ->
           for _ = 1 to passes do
             List.iter
@@ -1669,23 +1644,11 @@ let section_scale () =
               pairs
           done)
     in
-    let csr_speedup = kern_list_t /. kern_csr_t in
-    Printf.printf
-      "  search kernels (%d passes): csr %.3f s vs list %.3f s — %.2fx\n%!"
-      passes kern_csr_t kern_list_t csr_speedup;
-    if methods >= 100_000 && csr_speedup < 1.0 then failed := true;
-    let list_t, list_rs =
-      time_of (fun () ->
-          List.map (fun q -> Query.run ~graph:g ~hierarchy:h q) qs)
-    in
-    let csr_t, csr_rs =
+    Printf.printf "  search kernels (%d passes): %.3f s\n%!" passes kern_t;
+    let query_t, query_rs =
       time_of (fun () -> List.map (fun q -> Query.run ~frozen ~hierarchy:h q) qs)
     in
-    let csr_identical = list_rs = csr_rs in
-    Printf.printf
-      "  end-to-end: csr %.3f s vs list %.3f s (%.2fx), identical %b\n%!"
-      csr_t list_t (list_t /. csr_t) csr_identical;
-    if not csr_identical then failed := true;
+    Printf.printf "  end-to-end: %.3f s\n%!" query_t;
     (* Package-cone sharding: batch fan-out vs the sequential whole-snapshot
        oracle, byte for byte. *)
     let prune = methods <= 200_000 in
@@ -1696,22 +1659,18 @@ let section_scale () =
       | Some sh -> Prospector.Shard.shard_count sh
       | None -> 0
     in
-    let oracle = List.map (fun q -> (q, Query.run ~frozen ~hierarchy:h q)) qs in
-    let shard_identical = batch = oracle in
+    let shard_identical = batch = List.combine qs query_rs in
     let qps = float_of_int nq /. batch_t in
     Printf.printf
       "  batch: %.3f s (%.0f queries/s), %d shard(s), identical to oracle %b\n\
        %!"
       batch_t qps shard_count shard_identical;
     if not shard_identical then failed := true;
-    (* Warm start: v2 mmap vs a full v1 deserialize + re-freeze — what a
-       server restart used to cost to reach the same serving state. *)
+    (* Warm start: mmap vs reading the segments into memory. *)
     let froz_path = Filename.temp_file "prospector_scale" ".froz" in
-    let v1_path = Filename.temp_file "prospector_scale" ".graph" in
     let _, froz_bytes =
       time_of (fun () -> Prospector.Serialize.save_frozen frozen froz_path)
     in
-    ignore (Prospector.Serialize.save g v1_path : int);
     let load_frozen_exn ~mmap =
       match Prospector.Serialize.load_frozen ~mmap froz_path with
       | Ok fz -> fz
@@ -1719,22 +1678,15 @@ let section_scale () =
     in
     let mmap_t, mmap_fz = time_of (fun () -> load_frozen_exn ~mmap:true) in
     let read_t, read_fz = time_of (fun () -> load_frozen_exn ~mmap:false) in
-    let v1_t, _ =
-      time_of (fun () ->
-          Prospector.Graph.freeze (Prospector.Serialize.load v1_path))
-    in
     Sys.remove froz_path;
-    Sys.remove v1_path;
     let run_on fz =
       List.map (fun q -> Query.run ~frozen:fz ~hierarchy:h q) qs
     in
-    let mmap_identical = run_on mmap_fz = csr_rs && run_on read_fz = csr_rs in
-    let warm_speedup = v1_t /. mmap_t in
-    Printf.printf
-      "  warm start: mmap %.4f s, raw read %.4f s, v1 deserialize+freeze \
-       %.3f s — %.1fx, identical %b\n\
-       %!"
-      mmap_t read_t v1_t warm_speedup mmap_identical;
+    let mmap_identical =
+      run_on mmap_fz = query_rs && run_on read_fz = query_rs
+    in
+    Printf.printf "  warm start: mmap %.4f s, raw read %.4f s, identical %b\n%!"
+      mmap_t read_t mmap_identical;
     if not mmap_identical then failed := true;
     Printf.sprintf
       "    {\n\
@@ -1747,12 +1699,8 @@ let section_scale () =
       \      \"reach_s\": %.3f,\n\
       \      \"queries\": %d,\n\
       \      \"kernel_passes\": %d,\n\
-      \      \"kernel_list_s\": %.4f,\n\
-      \      \"kernel_csr_s\": %.4f,\n\
-      \      \"csr_speedup\": %.3f,\n\
-      \      \"query_list_s\": %.4f,\n\
-      \      \"query_csr_s\": %.4f,\n\
-      \      \"csr_identical\": %b,\n\
+      \      \"kernel_s\": %.4f,\n\
+      \      \"query_s\": %.4f,\n\
       \      \"batch_s\": %.4f,\n\
       \      \"queries_per_s\": %.1f,\n\
       \      \"shards\": %d,\n\
@@ -1760,13 +1708,10 @@ let section_scale () =
       \      \"frozen_bytes\": %d,\n\
       \      \"warm_mmap_s\": %.5f,\n\
       \      \"warm_read_s\": %.5f,\n\
-      \      \"v1_deserialize_s\": %.4f,\n\
-      \      \"warm_speedup_vs_v1\": %.2f,\n\
       \      \"mmap_identical\": %b\n\
       \    }"
-      methods nodes edges gen_t build_t freeze_t reach_t nq passes kern_list_t
-      kern_csr_t csr_speedup list_t csr_t csr_identical batch_t qps
-      shard_count shard_identical froz_bytes mmap_t read_t v1_t warm_speedup
+      methods nodes edges gen_t build_t freeze_t reach_t nq passes kern_t
+      query_t batch_t qps shard_count shard_identical froz_bytes mmap_t read_t
       mmap_identical
   in
   let rows = List.map measure sizes in
@@ -1776,9 +1721,7 @@ let section_scale () =
   write_bench ~model_methods:(List.fold_left max 0 sizes) "BENCH_scale.json"
     json;
   if !failed then begin
-    prerr_endline
-      "error: scale gate failed (identity divergence or CSR slowdown at \
-       100k+)";
+    prerr_endline "error: scale gate failed (shard or mmap identity divergence)";
     exit 1
   end
 

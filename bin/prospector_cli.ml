@@ -183,6 +183,11 @@ let parse_protocol = function
           exit 1)
 
 let settings ~max_results ~slack ~strategy ~ranking ~protocol =
+  (match Prospector.Query.check_limits ~max_results ~slack with
+  | Ok () -> ()
+  | Error msg ->
+      Printf.eprintf "error: %s\n" msg;
+      exit 1);
   let base = Prospector.Query.default_settings in
   {
     base with
@@ -605,7 +610,7 @@ let batch_cmd =
               (fun q ->
                 ( q,
                   Prospector.Query.run ~settings ~frozen ?edge_cost
-                    ?protocol_check ~graph:env.graph ~hierarchy:env.hierarchy q ))
+                    ?protocol_check ~hierarchy:env.hierarchy q ))
               qs
           else Prospector.Query.run_batch ~settings engine qs
         in
@@ -963,9 +968,9 @@ module Metrics = Prospector_server.Metrics
 
 let reach_path graph_path = graph_path ^ ".reach"
 
-(* What [serve] builds its engine from: a mutable graph (cold build, or a
-   legacy v1 graph file) or a frozen CSR snapshot (v2 warm start — possibly
-   mmapped, in which case the mutable graph is never materialized). *)
+(* What [serve] builds its engine from: a mutable graph (cold build) or a
+   frozen CSR snapshot (warm start — mmapped, so the mutable graph is never
+   materialized). *)
 type serve_env = {
   sv_hierarchy : Javamodel.Hierarchy.t;
   sv_base : [ `Graph of Prospector.Graph.t | `Frozen of Prospector.Graph.frozen ];
@@ -984,12 +989,11 @@ let corpus_sources_for ~api ~corpus =
 (* Warm start: when --save-graph names an existing file, load the persisted
    snapshot (and the reach index, if present) instead of rebuilding from
    .japi and re-mining the corpus; on a cache miss, build as usual and
-   persist both files for the next start. A v2 file mmaps straight into the
-   engine; a v1 (Marshal) file still loads as a mutable graph; anything
-   truncated or corrupt degrades to the cold build with a warning and the
-   freshly built snapshot overwrites the bad file. The hierarchy itself is
-   always re-parsed — it is the cheap part, and .japi text is the
-   interchange format. *)
+   persist both files for the next start. The snapshot mmaps straight into
+   the engine; anything foreign, truncated or corrupt degrades to the cold
+   build with a warning and the freshly built snapshot overwrites the bad
+   file. The hierarchy itself is always re-parsed — it is the cheap part,
+   and .japi text is the interchange format. *)
 let load_env_for_serve ?pool ~api ~corpus ~mining ~protected_ ~save_graph () =
   let remine hierarchy =
     if not mining then (None, None)
@@ -1056,25 +1060,12 @@ let load_env_for_serve ?pool ~api ~corpus ~mining ~protected_ ~save_graph () =
         | files -> Japi.Loader.load_files (List.map (fun f -> (f, read_file f)) files)
       in
       let t0 = Unix.gettimeofday () in
-      let base =
-        match Prospector.Serialize.load_frozen path with
-        | Ok fz -> Some (`Frozen fz)
-        | Error (Prospector.Serialize.Bad_magic _) -> (
-            (* Not a v2 snapshot — maybe a legacy v1 graph file. *)
-            match Prospector.Serialize.load_result path with
-            | Ok g -> Some (`Graph g)
-            | Error e ->
-                Printf.eprintf "warning: ignoring %s: %s — rebuilding\n%!" path
-                  (Prospector.Serialize.error_message e);
-                None)
-        | Error e ->
-            Printf.eprintf "warning: ignoring %s: %s — rebuilding\n%!" path
-              (Prospector.Serialize.error_message e);
-            None
-      in
-      match base with
-      | None -> cold_build ()
-      | Some base ->
+      match Prospector.Serialize.load_frozen path with
+      | Error e ->
+          Printf.eprintf "warning: ignoring %s: %s — rebuilding\n%!" path
+            (Prospector.Serialize.error_message e);
+          cold_build ()
+      | Ok frozen ->
           let reach =
             let rp = reach_path path in
             if Sys.file_exists rp then
@@ -1088,16 +1079,14 @@ let load_env_for_serve ?pool ~api ~corpus ~mining ~protected_ ~save_graph () =
           in
           let dt = Unix.gettimeofday () -. t0 in
           Printf.eprintf
-            "graph: %s from %s in %.3f s (reach index %s) — skipped build + mining\n%!"
-            (match base with
-            | `Frozen _ -> "mmap warm start"
-            | `Graph _ -> "loaded (v1)")
+            "graph: mmap warm start from %s in %.3f s (reach index %s) — skipped \
+             build + mining\n%!"
             path dt
             (match reach with Some _ -> "loaded" | None -> "absent, will rebuild");
           let usage, proto = remine hierarchy in
           ( {
               sv_hierarchy = hierarchy;
-              sv_base = base;
+              sv_base = `Frozen frozen;
               sv_usage = usage;
               sv_proto = proto;
               sv_corpus = (if mining then corpus_sources_for ~api ~corpus else []);

@@ -331,10 +331,10 @@ type measured = {
   time_s : float;
 }
 
-let run_one ~graph ~hierarchy p =
+let run_one ~frozen ~hierarchy p =
   let q = Query.query p.tin p.tout in
   let t0 = Unix.gettimeofday () in
-  let results = Query.run ~settings:p.settings ~graph ~hierarchy q in
+  let results = Query.run ~settings:p.settings ~frozen ~hierarchy q in
   let time_s = Unix.gettimeofday () -. t0 in
   let rank =
     List.mapi (fun i r -> (i + 1, r)) results
@@ -343,6 +343,8 @@ let run_one ~graph ~hierarchy p =
   in
   { problem = p; rank; time_s }
 
-let run_all ~graph ~hierarchy () = List.map (run_one ~graph ~hierarchy) all
+let run_all ~graph ~hierarchy () =
+  let frozen = Query.freeze graph in
+  List.map (run_one ~frozen ~hierarchy) all
 
 let ok m = match m.rank with Some r -> r <= m.problem.max_rank | None -> false

@@ -216,10 +216,10 @@ type measured = {
   results : Prospector.Query.result list;
 }
 
-let run_one ?settings ?edge_cost ~graph ~hierarchy p =
+let measure ?settings ?edge_cost ~frozen ~hierarchy p =
   let q = Query.query p.tin p.tout in
   let t0 = Unix.gettimeofday () in
-  let results = Query.run ?settings ?edge_cost ~graph ~hierarchy q in
+  let results = Query.run ?settings ?edge_cost ~frozen ~hierarchy q in
   let time_s = Unix.gettimeofday () -. t0 in
   let rank =
     List.mapi (fun i r -> (i + 1, r)) results
@@ -228,7 +228,11 @@ let run_one ?settings ?edge_cost ~graph ~hierarchy p =
   in
   { problem = p; time_s; rank; results }
 
+let run_one ?settings ?edge_cost ~graph ~hierarchy p =
+  measure ?settings ?edge_cost ~frozen:(Query.freeze ?edge_cost graph) ~hierarchy p
+
 let run_all ?settings ?edge_cost ~graph ~hierarchy () =
-  List.map (run_one ?settings ?edge_cost ~graph ~hierarchy) all
+  let frozen = Query.freeze ?edge_cost graph in
+  List.map (measure ?settings ?edge_cost ~frozen ~hierarchy) all
 
 let found m = match m.rank with Some r -> r <= 5 | None -> false

@@ -13,11 +13,6 @@ let make ~input elems =
   if elems = [] then invalid_arg "Jungloid.make: empty";
   { input; elems }
 
-let of_path g (p : Search.path) =
-  make
-    ~input:(Graph.node_type g p.Search.source)
-    (List.map (fun e -> e.Graph.elem) p.Search.edges)
-
 let of_frozen_path fz (p : Search.path) =
   make
     ~input:(Graph.frozen_node_type fz p.Search.source)

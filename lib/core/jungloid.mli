@@ -17,13 +17,10 @@ type t = {
 val make : input:Jtype.t -> Elem.t list -> t
 (** @raise Invalid_argument on an empty elementary jungloid list. *)
 
-val of_path : Graph.t -> Search.path -> t
-(** Convert a search result; typestate nodes disappear (the elementary
-    jungloids on the edges carry the declared types). *)
-
 val of_frozen_path : Graph.frozen -> Search.path -> t
-(** {!of_path} against a CSR snapshot (same conversion, no access to the
-    mutable graph). *)
+(** Convert a search result found on the snapshot; typestate nodes
+    disappear (the elementary jungloids on the edges carry the declared
+    types). *)
 
 val input_type : t -> Jtype.t
 

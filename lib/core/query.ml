@@ -53,6 +53,16 @@ let strategy_of_string = function
         (Printf.sprintf "unknown strategy %S (expected \"best-first\" or \"exhaustive\")"
            s)
 
+(* Both fields arrive from outside the program (wire requests, CLI flags);
+   a negative one would crash [Seq.take] or silently empty the budget, so
+   it is rejected before any engine work. *)
+let check_limits ~max_results ~slack =
+  if max_results < 0 then
+    Error (Printf.sprintf "max_results must be non-negative (got %d)" max_results)
+  else if slack < 0 then
+    Error (Printf.sprintf "slack must be non-negative (got %d)" slack)
+  else Ok ()
+
 (* [Mined] orders results by the usage-weighted cost learned from the
    corpus ([Mining.Usage]), with the paper key as tiebreak; the candidate
    set (paper-cost budget) is unchanged, so both rankings surface the same
@@ -182,131 +192,39 @@ let protocol_pred ~protocol ~protocol_check =
 let protocol_filter pfilter js =
   match pfilter with None -> js | Some ok -> List.filter ok js
 
-(* A read-only lens over either graph representation. [run]/[run_multi] are
-   written once against it; the [?frozen] path binds every operation to the
-   CSR snapshot, so a query running on a snapshot provably never touches the
-   mutable graph — which is what lets the server answer reads without a lock
-   while another domain mutates and re-freezes. *)
-type view = {
-  v_find : Jtype.t -> Graph.node option;
-  v_void : unit -> Graph.node option;
-  v_of_path : Search.path -> Jungloid.t;
-  v_node_type : Graph.node -> Jtype.t;
-  v_distances_from : Graph.node list -> Search.Dist.t;
-  v_distances_to :
-    cone:Reach.cone option -> target:Graph.node -> Search.Dist.t;
-  v_iter_succs : Graph.node -> (int -> Graph.edge -> unit) -> unit;
-  v_edge_slots : int;  (* total edge count for the CSR memo; 0 = list graph *)
-  (* Weighted (mined-ranking) lens. The frozen variant reads the wcost
-     arrays baked at freeze time and ignores the passed model — the engine
-     freezes with its own model, and manual [?frozen] callers must freeze
-     with the same [~wcost] they query with (documented on [run]). *)
-  v_weighted_distances_to :
-    cone:Reach.cone option ->
-    target:Graph.node ->
-    cost:(Elem.t -> int) ->
-    Search.Dist.t;
-  v_edge_wcost : (Elem.t -> int) -> int -> Graph.edge -> int;
-  v_enumerate :
-    cone:Reach.cone option ->
-    sources:Graph.node list ->
-    target:Graph.node ->
-    slack:int ->
-    limit:int ->
-    truncated:bool ref ->
-    Search.path list;
-  v_enumerate_per_source :
-    cone:Reach.cone option ->
-    sources:Graph.node list ->
-    target:Graph.node ->
-    slack:int ->
-    limit:int ->
-    truncated:bool ref ->
-    Search.path list;
-}
+(* The snapshot a [?graph] call runs on, and the one an engine keeps. The
+   void pseudo-node is interned first so every snapshot can serve the
+   multi-source (content-assist) path without creating it mid-query, which
+   would bump the generation under the engine's caches; [Sig_graph.build]
+   already interns it, so freezing a built graph never moves its
+   generation. The cost model, if any, is baked into the weighted lanes,
+   so weighted search agrees with the model the rank layer applies. *)
+let freeze ?edge_cost graph =
+  ignore (Graph.void_node graph);
+  Graph.freeze ?wcost:edge_cost graph
 
-(* The list-graph view keeps the closure-based viability hook: pruning is a
-   cone probe behind a closure, and distance arrays are wrapped unstamped. *)
-let view_of_graph g =
-  let viable_of cone = Option.map Reach.cone_viable cone in
-  {
-    v_find = Graph.find_type_node g;
-    v_void = (fun () -> Some (Graph.void_node g));
-    v_of_path = Jungloid.of_path g;
-    v_node_type = Graph.node_type g;
-    v_distances_from =
-      (fun sources -> Search.Dist.of_array (Search.distances_from g ~sources));
-    v_distances_to =
-      (fun ~cone ~target ->
-        Search.Dist.of_array
-          (Search.distances_to ?viable:(viable_of cone) g ~target));
-    v_iter_succs = (fun u f -> List.iteri f (Graph.succs g u));
-    v_edge_slots = 0;
-    v_weighted_distances_to =
-      (fun ~cone ~target ~cost ->
-        Search.Dist.of_array
-          (Search.weighted_distances_to ?viable:(viable_of cone) g ~target ~cost));
-    v_edge_wcost = (fun cost _ord e -> cost e.Graph.elem);
-    v_enumerate =
-      (fun ~cone ~sources ~target ~slack ~limit ~truncated ->
-        Search.enumerate g ~sources ~target ~slack ~limit
-          ?viable:(viable_of cone) ~truncated ());
-    v_enumerate_per_source =
-      (fun ~cone ~sources ~target ~slack ~limit ~truncated ->
-        Search.enumerate_per_source g ~sources ~target ~slack ~limit
-          ?viable:(viable_of cone) ~truncated ());
-  }
-
-(* The CSR view threads [?scratch] into every sweep: under a
-   [Search.Scratch.with_frame] the distance lanes are recycled per domain,
-   so the steady-state query allocates nothing proportional to the graph.
-   Callers that let distances escape the call (run_stream) build the view
-   without scratch and get escape-safe one-shot lanes. *)
-let view_of_frozen ?scratch fz =
-  {
-    v_find = Graph.frozen_find_type_node fz;
-    v_void = (fun () -> Graph.frozen_void_node fz);
-    v_of_path = Jungloid.of_frozen_path fz;
-    v_node_type = Graph.frozen_node_type fz;
-    v_distances_from =
-      (fun sources -> Search.Csr.distances_from ?scratch fz ~sources);
-    v_distances_to =
-      (fun ~cone ~target -> Search.Csr.distances_to ?scratch ?cone fz ~target);
-    v_iter_succs =
-      (fun u f ->
-        let off = fz.Graph.f_fwd_off and fin = fz.Graph.f_fwd_end in
-        for k = off.{u} to fin.{u} - 1 do
-          f k fz.Graph.f_fwd_edge.(k)
-        done);
-    v_edge_slots = Array.length fz.Graph.f_fwd_edge;
-    v_weighted_distances_to =
-      (fun ~cone ~target ~cost:_ ->
-        Search.Csr.weighted_distances_to ?scratch ?cone fz ~target);
-    v_edge_wcost = (fun _cost ord _e -> fz.Graph.f_fwd_wcost.(ord));
-    v_enumerate =
-      (fun ~cone ~sources ~target ~slack ~limit ~truncated ->
-        Search.Csr.enumerate ?scratch fz ~sources ~target ~slack ~limit ?cone
-          ~truncated ());
-    v_enumerate_per_source =
-      (fun ~cone ~sources ~target ~slack ~limit ~truncated ->
-        Search.Csr.enumerate_per_source ?scratch fz ~sources ~target ~slack
-          ~limit ?cone ~truncated ());
-  }
+(* [?frozen] wins when both are given. [edge_cost] is the effective model,
+   so a paper-ranked call never pays for baking a mined one. *)
+let snapshot ?frozen ?graph ~edge_cost () =
+  match (frozen, graph) with
+  | Some fz, _ -> fz
+  | None, Some g -> freeze ?edge_cost g
+  | None, None -> invalid_arg "Query: pass at least one of ?graph / ?frozen"
 
 (* The future-work free-variable estimator: a free variable of type T will
    cost about as much as the cheapest way to conjure a T from nothing (the
    void query the user would run next). Unreachable types keep the constant
    estimate. *)
-let freevar_estimator ~settings view =
+let freevar_estimator ?scratch ~settings fz =
   if not settings.estimate_freevars then None
   else
-    match view.v_void () with
+    match Graph.frozen_void_node fz with
     | None -> Some (fun _ -> settings.weights.Rank.freevar_cost)
     | Some void ->
-        let dist = view.v_distances_from [ void ] in
+        let dist = Search.Csr.distances_from ?scratch fz ~sources:[ void ] in
         Some
           (fun ty ->
-            match view.v_find ty with
+            match Graph.frozen_find_type_node fz ty with
             | Some n ->
                 let d = Search.Dist.get dist n in
                 if d < max_int then max 1 d
@@ -407,10 +325,10 @@ let rank_and_render ~settings ~hierarchy ~freevar_cost_of ?edge_cost ~input_name
            code = Codegen.to_java ?input j;
          })
 
-(* A reach index only prunes when it describes the graph the view reads —
-   for the mutable graph that is its live generation, for a snapshot the
-   generation captured at freeze time. Anything stale (engine callers never
-   produce this, manual callers might) is ignored rather than risked. *)
+(* A reach index only prunes when it describes the snapshot the query
+   reads: the generation captured at freeze time. Anything stale (engine
+   callers never produce this, manual callers might) is ignored rather than
+   risked. *)
 let current_reach ~gen reach =
   match reach with Some r when Reach.generation r = gen -> Some r | _ -> None
 
@@ -434,12 +352,6 @@ let viable_of ~reach ~target =
           then Some cn
           else None)
 
-let view_and_gen ?scratch ?frozen ?graph () =
-  match (frozen, graph) with
-  | Some fz, _ -> (view_of_frozen ?scratch fz, Graph.frozen_generation fz)
-  | None, Some g -> (view_of_graph g, Graph.generation g)
-  | None, None -> invalid_arg "Query: pass at least one of ?graph / ?frozen"
-
 (* Per-query execution report: how many candidates the search materialized
    into jungloids (the laziness metric) and whether it stopped at
    [settings.limit] — the signal the CLI and server surface so a clipped
@@ -453,27 +365,37 @@ type info = {
 let no_info = { candidates = 0; truncated = false; warnings = [] }
 
 (* The best-first generator for one query shape, positioned exactly where
-   [v_enumerate] sits in the exhaustive pipeline. [sources] carries the
-   per-source budget (shortest-cost-from-that-source + slack). With an
-   [edge_cost] model the stream runs in weighted mode: priorities use the
-   exact weighted distances while the budget prune stays on the paper
-   [dist_to], so the candidate set is unchanged and only the certified
-   order follows the mined costs. *)
-let topk_stream ?memo ~settings ~hierarchy ~freevar_cost_of ?edge_cost ~cone
-    view ~dist_to ~sources ~target =
+   [Search.Csr.enumerate] sits in the exhaustive pipeline. [sources]
+   carries the per-source budget (shortest-cost-from-that-source + slack).
+   With an [edge_cost] model the stream runs in weighted mode: priorities
+   use the exact weighted distances over the snapshot's baked [wcost] lanes
+   while the budget prune stays on the paper [dist_to], so the candidate
+   set is unchanged and only the certified order follows the mined costs.
+   Edge ordinals are global CSR indices, so the per-edge rank memo is
+   keyed once per edge. *)
+let topk_stream ?scratch ?memo ~settings ~hierarchy ~freevar_cost_of ?edge_cost
+    ?cone fz ~dist_to ~sources ~target =
   let weighted =
     Option.map
-      (fun cost ->
+      (fun _ ->
         {
-          Topk.wdist_to = view.v_weighted_distances_to ~cone ~target ~cost;
-          edge_wcost = view.v_edge_wcost cost;
+          Topk.wdist_to =
+            Search.Csr.weighted_distances_to ?scratch ?cone fz ~target;
+          edge_wcost = (fun ord _ -> fz.Graph.f_fwd_wcost.(ord));
         })
       edge_cost
   in
+  let off = fz.Graph.f_fwd_off and fin = fz.Graph.f_fwd_end in
+  let iter_succs u f =
+    for k = off.{u} to fin.{u} - 1 do
+      f k fz.Graph.f_fwd_edge.(k)
+    done
+  in
   Topk.start ?freevar_cost_of ?weighted ?memo ~weights:settings.weights
-    ~hierarchy ~node_type:view.v_node_type ~iter_succs:view.v_iter_succs
-    ~edge_slots:view.v_edge_slots ~materialize:view.v_of_path ~dist_to ~sources
-    ~target ~limit:settings.limit ()
+    ~hierarchy ~node_type:(Graph.frozen_node_type fz) ~iter_succs
+    ~edge_slots:(Array.length fz.Graph.f_fwd_edge)
+    ~materialize:(Jungloid.of_frozen_path fz) ~dist_to ~sources ~target
+    ~limit:settings.limit ()
 
 (* Consume a certified-order candidate stream for the single-source query:
    the expression-level dedup subsumes the exhaustive pipeline's structural
@@ -536,23 +458,23 @@ let consume_single ~settings ~hierarchy ~freevar_cost_of ?edge_cost ~verify
 
 let run_info ?(settings = default_settings) ?reach ?frozen ?verify ?edge_cost
     ?protocol_check ?graph ~hierarchy q =
+  let strategy, edge_cost, protocol, warnings =
+    effective_mode ~edge_cost ~protocol_check settings
+  in
+  let fz = snapshot ?frozen ?graph ~edge_cost () in
   (* Consume-within-call entry point: distance lanes come from the domain's
      scratch pool (released when the frame below ends — nothing in a
      [result] refers to them) and the Topk per-edge memo is reused across
      queries on this domain. *)
-  let scratch =
-    match frozen with Some _ -> Some (Search.Scratch.domain ()) | None -> None
-  in
-  let strategy, edge_cost, protocol, warnings =
-    effective_mode ~edge_cost ~protocol_check settings
-  in
+  let scratch = Search.Scratch.domain () in
   let pfilter = protocol_pred ~protocol ~protocol_check in
   let no_info = { no_info with warnings } in
   let body () =
-  let view, gen = view_and_gen ?scratch ?frozen ?graph () in
-  match (view.v_find q.tin, view.v_find q.tout) with
+  match
+    (Graph.frozen_find_type_node fz q.tin, Graph.frozen_find_type_node fz q.tout)
+  with
   | Some src, Some dst ->
-      let reach = current_reach ~gen reach in
+      let reach = current_reach ~gen:(Graph.frozen_generation fz) reach in
       let cone = viable_of ~reach ~target:dst in
       if match reach with Some r -> not (Reach.mem r ~src ~target:dst) | None -> false
       then begin
@@ -562,23 +484,23 @@ let run_info ?(settings = default_settings) ?reach ?frozen ?verify ?edge_cost
         ([], no_info)
       end
       else begin
-        let freevar_cost_of = freevar_estimator ~settings view in
+        let freevar_cost_of = freevar_estimator ~scratch ~settings fz in
         match strategy with
         | Exhaustive ->
             let truncated = ref false in
             let paths =
-              view.v_enumerate ~cone ~sources:[ src ] ~target:dst
-                ~slack:settings.slack ~limit:settings.limit ~truncated
+              Search.Csr.enumerate ~scratch fz ~sources:[ src ] ~target:dst
+                ~slack:settings.slack ~limit:settings.limit ?cone ~truncated ()
             in
             Log.debug (fun m ->
                 m "query (%s, %s): %d paths enumerated" (Jtype.to_string q.tin)
                   (Jtype.to_string q.tout) (List.length paths));
             ( rank_and_render ~settings ~hierarchy ~freevar_cost_of ?edge_cost
                 ~input_name:(fun _ -> None)
-                ~verify ~pfilter view.v_of_path paths,
+                ~verify ~pfilter (Jungloid.of_frozen_path fz) paths,
               { candidates = List.length paths; truncated = !truncated; warnings } )
         | BestFirst ->
-            let dist_to = view.v_distances_to ~cone ~target:dst in
+            let dist_to = Search.Csr.distances_to ~scratch ?cone fz ~target:dst in
             let dsrc = Search.Dist.get dist_to src in
             if dsrc = max_int then begin
               Log.debug (fun m ->
@@ -588,8 +510,8 @@ let run_info ?(settings = default_settings) ?reach ?frozen ?verify ?edge_cost
             end
             else begin
               let st =
-                topk_stream ~memo:(Topk.Memo.domain ()) ~settings ~hierarchy
-                  ~freevar_cost_of ?edge_cost ~cone view ~dist_to
+                topk_stream ~scratch ~memo:(Topk.Memo.domain ()) ~settings
+                  ~hierarchy ~freevar_cost_of ?edge_cost ?cone fz ~dist_to
                   ~sources:[ (src, dsrc + settings.slack) ]
                   ~target:dst
               in
@@ -615,11 +537,7 @@ let run_info ?(settings = default_settings) ?reach ?frozen ?verify ?edge_cost
             (Jtype.to_string q.tout));
       ([], no_info)
   in
-  let results, info =
-    match scratch with
-    | Some s -> Search.Scratch.with_frame s body
-    | None -> body ()
-  in
+  let results, info = Search.Scratch.with_frame scratch body in
   (* [Warn] never touches the result list: emitted results are vetted after
      selection and violations ride along as warnings only, so the output
      stays byte-identical to [Off] (and BestFirst to Exhaustive). *)
@@ -646,12 +564,11 @@ let run ?settings ?reach ?frozen ?verify ?edge_cost ?protocol_check ?graph
 
 (* Escaping entry point: the returned sequence captures live search state
    (distance lanes, the Topk heap), so it must not borrow recycled
-   per-domain scratch or the shared memo — the view is built without
-   scratch (one-shot lanes) and [topk_stream] gets no memo. *)
-let run_stream ?(settings = default_settings) ?reach ?frozen ?verify ?edge_cost
-    ?protocol_check ?graph ~hierarchy q =
+   per-domain scratch or the shared memo — the kernels run without scratch
+   (one-shot lanes) and [topk_stream] gets no memo. *)
+let run_stream ?(settings = default_settings) ?reach ?verify ?edge_cost
+    ?protocol_check ~frozen:fz ~hierarchy q =
   let edge_cost0 = edge_cost in
-  let view, gen = view_and_gen ?frozen ?graph () in
   let strategy, edge_cost, protocol, _warnings =
     effective_mode ~edge_cost ~protocol_check settings
   in
@@ -661,12 +578,14 @@ let run_stream ?(settings = default_settings) ?reach ?frozen ?verify ?edge_cost
       (* exhaustive ranking needs the full path set up front; the stream
          degenerates to the ranked list *)
       List.to_seq
-        (run ~settings ?reach ?frozen ?verify ?edge_cost:edge_cost0
-           ?protocol_check ?graph ~hierarchy q)
+        (run ~settings ?reach ~frozen:fz ?verify ?edge_cost:edge_cost0
+           ?protocol_check ~hierarchy q)
   | BestFirst -> (
-      match (view.v_find q.tin, view.v_find q.tout) with
+      match
+        (Graph.frozen_find_type_node fz q.tin, Graph.frozen_find_type_node fz q.tout)
+      with
       | Some src, Some dst ->
-          let reach = current_reach ~gen reach in
+          let reach = current_reach ~gen:(Graph.frozen_generation fz) reach in
           let cone = viable_of ~reach ~target:dst in
           if
             match reach with
@@ -674,14 +593,14 @@ let run_stream ?(settings = default_settings) ?reach ?frozen ?verify ?edge_cost
             | None -> false
           then Seq.empty
           else begin
-            let freevar_cost_of = freevar_estimator ~settings view in
-            let dist_to = view.v_distances_to ~cone ~target:dst in
+            let freevar_cost_of = freevar_estimator ~settings fz in
+            let dist_to = Search.Csr.distances_to ?cone fz ~target:dst in
             let dsrc = Search.Dist.get dist_to src in
             if dsrc = max_int then Seq.empty
             else
               let st =
                 topk_stream ~settings ~hierarchy ~freevar_cost_of ?edge_cost
-                  ~cone view ~dist_to
+                  ?cone fz ~dist_to
                   ~sources:[ (src, dsrc + settings.slack) ]
                   ~target:dst
               in
@@ -822,56 +741,67 @@ let consume_multi ~settings ~hierarchy ~freevar_cost_of ?edge_cost ~verify
 
 let run_multi ?(settings = default_settings) ?reach ?frozen ?verify ?edge_cost
     ?protocol_check ?graph ~hierarchy ~vars ~tout () =
-  let scratch =
-    match frozen with Some _ -> Some (Search.Scratch.domain ()) | None -> None
-  in
   let strategy, edge_cost, protocol, _warnings =
     effective_mode ~edge_cost ~protocol_check settings
   in
+  let fz = snapshot ?frozen ?graph ~edge_cost () in
+  let scratch = Search.Scratch.domain () in
   let pfilter = protocol_pred ~protocol ~protocol_check in
   let body () =
-  let view, gen = view_and_gen ?scratch ?frozen ?graph () in
-  match view.v_find tout with
+  match Graph.frozen_find_type_node fz tout with
   | None -> []
   | Some dst ->
       let var_nodes =
         List.filter_map
-          (fun (name, ty) -> Option.map (fun n -> (n, name)) (view.v_find ty))
+          (fun (name, ty) ->
+            Option.map (fun n -> (n, name)) (Graph.frozen_find_type_node fz ty))
           vars
       in
-      let void = view.v_void () in
+      let void = Graph.frozen_void_node fz in
       let sources =
         match void with
         | Some v -> v :: List.map fst var_nodes
         | None -> List.map fst var_nodes
       in
-      let cone = viable_of ~reach:(current_reach ~gen reach) ~target:dst in
-      let freevar_cost_of = freevar_estimator ~settings view in
+      let cone =
+        viable_of
+          ~reach:(current_reach ~gen:(Graph.frozen_generation fz) reach)
+          ~target:dst
+      in
+      let freevar_cost_of = freevar_estimator ~scratch ~settings fz in
       let exhaustive () =
         let truncated = ref false in
         let paths =
-          view.v_enumerate_per_source ~cone ~sources ~target:dst
-            ~slack:settings.slack ~limit:settings.limit ~truncated
+          Search.Csr.enumerate_per_source ~scratch fz ~sources ~target:dst
+            ~slack:settings.slack ~limit:settings.limit ?cone ~truncated ()
         in
         (* Attribute each path to the variables of its source node; a path
            from the void node belongs to no variable. Distinct (jungloid,
-           source) pairs each become one suggestion. *)
-        let jungloid_sources = Hashtbl.create 64 in
-        List.iter
-          (fun (p : Search.path) ->
-            let j = view.v_of_path p in
-            let srcs =
-              if void = Some p.Search.source then [ None ]
-              else
-                List.filter_map
-                  (fun (n, name) ->
-                    if n = p.Search.source then Some (Some name) else None)
-                  var_nodes
-            in
-            List.iter (fun s -> Hashtbl.replace jungloid_sources (j, s) ()) srcs)
-          paths;
+           source) pairs each become one suggestion, kept in first-occurrence
+           enumeration order so that the stable sort below resolves full
+           rank-key ties exactly as the best-first consumer does. *)
+        let seen_pair = Hashtbl.create 64 in
         let pairs =
-          Hashtbl.fold (fun (j, s) () acc -> (j, s) :: acc) jungloid_sources []
+          List.concat_map
+            (fun (p : Search.path) ->
+              let j = Jungloid.of_frozen_path fz p in
+              let srcs =
+                if void = Some p.Search.source then [ None ]
+                else
+                  List.filter_map
+                    (fun (n, name) ->
+                      if n = p.Search.source then Some (Some name) else None)
+                    var_nodes
+              in
+              List.filter_map
+                (fun s ->
+                  if Hashtbl.mem seen_pair (j, s) then None
+                  else begin
+                    Hashtbl.replace seen_pair (j, s) ();
+                    Some (j, s)
+                  end)
+                srcs)
+            paths
         in
         let ranked =
           List.map
@@ -881,7 +811,7 @@ let run_multi ?(settings = default_settings) ?reach ?frozen ?verify ?edge_cost
                 j,
                 s ))
             pairs
-          |> List.sort (fun (ka, _, sa) (kb, _, sb) ->
+          |> List.stable_sort (fun (ka, _, sa) (kb, _, sb) ->
                  match Rank.compare_key ka kb with
                  | 0 -> compare sa sb
                  | c -> c)
@@ -923,7 +853,7 @@ let run_multi ?(settings = default_settings) ?reach ?frozen ?verify ?edge_cost
                })
       in
       let best_first () =
-        let dist_to = view.v_distances_to ~cone ~target:dst in
+        let dist_to = Search.Csr.distances_to ~scratch ?cone fz ~target:dst in
         let budgeted =
           List.filter_map
             (fun s ->
@@ -934,9 +864,9 @@ let run_multi ?(settings = default_settings) ?reach ?frozen ?verify ?edge_cost
         if budgeted = [] then []
         else
           let st =
-            topk_stream ~memo:(Topk.Memo.domain ()) ~settings ~hierarchy
-              ~freevar_cost_of ?edge_cost ~cone view ~dist_to ~sources:budgeted
-              ~target:dst
+            topk_stream ~scratch ~memo:(Topk.Memo.domain ()) ~settings
+              ~hierarchy ~freevar_cost_of ?edge_cost ?cone fz ~dist_to
+              ~sources:budgeted ~target:dst
           in
           consume_multi ~settings ~hierarchy ~freevar_cost_of ?edge_cost ~verify
             ~pfilter ~void ~var_nodes st
@@ -945,11 +875,7 @@ let run_multi ?(settings = default_settings) ?reach ?frozen ?verify ?edge_cost
       | Exhaustive -> exhaustive ()
       | BestFirst -> best_first ())
   in
-  let results =
-    match scratch with
-    | Some s -> Search.Scratch.with_frame s body
-    | None -> body ()
-  in
+  let results = Search.Scratch.with_frame scratch body in
   (* [run_multi] has no info channel: [Warn]-mode violations on emitted
      suggestions are logged, results untouched. *)
   (match (protocol, protocol_check) with
@@ -1013,20 +939,11 @@ type engine = {
   mutable e_gen : int;  (* graph generation the caches describe *)
 }
 
-(* The void pseudo-node is interned up front so every snapshot can serve the
-   multi-source (content-assist) path; [Graph.void_node] would otherwise
-   create it mid-query and bump the generation under the caches. Snapshots
-   bake the engine's cost model, so weighted search over [e_frozen] always
-   agrees with the [e_edge_cost] the rank layer applies. *)
-let refreeze ?edge_cost graph =
-  ignore (Graph.void_node graph);
-  Graph.freeze ?wcost:edge_cost graph
-
 let engine ?(cache_capacity = 256) ?(prune = true) ?reach ?pool ?edge_cost
     ?protocol_check ~graph ~hierarchy () =
   (* A persisted index (Serialize.load_reach) only counts if it describes
      this exact graph build; anything stale is dropped and rebuilt lazily. *)
-  let frozen = refreeze ?edge_cost graph in
+  let frozen = freeze ?edge_cost graph in
   let seed =
     match reach with
     | Some r when prune && Reach.generation r = Graph.generation graph -> Some r
@@ -1104,7 +1021,7 @@ let invalidate e =
   Qcache.clear e.e_multi;
   e.e_reach <- None;
   e.e_shards <- None;
-  e.e_frozen <- refreeze ?edge_cost:e.e_edge_cost graph;
+  e.e_frozen <- freeze ?edge_cost:e.e_edge_cost graph;
   e.e_gen <- Graph.generation graph
 
 (* Every cached entry point revalidates first, so mutating the graph (e.g.

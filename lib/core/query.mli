@@ -40,6 +40,12 @@ val strategy_of_string : string -> (strategy, string) result
 (** Inverse of {!strategy_to_string}; [Error] carries a user-ready message
     listing the accepted spellings. *)
 
+val check_limits : max_results:int -> slack:int -> (unit, string) result
+(** [Error] with a user-ready message naming the first negative field.
+    Wire requests and CLI flags both go through this before any engine
+    work: a negative [max_results] or [slack] is a caller's mistake, never
+    a query. *)
+
 (** How results are ordered. [Paper] is Section 3.2's static rule
     (length, crossings, specificity). [Mined] orders by the usage-weighted
     cost learned from the corpus ([Mining.Usage] — −log frequency with
@@ -145,6 +151,12 @@ type info = {
           exactly as configured and nothing was flagged. *)
 }
 
+val freeze : ?edge_cost:(Elem.t -> int) -> Graph.t -> Graph.frozen
+(** The snapshot a [?graph] call runs on: the [void] pseudo-node is
+    interned first (a no-op on graphs from {!Sig_graph.build}, which intern
+    it up front), then {!Graph.freeze} bakes [edge_cost] into the weighted
+    lanes. Loops over one graph call this once and pass [~frozen]. *)
+
 val run_info :
   ?settings:settings ->
   ?reach:Reach.t ->
@@ -171,30 +183,26 @@ val run :
   t ->
   result list
 (** Ranked solution jungloids; [[]] when [tin] or [tout] has no node or no
-    path exists. Exactly one of [?graph] and [?frozen] is required
-    ([Invalid_argument] when both are missing; [?frozen] wins when both are
-    given) — snapshot-only callers (warm-started engines, shard workers)
-    never materialize a mutable graph at all. When [?reach] is a {!Reach}
-    index for the graph's current
-    {!Graph.generation}, unsolvable queries are rejected in O(1) and — when
-    [tout]'s reachability cone is a small enough fraction of the graph for
-    filtering to pay — the search frontier is pruned to the cone; the result
-    list is provably identical with and without the index. A stale index is
+    path exists. The whole pipeline (type lookup, 0-1 BFS, path search,
+    jungloid conversion) runs on a CSR snapshot: [?frozen], or, as a
+    shorthand, [?graph] frozen once for this call ({!freeze}, with the
+    usage model baked only when the effective ranking is [Mined]). One of
+    the two is required ([Invalid_argument] when both are missing;
+    [?frozen] wins when both are given); loops over one graph should freeze
+    once and pass [~frozen]. A query never reads the mutable graph, which is
+    the lock-free server read path; the snapshot is trusted, and results
+    describe whatever graph it captured. Distances land in recycled
+    per-domain epoch-stamped scratch lanes, so at steady state a query
+    allocates nothing proportional to the graph.
+
+    When [?reach] is a {!Reach} index for the snapshot's generation,
+    unsolvable queries are rejected in O(1) and — when [tout]'s
+    reachability cone is a small enough fraction of the graph for filtering
+    to pay — the search frontier is pruned to the cone; the result list is
+    provably identical with and without the index. A stale index is
     ignored, never misapplied. [?verify] filters unsound chains (see
     {!verify}); the cached entry points below never take it, so cached and
     verified results cannot mix.
-
-    With [?frozen], the whole pipeline (type lookup, 0-1 BFS, path DFS,
-    jungloid conversion) runs on the CSR snapshot and never reads the
-    mutable graph —
-    the lock-free server read path. Distances land in recycled per-domain
-    epoch-stamped scratch lanes, so at steady state a query allocates
-    nothing proportional to the graph. The snapshot is trusted: pass one taken
-    from this graph (results describe whatever graph it captures), and a
-    [?reach] index is matched against the {e snapshot}'s generation. Results
-    are byte-identical to the list-based path on the captured graph
-    ([test_parallel.ml], and transitively the [test_cache.ml] equivalence
-    suite, pin this).
 
     [?edge_cost] is the mined usage model ([Mining.Usage.edge_cost]),
     consulted only when [settings.ranking = Mined]. It must be
@@ -211,11 +219,10 @@ val run :
 val run_stream :
   ?settings:settings ->
   ?reach:Reach.t ->
-  ?frozen:Graph.frozen ->
   ?verify:verify ->
   ?edge_cost:(Elem.t -> int) ->
   ?protocol_check:(Jungloid.t -> string list) ->
-  ?graph:Graph.t ->
+  frozen:Graph.frozen ->
   hierarchy:Hierarchy.t ->
   t ->
   result Seq.t
@@ -224,10 +231,9 @@ val run_stream :
     settings.max_results (run_stream ... q))] is byte-identical to [run
     ... q]. This is what refine sessions consume — a session's candidate
     set {e is} the query reply's result list. The sequence is memoized
-    (safe to re-traverse) but captures live search state: consume it
-    before mutating the graph, or pass [?frozen]. Under the [Exhaustive]
-    strategy there is nothing lazy to expose and the stream degenerates to
-    {!run}'s list; [settings.max_results] then bounds it. *)
+    (safe to re-traverse) and reads only the snapshot. Under the
+    [Exhaustive] strategy there is nothing lazy to expose and the stream
+    degenerates to {!run}'s list; [settings.max_results] then bounds it. *)
 
 type multi_result = {
   source_var : string option;  (** [None] for the [void] source *)
@@ -262,11 +268,14 @@ val run_multi :
   multi_result list
 (** One multi-source search from all [vars] plus [void]; each result's code
     references the variable it starts from. The ranked order interleaves all
-    sources. [?reach] prunes and [?frozen] redirects to the snapshot exactly
-    as in {!run} (a snapshot without an interned [void] node simply omits
-    the [void] source; engine snapshots always intern it first). There is no
-    info channel here, so [protocol = Warn] violations are logged rather
-    than returned; [Filter] drops violating suggestions as in {!run}. *)
+    sources. [?reach], [?frozen] and [?graph] behave exactly as in {!run}
+    (a snapshot without an interned [void] node simply omits the [void]
+    source; {!freeze} and engine snapshots always intern it first). Under
+    [Exhaustive], pairs that tie on the full rank key keep enumeration
+    order, as the best-first consumer does, so the strategies agree byte
+    for byte below the path cap. There is no info channel here, so
+    [protocol = Warn] violations are logged rather than returned; [Filter]
+    drops violating suggestions as in {!run}. *)
 
 (** {2 The query engine}
 

@@ -55,8 +55,8 @@ type t = {
 (* Iterative Tarjan over the CSR: the explicit stack holds (node, next edge
    index); when a node's CSR row is exhausted its lowlink flows to the
    parent beneath it, and a root pops its whole component. Visit order
-   follows the row order — the same successor order the list-based graph
-   yields — so component numbering is deterministic. *)
+   follows the row order — {!Graph.succs} order, which freeze preserves —
+   so component numbering is deterministic. *)
 let compute_sccs n ~(off : Graph.int_array1) ~(fin : Graph.int_array1)
     ~(adj : Graph.int_array1) =
   let index = Array.make n (-1) in
@@ -283,12 +283,6 @@ let components t = t.comp
 let mem t ~src ~target =
   if src < 0 || src >= t.n || target < 0 || target >= t.n then true
   else Bits.mem t.creach.(t.comp.(src)) target
-
-let viable t ~target =
-  if target < 0 || target >= t.n then fun _ -> true
-  else
-    let n = t.n and comp = t.comp and creach = t.creach in
-    fun u -> u < 0 || u >= n || Bits.mem creach.(comp.(u)) target
 
 (* The cone of a target, flipped component-wise: instead of a per-node
    closure probe (node -> component -> bitset-of-nodes), precompute the set

@@ -5,7 +5,7 @@
     everything else is dead frontier. This module computes, once per graph
     {!Graph.generation}, the full reachability closure (an SCC condensation
     followed by one bitset DP), after which [can u reach tout?] is a single
-    bit test. {!Search} consumes it through the [?viable] hook; {!Query}'s
+    bit test. {!Search} consumes it as a {!cone}; {!Query}'s
     engine builds and rebuilds it transparently; {!Serialize} persists it
     next to the graph so a server restart skips the closure computation.
 
@@ -78,10 +78,6 @@ val mem : t -> src:Graph.node -> target:Graph.node -> bool
     indexed range (created after the build) are conservatively reported
     reachable, so a stale index can only under-prune, never drop results. *)
 
-val viable : t -> target:Graph.node -> Graph.node -> bool
-(** [viable t ~target] specialized as a predicate for {!Search}'s [?viable]
-    argument; same conservative out-of-range behavior as {!mem}. *)
-
 (** A target's reachability cone in probe form: bit [cone_comp.(u)] of
     [cone_bits] says whether [u] can reach the target. Two array loads and a
     mask per check — the allocation-free, closure-free viability test the
@@ -98,8 +94,8 @@ val cone : t -> target:Graph.node -> (cone * int) option
     outside the indexed range (the caller must then search unpruned). *)
 
 val cone_viable : cone -> Graph.node -> bool
-(** The cone as a predicate, for the list-based {!Search} functions' [?viable]
-    hook; out-of-range nodes are conservatively viable, matching {!viable}. *)
+(** The cone as a predicate (the search filters its sources with it);
+    out-of-range nodes are conservatively viable, matching {!mem}. *)
 
 val cone_size : t -> target:Graph.node -> int
 (** Number of nodes that can reach [target] — the pruned search's whole

@@ -5,49 +5,17 @@ type path = {
 
 let path_cost p = List.fold_left (fun acc e -> acc + Elem.cost e.Graph.elem) 0 p.edges
 
-(* The two-list deque behind the list-based 0-1 BFS. Despite the persistent
-   lists inside, the structure is mutable: push and pop update [front] and
-   [back] in place, and [pop_front] reverses [back] into [front] when the
-   front runs dry (amortized O(1)).
-
-   Re-queue invariant: an entry [(d, u)] is pushed only when [d] strictly
-   improves [dist.(u)] — 0-cost relaxations to the front, 1-cost ones to the
-   back — so the deque holds at most two consecutive distance values at any
-   time and every pushed distance is final or superseded. A popped entry
-   whose distance no longer matches [dist.(u)] is stale (the node was
-   improved again after this entry was queued) and is skipped, not
-   re-expanded. *)
-module Deque = struct
-  type 'a t = {
-    mutable front : 'a list;
-    mutable back : 'a list;
-  }
-
-  let create () = { front = []; back = [] }
-
-  let push_front d x = d.front <- x :: d.front
-
-  let push_back d x = d.back <- x :: d.back
-
-  let pop_front d =
-    match d.front with
-    | x :: rest ->
-        d.front <- rest;
-        Some x
-    | [] -> (
-        match List.rev d.back with
-        | [] -> None
-        | x :: rest ->
-            d.front <- rest;
-            d.back <- [];
-            Some x)
-end
-
 (* A growable circular deque of ints for the CSR 0-1 BFS. Entries pack a
    (distance, node) pair as [(d lsl 31) lor u]; distances are bounded by the
    node count and node ids are dense, so both halves fit comfortably. The
-   flat buffer avoids the cons-cell allocation of the list Deque on every
-   relaxation — one of the wins (with adjacency locality) of the CSR path. *)
+   flat buffer means a relaxation allocates nothing.
+
+   Re-queue invariant: an entry is pushed only when its distance strictly
+   improves the node's — 0-cost relaxations to the front, 1-cost ones to
+   the back — so the deque holds at most two consecutive distance values at
+   any time. A popped entry whose distance no longer matches the node's is
+   stale (the node was improved again after it was queued) and is skipped,
+   not re-expanded. *)
 module Ideque = struct
   type t = {
     mutable buf : int array;
@@ -101,10 +69,9 @@ end
 
 (* A distance map that may be backed by recycled scratch: entry [u] is
    valid only when [stamp.(u) = epoch], otherwise it reads as [max_int].
-   [epoch = 0] marks a plain (fully initialized) array — lane epochs are
-   always >= 1 — so the plain case pays no stamp lookup. The point of the
-   stamps is that a recycled lane never needs an O(n) clearing pass between
-   queries: bumping the epoch invalidates every previous entry at once. *)
+   The point of the stamps is that a recycled lane never needs an O(n)
+   clearing pass between queries: bumping the epoch invalidates every
+   previous entry at once. *)
 module Dist = struct
   type t = {
     d : int array;  (* capacity may exceed the current graph's node count *)
@@ -112,11 +79,8 @@ module Dist = struct
     epoch : int;
   }
 
-  let of_array a = { d = a; stamp = [||]; epoch = 0 }
-
   let[@inline] get t u =
     if u < 0 || u >= Array.length t.d then max_int
-    else if t.epoch = 0 then Array.unsafe_get t.d u
     else if Array.unsafe_get t.stamp u = t.epoch then Array.unsafe_get t.d u
     else max_int
 
@@ -211,53 +175,13 @@ module Scratch = struct
     Fun.protect ~finally:(fun () -> leave t) f
 end
 
-(* 0-1 BFS: [next u f] calls [f cost v] for each neighbor, cost 0 or 1 —
-   an iterator rather than a returned list, so relaxing a node allocates
-   nothing (the old [List.map]-per-visited-node built a transient pair list
-   on every expansion). See the Deque comment for the re-queue discipline
-   that keeps the deque small. *)
-let zero_one_bfs n ~starts ~next =
-  let dist = Array.make n max_int in
-  let dq = Deque.create () in
-  List.iter
-    (fun s ->
-      if s >= 0 && s < n && dist.(s) > 0 then begin
-        dist.(s) <- 0;
-        Deque.push_front dq (0, s)
-      end)
-    starts;
-  let rec loop () =
-    match Deque.pop_front dq with
-    | None -> ()
-    | Some (du, u) ->
-        if du = dist.(u) then
-          next u (fun cost v ->
-              let d = du + cost in
-              if d < dist.(v) then begin
-                dist.(v) <- d;
-                if cost = 0 then Deque.push_front dq (d, v)
-                else Deque.push_back dq (d, v)
-              end);
-        loop ()
-  in
-  loop ();
-  dist
-
-(* [viable] is a pruning oracle ("can this node still reach the target?"):
-   non-viable nodes are simply never relaxed. With the exact reachability
-   cone this is result-preserving — any path that reaches the target lies
-   entirely inside the cone — while shrinking the BFS frontier from the
-   whole graph to the cone. *)
-let oracle = function None -> fun _ -> true | Some ok -> ok
-
 (* Dijkstra for the weighted (mined) cost model, where edge costs are
    arbitrary non-negative ints and the 0-1 deque trick no longer applies.
    The heap holds (dist, node) in two parallel arrays — unpacked, because
    weighted distances need not fit the 31-bit packing of the 0-1 deque.
    Lazy deletion: stale entries (dist no longer current) are skipped.
-   Distances live in an epoch-stamped lane so the CSR path can recycle it
-   across queries; the list-API wrapper below materializes the plain
-   max_int-initialized array the public signature promises. *)
+   Distances live in an epoch-stamped lane so it can be recycled across
+   queries. *)
 let dijkstra_into (lane : Scratch.lane) n ~starts ~next =
   let dist = lane.Scratch.ld
   and stamp = lane.Scratch.lstamp
@@ -336,84 +260,6 @@ let dijkstra_into (lane : Scratch.lane) n ~starts ~next =
           end)
   done
 
-let dijkstra n ~starts ~next =
-  let lane = Scratch.oneshot n in
-  dijkstra_into lane n ~starts ~next;
-  let dist = lane.Scratch.ld and stamp = lane.Scratch.lstamp in
-  for u = 0 to n - 1 do
-    if stamp.(u) <> 1 then dist.(u) <- max_int
-  done;
-  dist
-
-let weighted_distances_to ?viable g ~target ~cost =
-  let n = Graph.node_count g in
-  let ok = oracle viable in
-  dijkstra n ~starts:[ target ] ~next:(fun u f ->
-      List.iter
-        (fun (e : Graph.edge) ->
-          if ok e.Graph.src then f (cost e.Graph.elem) e.Graph.src)
-        (Graph.preds g u))
-
-let distances_to ?viable g ~target =
-  let n = Graph.node_count g in
-  let ok = oracle viable in
-  zero_one_bfs n ~starts:[ target ] ~next:(fun u f ->
-      List.iter
-        (fun (e : Graph.edge) ->
-          if ok e.Graph.src then f (Elem.cost e.Graph.elem) e.Graph.src)
-        (Graph.preds g u))
-
-let distances_from ?viable g ~sources =
-  let n = Graph.node_count g in
-  let ok = oracle viable in
-  zero_one_bfs n ~starts:sources ~next:(fun u f ->
-      List.iter
-        (fun (e : Graph.edge) ->
-          if ok e.Graph.dst then f (Elem.cost e.Graph.elem) e.Graph.dst)
-        (Graph.succs g u))
-
-let shortest_cost ?viable g ~sources ~target =
-  let sources =
-    match viable with None -> sources | Some ok -> List.filter ok sources
-  in
-  if sources = [] then None
-  else
-    let dist = distances_from ?viable g ~sources in
-    if target < Array.length dist && dist.(target) < max_int then Some dist.(target)
-    else None
-
-(* The DFS core: enumerate acyclic paths from [source] to [target] of cost
-   at most [budget], pruning with the precomputed backward distances. *)
-let dfs_from g ~target ~dist_to ~on_path ~budget ~limit ~count ~results source =
-  let rec dfs u cost rev_edges =
-    if !count < limit then begin
-      if u = target && rev_edges <> [] && cost > 0 then begin
-        incr count;
-        results := { source; edges = List.rev rev_edges } :: !results
-      end;
-      (* Even at the target, a 0-cost widening cycle cannot extend the
-         path (acyclicity), so exploring further from the target is
-         pointless: every continuation must eventually revisit it. *)
-      if u <> target || rev_edges = [] then
-        List.iter
-          (fun (e : Graph.edge) ->
-            let v = e.Graph.dst in
-            let c' = cost + Elem.cost e.Graph.elem in
-            if (not on_path.(v)) && dist_to.(v) < max_int && c' + dist_to.(v) <= budget
-            then begin
-              on_path.(v) <- true;
-              dfs v c' (e :: rev_edges);
-              on_path.(v) <- false
-            end)
-          (Graph.succs g u)
-    end
-  in
-  if dist_to.(source) < max_int then begin
-    on_path.(source) <- true;
-    dfs source 0 [];
-    on_path.(source) <- false
-  end
-
 (* When the DFS stops at [limit] the enumeration is clipped mid-flight; the
    [?truncated] flag (OR-ed, never cleared) lets callers surface that the
    result set may be incomplete instead of silently shipping a prefix. A
@@ -424,47 +270,8 @@ let flag_truncated truncated ~count ~limit =
   | Some r -> if !count >= limit then r := true
   | None -> ()
 
-let enumerate g ~sources ~target ?(slack = 1) ?(limit = 4096) ?viable ?truncated () =
-  match shortest_cost ?viable g ~sources ~target with
-  | None -> []
-  | Some m ->
-      let budget = m + slack in
-      let dist_to = distances_to ?viable g ~target in
-      let n = Graph.node_count g in
-      let on_path = Array.make n false in
-      let results = ref [] in
-      let count = ref 0 in
-      List.iter
-        (dfs_from g ~target ~dist_to ~on_path ~budget ~limit ~count ~results)
-        (List.sort_uniq compare sources);
-      flag_truncated truncated ~count ~limit;
-      List.rev !results
-
-let enumerate_per_source g ~sources ~target ?(slack = 1) ?(limit = 4096) ?viable
-    ?truncated () =
-  (* One query per source, as content assist conceptually runs them; the
-     backward BFS is shared, so the cost is close to a single query. Each
-     source gets its own budget: its shortest cost to the target plus
-     [slack]. *)
-  if target >= Graph.node_count g then []
-  else
-    let dist_to = distances_to ?viable g ~target in
-    let n = Graph.node_count g in
-    let on_path = Array.make n false in
-    let results = ref [] in
-    let count = ref 0 in
-    List.iter
-      (fun source ->
-        if source < n && dist_to.(source) < max_int then
-          dfs_from g ~target ~dist_to ~on_path
-            ~budget:(dist_to.(source) + slack)
-            ~limit ~count ~results source)
-      (List.sort_uniq compare sources);
-    flag_truncated truncated ~count ~limit;
-    List.rev !results
-
 (* ------------------------------------------------------------------ *)
-(* CSR variants: the same algorithms over a frozen snapshot            *)
+(* The kernels, over a frozen snapshot's CSR lanes                     *)
 (* ------------------------------------------------------------------ *)
 
 module Csr = struct
@@ -475,11 +282,8 @@ module Csr = struct
     { Dist.d = lane.Scratch.ld; stamp = lane.Scratch.lstamp; epoch = lane.Scratch.lepoch }
 
   (* Shared 0-1 BFS core over one direction of the CSR: [off]/[adj]/[cost]
-     are either the forward or the backward lanes. Relaxation order within
-     a node follows the array order, which freeze built to match the
-     adjacency lists, so distances (and the enumeration order downstream)
-     agree with the list implementation exactly. The viability check is the
-     cone's bitset probed inline — two array loads per relaxed edge, no
+     are either the forward or the backward lanes. The viability check is
+     the cone's bitset probed inline — two array loads per relaxed edge, no
      closure call. *)
   let bfs_into (lane : Scratch.lane) dq n ~starts ~(off : Graph.int_array1)
       ~(fin : Graph.int_array1) ~(adj : Graph.int_array1)
@@ -585,13 +389,14 @@ module Csr = struct
       let dist = distances_from ?scratch ?cone fz ~sources in
       match Dist.get dist target with d when d < max_int -> Some d | _ -> None
 
-  (* The DFS core of the list implementation, with the successor iteration
-     turned into an index loop over the CSR row. Two scale-driven changes
-     against the list version: the path accumulates edge {e indices} and
-     resolves them through the cold [f_fwd_edge] table only when a complete
-     path is materialized (the boxed edge records stay out of the search's
-     cache lines), and the on-path marker is an epoch-stamped lane instead
-     of an [Array.make n false] per enumeration. *)
+  (* The DFS core: enumerate acyclic paths from [source] to [target] of cost
+     at most [budget], pruning with the precomputed backward distances. The
+     successor iteration is an index loop over the CSR row (in {!Graph.succs}
+     order, which freeze preserves); the path accumulates edge {e indices}
+     and resolves them through the cold [f_fwd_edge] table only when a
+     complete path is materialized (the boxed edge records stay out of the
+     search's cache lines), and the on-path marker is an epoch-stamped lane
+     instead of an [Array.make n false] per enumeration. *)
   let dfs_from fz ~target ~(dist_to : Dist.t) ~(on_path : Scratch.lane) ~budget
       ~limit ~count ~results source =
     let off = fz.Graph.f_fwd_off in
@@ -610,15 +415,15 @@ module Csr = struct
           results :=
             { source; edges = List.rev_map (fun k -> edge.(k)) rev_ks } :: !results
         end;
-        (* Same acyclicity cut as the list version: nothing extends a path
-           already at the target. *)
+        (* Even at the target, a 0-cost widening cycle cannot extend the
+           path (acyclicity), so exploring further from the target is
+           pointless: every continuation must eventually revisit it. *)
         if u <> target || rev_ks = [] then
           for k = off.{u} to fin.{u} - 1 do
             let v = dst.{k} in
             let c' = ucost + cost.{k} in
             let dv =
-              if depoch = 0 then Array.unsafe_get dd v
-              else if Array.unsafe_get dstamp v = depoch then Array.unsafe_get dd v
+              if Array.unsafe_get dstamp v = depoch then Array.unsafe_get dd v
               else max_int
             in
             if pstamp.(v) <> pepoch && dv < max_int && c' + dv <= budget then begin
@@ -672,3 +477,7 @@ module Csr = struct
       flag_truncated truncated ~count ~limit;
       List.rev !results
 end
+
+let distances_from g ~sources =
+  let fz = Graph.freeze g in
+  Dist.snapshot ~n:fz.Graph.f_nodes (Csr.distances_from fz ~sources)

@@ -26,12 +26,8 @@ module Dist : sig
   type t = {
     d : int array;  (** capacity may exceed the graph's node count *)
     stamp : int array;  (** entry [u] is live iff [stamp.(u) = epoch] *)
-    epoch : int;  (** [0] = plain array, every entry live *)
+    epoch : int;
   }
-
-  val of_array : int array -> t
-  (** Wrap a fully-initialized distance array (the list-based API's
-      result); reads never consult stamps. *)
 
   val get : t -> int -> int
   (** Distance of a node; [max_int] when unreached, stale, or out of
@@ -72,97 +68,28 @@ module Scratch : sig
   (** A fresh untracked lane (epoch 1, nothing live). *)
 end
 
-val distances_to : ?viable:(Graph.node -> bool) -> Graph.t -> target:Graph.node -> int array
-(** Cost of the cheapest path from each node to [target]; [max_int] when
-    unreachable.
-
-    The [?viable] argument of every function here is a pruning oracle,
-    normally {!Reach.viable} for the query's target: nodes it rejects are
-    never entered, shrinking the BFS frontier to the target's reachability
-    cone. With the exact cone the prune is result-preserving — every path
-    that reaches the target lies inside the cone — so all distances and
-    enumerations relevant to the target are unchanged. *)
-
-val distances_from :
-  ?viable:(Graph.node -> bool) -> Graph.t -> sources:Graph.node list -> int array
-(** Cost of the cheapest path from the nearest source to each node. *)
-
-val weighted_distances_to :
-  ?viable:(Graph.node -> bool) ->
-  Graph.t ->
-  target:Graph.node ->
-  cost:(Elem.t -> int) ->
-  int array
-(** Exact cheapest weighted cost from each node to [target] under the given
-    non-negative edge-cost model (Dijkstra); [max_int] when unreachable.
-    Used as the admissible heuristic of weighted best-first search: exact
-    distances satisfy the triangle inequality, so the resulting priority is
-    consistent. *)
-
-val shortest_cost :
-  ?viable:(Graph.node -> bool) ->
-  Graph.t ->
-  sources:Graph.node list ->
-  target:Graph.node ->
-  int option
-(** [None] when the target is unreachable from every source. *)
-
-val enumerate :
-  Graph.t ->
-  sources:Graph.node list ->
-  target:Graph.node ->
-  ?slack:int ->
-  ?limit:int ->
-  ?viable:(Graph.node -> bool) ->
-  ?truncated:bool ref ->
-  unit ->
-  path list
-(** All acyclic paths from any source to [target] of cost at most
-    [shortest + slack] (default [slack = 1]), up to [limit] paths (default
-    4096). Returns [[]] when unreachable. Paths of cost 0 (pure widening,
-    or an empty path when a source equals the target) are excluded: they
-    contain no code.
-
-    [?truncated] is set to [true] (never cleared — callers may share one
-    flag across searches) when the enumeration stopped at [limit], i.e. the
-    returned list may be missing paths. The check is conservative: exactly
-    [limit] paths also raises the flag. *)
-
-val enumerate_per_source :
-  Graph.t ->
-  sources:Graph.node list ->
-  target:Graph.node ->
-  ?slack:int ->
-  ?limit:int ->
-  ?viable:(Graph.node -> bool) ->
-  ?truncated:bool ref ->
-  unit ->
-  path list
-(** Content-assist semantics: conceptually one query {e per} source, so each
-    source's paths are bounded by that source's own shortest cost plus
-    [slack] (a cheap [void] construction must not suppress a longer
-    solution from a visible variable). The backward BFS is shared, keeping
-    the cost close to a single query — the paper's "multiple starting
-    points" implementation note. *)
-
 val path_cost : path -> int
 (** Sum of the edge costs (widening free). *)
 
-(** {2 CSR variants}
+(** {2 The search kernels}
 
-    The same five entry points over a {!Graph.frozen} snapshot, built for
-    scale: the 0-1 BFS runs over the out-of-heap offset/cost lanes with an
-    int-packed circular deque, distances land in epoch-stamped scratch
+    Every query runs on a {!Graph.frozen} snapshot ({!Graph.t} is only the
+    builder). The 0-1 BFS runs over the out-of-heap offset/cost lanes with
+    an int-packed circular deque, distances land in epoch-stamped scratch
     (pass [?scratch] — usually {!Scratch.domain} — inside a
-    {!Scratch.with_frame} to make the steady state allocation-free), the
-    viability check is {!Reach.cone}'s bitset probed inline rather than a
-    closure call per relaxed edge, and the path DFS tracks cold edge-table
-    {e indices}, resolving boxed {!Graph.edge}s only when a complete path
-    is materialized. Because {!Graph.freeze} preserves adjacency order,
-    each function returns {e exactly} what its list counterpart returns on
-    the graph the snapshot was taken from — the determinism suite
-    ([test_parallel.ml]) and the engine equivalence suite ([test_cache.ml])
-    both pin this.
+    {!Scratch.with_frame} to make the steady state allocation-free), and
+    the path DFS tracks cold edge-table {e indices}, resolving boxed
+    {!Graph.edge}s only when a complete path is materialized. Forward rows
+    keep {!Graph.succs} order, so the enumeration order is the adjacency
+    order of the graph the snapshot was taken from.
+
+    The [?cone] argument of every function here is a pruning oracle,
+    normally {!Reach.cone} for the query's target: nodes outside it are
+    never entered, shrinking the BFS frontier to the target's reachability
+    cone. With the exact cone the prune is result-preserving — every path
+    that reaches the target lies inside the cone — so all distances and
+    enumerations relevant to the target are unchanged. [test/naive.ml] is
+    the reference these kernels are checked against.
 
     These functions never touch the originating mutable graph, so they are
     safe to call from many domains sharing one snapshot (each domain using
@@ -175,6 +102,8 @@ module Csr : sig
     Graph.frozen ->
     target:Graph.node ->
     Dist.t
+  (** Cost of the cheapest path from each node to [target]; [max_int] when
+      unreachable. *)
 
   val distances_from :
     ?scratch:Scratch.t ->
@@ -182,6 +111,7 @@ module Csr : sig
     Graph.frozen ->
     sources:Graph.node list ->
     Dist.t
+  (** Cost of the cheapest path from the nearest source to each node. *)
 
   val weighted_distances_to :
     ?scratch:Scratch.t ->
@@ -189,8 +119,11 @@ module Csr : sig
     Graph.frozen ->
     target:Graph.node ->
     Dist.t
-  (** Like {!Search.weighted_distances_to}, but the cost model is the one
-      baked into the snapshot's [f_bwd_wcost] at freeze time. *)
+  (** Exact cheapest weighted cost from each node to [target] under the
+      cost model baked into the snapshot's [f_bwd_wcost] at freeze time
+      (Dijkstra); [max_int] when unreachable. Used as the admissible
+      heuristic of weighted best-first search: exact distances satisfy the
+      triangle inequality, so the resulting priority is consistent. *)
 
   val shortest_cost :
     ?scratch:Scratch.t ->
@@ -199,6 +132,7 @@ module Csr : sig
     sources:Graph.node list ->
     target:Graph.node ->
     int option
+  (** [None] when the target is unreachable from every source. *)
 
   val enumerate :
     ?scratch:Scratch.t ->
@@ -211,6 +145,16 @@ module Csr : sig
     ?truncated:bool ref ->
     unit ->
     path list
+  (** All acyclic paths from any source to [target] of cost at most
+      [shortest + slack] (default [slack = 1]), up to [limit] paths (default
+      4096). Returns [[]] when unreachable. Paths of cost 0 (pure widening,
+      or an empty path when a source equals the target) are excluded: they
+      contain no code.
+
+      [?truncated] is set to [true] (never cleared — callers may share one
+      flag across searches) when the enumeration stopped at [limit], i.e.
+      the returned list may be missing paths. The check is conservative:
+      exactly [limit] paths also raises the flag. *)
 
   val enumerate_per_source :
     ?scratch:Scratch.t ->
@@ -223,4 +167,15 @@ module Csr : sig
     ?truncated:bool ref ->
     unit ->
     path list
+  (** Content-assist semantics: conceptually one query {e per} source, so
+      each source's paths are bounded by that source's own shortest cost
+      plus [slack] (a cheap [void] construction must not suppress a longer
+      solution from a visible variable). The backward BFS is shared,
+      keeping the cost close to a single query — the paper's "multiple
+      starting points" implementation note. *)
 end
+
+val distances_from : Graph.t -> sources:Graph.node list -> int array
+(** {!Csr.distances_from} on a fresh {!Graph.freeze} of the graph, as a
+    plain array ([max_int] = unreached) — for one-off callers that hold
+    only the builder. *)

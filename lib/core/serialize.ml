@@ -15,10 +15,6 @@ let error_message = function
       Printf.sprintf "format version %d, expected %d" found expected
   | Corrupt msg -> "corrupt file: " ^ msg
 
-let magic = "PROSPECTOR-GRAPH"
-
-let version = 1
-
 (* Marshal on hostile bytes raises a zoo of exceptions (Failure on a
    truncated or garbled buffer, Invalid_argument on out-of-range sizes,
    End_of_file from channel reads...); a cache loader must map all of them
@@ -29,75 +25,28 @@ let marshal_from_bytes b ofs =
   | Invalid_argument msg -> Error (Corrupt msg)
   | End_of_file -> Error (Corrupt "truncated")
 
-(* A pure-data dump; node ids are positions, so rebuilding in order
-   reproduces them exactly (interning is sequential). *)
-type dump = {
-  d_version : int;
-  d_nodes : (Jtype.t * string option) array;
-  d_edges : (int * Elem.t * int) list;
-}
-
-let dump_of_graph g =
-  let n = Graph.node_count g in
-  let d_nodes =
-    Array.init n (fun i -> (Graph.node_type g i, Graph.typestate_origin g i))
-  in
-  let d_edges = ref [] in
-  Graph.iter_edges g (fun e ->
-      d_edges := (e.Graph.src, e.Graph.elem, e.Graph.dst) :: !d_edges);
-  { d_version = version; d_nodes; d_edges = List.rev !d_edges }
-
-let graph_of_dump d =
-  if d.d_version <> version then
-    Error (Bad_version { found = d.d_version; expected = version })
-  else begin
-    let g = Graph.create () in
-    let ok = ref true in
-    (try
-       Array.iteri
-         (fun i (ty, origin) ->
-           let id =
-             match origin with
-             | None -> Graph.ensure_type_node g ty
-             | Some origin -> Graph.add_typestate g ~underlying:ty ~origin
-           in
-           if id <> i then raise Exit)
-         d.d_nodes
-     with Exit -> ok := false);
-    if not !ok then Error (Corrupt "node ids not reproducible")
-    else begin
-      List.iter (fun (src, elem, dst) -> Graph.add_edge g ~src elem ~dst) d.d_edges;
-      Ok g
-    end
-  end
-
-let to_bytes g =
-  let payload = Marshal.to_bytes (dump_of_graph g) [] in
-  Bytes.cat (Bytes.of_string magic) payload
-
-let of_bytes_result b =
-  let mlen = String.length magic in
-  if Bytes.length b < mlen then Error (Bad_magic (Bytes.to_string b))
-  else if Bytes.sub_string b 0 mlen <> magic then
-    Error (Bad_magic (Bytes.sub_string b 0 mlen))
-  else
-    match marshal_from_bytes b mlen with
-    | Error _ as e -> e
-    | Ok (d : dump) -> graph_of_dump d
-
 let raise_error = function
   | Io msg -> raise (Sys_error msg)
   | e -> raise (Format_error (error_message e))
 
-let of_bytes b =
-  match of_bytes_result b with Ok g -> g | Error e -> raise_error e
-
-let write_bytes_to path b =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_bytes oc b);
-  Bytes.length b
+(* Every save writes a temp file and renames it over [path]. Truncating the
+   target in place would pull the pages out from under a process that has
+   the old file mmapped ([load_frozen]) — the serving daemon re-saves to
+   the very file it warm-started from — and its next touch would die with
+   SIGBUS. The rename leaves the old inode alive for as long as it is
+   mapped. *)
+let atomic_write path f =
+  let tmp = path ^ ".tmp" in
+  let oc = open_out_bin tmp in
+  match f oc with
+  | n ->
+      close_out oc;
+      Sys.rename tmp path;
+      n
+  | exception e ->
+      close_out_noerr oc;
+      (try Sys.remove tmp with Sys_error _ -> ());
+      raise e
 
 let read_bytes_from path =
   let ic = open_in_bin path in
@@ -114,15 +63,6 @@ let read_bytes_result path =
   | b -> Ok b
   | exception Sys_error msg -> Error (Io msg)
   | exception End_of_file -> Error (Corrupt "truncated")
-
-let save g path = write_bytes_to path (to_bytes g)
-
-let load_result path =
-  match read_bytes_result path with
-  | Error _ as e -> e
-  | Ok b -> of_bytes_result b
-
-let load path = match load_result path with Ok g -> g | Error e -> raise_error e
 
 (* ---------- the reachability index ---------- *)
 
@@ -146,7 +86,11 @@ let reach_of_bytes_result b =
 let reach_of_bytes b =
   match reach_of_bytes_result b with Ok r -> r | Error e -> raise_error e
 
-let save_reach r path = write_bytes_to path (reach_to_bytes r)
+let save_reach r path =
+  let b = reach_to_bytes r in
+  atomic_write path (fun oc ->
+      output_bytes oc b;
+      Bytes.length b)
 
 let load_reach_result path =
   match read_bytes_result path with
@@ -263,10 +207,7 @@ let save_frozen (fz : Graph.frozen) path =
   let blob = Marshal.to_bytes cold [] in
   let cold_end = 24 + Bytes.length blob in
   let segs, total = segment_layout ~cold_end ~n ~m in
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
+  atomic_write path (fun oc ->
       let pos = ref 0 in
       let emit b =
         output_bytes oc b;

@@ -2,11 +2,13 @@
     8 MB of space on disk and 24 MB when loaded into memory. Loading the
     graph takes 1.5 seconds").
 
-    The format is OCaml's Marshal with a magic header and format version —
-    compact and fast, at the usual Marshal caveat: files are only readable
-    by a compatible build, so they are a cache, not an interchange format
-    (the interchange format is [.japi] text, which {!Japi.Printer}
-    round-trips). *)
+    One format: the frozen CSR snapshot, the representation every query
+    runs on. Its small cold half is OCaml's Marshal behind a magic header
+    and format version, so files are only readable by a compatible build:
+    they are a cache, not an interchange format (the interchange format is
+    [.japi] text, which {!Japi.Printer} round-trips). Every save writes a
+    temp file and renames it over the target, so a process that has the
+    old file mapped keeps reading it intact. *)
 
 exception Format_error of string
 
@@ -23,20 +25,6 @@ type error =
 
 val error_message : error -> string
 (** One-line human-readable rendering (for warnings and logs). *)
-
-val save : Graph.t -> string -> int
-(** [save g path] writes the graph and returns the byte size written. *)
-
-val load_result : string -> (Graph.t, error) result
-
-val load : string -> Graph.t
-(** @raise Format_error on a missing/garbled header, version mismatch, or
-    corrupt payload (the raising veneer over {!load_result}).
-    @raise Sys_error on I/O failure. *)
-
-val to_bytes : Graph.t -> bytes
-
-val of_bytes : bytes -> Graph.t
 
 (** {2 Frozen CSR snapshots (v2)}
 
@@ -61,8 +49,8 @@ val load_frozen : ?mmap:bool -> string -> (Graph.frozen, error) result
     into fresh heap-external arrays (bit-identical result — the property
     suite checks both against the original freeze). File size and segment
     bounds are validated {e before} mapping, so a truncated file is a
-    [Corrupt] error, never a [SIGBUS]. A v1 graph file reports
-    [Bad_magic] — callers fall back to {!load_result}. *)
+    [Corrupt] error, never a [SIGBUS]. Any file that is not a v2 snapshot
+    (including the retired v1 Marshal graph format) reports [Bad_magic]. *)
 
 (** {2 Reachability index}
 

@@ -1,5 +1,5 @@
 (* Rank-aware best-first top-k path enumeration (the lazy alternative to
-   [Search.enumerate] + [Rank.sort]).
+   [Search.Csr.enumerate] + [Rank.sort]).
 
    The exhaustive pipeline materializes every acyclic path within budget —
    up to [limit = 4096] — builds a [Jungloid.t] and a full [Rank.key] per
@@ -633,13 +633,7 @@ let truncated st = st.truncated_f
 
 let start ?freevar_cost_of ?weighted ?memo ~weights ~hierarchy ~node_type
     ~iter_succs ~edge_slots ~materialize ~dist_to ~sources ~target ~limit () =
-  let memo =
-    match memo with
-    | Some m when edge_slots > 0 ->
-        Memo.ready m ~slots:edge_slots;
-        Some m
-    | _ -> None
-  in
+  Option.iter (fun m -> Memo.ready m ~slots:edge_slots) memo;
   let st =
     {
       arena = Arena.create ();

@@ -1,6 +1,6 @@
 (** Rank-aware best-first top-k path enumeration.
 
-    The lazy alternative to {!Search.enumerate} + {!Rank.sort}: path
+    The lazy alternative to {!Search.Csr.enumerate} + {!Rank.sort}: path
     prefixes live in a shared-prefix arena (parent-pointer rows in flat int
     arrays) under a binary min-heap ordered by the admissible priority
     [cost + free-variable charge + dist_to], and the Rank tiebreak
@@ -128,15 +128,14 @@ val start :
   unit ->
   t
 (** Begin a search. [iter_succs u f] must call [f ord e] for each outgoing
-    edge in adjacency order, [ord] being a stable per-edge ordinal —
-    the global CSR edge index (with [edge_slots] = total edge count, so
-    per-edge rank contributions are memoized once per edge — pass [?memo]
-    to reuse the memo allocation across queries), or the per-row index
-    with [edge_slots = 0] for the list graph (memo bypassed). [dist_to]
+    edge in adjacency order, [ord] being its global CSR edge index and
+    [edge_slots] the length of the snapshot's edge table, so per-edge rank
+    contributions are memoized once per edge (pass [?memo] to reuse the
+    memo allocation across queries). [dist_to]
     are exact backward 0-1-BFS distances to [target] ([max_int] =
     unreachable); pruned distances are fine as long as the pruning is
     cone-exact, which keeps the priority admissible and consistent. [sources] pairs each source node with its cost budget
-    (shortest-cost + slack — per source, as {!Search.enumerate_per_source}
+    (shortest-cost + slack — per source, as {!Search.Csr.enumerate_per_source}
     budgets them); a node must appear at most once. [limit] caps completed
     candidates exactly as the DFS caps enumerated paths.
 

@@ -143,6 +143,7 @@ let score ?(generalize = true) ?(min_keep = 1) ?(flow_sensitive = false)
   let prog = Minijava.Resolve.parse_program ~api:t.hierarchy t.corpus in
   let g = Prospector.Sig_graph.build t.hierarchy in
   let _ = Mining.Enrich.enrich ~generalize ~min_keep ~flow_sensitive g prog in
+  let frozen = Query.freeze g in
   let complete = ref 0 in
   let synthesized = ref 0 in
   let viable = ref 0 in
@@ -160,7 +161,7 @@ let score ?(generalize = true) ?(min_keep = 1) ?(flow_sensitive = false)
             max_results = 1000;
             strategy = Query.Exhaustive;
           }
-        ~graph:g ~hierarchy:t.hierarchy (Query.query tin (model i))
+        ~frozen ~hierarchy:t.hierarchy (Query.query tin (model i))
     in
     let correct =
       List.exists

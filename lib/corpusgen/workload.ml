@@ -35,7 +35,15 @@ let branchy_corpus ~branches =
   Buffer.add_string buf "    Special sp = (Special) o;\n  }\n}\n";
   (hierarchy, [ ("branchy-corpus", Buffer.contents buf) ])
 
-let sample_pairs ~keep graph ~count ~seed =
+(* Rejection sampling of distinct real-type pairs whose solvability (a path
+   exists) equals [solvable]; the probe runs on one snapshot taken up
+   front. *)
+let sample_pairs ~solvable graph ~count ~seed =
+  let fz = Graph.freeze graph in
+  let keep si di =
+    Option.is_some (Search.Csr.shortest_cost fz ~sources:[ si ] ~target:di)
+    = solvable
+  in
   let rng = Rng.create ~seed in
   let real =
     List.filter_map
@@ -57,12 +65,9 @@ let sample_pairs ~keep graph ~count ~seed =
   in
   sample [] 0 0
 
-let solvable graph si di =
-  Search.shortest_cost graph ~sources:[ si ] ~target:di <> None
-
 let random_queries hierarchy graph ~count ~seed =
   ignore hierarchy;
-  sample_pairs ~keep:(solvable graph) graph ~count ~seed
+  sample_pairs ~solvable:true graph ~count ~seed
 
 let random_misses graph ~count ~seed =
-  sample_pairs ~keep:(fun si di -> not (solvable graph si di)) graph ~count ~seed
+  sample_pairs ~solvable:false graph ~count ~seed

@@ -372,6 +372,18 @@ let field_int_opt j k =
   | Some Null | None -> Ok None
   | Some _ -> Error (Printf.sprintf "field %S must be an integer" k)
 
+(* Negative counts are rejected at decode time, by the same rule the CLI
+   applies to its flags. *)
+let field_limits j =
+  let* max_results = field_int_opt j "max_results" in
+  let* slack = field_int_opt j "slack" in
+  let* () =
+    Prospector.Query.check_limits
+      ~max_results:(Option.value max_results ~default:0)
+      ~slack:(Option.value slack ~default:0)
+  in
+  Ok (max_results, slack)
+
 let field_string_opt j k =
   match member k j with
   | Some (Str s) -> Ok (Some s)
@@ -415,8 +427,7 @@ let request_of_json j =
         | "query" ->
             let* tin = field_string j "tin" in
             let* tout = field_string j "tout" in
-            let* max_results = field_int_opt j "max_results" in
-            let* slack = field_int_opt j "slack" in
+            let* max_results, slack = field_limits j in
             let* strategy = field_string_opt j "strategy" in
             let* ranking = field_string_opt j "ranking" in
             let* protocol = field_string_opt j "protocol" in
@@ -432,8 +443,7 @@ let request_of_json j =
               | Some Null | None -> Ok []
               | Some _ -> Error "field \"vars\" must be an array"
             in
-            let* max_results = field_int_opt j "max_results" in
-            let* slack = field_int_opt j "slack" in
+            let* max_results, slack = field_limits j in
             let* strategy = field_string_opt j "strategy" in
             let* ranking = field_string_opt j "ranking" in
             let* protocol = field_string_opt j "protocol" in
@@ -444,8 +454,7 @@ let request_of_json j =
               | Some (Arr qs) -> map_m parse_pair qs
               | _ -> Error "field \"queries\" must be an array"
             in
-            let* max_results = field_int_opt j "max_results" in
-            let* slack = field_int_opt j "slack" in
+            let* max_results, slack = field_limits j in
             let* strategy = field_string_opt j "strategy" in
             let* ranking = field_string_opt j "ranking" in
             let* protocol = field_string_opt j "protocol" in
@@ -468,8 +477,7 @@ let request_of_json j =
                 Error "refine_start takes either \"tin\" or \"vars\", not both"
               else Ok ()
             in
-            let* max_results = field_int_opt j "max_results" in
-            let* slack = field_int_opt j "slack" in
+            let* max_results, slack = field_limits j in
             let* strategy = field_string_opt j "strategy" in
             let* ranking = field_string_opt j "ranking" in
             let* protocol = field_string_opt j "protocol" in

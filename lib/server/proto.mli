@@ -144,15 +144,18 @@ type envelope = { id : json; req : request }
 (** [id] is echoed into the response untouched; [Null] when absent. *)
 
 val request_of_json : json -> (envelope, string) result
+(** [Error] on a missing or ill-typed field, and on a negative
+    ["max_results"] or ["slack"] ({!Prospector.Query.check_limits}). *)
 
 val envelope_to_json : envelope -> json
 (** The client-side inverse of {!request_of_json}:
-    [request_of_json (envelope_to_json e) = Ok e]. *)
+    [request_of_json (envelope_to_json e) = Ok e] for every envelope whose
+    counts are non-negative. *)
 
 (** {1 Responses} *)
 
 type error_code =
-  | Bad_request  (** unparsable JSON or missing/ill-typed fields *)
+  | Bad_request  (** unparsable JSON, missing/ill-typed fields, or bad values *)
   | Unknown_op
   | Too_large  (** request line over the server's byte limit *)
   | Busy  (** connection limit reached; retry later *)

@@ -19,6 +19,20 @@ let load = Japi.Loader.load_string
 
 let node g name = Option.get (Graph.find_type_node g (Jtype.ref_of_string name))
 
+(* The kernels run on a snapshot of the builder graph; every call is also
+   held against the naive oracle on the graph itself. *)
+let shortest_cost g ~sources ~target =
+  let r = Search.Csr.shortest_cost (Graph.freeze g) ~sources ~target in
+  check_bool "shortest cost = naive" true
+    (r = Naive.shortest_cost g ~sources ~target);
+  r
+
+let enumerate g ~sources ~target ?slack ?limit () =
+  let ps = Search.Csr.enumerate (Graph.freeze g) ~sources ~target ?slack ?limit () in
+  check_bool "enumeration = naive" true
+    (ps = Naive.enumerate g ~sources ~target ?slack ?limit ());
+  ps
+
 (* Linear chain A -> B -> C -> D via instance methods. *)
 let chain_model () =
   load
@@ -34,14 +48,14 @@ let test_shortest_cost_chain () =
   let h = chain_model () in
   let g = Sig_graph.build h in
   check_bool "A to D = 3" true
-    (Search.shortest_cost g ~sources:[ node g "p.A" ] ~target:(node g "p.D") = Some 3);
+    (shortest_cost g ~sources:[ node g "p.A" ] ~target:(node g "p.D") = Some 3);
   check_bool "D to A unreachable" true
-    (Search.shortest_cost g ~sources:[ node g "p.D" ] ~target:(node g "p.A") = None)
+    (shortest_cost g ~sources:[ node g "p.D" ] ~target:(node g "p.A") = None)
 
 let test_enumerate_chain () =
   let h = chain_model () in
   let g = Sig_graph.build h in
-  let paths = Search.enumerate g ~sources:[ node g "p.A" ] ~target:(node g "p.D") () in
+  let paths = enumerate g ~sources:[ node g "p.A" ] ~target:(node g "p.D") () in
   check_int "single path" 1 (List.length paths);
   check_int "cost 3" 3 (Search.path_cost (List.hd paths))
 
@@ -58,7 +72,7 @@ let test_widening_costs_zero () =
   let g = Sig_graph.build h in
   (* Sub --widen(0)--> Super --get(1)--> T : total cost 1 *)
   check_bool "cost 1 through widening" true
-    (Search.shortest_cost g ~sources:[ node g "p.Sub" ] ~target:(node g "p.T") = Some 1)
+    (shortest_cost g ~sources:[ node g "p.Sub" ] ~target:(node g "p.T") = Some 1)
 
 let test_slack_enumerates_longer_paths () =
   let h =
@@ -72,11 +86,11 @@ let test_slack_enumerates_longer_paths () =
   in
   let g = Sig_graph.build h in
   let short_only =
-    Search.enumerate g ~sources:[ node g "p.A" ] ~target:(node g "p.B") ~slack:0 ()
+    enumerate g ~sources:[ node g "p.A" ] ~target:(node g "p.B") ~slack:0 ()
   in
   check_int "slack 0: one path" 1 (List.length short_only);
   let with_slack =
-    Search.enumerate g ~sources:[ node g "p.A" ] ~target:(node g "p.B") ~slack:1 ()
+    enumerate g ~sources:[ node g "p.A" ] ~target:(node g "p.B") ~slack:1 ()
   in
   check_int "slack 1: two paths" 2 (List.length with_slack)
 
@@ -91,7 +105,7 @@ let test_acyclic_only () =
   in
   let g = Sig_graph.build h in
   let paths =
-    Search.enumerate g ~sources:[ node g "p.A" ] ~target:(node g "p.B") ~slack:2 ()
+    enumerate g ~sources:[ node g "p.A" ] ~target:(node g "p.B") ~slack:2 ()
   in
   (* Only the direct A->B: any longer route revisits A or B. *)
   check_int "one acyclic path" 1 (List.length paths);
@@ -118,7 +132,7 @@ let test_multi_source () =
   in
   let g = Sig_graph.build h in
   let sources = [ node g "p.A"; node g "p.B" ] in
-  let paths = Search.enumerate g ~sources ~target:(node g "p.T") ~slack:1 () in
+  let paths = enumerate g ~sources ~target:(node g "p.T") ~slack:1 () in
   (* shortest over all sources is 1 (from A); slack 1 admits B's cost-2 path *)
   check_int "both sources found" 2 (List.length paths);
   let sources_seen =
@@ -139,20 +153,27 @@ let test_limit_respected () =
   done;
   let h = load (Buffer.contents buf) in
   let g = Sig_graph.build h in
-  let all = Search.enumerate g ~sources:[ node g "p.A" ] ~target:(node g "p.T") () in
+  let all = enumerate g ~sources:[ node g "p.A" ] ~target:(node g "p.T") () in
   check_int "ten paths" 10 (List.length all);
   let limited =
-    Search.enumerate g ~sources:[ node g "p.A" ] ~target:(node g "p.T") ~limit:3 ()
+    enumerate g ~sources:[ node g "p.A" ] ~target:(node g "p.T") ~limit:3 ()
   in
   check_int "limit 3" 3 (List.length limited)
 
 let test_distances_agree_with_paths () =
   let h = chain_model () in
   let g = Sig_graph.build h in
+  let fz = Graph.freeze g in
+  let n = Graph.node_count g in
   let d_from = Search.distances_from g ~sources:[ node g "p.A" ] in
-  let d_to = Search.distances_to g ~target:(node g "p.D") in
+  let d_to =
+    Search.Dist.snapshot ~n (Search.Csr.distances_to fz ~target:(node g "p.D"))
+  in
   check_int "from A to C" 2 d_from.(node g "p.C");
-  check_int "from C to D" 1 d_to.(node g "p.C")
+  check_int "from C to D" 1 d_to.(node g "p.C");
+  check_bool "from = naive" true
+    (d_from = Naive.distances_from g ~sources:[ node g "p.A" ]);
+  check_bool "to = naive" true (d_to = Naive.distances_to g ~target:(node g "p.D"))
 
 (* ---------- Jungloid ---------- *)
 

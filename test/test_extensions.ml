@@ -18,63 +18,90 @@ let contains ~sub s =
 
 (* ---------- serialization ---------- *)
 
-let graphs_equal a b =
-  Graph.node_count a = Graph.node_count b
-  && Graph.edge_count a = Graph.edge_count b
-  && List.for_all
-       (fun n ->
-         Jtype.equal (Graph.node_type a n) (Graph.node_type b n)
-         && Graph.typestate_origin a n = Graph.typestate_origin b n
-         && List.length (Graph.succs a n) = List.length (Graph.succs b n))
-       (Graph.nodes a)
+(* A snapshot through a temp file and back (read into memory, and mmapped:
+   both must give the same snapshot). *)
+let roundtrip fz =
+  let path = Filename.temp_file "prospector" ".froz" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      ignore (Serialize.save_frozen fz path : int);
+      let load mmap =
+        match Serialize.load_frozen ~mmap path with
+        | Ok fz -> fz
+        | Error e -> Alcotest.fail (Serialize.error_message e)
+      in
+      let read = load false and mapped = load true in
+      check_bool "mmap = read" true (Prospector.Delta.frozen_equal read mapped);
+      read)
+
+let snapshots_equal a b =
+  Graph.frozen_generation a = Graph.frozen_generation b
+  && Prospector.Delta.frozen_equal a b
 
 let test_roundtrip_signature_graph () =
-  let g = Apidata.Api.signature_graph () in
-  let g' = Serialize.of_bytes (Serialize.to_bytes g) in
-  check_bool "equal" true (graphs_equal g g')
+  let fz = Graph.freeze (Apidata.Api.signature_graph ()) in
+  check_bool "equal" true (snapshots_equal fz (roundtrip fz))
 
 let test_roundtrip_jungloid_graph () =
   (* typestate nodes and downcast edges survive *)
   let g, _ = Apidata.Api.jungloid_graph () in
-  let g' = Serialize.of_bytes (Serialize.to_bytes g) in
-  check_bool "equal" true (graphs_equal g g');
-  let ts g = List.length (List.filter (Graph.is_typestate g) (Graph.nodes g)) in
-  check_int "typestates preserved" (ts g) (ts g')
+  let fz = Graph.freeze g in
+  let fz' = roundtrip fz in
+  check_bool "equal" true (snapshots_equal fz fz');
+  let ts fz =
+    List.length
+      (List.filter (Graph.frozen_is_typestate fz)
+         (List.init (Graph.frozen_node_count fz) Fun.id))
+  in
+  check_bool "has typestates" true (ts fz > 0);
+  check_int "typestates preserved" (ts fz) (ts fz')
 
 let test_loaded_graph_answers_queries () =
   let g, _ = Apidata.Api.jungloid_graph () in
   let h = Apidata.Api.hierarchy () in
-  let g' = Serialize.of_bytes (Serialize.to_bytes g) in
+  let fz' = roundtrip (Query.freeze g) in
   let q =
     Query.query "org.eclipse.debug.ui.IDebugView"
       "org.eclipse.jdt.internal.debug.ui.display.JavaInspectExpression"
   in
   let r = Query.run ~graph:g ~hierarchy:h q in
-  let r' = Query.run ~graph:g' ~hierarchy:h q in
+  let r' = Query.run ~frozen:fz' ~hierarchy:h q in
+  check_bool "has results" true (r <> []);
   check_int "same result count" (List.length r) (List.length r');
   List.iter2
     (fun a b -> check_string "same code" a.Query.code b.Query.code)
     r r'
 
 let test_save_load_file () =
-  let g = Apidata.Api.signature_graph () in
-  let path = Filename.temp_file "prospector" ".graph" in
+  let fz = Graph.freeze (Apidata.Api.signature_graph ()) in
+  let path = Filename.temp_file "prospector" ".froz" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let size = Serialize.save g path in
+      let size = Serialize.save_frozen fz path in
       check_bool "nonempty" true (size > 1000);
       check_bool "file size matches" true ((Unix.stat path).Unix.st_size = size);
-      let g' = Serialize.load path in
-      check_bool "equal" true (graphs_equal g g'))
+      check_bool "no temp file left behind" false (Sys.file_exists (path ^ ".tmp"));
+      match Serialize.load_frozen path with
+      | Ok fz' -> check_bool "equal" true (snapshots_equal fz fz')
+      | Error e -> Alcotest.fail (Serialize.error_message e))
 
 let test_reject_garbage () =
-  (match Serialize.of_bytes (Bytes.of_string "not a graph at all") with
-  | exception Serialize.Format_error _ -> ()
-  | _ -> Alcotest.fail "expected Format_error");
-  match Serialize.of_bytes (Bytes.of_string "short") with
-  | exception Serialize.Format_error _ -> ()
-  | _ -> Alcotest.fail "expected Format_error on short input"
+  let path = Filename.temp_file "prospector" ".froz" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let load contents =
+        Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+        Serialize.load_frozen path
+      in
+      (match load "not a graph at all, and long enough for a header" with
+      | Error (Serialize.Bad_magic _) -> ()
+      | _ -> Alcotest.fail "expected Bad_magic");
+      match load "short" with
+      | Error (Serialize.Corrupt _) -> ()
+      | _ -> Alcotest.fail "expected Corrupt on short input")
 
 (* ---------- clustering ---------- *)
 

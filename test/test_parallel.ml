@@ -4,7 +4,7 @@
    byte-identical results at jobs = 1 vs jobs = 4 for queries, batches, and
    corpus mining. The CSR search kernels themselves are covered
    transitively: [Query.run ~frozen] answers every query here over the
-   frozen view and is compared against the adjacency-list path. *)
+   frozen view and is compared against the naive pipeline in naive.ml. *)
 
 module Jtype = Javamodel.Jtype
 module Graph = Prospector.Graph
@@ -119,8 +119,10 @@ let prop_frozen_run_equals_live =
       List.for_all
         (fun q ->
           let live = Query.run ~graph:g ~hierarchy:h q in
-          let frz = Query.run ~frozen ~graph:g ~hierarchy:h q in
-          List.length live = List.length frz
+          let frz = Query.run ~frozen ~hierarchy:h q in
+          List.map (fun (r : Query.result) -> r.Query.jungloid) frz
+          = Naive.run g ~hierarchy:h q
+          && List.length live = List.length frz
           && List.for_all2
                (fun (a : Query.result) (b : Query.result) ->
                  Prospector.Jungloid.equal a.Query.jungloid b.Query.jungloid

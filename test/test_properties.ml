@@ -57,14 +57,20 @@ let prop_path_costs_bounded =
               Graph.find_type_node w.w_g q.Query.tout )
           with
           | Some src, Some dst -> (
-              match Search.shortest_cost w.w_g ~sources:[ src ] ~target:dst with
-              | None -> true
+              let fz = Graph.freeze w.w_g in
+              match Search.Csr.shortest_cost fz ~sources:[ src ] ~target:dst with
+              | None -> Naive.shortest_cost w.w_g ~sources:[ src ] ~target:dst = None
               | Some m ->
                   let limit = 200_000 in
                   let paths =
-                    Search.enumerate w.w_g ~sources:[ src ] ~target:dst ~slack:1
+                    Search.Csr.enumerate fz ~sources:[ src ] ~target:dst ~slack:1
                       ~limit ()
                   in
+                  Naive.shortest_cost w.w_g ~sources:[ src ] ~target:dst = Some m
+                  && paths
+                     = Naive.enumerate w.w_g ~sources:[ src ] ~target:dst ~slack:1
+                         ~limit ()
+                  &&
                   let truncated = List.length paths >= limit in
                   (* Zero-cost (pure widening) paths carry no code and are
                      excluded by design, so for m = 0 the set may be empty
@@ -91,8 +97,9 @@ let prop_slack_monotone =
               Graph.find_type_node w.w_g q.Query.tout )
           with
           | Some src, Some dst ->
+              let fz = Graph.freeze w.w_g in
               let paths k =
-                Search.enumerate w.w_g ~sources:[ src ] ~target:dst ~slack:k
+                Search.Csr.enumerate fz ~sources:[ src ] ~target:dst ~slack:k
                   ~limit:100000 ()
                 |> List.map (fun (p : Search.path) ->
                        List.map (fun e -> e.Graph.elem) p.Search.edges)
@@ -154,23 +161,38 @@ let prop_codegen_result_var_present =
           in
           contains ~sub:gen.Prospector.Codegen.result_var gen.Prospector.Codegen.code))
 
+(* The cold half of a snapshot file (node types, typestate origins, edge
+   elements) against the builder graph it was frozen from. *)
 let prop_serialize_roundtrip =
   QCheck2.Test.make ~name:"serialize/deserialize preserves the graph structurally"
     ~count:20 world_gen (fun w ->
       let g = w.w_g in
-      let g' = Prospector.Serialize.of_bytes (Prospector.Serialize.to_bytes g) in
-      let edges g =
-        let acc = ref [] in
-        Graph.iter_edges g (fun e -> acc := (e.Graph.src, e.Graph.elem, e.Graph.dst) :: !acc);
-        List.sort compare !acc
+      let path = Filename.temp_file "prospector_prop" ".froz" in
+      let loaded =
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            ignore (Prospector.Serialize.save_frozen (Graph.freeze g) path : int);
+            Prospector.Serialize.load_frozen ~mmap:false path)
       in
-      Graph.node_count g = Graph.node_count g'
-      && List.for_all
-           (fun n ->
-             Jtype.equal (Graph.node_type g n) (Graph.node_type g' n)
-             && Graph.typestate_origin g n = Graph.typestate_origin g' n)
-           (Graph.nodes g)
-      && edges g = edges g')
+      match loaded with
+      | Error e ->
+          QCheck2.Test.fail_reportf "load_frozen: %s"
+            (Prospector.Serialize.error_message e)
+      | Ok fz ->
+          let edges iter =
+            let acc = ref [] in
+            iter (fun e -> acc := (e.Graph.src, e.Graph.elem, e.Graph.dst) :: !acc);
+            List.sort compare !acc
+          in
+          Graph.node_count g = Graph.frozen_node_count fz
+          && List.for_all
+               (fun n ->
+                 Jtype.equal (Graph.node_type g n) (Graph.frozen_node_type fz n)
+                 && Graph.typestate_origin g n = fz.Graph.f_origins.(n)
+                 && Graph.frozen_succs fz n = Graph.succs g n)
+               (Graph.nodes g)
+          && edges (Graph.iter_edges g) = edges (Graph.frozen_iter_edges fz))
 
 let prop_cluster_partitions =
   QCheck2.Test.make ~name:"clusters partition the result list" ~count:40 world_gen

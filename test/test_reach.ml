@@ -44,7 +44,7 @@ let prop_mem_agrees_with_bfs =
       let nodes = Graph.nodes w.w_g in
       List.for_all
         (fun target ->
-          let dist = Search.distances_to w.w_g ~target in
+          let dist = Naive.distances_to w.w_g ~target in
           List.for_all
             (fun src ->
               Reach.mem r ~src ~target = (dist.(src) < max_int))
@@ -60,7 +60,7 @@ let prop_cone_size_counts_bfs =
       let r = Reach.build w.w_g in
       List.for_all
         (fun target ->
-          let dist = Search.distances_to w.w_g ~target in
+          let dist = Naive.distances_to w.w_g ~target in
           let by_bfs =
             List.length
               (List.filter (fun n -> dist.(n) < max_int) (Graph.nodes w.w_g))
@@ -70,22 +70,20 @@ let prop_cone_size_counts_bfs =
 
 (* ---------- pruning is invisible in search results ---------- *)
 
+(* The cone-pruned kernels against the unpruned naive oracle. *)
 let search_pair_equal w ~src ~dst r =
-  let viable = Reach.viable r ~target:dst in
-  let plain =
-    Search.enumerate w.w_g ~sources:[ src ] ~target:dst ~slack:1 ~limit:100_000 ()
-  in
-  let pruned =
-    Search.enumerate w.w_g ~sources:[ src ] ~target:dst ~slack:1 ~limit:100_000
-      ~viable ()
-  in
-  plain = pruned
-  && Search.shortest_cost w.w_g ~sources:[ src ] ~target:dst
-     = Search.shortest_cost w.w_g ~sources:[ src ] ~target:dst ~viable
-  && Search.enumerate_per_source w.w_g ~sources:[ src; Graph.void_node w.w_g ]
-       ~target:dst ~slack:1 ~limit:100_000 ()
-     = Search.enumerate_per_source w.w_g ~sources:[ src; Graph.void_node w.w_g ]
-         ~target:dst ~slack:1 ~limit:100_000 ~viable ()
+  let sources = [ src; Graph.void_node w.w_g ] in
+  let fz = Graph.freeze w.w_g in
+  let cone = Option.map fst (Reach.cone r ~target:dst) in
+  Search.Csr.enumerate fz ~sources:[ src ] ~target:dst ~slack:1 ~limit:100_000
+    ?cone ()
+  = Naive.enumerate w.w_g ~sources:[ src ] ~target:dst ~slack:1 ~limit:100_000 ()
+  && Search.Csr.shortest_cost fz ?cone ~sources:[ src ] ~target:dst
+     = Naive.shortest_cost w.w_g ~sources:[ src ] ~target:dst
+  && Search.Csr.enumerate_per_source fz ~sources ~target:dst ~slack:1
+       ~limit:100_000 ?cone ()
+     = Naive.enumerate_per_source w.w_g ~sources ~target:dst ~slack:1
+         ~limit:100_000 ()
 
 let prop_pruned_search_identical =
   QCheck2.Test.make

@@ -2,7 +2,8 @@
    shard router must be invisible in batch answers (qcheck, over locality
    worlds where the planner actually engages), the v2 frozen snapshot must
    round-trip through disk bit for bit with and without mmap, a damaged
-   cache file must surface as a typed error rather than a crash, and the
+   cache file must surface as a typed error rather than a crash, saving
+   over a mapped snapshot must not disturb it, and the
    mega generator must be a pure function of its seed. *)
 
 module Jtype = Javamodel.Jtype
@@ -152,16 +153,46 @@ let test_damaged_files () =
       (match Serialize.load_frozen path with
       | Error (Serialize.Bad_magic _) -> ()
       | _ -> Alcotest.fail "foreign file was not Bad_magic");
-      (* the two formats reject each other by magic, which is what lets the
-         server probe v2 first and fall back to a v1 graph file *)
-      ignore (Serialize.save g path : int);
-      (match Serialize.load_frozen path with
+      (* a cache left by the retired v1 (Marshal graph) format is foreign
+         too: the server warns and rebuilds *)
+      rewrite ("PROSPECTOR-GRAPH" ^ String.sub full 16 (String.length full - 16));
+      match Serialize.load_frozen path with
       | Error (Serialize.Bad_magic _) -> ()
-      | _ -> Alcotest.fail "v1 graph file was not Bad_magic to the v2 loader");
-      ignore (Serialize.save_frozen frozen path : int);
-      match Serialize.load_result path with
-      | Error (Serialize.Bad_magic _) -> ()
-      | _ -> Alcotest.fail "v2 file was not Bad_magic to the v1 loader")
+      | _ -> Alcotest.fail "v1 graph file was not Bad_magic")
+
+(* The daemon re-saves its snapshot to the file it warm-started from, whose
+   segments the live snapshot has mmapped. A save must leave the mapped
+   pages intact: truncating in place made the next read of the old
+   snapshot die with SIGBUS. *)
+let test_save_over_mapped () =
+  let _, big = small_world () in
+  let first = Graph.freeze big in
+  let smaller =
+    Graph.freeze
+      (Prospector.Sig_graph.build
+         (Corpusgen.Apigen.generate
+            { Corpusgen.Apigen.default_params with classes = 5 }))
+  in
+  with_temp (fun path ->
+      ignore (Serialize.save_frozen first path : int);
+      match Serialize.load_frozen path with
+      | Error e -> Alcotest.fail (Serialize.error_message e)
+      | Ok mapped ->
+          ignore (Serialize.save_frozen smaller path : int);
+          let m = first.Graph.f_edges in
+          let same = ref true in
+          for k = 0 to m - 1 do
+            if mapped.Graph.f_fwd_dst.{k} <> first.Graph.f_fwd_dst.{k} then
+              same := false
+          done;
+          check_bool "mapped snapshot reads as before" true !same;
+          check_bool "still logically equal" true
+            (Prospector.Delta.frozen_equal mapped first);
+          match Serialize.load_frozen path with
+          | Ok fz ->
+              check_bool "the file holds the new snapshot" true
+                (Prospector.Delta.frozen_equal fz smaller)
+          | Error e -> Alcotest.fail (Serialize.error_message e))
 
 (* ---------- shard plan invariants ---------- *)
 
@@ -274,8 +305,12 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_sharded_batch_oracle; prop_frozen_disk_roundtrip ] );
       ( "serialize",
-        [ Alcotest.test_case "damaged files are typed errors" `Quick
-            test_damaged_files ] );
+        [
+          Alcotest.test_case "damaged files are typed errors" `Quick
+            test_damaged_files;
+          Alcotest.test_case "saving over a mapped snapshot" `Quick
+            test_save_over_mapped;
+        ] );
       ( "shard",
         [ Alcotest.test_case "plan engages and stays consistent" `Quick
             test_shards_engage ] );

@@ -324,6 +324,17 @@ let test_service_errors () =
   expect_error_code
     (Service.handle_line svc "{\"op\": \"query\", \"tin\": \"void\"}")
     "bad_request";
+  (* negative counts are the requester's mistake, on every op that takes
+     them — never an internal error, never a silent empty answer *)
+  List.iter
+    (fun line -> expect_error_code (Service.handle_line svc line) "bad_request")
+    [
+      "{\"op\": \"query\", \"tin\": \"void\", \"tout\": \"java.io.File\", \"max_results\": -1}";
+      "{\"op\": \"query\", \"tin\": \"void\", \"tout\": \"java.io.File\", \"slack\": -5}";
+      "{\"op\": \"assist\", \"tout\": \"java.io.File\", \"max_results\": -1}";
+      "{\"op\": \"batch\", \"queries\": [], \"slack\": -1}";
+      "{\"op\": \"refine_start\", \"tout\": \"java.io.File\", \"max_results\": -2}";
+    ];
   (* a poisoned query becomes an internal error reply, not an exception *)
   let reply = Service.handle_line svc "{\"op\": \"query\", \"tin\": \"\", \"tout\": \"\"}" in
   let ok, _ = response_ok reply in

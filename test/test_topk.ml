@@ -20,6 +20,7 @@ module Problems = Apidata.Problems
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+let check_string = Alcotest.(check string)
 
 let load = Japi.Loader.load_string
 
@@ -187,10 +188,12 @@ let test_layered_equivalence () =
       let bf =
         Query.run
           ~settings:(settings_at ~k:10 Query.BestFirst)
-          ~frozen ~graph:g ~hierarchy:h q
+          ~frozen ~hierarchy:h q
       in
-      check_bool "layered: best-first over CSR = exhaustive over list" true
-        (results_equal ex bf))
+      check_bool "layered: best-first = exhaustive" true (results_equal ex bf);
+      check_bool "layered: best-first = naive pipeline" true
+        (List.map (fun (r : Query.result) -> r.Query.jungloid) bf
+        = Naive.run ~settings:(settings_at ~k:10 Query.BestFirst) g ~hierarchy:h q))
     (Workload.random_queries h g ~count:10 ~seed:11)
 
 let test_exhaustion_below_k () =
@@ -244,30 +247,37 @@ let test_truncation_reported () =
 let test_multi_equivalence () =
   let graph = Apidata.Api.default_graph () in
   let hierarchy = Apidata.Api.hierarchy () in
-  let vars =
+  let ty = Jtype.ref_of_string in
+  List.iter
+    (fun (vars, tout) ->
+      let at strategy =
+        Query.run_multi
+          ~settings:{ Query.default_settings with strategy }
+          ~graph ~hierarchy ~vars ~tout:(ty tout) ()
+      in
+      let ex = at Query.Exhaustive and bf = at Query.BestFirst in
+      check_int "multi: same count" (List.length ex) (List.length bf);
+      List.iter2
+        (fun (a : Query.multi_result) (b : Query.multi_result) ->
+          check_bool "multi: same source var" true
+            (a.Query.source_var = b.Query.source_var);
+          check_bool "multi: same jungloid" true
+            (Prospector.Jungloid.equal a.Query.result.Query.jungloid
+               b.Query.result.Query.jungloid);
+          check_string "multi: same code" a.Query.result.Query.code
+            b.Query.result.Query.code)
+        ex bf)
     [
-      ("ep", Jtype.ref_of_string "org.eclipse.ui.IEditorPart");
-      ("page", Jtype.ref_of_string "org.eclipse.ui.IWorkbenchPage");
+      ( [
+          ("ep", ty "org.eclipse.ui.IEditorPart");
+          ("page", ty "org.eclipse.ui.IWorkbenchPage");
+        ],
+        "org.eclipse.ui.texteditor.IDocumentProvider" );
+      (* full rank-key ties: chains that differ only in a free receiver's
+         type ([Document] or [Element] before [getElementsByTagName]) must
+         resolve in enumeration order under both strategies *)
+      ([], "org.w3c.dom.NodeList");
     ]
-  in
-  let tout = Jtype.ref_of_string "org.eclipse.ui.texteditor.IDocumentProvider" in
-  let at strategy =
-    Query.run_multi
-      ~settings:{ Query.default_settings with strategy }
-      ~graph ~hierarchy ~vars ~tout ()
-  in
-  let ex = at Query.Exhaustive and bf = at Query.BestFirst in
-  check_int "multi: same count" (List.length ex) (List.length bf);
-  List.iter2
-    (fun (a : Query.multi_result) (b : Query.multi_result) ->
-      check_bool "multi: same source var" true
-        (a.Query.source_var = b.Query.source_var);
-      check_bool "multi: same jungloid" true
-        (Prospector.Jungloid.equal a.Query.result.Query.jungloid
-           b.Query.result.Query.jungloid);
-      check_bool "multi: same code" true
-        (a.Query.result.Query.code = b.Query.result.Query.code))
-    ex bf
 
 (* ---------- usage-weighted ranking: the same differential harness ---------- *)
 
@@ -320,10 +330,14 @@ let test_layered_mined_equivalence () =
       in
       let bf =
         Query.run ~settings:(mined_at ~k:10 Query.BestFirst) ~edge_cost ~frozen
-          ~graph:g ~hierarchy:h q
+          ~hierarchy:h q
       in
-      check_bool "layered mined: best-first over CSR = exhaustive over list" true
-        (results_equal ex bf))
+      check_bool "layered mined: best-first = exhaustive" true
+        (results_equal ex bf);
+      check_bool "layered mined: best-first = naive pipeline" true
+        (List.map (fun (r : Query.result) -> r.Query.jungloid) bf
+        = Naive.run ~settings:(mined_at ~k:10 Query.BestFirst) ~edge_cost g
+            ~hierarchy:h q))
     (Workload.random_queries h g ~count:10 ~seed:11)
 
 let test_multi_mined_equivalence () =
@@ -560,7 +574,7 @@ let prop_best_first_equals_exhaustive =
               let bz =
                 Query.run
                   ~settings:(settings_at ~k Query.BestFirst)
-                  ~frozen ~graph:g ~hierarchy:h q
+                  ~frozen ~hierarchy:h q
               in
               (* an exhaustive oracle that hit the path limit certifies
                  nothing; skip (never happens at these sizes in practice) *)
@@ -594,7 +608,7 @@ let prop_mined_equals_exhaustive =
               let bz =
                 Query.run
                   ~settings:(mined_at ~k Query.BestFirst)
-                  ~edge_cost ~frozen ~graph:g ~hierarchy:h q
+                  ~edge_cost ~frozen ~hierarchy:h q
               in
               exi.Query.truncated || (results_equal ex bf && results_equal ex bz))
             [ 1; 3; 10 ])

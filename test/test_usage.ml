@@ -188,8 +188,13 @@ let prop_weighted_distance_is_lower_bound =
                 Option.get (Graph.find_type_node g q.Query.tout)
               in
               let wdist =
-                Search.weighted_distances_to g ~target ~cost:edge_cost
+                Search.Dist.snapshot ~n:(Graph.node_count g)
+                  (Search.Csr.weighted_distances_to
+                     (Graph.freeze ~wcost:edge_cost g)
+                     ~target)
               in
+              wdist = Naive.weighted_distances_to g ~target ~cost:edge_cost
+              &&
               Query.run ~settings ~edge_cost ~graph:g ~hierarchy:h q
               |> List.for_all (fun (r : Query.result) ->
                      let mined =
