@@ -17,10 +17,14 @@ module Problems = Apidata.Problems
 let rule title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
+(* Seconds on CLOCK_MONOTONIC (bechamel's stub), the one clock every timing
+   here reads: unlike the wall clock, NTP cannot step it mid-measurement. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 let time_of f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = now () in
   let r = f () in
-  (Unix.gettimeofday () -. t0, r)
+  (now () -. t0, r)
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: query processing                                           *)
@@ -209,12 +213,14 @@ let write_file path contents =
   Printf.printf "wrote %s\n" path
 
 (* Every BENCH_*.json is stamped with the size of the model it measured
-   (total methods) and the commit, so archived numbers stay traceable when
-   quoted outside the repo. *)
+   (total methods) and the tree it was measured on, so archived numbers stay
+   traceable when quoted outside the repo. [git describe --dirty] marks a
+   tree with uncommitted changes: a file regenerated before its commit is
+   stamped "<parent>-dirty", not with the bare parent hash. *)
 let commit_id =
   lazy
     (try
-       let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
+       let ic = Unix.open_process_in "git describe --always --dirty 2>/dev/null" in
        let line = try String.trim (input_line ic) with End_of_file -> "" in
        match Unix.close_process_in ic with
        | Unix.WEXITED 0 when line <> "" -> line
@@ -402,9 +408,9 @@ let section_search_bound () =
   List.iter
     (fun slack ->
       let settings = { Query.default_settings with slack; max_results = 1000 } in
-      let t0 = Unix.gettimeofday () in
+      let t0 = now () in
       let ms = Problems.run_all ~settings ~graph ~hierarchy () in
-      let dt = Unix.gettimeofday () -. t0 in
+      let dt = now () -. t0 in
       let found = List.length (List.filter Problems.found ms) in
       let candidates =
         List.fold_left
@@ -780,12 +786,12 @@ let section_server () =
     let lats = ref [] in
     for i = 0 to n_requests - 1 do
       let line = lines.(i mod Array.length lines) in
-      let t0 = Unix.gettimeofday () in
+      let t0 = now () in
       output_string oc line;
       output_char oc '\n';
       flush oc;
       ignore (input_line ic);
-      lats := (Unix.gettimeofday () -. t0) :: !lats
+      lats := (now () -. t0) :: !lats
     done;
     (try Unix.shutdown_connection ic with _ -> ());
     close_in_noerr ic;
@@ -941,10 +947,36 @@ let section_parallel () =
 (* Best-first top-k vs exhaustive enumeration                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Words one best-first query allocates straight into the major heap —
+   arrays past the 256-word minor-heap limit, each bringing the next major
+   GC cycle over the whole heap closer — as [major_words - promoted_words]
+   over one pass of [qs]. A warm-up pass runs first, so the domain's Topk
+   workspace and scratch lanes are at their high-water mark, as in a
+   serving process. *)
+let major_direct_words_per_query ~settings ~frozen ~hierarchy qs =
+  let pass () =
+    List.iter (fun q -> ignore (Query.run_info ~settings ~frozen ~hierarchy q)) qs
+  in
+  pass ();
+  let s0 = Gc.quick_stat () in
+  pass ();
+  let s1 = Gc.quick_stat () in
+  (s1.Gc.major_words -. s0.Gc.major_words
+  -. (s1.Gc.promoted_words -. s0.Gc.promoted_words))
+  /. float_of_int (List.length qs)
+
+(* The allocation gate: at k = 100 a best-first query may allocate at most
+   this many words directly in the major heap. On this world it measures 0
+   with the reused Topk workspace, and measured 6228 when the workspace was
+   rebuilt per query. *)
+let topk_major_words_limit = 1024.
+
 (* The laziness claim of the BestFirst strategy, measured: identical output
    to the exhaustive oracle at every k, while materializing candidates
-   proportional to k instead of the full within-budget path set. The
-   `identical` booleans gate `make check` — a false here exits nonzero. *)
+   proportional to k instead of the full within-budget path set, and with
+   no per-query workspace arrays in the major heap. The `identical`
+   booleans and the k = 100 allocation figure gate `make check` — a false
+   or a figure over [topk_major_words_limit] exits nonzero. *)
 let section_topk () =
   rule "Best-first top-k vs exhaustive enumeration";
   let h = Corpusgen.Workload.layered_api ~classes:2000 in
@@ -982,25 +1014,37 @@ let section_topk () =
             0 rs
         in
         let ex_c = candidates ex and bf_c = candidates bf in
+        let major_words =
+          major_direct_words_per_query
+            ~settings:{ Query.default_settings with max_results = k }
+            ~frozen ~hierarchy:h qs
+        in
         Printf.printf
           "  k=%-4d exhaustive: %.4f s (%6d candidates)   best-first: %.4f s \
-           (%6d candidates)   speedup %.2fx   identical: %b\n"
-          k ex_t ex_c bf_t bf_c (ex_t /. bf_t) identical;
-        (k, ex_t, ex_c, bf_t, bf_c, identical))
+           (%6d candidates, %.0f words/query direct to the major heap)   \
+           speedup %.2fx   identical: %b\n"
+          k ex_t ex_c bf_t bf_c major_words (ex_t /. bf_t) identical;
+        (k, ex_t, ex_c, bf_t, bf_c, major_words, identical))
       [ 1; 10; 100 ]
   in
   Printf.printf "  all identical: %b\n" !all_identical;
+  let over_limit =
+    List.exists
+      (fun (k, _, _, _, _, w, _) -> k = 100 && w > topk_major_words_limit)
+      rows
+  in
   let json =
     Printf.sprintf "{\n  \"queries\": %d,\n  \"passes\": %d,\n  \"rows\": [\n%s\n  ],\n  \"identical\": %b\n}\n"
       nq passes
       (String.concat ",\n"
          (List.map
-            (fun (k, ex_t, ex_c, bf_t, bf_c, id) ->
+            (fun (k, ex_t, ex_c, bf_t, bf_c, w, id) ->
               Printf.sprintf
                 "    {\"k\": %d, \"exhaustive_s\": %.6f, \
                  \"exhaustive_candidates\": %d, \"best_first_s\": %.6f, \
-                 \"best_first_candidates\": %d, \"identical\": %b}"
-                k ex_t ex_c bf_t bf_c id)
+                 \"best_first_candidates\": %d, \
+                 \"best_first_major_words_per_query\": %.1f, \"identical\": %b}"
+                k ex_t ex_c bf_t bf_c w id)
             rows))
       !all_identical
   in
@@ -1008,6 +1052,13 @@ let section_topk () =
   if not !all_identical then begin
     prerr_endline
       "error: best-first results diverged from the exhaustive oracle";
+    exit 1
+  end;
+  if over_limit then begin
+    Printf.eprintf
+      "error: a best-first query at k=100 allocated more than %.0f words \
+       directly in the major heap\n"
+      topk_major_words_limit;
     exit 1
   end
 
@@ -1039,9 +1090,9 @@ let section_refine () =
           List.map (fun result -> { Esession.source = None; result }) results
         in
         let timed f =
-          let t0 = Unix.gettimeofday () in
+          let t0 = now () in
           let r = f () in
-          probe_samples := (Unix.gettimeofday () -. t0) :: !probe_samples;
+          probe_samples := (now () -. t0) :: !probe_samples;
           r
         in
         let rec loop sess =
@@ -1884,10 +1935,10 @@ let section_reload () =
     let churn_run ~reload ~query =
       let lats = ref [] in
       for i = 0 to n_queries - 1 do
-        let t0 = Unix.gettimeofday () in
+        let t0 = now () in
         if i > 0 && i mod churn_every = 0 then reload (i / churn_every);
         query i;
-        lats := (Unix.gettimeofday () -. t0) :: !lats
+        lats := (now () -. t0) :: !lats
       done;
       !lats
     in

@@ -464,8 +464,10 @@ let run_info ?(settings = default_settings) ?reach ?frozen ?verify ?edge_cost
   let fz = snapshot ?frozen ?graph ~edge_cost () in
   (* Consume-within-call entry point: distance lanes come from the domain's
      scratch pool (released when the frame below ends — nothing in a
-     [result] refers to them) and the Topk per-edge memo is reused across
-     queries on this domain. *)
+     [result] refers to them), and the search runs in the domain's Topk
+     workspace ([Topk.Memo.domain]): [consume_single] is done with the
+     enumeration before this call returns, so the next search on this
+     domain may take the workspace over. *)
   let scratch = Search.Scratch.domain () in
   let pfilter = protocol_pred ~protocol ~protocol_check in
   let no_info = { no_info with warnings } in
@@ -564,8 +566,10 @@ let run ?settings ?reach ?frozen ?verify ?edge_cost ?protocol_check ?graph
 
 (* Escaping entry point: the returned sequence captures live search state
    (distance lanes, the Topk heap), so it must not borrow recycled
-   per-domain scratch or the shared memo — the kernels run without scratch
-   (one-shot lanes) and [topk_stream] gets no memo. *)
+   per-domain scratch or the domain's Topk workspace — the next query on
+   this domain would take that workspace and the stream's [Topk.next] would
+   raise. The kernels run without scratch (one-shot lanes) and
+   [topk_stream] gets no memo, so the search owns a private workspace. *)
 let run_stream ?(settings = default_settings) ?reach ?verify ?edge_cost
     ?protocol_check ~frozen:fz ~hierarchy q =
   let edge_cost0 = edge_cost in

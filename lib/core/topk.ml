@@ -17,7 +17,10 @@
    Rank length — in nondecreasing length order. Prefixes are stored in a
    shared-prefix arena of parent-pointer ints (one row per prefix, flat
    parallel arrays), so extending a path is O(1) and allocation-free: no
-   [List.rev], no cons garbage, no per-prefix jungloid.
+   [List.rev], no cons garbage, no per-prefix jungloid. The arrays behind
+   the arena, the heap and the rank lanes form one workspace ([Memo]) that
+   the consume-within-call entry points reuse per domain, so a query in
+   steady state allocates none of them either.
 
    Exactness of the tiebreaks: completed paths of one length are buffered
    until the heap minimum exceeds that length (then no more paths of that
@@ -49,6 +52,8 @@ module Ivec = struct
 
   let create () = { buf = Array.make 64 0; len = 0 }
 
+  let clear v = v.len <- 0
+
   let push v x =
     if v.len = Array.length v.buf then begin
       let buf' = Array.make (2 * Array.length v.buf) 0 in
@@ -73,6 +78,8 @@ module Heap = struct
   }
 
   let create () = { prio = Array.make 64 0; payload = Array.make 64 0; len = 0 }
+
+  let clear h = h.len <- 0
 
   let length h = h.len
 
@@ -129,15 +136,21 @@ end
 
 (* The shared-prefix arena: row [i] is a path prefix, [parents.(i)] its
    one-shorter prefix (-1 for a root), [edges.(i)] the appended edge and
-   [ords.(i)] that edge's ordinal in its source's adjacency row (the
-   DFS-lexicographic coordinate). Reconstruction walks the parent chain —
-   paths share storage with every sibling that branched off them. *)
+   [ords.(i)] that edge's global CSR index. Only the ords of edges leaving
+   one node are ever compared (two paths first differ after a shared
+   prefix), and one node's row of CSR indices is contiguous and increasing
+   — a row patched into the snapshot's tail slack included — so index order
+   is adjacency order: the DFS-lexicographic coordinate. Reconstruction
+   walks the parent chain — paths share storage with every sibling that
+   branched off them. [edges] is a plain array, so appending stores a
+   pointer and boxes nothing; a root row's slot is never read and may hold
+   any edge, a stale one included. *)
 module Arena = struct
   type t = {
     parents : Ivec.t;
     ords : Ivec.t;
     nodes : Ivec.t;
-    mutable edges : Graph.edge option array;
+    mutable edges : Graph.edge array;
   }
 
   let create () =
@@ -145,25 +158,21 @@ module Arena = struct
       parents = Ivec.create ();
       ords = Ivec.create ();
       nodes = Ivec.create ();
-      edges = Array.make 64 None;
+      edges = [||];
     }
 
-  let size a = a.parents.Ivec.len
+  let clear a =
+    Ivec.clear a.parents;
+    Ivec.clear a.ords;
+    Ivec.clear a.nodes
 
-  let ensure_edge a id =
-    if id >= Array.length a.edges then begin
-      let edges' = Array.make (2 * Array.length a.edges) None in
-      Array.blit a.edges 0 edges' 0 (Array.length a.edges);
-      a.edges <- edges'
-    end
+  let size a = a.parents.Ivec.len
 
   let add_root a node =
     let id = size a in
     Ivec.push a.parents (-1);
     Ivec.push a.ords (-1);
     Ivec.push a.nodes node;
-    ensure_edge a id;
-    a.edges.(id) <- None;
     id
 
   let append a ~parent ~ord (e : Graph.edge) =
@@ -171,8 +180,13 @@ module Arena = struct
     Ivec.push a.parents parent;
     Ivec.push a.ords ord;
     Ivec.push a.nodes e.Graph.dst;
-    ensure_edge a id;
-    a.edges.(id) <- Some e;
+    if id >= Array.length a.edges then begin
+      let cap = max (id + 1) (max 64 (2 * Array.length a.edges)) in
+      let edges' = Array.make cap e in
+      Array.blit a.edges 0 edges' 0 (Array.length a.edges);
+      a.edges <- edges'
+    end;
+    a.edges.(id) <- e;
     id
 
   let node a id = Ivec.get a.nodes id
@@ -190,10 +204,7 @@ module Arena = struct
     let rec go id acc =
       let p = parent a id in
       if p < 0 then { Search.source = node a id; edges = acc }
-      else
-        match a.edges.(id) with
-        | Some e -> go p (e :: acc)
-        | None -> assert false
+      else go p (a.edges.(id) :: acc)
     in
     go id []
 
@@ -219,44 +230,102 @@ type candidate = {
   cand_key : Rank.key;
 }
 
-(* Per-domain, epoch-stamped memo of per-edge rank contributions, keyed by
-   the CSR edge index. The *allocation* is what gets reused across queries
-   (three [Array.make edge_slots] per query is 24 MB/query at 10^6 edges);
-   the *contents* are not — charge depends on the query's free-variable
-   estimator and package ids on the query's intern table — so every
-   [start] bumps the epoch, invalidating all previous entries at once. *)
+(* The best-first workspace: every array a search writes, owned by a
+   memo so that the consume-within-call entry points reuse one per domain.
+
+   Row lanes, aligned with the arena's rows (the arena's three, the edge
+   array, the heap's two and the eight rank lanes below — 14 words per row
+   of capacity). A taken memo empties them by resetting their lengths, so
+   they stay at their high-water mark and a steady-state query allocates
+   none of them: a lane past the 256-word minor-heap limit is allocated
+   straight in the major heap, so regrowing the lanes per query would
+   drive major GC cycles over the whole heap. The rank
+   lanes hold per-prefix incremental rank state, stored already gated by
+   the weights (a disabled tiebreak stays 0 everywhere), so the batch sort
+   sees exactly what [Rank.key] would compute for the finished jungloid.
+
+   Edge lanes, keyed by the global CSR edge index: the per-edge rank
+   contributions (charge, package, output depth). Their contents are
+   per-query — charge depends on the query's free-variable estimator and
+   package ids on the query's intern table — so an entry is live only while
+   its stamp equals [epoch].
+
+   [take] bumps [epoch], which retires every edge entry and every earlier
+   enumeration on this memo at once: [next] compares the epoch its
+   enumeration started under and refuses to read rows a later [start] has
+   recycled. *)
 type memo = {
-  mutable mcharge : int array;
-  mutable mpkg : int array;  (* -1 no package; >= 0 interned id *)
-  mutable mdepth : int array;  (* -1 widening; >= 0 output depth *)
-  mutable mstamp : int array;  (* entry live iff = mepoch *)
-  mutable mepoch : int;
+  arena : Arena.t;
+  heap : Heap.t;
+  r_cost : Ivec.t;  (* sum of edge costs *)
+  r_wcost : Ivec.t;  (* sum of weighted edge costs (0 in paper mode) *)
+  r_charge : Ivec.t;  (* free-variable charge so far *)
+  r_cross : Ivec.t;  (* package crossings so far *)
+  r_lastpkg : Ivec.t;  (* interned id of the last package seen; -1 none *)
+  r_spec : Ivec.t;  (* depth of the last non-widening output (or input) *)
+  r_interior : Ivec.t;  (* summed depth of non-widening outputs *)
+  r_budget : Ivec.t;  (* per-source cost budget, inherited from the root *)
+  mutable e_charge : int array;
+  mutable e_pkg : int array;  (* -1 no package; >= 0 interned id *)
+  mutable e_depth : int array;  (* -1 widening; >= 0 output depth *)
+  mutable e_stamp : int array;  (* entry live iff = epoch *)
+  mutable epoch : int;
 }
 
 module Memo = struct
   type t = memo
 
   let create () =
-    { mcharge = [||]; mpkg = [||]; mdepth = [||]; mstamp = [||]; mepoch = 0 }
+    {
+      arena = Arena.create ();
+      heap = Heap.create ();
+      r_cost = Ivec.create ();
+      r_wcost = Ivec.create ();
+      r_charge = Ivec.create ();
+      r_cross = Ivec.create ();
+      r_lastpkg = Ivec.create ();
+      r_spec = Ivec.create ();
+      r_interior = Ivec.create ();
+      r_budget = Ivec.create ();
+      e_charge = [||];
+      e_pkg = [||];
+      e_depth = [||];
+      e_stamp = [||];
+      epoch = 0;
+    }
 
   let key = Domain.DLS.new_key create
 
   let domain () = Domain.DLS.get key
 
-  let ready t ~slots =
-    if Array.length t.mstamp < slots then begin
-      let cap = max slots (2 * Array.length t.mstamp) in
-      t.mcharge <- Array.make cap 0;
-      t.mpkg <- Array.make cap 0;
-      t.mdepth <- Array.make cap 0;
-      t.mstamp <- Array.make cap 0;
-      t.mepoch <- 0
+  (* Hand the workspace to a new enumeration and return its epoch.
+     Regrowing the edge lanes leaves [epoch] alone: fresh stamps are all
+     zero, never live since [epoch] >= 1 after the bump, and an epoch a
+     retired enumeration holds never comes round again. *)
+  let take t ~slots =
+    if Array.length t.e_stamp < slots then begin
+      let cap = max slots (2 * Array.length t.e_stamp) in
+      t.e_charge <- Array.make cap 0;
+      t.e_pkg <- Array.make cap 0;
+      t.e_depth <- Array.make cap 0;
+      t.e_stamp <- Array.make cap 0
     end;
-    if t.mepoch = max_int then begin
-      Array.fill t.mstamp 0 (Array.length t.mstamp) 0;
-      t.mepoch <- 0
+    if t.epoch = max_int then begin
+      Array.fill t.e_stamp 0 (Array.length t.e_stamp) 0;
+      t.epoch <- 0
     end;
-    t.mepoch <- t.mepoch + 1
+    t.epoch <- t.epoch + 1;
+    Arena.clear t.arena;
+    Heap.clear t.heap;
+    Ivec.clear t.r_cost;
+    Ivec.clear t.r_wcost;
+    Ivec.clear t.r_charge;
+    Ivec.clear t.r_cross;
+    Ivec.clear t.r_lastpkg;
+    Ivec.clear t.r_spec;
+    Ivec.clear t.r_interior;
+    Ivec.clear t.r_budget;
+    t.epoch
 end
 
 (* Mined (usage-weighted) mode. The heap priority becomes
@@ -272,30 +341,16 @@ end
 type weighted_mode = {
   wdist_to : Search.Dist.t;
   edge_wcost : int -> Graph.edge -> int;
-      (** ordinal + edge -> learned cost; the CSR backend reads the baked
-          [f_fwd_wcost] by ordinal, the list backend applies the model to
-          the elem *)
+      (** global CSR edge index + edge -> learned cost; {!Query} reads
+          the snapshot's baked [f_fwd_wcost] lane at that index *)
 }
 
 type t = {
-  arena : Arena.t;
-  heap : Heap.t;
-  (* Per-prefix incremental rank state, aligned with arena rows. Values
-     are stored already gated by the weights (a disabled tiebreak stays 0
-     everywhere), so the batch sort sees exactly what [Rank.key] would
-     compute for the finished jungloid. *)
-  m_cost : Ivec.t;  (* sum of edge costs *)
-  m_wcost : Ivec.t;  (* sum of weighted edge costs (0 in paper mode) *)
-  m_charge : Ivec.t;  (* free-variable charge so far *)
-  m_cross : Ivec.t;  (* package crossings so far *)
-  m_lastpkg : Ivec.t;  (* interned id of the last package seen; -1 none *)
-  m_spec : Ivec.t;  (* depth of the last non-widening output (or input) *)
-  m_interior : Ivec.t;  (* summed depth of non-widening outputs *)
-  m_budget : Ivec.t;  (* per-source cost budget, inherited from the root *)
-  (* Per-edge memo of the rank contributions, keyed by the CSR edge index
-     (the ordinal [iter_succs] reports); [None] recomputes per traversal.
-     See {!Memo}. *)
-  memo : memo option;
+  (* The workspace this enumeration owns while [ws.epoch = epoch]. A private
+     workspace has no edge lanes, so every per-edge contribution is
+     recomputed per traversal. *)
+  ws : memo;
+  epoch : int;
   pkg_ids : (string, int) Hashtbl.t;
   mutable pkg_next : int;
   (* Search parameters. *)
@@ -354,131 +409,132 @@ let compute_depth st (e : Graph.edge) =
   if Elem.is_widen e.Graph.elem then -1
   else Rank.type_depth st.hierarchy (Elem.output_type e.Graph.elem)
 
-(* One stamp covers all three memo lanes: the first accessor to touch an
+(* One stamp covers all three edge lanes: the first accessor to touch an
    edge this query fills charge, package and depth together (each is a few
    loads — cheaper than three stamp disciplines). Package interning only
    ever feeds equality comparisons, so interning an id the current weights
    would not have asked for is harmless. *)
-let memo_fill st (m : memo) ord (e : Graph.edge) =
-  m.mcharge.(ord) <- compute_charge st e;
-  m.mpkg.(ord) <- compute_pkg st e;
-  m.mdepth.(ord) <- compute_depth st e;
-  m.mstamp.(ord) <- m.mepoch
+let memo_fill st ord (e : Graph.edge) =
+  let m = st.ws in
+  m.e_charge.(ord) <- compute_charge st e;
+  m.e_pkg.(ord) <- compute_pkg st e;
+  m.e_depth.(ord) <- compute_depth st e;
+  m.e_stamp.(ord) <- m.epoch
 
-let edge_charge st ord (e : Graph.edge) =
-  match st.memo with
-  | Some m when ord >= 0 && ord < Array.length m.mstamp ->
-      if m.mstamp.(ord) <> m.mepoch then memo_fill st m ord e;
-      m.mcharge.(ord)
-  | _ -> compute_charge st e
+(* Is [ord] covered by the edge lanes? Fills its entry on first touch this
+   query. Always [false] for a private workspace, whose lanes are empty. *)
+let memoized st ord (e : Graph.edge) =
+  let m = st.ws in
+  if ord < 0 || ord >= Array.length m.e_stamp then false
+  else begin
+    if m.e_stamp.(ord) <> m.epoch then memo_fill st ord e;
+    true
+  end
 
-let edge_pkg st ord (e : Graph.edge) =
-  match st.memo with
-  | Some m when ord >= 0 && ord < Array.length m.mstamp ->
-      if m.mstamp.(ord) <> m.mepoch then memo_fill st m ord e;
-      m.mpkg.(ord)
-  | _ -> compute_pkg st e
+let edge_charge st ord e =
+  if memoized st ord e then st.ws.e_charge.(ord) else compute_charge st e
 
-let edge_depth st ord (e : Graph.edge) =
-  match st.memo with
-  | Some m when ord >= 0 && ord < Array.length m.mstamp ->
-      if m.mstamp.(ord) <> m.mepoch then memo_fill st m ord e;
-      m.mdepth.(ord)
-  | _ -> compute_depth st e
+let edge_pkg st ord e = if memoized st ord e then st.ws.e_pkg.(ord) else compute_pkg st e
+
+let edge_depth st ord e =
+  if memoized st ord e then st.ws.e_depth.(ord) else compute_depth st e
 
 let add_root st node budget =
-  let id = Arena.add_root st.arena node in
-  Ivec.push st.m_cost 0;
-  Ivec.push st.m_wcost 0;
-  Ivec.push st.m_charge 0;
-  Ivec.push st.m_cross 0;
-  Ivec.push st.m_lastpkg
+  let ws = st.ws in
+  let id = Arena.add_root ws.arena node in
+  Ivec.push ws.r_cost 0;
+  Ivec.push ws.r_wcost 0;
+  Ivec.push ws.r_charge 0;
+  Ivec.push ws.r_cross 0;
+  Ivec.push ws.r_lastpkg
     (if st.weights.Rank.package_tiebreak then
        match st.node_type node with
        | Jtype.Ref q -> intern st (Qname.package_string q)
        | _ -> -1
      else -1);
-  Ivec.push st.m_spec
+  Ivec.push ws.r_spec
     (if st.weights.Rank.generality_tiebreak then
        Rank.type_depth st.hierarchy (st.node_type node)
      else 0);
-  Ivec.push st.m_interior 0;
-  Ivec.push st.m_budget budget;
+  Ivec.push ws.r_interior 0;
+  Ivec.push ws.r_budget budget;
   let prio =
     match st.weighted with
     | None -> Search.Dist.get st.dist_to node
     | Some w -> Search.Dist.get w.wdist_to node
   in
-  Heap.add st.heap ~prio id
+  Heap.add ws.heap ~prio id
 
 let append st parent ord (e : Graph.edge) =
-  let id = Arena.append st.arena ~parent ~ord e in
-  let cost = Ivec.get st.m_cost parent + Elem.cost e.Graph.elem in
+  let ws = st.ws in
+  let id = Arena.append ws.arena ~parent ~ord e in
+  let cost = Ivec.get ws.r_cost parent + Elem.cost e.Graph.elem in
   let wcost =
     match st.weighted with
     | None -> 0
-    | Some w -> Ivec.get st.m_wcost parent + w.edge_wcost ord e
+    | Some w -> Ivec.get ws.r_wcost parent + w.edge_wcost ord e
   in
-  let charge = Ivec.get st.m_charge parent + edge_charge st ord e in
-  Ivec.push st.m_cost cost;
-  Ivec.push st.m_wcost wcost;
-  Ivec.push st.m_charge charge;
+  let charge = Ivec.get ws.r_charge parent + edge_charge st ord e in
+  Ivec.push ws.r_cost cost;
+  Ivec.push ws.r_wcost wcost;
+  Ivec.push ws.r_charge charge;
   (if st.weights.Rank.package_tiebreak then begin
      let pkg = edge_pkg st ord e in
-     let last = Ivec.get st.m_lastpkg parent in
+     let last = Ivec.get ws.r_lastpkg parent in
      if pkg >= 0 then begin
-       Ivec.push st.m_cross
-         (Ivec.get st.m_cross parent + if last >= 0 && last <> pkg then 1 else 0);
-       Ivec.push st.m_lastpkg pkg
+       Ivec.push ws.r_cross
+         (Ivec.get ws.r_cross parent + if last >= 0 && last <> pkg then 1 else 0);
+       Ivec.push ws.r_lastpkg pkg
      end
      else begin
-       Ivec.push st.m_cross (Ivec.get st.m_cross parent);
-       Ivec.push st.m_lastpkg last
+       Ivec.push ws.r_cross (Ivec.get ws.r_cross parent);
+       Ivec.push ws.r_lastpkg last
      end
    end
    else begin
-     Ivec.push st.m_cross 0;
-     Ivec.push st.m_lastpkg (-1)
+     Ivec.push ws.r_cross 0;
+     Ivec.push ws.r_lastpkg (-1)
    end);
   (if st.weights.Rank.generality_tiebreak then begin
      let d = edge_depth st ord e in
      if d >= 0 then begin
-       Ivec.push st.m_spec d;
-       Ivec.push st.m_interior (Ivec.get st.m_interior parent + d)
+       Ivec.push ws.r_spec d;
+       Ivec.push ws.r_interior (Ivec.get ws.r_interior parent + d)
      end
      else begin
-       Ivec.push st.m_spec (Ivec.get st.m_spec parent);
-       Ivec.push st.m_interior (Ivec.get st.m_interior parent)
+       Ivec.push ws.r_spec (Ivec.get ws.r_spec parent);
+       Ivec.push ws.r_interior (Ivec.get ws.r_interior parent)
      end
    end
    else begin
-     Ivec.push st.m_spec 0;
-     Ivec.push st.m_interior 0
+     Ivec.push ws.r_spec 0;
+     Ivec.push ws.r_interior 0
    end);
-  Ivec.push st.m_budget (Ivec.get st.m_budget parent);
+  Ivec.push ws.r_budget (Ivec.get ws.r_budget parent);
   let prio =
     match st.weighted with
     | None -> cost + charge + Search.Dist.get st.dist_to e.Graph.dst
     | Some w ->
         wcost + (Elem.cost_scale * charge) + Search.Dist.get w.wdist_to e.Graph.dst
   in
-  Heap.add st.heap ~prio id
+  Heap.add ws.heap ~prio id
 
 (* Expansion mirrors the DFS push guard exactly: skip nodes already on the
    chain, unreachable nodes, and extensions whose optimistic total cost
    exceeds the root's budget. The budget is on *cost* alone (as in the
    DFS), not cost + charge. *)
 let expand st id =
-  let u = Arena.node st.arena id in
-  let cost = Ivec.get st.m_cost id in
-  let budget = Ivec.get st.m_budget id in
+  let ws = st.ws in
+  let u = Arena.node ws.arena id in
+  let cost = Ivec.get ws.r_cost id in
+  let budget = Ivec.get ws.r_budget id in
   st.iter_succs u (fun ord e ->
       let v = e.Graph.dst in
       let dv = Search.Dist.get st.dist_to v in
       if
         dv < max_int
         && cost + Elem.cost e.Graph.elem + dv <= budget
-        && not (Arena.on_path st.arena id v)
+        && not (Arena.on_path ws.arena id v)
       then append st id ord e)
 
 let cmp_ords (a : int array) (b : int array) =
@@ -499,17 +555,18 @@ let cmp_ords (a : int array) (b : int array) =
    (cost + charge) is compared first — which is a no-op for paper batches.
    Nothing is materialized yet. *)
 let flush_pending st =
-  let length id = Ivec.get st.m_cost id + Ivec.get st.m_charge id in
+  let ws = st.ws in
+  let length id = Ivec.get ws.r_cost id + Ivec.get ws.r_charge id in
   let arr = Array.of_list (List.rev st.pending) in
   st.pending <- [];
   Array.sort
     (fun a b ->
       match compare (length a) (length b) with
       | 0 -> (
-          match compare (Ivec.get st.m_cross a) (Ivec.get st.m_cross b) with
+          match compare (Ivec.get ws.r_cross a) (Ivec.get ws.r_cross b) with
           | 0 -> (
-              match compare (Ivec.get st.m_spec a) (Ivec.get st.m_spec b) with
-              | 0 -> compare (Ivec.get st.m_interior a) (Ivec.get st.m_interior b)
+              match compare (Ivec.get ws.r_spec a) (Ivec.get ws.r_spec b) with
+              | 0 -> compare (Ivec.get ws.r_interior a) (Ivec.get ws.r_interior b)
               | c -> c)
           | c -> c)
       | c -> c)
@@ -522,9 +579,9 @@ let flush_pending st =
     while
       !j < n
       && length arr.(!i) = length arr.(!j)
-      && Ivec.get st.m_cross arr.(!i) = Ivec.get st.m_cross arr.(!j)
-      && Ivec.get st.m_spec arr.(!i) = Ivec.get st.m_spec arr.(!j)
-      && Ivec.get st.m_interior arr.(!i) = Ivec.get st.m_interior arr.(!j)
+      && Ivec.get ws.r_cross arr.(!i) = Ivec.get ws.r_cross arr.(!j)
+      && Ivec.get ws.r_spec arr.(!i) = Ivec.get ws.r_spec arr.(!j)
+      && Ivec.get ws.r_interior arr.(!i) = Ivec.get ws.r_interior arr.(!j)
     do
       incr j
     done;
@@ -537,31 +594,32 @@ let flush_pending st =
    jungloids (counted — this is the laziness the bench measures) and
    rendered for the textual tiebreak. *)
 let resolve_group st ids =
+  let ws = st.ws in
   let members =
     Array.map
       (fun id ->
-        let p = Arena.path st.arena id in
+        let p = Arena.path ws.arena id in
         let j = st.materialize p in
         st.materialized_n <- st.materialized_n + 1;
         let weighted =
           match st.weighted with
           | None -> 0
           | Some _ ->
-              Ivec.get st.m_wcost id + (Elem.cost_scale * Ivec.get st.m_charge id)
+              Ivec.get ws.r_wcost id + (Elem.cost_scale * Ivec.get ws.r_charge id)
         in
         let key =
           {
             Rank.weighted;
-            length = Ivec.get st.m_cost id + Ivec.get st.m_charge id;
-            crossings = Ivec.get st.m_cross id;
-            specificity = Ivec.get st.m_spec id;
-            interior = Ivec.get st.m_interior id;
+            length = Ivec.get ws.r_cost id + Ivec.get ws.r_charge id;
+            crossings = Ivec.get ws.r_cross id;
+            specificity = Ivec.get ws.r_spec id;
+            interior = Ivec.get ws.r_interior id;
             tie = j;
           }
         in
         ( Jungloid.to_string j,
           p.Search.source,
-          Arena.ords_of st.arena id,
+          Arena.ords_of ws.arena id,
           { cand_path = p; cand_jungloid = j; cand_key = key } ))
       ids
   in
@@ -587,22 +645,22 @@ let rec refill st =
           st.emit <- resolve_group st g;
           refill st
       | [] ->
-          let exhausted = st.stopped || Heap.length st.heap = 0 in
-          if st.pending <> [] && (exhausted || Heap.min_prio st.heap > st.pending_len)
+          let exhausted = st.stopped || Heap.length st.ws.heap = 0 in
+          if st.pending <> [] && (exhausted || Heap.min_prio st.ws.heap > st.pending_len)
           then begin
             flush_pending st;
             refill st
           end
           else if exhausted then false
           else begin
-            let f = Heap.min_prio st.heap in
-            let id = Heap.pop st.heap in
-            let u = Arena.node st.arena id in
-            if u = st.target && Arena.parent st.arena id >= 0 then begin
+            let f = Heap.min_prio st.ws.heap in
+            let id = Heap.pop st.ws.heap in
+            let u = Arena.node st.ws.arena id in
+            if u = st.target && Arena.parent st.ws.arena id >= 0 then begin
               (* A completed (or dead: pure-widening, cost-0) path. Like
                  the DFS, never extend a non-empty path at the target —
                  every continuation would have to revisit it. *)
-              if Ivec.get st.m_cost id > 0 then begin
+              if Ivec.get st.ws.r_cost id > 0 then begin
                 if st.completed >= st.limit then begin
                   st.truncated_f <- true;
                   st.stopped <- true
@@ -619,6 +677,8 @@ let rec refill st =
           end)
 
 let next st =
+  if st.ws.epoch <> st.epoch then
+    invalid_arg "Topk.next: a later Topk.start has taken this enumeration's memo";
   if refill st then (
     match st.emit with
     | c :: rest ->
@@ -633,20 +693,14 @@ let truncated st = st.truncated_f
 
 let start ?freevar_cost_of ?weighted ?memo ~weights ~hierarchy ~node_type
     ~iter_succs ~edge_slots ~materialize ~dist_to ~sources ~target ~limit () =
-  Option.iter (fun m -> Memo.ready m ~slots:edge_slots) memo;
+  let ws, slots =
+    match memo with Some m -> (m, edge_slots) | None -> (Memo.create (), 0)
+  in
+  let epoch = Memo.take ws ~slots in
   let st =
     {
-      arena = Arena.create ();
-      heap = Heap.create ();
-      m_cost = Ivec.create ();
-      m_wcost = Ivec.create ();
-      m_charge = Ivec.create ();
-      m_cross = Ivec.create ();
-      m_lastpkg = Ivec.create ();
-      m_spec = Ivec.create ();
-      m_interior = Ivec.create ();
-      m_budget = Ivec.create ();
-      memo;
+      ws;
+      epoch;
       pkg_ids = Hashtbl.create 64;
       pkg_next = 0;
       weights;

@@ -48,8 +48,11 @@ module Arena : sig
   (** A zero-length prefix at a source node; returns its row id. *)
 
   val append : t -> parent:int -> ord:int -> Graph.edge -> int
-  (** Extend [parent] with an edge whose ordinal in its source's adjacency
-      row is [ord]; returns the new row id. *)
+  (** Extend [parent] with an edge whose global CSR edge index is [ord];
+      returns the new row id. Any ordinal that increases along each node's
+      adjacency row works: only ordinals of edges leaving one node are ever
+      compared, and a CSR row's indices are contiguous and increasing (a
+      row patched into the snapshot's tail slack too). *)
 
   val node : t -> int -> Graph.node
   (** Head node of a prefix. *)
@@ -67,7 +70,8 @@ module Arena : sig
 
   val ords_of : t -> int -> int array
   (** The edge ordinals from the root outward — the DFS-lexicographic
-      coordinates of the path. *)
+      coordinates of the path, since each ordinal orders its edge within
+      its source's adjacency row. *)
 end
 
 type candidate = {
@@ -79,14 +83,25 @@ type candidate = {
 type t
 (** A running best-first enumeration. *)
 
-(** Per-domain, epoch-stamped memo of per-edge rank contributions (charge,
-    package, output depth), keyed by global CSR edge index. Only the
-    {e allocation} is shared across queries — contents are per-query (charge
-    depends on the free-variable estimator, package ids on the intern
-    table), so {!start} invalidates everything by bumping the epoch. At most
-    one enumeration per domain may hold a given memo at a time; {!Query}
-    passes it for consume-within-call runs and omits it for escaping
-    streams. *)
+(** A reusable best-first workspace: the arena's lanes, the heap's two
+    lanes and the eight per-row rank lanes, plus an epoch-stamped memo of
+    per-edge rank contributions (charge, package, output depth) keyed by
+    global CSR edge index. Only the {e allocation} is shared across
+    queries; contents are per-query (charge depends on the free-variable
+    estimator, package ids on the intern table).
+
+    {!start} takes the memo: it resets the row lanes' lengths, sizes the
+    edge lanes to [edge_slots], and bumps the epoch, which invalidates
+    every edge entry at once. Lanes stay at their high-water mark, 14
+    words per row of capacity (measured: 2,731 rows serving the bundled
+    model, 111,577 on a 100k-method world), so a steady-state query
+    allocates none of them.
+
+    Lifetime: one live enumeration per memo. The enumeration started last
+    owns it; {!next} on an earlier one raises [Invalid_argument] instead of
+    reading recycled rows. {!Query} passes {!domain} to searches that
+    finish inside one call, and gives escaping streams ([run_stream],
+    refine sessions) a private workspace by omitting [?memo]. *)
 module Memo : sig
   type t
 
@@ -102,7 +117,8 @@ type weighted_mode = {
           ({!Search.Csr.weighted_distances_to}), [max_int] = unreachable *)
   edge_wcost : int -> Graph.edge -> int;
       (** [(ord, edge)] -> learned non-negative cost in {!Elem.cost_scale}
-          units; must agree with the [edge_cost] the consumer passes to
+          units, [ord] being the global CSR edge index [iter_succs]
+          reports; must agree with the [edge_cost] the consumer passes to
           {!Rank.key}, and with the model [wdist_to] was computed under *)
 }
 (** Mined-ranking mode: the heap priority becomes weighted cost + scaled
@@ -129,9 +145,12 @@ val start :
   t
 (** Begin a search. [iter_succs u f] must call [f ord e] for each outgoing
     edge in adjacency order, [ord] being its global CSR edge index and
-    [edge_slots] the length of the snapshot's edge table, so per-edge rank
-    contributions are memoized once per edge (pass [?memo] to reuse the
-    memo allocation across queries). [dist_to]
+    [edge_slots] the length of the snapshot's edge table. With [?memo] the
+    search runs in that workspace and memoizes per-edge rank contributions
+    once per edge; it retires any earlier enumeration on the same memo.
+    Without it the search gets a private workspace, of its own for as long
+    as the enumeration lives, and recomputes per-edge contributions per
+    traversal. [dist_to]
     are exact backward 0-1-BFS distances to [target] ([max_int] =
     unreachable); pruned distances are fine as long as the pruning is
     cone-exact, which keeps the priority admissible and consistent. [sources] pairs each source node with its cost budget
@@ -148,7 +167,10 @@ val next : t -> candidate option
 (** The next candidate in exact {!Rank.compare_key} order (ties resolved
     as the exhaustive pipeline resolves them: textual rendering, then
     source node, then DFS-lexicographic edge order); [None] when the
-    budgeted search space is exhausted or [limit] was hit. *)
+    budgeted search space is exhausted or [limit] was hit.
+
+    @raise Invalid_argument if a later {!start} has taken this
+    enumeration's memo. *)
 
 val materialized : t -> int
 (** How many candidates were materialized into jungloids so far — the

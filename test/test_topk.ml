@@ -125,6 +125,83 @@ let test_arena_on_path () =
   check_bool "a prefix does not see later nodes" true
     (not (Topk.Arena.on_path ar r1 eb.Graph.dst))
 
+(* ---------- the workspace ---------- *)
+
+(* A best-first enumeration of [q] over [fz], set up the way
+   [Query.topk_stream] sets it up; [None] when [tout] is unreachable. *)
+let start_on ?memo ?(limit = Query.default_settings.Query.limit) ~hierarchy fz
+    (q : Query.t) =
+  match
+    (Graph.frozen_find_type_node fz q.Query.tin, Graph.frozen_find_type_node fz q.Query.tout)
+  with
+  | Some src, Some dst ->
+      let dist_to = Search.Csr.distances_to fz ~target:dst in
+      let dsrc = Search.Dist.get dist_to src in
+      if dsrc = max_int then None
+      else
+        let off = fz.Graph.f_fwd_off and fin = fz.Graph.f_fwd_end in
+        let iter_succs u f =
+          for k = off.{u} to fin.{u} - 1 do
+            f k fz.Graph.f_fwd_edge.(k)
+          done
+        in
+        Some
+          (Topk.start ?memo ~weights:Query.default_settings.Query.weights ~hierarchy
+             ~node_type:(Graph.frozen_node_type fz) ~iter_succs
+             ~edge_slots:(Array.length fz.Graph.f_fwd_edge)
+             ~materialize:(Prospector.Jungloid.of_frozen_path fz) ~dist_to
+             ~sources:[ (src, dsrc + Query.default_settings.Query.slack) ]
+             ~target:dst ~limit ())
+  | _ -> None
+
+(* Up to [cap] candidates, then the enumeration's counters. *)
+let drain ~cap st =
+  let rec go n acc =
+    if n = cap then List.rev acc
+    else match Topk.next st with None -> List.rev acc | Some c -> go (n + 1) (c :: acc)
+  in
+  let cs = go 0 [] in
+  (cs, Topk.materialized st, Topk.truncated st)
+
+let same_drain (ca, ma, ta) (cb, mb, tb) =
+  ma = mb && ta = tb
+  && List.length ca = List.length cb
+  && List.for_all2
+       (fun (a : Topk.candidate) (b : Topk.candidate) ->
+         a.Topk.cand_path = b.Topk.cand_path
+         && Prospector.Jungloid.equal a.Topk.cand_jungloid b.Topk.cand_jungloid
+         && Rank.compare_key a.Topk.cand_key b.Topk.cand_key = 0)
+       ca cb
+
+(* One live enumeration per memo: a later start on the same memo retires
+   the earlier one, which must then fail loudly rather than read rows the
+   later search has recycled. Private workspaces are never retired. *)
+let test_memo_epoch_guard () =
+  let h = Workload.layered_api ~classes:200 in
+  let g = Sig_graph.build h in
+  let fz = Graph.freeze g in
+  let qa, qb =
+    match Workload.random_queries h g ~count:2 ~seed:5 with
+    | [ qa; qb ] -> (qa, qb)
+    | _ -> Alcotest.fail "expected two queries"
+  in
+  let m = Topk.Memo.create () in
+  let a = Option.get (start_on ~memo:m ~hierarchy:h fz qa) in
+  let own = Option.get (start_on ~hierarchy:h fz qa) in
+  check_bool "A yields a candidate" true (Topk.next a <> None);
+  ignore (Topk.next own);
+  let b = Option.get (start_on ~memo:m ~hierarchy:h fz qb) in
+  check_bool "A is retired by B's start" true
+    (match Topk.next a with exception Invalid_argument _ -> true | _ -> false);
+  check_bool "A's counters stay readable" true (Topk.materialized a >= 1);
+  let fresh = Option.get (start_on ~memo:(Topk.Memo.create ()) ~hierarchy:h fz qb) in
+  check_bool "B runs as on a fresh memo" true
+    (same_drain (drain ~cap:20 b) (drain ~cap:20 fresh));
+  let again = Option.get (start_on ~hierarchy:h fz qa) in
+  ignore (Topk.next again);
+  check_bool "a private workspace is never retired" true
+    (same_drain (drain ~cap:20 own) (drain ~cap:20 again))
+
 (* ---------- strategy spellings ---------- *)
 
 let test_strategy_strings () =
@@ -614,6 +691,39 @@ let prop_mined_equals_exhaustive =
             [ 1; 3; 10 ])
         (Corpusgen.Workload.random_queries h g ~count:3 ~seed:7))
 
+(* The reused workspace must be invisible: one memo carried through a
+   sequence of enumerations answers each exactly as a fresh memo does.
+   Running the largest first leaves every later, shorter enumeration on
+   stale rows, heap entries and edge stamps. The small [limit] makes some
+   runs stop truncated. *)
+let prop_shared_memo_equals_fresh =
+  QCheck2.Test.make ~name:"Topk on one shared memo = on a fresh memo per query"
+    ~count:25 world_gen (fun (h, g) ->
+      let fz = Graph.freeze g in
+      let runs =
+        List.concat_map
+          (fun q -> [ (q, Query.default_settings.Query.limit); (q, 3) ])
+          (Corpusgen.Workload.random_queries h g ~count:4 ~seed:17)
+      in
+      let fresh (q, limit) =
+        Option.map (drain ~cap:50)
+          (start_on ~memo:(Topk.Memo.create ()) ~limit ~hierarchy:h fz q)
+      in
+      let expected = List.map (fun r -> (r, fresh r)) runs in
+      let size = function None -> 0 | Some (cs, _, _) -> List.length cs in
+      let largest_first =
+        List.stable_sort (fun (_, a) (_, b) -> compare (size b) (size a)) expected
+      in
+      let m = Topk.Memo.create () in
+      List.for_all
+        (fun ((q, limit), want) ->
+          let got = Option.map (drain ~cap:50) (start_on ~memo:m ~limit ~hierarchy:h fz q) in
+          match (got, want) with
+          | None, None -> true
+          | Some x, Some y -> same_drain x y
+          | _ -> false)
+        largest_first)
+
 let prop_estimated_freevars_equal =
   (* the freevar_cost_of estimation path reweighs the priority's charge
      component; the equivalence must survive it *)
@@ -650,6 +760,12 @@ let () =
             test_arena_reconstructs_paths;
           Alcotest.test_case "on_path walks the parent chain" `Quick
             test_arena_on_path;
+        ] );
+      ( "workspace",
+        [
+          Alcotest.test_case "a later start retires the memo's enumeration"
+            `Quick test_memo_epoch_guard;
+          QCheck_alcotest.to_alcotest prop_shared_memo_equals_fresh;
         ] );
       ( "strategy",
         [ Alcotest.test_case "spellings round-trip" `Quick test_strategy_strings ] );
