@@ -769,11 +769,7 @@ let section_server () =
                       {
                         tin = p.Problems.tin;
                         tout = p.Problems.tout;
-                        max_results = None;
-                        slack = None;
-                        strategy = None;
-                        ranking = None;
-                        protocol = None;
+                        overrides = Proto.defaults;
                         cluster = false;
                       };
                 }))

@@ -131,12 +131,13 @@ let strategy_arg =
               $(b,exhaustive) (enumerate every within-budget path, the \
               equivalence oracle). Output is byte-identical either way.")
 
-(* Validated like --jobs: a friendly one-line error and exit 1. *)
-let parse_strategy = function
+(* A --strategy, --ranking or --protocol spelling, validated like --jobs:
+   a friendly one-line error and exit 1. *)
+let parse_spelling of_string = function
   | None -> None
   | Some s -> (
-      match Prospector.Query.strategy_of_string s with
-      | Ok st -> Some st
+      match of_string s with
+      | Ok v -> Some v
       | Error msg ->
           Printf.eprintf "error: %s\n" msg;
           exit 1)
@@ -152,15 +153,6 @@ let ranking_arg =
               $(b,paper) with a warning when no corpus was mined). The \
               candidate set is identical either way — only the order changes.")
 
-let parse_ranking = function
-  | None -> None
-  | Some s -> (
-      match Prospector.Query.ranking_of_string s with
-      | Ok r -> Some r
-      | Error msg ->
-          Printf.eprintf "error: %s\n" msg;
-          exit 1)
-
 let protocol_arg =
   Arg.(
     value
@@ -172,15 +164,6 @@ let protocol_arg =
               warnings) or $(b,filter) (violating jungloids are dropped \
               from the results). Falls back to $(b,off) with a warning when \
               no corpus was mined.")
-
-let parse_protocol = function
-  | None -> None
-  | Some s -> (
-      match Prospector.Query.protocol_of_string s with
-      | Ok p -> Some p
-      | Error msg ->
-          Printf.eprintf "error: %s\n" msg;
-          exit 1)
 
 let settings ~max_results ~slack ~strategy ~ranking ~protocol =
   (match Prospector.Query.check_limits ~max_results ~slack with
@@ -194,13 +177,16 @@ let settings ~max_results ~slack ~strategy ~ranking ~protocol =
     Prospector.Query.max_results;
     slack;
     strategy =
-      Option.value (parse_strategy strategy)
+      Option.value
+        (parse_spelling Prospector.Query.strategy_of_string strategy)
         ~default:base.Prospector.Query.strategy;
     ranking =
-      Option.value (parse_ranking ranking)
+      Option.value
+        (parse_spelling Prospector.Query.ranking_of_string ranking)
         ~default:base.Prospector.Query.ranking;
     protocol =
-      Option.value (parse_protocol protocol)
+      Option.value
+        (parse_spelling Prospector.Query.protocol_of_string protocol)
         ~default:base.Prospector.Query.protocol;
   }
 
@@ -1675,33 +1661,22 @@ let client_cmd =
               Printf.eprintf "error: %s does not contain a port number\n" f;
               exit 2)
     in
-    let some_results = Some max_results and some_slack = Some slack in
-    (* Validate locally so a typo fails fast; send the canonical spelling. *)
-    let strategy =
-      Option.map Prospector.Query.strategy_to_string (parse_strategy strategy)
-    in
-    let ranking =
-      Option.map Prospector.Query.ranking_to_string (parse_ranking ranking)
-    in
-    let protocol =
-      Option.map Prospector.Query.protocol_to_string (parse_protocol protocol)
+    (* Validate locally so a typo fails fast; the encoder sends the
+       canonical spelling. *)
+    let overrides =
+      {
+        Proto.max_results = Some max_results;
+        slack = Some slack;
+        strategy = parse_spelling Prospector.Query.strategy_of_string strategy;
+        ranking = parse_spelling Prospector.Query.ranking_of_string ranking;
+        protocol = parse_spelling Prospector.Query.protocol_of_string protocol;
+      }
     in
     let line =
       let envelope req = Proto.to_string (Proto.envelope_to_json { Proto.id = Proto.Null; req }) in
       match argv with
       | [ "query"; tin; tout ] ->
-          envelope
-            (Proto.Query
-               {
-                 tin;
-                 tout;
-                 max_results = some_results;
-                 slack = some_slack;
-                 strategy;
-                 ranking;
-                 protocol;
-                 cluster = false;
-               })
+          envelope (Proto.Query { tin; tout; overrides; cluster = false })
       | [ "assist"; tout ] ->
           let vars =
             List.map
@@ -1714,17 +1689,7 @@ let client_cmd =
                     exit 2)
               vars
           in
-          envelope
-            (Proto.Assist
-               {
-                 tout;
-                 vars;
-                 max_results = some_results;
-                 slack = some_slack;
-                 strategy;
-                 ranking;
-                 protocol;
-               })
+          envelope (Proto.Assist { tout; vars; overrides })
       | [ "batch"; file ] ->
           let pairs =
             parse_query_file file
@@ -1732,30 +1697,10 @@ let client_cmd =
                    ( Javamodel.Jtype.to_string q.Prospector.Query.tin,
                      Javamodel.Jtype.to_string q.Prospector.Query.tout ))
           in
-          envelope
-            (Proto.Batch
-               {
-                 pairs;
-                 max_results = some_results;
-                 slack = some_slack;
-                 strategy;
-                 ranking;
-                 protocol;
-               })
+          envelope (Proto.Batch { pairs; overrides })
       | [ "lint"; tin; tout ] -> envelope (Proto.Lint { tin; tout })
       | [ "refine-start"; tin; tout ] when vars = [] ->
-          envelope
-            (Proto.Refine_start
-               {
-                 tin = Some tin;
-                 tout;
-                 vars = [];
-                 max_results = some_results;
-                 slack = some_slack;
-                 strategy;
-                 ranking;
-                 protocol;
-               })
+          envelope (Proto.Refine_start { tin = Some tin; tout; vars = []; overrides })
       | [ "refine-start"; tout ] when vars <> [] ->
           let vars =
             List.map
@@ -1768,18 +1713,7 @@ let client_cmd =
                     exit 2)
               vars
           in
-          envelope
-            (Proto.Refine_start
-               {
-                 tin = None;
-                 tout;
-                 vars;
-                 max_results = some_results;
-                 slack = some_slack;
-                 strategy;
-                 ranking;
-                 protocol;
-               })
+          envelope (Proto.Refine_start { tin = None; tout; vars; overrides })
       | [ "refine-answer"; session; choice ] -> (
           match int_of_string_opt choice with
           | Some choice -> envelope (Proto.Refine_answer { session; choice })

@@ -31,12 +31,11 @@ let parse_type s =
 
 let query tin tout = { tin = parse_type tin; tout = parse_type tout }
 
-(* [BestFirst] answers the same query by popping a rank-ordered heap of
-   path prefixes (see [Topk]) and stopping once [max_results] distinct
-   solutions are certified — provably the same output as the exhaustive
-   pipeline, without materializing thousands of also-rans. [Exhaustive]
-   remains as the equivalence oracle and for corpus tooling that wants the
-   whole within-budget path set anyway. *)
+(* Where the rank-ordered candidates come from (see [execute]). [BestFirst]
+   pops a rank-ordered heap of path prefixes (see [Topk]) and stops once
+   [max_results] distinct solutions are certified, without materializing
+   thousands of also-rans. [Exhaustive] enumerates and sorts the whole
+   within-budget path set, which corpus tooling wants anyway. *)
 type strategy =
   | Exhaustive
   | BestFirst
@@ -174,9 +173,9 @@ let effective_mode ~edge_cost ~protocol_check settings =
   (strategy, edge_cost, protocol, List.rev !warnings)
 
 (* In [Filter] mode a violating chain is dropped exactly where the
-   [?verify] oracle drops unsound ones: after enumeration, per candidate,
-   before truncation — never inside the search priority (which is what
-   keeps BestFirst certified against the Exhaustive oracle). *)
+   [?verify] oracle drops unsound ones: in the consumer, per candidate,
+   before truncation — never inside the search priority, which is what
+   keeps the best-first order certificate valid. *)
 let protocol_pred ~protocol ~protocol_check =
   match (protocol, protocol_check) with
   | Filter, Some pc ->
@@ -188,9 +187,6 @@ let protocol_pred ~protocol ~protocol_check =
                 m "protocol filter dropped %s" (Jungloid.to_string j));
           ok)
   | _ -> None
-
-let protocol_filter pfilter js =
-  match pfilter with None -> js | Some ok -> List.filter ok js
 
 (* The snapshot a [?graph] call runs on, and the one an engine keeps. The
    void pseudo-node is interned first so every snapshot can serve the
@@ -248,82 +244,10 @@ type verify = {
 
 let verifier vcheck = { vcheck; vchecked = 0; vfiltered = 0 }
 
-let verify_filter verify js =
-  match verify with
-  | None -> js
-  | Some v ->
-      List.filter
-        (fun j ->
-          v.vchecked <- v.vchecked + 1;
-          let ok = v.vcheck j in
-          if not ok then begin
-            v.vfiltered <- v.vfiltered + 1;
-            Log.warn (fun m -> m "verifier rejected %s" (Jungloid.to_string j))
-          end;
-          ok)
-        js
-
 type multi_result = {
   source_var : string option;
   result : result;
 }
-
-(* Deduplicate jungloids that arise from different graph paths (typestate
-   splicing can yield the same elementary-jungloid sequence twice). *)
-let dedup js =
-  let seen = Hashtbl.create 64 in
-  List.filter
-    (fun j ->
-      if Hashtbl.mem seen j then false
-      else begin
-        Hashtbl.replace seen j ();
-        true
-      end)
-    js
-
-(* Distinct jungloids can render identically (e.g. two declarations of
-   getFile(String) with a free receiver); showing both tells the user
-   nothing. Keep the best-ranked representative — a minimal version of the
-   result clustering the paper leaves to future work. *)
-let dedup_rendered ranked =
-  let seen = Hashtbl.create 64 in
-  List.filter
-    (fun j ->
-      let text = Jungloid.to_expression j in
-      if Hashtbl.mem seen text then false
-      else begin
-        Hashtbl.replace seen text ();
-        true
-      end)
-    ranked
-
-let rank_and_render ~settings ~hierarchy ~freevar_cost_of ?edge_cost ~input_name
-    ~verify ~pfilter paths_to_jungloid paths =
-  let jungloids = dedup (List.map paths_to_jungloid paths) in
-  let ranked =
-    dedup_rendered
-      (Rank.sort ~weights:settings.weights ?freevar_cost_of ?edge_cost hierarchy
-         jungloids)
-  in
-  (* Unsound chains are dropped before truncation so a rejected result frees
-     its slot for the next-ranked sound one; protocol filtering runs after
-     the oracle so its counters see the same candidates either way. *)
-  let ranked = verify_filter verify ranked in
-  let ranked = protocol_filter pfilter ranked in
-  List.filteri (fun i _ -> i < settings.max_results) ranked
-  |> List.map (fun j ->
-         let input =
-           match (input_name j, Jungloid.input_type j) with
-           | Some name, ty -> Some (name, ty)
-           | None, _ -> None
-         in
-         {
-           jungloid = j;
-           key =
-             Rank.key ~weights:settings.weights ?freevar_cost_of ?edge_cost hierarchy
-               j;
-           code = Codegen.to_java ?input j;
-         })
 
 (* A reach index only prunes when it describes the snapshot the query
    reads: the generation captured at freeze time. Anything stale (engine
@@ -364,23 +288,27 @@ type info = {
 
 let no_info = { candidates = 0; truncated = false; warnings = [] }
 
-(* The best-first generator for one query shape, positioned exactly where
-   [Search.Csr.enumerate] sits in the exhaustive pipeline. [sources]
-   carries the per-source budget (shortest-cost-from-that-source + slack).
-   With an [edge_cost] model the stream runs in weighted mode: priorities
-   use the exact weighted distances over the snapshot's baked [wcost] lanes
-   while the budget prune stays on the paper [dist_to], so the candidate
-   set is unchanged and only the certified order follows the mined costs.
-   Edge ordinals are global CSR indices, so the per-edge rank memo is
-   keyed once per edge. *)
-let topk_stream ?scratch ?memo ~settings ~hierarchy ~freevar_cost_of ?edge_cost
-    ?cone fz ~dist_to ~sources ~target =
+(* A candidate source yields candidates in exact [Rank.compare_key] order,
+   full-key ties in enumeration order (source node, then DFS order), and
+   afterwards reports how many it materialized and whether it stopped at
+   [settings.limit]. The strategy only decides which source runs.
+
+   Best-first: [budgets] pairs each source with its shortest cost plus
+   slack. With an [edge_cost] model the heap runs in weighted mode:
+   priorities use the exact weighted distances over the snapshot's baked
+   [wcost] lanes while the budget prune stays on the paper [dist_to], so
+   the candidate set is unchanged and only the certified order follows the
+   mined costs. The search runs in the domain's Topk workspace
+   ([Topk.Memo.domain]): the consumer is done with it before [execute]
+   returns, so the next search on this domain may take it over. *)
+let best_first_source ~scratch ~settings ~hierarchy ~freevar_cost_of
+    ?edge_cost ?cone fz ~dist_to ~budgets ~target =
   let weighted =
     Option.map
       (fun _ ->
         {
           Topk.wdist_to =
-            Search.Csr.weighted_distances_to ?scratch ?cone fz ~target;
+            Search.Csr.weighted_distances_to ~scratch ?cone fz ~target;
           edge_wcost = (fun ord _ -> fz.Graph.f_fwd_wcost.(ord));
         })
       edge_cost
@@ -391,172 +319,228 @@ let topk_stream ?scratch ?memo ~settings ~hierarchy ~freevar_cost_of ?edge_cost
       f k fz.Graph.f_fwd_edge.(k)
     done
   in
-  Topk.start ?freevar_cost_of ?weighted ?memo ~weights:settings.weights
-    ~hierarchy ~node_type:(Graph.frozen_node_type fz) ~iter_succs
-    ~edge_slots:(Array.length fz.Graph.f_fwd_edge)
-    ~materialize:(Jungloid.of_frozen_path fz) ~dist_to ~sources ~target
-    ~limit:settings.limit ()
-
-(* Consume a certified-order candidate stream for the single-source query:
-   the expression-level dedup subsumes the exhaustive pipeline's structural
-   dedup (structurally equal jungloids render identically), verification
-   frees slots exactly as in [rank_and_render], and the stream stops as
-   soon as [max_results] survivors exist. *)
-(* Lazy result stream over a [Topk] heap. Forcing the next element pulls
-   candidates until one survives dedup + verify + protocol filtering; the
-   memoization makes re-traversal safe even though the heap is stateful.
-   [consume_single] (the query op) and [run_stream] (the refine workload)
-   share this producer, so a refine session's candidate list is the query
-   reply's result list by construction. *)
-let stream_single ~settings ~hierarchy ~freevar_cost_of ?edge_cost ~verify
-    ~pfilter st =
-  let seen = Hashtbl.create 32 in
-  let rec next () =
-    match Topk.next st with
-    | None -> Seq.Nil
-    | Some c ->
-        let j = c.Topk.cand_jungloid in
-        let expr = Jungloid.to_expression j in
-        if Hashtbl.mem seen expr then next ()
-        else begin
-          Hashtbl.replace seen expr ();
-          let ok =
-            match verify with
-            | None -> true
-            | Some v ->
-                v.vchecked <- v.vchecked + 1;
-                let ok = v.vcheck j in
-                if not ok then begin
-                  v.vfiltered <- v.vfiltered + 1;
-                  Log.warn (fun m -> m "verifier rejected %s" (Jungloid.to_string j))
-                end;
-                ok
-          in
-          let ok = ok && match pfilter with None -> true | Some f -> f j in
-          if ok then
-            let r =
-              {
-                jungloid = j;
-                key =
-                  Rank.key ~weights:settings.weights ?freevar_cost_of ?edge_cost
-                    hierarchy j;
-                code = Codegen.to_java j;
-              }
-            in
-            Seq.Cons (r, next)
-          else next ()
-        end
+  let st =
+    Topk.start ?freevar_cost_of ?weighted ~memo:(Topk.Memo.domain ())
+      ~weights:settings.weights ~hierarchy
+      ~node_type:(Graph.frozen_node_type fz) ~iter_succs
+      ~edge_slots:(Array.length fz.Graph.f_fwd_edge)
+      ~materialize:(Jungloid.of_frozen_path fz) ~dist_to ~sources:budgets
+      ~target ~limit:settings.limit ()
   in
-  Seq.memoize next
+  ((fun () -> Topk.next st), fun () -> (Topk.materialized st, Topk.truncated st))
 
-let consume_single ~settings ~hierarchy ~freevar_cost_of ?edge_cost ~verify
-    ~pfilter st =
-  List.of_seq
-    (Seq.take settings.max_results
-       (stream_single ~settings ~hierarchy ~freevar_cost_of ?edge_cost ~verify
-          ~pfilter st))
+(* Exhaustive: every path within its source's budget, ranked up front. The
+   stable sort keeps full-key ties in enumeration order, which is the order
+   Topk certifies them in, so below the path cap the consumer cannot tell
+   the two sources apart. *)
+let exhaustive_source ~scratch ~settings ~key_of ?cone fz ~sources ~target =
+  let truncated = ref false in
+  let paths =
+    Search.Csr.enumerate_per_source ~scratch fz ~sources ~target
+      ~slack:settings.slack ~limit:settings.limit ?cone ~truncated ()
+  in
+  let rest =
+    ref
+      (Rank.sort_by
+         (fun c -> c.Topk.cand_key)
+         (List.map
+            (fun p ->
+              let j = Jungloid.of_frozen_path fz p in
+              { Topk.cand_path = p; cand_jungloid = j; cand_key = key_of j })
+            paths))
+  in
+  let next () =
+    match !rest with
+    | c :: tl ->
+        rest := tl;
+        Some c
+    | [] -> None
+  in
+  (next, fun () -> (List.length paths, !truncated))
 
-let run_info ?(settings = default_settings) ?reach ?frozen ?verify ?edge_cost
-    ?protocol_check ?graph ~hierarchy q =
+(* The one consumer of a candidate source. Each candidate counts once per
+   input variable its source node stands for. With more than one input, a
+   run of full-key ties is regrouped by variable name (stably, so each
+   variable keeps enumeration order); with one there is nothing to regroup
+   and no key is compared. Then the first candidate of each (variable,
+   rendering) is offered — distinct jungloids can render identically, e.g.
+   two declarations of getFile(String) with a free receiver — and [keep]
+   (the verifier, then the protocol filter) runs on it, so a rejected chain
+   frees its slot for the next-ranked one. Pulling stops at
+   [settings.max_results] survivors. *)
+let consume ~settings ~inputs ~keep ~render next =
+  let out = ref [] and count = ref 0 in
+  let tables = ref [] in
+  let renderings var =
+    match List.assoc_opt var !tables with
+    | Some seen -> seen
+    | None ->
+        let seen = Hashtbl.create 32 in
+        tables := (var, seen) :: !tables;
+        seen
+  in
+  let offer seen (c : Topk.candidate) var =
+    if !count < settings.max_results then begin
+      let expr = Jungloid.to_expression c.Topk.cand_jungloid in
+      if not (Hashtbl.mem seen expr) then begin
+        Hashtbl.replace seen expr ();
+        if keep c.Topk.cand_jungloid then begin
+          out := render c var :: !out;
+          incr count
+        end
+      end
+    end
+  in
+  (match inputs with
+  | [ (_, var) ] ->
+      let seen = renderings var in
+      let rec loop () =
+        if !count < settings.max_results then
+          match next () with
+          | Some c ->
+              offer seen c var;
+              loop ()
+          | None -> ()
+      in
+      loop ()
+  | _ ->
+      let flush run =
+        List.concat_map
+          (fun (c : Topk.candidate) ->
+            List.filter_map
+              (fun (n, var) ->
+                if n = c.Topk.cand_path.Search.source then Some (c, var) else None)
+              inputs)
+          (List.rev run)
+        |> List.stable_sort (fun (_, va) (_, vb) -> compare va vb)
+        |> List.iter (fun (c, var) -> offer (renderings var) c var)
+      in
+      let rec loop run =
+        if !count < settings.max_results then
+          match (next (), run) with
+          | None, _ -> flush run
+          | Some c, r :: _ when Rank.compare_key r.Topk.cand_key c.Topk.cand_key <> 0 ->
+              flush run;
+              loop [ c ]
+          | Some c, _ -> loop (c :: run)
+      in
+      loop []);
+  List.rev !out
+
+(* The one query executor behind [run], [run_info] and [run_multi]: a
+   query is a list of inputs [(type, variable)] searched at once, the
+   paper's content-assist mode, and a [(tin, tout)] query is its one-input
+   case. Inputs with no node, or that the reach index proves can never
+   reach [tout], drop out; every other input gets its own budget, as
+   [Search.Csr.enumerate_per_source] budgets sources. Distance lanes come
+   from the domain's scratch pool, released when the frame ends (nothing
+   in a result refers to them). *)
+let execute ~settings ?reach ?frozen ?verify ?edge_cost ?protocol_check ?graph
+    ~hierarchy ~inputs ~tout () =
   let strategy, edge_cost, protocol, warnings =
     effective_mode ~edge_cost ~protocol_check settings
   in
   let fz = snapshot ?frozen ?graph ~edge_cost () in
-  (* Consume-within-call entry point: distance lanes come from the domain's
-     scratch pool (released when the frame below ends — nothing in a
-     [result] refers to them), and the search runs in the domain's Topk
-     workspace ([Topk.Memo.domain]): [consume_single] is done with the
-     enumeration before this call returns, so the next search on this
-     domain may take the workspace over. *)
   let scratch = Search.Scratch.domain () in
   let pfilter = protocol_pred ~protocol ~protocol_check in
-  let no_info = { no_info with warnings } in
-  let body () =
-  match
-    (Graph.frozen_find_type_node fz q.tin, Graph.frozen_find_type_node fz q.tout)
-  with
-  | Some src, Some dst ->
-      let reach = current_reach ~gen:(Graph.frozen_generation fz) reach in
-      let cone = viable_of ~reach ~target:dst in
-      if match reach with Some r -> not (Reach.mem r ~src ~target:dst) | None -> false
-      then begin
-        Log.debug (fun m ->
-            m "query (%s, %s): pruned — tin can never reach tout"
-              (Jtype.to_string q.tin) (Jtype.to_string q.tout));
-        ([], no_info)
-      end
-      else begin
-        let freevar_cost_of = freevar_estimator ~scratch ~settings fz in
+  let keep j =
+    (match verify with
+    | None -> true
+    | Some v ->
+        v.vchecked <- v.vchecked + 1;
+        let ok = v.vcheck j in
+        if not ok then begin
+          v.vfiltered <- v.vfiltered + 1;
+          Log.warn (fun m -> m "verifier rejected %s" (Jungloid.to_string j))
+        end;
+        ok)
+    && match pfilter with None -> true | Some f -> f j
+  in
+  let search ~reach ~target inputs =
+    let cone = viable_of ~reach ~target in
+    let dist_to = Search.Csr.distances_to ~scratch ?cone fz ~target in
+    let budgets =
+      List.filter_map
+        (fun s ->
+          let d = Search.Dist.get dist_to s in
+          if d < max_int then Some (s, d + settings.slack) else None)
+        (List.sort_uniq compare (List.map fst inputs))
+    in
+    if budgets = [] then ([], no_info)
+    else
+      let freevar_cost_of = freevar_estimator ~scratch ~settings fz in
+      let key_of =
+        Rank.key ~weights:settings.weights ?freevar_cost_of ?edge_cost hierarchy
+      in
+      let next, report =
         match strategy with
-        | Exhaustive ->
-            let truncated = ref false in
-            let paths =
-              Search.Csr.enumerate ~scratch fz ~sources:[ src ] ~target:dst
-                ~slack:settings.slack ~limit:settings.limit ?cone ~truncated ()
-            in
-            Log.debug (fun m ->
-                m "query (%s, %s): %d paths enumerated" (Jtype.to_string q.tin)
-                  (Jtype.to_string q.tout) (List.length paths));
-            ( rank_and_render ~settings ~hierarchy ~freevar_cost_of ?edge_cost
-                ~input_name:(fun _ -> None)
-                ~verify ~pfilter (Jungloid.of_frozen_path fz) paths,
-              { candidates = List.length paths; truncated = !truncated; warnings } )
         | BestFirst ->
-            let dist_to = Search.Csr.distances_to ~scratch ?cone fz ~target:dst in
-            let dsrc = Search.Dist.get dist_to src in
-            if dsrc = max_int then begin
-              Log.debug (fun m ->
-                  m "query (%s, %s): no path" (Jtype.to_string q.tin)
-                    (Jtype.to_string q.tout));
-              ([], no_info)
-            end
-            else begin
-              let st =
-                topk_stream ~scratch ~memo:(Topk.Memo.domain ()) ~settings
-                  ~hierarchy ~freevar_cost_of ?edge_cost ?cone fz ~dist_to
-                  ~sources:[ (src, dsrc + settings.slack) ]
-                  ~target:dst
-              in
-              let results =
-                consume_single ~settings ~hierarchy ~freevar_cost_of ?edge_cost
-                  ~verify ~pfilter st
-              in
-              Log.debug (fun m ->
-                  m "query (%s, %s): %d candidates materialized (best-first)"
-                    (Jtype.to_string q.tin) (Jtype.to_string q.tout)
-                    (Topk.materialized st));
-              ( results,
-                {
-                  candidates = Topk.materialized st;
-                  truncated = Topk.truncated st;
-                  warnings;
-                } )
-            end
-      end
-  | _ ->
+            best_first_source ~scratch ~settings ~hierarchy ~freevar_cost_of
+              ?edge_cost ?cone fz ~dist_to ~budgets ~target
+        | Exhaustive ->
+            exhaustive_source ~scratch ~settings ~key_of ?cone fz
+              ~sources:(List.map fst budgets) ~target
+      in
+      let render (c : Topk.candidate) var =
+        let j = c.Topk.cand_jungloid in
+        let input = Option.map (fun name -> (name, Jungloid.input_type j)) var in
+        {
+          source_var = var;
+          result = { jungloid = j; key = key_of j; code = Codegen.to_java ?input j };
+        }
+      in
+      let results = consume ~settings ~inputs ~keep ~render next in
+      let candidates, truncated = report () in
       Log.debug (fun m ->
-          m "query (%s, %s): type not in graph" (Jtype.to_string q.tin)
-            (Jtype.to_string q.tout));
-      ([], no_info)
+          m "query for %s: %d candidates materialized (%s)" (Jtype.to_string tout)
+            candidates (strategy_to_string strategy));
+      (results, { no_info with candidates; truncated })
+  in
+  let body () =
+    match Graph.frozen_find_type_node fz tout with
+    | None -> ([], no_info)
+    | Some target -> (
+        let reach = current_reach ~gen:(Graph.frozen_generation fz) reach in
+        let reaches n =
+          match reach with Some r -> Reach.mem r ~src:n ~target | None -> true
+        in
+        match
+          List.filter_map
+            (fun (ty, var) ->
+              match Graph.frozen_find_type_node fz ty with
+              | Some n when reaches n -> Some (n, var)
+              | _ -> None)
+            inputs
+        with
+        | [] -> ([], no_info)
+        | inputs -> search ~reach ~target inputs)
   in
   let results, info = Search.Scratch.with_frame scratch body in
   (* [Warn] never touches the result list: emitted results are vetted after
      selection and violations ride along as warnings only, so the output
-     stays byte-identical to [Off] (and BestFirst to Exhaustive). *)
-  match (protocol, protocol_check) with
-  | Warn, Some pc ->
-      let pwarnings =
+     stays byte-identical to [Off]. *)
+  let pwarnings =
+    match (protocol, protocol_check) with
+    | Warn, Some pc ->
         List.concat_map
-          (fun r ->
+          (fun mr ->
             List.map
-              (fun v ->
-                Printf.sprintf "protocol: %s: %s" (Jungloid.to_expression r.jungloid) v)
-              (pc r.jungloid))
+              (Printf.sprintf "protocol: %s: %s"
+                 (Jungloid.to_expression mr.result.jungloid))
+              (pc mr.result.jungloid))
           results
-      in
-      List.iter (fun w -> Log.warn (fun m -> m "%s" w)) pwarnings;
-      (results, { info with warnings = info.warnings @ pwarnings })
-  | _ -> (results, info)
+    | _ -> []
+  in
+  List.iter (fun w -> Log.warn (fun m -> m "%s" w)) pwarnings;
+  (results, { info with warnings = warnings @ pwarnings })
+
+let run_info ?(settings = default_settings) ?reach ?frozen ?verify ?edge_cost
+    ?protocol_check ?graph ~hierarchy q =
+  let results, info =
+    execute ~settings ?reach ?frozen ?verify ?edge_cost ?protocol_check ?graph
+      ~hierarchy ~inputs:[ (q.tin, None) ] ~tout:q.tout ()
+  in
+  (List.map (fun mr -> mr.result) results, info)
 
 let run ?settings ?reach ?frozen ?verify ?edge_cost ?protocol_check ?graph
     ~hierarchy q =
@@ -564,54 +548,13 @@ let run ?settings ?reach ?frozen ?verify ?edge_cost ?protocol_check ?graph
     (run_info ?settings ?reach ?frozen ?verify ?edge_cost ?protocol_check
        ?graph ~hierarchy q)
 
-(* Escaping entry point: the returned sequence captures live search state
-   (distance lanes, the Topk heap), so it must not borrow recycled
-   per-domain scratch or the domain's Topk workspace — the next query on
-   this domain would take that workspace and the stream's [Topk.next] would
-   raise. The kernels run without scratch (one-shot lanes) and
-   [topk_stream] gets no memo, so the search owns a private workspace. *)
-let run_stream ?(settings = default_settings) ?reach ?verify ?edge_cost
-    ?protocol_check ~frozen:fz ~hierarchy q =
-  let edge_cost0 = edge_cost in
-  let strategy, edge_cost, protocol, _warnings =
-    effective_mode ~edge_cost ~protocol_check settings
-  in
-  let pfilter = protocol_pred ~protocol ~protocol_check in
-  match strategy with
-  | Exhaustive ->
-      (* exhaustive ranking needs the full path set up front; the stream
-         degenerates to the ranked list *)
-      List.to_seq
-        (run ~settings ?reach ~frozen:fz ?verify ?edge_cost:edge_cost0
-           ?protocol_check ~hierarchy q)
-  | BestFirst -> (
-      match
-        (Graph.frozen_find_type_node fz q.tin, Graph.frozen_find_type_node fz q.tout)
-      with
-      | Some src, Some dst ->
-          let reach = current_reach ~gen:(Graph.frozen_generation fz) reach in
-          let cone = viable_of ~reach ~target:dst in
-          if
-            match reach with
-            | Some r -> not (Reach.mem r ~src ~target:dst)
-            | None -> false
-          then Seq.empty
-          else begin
-            let freevar_cost_of = freevar_estimator ~settings fz in
-            let dist_to = Search.Csr.distances_to ?cone fz ~target:dst in
-            let dsrc = Search.Dist.get dist_to src in
-            if dsrc = max_int then Seq.empty
-            else
-              let st =
-                topk_stream ~settings ~hierarchy ~freevar_cost_of ?edge_cost
-                  ?cone fz ~dist_to
-                  ~sources:[ (src, dsrc + settings.slack) ]
-                  ~target:dst
-              in
-              stream_single ~settings ~hierarchy ~freevar_cost_of ?edge_cost
-                ~verify ~pfilter st
-          end
-      | _ -> Seq.empty)
+let run_multi ?(settings = default_settings) ?reach ?frozen ?verify ?edge_cost
+    ?protocol_check ?graph ~hierarchy ~vars ~tout () =
+  fst
+    (execute ~settings ?reach ?frozen ?verify ?edge_cost ?protocol_check ?graph
+       ~hierarchy
+       ~inputs:((Jtype.Void, None) :: List.map (fun (name, ty) -> (ty, Some name)) vars)
+       ~tout ())
 
 type cluster = {
   representative : result;
@@ -642,260 +585,6 @@ let cluster results =
           order := key :: !order)
     results;
   List.rev_map (fun key -> Hashtbl.find seen key) !order
-
-(* The multi-source best-first consumer. Candidates arrive in certified
-   rank order; the exhaustive pipeline additionally orders pairs with equal
-   keys by their source variable ([compare sa sb] after [compare_key]), so
-   the stream is buffered into maximal equal-key runs, each run expanded
-   into (jungloid, source-var) pairs and sorted by source before emission.
-   All candidates of one structurally-equal jungloid share one key and
-   therefore one run, so the per-run (jungloid, source) dedup reproduces
-   the exhaustive [Hashtbl.replace] dedup exactly. *)
-let consume_multi ~settings ~hierarchy ~freevar_cost_of ?edge_cost ~verify
-    ~pfilter ~void ~var_nodes st =
-  let seen_pair = Hashtbl.create 64 in
-  let seen_expr = Hashtbl.create 64 in
-  let out = ref [] in
-  let count = ref 0 in
-  let buffer = ref [] in
-  let flush_run () =
-    let cands = List.rev !buffer in
-    buffer := [];
-    let pairs =
-      List.concat_map
-        (fun (c : Topk.candidate) ->
-          let srcs =
-            if void = Some c.Topk.cand_path.Search.source then [ None ]
-            else
-              List.filter_map
-                (fun (n, name) ->
-                  if n = c.Topk.cand_path.Search.source then Some (Some name) else None)
-                var_nodes
-          in
-          List.filter_map
-            (fun s ->
-              if Hashtbl.mem seen_pair (c.Topk.cand_jungloid, s) then None
-              else begin
-                Hashtbl.replace seen_pair (c.Topk.cand_jungloid, s) ();
-                Some (c, s)
-              end)
-            srcs)
-        cands
-    in
-    let pairs = List.stable_sort (fun (_, sa) (_, sb) -> compare sa sb) pairs in
-    List.iter
-      (fun ((c : Topk.candidate), s) ->
-        if !count < settings.max_results then begin
-          let j = c.Topk.cand_jungloid in
-          let ekey = (s, Jungloid.to_expression j) in
-          if not (Hashtbl.mem seen_expr ekey) then begin
-            Hashtbl.replace seen_expr ekey ();
-            let ok =
-              match verify with
-              | None -> true
-              | Some v ->
-                  v.vchecked <- v.vchecked + 1;
-                  let ok = v.vcheck j in
-                  if not ok then begin
-                    v.vfiltered <- v.vfiltered + 1;
-                    Log.warn (fun m -> m "verifier rejected %s" (Jungloid.to_string j))
-                  end;
-                  ok
-            in
-            let ok = ok && match pfilter with None -> true | Some f -> f j in
-            if ok then begin
-              let input =
-                match s with
-                | Some name -> Some (name, Jungloid.input_type j)
-                | None -> None
-              in
-              out :=
-                {
-                  source_var = s;
-                  result =
-                    {
-                      jungloid = j;
-                      key =
-                        Rank.key ~weights:settings.weights ?freevar_cost_of
-                          ?edge_cost hierarchy j;
-                      code = Codegen.to_java ?input j;
-                    };
-                }
-                :: !out;
-              incr count
-            end
-          end
-        end)
-      pairs
-  in
-  let rec loop last_key =
-    if !count >= settings.max_results then ()
-    else
-      match Topk.next st with
-      | None -> flush_run ()
-      | Some c ->
-          (match last_key with
-          | Some k when Rank.compare_key k c.Topk.cand_key <> 0 -> flush_run ()
-          | _ -> ());
-          buffer := c :: !buffer;
-          loop (Some c.Topk.cand_key)
-  in
-  loop None;
-  List.rev !out
-
-let run_multi ?(settings = default_settings) ?reach ?frozen ?verify ?edge_cost
-    ?protocol_check ?graph ~hierarchy ~vars ~tout () =
-  let strategy, edge_cost, protocol, _warnings =
-    effective_mode ~edge_cost ~protocol_check settings
-  in
-  let fz = snapshot ?frozen ?graph ~edge_cost () in
-  let scratch = Search.Scratch.domain () in
-  let pfilter = protocol_pred ~protocol ~protocol_check in
-  let body () =
-  match Graph.frozen_find_type_node fz tout with
-  | None -> []
-  | Some dst ->
-      let var_nodes =
-        List.filter_map
-          (fun (name, ty) ->
-            Option.map (fun n -> (n, name)) (Graph.frozen_find_type_node fz ty))
-          vars
-      in
-      let void = Graph.frozen_void_node fz in
-      let sources =
-        match void with
-        | Some v -> v :: List.map fst var_nodes
-        | None -> List.map fst var_nodes
-      in
-      let cone =
-        viable_of
-          ~reach:(current_reach ~gen:(Graph.frozen_generation fz) reach)
-          ~target:dst
-      in
-      let freevar_cost_of = freevar_estimator ~scratch ~settings fz in
-      let exhaustive () =
-        let truncated = ref false in
-        let paths =
-          Search.Csr.enumerate_per_source ~scratch fz ~sources ~target:dst
-            ~slack:settings.slack ~limit:settings.limit ?cone ~truncated ()
-        in
-        (* Attribute each path to the variables of its source node; a path
-           from the void node belongs to no variable. Distinct (jungloid,
-           source) pairs each become one suggestion, kept in first-occurrence
-           enumeration order so that the stable sort below resolves full
-           rank-key ties exactly as the best-first consumer does. *)
-        let seen_pair = Hashtbl.create 64 in
-        let pairs =
-          List.concat_map
-            (fun (p : Search.path) ->
-              let j = Jungloid.of_frozen_path fz p in
-              let srcs =
-                if void = Some p.Search.source then [ None ]
-                else
-                  List.filter_map
-                    (fun (n, name) ->
-                      if n = p.Search.source then Some (Some name) else None)
-                    var_nodes
-              in
-              List.filter_map
-                (fun s ->
-                  if Hashtbl.mem seen_pair (j, s) then None
-                  else begin
-                    Hashtbl.replace seen_pair (j, s) ();
-                    Some (j, s)
-                  end)
-                srcs)
-            paths
-        in
-        let ranked =
-          List.map
-            (fun (j, s) ->
-              ( Rank.key ~weights:settings.weights ?freevar_cost_of ?edge_cost
-                  hierarchy j,
-                j,
-                s ))
-            pairs
-          |> List.stable_sort (fun (ka, _, sa) (kb, _, sb) ->
-                 match Rank.compare_key ka kb with
-                 | 0 -> compare sa sb
-                 | c -> c)
-        in
-        let seen = Hashtbl.create 64 in
-        let ranked =
-          List.filter
-            (fun (_, j, s) ->
-              let key = (s, Jungloid.to_expression j) in
-              if Hashtbl.mem seen key then false
-              else begin
-                Hashtbl.replace seen key ();
-                true
-              end)
-            ranked
-        in
-        let ranked =
-          match verify with
-          | None -> ranked
-          | Some _ ->
-              let keep = verify_filter verify (List.map (fun (_, j, _) -> j) ranked) in
-              List.filter (fun (_, j, _) -> List.memq j keep) ranked
-        in
-        let ranked =
-          match pfilter with
-          | None -> ranked
-          | Some f -> List.filter (fun (_, j, _) -> f j) ranked
-        in
-        List.filteri (fun i _ -> i < settings.max_results) ranked
-        |> List.map (fun (key, j, s) ->
-               let input =
-                 match s with
-                 | Some name -> Some (name, Jungloid.input_type j)
-                 | None -> None
-               in
-               {
-                 source_var = s;
-                 result = { jungloid = j; key; code = Codegen.to_java ?input j };
-               })
-      in
-      let best_first () =
-        let dist_to = Search.Csr.distances_to ~scratch ?cone fz ~target:dst in
-        let budgeted =
-          List.filter_map
-            (fun s ->
-              let d = Search.Dist.get dist_to s in
-              if d < max_int then Some (s, d + settings.slack) else None)
-            (List.sort_uniq compare sources)
-        in
-        if budgeted = [] then []
-        else
-          let st =
-            topk_stream ~scratch ~memo:(Topk.Memo.domain ()) ~settings
-              ~hierarchy ~freevar_cost_of ?edge_cost ?cone fz ~dist_to
-              ~sources:budgeted ~target:dst
-          in
-          consume_multi ~settings ~hierarchy ~freevar_cost_of ?edge_cost ~verify
-            ~pfilter ~void ~var_nodes st
-      in
-      (match strategy with
-      | Exhaustive -> exhaustive ()
-      | BestFirst -> best_first ())
-  in
-  let results = Search.Scratch.with_frame scratch body in
-  (* [run_multi] has no info channel: [Warn]-mode violations on emitted
-     suggestions are logged, results untouched. *)
-  (match (protocol, protocol_check) with
-  | Warn, Some pc ->
-      List.iter
-        (fun mr ->
-          List.iter
-            (fun v ->
-              Log.warn (fun m ->
-                  m "protocol: %s: %s"
-                    (Jungloid.to_expression mr.result.jungloid)
-                    v))
-            (pc mr.result.jungloid))
-        results
-  | _ -> ());
-  results
 
 (* ------------------------------------------------------------------ *)
 (* The query engine: LRU-memoized, reachability-pruned entry points    *)
@@ -1000,8 +689,6 @@ let engine_of_frozen ?(cache_capacity = 256) ?(prune = true) ?reach ?pool
     e_shards = None;
     e_gen = gen;
   }
-
-let engine_graph e = Lazy.force e.e_graph
 
 let engine_hierarchy e = e.e_hierarchy
 

@@ -2,10 +2,11 @@
     snippets (Sections 2 and 3).
 
     [run] performs the paper's pipeline: locate the [tin] and [tout] nodes,
-    enumerate all acyclic paths of cost at most [m + slack], convert them to
+    enumerate the acyclic paths of cost at most [m + slack], convert them to
     jungloids, deduplicate, rank, generate code. [run_multi] is the
-    multi-source variant used by content assist: one search serves every
-    visible variable (and the [void] pseudo-source) at once. *)
+    content-assist form: one search serves every visible variable (and the
+    [void] pseudo-source) at once. Both run through one executor, of which
+    a [(tin, tout)] query is the one-input case. *)
 
 module Jtype = Javamodel.Jtype
 module Hierarchy = Javamodel.Hierarchy
@@ -20,15 +21,18 @@ val query : string -> string -> t
     dotted type names; ["void"] gives the zero-input query, a ["[]"] suffix
     an array type. *)
 
-(** How the engine finds the top-[max_results] chains. [BestFirst] (the
-    default) expands rank-ordered path prefixes from a min-heap ({!Topk})
-    and stops once the top results are certified — provably byte-identical
-    output to [Exhaustive], which enumerates every within-budget path and
-    sorts ([test_topk.ml] pins the equivalence). [Exhaustive] remains the
-    oracle and the choice for corpus tooling that wants the full path set.
-    Configurations with a negative [freevar_cost] (ablations) run
-    exhaustively — a negative charge would break the best-first order
-    certificate — and report the fallback in {!info.warnings}. *)
+(** Where the rank-ordered candidates come from. Both strategies feed one
+    consumer (dedup, verification, protocol filtering, truncation, codegen)
+    and differ only in the source: [BestFirst] (the default) pops
+    rank-ordered path prefixes from a min-heap ({!Topk}) and stops once the
+    top results are certified; [Exhaustive] enumerates every within-budget
+    path and sorts it. Below the path cap the answers are byte-identical
+    ([test_topk.ml] pins the equivalence; [test/naive.ml]'s pipeline checks
+    the shared consumer on its own). [Exhaustive] is the choice for corpus
+    tooling that wants the full path set. Configurations with a negative
+    [freevar_cost] (ablations) run exhaustively — a negative charge would
+    break the best-first order certificate — and report the fallback in
+    {!info.warnings}. *)
 type strategy =
   | Exhaustive
   | BestFirst
@@ -119,10 +123,11 @@ type result = {
 
     An independent soundness oracle (in practice [Analysis.Verify.sound],
     injected as a closure to keep the analyzer layered above this library)
-    re-checks every ranked chain; unsound ones are dropped {e before}
-    truncation to [max_results] and counted. On a healthy pipeline
-    [vfiltered] stays 0 — the property suite enforces this over the curated
-    workload. *)
+    re-checks ranked chains in rank order until [max_results] of them
+    survive, under either strategy; unsound ones are dropped {e before}
+    truncation, so each frees its slot for the next-ranked chain, and
+    counted. On a healthy pipeline [vfiltered] stays 0 — the property
+    suite enforces this over the curated workload. *)
 
 type verify = {
   vcheck : Jungloid.t -> bool;
@@ -216,25 +221,6 @@ val run :
     means clean), consulted only when [settings.protocol] is [Warn] or
     [Filter] (see {!protocol}). *)
 
-val run_stream :
-  ?settings:settings ->
-  ?reach:Reach.t ->
-  ?verify:verify ->
-  ?edge_cost:(Elem.t -> int) ->
-  ?protocol_check:(Jungloid.t -> string list) ->
-  frozen:Graph.frozen ->
-  hierarchy:Hierarchy.t ->
-  t ->
-  result Seq.t
-(** The lazy form of {!run}: ranked results on demand, sharing the
-    producer {!run} truncates, so [List.of_seq (Seq.take
-    settings.max_results (run_stream ... q))] is byte-identical to [run
-    ... q]. This is what refine sessions consume — a session's candidate
-    set {e is} the query reply's result list. The sequence is memoized
-    (safe to re-traverse) and reads only the snapshot. Under the
-    [Exhaustive] strategy there is nothing lazy to expose and the stream
-    degenerates to {!run}'s list; [settings.max_results] then bounds it. *)
-
 type multi_result = {
   source_var : string option;  (** [None] for the [void] source *)
   result : result;
@@ -268,12 +254,17 @@ val run_multi :
   multi_result list
 (** One multi-source search from all [vars] plus [void]; each result's code
     references the variable it starts from. The ranked order interleaves all
-    sources. [?reach], [?frozen] and [?graph] behave exactly as in {!run}
-    (a snapshot without an interned [void] node simply omits the [void]
-    source; {!freeze} and engine snapshots always intern it first). Under
-    [Exhaustive], pairs that tie on the full rank key keep enumeration
-    order, as the best-first consumer does, so the strategies agree byte
-    for byte below the path cap. There is no info channel here, so
+    sources, each under its own budget (its shortest cost plus slack), and
+    a variable whose type has no node, or that the reach index proves
+    cannot reach [tout], simply takes no part. [?reach], [?frozen] and
+    [?graph] behave exactly as in {!run} (a snapshot without an interned
+    [void] node simply omits the [void] source; {!freeze} and engine
+    snapshots always intern it first). Suggestions that tie on the full
+    rank key are ordered by variable name ([void] first) and, within one
+    variable, keep enumeration order; both strategies share the consumer
+    that does this, so they agree byte for byte below the path cap.
+    Within one variable, only the best-ranked of several identically
+    rendered chains is kept. There is no info channel here, so
     [protocol = Warn] violations are logged rather than returned; [Filter]
     drops violating suggestions as in {!run}. *)
 
@@ -341,21 +332,17 @@ val engine_of_frozen :
 (** An engine over an existing CSR snapshot — the mmap warm-start path: a
     server restart hands {!Serialize.load_frozen}'s (possibly mmapped)
     snapshot straight here and starts answering queries without rebuilding
-    anything; the mutable graph behind {!engine_graph} is reconstructed
-    lazily, only if something (enrichment, DOT export) actually needs it.
+    anything; the mutable graph is reconstructed lazily, only if
+    {!invalidate} needs it.
     With [?edge_cost] the snapshot's weighted-cost arrays are re-baked
     under the model ({!Graph.rebake}) so weighted search and the rank layer
     agree, as in {!engine}. All other parameters behave as in {!engine}. *)
 
-val engine_graph : engine -> Graph.t
-(** The engine's mutable graph — forces the lazy rebuild on a warm-started
-    engine (O(nodes + edges)); engine-driven queries never call this. *)
-
 val engine_live_generation : engine -> int
 (** The generation the engine's caches are validated against: the live
     graph's if the mutable view was ever forced, the snapshot's otherwise.
-    Unlike [Graph.generation (engine_graph e)], never forces the rebuild —
-    the server's staleness probes use this. *)
+    Never forces the lazy rebuild of a warm-started engine's graph — the
+    server's staleness probes use this. *)
 
 val engine_hierarchy : engine -> Javamodel.Hierarchy.t
 

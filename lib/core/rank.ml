@@ -118,15 +118,19 @@ let compare_key a b =
   | 0 -> compare (Jungloid.to_string a.tie) (Jungloid.to_string b.tie)
   | c -> c
 
-let sort ?weights ?freevar_cost_of ?edge_cost h js =
-  (* Decorate with a memoized rendering so a jungloid compared textually
+let sort_by key_of xs =
+  (* Decorate with a memoized rendering so an element compared textually
      against many numeric-equal peers is stringified once, not O(n) times. *)
   List.map
-    (fun j ->
-      (key ?weights ?freevar_cost_of ?edge_cost h j, lazy (Jungloid.to_string j), j))
-    js
+    (fun x ->
+      let k = key_of x in
+      (k, lazy (Jungloid.to_string k.tie), x))
+    xs
   |> List.stable_sort (fun (a, ta, _) (b, tb, _) ->
          match compare_numeric a b with
          | 0 -> compare (Lazy.force ta) (Lazy.force tb)
          | c -> c)
-  |> List.map (fun (_, _, j) -> j)
+  |> List.map (fun (_, _, x) -> x)
+
+let sort ?weights ?freevar_cost_of ?edge_cost h js =
+  sort_by (key ?weights ?freevar_cost_of ?edge_cost h) js

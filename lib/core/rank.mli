@@ -87,6 +87,10 @@ val sort :
   Jungloid.t list
 (** Stable best-first ordering. *)
 
+val sort_by : ('a -> key) -> 'a list -> 'a list
+(** Stable sort by {!compare_key} of each element's key, computed once per
+    element; each text tiebreak is rendered at most once. *)
+
 val package_crossings : Jungloid.t -> int
 (** Exposed for tests: adjacent distinct packages along the chain — the
     input type's package followed by each non-widening elem's owner

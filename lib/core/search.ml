@@ -97,7 +97,7 @@ end
    them; on the (once per ~2^62 takes) epoch wrap the stamps are zeroed
    explicitly. Outside any frame [take] hands out a fresh one-shot lane —
    nothing would ever release a pooled one, and one-shot lanes are safe to
-   let escape (which [run_stream]'s lazily-forced sequences rely on). *)
+   let escape: a caller without a frame may keep the [Dist.t] it got. *)
 module Scratch = struct
   type lane = {
     mutable ld : int array;
@@ -440,23 +440,6 @@ module Csr = struct
       dfs source 0 [];
       pstamp.(source) <- 0
     end
-
-  let enumerate ?scratch fz ~sources ~target ?(slack = 1) ?(limit = 4096) ?cone
-      ?truncated () =
-    match shortest_cost ?scratch ?cone fz ~sources ~target with
-    | None -> []
-    | Some m ->
-        let budget = m + slack in
-        let dist_to = distances_to ?scratch ?cone fz ~target in
-        let n = fz.Graph.f_nodes in
-        let on_path = lane_of scratch n in
-        let results = ref [] in
-        let count = ref 0 in
-        List.iter
-          (dfs_from fz ~target ~dist_to ~on_path ~budget ~limit ~count ~results)
-          (List.sort_uniq compare sources);
-        flag_truncated truncated ~count ~limit;
-        List.rev !results
 
   let enumerate_per_source ?scratch fz ~sources ~target ?(slack = 1) ?(limit = 4096)
       ?cone ?truncated () =

@@ -134,28 +134,6 @@ module Csr : sig
     int option
   (** [None] when the target is unreachable from every source. *)
 
-  val enumerate :
-    ?scratch:Scratch.t ->
-    Graph.frozen ->
-    sources:Graph.node list ->
-    target:Graph.node ->
-    ?slack:int ->
-    ?limit:int ->
-    ?cone:Reach.cone ->
-    ?truncated:bool ref ->
-    unit ->
-    path list
-  (** All acyclic paths from any source to [target] of cost at most
-      [shortest + slack] (default [slack = 1]), up to [limit] paths (default
-      4096). Returns [[]] when unreachable. Paths of cost 0 (pure widening,
-      or an empty path when a source equals the target) are excluded: they
-      contain no code.
-
-      [?truncated] is set to [true] (never cleared — callers may share one
-      flag across searches) when the enumeration stopped at [limit], i.e.
-      the returned list may be missing paths. The check is conservative:
-      exactly [limit] paths also raises the flag. *)
-
   val enumerate_per_source :
     ?scratch:Scratch.t ->
     Graph.frozen ->
@@ -167,12 +145,24 @@ module Csr : sig
     ?truncated:bool ref ->
     unit ->
     path list
-  (** Content-assist semantics: conceptually one query {e per} source, so
-      each source's paths are bounded by that source's own shortest cost
-      plus [slack] (a cheap [void] construction must not suppress a longer
-      solution from a visible variable). The backward BFS is shared,
-      keeping the cost close to a single query — the paper's "multiple
-      starting points" implementation note. *)
+  (** All acyclic paths from each source to [target] of cost at most that
+      source's own shortest cost plus [slack] (default [slack = 1]), up to
+      [limit] paths in all (default 4096), sources in ascending node order
+      and each source's paths in DFS order. Returns [[]] when unreachable.
+      Paths of cost 0 (pure widening, or an empty path when a source equals
+      the target) are excluded: they contain no code.
+
+      Conceptually one query {e per} source, the content-assist semantics:
+      a cheap [void] construction must not suppress a longer solution from
+      a visible variable. The backward BFS is shared, keeping the cost
+      close to a single query — the paper's "multiple starting points"
+      implementation note. With one source this is the paper's
+      single-query enumeration.
+
+      [?truncated] is set to [true] (never cleared — callers may share one
+      flag across searches) when the enumeration stopped at [limit], i.e.
+      the returned list may be missing paths. The check is conservative:
+      exactly [limit] paths also raises the flag. *)
 end
 
 val distances_from : Graph.t -> sources:Graph.node list -> int array

@@ -1,11 +1,11 @@
 (* Rank-aware best-first top-k path enumeration (the lazy alternative to
-   [Search.Csr.enumerate] + [Rank.sort]).
+   [Search.Csr.enumerate_per_source] + [Rank.sort_by]).
 
-   The exhaustive pipeline materializes every acyclic path within budget —
-   up to [limit = 4096] — builds a [Jungloid.t] and a full [Rank.key] per
-   path, sorts, and then throws away everything past [max_results]. Here
-   the frontier of path *prefixes* lives in a binary min-heap ordered by an
-   admissible priority
+   The exhaustive candidate source materializes every acyclic path within
+   budget — up to [limit = 4096] — builds a [Jungloid.t] and a full
+   [Rank.key] per path, and sorts, though the consumer stops after about
+   [max_results] of them. Here the frontier of path *prefixes* lives in a
+   binary min-heap ordered by an admissible priority
 
        f(prefix) = cost(prefix) + charge(prefix) + dist_to(head)
 
@@ -19,7 +19,7 @@
    parallel arrays), so extending a path is O(1) and allocation-free: no
    [List.rev], no cons garbage, no per-prefix jungloid. The arrays behind
    the arena, the heap and the rank lanes form one workspace ([Memo]) that
-   the consume-within-call entry points reuse per domain, so a query in
+   every search takes over ([Query] reuses one per domain), so a query in
    steady state allocates none of them either.
 
    Exactness of the tiebreaks: completed paths of one length are buffered
@@ -231,7 +231,7 @@ type candidate = {
 }
 
 (* The best-first workspace: every array a search writes, owned by a
-   memo so that the consume-within-call entry points reuse one per domain.
+   memo so that [Query] can reuse one per domain.
 
    Row lanes, aligned with the arena's rows (the arena's three, the edge
    array, the heap's two and the eight rank lanes below — 14 words per row
@@ -346,9 +346,7 @@ type weighted_mode = {
 }
 
 type t = {
-  (* The workspace this enumeration owns while [ws.epoch = epoch]. A private
-     workspace has no edge lanes, so every per-edge contribution is
-     recomputed per traversal. *)
+  (* The workspace this enumeration owns while [ws.epoch = epoch]. *)
   ws : memo;
   epoch : int;
   pkg_ids : (string, int) Hashtbl.t;
@@ -421,23 +419,22 @@ let memo_fill st ord (e : Graph.edge) =
   m.e_depth.(ord) <- compute_depth st e;
   m.e_stamp.(ord) <- m.epoch
 
-(* Is [ord] covered by the edge lanes? Fills its entry on first touch this
-   query. Always [false] for a private workspace, whose lanes are empty. *)
-let memoized st ord (e : Graph.edge) =
-  let m = st.ws in
-  if ord < 0 || ord >= Array.length m.e_stamp then false
-  else begin
-    if m.e_stamp.(ord) <> m.epoch then memo_fill st ord e;
-    true
-  end
+(* Fill [ord]'s edge lanes on its first touch this query. [take] sized
+   them to [edge_slots], which bounds every ordinal [iter_succs] reports. *)
+let memoize st ord (e : Graph.edge) =
+  if st.ws.e_stamp.(ord) <> st.ws.epoch then memo_fill st ord e
 
 let edge_charge st ord e =
-  if memoized st ord e then st.ws.e_charge.(ord) else compute_charge st e
+  memoize st ord e;
+  st.ws.e_charge.(ord)
 
-let edge_pkg st ord e = if memoized st ord e then st.ws.e_pkg.(ord) else compute_pkg st e
+let edge_pkg st ord e =
+  memoize st ord e;
+  st.ws.e_pkg.(ord)
 
 let edge_depth st ord e =
-  if memoized st ord e then st.ws.e_depth.(ord) else compute_depth st e
+  memoize st ord e;
+  st.ws.e_depth.(ord)
 
 let add_root st node budget =
   let ws = st.ws in
@@ -691,12 +688,9 @@ let materialized st = st.materialized_n
 
 let truncated st = st.truncated_f
 
-let start ?freevar_cost_of ?weighted ?memo ~weights ~hierarchy ~node_type
+let start ?freevar_cost_of ?weighted ~memo:ws ~weights ~hierarchy ~node_type
     ~iter_succs ~edge_slots ~materialize ~dist_to ~sources ~target ~limit () =
-  let ws, slots =
-    match memo with Some m -> (m, edge_slots) | None -> (Memo.create (), 0)
-  in
-  let epoch = Memo.take ws ~slots in
+  let epoch = Memo.take ws ~slots:edge_slots in
   let st =
     {
       ws;

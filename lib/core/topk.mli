@@ -1,15 +1,16 @@
 (** Rank-aware best-first top-k path enumeration.
 
-    The lazy alternative to {!Search.Csr.enumerate} + {!Rank.sort}: path
-    prefixes live in a shared-prefix arena (parent-pointer rows in flat int
-    arrays) under a binary min-heap ordered by the admissible priority
-    [cost + free-variable charge + dist_to], and the Rank tiebreak
-    components are maintained incrementally per appended edge. Completed
-    paths are therefore delivered in {e exact} {!Rank.compare_key} order —
-    byte-identical to sorting the exhaustive enumeration — while the search
-    touches about [k] candidates instead of materializing thousands.
-    {!Query} drives this under [settings.strategy = BestFirst]; the module
-    is exposed (including {!Heap} and {!Arena}) for its unit tests.
+    The lazy alternative to {!Search.Csr.enumerate_per_source} +
+    {!Rank.sort_by}: path prefixes live in a shared-prefix arena
+    (parent-pointer rows in flat int arrays) under a binary min-heap ordered
+    by the admissible priority [cost + free-variable charge + dist_to], and
+    the Rank tiebreak components are maintained incrementally per appended
+    edge. Completed paths are therefore delivered in {e exact}
+    {!Rank.compare_key} order — the order a stable sort of the exhaustive
+    enumeration gives — while the search touches about [k] candidates
+    instead of materializing thousands. {!Query} uses this as its candidate
+    source under [settings.strategy = BestFirst]; the module is exposed
+    (including {!Heap} and {!Arena}) for its unit tests.
 
     Streams from one generator are consumer-paced: each {!next} call pops
     and expands only until the next candidate's position is certified
@@ -99,9 +100,10 @@ type t
 
     Lifetime: one live enumeration per memo. The enumeration started last
     owns it; {!next} on an earlier one raises [Invalid_argument] instead of
-    reading recycled rows. {!Query} passes {!domain} to searches that
-    finish inside one call, and gives escaping streams ([run_stream],
-    refine sessions) a private workspace by omitting [?memo]. *)
+    reading recycled rows. {!Query} passes {!domain}: every query is done
+    with its enumeration before it returns, so the next query on the domain
+    may take the workspace over. An enumeration that must stay live beside
+    others needs a memo of its own ({!create}). *)
 module Memo : sig
   type t
 
@@ -130,7 +132,7 @@ type weighted_mode = {
 val start :
   ?freevar_cost_of:(Javamodel.Jtype.t -> int) ->
   ?weighted:weighted_mode ->
-  ?memo:Memo.t ->
+  memo:Memo.t ->
   weights:Rank.weights ->
   hierarchy:Javamodel.Hierarchy.t ->
   node_type:(Graph.node -> Javamodel.Jtype.t) ->
@@ -143,17 +145,15 @@ val start :
   limit:int ->
   unit ->
   t
-(** Begin a search. [iter_succs u f] must call [f ord e] for each outgoing
-    edge in adjacency order, [ord] being its global CSR edge index and
-    [edge_slots] the length of the snapshot's edge table. With [?memo] the
-    search runs in that workspace and memoizes per-edge rank contributions
-    once per edge; it retires any earlier enumeration on the same memo.
-    Without it the search gets a private workspace, of its own for as long
-    as the enumeration lives, and recomputes per-edge contributions per
-    traversal. [dist_to]
-    are exact backward 0-1-BFS distances to [target] ([max_int] =
+(** Begin a search in [memo]'s workspace, retiring any earlier enumeration
+    on the same memo. [iter_succs u f] must call [f ord e] for each
+    outgoing edge in adjacency order, [ord] being its global CSR edge index
+    and [edge_slots] the length of the snapshot's edge table (every [ord]
+    is below it); per-edge rank contributions are memoized once per edge.
+    [dist_to] are exact backward 0-1-BFS distances to [target] ([max_int] =
     unreachable); pruned distances are fine as long as the pruning is
-    cone-exact, which keeps the priority admissible and consistent. [sources] pairs each source node with its cost budget
+    cone-exact, which keeps the priority admissible and consistent.
+    [sources] pairs each source node with its cost budget
     (shortest-cost + slack — per source, as {!Search.Csr.enumerate_per_source}
     budgets them); a node must appear at most once. [limit] caps completed
     candidates exactly as the DFS caps enumerated paths.

@@ -305,44 +305,39 @@ let member k = function
 
 (* ---------- typed requests ---------- *)
 
+type overrides = {
+  max_results : int option;
+  slack : int option;
+  strategy : Prospector.Query.strategy option;
+  ranking : Prospector.Query.ranking option;
+  protocol : Prospector.Query.protocol option;
+}
+
+let defaults =
+  { max_results = None; slack = None; strategy = None; ranking = None; protocol = None }
+
 type request =
   | Query of {
       tin : string;
       tout : string;
-      max_results : int option;
-      slack : int option;
-      strategy : string option;
-      ranking : string option;
-      protocol : string option;
+      overrides : overrides;
       cluster : bool;
     }
   | Assist of {
       tout : string;
       vars : (string * string) list;
-      max_results : int option;
-      slack : int option;
-      strategy : string option;
-      ranking : string option;
-      protocol : string option;
+      overrides : overrides;
     }
   | Batch of {
       pairs : (string * string) list;
-      max_results : int option;
-      slack : int option;
-      strategy : string option;
-      ranking : string option;
-      protocol : string option;
+      overrides : overrides;
     }
   | Lint of { tin : string; tout : string }
   | Refine_start of {
       tin : string option;
       tout : string;
       vars : (string * string) list;
-      max_results : int option;
-      slack : int option;
-      strategy : string option;
-      ranking : string option;
-      protocol : string option;
+      overrides : overrides;
     }
   | Refine_answer of { session : string; choice : int }
   | Refine_status of { session : string }
@@ -372,9 +367,23 @@ let field_int_opt j k =
   | Some Null | None -> Ok None
   | Some _ -> Error (Printf.sprintf "field %S must be an integer" k)
 
-(* Negative counts are rejected at decode time, by the same rule the CLI
-   applies to its flags. *)
-let field_limits j =
+let field_string_opt j k =
+  match member k j with
+  | Some (Str s) -> Ok (Some s)
+  | Some Null | None -> Ok None
+  | Some _ -> Error (Printf.sprintf "field %S must be a string" k)
+
+(* The per-request settings, decoded and validated in one place: a
+   negative count (the same rule the CLI applies to its flags) or an
+   unknown strategy, ranking or protocol spelling is the requester's
+   mistake, answered with the accepted spellings before any engine work. *)
+let field_overrides j =
+  let spelled k of_string =
+    let* s = field_string_opt j k in
+    match s with
+    | None -> Ok None
+    | Some s -> Result.map Option.some (of_string s)
+  in
   let* max_results = field_int_opt j "max_results" in
   let* slack = field_int_opt j "slack" in
   let* () =
@@ -382,13 +391,10 @@ let field_limits j =
       ~max_results:(Option.value max_results ~default:0)
       ~slack:(Option.value slack ~default:0)
   in
-  Ok (max_results, slack)
-
-let field_string_opt j k =
-  match member k j with
-  | Some (Str s) -> Ok (Some s)
-  | Some Null | None -> Ok None
-  | Some _ -> Error (Printf.sprintf "field %S must be a string" k)
+  let* strategy = spelled "strategy" Prospector.Query.strategy_of_string in
+  let* ranking = spelled "ranking" Prospector.Query.ranking_of_string in
+  let* protocol = spelled "protocol" Prospector.Query.protocol_of_string in
+  Ok { max_results; slack; strategy; ranking; protocol }
 
 let field_bool j k ~default =
   match member k j with
@@ -427,14 +433,9 @@ let request_of_json j =
         | "query" ->
             let* tin = field_string j "tin" in
             let* tout = field_string j "tout" in
-            let* max_results, slack = field_limits j in
-            let* strategy = field_string_opt j "strategy" in
-            let* ranking = field_string_opt j "ranking" in
-            let* protocol = field_string_opt j "protocol" in
+            let* overrides = field_overrides j in
             let* cluster = field_bool j "cluster" ~default:false in
-            Ok
-              (Query
-                 { tin; tout; max_results; slack; strategy; ranking; protocol; cluster })
+            Ok (Query { tin; tout; overrides; cluster })
         | "assist" ->
             let* tout = field_string j "tout" in
             let* vars =
@@ -443,22 +444,16 @@ let request_of_json j =
               | Some Null | None -> Ok []
               | Some _ -> Error "field \"vars\" must be an array"
             in
-            let* max_results, slack = field_limits j in
-            let* strategy = field_string_opt j "strategy" in
-            let* ranking = field_string_opt j "ranking" in
-            let* protocol = field_string_opt j "protocol" in
-            Ok (Assist { tout; vars; max_results; slack; strategy; ranking; protocol })
+            let* overrides = field_overrides j in
+            Ok (Assist { tout; vars; overrides })
         | "batch" ->
             let* pairs =
               match member "queries" j with
               | Some (Arr qs) -> map_m parse_pair qs
               | _ -> Error "field \"queries\" must be an array"
             in
-            let* max_results, slack = field_limits j in
-            let* strategy = field_string_opt j "strategy" in
-            let* ranking = field_string_opt j "ranking" in
-            let* protocol = field_string_opt j "protocol" in
-            Ok (Batch { pairs; max_results; slack; strategy; ranking; protocol })
+            let* overrides = field_overrides j in
+            Ok (Batch { pairs; overrides })
         | "lint" ->
             let* tin = field_string j "tin" in
             let* tout = field_string j "tout" in
@@ -477,13 +472,8 @@ let request_of_json j =
                 Error "refine_start takes either \"tin\" or \"vars\", not both"
               else Ok ()
             in
-            let* max_results, slack = field_limits j in
-            let* strategy = field_string_opt j "strategy" in
-            let* ranking = field_string_opt j "ranking" in
-            let* protocol = field_string_opt j "protocol" in
-            Ok
-              (Refine_start
-                 { tin; tout; vars; max_results; slack; strategy; ranking; protocol })
+            let* overrides = field_overrides j in
+            Ok (Refine_start { tin; tout; vars; overrides })
         | "refine_answer" ->
             let* session = field_string j "session" in
             let* choice =
@@ -531,32 +521,31 @@ let envelope_to_json { id; req } =
   let id_field = match id with Null -> [] | id -> [ ("id", id) ] in
   let opt k = function Some i -> [ (k, Int i) ] | None -> [] in
   let opt_s k = function Some s -> [ (k, Str s) ] | None -> [] in
+  let spelled k to_string v = opt_s k (Option.map to_string v) in
+  let overrides o =
+    opt "max_results" o.max_results @ opt "slack" o.slack
+    @ spelled "strategy" Prospector.Query.strategy_to_string o.strategy
+    @ spelled "ranking" Prospector.Query.ranking_to_string o.ranking
+    @ spelled "protocol" Prospector.Query.protocol_to_string o.protocol
+  in
+  let vars_field = function
+    | [] -> []
+    | vs ->
+        [
+          ( "vars",
+            Arr (List.map (fun (name, ty) -> Obj [ ("name", Str name); ("type", Str ty) ]) vs)
+          );
+        ]
+  in
   let fields =
     match req with
-    | Query { tin; tout; max_results; slack; strategy; ranking; protocol; cluster }
-      ->
+    | Query { tin; tout; overrides = o; cluster } ->
         [ ("op", Str "query"); ("tin", Str tin); ("tout", Str tout) ]
-        @ opt "max_results" max_results @ opt "slack" slack
-        @ opt_s "strategy" strategy @ opt_s "ranking" ranking
-        @ opt_s "protocol" protocol
+        @ overrides o
         @ if cluster then [ ("cluster", Bool true) ] else []
-    | Assist { tout; vars; max_results; slack; strategy; ranking; protocol } ->
-        [ ("op", Str "assist"); ("tout", Str tout) ]
-        @ (match vars with
-          | [] -> []
-          | vs ->
-              [
-                ( "vars",
-                  Arr
-                    (List.map
-                       (fun (name, ty) ->
-                         Obj [ ("name", Str name); ("type", Str ty) ])
-                       vs) );
-              ])
-        @ opt "max_results" max_results @ opt "slack" slack
-        @ opt_s "strategy" strategy @ opt_s "ranking" ranking
-        @ opt_s "protocol" protocol
-    | Batch { pairs; max_results; slack; strategy; ranking; protocol } ->
+    | Assist { tout; vars; overrides = o } ->
+        [ ("op", Str "assist"); ("tout", Str tout) ] @ vars_field vars @ overrides o
+    | Batch { pairs; overrides = o } ->
         [
           ("op", Str "batch");
           ( "queries",
@@ -565,30 +554,14 @@ let envelope_to_json { id; req } =
                  (fun (tin, tout) -> Obj [ ("tin", Str tin); ("tout", Str tout) ])
                  pairs) );
         ]
-        @ opt "max_results" max_results @ opt "slack" slack
-        @ opt_s "strategy" strategy @ opt_s "ranking" ranking
-        @ opt_s "protocol" protocol
+        @ overrides o
     | Lint { tin; tout } ->
         [ ("op", Str "lint"); ("tin", Str tin); ("tout", Str tout) ]
-    | Refine_start { tin; tout; vars; max_results; slack; strategy; ranking; protocol }
-      ->
+    | Refine_start { tin; tout; vars; overrides = o } ->
         [ ("op", Str "refine_start") ]
         @ opt_s "tin" tin
         @ [ ("tout", Str tout) ]
-        @ (match vars with
-          | [] -> []
-          | vs ->
-              [
-                ( "vars",
-                  Arr
-                    (List.map
-                       (fun (name, ty) ->
-                         Obj [ ("name", Str name); ("type", Str ty) ])
-                       vs) );
-              ])
-        @ opt "max_results" max_results @ opt "slack" slack
-        @ opt_s "strategy" strategy @ opt_s "ranking" ranking
-        @ opt_s "protocol" protocol
+        @ vars_field vars @ overrides o
     | Refine_answer { session; choice } ->
         [
           ("op", Str "refine_answer");

@@ -10,24 +10,26 @@
 
     Request grammar (one object per line):
     {v
-      {"op": "query",    "id"?: J, "tin": S, "tout": S,
-       "max_results"?: I, "slack"?: I, "ranking"?: S, "protocol"?: S,
+      {"op": "query",    "id"?: J, "tin": S, "tout": S, SETTINGS,
        "cluster"?: B}
       {"op": "assist",   "id"?: J, "tout": S,
-       "vars"?: [{"name": S, "type": S}...], "max_results"?: I, "slack"?: I}
+       "vars"?: [{"name": S, "type": S}...], SETTINGS}
       {"op": "batch",    "id"?: J, "queries": [{"tin": S, "tout": S}...],
-       "max_results"?: I, "slack"?: I}
+       SETTINGS}
       {"op": "lint",     "id"?: J, "tin": S, "tout": S}
       {"op": "refine_start",  "id"?: J, "tout": S,
-       "tin"?: S | "vars"?: [{"name": S, "type": S}...],
-       "max_results"?: I, "slack"?: I, "strategy"?: S, "ranking"?: S,
-       "protocol"?: S}
+       "tin"?: S | "vars"?: [{"name": S, "type": S}...], SETTINGS}
       {"op": "refine_answer", "id"?: J, "session": S, "choice": I}
       {"op": "refine_status", "id"?: J, "session": S}
       {"op": "refine_stop",   "id"?: J, "session": S}
       {"op": "stats",    "id"?: J}
       {"op": "health",   "id"?: J}
       {"op": "shutdown", "id"?: J}
+    v}
+    where SETTINGS stands for the optional fields of {!overrides}:
+    {v
+       "max_results"?: I, "slack"?: I, "strategy"?: S, "ranking"?: S,
+       "protocol"?: S
     v}
     [refine_start] opens a stateful disambiguation session over the
     query's (or assist context's) ranked candidates; the reply carries a
@@ -71,51 +73,44 @@ val member : string -> json -> json option
 
 (** {1 Typed requests} *)
 
+type overrides = {
+  max_results : int option;  (** non-negative *)
+  slack : int option;  (** non-negative *)
+  strategy : Prospector.Query.strategy option;
+  ranking : Prospector.Query.ranking option;
+  protocol : Prospector.Query.protocol option;
+}
+(** The per-request settings a [query], [assist], [batch] or
+    [refine_start] may carry, each overriding the server's base setting
+    when present. On the wire they are five optional fields, spelled as
+    {!Prospector.Query.strategy_to_string} and its siblings spell them;
+    {!request_of_json} validates all five. *)
+
+val defaults : overrides
+(** Every field absent: the server's base settings apply. *)
+
 type request =
   | Query of {
       tin : string;
       tout : string;
-      max_results : int option;
-      slack : int option;
-      strategy : string option;
-          (** ["best-first"] or ["exhaustive"]; absent = server default.
-              Validated by {!Service} (not here) so the error reply can say
-              which spellings exist. *)
-      ranking : string option;
-          (** ["paper"] or ["mined"]; absent = server default. Validated by
-              {!Service}, like [strategy]. *)
-      protocol : string option;
-          (** ["off"], ["warn"] or ["filter"]; absent = server default.
-              Validated by {!Service}, like [strategy]. *)
+      overrides : overrides;
       cluster : bool;
     }
   | Assist of {
       tout : string;
       vars : (string * string) list;  (** (name, type) pairs *)
-      max_results : int option;
-      slack : int option;
-      strategy : string option;
-      ranking : string option;
-      protocol : string option;
+      overrides : overrides;
     }
   | Batch of {
       pairs : (string * string) list;  (** (tin, tout) pairs *)
-      max_results : int option;
-      slack : int option;
-      strategy : string option;
-      ranking : string option;
-      protocol : string option;
+      overrides : overrides;
     }
   | Lint of { tin : string; tout : string }
   | Refine_start of {
       tin : string option;  (** query-shaped when present *)
       tout : string;
       vars : (string * string) list;  (** assist-shaped when non-empty *)
-      max_results : int option;
-      slack : int option;
-      strategy : string option;
-      ranking : string option;
-      protocol : string option;
+      overrides : overrides;
     }
   | Refine_answer of {
       session : string;
@@ -144,8 +139,10 @@ type envelope = { id : json; req : request }
 (** [id] is echoed into the response untouched; [Null] when absent. *)
 
 val request_of_json : json -> (envelope, string) result
-(** [Error] on a missing or ill-typed field, and on a negative
-    ["max_results"] or ["slack"] ({!Prospector.Query.check_limits}). *)
+(** [Error] on a missing or ill-typed field, on a negative ["max_results"]
+    or ["slack"] ({!Prospector.Query.check_limits}), and on an unknown
+    ["strategy"], ["ranking"] or ["protocol"] spelling (the message lists
+    the accepted ones). *)
 
 val envelope_to_json : envelope -> json
 (** The client-side inverse of {!request_of_json}:

@@ -16,14 +16,22 @@ type remodel = {
   rm_vet : (Jungloid.t -> Analysis.Diagnostic.t list) option;
 }
 
-(* What a reader needs, captured at one graph generation. Readers take the
-   whole record with one [Atomic.get] and never look back at the mutable
-   graph, so a concurrent republication can at worst give them the previous
-   (internally consistent) snapshot. *)
+(* What a reader needs, captured at one graph generation: the graph, its
+   reach index, and the model that ranks and vets answers over it — the
+   hierarchy (warmed before publication, so readers on many domains only
+   read its memos), the usage model baked into the snapshot's weighted
+   lanes, the protocol checker and the lint vetting pass. Readers take the
+   whole record with one [Atomic.get] and never look back at the engine, so
+   a concurrent reload can at worst give them the previous, internally
+   consistent, snapshot. *)
 type snapshot = {
   s_gen : int;
   s_frozen : Graph.frozen;
   s_reach : Prospector.Reach.t option;
+  s_hierarchy : Hierarchy.t;
+  s_edge_cost : (Prospector.Elem.t -> int) option;
+  s_protocol_check : (Jungloid.t -> string list) option;
+  s_vet : (Jungloid.t -> Analysis.Diagnostic.t list) option;
 }
 
 (* Per-worker result cache. The engine's LRU mutates on reads, so sharing it
@@ -73,12 +81,6 @@ type t = {
   locals_lock : Mutex.t;
   mets : Metrics.t;
   base_settings : Query.settings;
-  mutable vet : (Jungloid.t -> Analysis.Diagnostic.t list) option;
-      (* protocol vetting for the lint op, injected at [create] so this
-         library never depends on the mining layer that learns the model.
-         Mutable because a corpus reload re-learns the model; written only
-         under [publish], read without a lock (a one-word read of an
-         immutable closure — stale by at most one reload, never torn) *)
   graph_config : Prospector.Sig_graph.config;
       (* the config the engine's graph was built with — [Delta.apply] must
          rebuild under the same one or the oracle breaks *)
@@ -109,30 +111,34 @@ type t = {
   session_ttl_s : float option;  (* [None] = sessions never expire *)
 }
 
-(* Call with [publish] held (or before the service is shared). *)
-let take_snapshot engine =
+(* Call with [publish] held (or before the service is shared). [vet] is
+   the protocol vetting for the lint op, injected at [create] so this
+   library never depends on the mining layer that learns the model. *)
+let take_snapshot ~vet engine =
+  let hierarchy = Query.engine_hierarchy engine in
+  Hierarchy.warm hierarchy;
   let frozen = Query.engine_frozen engine in
   {
     s_gen = Graph.frozen_generation frozen;
     s_frozen = frozen;
     s_reach = Query.engine_reach engine;
+    s_hierarchy = hierarchy;
+    s_edge_cost = Query.engine_edge_cost engine;
+    s_protocol_check = Query.engine_protocol_check engine;
+    s_vet = vet;
   }
 
 let create ?(settings = Query.default_settings) ?vet
     ?(graph_config = Prospector.Sig_graph.default_config) ?remodel ?rebuild
     ?reload_hook ?deadline_s ?session_ttl_s ~engine () =
-  (* Warm the hierarchy's lazy memos while we are still single-threaded:
-     after this, ranking only reads it. *)
-  Hierarchy.warm (Query.engine_hierarchy engine);
   {
     eng = engine;
-    snap = Atomic.make (take_snapshot engine);
+    snap = Atomic.make (take_snapshot ~vet engine);
     publish = Mutex.create ();
     locals = ref [];
     locals_lock = Mutex.create ();
     mets = Metrics.create ();
     base_settings = settings;
-    vet;
     graph_config;
     remodel;
     rebuild;
@@ -214,8 +220,7 @@ let current t =
         let snap = Atomic.get t.snap in
         if Query.engine_live_generation t.eng = snap.s_gen then snap
         else begin
-          Hierarchy.warm (Query.engine_hierarchy t.eng);
-          let s = take_snapshot t.eng in
+          let s = take_snapshot ~vet:snap.s_vet t.eng in
           Atomic.set t.snap s;
           s
         end)
@@ -301,13 +306,11 @@ let memo local key compute =
 let query_results t local snap ~settings q =
   let compute () =
     let rs, info =
-      (* The engine froze this snapshot with its own usage model, so the
-         model passed here matches the snapshot's baked weighted costs. *)
+      (* The engine froze this snapshot with the usage model captured next
+         to it, so the model passed here matches the baked weighted costs. *)
       Query.run_info ~settings ?reach:snap.s_reach ~frozen:snap.s_frozen
-        ?edge_cost:(Query.engine_edge_cost t.eng)
-        ?protocol_check:(Query.engine_protocol_check t.eng)
-        ~hierarchy:(Query.engine_hierarchy t.eng)
-        q
+        ?edge_cost:snap.s_edge_cost ?protocol_check:snap.s_protocol_check
+        ~hierarchy:snap.s_hierarchy q
     in
     if info.Query.truncated then Atomic.incr t.truncated_queries;
     Vresults (rs, info.Query.truncated)
@@ -319,14 +322,12 @@ let query_results t local snap ~settings q =
   | Vresults (rs, truncated) -> (rs, truncated)
   | _ -> assert false
 
-let assist_suggestions t local snap ~settings (ctx : Prospector.Assist.context) =
+let assist_suggestions local snap ~settings (ctx : Prospector.Assist.context) =
   let compute () =
     Vsuggest
       (Prospector.Assist.suggest ~settings ~frozen:snap.s_frozen ?reach:snap.s_reach
-         ?edge_cost:(Query.engine_edge_cost t.eng)
-         ?protocol_check:(Query.engine_protocol_check t.eng)
-         ~hierarchy:(Query.engine_hierarchy t.eng)
-         ctx)
+         ?edge_cost:snap.s_edge_cost ?protocol_check:snap.s_protocol_check
+         ~hierarchy:snap.s_hierarchy ctx)
   in
   let key =
     Lassist
@@ -340,8 +341,8 @@ let assist_suggestions t local snap ~settings (ctx : Prospector.Assist.context) 
   match memo local key compute with Vsuggest ss -> ss | _ -> assert false
 
 let lint_diagnostics t local snap q =
-  let hierarchy = Query.engine_hierarchy t.eng in
-  let vet = match t.vet with Some v -> v | None -> fun _ -> [] in
+  let hierarchy = snap.s_hierarchy in
+  let vet = match snap.s_vet with Some v -> v | None -> fun _ -> [] in
   let compute () =
     Vlint
       (fst (query_results t local snap ~settings:t.base_settings q)
@@ -559,11 +560,12 @@ let reload_locked t ~id ~japi ~remove ~corpus =
               let edge_cost = Option.bind rm (fun r -> r.rm_edge_cost) in
               let protocol_check = Option.bind rm (fun r -> r.rm_protocol_check) in
               Query.engine_reload ?edge_cost ?protocol_check t.eng patch;
-              (match Option.bind rm (fun r -> r.rm_vet) with
-              | Some v -> t.vet <- Some v
-              | None -> ());
-              Hierarchy.warm (Query.engine_hierarchy t.eng);
-              let s = take_snapshot t.eng in
+              let vet =
+                match Option.bind rm (fun r -> r.rm_vet) with
+                | Some v -> Some v
+                | None -> (Atomic.get t.snap).s_vet
+              in
+              let s = take_snapshot ~vet t.eng in
               Atomic.set t.snap s;
               (* Worker caches are left alone: their keys embed the
                  generation, so stale entries can never hit again — they age
@@ -599,101 +601,57 @@ let op_name = function
   | Proto.Health -> "health"
   | Proto.Shutdown -> "shutdown"
 
-let settings_for t ~max_results ~slack ~strategy ~ranking ~protocol =
+let settings_for t (o : Proto.overrides) =
   let s = t.base_settings in
   {
     s with
-    Query.max_results = Option.value max_results ~default:s.Query.max_results;
-    slack = Option.value slack ~default:s.Query.slack;
-    strategy = Option.value strategy ~default:s.Query.strategy;
-    ranking = Option.value ranking ~default:s.Query.ranking;
-    protocol = Option.value protocol ~default:s.Query.protocol;
+    Query.max_results = Option.value o.Proto.max_results ~default:s.Query.max_results;
+    slack = Option.value o.Proto.slack ~default:s.Query.slack;
+    strategy = Option.value o.Proto.strategy ~default:s.Query.strategy;
+    ranking = Option.value o.Proto.ranking ~default:s.Query.ranking;
+    protocol = Option.value o.Proto.protocol ~default:s.Query.protocol;
   }
 
-(* An unknown strategy, ranking or protocol string is the requester's
-   mistake, answered with [Bad_request] and the accepted spellings, before
-   any engine work. *)
-let parse_strategy = function
-  | None -> Ok None
-  | Some s -> Result.map Option.some (Query.strategy_of_string s)
-
-let parse_ranking = function
-  | None -> Ok None
-  | Some s -> Result.map Option.some (Query.ranking_of_string s)
-
-let parse_protocol = function
-  | None -> Ok None
-  | Some s -> Result.map Option.some (Query.protocol_of_string s)
-
-(* Validate the optional spellings, reporting the first offender. *)
-let parse_mode ~strategy ~ranking ~protocol =
-  match parse_strategy strategy with
-  | Error _ as e -> e
-  | Ok strategy -> (
-      match parse_ranking ranking with
-      | Error _ as e -> e
-      | Ok ranking -> (
-          match parse_protocol protocol with
-          | Error _ as e -> e
-          | Ok protocol -> Ok (strategy, ranking, protocol)))
+let context ~tout vars =
+  {
+    Prospector.Assist.vars = List.map (fun (name, ty) -> (name, Jtype.ref_of_string ty)) vars;
+    expected = Jtype.ref_of_string tout;
+  }
 
 let dispatch ?local t ~id req =
   match req with
-  | Proto.Query
-      { tin; tout; max_results; slack; strategy; ranking; protocol; cluster }
-    -> (
-      match parse_mode ~strategy ~ranking ~protocol with
-      | Error msg -> Proto.error_response ~id Proto.Bad_request msg
-      | Ok (strategy, ranking, protocol) ->
-          let settings =
-            settings_for t ~max_results ~slack ~strategy ~ranking ~protocol
-          in
-          let q = Query.query tin tout in
-          let rs, truncated = query_results t local (current t) ~settings q in
-          let payload =
-            if cluster then
-              let cs = Query.cluster rs in
-              [
-                ("count", Proto.Int (List.length cs));
-                ("clusters", Proto.Arr (List.mapi cluster_json cs));
-                ("truncated", Proto.Bool truncated);
-              ]
-            else
-              [
-                ("count", Proto.Int (List.length rs));
-                ("results", results_json rs);
-                ("truncated", Proto.Bool truncated);
-              ]
-          in
-          Proto.ok_response ~id ~op:"query" payload)
-  | Proto.Assist { tout; vars; max_results; slack; strategy; ranking; protocol }
-    -> (
-      match parse_mode ~strategy ~ranking ~protocol with
-      | Error msg -> Proto.error_response ~id Proto.Bad_request msg
-      | Ok (strategy, ranking, protocol) ->
-      let settings =
-        settings_for t ~max_results ~slack ~strategy ~ranking ~protocol
+  | Proto.Query { tin; tout; overrides; cluster } ->
+      let settings = settings_for t overrides in
+      let q = Query.query tin tout in
+      let rs, truncated = query_results t local (current t) ~settings q in
+      let payload =
+        if cluster then
+          let cs = Query.cluster rs in
+          [
+            ("count", Proto.Int (List.length cs));
+            ("clusters", Proto.Arr (List.mapi cluster_json cs));
+            ("truncated", Proto.Bool truncated);
+          ]
+        else
+          [
+            ("count", Proto.Int (List.length rs));
+            ("results", results_json rs);
+            ("truncated", Proto.Bool truncated);
+          ]
       in
-      let ctx =
-        {
-          Prospector.Assist.vars =
-            List.map (fun (name, ty) -> (name, Jtype.ref_of_string ty)) vars;
-          expected = Jtype.ref_of_string tout;
-        }
+      Proto.ok_response ~id ~op:"query" payload
+  | Proto.Assist { tout; vars; overrides } ->
+      let settings = settings_for t overrides in
+      let suggestions =
+        assist_suggestions local (current t) ~settings (context ~tout vars)
       in
-      let suggestions = assist_suggestions t local (current t) ~settings ctx in
       Proto.ok_response ~id ~op:"assist"
         [
           ("count", Proto.Int (List.length suggestions));
           ("suggestions", Proto.Arr (List.mapi suggestion_json suggestions));
-        ])
-  | Proto.Batch { pairs; max_results; slack; strategy; ranking; protocol } -> (
-      match parse_mode ~strategy ~ranking ~protocol with
-      | Error msg -> Proto.error_response ~id Proto.Bad_request msg
-      | Ok (strategy, ranking, protocol) ->
-      let settings =
-        settings_for t ~max_results ~slack ~strategy ~ranking ~protocol
-      in
+        ]
+  | Proto.Batch { pairs; overrides } ->
+      let settings = settings_for t overrides in
       let qs = List.map (fun (tin, tout) -> Query.query tin tout) pairs in
       (* One snapshot for the whole batch: every answer describes the same
          graph generation even if a republication lands mid-batch.
@@ -716,7 +674,7 @@ let dispatch ?local t ~id req =
                        ("truncated", Proto.Bool truncated);
                      ])
                  answers) );
-        ])
+        ]
   | Proto.Lint { tin; tout } ->
       let q = Query.query tin tout in
       let ds = lint_diagnostics t local (current t) q in
@@ -727,79 +685,55 @@ let dispatch ?local t ~id req =
           ( "warnings",
             Proto.Int (Analysis.Diagnostic.count Analysis.Diagnostic.Warning ds) );
         ]
-  | Proto.Refine_start
-      { tin; tout; vars; max_results; slack; strategy; ranking; protocol } -> (
+  | Proto.Refine_start { tin; tout; vars; overrides } -> (
       (* Shutdown check first: during a drain the table has been cleared
          and must stay empty, so the typed reply is [shutting_down] — never
          [session_expired], never [internal]. *)
       if shutdown_requested t then draining_response ~id
       else
-        match parse_mode ~strategy ~ranking ~protocol with
-        | Error msg -> Proto.error_response ~id Proto.Bad_request msg
-        | Ok (strategy, ranking, protocol) -> (
-            let settings =
-              settings_for t ~max_results ~slack ~strategy ~ranking ~protocol
+        let settings = settings_for t overrides in
+        let snap = current t in
+        let candidates =
+          match tin with
+          | Some tin ->
+              (* The query op's own computation and cache entry: the
+                 session's candidates ARE the query reply's results. *)
+              fst (query_results t local snap ~settings (Query.query tin tout))
+              |> List.map (fun r -> { Esession.source = None; result = r })
+          | None ->
+              assist_suggestions local snap ~settings (context ~tout vars)
+              |> List.map (fun (s : Prospector.Assist.suggestion) ->
+                     {
+                       Esession.source = s.Prospector.Assist.uses_var;
+                       result = s.Prospector.Assist.result;
+                     })
+        in
+        match candidates with
+        | [] ->
+            (* nothing to disambiguate and nothing worth a session id *)
+            Proto.ok_response ~id ~op:"refine_start"
+              [
+                ("session", Proto.Null);
+                ("candidates", Proto.Int 0);
+                ("live", Proto.Int 0);
+                ("asked", Proto.Int 0);
+                ("converged", Proto.Bool true);
+              ]
+        | _ ->
+            let now = Unix.gettimeofday () in
+            let sess =
+              {
+                sess_id =
+                  Printf.sprintf "r%d" (Atomic.fetch_and_add t.session_counter 1 + 1);
+                sess_state = Esession.start candidates;
+                sess_touched = now;
+              }
             in
-            let snap = current t in
-            let candidates =
-              match tin with
-              | Some tin ->
-                  (* Same producer as the query op (see Query.run_stream):
-                     the session's candidates ARE the query reply's results. *)
-                  let q = Query.query tin tout in
-                  Query.run_stream ~settings ?reach:snap.s_reach
-                    ~frozen:snap.s_frozen
-                    ?edge_cost:(Query.engine_edge_cost t.eng)
-                    ?protocol_check:(Query.engine_protocol_check t.eng)
-                    ~hierarchy:(Query.engine_hierarchy t.eng)
-                    q
-                  |> Seq.take settings.Query.max_results
-                  |> List.of_seq
-                  |> List.map (fun r -> { Esession.source = None; result = r })
-              | None ->
-                  let ctx =
-                    {
-                      Prospector.Assist.vars =
-                        List.map
-                          (fun (name, ty) -> (name, Jtype.ref_of_string ty))
-                          vars;
-                      expected = Jtype.ref_of_string tout;
-                    }
-                  in
-                  assist_suggestions t local snap ~settings ctx
-                  |> List.map (fun (s : Prospector.Assist.suggestion) ->
-                         {
-                           Esession.source = s.Prospector.Assist.uses_var;
-                           result = s.Prospector.Assist.result;
-                         })
-            in
-            match candidates with
-            | [] ->
-                (* nothing to disambiguate and nothing worth a session id *)
-                Proto.ok_response ~id ~op:"refine_start"
-                  [
-                    ("session", Proto.Null);
-                    ("candidates", Proto.Int 0);
-                    ("live", Proto.Int 0);
-                    ("asked", Proto.Int 0);
-                    ("converged", Proto.Bool true);
-                  ]
-            | _ ->
-                let now = Unix.gettimeofday () in
-                let sess =
-                  {
-                    sess_id =
-                      Printf.sprintf "r%d"
-                        (Atomic.fetch_and_add t.session_counter 1 + 1);
-                    sess_state = Esession.start candidates;
-                    sess_touched = now;
-                  }
-                in
-                with_sessions t (fun () ->
-                    sweep_sessions t now;
-                    Hashtbl.replace t.sessions sess.sess_id sess;
-                    publish_session_gauge t);
-                Proto.ok_response ~id ~op:"refine_start" (session_payload sess)))
+            with_sessions t (fun () ->
+                sweep_sessions t now;
+                Hashtbl.replace t.sessions sess.sess_id sess;
+                publish_session_gauge t);
+            Proto.ok_response ~id ~op:"refine_start" (session_payload sess))
   | Proto.Refine_answer { session; choice } ->
       if shutdown_requested t then draining_response ~id
       else

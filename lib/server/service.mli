@@ -7,10 +7,14 @@
 
     Concurrency model (snapshot publication, no read lock): the service
     keeps an {!Stdlib.Atomic} pointer to an immutable {e snapshot} — the
-    engine's CSR-frozen graph plus its reachability index, stamped with the
-    graph generation. Every read op (query, assist, batch, lint, stats)
-    loads the pointer once and runs entirely on that snapshot, which no one
-    ever mutates — so reads take no lock and scale across worker domains.
+    engine's CSR-frozen graph, its reachability index and the model that
+    ranks and vets answers over that graph (the warmed hierarchy, the usage
+    model, the protocol checker, the lint vetting pass), stamped with the
+    graph generation. Every read op (query, assist, batch, lint,
+    refine_start, stats) loads the pointer once and runs entirely on that
+    snapshot, which no one ever mutates — so reads take no lock, scale
+    across worker domains, and a reload landing mid-request cannot mix two
+    models into one answer.
     When the underlying graph's generation moves, the next request rebuilds
     the engine state and publishes a fresh snapshot under a private mutex
     (double-checked, so a stampede of stale readers triggers one rebuild);

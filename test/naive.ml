@@ -1,10 +1,12 @@
 (* A deliberately naive reference search over the mutable graph, for the
-   tests to hold the CSR kernels of [Prospector.Search] against. It shares
-   no code with them: distances are a Bellman-Ford fixpoint over
-   [Graph.iter_edges], and enumeration is a plain recursive DFS over
-   [Graph.succs] with the kernels' exclusions (no cycles, no cost-0 path,
-   nothing past the target) and their [limit]/[truncated] rules. Fast enough
-   for the small worlds the tests build, and no faster. *)
+   tests to hold the CSR kernels of [Prospector.Search] against, and the
+   query pipeline on top of it ([run], [run_multi]) for [Query]'s shared
+   consumer. It shares no code with them: distances are a Bellman-Ford
+   fixpoint over [Graph.iter_edges], enumeration is a plain recursive DFS
+   over [Graph.succs] with the kernels' exclusions (no cycles, no cost-0
+   path, nothing past the target) and their [limit]/[truncated] rules, and
+   the pipeline sorts, dedups and filters whole lists. Fast enough for the
+   small worlds the tests build, and no faster. *)
 
 module Graph = Prospector.Graph
 module Elem = Prospector.Elem
@@ -76,12 +78,6 @@ let paths g ~sources ~target ~budget_of ~limit ~truncated =
   (match truncated with Some r -> if !count >= limit then r := true | None -> ());
   List.rev !found
 
-let enumerate g ~sources ~target ?(slack = 1) ?(limit = 4096) ?truncated () =
-  match shortest_cost g ~sources ~target with
-  | None -> []
-  | Some m ->
-      paths g ~sources ~target ~limit ~truncated ~budget_of:(fun _ _ -> m + slack)
-
 let enumerate_per_source g ~sources ~target ?(slack = 1) ?(limit = 4096)
     ?truncated () =
   if target < 0 || target >= Graph.node_count g then []
@@ -89,25 +85,61 @@ let enumerate_per_source g ~sources ~target ?(slack = 1) ?(limit = 4096)
     paths g ~sources ~target ~limit ~truncated ~budget_of:(fun d s -> d.(s) + slack)
 
 (* The paper's pipeline over the naive enumeration, for whole-query
-   comparisons: the jungloid of every path within budget, deduplicated,
-   rank-sorted (stably, so full-key ties keep enumeration order), one per
-   rendering, the first [max_results]. *)
-let run ?(settings = Query.default_settings) ?edge_cost g ~hierarchy (q : Query.t) =
+   comparisons. [inputs] pairs each source node with the variable it stands
+   for ([None] for [tin] or [void]). Every path within its source's budget
+   becomes one (variable, jungloid) pair per variable of its source; the
+   distinct pairs, in enumeration order, are sorted stably by (rank key,
+   variable); the first pair of each (variable, rendering) is offered to
+   [keep], which stands where the verifier and the protocol filter drop
+   chains; the first [max_results] survivors are the answer. *)
+let pipeline ~settings ?edge_cost ~keep g ~hierarchy ~inputs ~target =
   let first_by key xs =
     let seen = Hashtbl.create 16 in
     List.filter
       (fun x -> (not (Hashtbl.mem seen (key x))) && (Hashtbl.add seen (key x) (); true))
       xs
   in
+  enumerate_per_source g ~sources:(List.map fst inputs) ~target
+    ~slack:settings.Query.slack ~limit:settings.Query.limit ()
+  |> List.concat_map (fun (p : Search.path) ->
+         let j =
+           Jungloid.make ~input:(Graph.node_type g p.source)
+             (List.map (fun e -> e.Graph.elem) p.edges)
+         in
+         List.filter_map
+           (fun (n, var) -> if n = p.source then Some (var, j) else None)
+           inputs)
+  |> first_by Fun.id
+  |> List.map (fun (var, j) ->
+         (Prospector.Rank.key ~weights:settings.Query.weights ?edge_cost hierarchy j, var, j))
+  |> List.stable_sort (fun (ka, va, _) (kb, vb, _) ->
+         match Prospector.Rank.compare_key ka kb with 0 -> compare va vb | c -> c)
+  |> List.map (fun (_, var, j) -> (var, j))
+  |> first_by (fun (var, j) -> (var, Jungloid.to_expression j))
+  |> List.filter (fun (_, j) -> keep j)
+  |> List.filteri (fun i _ -> i < settings.Query.max_results)
+
+(* [Query.run]'s answer: the one-input pipeline from [tin]. *)
+let run ?(settings = Query.default_settings) ?edge_cost ?(keep = fun _ -> true) g
+    ~hierarchy (q : Query.t) =
   match (Graph.find_type_node g q.tin, Graph.find_type_node g q.tout) with
   | Some src, Some dst ->
-      enumerate g ~sources:[ src ] ~target:dst ~slack:settings.slack
-        ~limit:settings.limit ()
-      |> List.map (fun (p : Search.path) ->
-             Jungloid.make ~input:(Graph.node_type g p.source)
-               (List.map (fun e -> e.Graph.elem) p.edges))
-      |> first_by Fun.id
-      |> Prospector.Rank.sort ~weights:settings.weights ?edge_cost hierarchy
-      |> first_by Jungloid.to_expression
-      |> List.filteri (fun i _ -> i < settings.max_results)
+      List.map snd
+        (pipeline ~settings ?edge_cost ~keep g ~hierarchy ~inputs:[ (src, None) ]
+           ~target:dst)
   | _ -> []
+
+(* [Query.run_multi]'s answer: the pipeline from [void] and every variable
+   whose type has a node. *)
+let run_multi ?(settings = Query.default_settings) ?edge_cost ?(keep = fun _ -> true) g
+    ~hierarchy ~vars ~tout =
+  match Graph.find_type_node g tout with
+  | None -> []
+  | Some dst ->
+      let input (ty, var) = Option.map (fun n -> (n, var)) (Graph.find_type_node g ty) in
+      let inputs =
+        List.filter_map input
+          ((Javamodel.Jtype.Void, None)
+          :: List.map (fun (name, ty) -> (ty, Some name)) vars)
+      in
+      pipeline ~settings ?edge_cost ~keep g ~hierarchy ~inputs ~target:dst

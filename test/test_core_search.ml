@@ -28,9 +28,11 @@ let shortest_cost g ~sources ~target =
   r
 
 let enumerate g ~sources ~target ?slack ?limit () =
-  let ps = Search.Csr.enumerate (Graph.freeze g) ~sources ~target ?slack ?limit () in
+  let ps =
+    Search.Csr.enumerate_per_source (Graph.freeze g) ~sources ~target ?slack ?limit ()
+  in
   check_bool "enumeration = naive" true
-    (ps = Naive.enumerate g ~sources ~target ?slack ?limit ());
+    (ps = Naive.enumerate_per_source g ~sources ~target ?slack ?limit ());
   ps
 
 (* Linear chain A -> B -> C -> D via instance methods. *)
@@ -133,7 +135,8 @@ let test_multi_source () =
   let g = Sig_graph.build h in
   let sources = [ node g "p.A"; node g "p.B" ] in
   let paths = enumerate g ~sources ~target:(node g "p.T") ~slack:1 () in
-  (* shortest over all sources is 1 (from A); slack 1 admits B's cost-2 path *)
+  (* each source has its own budget: A's shortest is 1, B's cost-2 path is
+     B's shortest *)
   check_int "both sources found" 2 (List.length paths);
   let sources_seen =
     List.sort_uniq compare (List.map (fun (p : Search.path) -> p.Search.source) paths)

@@ -194,11 +194,7 @@ let refine_start ?tin ?(vars = []) tout =
          tin;
          tout;
          vars;
-         max_results = None;
-         slack = None;
-         strategy = None;
-         ranking = None;
-         protocol = None;
+         overrides = Proto.defaults;
        })
 
 let parse_ok reply =

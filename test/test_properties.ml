@@ -63,13 +63,13 @@ let prop_path_costs_bounded =
               | Some m ->
                   let limit = 200_000 in
                   let paths =
-                    Search.Csr.enumerate fz ~sources:[ src ] ~target:dst ~slack:1
-                      ~limit ()
+                    Search.Csr.enumerate_per_source fz ~sources:[ src ] ~target:dst
+                      ~slack:1 ~limit ()
                   in
                   Naive.shortest_cost w.w_g ~sources:[ src ] ~target:dst = Some m
                   && paths
-                     = Naive.enumerate w.w_g ~sources:[ src ] ~target:dst ~slack:1
-                         ~limit ()
+                     = Naive.enumerate_per_source w.w_g ~sources:[ src ] ~target:dst
+                         ~slack:1 ~limit ()
                   &&
                   let truncated = List.length paths >= limit in
                   (* Zero-cost (pure widening) paths carry no code and are
@@ -99,8 +99,8 @@ let prop_slack_monotone =
           | Some src, Some dst ->
               let fz = Graph.freeze w.w_g in
               let paths k =
-                Search.Csr.enumerate fz ~sources:[ src ] ~target:dst ~slack:k
-                  ~limit:100000 ()
+                Search.Csr.enumerate_per_source fz ~sources:[ src ] ~target:dst
+                  ~slack:k ~limit:100000 ()
                 |> List.map (fun (p : Search.path) ->
                        List.map (fun e -> e.Graph.elem) p.Search.edges)
               in

@@ -75,9 +75,10 @@ let search_pair_equal w ~src ~dst r =
   let sources = [ src; Graph.void_node w.w_g ] in
   let fz = Graph.freeze w.w_g in
   let cone = Option.map fst (Reach.cone r ~target:dst) in
-  Search.Csr.enumerate fz ~sources:[ src ] ~target:dst ~slack:1 ~limit:100_000
-    ?cone ()
-  = Naive.enumerate w.w_g ~sources:[ src ] ~target:dst ~slack:1 ~limit:100_000 ()
+  Search.Csr.enumerate_per_source fz ~sources:[ src ] ~target:dst ~slack:1
+    ~limit:100_000 ?cone ()
+  = Naive.enumerate_per_source w.w_g ~sources:[ src ] ~target:dst ~slack:1
+      ~limit:100_000 ()
   && Search.Csr.shortest_cost fz ?cone ~sources:[ src ] ~target:dst
      = Naive.shortest_cost w.w_g ~sources:[ src ] ~target:dst
   && Search.Csr.enumerate_per_source fz ~sources ~target:dst ~slack:1

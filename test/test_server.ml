@@ -78,77 +78,35 @@ let gen_id =
 
 let gen_opt_int = QCheck2.Gen.(opt (int_range 0 100))
 
-(* The codec carries any string; validation is Service's job. *)
-let gen_opt_strategy =
+(* The decoder validates every per-request setting into a typed value, so
+   the codec round-trips exactly those. *)
+let gen_overrides =
   QCheck2.Gen.(
-    oneof
-      [
-        return None;
-        return (Some "best-first");
-        return (Some "exhaustive");
-        map Option.some gen_string;
-      ])
-
-let gen_opt_ranking =
-  QCheck2.Gen.(
-    oneof
-      [
-        return None;
-        return (Some "paper");
-        return (Some "mined");
-        map Option.some gen_string;
-      ])
-
-let gen_opt_protocol =
-  QCheck2.Gen.(
-    oneof
-      [
-        return None;
-        return (Some "off");
-        return (Some "warn");
-        return (Some "filter");
-        map Option.some gen_string;
-      ])
+    let* max_results = gen_opt_int and* slack = gen_opt_int in
+    let* strategy = opt (oneofl [ Query.BestFirst; Query.Exhaustive ]) in
+    let* ranking = opt (oneofl [ Query.Paper; Query.Mined ]) in
+    let* protocol = opt (oneofl [ Query.Off; Query.Warn; Query.Filter ]) in
+    return { Proto.max_results; slack; strategy; ranking; protocol })
 
 let gen_request =
   QCheck2.Gen.(
     let name = string_size ~gen:printable (int_range 1 12) in
+    let vars = list_size (int_range 0 3) (pair name gen_string) in
     oneof
       [
         (let* tin = gen_string and* tout = gen_string in
-         let* max_results = gen_opt_int and* slack = gen_opt_int in
-         let* strategy = gen_opt_strategy in
-         let* ranking = gen_opt_ranking in
-         let* protocol = gen_opt_protocol in
-         let* cluster = bool in
-         return
-           (Proto.Query
-              {
-                tin;
-                tout;
-                max_results;
-                slack;
-                strategy;
-                ranking;
-                protocol;
-                cluster;
-              }));
-        (let* tout = gen_string in
-         let* vars = list_size (int_range 0 3) (pair name gen_string) in
-         let* max_results = gen_opt_int and* slack = gen_opt_int in
-         let* strategy = gen_opt_strategy in
-         let* ranking = gen_opt_ranking in
-         let* protocol = gen_opt_protocol in
-         return
-           (Proto.Assist
-              { tout; vars; max_results; slack; strategy; ranking; protocol }));
+         let* overrides = gen_overrides and* cluster = bool in
+         return (Proto.Query { tin; tout; overrides; cluster }));
+        (let* tout = gen_string and* vars = vars and* overrides = gen_overrides in
+         return (Proto.Assist { tout; vars; overrides }));
         (let* pairs = list_size (int_range 0 3) (pair gen_string gen_string) in
-         let* max_results = gen_opt_int and* slack = gen_opt_int in
-         let* strategy = gen_opt_strategy in
-         let* ranking = gen_opt_ranking in
-         let* protocol = gen_opt_protocol in
-         return
-           (Proto.Batch { pairs; max_results; slack; strategy; ranking; protocol }));
+         let* overrides = gen_overrides in
+         return (Proto.Batch { pairs; overrides }));
+        (let* tout = gen_string and* overrides = gen_overrides in
+         let* tin, vars =
+           oneof [ map (fun tin -> (Some tin, [])) gen_string; map (fun vs -> (None, vs)) vars ]
+         in
+         return (Proto.Refine_start { tin; tout; vars; overrides }));
         (let* tin = gen_string and* tout = gen_string in
          return (Proto.Lint { tin; tout }));
         return Proto.Stats;
@@ -288,11 +246,7 @@ let query_line ?max_results ?slack tin tout =
        {
          tin;
          tout;
-         max_results;
-         slack;
-         strategy = None;
-         ranking = None;
-         protocol = None;
+         overrides = { Proto.defaults with max_results; slack };
          cluster = false;
        })
 
@@ -334,6 +288,23 @@ let test_service_errors () =
       "{\"op\": \"assist\", \"tout\": \"java.io.File\", \"max_results\": -1}";
       "{\"op\": \"batch\", \"queries\": [], \"slack\": -1}";
       "{\"op\": \"refine_start\", \"tout\": \"java.io.File\", \"max_results\": -2}";
+    ];
+  (* so is a misspelled strategy, ranking or protocol, on every op that
+     takes them: the decoder rejects it before any engine work *)
+  List.iter
+    (fun (op, fields) ->
+      List.iter
+        (fun setting ->
+          expect_error_code
+            (Service.handle_line svc
+               (Printf.sprintf "{\"op\": \"%s\", %s, \"%s\": \"bogus\"}" op fields setting))
+            "bad_request")
+        [ "strategy"; "ranking"; "protocol" ])
+    [
+      ("query", "\"tin\": \"void\", \"tout\": \"java.io.File\"");
+      ("assist", "\"tout\": \"java.io.File\"");
+      ("batch", "\"queries\": []");
+      ("refine_start", "\"tin\": \"void\", \"tout\": \"java.io.File\"");
     ];
   (* a poisoned query becomes an internal error reply, not an exception *)
   let reply = Service.handle_line svc "{\"op\": \"query\", \"tin\": \"\", \"tout\": \"\"}" in
@@ -385,11 +356,7 @@ let workload_lines () =
         (Proto.Batch
            {
              pairs = [ ("void", "org.eclipse.ui.texteditor.DocumentProviderRegistry") ];
-             max_results = Some 2;
-             slack = None;
-             strategy = None;
-             ranking = None;
-             protocol = None;
+             overrides = { Proto.defaults with max_results = Some 2 };
            });
       line_of
         (Proto.Lint
@@ -449,6 +416,79 @@ let test_concurrent_equals_sequential () =
   Alcotest.(check int) "metrics counted every request"
     ((n_threads * n) + 1)
     (Metrics.total_requests (Service.metrics shared))
+
+(* ---------- reads beside reloads ---------- *)
+
+(* The rank order of (p.Src, p.Base) hangs on p.A's supertype depth. With
+   [A extends Base], toA, toB and toC tie on every numeric component and
+   sort by text; with [A extends Mid], toA returns the most specific type
+   and sorts last, and Src gains toE. Ranking either model's candidates
+   with the other's hierarchy changes both the set and the order, so such
+   a reply matches neither model's cold answer. *)
+let flip_model ~deep =
+  Printf.sprintf
+    "package p;\nclass Base { }\nclass Mid extends Base { }\nclass A extends %s { }\n\
+     class B extends Base { }\nclass C extends Base { }\nclass E extends Base { }\n\
+     class Src { A toA(); B toB(); C toC(); %s}\n"
+    (if deep then "Mid" else "Base")
+    (if deep then "E toE(); " else "")
+
+let flip_service ~deep =
+  let h = Japi.Loader.load_string (flip_model ~deep) in
+  Service.create
+    ~engine:(Query.engine ~graph:(Prospector.Sig_graph.build h) ~hierarchy:h ())
+    ()
+
+(* One domain reads while another reloads the model back and forth. Each
+   read must answer wholly from one model, never from a snapshot of one
+   and the hierarchy of the other, and never fail. A batch answers every
+   pair from the snapshot it took at the start, so it must not mix models
+   even when a reload lands mid-batch. *)
+let test_reads_beside_reloads () =
+  let reads =
+    [|
+      query_line "p.Src" "p.Base";
+      line_of
+        (Proto.Batch { pairs = List.init 8 (fun _ -> ("p.Src", "p.Base")); overrides = Proto.defaults });
+    |]
+  in
+  let cold ~deep = Array.map (Service.handle_line (flip_service ~deep)) reads in
+  let shallow = cold ~deep:false and deep = cold ~deep:true in
+  Alcotest.(check bool) "the two models answer differently" true (shallow.(0) <> deep.(0));
+  let svc = flip_service ~deep:false in
+  let reload ~deep =
+    Printf.sprintf "{\"op\": \"reload\", \"japi\": %s}"
+      (Proto.to_string (Proto.Str (flip_model ~deep)))
+  in
+  let reloads = 1000 in
+  let stop = Atomic.make false in
+  let reloader =
+    Domain.spawn (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Atomic.set stop true)
+          (fun () ->
+            List.init reloads (fun i ->
+                fst (response_ok (Service.handle_line svc (reload ~deep:(i mod 2 = 0)))))))
+  in
+  let reader =
+    Domain.spawn (fun () ->
+        let rec go n odd =
+          if Atomic.get stop then (n, List.rev odd)
+          else
+            let i = n mod Array.length reads in
+            let r = Service.handle_line svc reads.(i) in
+            go (n + 1) (if r = shallow.(i) || r = deep.(i) then odd else r :: odd)
+        in
+        go 0 [])
+  in
+  let applied = Domain.join reloader in
+  let answered, odd = Domain.join reader in
+  Alcotest.(check int) "every reload applied" reloads
+    (List.length (List.filter Fun.id applied));
+  Alcotest.(check bool) "the reader overlapped the reloads" true (answered > 0);
+  Alcotest.(check (list string)) "every reply is one model's cold answer" [] odd;
+  Alcotest.(check string) "the last model answers" shallow.(0)
+    (Service.handle_line svc reads.(0))
 
 (* ---------- metrics ---------- *)
 
@@ -554,6 +594,8 @@ let () =
           Alcotest.test_case "error replies" `Quick test_service_errors;
           Alcotest.test_case "deadline timeout" `Quick test_deadline_timeout;
           Alcotest.test_case "shutdown flag" `Quick test_shutdown_flag;
+          Alcotest.test_case "reads beside reloads answer one model" `Quick
+            test_reads_beside_reloads;
           Alcotest.test_case "concurrent = sequential" `Quick
             test_concurrent_equals_sequential;
         ] );

@@ -5,7 +5,9 @@
    oracle — over the bundled Eclipse graph (Table 1, mined typestate
    duplicates included), the layered synthetic workload, random Apigen
    worlds (qcheck), and the multi-source assist path, while materializing
-   no more candidates than the oracle does. *)
+   no more candidates than the oracle does. Since both strategies share
+   one consumer, that consumer is held against [Naive]'s pipeline on its
+   own. *)
 
 module Jtype = Javamodel.Jtype
 module Graph = Prospector.Graph
@@ -127,9 +129,10 @@ let test_arena_on_path () =
 
 (* ---------- the workspace ---------- *)
 
-(* A best-first enumeration of [q] over [fz], set up the way
-   [Query.topk_stream] sets it up; [None] when [tout] is unreachable. *)
-let start_on ?memo ?(limit = Query.default_settings.Query.limit) ~hierarchy fz
+(* A best-first enumeration of [q] over [fz] in [memo], set up the way
+   [Query]'s best-first source sets it up; [None] when [tout] is
+   unreachable. *)
+let start_on ~memo ?(limit = Query.default_settings.Query.limit) ~hierarchy fz
     (q : Query.t) =
   match
     (Graph.frozen_find_type_node fz q.Query.tin, Graph.frozen_find_type_node fz q.Query.tout)
@@ -146,7 +149,7 @@ let start_on ?memo ?(limit = Query.default_settings.Query.limit) ~hierarchy fz
           done
         in
         Some
-          (Topk.start ?memo ~weights:Query.default_settings.Query.weights ~hierarchy
+          (Topk.start ~memo ~weights:Query.default_settings.Query.weights ~hierarchy
              ~node_type:(Graph.frozen_node_type fz) ~iter_succs
              ~edge_slots:(Array.length fz.Graph.f_fwd_edge)
              ~materialize:(Prospector.Jungloid.of_frozen_path fz) ~dist_to
@@ -175,7 +178,8 @@ let same_drain (ca, ma, ta) (cb, mb, tb) =
 
 (* One live enumeration per memo: a later start on the same memo retires
    the earlier one, which must then fail loudly rather than read rows the
-   later search has recycled. Private workspaces are never retired. *)
+   later search has recycled. An enumeration on a memo of its own is never
+   retired. *)
 let test_memo_epoch_guard () =
   let h = Workload.layered_api ~classes:200 in
   let g = Sig_graph.build h in
@@ -187,7 +191,7 @@ let test_memo_epoch_guard () =
   in
   let m = Topk.Memo.create () in
   let a = Option.get (start_on ~memo:m ~hierarchy:h fz qa) in
-  let own = Option.get (start_on ~hierarchy:h fz qa) in
+  let own = Option.get (start_on ~memo:(Topk.Memo.create ()) ~hierarchy:h fz qa) in
   check_bool "A yields a candidate" true (Topk.next a <> None);
   ignore (Topk.next own);
   let b = Option.get (start_on ~memo:m ~hierarchy:h fz qb) in
@@ -197,9 +201,9 @@ let test_memo_epoch_guard () =
   let fresh = Option.get (start_on ~memo:(Topk.Memo.create ()) ~hierarchy:h fz qb) in
   check_bool "B runs as on a fresh memo" true
     (same_drain (drain ~cap:20 b) (drain ~cap:20 fresh));
-  let again = Option.get (start_on ~hierarchy:h fz qa) in
+  let again = Option.get (start_on ~memo:(Topk.Memo.create ()) ~hierarchy:h fz qa) in
   ignore (Topk.next again);
-  check_bool "a private workspace is never retired" true
+  check_bool "an enumeration on its own memo is never retired" true
     (same_drain (drain ~cap:20 own) (drain ~cap:20 again))
 
 (* ---------- strategy spellings ---------- *)
@@ -745,6 +749,115 @@ let prop_estimated_freevars_equal =
           results_equal ex bf)
         (Corpusgen.Workload.random_queries h g ~count:3 ~seed:13))
 
+(* ---------- the shared consumer against the naive pipeline ---------- *)
+
+(* Both strategies feed one consumer, so the suites above cannot see a bug
+   in its dedup, verification, filtering, truncation or codegen: it would
+   show on both sides alike. [Naive.run] and [Naive.run_multi] rebuild that
+   pipeline from the naive enumeration instead. The verifier and the
+   protocol filter each reject a deterministic share of chains — the
+   verifier by the chain's members, so of two chains that render alike
+   (free receivers of different classes) it may reject one only — and the
+   naive [keep] rejects their union. The limit stays far above the few
+   thousand paths these worlds have at slack 2, so no run stops at the
+   path cap. *)
+let unsound (j : Prospector.Jungloid.t) =
+  Hashtbl.hash (List.map Prospector.Elem.describe j.Prospector.Jungloid.elems) mod 4 = 0
+
+let deviant j = Hashtbl.hash (Prospector.Jungloid.to_expression j) mod 5 = 1
+
+let prop_consumer_equals_naive =
+  QCheck2.Test.make
+    ~name:"run and run_multi = the naive pipeline (verify, filter, k, slack)"
+    ~count:20 world_gen (fun (h, g) ->
+      let frozen = Graph.freeze g in
+      let protocol_check j = if deviant j then [ "synthetic violation" ] else [] in
+      let keep j = not (unsound j || deviant j) in
+      let verify () = Query.verifier (fun j -> not (unsound j)) in
+      let qs = Corpusgen.Workload.random_queries h g ~count:3 ~seed:23 in
+      let code var j =
+        let input = Option.map (fun n -> (n, Prospector.Jungloid.input_type j)) var in
+        Prospector.Codegen.to_java ?input j
+      in
+      List.for_all
+        (fun (q : Query.t) ->
+          (* two variables of [tin]'s type, listed against name order so
+             that their suggestions must be regrouped, and one of another
+             query's *)
+          let vars =
+            [ ("c", q.Query.tin); ("b", (List.hd qs).Query.tin); ("a", q.Query.tin) ]
+          in
+          List.for_all
+            (fun (strategy, max_results, slack) ->
+              let settings =
+                {
+                  Query.default_settings with
+                  strategy;
+                  max_results;
+                  slack;
+                  limit = 100_000;
+                  protocol = Query.Filter;
+                }
+              in
+              let single =
+                Query.run ~settings ~verify:(verify ()) ~protocol_check ~frozen
+                  ~hierarchy:h q
+                |> List.map (fun (r : Query.result) -> (r.Query.jungloid, r.Query.code))
+              in
+              let multi =
+                Query.run_multi ~settings ~verify:(verify ()) ~protocol_check ~frozen
+                  ~hierarchy:h ~vars ~tout:q.Query.tout ()
+                |> List.map (fun (m : Query.multi_result) ->
+                       (m.Query.source_var, m.Query.result.Query.jungloid, m.Query.result.Query.code))
+              in
+              single
+              = List.map (fun j -> (j, code None j)) (Naive.run ~settings ~keep g ~hierarchy:h q)
+              && multi
+                 = List.map
+                     (fun (var, j) -> (var, j, code var j))
+                     (Naive.run_multi ~settings ~keep g ~hierarchy:h ~vars ~tout:q.Query.tout))
+            (List.concat_map
+               (fun strategy ->
+                 List.concat_map
+                   (fun k -> List.map (fun slack -> (strategy, k, slack)) [ 0; 1; 2 ])
+                   [ 0; 1; 10 ])
+               [ Query.BestFirst; Query.Exhaustive ]))
+        qs)
+
+(* Apigen class names are unique, so no two sources there tie on the full
+   rank key (its text shows the input's simple name). Two [Doc]s in
+   different packages do: [x.get()] from either renders and ranks alike,
+   and the consumer must order the pair by variable name, not by source
+   node. *)
+let test_cross_source_ties () =
+  let h =
+    Japi.Loader.load_files
+      [
+        ("a", "package pa; class Doc { t.T get(); }");
+        ("b", "package pb; class Doc { t.T get(); }");
+        ("t", "package t; class T { }");
+      ]
+  in
+  let g = Sig_graph.build h in
+  let vars = [ ("z", Jtype.ref_of_string "pa.Doc"); ("y", Jtype.ref_of_string "pb.Doc") ] in
+  let tout = Jtype.ref_of_string "t.T" in
+  let want = Naive.run_multi g ~hierarchy:h ~vars ~tout in
+  check_bool "the two sources tie" true
+    (List.filter_map (fun (v, _) -> v) want = [ "y"; "z" ]);
+  List.iter
+    (fun strategy ->
+      let got =
+        Query.run_multi
+          ~settings:{ Query.default_settings with strategy }
+          ~graph:g ~hierarchy:h ~vars ~tout ()
+      in
+      check_bool
+        (Query.strategy_to_string strategy ^ " = naive")
+        true
+        (List.map (fun (m : Query.multi_result) -> (m.Query.source_var, m.Query.result.Query.jungloid)) got
+        = want))
+    [ Query.BestFirst; Query.Exhaustive ]
+
 let () =
   Alcotest.run "topk"
     [
@@ -795,6 +908,10 @@ let () =
             test_fallback_warnings;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_mined_equals_exhaustive ] );
+      ( "consumer",
+        Alcotest.test_case "cross-source full-key ties order by variable" `Quick
+          test_cross_source_ties
+        :: List.map QCheck_alcotest.to_alcotest [ prop_consumer_equals_naive ] );
       ( "protocol",
         [
           Alcotest.test_case "bundled Eclipse graph, Table 1, mined model"
