@@ -81,9 +81,11 @@ bench-parallel: build
 	dune exec bench/main.exe -- parallel
 
 # Regenerates BENCH_topk.json (best-first vs exhaustive search at k=1/10/100:
-# wall-clock, materialized-candidate counts, and byte-identity booleans).
-# The section exits nonzero if best-first ever diverges from the exhaustive
-# oracle, which makes this the equivalence gate inside `make check`.
+# wall-clock, materialized-candidate counts, byte-identity booleans, and the
+# minor-heap words rendering one k=100 result costs). The section exits
+# nonzero if best-first ever diverges from the exhaustive oracle, or on the
+# major-heap and render-allocation limits, which makes this the equivalence
+# and allocation gate inside `make check`.
 bench-topk: build
 	dune exec bench/main.exe -- topk
 

@@ -967,12 +967,44 @@ let major_direct_words_per_query ~settings ~frozen ~hierarchy qs =
    rebuilt per query. *)
 let topk_major_words_limit = 1024.
 
+(* Minor-heap words one rendered result costs: [Codegen.to_java],
+   [Jungloid.to_expression] and [Jungloid.to_string] over every k = 100
+   best-first result of [qs], read from [Gc.minor_words] around a second
+   rendering pass. Allocation is deterministic, so one pass is exact. *)
+let render_words_per_result ~frozen ~hierarchy qs =
+  let settings = { Query.default_settings with max_results = 100 } in
+  let js =
+    List.concat_map
+      (fun q ->
+        List.map (fun (r : Query.result) -> r.Query.jungloid) (Query.run ~settings ~frozen ~hierarchy q))
+      qs
+  in
+  let render () =
+    List.iter
+      (fun j ->
+        ignore (Prospector.Codegen.to_java j);
+        ignore (Prospector.Jungloid.to_expression j);
+        ignore (Prospector.Jungloid.to_string j))
+      js
+  in
+  render ();
+  let w0 = Gc.minor_words () in
+  render ();
+  (Gc.minor_words () -. w0) /. float_of_int (max 1 (List.length js))
+
+(* The render-allocation gate: on this world one result's three renderings
+   may allocate at most this many minor-heap words. They measure 493 with
+   the one-pass buffer renderers and measured 2708 with the [Printf] folds
+   those replaced. *)
+let topk_render_words_limit = 1000.
+
 (* The laziness claim of the BestFirst strategy, measured: identical output
    to the exhaustive oracle at every k, while materializing candidates
    proportional to k instead of the full within-budget path set, and with
    no per-query workspace arrays in the major heap. The `identical`
-   booleans and the k = 100 allocation figure gate `make check` — a false
-   or a figure over [topk_major_words_limit] exits nonzero. *)
+   booleans and the two k = 100 allocation figures gate `make check` — a
+   false, a figure over [topk_major_words_limit] or a rendering over
+   [topk_render_words_limit] exits nonzero. *)
 let section_topk () =
   rule "Best-first top-k vs exhaustive enumeration";
   let h = Corpusgen.Workload.layered_api ~classes:2000 in
@@ -1029,8 +1061,12 @@ let section_topk () =
       (fun (k, _, _, _, _, w, _) -> k = 100 && w > topk_major_words_limit)
       rows
   in
+  let render_words = render_words_per_result ~frozen ~hierarchy:h qs in
+  Printf.printf "  rendering a k=100 result: %.0f minor-heap words (limit %.0f)\n"
+    render_words topk_render_words_limit;
   let json =
-    Printf.sprintf "{\n  \"queries\": %d,\n  \"passes\": %d,\n  \"rows\": [\n%s\n  ],\n  \"identical\": %b\n}\n"
+    Printf.sprintf
+      "{\n  \"queries\": %d,\n  \"passes\": %d,\n  \"rows\": [\n%s\n  ],\n  \"render_minor_words_per_result\": %.1f,\n  \"identical\": %b\n}\n"
       nq passes
       (String.concat ",\n"
          (List.map
@@ -1042,7 +1078,7 @@ let section_topk () =
                  \"best_first_major_words_per_query\": %.1f, \"identical\": %b}"
                 k ex_t ex_c bf_t bf_c w id)
             rows))
-      !all_identical
+      render_words !all_identical
   in
   write_bench ~model_methods:(hier_methods h) "BENCH_topk.json" json;
   if not !all_identical then begin
@@ -1055,6 +1091,12 @@ let section_topk () =
       "error: a best-first query at k=100 allocated more than %.0f words \
        directly in the major heap\n"
       topk_major_words_limit;
+    exit 1
+  end;
+  if render_words > topk_render_words_limit then begin
+    Printf.eprintf
+      "error: rendering one k=100 result allocated %.0f minor-heap words, over the %.0f limit\n"
+      render_words topk_render_words_limit;
     exit 1
   end
 

@@ -22,7 +22,13 @@ val generate : ?input:string * Jtype.t -> ?qualified:bool -> Jungloid.t -> gener
 (** [generate ~input:("ep", t) j] names the jungloid input [ep]; when
     [input] is omitted a variable named after the input type is assumed to
     exist in scope (for [Void]-input jungloids no input is referenced at
-    all). Variable names are derived from type names and uniquified.
+    all). Variable names are derived from type names and uniquified: a
+    repeated base gets the next numeric suffix no earlier name spells
+    ([foo], [foo2], then a [Foo2] local becomes [foo22]).
+
+    One pass over the elems into one buffer, without [Printf]: each
+    statement is written once, after the free-variable declarations its
+    right-hand side needs.
 
     With [qualified] (default [false]) type and class references are
     rendered fully qualified — the form the analyzer's round-trip re-parse

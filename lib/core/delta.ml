@@ -622,10 +622,16 @@ let splice ~wcost ~h_new ~(fz : Graph.frozen) ~reps =
 
 (* ---------- entry point ---------- *)
 
-let rebuild ~config ~wcost ~h' ~old_frozen ~nops =
+(* [build] is the caller's cold build when it passed one (an enriched
+   server must keep its mined nodes and edges); [None] builds from
+   signatures only. *)
+let rebuild ~build ~config ~wcost ~h' ~old_frozen ~nops =
   Hierarchy.ensure_closed h';
-  let g = Sig_graph.build ~config h' in
-  let fz = Graph.freeze ~wcost g in
+  let fz =
+    match build with
+    | Some build -> build h'
+    | None -> Graph.freeze ~wcost (Sig_graph.build ~config h')
+  in
   (* A fresh build's generation (nodes + edges) can collide with the old
      snapshot's; force strict monotonic growth so stale cache keys can never
      alias the reloaded world. *)
@@ -639,7 +645,7 @@ let rebuild ~config ~wcost ~h' ~old_frozen ~nops =
   done;
   (fz, touched, old_n)
 
-let apply ?(config = Sig_graph.default_config) ?(wcost = Graph.default_wcost)
+let apply ?(config = Sig_graph.default_config) ?(wcost = Graph.default_wcost) ?rebuild:build
     ~hierarchy ~frozen ops =
   let h' = Hierarchy.copy hierarchy in
   let errors, structural, originals = validate_and_apply h' ops in
@@ -682,7 +688,7 @@ let apply ?(config = Sig_graph.default_config) ?(wcost = Graph.default_wcost)
            originals true
     in
     if not eligible then
-      finish Rebuilt (rebuild ~config ~wcost ~h' ~old_frozen:frozen ~nops)
+      finish Rebuilt (rebuild ~build ~config ~wcost ~h' ~old_frozen:frozen ~nops)
     else begin
       let reps =
         Hashtbl.fold
@@ -699,7 +705,7 @@ let apply ?(config = Sig_graph.default_config) ?(wcost = Graph.default_wcost)
       match splice ~wcost ~h_new:h' ~fz:frozen ~reps with
       | result -> finish Spliced result
       | exception Fallback ->
-          finish Rebuilt (rebuild ~config ~wcost ~h' ~old_frozen:frozen ~nops)
+          finish Rebuilt (rebuild ~build ~config ~wcost ~h' ~old_frozen:frozen ~nops)
     end
   end
 

@@ -2,7 +2,8 @@
     rebuild (the live-reload engine, DESIGN §9).
 
     A delta is an ordered list of {!op}s applied to a hierarchy copy
-    (O(1) — {!Hierarchy.copy} shares persistent maps). The common
+    ({!Hierarchy.copy} shares persistent maps and carries the warm memos
+    over, which body-only edits keep). The common
     live-edit shape — a class body changed, name and supertypes intact —
     takes a {e spliced} path: node ids stay stable (the hierarchy keeps
     its iteration order and no new type is interned), so only the CSR
@@ -69,6 +70,7 @@ val mode_string : mode -> string
 val apply :
   ?config:Sig_graph.config ->
   ?wcost:(Elem.t -> int) ->
+  ?rebuild:(Hierarchy.t -> Graph.frozen) ->
   hierarchy:Hierarchy.t ->
   frozen:Graph.frozen ->
   op list ->
@@ -78,7 +80,14 @@ val apply :
     [config] must be the one the snapshot was built with, and [wcost] the
     cost model its lanes were baked with (new edges are costed with it; when
     a corpus delta changes the model, {!Graph.rebake} the result). The
-    inputs are never mutated. *)
+    inputs are never mutated.
+
+    [rebuild] is the caller's cold build from a patched (closed) hierarchy.
+    When the patch cannot be spliced it runs once, in place of the
+    signature-only [Sig_graph.build] + [Graph.freeze] — so a server whose
+    snapshot carries mined examples builds one graph per structural reload,
+    not two. It is never called for a spliced patch. The generation bump
+    and the all-nodes [p_touched] are the same either way. *)
 
 val frozen_equal : Graph.frozen -> Graph.frozen -> bool
 (** Logical row-wise equality ignoring [f_generation] and physical layout

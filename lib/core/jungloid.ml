@@ -55,55 +55,83 @@ let well_typed h t =
   in
   steps t.input t.elems
 
-let render_args params ~input ~expr =
-  let arg i (name, ty) =
-    match input with
-    | Elem.Param j when i = j -> expr
-    | _ -> (
-        match ty with
-        | Jtype.Prim p -> (
-            match p with
-            | Jtype.Boolean -> "false"
-            | Jtype.Char -> "'\\0'"
-            | Jtype.Float | Jtype.Double -> "0.0"
-            | _ -> "0")
-        | _ -> name)
+(* The unfilled slot of a rendered call: a default literal for a
+   primitive, the declared name otherwise. *)
+let slot_text (name, ty) =
+  match ty with
+  | Jtype.Prim Jtype.Boolean -> "false"
+  | Jtype.Prim Jtype.Char -> "'\\0'"
+  | Jtype.Prim (Jtype.Float | Jtype.Double) -> "0.0"
+  | Jtype.Prim _ -> "0"
+  | _ -> name
+
+(* One pass from the output end inward, so each elem is written once: a
+   Param-slot call or a downcast wraps the inner expression, a receiver
+   call or an instance field appends to it, and a static field or a call
+   without the input drops it. [go] takes the elems still to write,
+   nearest the output first. *)
+let add_expression b t =
+  let rec go = function
+    | [] -> ( match t.input with Jtype.Void -> () | _ -> Buffer.add_char b 'x')
+    | e :: inner -> (
+        match e with
+        | Elem.Widen _ -> go inner
+        | Elem.Downcast { to_; _ } ->
+            Buffer.add_string b "((";
+            Buffer.add_string b (Jtype.simple_string to_);
+            Buffer.add_string b ") ";
+            go inner;
+            Buffer.add_char b ')'
+        | Elem.Field_access { owner; field } ->
+            if field.Member.fstatic then Buffer.add_string b (Qname.simple owner)
+            else go inner;
+            Buffer.add_char b '.';
+            Buffer.add_string b field.Member.fname
+        | Elem.Static_call { owner; meth; input } ->
+            Buffer.add_string b (Qname.simple owner);
+            call meth.Member.mname meth.Member.params input inner
+        | Elem.Ctor_call { owner; ctor; input } ->
+            Buffer.add_string b "new ";
+            Buffer.add_string b (Qname.simple owner);
+            Buffer.add_char b '(';
+            args 0 ctor.Member.cparams input inner
+        | Elem.Instance_call { meth; input = Elem.Receiver; _ } ->
+            go inner;
+            call meth.Member.mname meth.Member.params Elem.No_input inner
+        | Elem.Instance_call { meth; input; _ } ->
+            Buffer.add_string b "receiver";
+            call meth.Member.mname meth.Member.params input inner)
+  and call name params input inner =
+    Buffer.add_char b '.';
+    Buffer.add_string b name;
+    Buffer.add_char b '(';
+    args 0 params input inner
+  and args i params input inner =
+    match params with
+    | [] -> Buffer.add_char b ')'
+    | p :: rest ->
+        if i > 0 then Buffer.add_string b ", ";
+        (match input with
+        | Elem.Param k when i = k -> go inner
+        | _ -> Buffer.add_string b (slot_text p));
+        args (i + 1) rest input inner
   in
-  "(" ^ String.concat ", " (List.mapi arg params) ^ ")"
+  go (List.rev t.elems)
 
 let to_expression t =
-  let start = match t.input with Jtype.Void -> "" | _ -> "x" in
-  List.fold_left
-    (fun expr e ->
-      match e with
-      | Elem.Field_access { owner; field } ->
-          if field.Member.fstatic then
-            Printf.sprintf "%s.%s" (Qname.simple owner) field.Member.fname
-          else Printf.sprintf "%s.%s" expr field.Member.fname
-      | Elem.Static_call { owner; meth; input } ->
-          Printf.sprintf "%s.%s%s" (Qname.simple owner) meth.Member.mname
-            (render_args meth.Member.params ~input ~expr)
-      | Elem.Ctor_call { owner; ctor; input } ->
-          Printf.sprintf "new %s%s" (Qname.simple owner)
-            (render_args ctor.Member.cparams ~input ~expr)
-      | Elem.Instance_call { meth; input; _ } -> (
-          match input with
-          | Elem.Receiver ->
-              Printf.sprintf "%s.%s%s" expr meth.Member.mname
-                (render_args meth.Member.params ~input:Elem.No_input ~expr)
-          | _ ->
-              Printf.sprintf "receiver.%s%s" meth.Member.mname
-                (render_args meth.Member.params ~input ~expr))
-      | Elem.Widen _ -> expr
-      | Elem.Downcast { to_; _ } ->
-          Printf.sprintf "((%s) %s)" (Jtype.simple_string to_) expr)
-    start t.elems
+  let b = Buffer.create 64 in
+  add_expression b t;
+  Buffer.contents b
 
 let to_string t =
-  let binder = match t.input with Jtype.Void -> "λ(). " | _ -> "λx. " in
-  Printf.sprintf "%s%s : %s -> %s" binder (to_expression t)
-    (Jtype.simple_string t.input)
-    (Jtype.simple_string (output_type t))
+  let b = Buffer.create 96 in
+  Buffer.add_string b (match t.input with Jtype.Void -> "λ(). " | _ -> "λx. ");
+  add_expression b t;
+  Buffer.add_string b " : ";
+  Buffer.add_string b (Jtype.simple_string t.input);
+  Buffer.add_string b " -> ";
+  Buffer.add_string b (Jtype.simple_string (output_type t));
+  Buffer.contents b
 
 let compare = Stdlib.compare
 

@@ -43,11 +43,13 @@ val well_typed : Hierarchy.t -> t -> bool
 val to_expression : t -> string
 (** Nested one-line rendering with the input as [x], e.g.
     ["dpreg.getDocumentProvider(x.getEditorInput())"]. Free variables appear
-    by name. *)
+    by name. Written in one pass into one buffer, from the output end
+    inward, so each elem is rendered once whatever the chain's length. *)
 
 val to_string : t -> string
 (** Lambda rendering with the type, e.g.
-    ["λx. x.getEditorInput() : IEditorPart -> IEditorInput"]. *)
+    ["λx. x.getEditorInput() : IEditorPart -> IEditorInput"] — the textual
+    rank tiebreak ({!Rank.text}). Same single pass as {!to_expression}. *)
 
 val equal : t -> t -> bool
 

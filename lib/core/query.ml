@@ -469,24 +469,26 @@ let execute ~settings ?reach ?frozen ?verify ?edge_cost ?protocol_check ?graph
     if budgets = [] then ([], no_info)
     else
       let freevar_cost_of = freevar_estimator ~scratch ~settings fz in
-      let key_of =
-        Rank.key ~weights:settings.weights ?freevar_cost_of ?edge_cost hierarchy
-      in
       let next, report =
         match strategy with
         | BestFirst ->
             best_first_source ~scratch ~settings ~hierarchy ~freevar_cost_of
               ?edge_cost ?cone fz ~dist_to ~budgets ~target
         | Exhaustive ->
-            exhaustive_source ~scratch ~settings ~key_of ?cone fz
-              ~sources:(List.map fst budgets) ~target
+            exhaustive_source ~scratch ~settings
+              ~key_of:
+                (Rank.key ~weights:settings.weights ?freevar_cost_of ?edge_cost
+                   hierarchy)
+              ?cone fz ~sources:(List.map fst budgets) ~target
       in
+      (* The key is the source's own: Topk's incremental one, or the
+         exhaustive source's [key_of] — both what [Rank.key] computes. *)
       let render (c : Topk.candidate) var =
         let j = c.Topk.cand_jungloid in
         let input = Option.map (fun name -> (name, Jungloid.input_type j)) var in
         {
           source_var = var;
-          result = { jungloid = j; key = key_of j; code = Codegen.to_java ?input j };
+          result = { jungloid = j; key = c.Topk.cand_key; code = Codegen.to_java ?input j };
         }
       in
       let results = consume ~settings ~inputs ~keep ~render next in

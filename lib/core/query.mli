@@ -116,6 +116,10 @@ val default_settings : settings
 type result = {
   jungloid : Jungloid.t;
   key : Rank.key;
+      (** the candidate source's own key — {!Topk}'s incrementally built
+          one, or the exhaustive source's {!Rank.key} — taken over, not
+          recomputed; either equals {!Rank.key} under the snapshot's cost
+          model *)
   code : string;  (** generated Java, input named after [tin] *)
 }
 

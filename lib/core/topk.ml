@@ -588,46 +588,53 @@ let flush_pending st =
   st.groups <- List.rev !groups
 
 (* Resolve one numeric-tie group: only here are paths materialized into
-   jungloids (counted — this is the laziness the bench measures) and
-   rendered for the textual tiebreak. *)
+   jungloids (counted — this is the laziness the bench measures). A lone
+   candidate is its own order; only a real tie renders text and collects
+   edge ordinals for the tiebreak. *)
 let resolve_group st ids =
   let ws = st.ws in
-  let members =
-    Array.map
-      (fun id ->
-        let p = Arena.path ws.arena id in
-        let j = st.materialize p in
-        st.materialized_n <- st.materialized_n + 1;
-        let weighted =
-          match st.weighted with
-          | None -> 0
-          | Some _ ->
-              Ivec.get ws.r_wcost id + (Elem.cost_scale * Ivec.get ws.r_charge id)
-        in
-        let key =
-          {
-            Rank.weighted;
-            length = Ivec.get ws.r_cost id + Ivec.get ws.r_charge id;
-            crossings = Ivec.get ws.r_cross id;
-            specificity = Ivec.get ws.r_spec id;
-            interior = Ivec.get ws.r_interior id;
-            tie = j;
-          }
-        in
-        ( Jungloid.to_string j,
-          p.Search.source,
-          Arena.ords_of ws.arena id,
-          { cand_path = p; cand_jungloid = j; cand_key = key } ))
-      ids
+  let candidate id =
+    let p = Arena.path ws.arena id in
+    let j = st.materialize p in
+    st.materialized_n <- st.materialized_n + 1;
+    let weighted =
+      match st.weighted with
+      | None -> 0
+      | Some _ -> Ivec.get ws.r_wcost id + (Elem.cost_scale * Ivec.get ws.r_charge id)
+    in
+    let key =
+      {
+        Rank.weighted;
+        length = Ivec.get ws.r_cost id + Ivec.get ws.r_charge id;
+        crossings = Ivec.get ws.r_cross id;
+        specificity = Ivec.get ws.r_spec id;
+        interior = Ivec.get ws.r_interior id;
+        tie = j;
+      }
+    in
+    { cand_path = p; cand_jungloid = j; cand_key = key }
   in
-  Array.sort
-    (fun (ta, sa, oa, _) (tb, sb, ob, _) ->
-      match compare (ta : string) tb with
-      | 0 -> (
-          match compare (sa : int) sb with 0 -> cmp_ords oa ob | c -> c)
-      | c -> c)
-    members;
-  Array.to_list (Array.map (fun (_, _, _, c) -> c) members)
+  if Array.length ids = 1 then [ candidate ids.(0) ]
+  else begin
+    let members =
+      Array.map
+        (fun id ->
+          let c = candidate id in
+          ( Jungloid.to_string c.cand_jungloid,
+            c.cand_path.Search.source,
+            Arena.ords_of ws.arena id,
+            c ))
+        ids
+    in
+    Array.sort
+      (fun (ta, sa, oa, _) (tb, sb, ob, _) ->
+        match compare (ta : string) tb with
+        | 0 -> (
+            match compare (sa : int) sb with 0 -> cmp_ords oa ob | c -> c)
+        | c -> c)
+      members;
+    Array.to_list (Array.map (fun (_, _, _, c) -> c) members)
+  end
 
 (* The driver: make [emit] non-empty or prove the search exhausted. Work
    is strictly consumer-paced — the heap is popped only while no resolved

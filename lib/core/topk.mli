@@ -14,7 +14,9 @@
 
     Streams from one generator are consumer-paced: each {!next} call pops
     and expands only until the next candidate's position is certified
-    (all paths of its length completed, its numeric-tie group resolved). *)
+    (all paths of its length completed, its numeric-tie group resolved).
+    A group of one needs no tiebreak: only groups of two or more render
+    text ({!Jungloid.to_string}) and collect edge ordinals. *)
 
 module Heap : sig
   (** Binary min-heap over [(priority, payload)] int pairs in parallel
@@ -78,7 +80,9 @@ end
 type candidate = {
   cand_path : Search.path;
   cand_jungloid : Jungloid.t;
-  cand_key : Rank.key;  (** exactly what {!Rank.key} computes for it *)
+  cand_key : Rank.key;
+      (** exactly what {!Rank.key} computes for it; {!Query} hands it to
+          the result as is *)
 }
 
 type t

@@ -6,13 +6,18 @@ module Smap = Map.Make (String)
 module Imap = Map.Make (Int)
 
 (* The decl table is persistent — two balanced maps sharing the decl
-   values — behind a mutable record: [copy] is O(1) (it shares the maps)
-   and every structural update is O(log n), which is what keeps a
-   live-reload delta's working copy ([Delta.apply]) independent of model
-   size. [byname] resolves names; [bystamp] fixes the iteration order:
-   each name keeps the insertion stamp it got when first declared, and
-   [replace] reuses the old stamp, so iteration order — and every node id
-   derived from it downstream — is preserved across body edits. *)
+   values — behind a mutable record: [copy] shares the maps and every
+   structural update is O(log n), which is what keeps a live-reload
+   delta's working copy ([Delta.apply]) independent of model size.
+   [byname] resolves names; [bystamp] fixes the iteration order: each name
+   keeps the insertion stamp it got when first declared, and [replace]
+   reuses the old stamp, so iteration order — and every node id derived
+   from it downstream — is preserved across body edits.
+
+   The two memos depend only on each declaration's kind and supertype
+   clauses ([direct_supers]), so a [replace] that keeps those keeps them
+   too; every other mutation drops both, since one class's depth feeds
+   the depths of all its subtypes. *)
 type t = {
   mutable seq : int;  (* next insertion stamp *)
   mutable count : int;
@@ -22,9 +27,11 @@ type t = {
       (* lazy strict-direct-subtype index, invalidated on mutation;
          immutable once built, so copies share it *)
   mutable depth_cache : (string, int) Hashtbl.t;
-      (* memo table, never shared between copies (it mutates on reads);
-         mutations install a fresh table rather than resetting, so a copy
-         holding the old one keeps its still-valid entries *)
+      (* memo table, never shared between copies (it mutates on reads):
+         [copy] copies it, and mutations install a fresh table rather than
+         resetting, so a copy holding the old one keeps its still-valid
+         entries *)
+  mutable warmed : bool;  (* both memos complete; cleared by [invalidate] *)
 }
 
 let key q = Qname.to_string q
@@ -38,7 +45,8 @@ let insert t (d : Decl.t) =
 
 let invalidate t =
   t.reverse <- None;
-  t.depth_cache <- Hashtbl.create 64
+  t.depth_cache <- Hashtbl.create 64;
+  t.warmed <- false
 
 let create () =
   let t =
@@ -49,12 +57,13 @@ let create () =
       bystamp = Imap.empty;
       reverse = None;
       depth_cache = Hashtbl.create 64;
+      warmed = false;
     }
   in
   insert t (Decl.make Qname.object_qname);
   t
 
-let copy t = { t with depth_cache = Hashtbl.create 64 }
+let copy t = { t with depth_cache = Hashtbl.copy t.depth_cache }
 
 let find_opt t q =
   match Smap.find_opt (key q) t.byname with
@@ -72,13 +81,18 @@ let add t (d : Decl.t) =
   insert t d;
   invalidate t
 
+let same_supers (a : Decl.t) (b : Decl.t) =
+  a.kind = b.kind
+  && List.equal Qname.equal a.extends b.extends
+  && List.equal Qname.equal a.implements b.implements
+
 let replace t (d : Decl.t) =
   match Smap.find_opt (key d.dname) t.byname with
   | None -> raise (Unknown_type d.dname)
-  | Some (stamp, _) ->
+  | Some (stamp, old) ->
       t.byname <- Smap.add (key d.dname) (stamp, d) t.byname;
       t.bystamp <- Imap.add stamp d t.bystamp;
-      invalidate t
+      if not (same_supers old d) then invalidate t
 
 let remove t q =
   if Qname.equal q Qname.object_qname then
@@ -239,10 +253,14 @@ let depth t q =
 (* Force both lazy memos (the reverse subtype index and the depth cache) while
    the caller still holds sole ownership. The memos mutate on first use, so a
    hierarchy shared read-only across domains must be warmed first; after
-   [warm], [subtypes] and [depth] only read. *)
+   [warm], [subtypes] and [depth] only read. Once warm, nothing is left to
+   force until the next invalidation. *)
 let warm t =
-  ignore (reverse_index t);
-  iter t (fun (d : Decl.t) -> ignore (depth t d.dname))
+  if not t.warmed then begin
+    ignore (reverse_index t);
+    iter t (fun (d : Decl.t) -> ignore (depth t d.dname));
+    t.warmed <- true
+  end
 
 let matching_meth (d : Decl.t) name ~arity =
   List.find_opt

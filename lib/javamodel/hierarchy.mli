@@ -22,9 +22,11 @@ val create : unit -> t
 
 val copy : t -> t
 (** An independent copy; additions to the copy do not affect the original.
-    O(1): the decl table is persistent underneath, so the copy shares it
-    until either side mutates. Used to extend an API hierarchy with corpus
-    client classes and as {!Delta}'s working copy per reload. *)
+    The decl table is persistent underneath, so the copy shares it until
+    either side mutates; the memos come along too — the reverse index is
+    shared, the depth cache copied, O(entries) — so a copy of a warmed
+    hierarchy is warm. Used to extend an API hierarchy with corpus client
+    classes and as {!Delta}'s working copy per reload. *)
 
 val of_decls : Decl.t list -> t
 (** [of_decls ds] builds a hierarchy and {!ensure_closed}s it.
@@ -38,6 +40,10 @@ val replace : t -> Decl.t -> unit
     remove-then-add this keeps the name's insertion stamp and therefore its
     position in the iteration order, which downstream id assignment (node
     numbering in the signature graph) depends on for incremental reload.
+    A replacement with the same kind, [extends] and [implements] (a body
+    edit) keeps the {!subtypes} and {!depth} memos, which depend on nothing
+    else; any other changes a depth its subtypes inherit, so it drops both,
+    as {!add} and {!remove} always do.
     @raise Unknown_type if the name is not declared. *)
 
 val remove : t -> Qname.t -> unit
@@ -86,7 +92,7 @@ val is_subtype : t -> Jtype.t -> Jtype.t -> bool
 
 val subtypes : t -> Qname.t -> Qname.Set.t
 (** Strict transitive subtypes (inverse of {!supers}); reverse index is built
-    lazily and invalidated by {!add}. *)
+    lazily and invalidated as {!replace} describes. *)
 
 val depth : t -> Qname.t -> int
 (** Length of the longest chain of {!direct_supers} steps from the type up to
@@ -99,7 +105,8 @@ val warm : t -> unit
     share read-only across domains after warming — the memos mutate on first
     use — so every parallel entry point ({!Mining.Extract},
     [Query.run_batch], the server engine) warms before fanning out. Idempotent
-    and invalidated by {!add} like the memos themselves. *)
+    and invalidated with the memos themselves (by {!add}, {!remove} and a
+    supertype-changing {!replace}); on a warm hierarchy it is O(1). *)
 
 val lookup_method : t -> Qname.t -> string -> arity:int -> (Qname.t * Member.meth) option
 (** Member lookup along the supertype chain, for the mini-Java resolver:

@@ -115,9 +115,13 @@ let rec next_line t r ~discarding =
 
 (* ---------- connection serving ---------- *)
 
+(* Each reply is one write, so Nagle's algorithm only ever delays it: a
+   client that pipelines requests would see every reply after the first
+   wait for the ACK its own delayed-ACK timer holds back. *)
 let serve_connection t local fd =
   (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.config.idle_poll_s
    with Unix.Unix_error _ -> ());
+  (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
   let r = reader fd in
   let rec loop () =
     match next_line t r ~discarding:false with

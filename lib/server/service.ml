@@ -518,7 +518,14 @@ let reload_locked t ~id ~japi ~remove ~corpus =
         | Some f -> f
         | None -> Graph.default_wcost
       in
-      match Delta.apply ~config:t.graph_config ~wcost ~hierarchy ~frozen ops with
+      (* An enriched server's structural reload builds through the injected
+         cold-build closure, inside [Delta.apply] — [Delta]'s own rebuild is
+         signature-only and would silently drop the spliced mined examples.
+         A corpus delta is the exception: its graph must be built after the
+         models are re-derived below, so here [Delta] keeps its cheaper
+         signature-only build. *)
+      let rebuild = match corpus with None -> t.rebuild | Some _ -> None in
+      match Delta.apply ~config:t.graph_config ~wcost ?rebuild ~hierarchy ~frozen ops with
       | Error errs -> delta_errors_response ~id errs
       | Ok patch -> (
           let rm =
@@ -534,16 +541,13 @@ let reload_locked t ~id ~japi ~remove ~corpus =
           match rm with
           | Error msg -> Proto.error_response ~id Proto.Bad_request msg
           | Ok rm ->
-              (* An enriched server rebuilds through the injected cold-build
-                 closure — [Delta]'s own rebuild is signature-only and would
-                 silently drop the spliced mined examples. A corpus delta
-                 forces that path too: new examples must be spliced in, which
+              (* A corpus delta rebuilds through the cold-build closure
+                 whatever [Delta] did: new examples must be spliced in, which
                  no row splice can do. Generation comes from the patch so the
-                 monotone-bump contract holds either way. *)
+                 monotone-bump contract holds. *)
               let patch =
                 match t.rebuild with
-                | Some rebuild
-                  when patch.Delta.p_mode = Delta.Rebuilt || rm <> None ->
+                | Some rebuild when rm <> None ->
                     let fz = rebuild patch.Delta.p_hierarchy in
                     {
                       patch with

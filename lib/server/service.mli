@@ -67,10 +67,12 @@ val create :
     request's corpus text to re-derived mined models against the patched
     hierarchy (absent = corpus deltas are rejected with [bad_request]).
     [rebuild] is the cold {e enriched} build the server would do at
-    startup, from a patched hierarchy; when present it replaces [Delta]'s
-    signature-only rebuild on the fallback path, so mined (spliced) nodes
-    and edges survive a reload — and every corpus delta takes it, since
-    new examples cannot be row-spliced. [reload_hook] runs after each
+    startup, from a patched hierarchy; when present it is
+    {!Prospector.Delta.apply}'s [?rebuild], replacing the signature-only
+    build on the fallback path, so mined (spliced) nodes and edges survive
+    a reload and a structural reload builds one graph. Every corpus delta
+    takes it too, after the models are re-derived, since new examples
+    cannot be row-spliced. [reload_hook] runs after each
     successful reload with the newly published snapshot (the [--save-graph]
     re-persistence point); it must not raise.
 

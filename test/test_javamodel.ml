@@ -283,6 +283,108 @@ let prop_depth_decreases_upward =
             (Qname.Set.elements (Hierarchy.supers h sub)))
         (List.init n (fun i -> i)))
 
+(* Memos across mutation. A warmed copy of a random hierarchy takes a
+   random sequence of adds, removals, body-only replaces (which keep both
+   memos) and supertype-changing replaces (which drop them), with memo
+   reads and warms interleaved. Afterwards [depth] and [subtypes] must
+   match a fresh [of_decls] over the surviving declarations, and the
+   original must still answer for its own. Supertypes always name
+   declarations that exist and were created earlier, and only a name no
+   one extends is removed, so every state is closed and acyclic. *)
+let mutation_gen =
+  QCheck2.Gen.(
+    let* seed = int_range 1 1_000_000 in
+    let* initial = int_range 1 12 in
+    let* steps = int_range 1 25 in
+    return (seed, initial, steps))
+
+let prop_memos_survive_mutation =
+  QCheck2.Test.make ~name:"memos of a mutated warm copy = a fresh of_decls" ~count:200
+    mutation_gen (fun (seed, initial, steps) ->
+      let rng = Random.State.make [| seed |] in
+      let pick xs = List.nth xs (Random.State.int rng (List.length xs)) in
+      let born = Hashtbl.create 16 (* name -> creation number *) in
+      let decls = ref [] (* the live declarations, oldest first *) in
+      (* up to [max] distinct supertypes of kind [k], created before [n] *)
+      let supers n k max =
+        match
+          List.filter
+            (fun (d : Decl.t) -> d.Decl.kind = k && Hashtbl.find born d.Decl.dname < n)
+            !decls
+        with
+        | [] -> []
+        | older ->
+            List.sort_uniq Qname.compare
+              (List.init (Random.State.int rng (max + 1)) (fun _ -> (pick older).Decl.dname))
+      in
+      let with_supers (d : Decl.t) =
+        let n = Hashtbl.find born d.Decl.dname in
+        match d.Decl.kind with
+        | Decl.Interface -> { d with Decl.extends = supers n Decl.Interface 2 }
+        | Decl.Class ->
+            { d with Decl.extends = supers n Decl.Class 1; implements = supers n Decl.Interface 2 }
+      in
+      let create () =
+        let dname = Qname.make ~pkg:[ "m" ] (Printf.sprintf "T%d" (Hashtbl.length born)) in
+        Hashtbl.replace born dname (Hashtbl.length born);
+        let kind = if Random.State.bool rng then Decl.Class else Decl.Interface in
+        with_supers (Decl.make ~kind dname)
+      in
+      for _ = 1 to initial do
+        decls := !decls @ [ create () ]
+      done;
+      let original = !decls in
+      let h0 = Hierarchy.of_decls original in
+      Hierarchy.warm h0;
+      let h = Hierarchy.copy h0 in
+      let extended (x : Decl.t) =
+        List.exists
+          (fun (d : Decl.t) ->
+            List.exists (Qname.equal x.Decl.dname) (d.Decl.extends @ d.Decl.implements))
+          !decls
+      in
+      let replace (d' : Decl.t) =
+        Hierarchy.replace h d';
+        decls :=
+          List.map
+            (fun (d : Decl.t) -> if Qname.equal d.Decl.dname d'.Decl.dname then d' else d)
+            !decls
+      in
+      for _ = 1 to steps do
+        (match (Random.State.int rng 4, !decls) with
+        | 0, _ | _, [] ->
+            let d = create () in
+            Hierarchy.add h d;
+            decls := !decls @ [ d ]
+        | 1, ds ->
+            (* the newest declaration is never extended, so a leaf exists *)
+            let d = pick (List.filter (fun d -> not (extended d)) ds) in
+            Hierarchy.remove h d.Decl.dname;
+            decls := List.filter (fun x -> x != d) ds
+        | 2, ds ->
+            let d = pick ds in
+            replace
+              { d with Decl.methods = Member.meth "m" ~params:[] ~ret:Jtype.object_t :: d.Decl.methods }
+        | _, ds -> replace (with_supers (pick ds)));
+        match (Random.State.int rng 3, !decls) with
+        | 0, _ | _, [] -> Hierarchy.warm h
+        | 1, ds ->
+            List.iter
+              (fun (d : Decl.t) ->
+                if Random.State.bool rng then ignore (Hierarchy.depth h d.Decl.dname))
+              ds
+        | _, ds -> ignore (Hierarchy.subtypes h (pick ds).Decl.dname)
+      done;
+      let agree h decls =
+        let fresh = Hierarchy.of_decls decls in
+        List.for_all
+          (fun q ->
+            Hierarchy.depth h q = Hierarchy.depth fresh q
+            && Qname.Set.equal (Hierarchy.subtypes h q) (Hierarchy.subtypes fresh q))
+          (Qname.object_qname :: List.map (fun (d : Decl.t) -> d.Decl.dname) decls)
+      in
+      agree h !decls && agree h0 original)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "javamodel"
@@ -329,5 +431,6 @@ let () =
             prop_subclass_transitive;
             prop_supers_subtypes_dual;
             prop_depth_decreases_upward;
+            prop_memos_survive_mutation;
           ] );
     ]

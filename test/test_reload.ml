@@ -20,6 +20,11 @@ module Stats = Prospector.Stats
 module Rng = Corpusgen.Rng
 module Apigen = Corpusgen.Apigen
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 (* ---------- random delta sequences over Apigen worlds ---------- *)
 
 let real_decls h =
@@ -153,6 +158,54 @@ let prop_add_method_splices =
           && Delta.frozen_equal patch.Delta.p_frozen
                (freeze_cold patch.Delta.p_hierarchy))
 
+(* The caller's cold build replaces [Delta]'s own on the fallback path:
+   it runs exactly once when the patch is rebuilt, never when it splices,
+   and the patch still meets the oracle. *)
+let prop_rebuild_closure_once =
+  QCheck2.Test.make ~name:"Delta.apply ~rebuild runs once per rebuild, never on a splice"
+    ~count:40 world_gen (fun (seed, classes, nops) ->
+      let h = Apigen.generate { Apigen.default_params with classes; seed } in
+      let frozen = freeze_cold h in
+      let ops = build_ops (Rng.create ~seed:(seed lxor 0xb11d)) h nops in
+      let builds = ref 0 in
+      let rebuild h = incr builds; freeze_cold h in
+      match Delta.apply ~rebuild ~hierarchy:h ~frozen ops with
+      | Error _ -> false
+      | Ok patch ->
+          !builds = (match patch.Delta.p_mode with Delta.Rebuilt -> 1 | Delta.Spliced -> 0)
+          && Delta.frozen_equal patch.Delta.p_frozen (freeze_cold patch.Delta.p_hierarchy)
+          && Graph.frozen_generation patch.Delta.p_frozen > Graph.frozen_generation frozen)
+
+(* The same through the daemon's reload op: a service given the cold
+   enriched build calls it once for a structural reload and not at all for
+   a body-only edit. *)
+let test_service_builds_once () =
+  let module Service = Prospector_server.Service in
+  let h = Japi.Loader.load_string "package p; class A { B toB(); } class B { }" in
+  let builds = ref 0 in
+  let rebuild h =
+    incr builds;
+    let g = Sig_graph.build h in
+    ignore (Graph.void_node g);
+    Graph.freeze g
+  in
+  let svc =
+    Service.create ~rebuild
+      ~engine:(Prospector.Query.engine ~graph:(Sig_graph.build h) ~hierarchy:h ())
+      ()
+  in
+  let reload japi =
+    Service.handle_line svc
+      (Printf.sprintf "{\"op\": \"reload\", \"japi\": %s}"
+         (Prospector_server.Proto.to_string (Prospector_server.Proto.Str japi)))
+  in
+  let r = reload "package p; class A { B toB(); B again(); }" in
+  Alcotest.(check bool) ("body edit splices: " ^ r) true (contains r "spliced");
+  Alcotest.(check int) "no build for a splice" 0 !builds;
+  let r = reload "package p; interface I { }" in
+  Alcotest.(check bool) ("new class rebuilds: " ^ r) true (contains r "rebuilt");
+  Alcotest.(check int) "one build for a structural reload" 1 !builds
+
 (* ---------- japi round-trip at delta-file scale ---------- *)
 
 let prop_delta_file_roundtrip =
@@ -167,11 +220,6 @@ let prop_delta_file_roundtrip =
     roundtrips
 
 (* ---------- cache invalidation counters ---------- *)
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
 
 let test_clear_counts_dropped () =
   let c = Qcache.create ~capacity:8 () in
@@ -230,6 +278,11 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_patched_equals_cold; prop_reach_patch_identity; prop_add_method_splices;
+            prop_rebuild_closure_once;
+          ]
+        @ [
+            Alcotest.test_case "the service builds once per structural reload" `Quick
+              test_service_builds_once;
           ] );
       ( "japi round-trip",
         List.map QCheck_alcotest.to_alcotest [ prop_delta_file_roundtrip ] );

@@ -569,6 +569,39 @@ let test_tcp_end_to_end () =
   | _ -> Alcotest.fail "tcp shutdown status");
   Server.wait srv
 
+(* A pipelining client must not wait on Nagle's algorithm: the server's
+   end of every accepted connection has TCP_NODELAY set. The server runs
+   in this process, so its end is one of our own descriptors — the socket
+   whose peer is the client's address. OCaml's Unix library represents a
+   descriptor as its number on Unix systems, which is what lets the test
+   reach it through [/proc/self/fd]; where that directory is missing
+   (not Linux) the check has nothing to look at and passes. *)
+let test_tcp_nodelay () =
+  let srv =
+    Server.create ~config:{ Server.default_config with Server.port = 0; workers = 1 }
+      (fresh_service ())
+  in
+  Server.start srv;
+  let ((ic, _) as conn) = connect (Server.port srv) in
+  let ok, _ = response_ok (send_recv conn "{\"op\": \"health\"}") in
+  Alcotest.(check bool) "health ok" true ok;
+  let client = Unix.getsockname (Unix.descr_of_in_channel ic) in
+  (if Sys.file_exists "/proc/self/fd" then
+     let server_ends =
+       Sys.readdir "/proc/self/fd"
+       |> Array.to_list
+       |> List.filter_map (fun n ->
+              let fd : Unix.file_descr = Obj.magic (int_of_string n) in
+              match Unix.getpeername fd with
+              | peer when peer = client -> Some fd
+              | _ | (exception Unix.Unix_error _) -> None)
+     in
+     Alcotest.(check int) "the server's end is found" 1 (List.length server_ends);
+     Alcotest.(check (list bool)) "TCP_NODELAY on the accepted socket" [ true ]
+       (List.map (fun fd -> Unix.getsockopt fd Unix.TCP_NODELAY) server_ends));
+  ignore (send_recv conn "{\"op\": \"shutdown\"}");
+  Server.wait srv
+
 (* ---------- runner ---------- *)
 
 let () =
@@ -602,5 +635,8 @@ let () =
       ( "metrics",
         [ Alcotest.test_case "percentiles" `Quick test_metrics_percentiles ] );
       ( "tcp",
-        [ Alcotest.test_case "end to end" `Quick test_tcp_end_to_end ] );
+        [
+          Alcotest.test_case "end to end" `Quick test_tcp_end_to_end;
+          Alcotest.test_case "accepted sockets disable Nagle" `Quick test_tcp_nodelay;
+        ] );
     ]

@@ -752,9 +752,11 @@ let prop_estimated_freevars_equal =
 (* ---------- the shared consumer against the naive pipeline ---------- *)
 
 (* Both strategies feed one consumer, so the suites above cannot see a bug
-   in its dedup, verification, filtering, truncation or codegen: it would
-   show on both sides alike. [Naive.run] and [Naive.run_multi] rebuild that
-   pipeline from the naive enumeration instead. The verifier and the
+   in its dedup, verification, filtering, truncation, keys or codegen: it
+   would show on both sides alike. [Naive.run] and [Naive.run_multi]
+   rebuild that pipeline from the naive enumeration instead, and the code
+   of each result is held against [Naive.to_java], the key against
+   [Rank.key] under the snapshot's own cost model. The verifier and the
    protocol filter each reject a deterministic share of chains — the
    verifier by the chain's members, so of two chains that render alike
    (free receivers of different classes) it may reject one only — and the
@@ -764,20 +766,24 @@ let prop_estimated_freevars_equal =
 let unsound (j : Prospector.Jungloid.t) =
   Hashtbl.hash (List.map Prospector.Elem.describe j.Prospector.Jungloid.elems) mod 4 = 0
 
-let deviant j = Hashtbl.hash (Prospector.Jungloid.to_expression j) mod 5 = 1
+let deviant j = Hashtbl.hash (Naive.to_expression j) mod 5 = 1
+
+let key_fields (k : Rank.key) =
+  Rank.(k.weighted, k.length, k.crossings, k.specificity, k.interior, k.tie)
 
 let prop_consumer_equals_naive =
   QCheck2.Test.make
-    ~name:"run and run_multi = the naive pipeline (verify, filter, k, slack)"
+    ~name:"run and run_multi = the naive pipeline (verify, filter, k, slack, ranking)"
     ~count:20 world_gen (fun (h, g) ->
-      let frozen = Graph.freeze g in
+      let model = synthetic_cost ~seed:11 in
+      let frozen = Graph.freeze ~wcost:model g in
       let protocol_check j = if deviant j then [ "synthetic violation" ] else [] in
       let keep j = not (unsound j || deviant j) in
       let verify () = Query.verifier (fun j -> not (unsound j)) in
       let qs = Corpusgen.Workload.random_queries h g ~count:3 ~seed:23 in
       let code var j =
         let input = Option.map (fun n -> (n, Prospector.Jungloid.input_type j)) var in
-        Prospector.Codegen.to_java ?input j
+        Naive.to_java ?input j
       in
       List.for_all
         (fun (q : Query.t) ->
@@ -788,41 +794,99 @@ let prop_consumer_equals_naive =
             [ ("c", q.Query.tin); ("b", (List.hd qs).Query.tin); ("a", q.Query.tin) ]
           in
           List.for_all
-            (fun (strategy, max_results, slack) ->
+            (fun (ranking, strategy, max_results, slack) ->
               let settings =
                 {
                   Query.default_settings with
                   strategy;
+                  ranking;
                   max_results;
                   slack;
                   limit = 100_000;
                   protocol = Query.Filter;
                 }
               in
+              let edge_cost = match ranking with Query.Mined -> Some model | Query.Paper -> None in
+              let result (r : Query.result) =
+                (r.Query.jungloid, r.Query.code, key_fields r.Query.key)
+              in
+              let expected j = key_fields (Rank.key ?edge_cost h j) in
               let single =
-                Query.run ~settings ~verify:(verify ()) ~protocol_check ~frozen
-                  ~hierarchy:h q
-                |> List.map (fun (r : Query.result) -> (r.Query.jungloid, r.Query.code))
+                Query.run ~settings ~verify:(verify ()) ~protocol_check ~edge_cost:model
+                  ~frozen ~hierarchy:h q
+                |> List.map result
               in
               let multi =
-                Query.run_multi ~settings ~verify:(verify ()) ~protocol_check ~frozen
-                  ~hierarchy:h ~vars ~tout:q.Query.tout ()
+                Query.run_multi ~settings ~verify:(verify ()) ~protocol_check
+                  ~edge_cost:model ~frozen ~hierarchy:h ~vars ~tout:q.Query.tout ()
                 |> List.map (fun (m : Query.multi_result) ->
-                       (m.Query.source_var, m.Query.result.Query.jungloid, m.Query.result.Query.code))
+                       (m.Query.source_var, result m.Query.result))
               in
               single
-              = List.map (fun j -> (j, code None j)) (Naive.run ~settings ~keep g ~hierarchy:h q)
+              = List.map
+                  (fun j -> (j, code None j, expected j))
+                  (Naive.run ~settings ?edge_cost ~keep g ~hierarchy:h q)
               && multi
                  = List.map
-                     (fun (var, j) -> (var, j, code var j))
-                     (Naive.run_multi ~settings ~keep g ~hierarchy:h ~vars ~tout:q.Query.tout))
+                     (fun (var, j) -> (var, (j, code var j, expected j)))
+                     (Naive.run_multi ~settings ?edge_cost ~keep g ~hierarchy:h ~vars
+                        ~tout:q.Query.tout))
             (List.concat_map
-               (fun strategy ->
+               (fun ranking ->
                  List.concat_map
-                   (fun k -> List.map (fun slack -> (strategy, k, slack)) [ 0; 1; 2 ])
-                   [ 0; 1; 10 ])
-               [ Query.BestFirst; Query.Exhaustive ]))
+                   (fun strategy ->
+                     List.concat_map
+                       (fun k -> List.map (fun slack -> (ranking, strategy, k, slack)) [ 0; 1; 2 ])
+                       [ 0; 1; 10 ])
+                   [ Query.BestFirst; Query.Exhaustive ])
+               [ Query.Paper; Query.Mined ]))
         qs)
+
+(* ---------- the renderers against their references ---------- *)
+
+(* Each production renderer writes one buffer in one pass; [Naive] renders
+   with input-outward [Printf] folds. Every mode of every renderer must
+   agree byte for byte: plain and qualified code, with and without a named
+   input. *)
+let renders_like_naive (j : Prospector.Jungloid.t) =
+  let module J = Prospector.Jungloid in
+  let module C = Prospector.Codegen in
+  let input = ("input", J.input_type j) in
+  J.to_expression j = Naive.to_expression j
+  && J.to_string j = Naive.to_string j
+  && List.for_all
+       (fun qualified ->
+         C.to_java ~qualified j = Naive.to_java ~qualified j
+         && C.to_java ~input ~qualified j = Naive.to_java ~input ~qualified j)
+       [ false; true ]
+
+let wide = { Query.default_settings with max_results = 50; slack = 2 }
+
+let test_bundled_renderers () =
+  let graph = Apidata.Api.default_graph () in
+  let hierarchy = Apidata.Api.hierarchy () in
+  List.iter
+    (fun (p : Problems.t) ->
+      let rs =
+        Query.run ~settings:wide ~graph ~hierarchy
+          (Query.query p.Problems.tin p.Problems.tout)
+      in
+      check_bool
+        (Printf.sprintf "problem %d renders as the reference" p.Problems.id)
+        true
+        (List.for_all (fun (r : Query.result) -> renders_like_naive r.Query.jungloid) rs))
+    Problems.all
+
+let prop_renderers_equal_naive =
+  QCheck2.Test.make ~name:"renderers = the naive Printf renderers (random APIs)"
+    ~count:25 world_gen (fun (h, g) ->
+      let frozen = Graph.freeze g in
+      List.for_all
+        (fun q ->
+          List.for_all
+            (fun (r : Query.result) -> renders_like_naive r.Query.jungloid)
+            (Query.run ~settings:wide ~frozen ~hierarchy:h q))
+        (Corpusgen.Workload.random_queries h g ~count:5 ~seed:29))
 
 (* Apigen class names are unique, so no two sources there tie on the full
    rank key (its text shows the input's simple name). Two [Doc]s in
@@ -912,6 +976,12 @@ let () =
         Alcotest.test_case "cross-source full-key ties order by variable" `Quick
           test_cross_source_ties
         :: List.map QCheck_alcotest.to_alcotest [ prop_consumer_equals_naive ] );
+      ( "render",
+        [
+          Alcotest.test_case "bundled Eclipse graph, Table 1" `Quick
+            test_bundled_renderers;
+          QCheck_alcotest.to_alcotest prop_renderers_equal_naive;
+        ] );
       ( "protocol",
         [
           Alcotest.test_case "bundled Eclipse graph, Table 1, mined model"
