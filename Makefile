@@ -118,7 +118,10 @@ bench-proto: build
 # oracle, and mmap vs read-into-memory warm-start times, at 10k/100k
 # methods by default — BENCH_SCALE_SIZES=10000,100000,1000000 adds the
 # million-method row). The section exits nonzero on any shard/mmap
-# identity divergence, so this is the scale gate inside `make check`.
+# identity divergence, on a two-job batch that routes no query to a shard,
+# or when run_batch at jobs = 2 on the 100k world allocates more than 1024
+# words per query straight into the major heap (parked pool workers keep
+# their search workspaces), so this is the scale gate inside `make check`.
 bench-scale: build
 	dune exec bench/main.exe -- --section scale
 

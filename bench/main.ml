@@ -13,6 +13,7 @@ module Query = Prospector.Query
 module Sig_graph = Prospector.Sig_graph
 module Stats = Prospector.Stats
 module Problems = Apidata.Problems
+module Pool = Prospector_parallel.Pool
 
 let rule title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -859,7 +860,6 @@ let section_server () =
 
 let section_parallel () =
   rule "Domain-parallel engine — multicore fan-out";
-  let module Pool = Prospector_parallel.Pool in
   let cores = Domain.recommended_domain_count () in
   Printf.printf "host: %d recommended domain(s)%s\n" cores
     (if cores < 4 then " — too few for a 4-domain speedup claim" else "");
@@ -943,10 +943,25 @@ let section_parallel () =
 (* Best-first top-k vs exhaustive enumeration                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Words one best-first query allocates straight into the major heap —
-   arrays past the 256-word minor-heap limit, each bringing the next major
-   GC cycle over the whole heap closer — as [major_words - promoted_words]
-   over one pass of [qs]. A warm-up pass runs first, so the domain's Topk
+(* Words [f ()] allocates straight into the major heap — arrays past the
+   256-word minor-heap limit, each bringing the next major GC cycle over
+   the whole heap closer — as [major_words - promoted_words]. OCaml 5.1
+   publishes a domain's allocation counters only at a collection, so each
+   read forces a minor collection first: it stops every domain, parked pool
+   workers included, and publishes all their counters. Without it a
+   reading lags by whatever was allocated since the last collection. *)
+let major_direct_words f =
+  let read () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let w0 = read () in
+  f ();
+  read () -. w0
+
+(* Words one best-first query allocates straight into the major heap, over
+   one pass of [qs]. A warm-up pass runs first, so the domain's Topk
    workspace and scratch lanes are at their high-water mark, as in a
    serving process. *)
 let major_direct_words_per_query ~settings ~frozen ~hierarchy qs =
@@ -954,12 +969,7 @@ let major_direct_words_per_query ~settings ~frozen ~hierarchy qs =
     List.iter (fun q -> ignore (Query.run_info ~settings ~frozen ~hierarchy q)) qs
   in
   pass ();
-  let s0 = Gc.quick_stat () in
-  pass ();
-  let s1 = Gc.quick_stat () in
-  (s1.Gc.major_words -. s0.Gc.major_words
-  -. (s1.Gc.promoted_words -. s0.Gc.promoted_words))
-  /. float_of_int (List.length qs)
+  major_direct_words pass /. float_of_int (List.length qs)
 
 (* The allocation gate: at k = 100 a best-first query may allocate at most
    this many words directly in the major heap. On this world it measures 0
@@ -1646,15 +1656,104 @@ let section_micro () =
 (* Million-method scale: mega worlds, shards, mmap warm starts         *)
 (* ------------------------------------------------------------------ *)
 
+(* [run_batch]'s routing rule: a query goes to its target's shard when the
+   target has a package group and that shard is small enough to build. *)
+let routed_to_shard shards frozen (q : Query.t) =
+  match shards with
+  | None -> false
+  | Some sh -> (
+      match Prospector.Graph.frozen_find_type_node frozen q.Query.tout with
+      | None -> false
+      | Some dst -> (
+          match Prospector.Shard.route sh ~target:dst with
+          | None -> false
+          | Some g -> Option.is_some (Prospector.Shard.sub sh g)))
+
+(* The parked-pool gate: words one [run_batch] query allocates straight
+   into the major heap at jobs = 2, over [pool_calls] calls of
+   [pool_call_size] distinct solvable pairs after one warm-up call of as
+   many. Every pair of the run is distinct, so the engine's 256-entry cache
+   never answers one, and every shard is built before the warm-up, as in a
+   long-running batch process. A worker domain that outlived its call kept
+   its Topk workspace at the high-water mark; one spawned per call grew it
+   again, straight into the major heap. The gate runs on the 100k world
+   only, the one perfbench's `batch-100k` queries: on the 10k world the
+   workspaces still reach new high-water marks within these calls (~200
+   words per query even at jobs = 1, 300–580 at jobs = 2), which says
+   nothing about the pool. *)
+let pool_gate_methods = 100_000
+
+let pool_calls = 4
+
+let pool_call_size = 256
+
+let pool_major_words_limit = 1024.
+
+let pool_major_words_per_query ~reach ~frozen ~hierarchy qs =
+  let qs = Array.of_list qs in
+  let call c =
+    Array.to_list (Array.sub qs (c * pool_call_size) pool_call_size)
+  in
+  let engine =
+    Query.engine_of_frozen ~pool:(Pool.create ~jobs:2) ~reach ~frozen
+      ~hierarchy ()
+  in
+  Option.iter
+    (fun sh ->
+      for g = 0 to Prospector.Shard.shard_count sh - 1 do
+        ignore (Prospector.Shard.sub sh g)
+      done)
+    (Query.engine_shards engine);
+  ignore (Query.run_batch engine (call 0));
+  major_direct_words (fun () ->
+      for c = 1 to pool_calls do
+        ignore (Query.run_batch engine (call c))
+      done)
+  /. float_of_int (pool_calls * pool_call_size)
+
+(* [count] solvable (tin, tout) pairs drawn with [seed], each probed in O(1)
+   against the reach index — the rejection sampling in
+   [Workload.random_queries] pays a full search per probe, which does not
+   survive contact with a million-method graph. With [distinct] no pair
+   repeats. *)
+let sample_solvable ?(distinct = false) ~seed ~count g reach =
+  let rng = Corpusgen.Rng.create ~seed in
+  let real =
+    Array.of_list
+      (List.filter_map
+         (fun (ty, node) ->
+           match ty with Javamodel.Jtype.Ref _ -> Some (ty, node) | _ -> None)
+         (Prospector.Graph.real_nodes g))
+  in
+  let n = Array.length real in
+  let seen = Hashtbl.create count in
+  let acc = ref [] and got = ref 0 and tries = ref 0 in
+  while !got < count && !tries < 100 * count + 200_000 do
+    incr tries;
+    let ti, si = real.(Corpusgen.Rng.int rng n) in
+    let to_, di = real.(Corpusgen.Rng.int rng n) in
+    if
+      si <> di
+      && (not (distinct && Hashtbl.mem seen (si, di)))
+      && Prospector.Reach.mem reach ~src:si ~target:di
+    then begin
+      Hashtbl.replace seen (si, di) ();
+      acc := ({ Query.tin = ti; tout = to_ }, (si, di)) :: !acc;
+      incr got
+    end
+  done;
+  List.rev !acc
+
 (* Gates `make check` at reduced sizes (10k/100k): a shard or mmap identity
-   divergence exits nonzero. The full million-method row is opt-in:
+   divergence, a batch that routes no query to a shard, or the parked-pool
+   gate above (100k row) exits nonzero. The full million-method row is opt-in:
 
      BENCH_SCALE_SIZES=10000,100000,1000000 dune exec bench/main.exe -- scale
 
    Above 200k methods the engine runs unpruned — the reach index is the one
    structure whose memory grows faster than the graph — so the shard path
    (which routes through reach) falls back to the whole snapshot there; the
-   identity checks still run. *)
+   identity checks still run, the routing and parked-pool gates do not. *)
 let section_scale () =
   rule "Million-method scale — mega worlds, shards, mmap warm starts";
   let sizes =
@@ -1679,34 +1778,7 @@ let section_scale () =
     let reach_t, reach =
       time_of (fun () -> Prospector.Reach.build_frozen frozen)
     in
-    (* Solvable pairs sampled in O(1) per probe via the reach index — the
-       rejection sampling in [Workload.random_queries] pays a full search
-       per probe, which does not survive contact with a million-method
-       graph. *)
-    let qs =
-      let rng = Corpusgen.Rng.create ~seed:31 in
-      let real =
-        Array.of_list
-          (List.filter_map
-             (fun (ty, node) ->
-               match ty with
-               | Javamodel.Jtype.Ref _ -> Some (ty, node)
-               | _ -> None)
-             (Prospector.Graph.real_nodes g))
-      in
-      let n = Array.length real in
-      let acc = ref [] and got = ref 0 and tries = ref 0 in
-      while !got < 20 && !tries < 200_000 do
-        incr tries;
-        let ti, si = real.(Corpusgen.Rng.int rng n) in
-        let to_, di = real.(Corpusgen.Rng.int rng n) in
-        if si <> di && Prospector.Reach.mem reach ~src:si ~target:di then begin
-          acc := ({ Query.tin = ti; tout = to_ }, (si, di)) :: !acc;
-          incr got
-        end
-      done;
-      List.rev !acc
-    in
+    let qs = sample_solvable ~seed:31 ~count:20 g reach in
     let pairs = List.map snd qs in
     let qs = List.map fst qs in
     let nq = List.length qs in
@@ -1739,22 +1811,59 @@ let section_scale () =
     in
     Printf.printf "  end-to-end: %.3f s\n%!" query_t;
     (* Package-cone sharding: batch fan-out vs the sequential whole-snapshot
-       oracle, byte for byte. *)
+       oracle, byte for byte. The engine fans out over two jobs: at one,
+       [run_batch] answers every query on the whole snapshot and no query
+       reaches a shard. *)
     let prune = methods <= 200_000 in
-    let engine = Query.engine_of_frozen ~prune ~reach ~frozen ~hierarchy:h () in
-    let batch_t, batch = time_of (fun () -> Query.run_batch engine qs) in
-    let shard_count =
-      match Query.engine_shards engine with
-      | Some sh -> Prospector.Shard.shard_count sh
-      | None -> 0
+    let engine =
+      Query.engine_of_frozen ~pool:(Pool.create ~jobs:2) ~prune ~reach ~frozen
+        ~hierarchy:h ()
     in
+    let batch_t, batch = time_of (fun () -> Query.run_batch engine qs) in
+    let shards = Query.engine_shards engine in
+    let shard_count =
+      match shards with Some sh -> Prospector.Shard.shard_count sh | None -> 0
+    in
+    let routed = List.length (List.filter (routed_to_shard shards frozen) qs) in
     let shard_identical = batch = List.combine qs query_rs in
     let qps = float_of_int nq /. batch_t in
     Printf.printf
-      "  batch: %.3f s (%.0f queries/s), %d shard(s), identical to oracle %b\n\
+      "  batch (jobs=2): %.3f s (%.0f queries/s), %d shard(s), %d of %d \
+       queries routed to a shard, identical to oracle %b\n\
        %!"
-      batch_t qps shard_count shard_identical;
+      batch_t qps shard_count routed nq shard_identical;
     if not shard_identical then failed := true;
+    (* Unpruned, there is no reach index to plan shards over. *)
+    if prune && routed = 0 then begin
+      prerr_endline "error: no batch query was routed to a shard";
+      failed := true
+    end;
+    let pool_words =
+      if methods = pool_gate_methods then
+        Some
+          (pool_major_words_per_query ~reach ~frozen ~hierarchy:h
+             (List.map fst
+                (sample_solvable ~distinct:true ~seed:47
+                   ~count:((pool_calls + 1) * pool_call_size)
+                   g reach)))
+      else None
+    in
+    Option.iter
+      (fun w ->
+        Printf.printf
+          "  run_batch at jobs=2, %d calls of %d distinct queries after a \
+           warm-up call: %.0f words/query direct to the major heap (limit \
+           %.0f)\n\
+           %!"
+          pool_calls pool_call_size w pool_major_words_limit;
+        if w > pool_major_words_limit then begin
+          Printf.eprintf
+            "error: run_batch at jobs=2 allocated %.0f words per query \
+             directly in the major heap, over the %.0f limit\n"
+            w pool_major_words_limit;
+          failed := true
+        end)
+      pool_words;
     (* Warm start: mmap vs reading the segments into memory. *)
     let froz_path = Filename.temp_file "prospector_scale" ".froz" in
     let _, froz_bytes =
@@ -1793,15 +1902,18 @@ let section_scale () =
       \      \"batch_s\": %.4f,\n\
       \      \"queries_per_s\": %.1f,\n\
       \      \"shards\": %d,\n\
+      \      \"routed\": %d,\n\
       \      \"shard_identical\": %b,\n\
+      \      \"pool_major_words_per_query\": %s,\n\
       \      \"frozen_bytes\": %d,\n\
       \      \"warm_mmap_s\": %.5f,\n\
       \      \"warm_read_s\": %.5f,\n\
       \      \"mmap_identical\": %b\n\
       \    }"
       methods nodes edges gen_t build_t freeze_t reach_t nq passes kern_t
-      query_t batch_t qps shard_count shard_identical froz_bytes mmap_t read_t
-      mmap_identical
+      query_t batch_t qps shard_count routed shard_identical
+      (match pool_words with Some w -> Printf.sprintf "%.1f" w | None -> "null")
+      froz_bytes mmap_t read_t mmap_identical
   in
   let rows = List.map measure sizes in
   let json =
@@ -1810,7 +1922,9 @@ let section_scale () =
   write_bench ~model_methods:(List.fold_left max 0 sizes) "BENCH_scale.json"
     json;
   if !failed then begin
-    prerr_endline "error: scale gate failed (shard or mmap identity divergence)";
+    prerr_endline
+      "error: scale gate failed (shard or mmap identity divergence, no query \
+       routed to a shard, or the pool's major-heap words over the limit)";
     exit 1
   end
 

@@ -18,8 +18,9 @@
    condensation level (sinks at level 0, level(c) = 1 + max over successor
    components), and all components of one level are processed in parallel —
    each writes only its own bitset and reads only lower-level closures,
-   which the level barrier (a join per level) has already completed and
-   published. The result is bit-for-bit the sequential sweep's. *)
+   which the level barrier (each level's [parallel_for] returns only after
+   every worker has finished) has already completed and published. The
+   result is bit-for-bit the sequential sweep's. *)
 
 module Pool = Prospector_parallel.Pool
 

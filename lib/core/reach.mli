@@ -42,10 +42,11 @@ val build_frozen : ?pool:Prospector_parallel.Pool.t -> Graph.frozen -> t
 (** Build from an existing CSR snapshot (the engine already has one — no
     point freezing twice). With [?pool], the bitset DP over the SCC
     condensation fans out level by level: all components whose successors'
-    closures are complete are closed concurrently, separated by a join per
-    level. The result is bit-for-bit identical to the sequential build —
-    each component writes only its own bitset and unions are commutative —
-    so pool size never affects query results. *)
+    closures are complete are closed concurrently, one [parallel_for] per
+    level, each returning only after every worker has finished. The result
+    is bit-for-bit identical to the sequential build — each component
+    writes only its own bitset and unions are commutative — so pool size
+    never affects query results. *)
 
 val patch :
   ?pool:Prospector_parallel.Pool.t -> old:t -> touched:Bits.t -> Graph.frozen -> t

@@ -1,12 +1,26 @@
 (** A small [Domain]-backed fan-out pool.
 
-    The pool is a policy object, not a set of long-lived worker domains:
-    each [parallel_for]/[map_*] call spawns [jobs - 1] domains, the calling
-    domain works alongside them, and every domain is joined before the call
-    returns. That keeps the lifecycle trivial (no shutdown protocol, no
-    idle workers burning a domain slot) at the cost of ~30 µs of spawn
-    overhead per fan-out — noise against the multi-millisecond batch, mining
-    and index-build workloads this module exists for.
+    A [t] is a policy value, the number of domains a fan-out may use. The
+    domains themselves are one process-wide set of {e parked} workers, lent
+    to every [t]: a [parallel_for]/[map_*] call hands its fan-out to
+    [jobs - 1] of them and the calling domain works alongside. Workers are
+    spawned lazily, the first time a fan-out needs more than are parked,
+    and between calls each blocks on its own condition variable, without
+    spinning. The set grows only to the largest concurrent demand
+    ([jobs - 1] for one caller, so creating a pool per pass never nears
+    the runtime's domain cap) and lives as long as the process;
+    exiting never waits for a parked worker. A worker's domain-local state
+    survives from one call to the next, so the search workspaces
+    ([Topk.Memo.domain], [Search.Scratch.domain]) stay at their high-water
+    mark instead of regrowing in every call. Spawning per call instead is
+    not noise: with a spawn per pass, 20 mining passes took 0.057 s at
+    jobs = 4 against 0.013 s at jobs = 1, and a cold 40-query batch
+    0.023 s at jobs = 2 against 0.009 s at jobs = 1 (two cores). What a
+    parked worker still costs: it joins every stop-the-world minor
+    collection through its backup thread, and the collecting domain waits
+    for it at the barrier — about 0.25 ms of CPU per minor collection per
+    parked worker on a 2-vCPU VM, paid by whatever runs sequentially
+    between fan-outs.
 
     Work distribution is {e chunked}: indices [0 .. n-1] are split into
     contiguous chunks of [max 1 (n / (jobs * 4))] indices and domains claim
@@ -21,9 +35,16 @@
     sequentially inline, so a pool never deadlocks on itself and
     [jobs = 1] is exactly the plain sequential loop.
 
+    Completion: a worker reports its share done under the pool's mutex, and
+    the caller returns only after reading every report under it, so
+    everything a body wrote happens-before the caller's next instruction,
+    the same edge a [Domain.join] gives. Callers rely on it as a barrier
+    between successive fan-outs (the level-by-level closure of [Reach]).
+
     Exceptions: the first exception captured (in chunk-claim order) is
-    re-raised in the caller after all domains have been joined; when several
-    chunks raise concurrently it is unspecified which one wins. *)
+    re-raised in the caller after every lent worker has finished its share
+    and parked again; when several chunks raise concurrently it is
+    unspecified which one wins. *)
 
 type t
 

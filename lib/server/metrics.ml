@@ -1,17 +1,37 @@
-(* Geometric latency buckets: bucket i holds samples in
-   (2^(i-1) µs, 2^i µs]; the last bucket is a catch-all. *)
-let n_buckets = 32
+(* Log-linear latency buckets, in milliseconds. [Float.frexp] writes a
+   sample as [m * 2^e] with [m] in [0.5, 1); the octave [2^(e-1), 2^e) is
+   cut into [per_octave] equal slices, and slice [s] ends at
+   [(per_octave + s + 1) * 2^e / (2 * per_octave)]. An end is at most
+   [1 + 1/per_octave] times the slice's start, and every step is exact in
+   binary floating point. Octaves [min_exp .. max_exp] span 2^-10 ms
+   (~1 µs) to 2^22 ms (~70 min); bucket 0 takes everything faster (and any
+   negative or NaN reading), the last bucket everything slower. *)
+let per_octave = 8
 
-let bucket_of_seconds s =
-  let us = s *. 1e6 in
-  let rec go i bound =
-    if i >= n_buckets - 1 || us <= bound then i else go (i + 1) (bound *. 2.0)
-  in
-  go 0 1.0
+let min_exp = -9
 
+let max_exp = 22
+
+let n_buckets = ((max_exp - min_exp + 1) * per_octave) + 2
+
+let lowest_ms = ldexp 0.5 min_exp
+
+let bucket_of_ms ms =
+  if not (ms >= lowest_ms) then 0
+  else
+    let m, e = Float.frexp ms in
+    if e > max_exp then n_buckets - 1
+    else
+      1 + ((e - min_exp) * per_octave)
+      + int_of_float ((m -. 0.5) *. float_of_int (2 * per_octave))
+
+(* The end of bucket [i]: no sample in it is above this. *)
 let bucket_upper_ms i =
-  (* upper bound of bucket i, in milliseconds *)
-  ldexp 1.0 i /. 1000.0
+  if i = 0 then lowest_ms
+  else if i = n_buckets - 1 then infinity
+  else
+    let e = min_exp + ((i - 1) / per_octave) and s = (i - 1) mod per_octave in
+    ldexp (float_of_int (per_octave + s + 1) /. float_of_int (2 * per_octave)) e
 
 type per_op = {
   mutable count : int;
@@ -57,7 +77,7 @@ let record t ~op ~ok seconds =
       if not ok then p.errors <- p.errors + 1;
       p.sum_s <- p.sum_s +. seconds;
       if seconds > p.max_s then p.max_s <- seconds;
-      let b = bucket_of_seconds seconds in
+      let b = bucket_of_ms (seconds *. 1000.0) in
       p.buckets.(b) <- p.buckets.(b) + 1)
 
 type op_stats = {
@@ -70,20 +90,20 @@ type op_stats = {
   p99_ms : float;
 }
 
-(* The smallest bucket upper bound at or below which at least [q] of the
-   samples fall. *)
+(* The end of the bucket holding the [ceil (q * count)]-th smallest sample,
+   capped at the largest sample: never below that sample, and at most
+   12.5% above it unless it lies outside the resolved octaves. *)
 let percentile (p : per_op) q =
   if p.count = 0 then 0.0
   else begin
     let need = int_of_float (ceil (q *. float_of_int p.count)) in
     let need = max 1 need in
     let rec go i acc =
-      if i >= n_buckets then bucket_upper_ms (n_buckets - 1)
-      else
-        let acc = acc + p.buckets.(i) in
-        if acc >= need then bucket_upper_ms i else go (i + 1) acc
+      let acc = acc + p.buckets.(i) in
+      if acc >= need || i = n_buckets - 1 then bucket_upper_ms i
+      else go (i + 1) acc
     in
-    go 0 0
+    Float.min (go 0 0) (p.max_s *. 1000.0)
   end
 
 let stats_of (p : per_op) =

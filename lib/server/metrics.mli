@@ -1,10 +1,14 @@
 (** Request accounting for the daemon: per-op counters and latency
     histograms, served by the [stats] op and dumped on exit.
 
-    Latencies land in geometric buckets (1 µs doubling up to ~35 min), so
-    recording is O(1), memory is constant, and the reported p50/p95/p99 are
-    upper bounds with at most 2x resolution — the right trade for a
-    long-running server (an exact percentile would need every sample).
+    Latencies land in log-linear buckets: each octave from ~1 µs to
+    ~70 min is cut into 8 equal slices, and [Float.frexp] finds a sample's
+    bucket in O(1). Memory is constant, and a reported p50/p95/p99 is the
+    end of the bucket holding the exact (nearest-rank) percentile, capped
+    at the op's [max_ms]: never below the exact value and at most 12.5%
+    above it — the right trade for a long-running server (an exact
+    percentile would need every sample). Below ~1 µs the bound is
+    absolute: such samples report at most ~1 µs.
 
     All operations are thread-safe (one internal mutex; recording is a few
     array writes, so contention is not a concern next to query cost). *)
@@ -24,7 +28,7 @@ type op_stats = {
   errors : int;
   mean_ms : float;
   max_ms : float;
-  p50_ms : float;  (** bucket upper bounds, see above *)
+  p50_ms : float;  (** bucket ends, capped at [max_ms]; see above *)
   p95_ms : float;
   p99_ms : float;
 }

@@ -1,5 +1,6 @@
 (* The domain-parallel engine must be invisible in the answers: this suite
-   pins Pool's scheduling contract (ordering, nesting, exceptions), the
+   pins Pool's scheduling contract (ordering, nesting, exceptions, parked
+   workers reused across calls and shared by concurrent callers), the
    Graph.freeze CSR round-trip (qcheck, over random synthetic APIs), and
    byte-identical results at jobs = 1 vs jobs = 4 for queries, batches, and
    corpus mining. The CSR search kernels themselves are covered
@@ -69,6 +70,77 @@ let test_pool_reraises () =
       in
       check_bool (Printf.sprintf "exception escapes at jobs = %d" jobs) true raised)
     [ 1; 4 ]
+
+(* Parked workers: a fan-out runs on the caller plus a lent worker, and the
+   next fan-out, from a fresh pool value, gets the same worker back. The
+   bodies sleep so the worker surely claims a chunk before the caller has
+   taken them all. *)
+let test_pool_workers_persist () =
+  let me = (Domain.self () :> int) in
+  let helpers_of pool =
+    let ids = Array.make 64 me in
+    Pool.parallel_for pool ~n:64 (fun i ->
+        Unix.sleepf 0.001;
+        ids.(i) <- (Domain.self () :> int));
+    List.filter (( <> ) me) (List.sort_uniq compare (Array.to_list ids))
+  in
+  let first = helpers_of (Pool.create ~jobs:2) in
+  check_int "jobs = 2 runs on the caller and one worker" 1 (List.length first);
+  check_bool "a fresh pool is lent the same parked worker" true
+    (helpers_of (Pool.create ~jobs:2) = first)
+
+(* The first exception surfaces only after every body that started has
+   finished; the pool is whole again afterwards. The caller's own body
+   raises, once a lent worker is inside a body of its own, so a pool that
+   raised before waiting would leave that body running. *)
+let test_pool_raise_waits_for_workers () =
+  let pool = Pool.create ~jobs:4 in
+  let me = Domain.self () in
+  let started = Atomic.make 0 and finished = Atomic.make 0 in
+  let counts_at_raise =
+    try
+      Pool.parallel_for pool ~n:64 (fun i ->
+          if Domain.self () = me then begin
+            let t0 = Unix.gettimeofday () in
+            while Atomic.get started = 0 && Unix.gettimeofday () -. t0 < 1.0 do
+              Unix.sleepf 0.0001
+            done;
+            raise (Boom i)
+          end;
+          Atomic.incr started;
+          Unix.sleepf 0.005;
+          Atomic.incr finished);
+      None
+    with Boom _ ->
+      let f = Atomic.get finished in
+      Some (Atomic.get started, f)
+  in
+  (match counts_at_raise with
+  | None -> Alcotest.fail "the exception did not escape"
+  | Some (s, f) -> check_int "every started body finished" s f);
+  let n = 500 in
+  let hits = Array.make n 0 in
+  Pool.parallel_for pool ~n (fun i -> hits.(i) <- hits.(i) + 1);
+  check_bool "the next fan-out visits each index once" true
+    (Array.for_all (( = ) 1) hits)
+
+(* Two domains fanning out through jobs = 4 pools at once share the parked
+   set; each still gets its results in index order. *)
+let test_pool_concurrent_callers () =
+  let input = List.init 100 Fun.id in
+  let expected = List.init 20 (fun r -> List.map (fun i -> i * r) input) in
+  let fan_out () =
+    let pool = Pool.create ~jobs:4 in
+    List.init 20 (fun r ->
+        Pool.map_list pool
+          (fun i ->
+            Unix.sleepf 0.0001;
+            i * r)
+          input)
+  in
+  let a = Domain.spawn fan_out and b = Domain.spawn fan_out in
+  check_bool "first caller's results in order" true (Domain.join a = expected);
+  check_bool "second caller's results in order" true (Domain.join b = expected)
 
 let test_pool_nested_fanout_inlines () =
   (* a worker fanning out on the same pool must not deadlock; it runs the
@@ -227,6 +299,12 @@ let () =
           Alcotest.test_case "exceptions re-raised" `Quick test_pool_reraises;
           Alcotest.test_case "nested fan-out runs inline" `Quick
             test_pool_nested_fanout_inlines;
+          Alcotest.test_case "parked workers serve the next pool" `Quick
+            test_pool_workers_persist;
+          Alcotest.test_case "exception waits for every worker" `Quick
+            test_pool_raise_waits_for_workers;
+          Alcotest.test_case "concurrent callers keep index order" `Quick
+            test_pool_concurrent_callers;
         ] );
       ( "freeze",
         List.map QCheck_alcotest.to_alcotest

@@ -54,6 +54,19 @@ let world_gen ~locality =
        let h = Corpusgen.Apigen.generate params in
        (h, Prospector.Sig_graph.build h)))
 
+(* [run_batch]'s routing rule: a query goes to its target's shard when the
+   target has a package group and that shard is small enough to build. *)
+let routed_to_shard engine frozen (q : Query.t) =
+  match Query.engine_shards engine with
+  | None -> false
+  | Some sh -> (
+      match Graph.frozen_find_type_node frozen q.Query.tout with
+      | None -> false
+      | Some dst -> (
+          match Shard.route sh ~target:dst with
+          | None -> false
+          | Some s -> Option.is_some (Shard.sub sh s)))
+
 let prop_sharded_batch_oracle =
   QCheck2.Test.make ~name:"sharded run_batch = sequential whole-graph oracle"
     ~count:15 (world_gen ~locality:0.9) (fun (h, g) ->
@@ -62,8 +75,15 @@ let prop_sharded_batch_oracle =
         Corpusgen.Workload.random_queries h g ~count:6 ~seed:5
         @ Corpusgen.Workload.random_misses g ~count:2 ~seed:6
       in
-      let engine = Query.engine_of_frozen ~frozen ~hierarchy:h () in
+      (* Two jobs: at one, [run_batch] answers every query on the whole
+         snapshot and never routes one to a shard. *)
+      let engine =
+        Query.engine_of_frozen ~pool:(Prospector_parallel.Pool.create ~jobs:2)
+          ~frozen ~hierarchy:h ()
+      in
       let batch = Query.run_batch engine qs in
+      if not (List.exists (routed_to_shard engine frozen) qs) then
+        QCheck2.Test.fail_report "no query was routed to a shard";
       List.length batch = List.length qs
       && List.for_all2
            (fun (q', rs) q ->

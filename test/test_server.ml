@@ -511,6 +511,44 @@ let test_metrics_percentiles () =
       Alcotest.(check bool) "max >= p99" true (s.Metrics.max_ms >= s.Metrics.p99_ms /. 2.0);
       Alcotest.(check int) "total" 105 (Metrics.total_requests m)
 
+(* Every reported percentile lies between the exact nearest-rank
+   percentile of the samples and 12.5% above it, and never above the
+   largest sample. The samples span 1 µs to
+   1000 s, inside the resolved octaves, and one in four repeats an earlier
+   one, so ties straddle the ranks. *)
+let prop_metrics_percentiles_bounded =
+  QCheck2.Test.make ~name:"reported percentiles lie in [exact, 1.125 x exact]"
+    ~count:500
+    QCheck2.Gen.(
+      let* fresh = list_size (int_range 1 300) (float_range (-6.) 3.) in
+      let* reuse = list_size (int_range 0 100) (int_range 0 299) in
+      let seconds = Array.of_list (List.map (fun u -> 10. ** u) fresh) in
+      return
+        (Array.to_list seconds
+        @ List.map (fun i -> seconds.(i mod Array.length seconds)) reuse))
+    (fun samples ->
+      let m = Metrics.create () in
+      List.iter (fun s -> Metrics.record m ~op:"query" ~ok:true s) samples;
+      let sorted = Array.of_list (List.map (fun s -> s *. 1000.0) samples) in
+      Array.sort Float.compare sorted;
+      let exact q =
+        let n = float_of_int (Array.length sorted) in
+        let need = int_of_float (ceil (q *. n)) in
+        sorted.(max 1 need - 1)
+      in
+      let s = List.assoc "query" (Metrics.ops m) in
+      List.for_all
+        (fun (q, reported) ->
+          let x = exact q in
+          x <= reported
+          && reported <= 1.125 *. x
+          && reported <= s.Metrics.max_ms)
+        [
+          (0.50, s.Metrics.p50_ms);
+          (0.95, s.Metrics.p95_ms);
+          (0.99, s.Metrics.p99_ms);
+        ])
+
 (* ---------- the TCP transport ---------- *)
 
 let connect port =
@@ -633,7 +671,10 @@ let () =
             test_concurrent_equals_sequential;
         ] );
       ( "metrics",
-        [ Alcotest.test_case "percentiles" `Quick test_metrics_percentiles ] );
+        [
+          Alcotest.test_case "percentiles" `Quick test_metrics_percentiles;
+          QCheck_alcotest.to_alcotest prop_metrics_percentiles_bounded;
+        ] );
       ( "tcp",
         [
           Alcotest.test_case "end to end" `Quick test_tcp_end_to_end;
