@@ -42,19 +42,23 @@ lint: build
 
 # One live daemon cycle over a real TCP socket: ephemeral port, health
 # check, a query, graceful drain. The binary is invoked directly (not via
-# `dune exec`) so the backgrounded daemon never holds the dune lock.
+# `dune exec`) so the backgrounded daemon never holds the dune lock. Any
+# failing step stops the daemon and removes the port file before exiting
+# nonzero, so a failed run leaves nothing behind.
 PROSPECTOR := _build/default/bin/prospector_cli.exe
 serve-smoke: build
 	@rm -f .smoke-port; \
 	$(PROSPECTOR) serve --port 0 --port-file .smoke-port >/dev/null 2>&1 & \
 	pid=$$!; \
+	fail() { echo "serve-smoke: $$1"; kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; rm -f .smoke-port; exit 1; }; \
 	i=0; while [ ! -f .smoke-port ] && [ $$i -lt 200 ]; do sleep 0.1; i=$$((i+1)); done; \
-	test -f .smoke-port || { echo "serve-smoke: daemon never bound a port"; kill $$pid 2>/dev/null; exit 1; }; \
-	$(PROSPECTOR) client --port-file .smoke-port health && \
-	$(PROSPECTOR) client --port-file .smoke-port query void org.eclipse.ui.texteditor.DocumentProviderRegistry -n 1 && \
-	$(PROSPECTOR) client --port-file .smoke-port stats && \
-	$(PROSPECTOR) client --port-file .smoke-port shutdown && \
-	wait $$pid && echo "serve-smoke: OK"
+	test -f .smoke-port || fail "daemon never bound a port"; \
+	$(PROSPECTOR) client --port-file .smoke-port health || fail "health failed"; \
+	$(PROSPECTOR) client --port-file .smoke-port query void org.eclipse.ui.texteditor.DocumentProviderRegistry -n 1 || fail "query failed"; \
+	$(PROSPECTOR) client --port-file .smoke-port stats || fail "stats failed"; \
+	$(PROSPECTOR) client --port-file .smoke-port shutdown || fail "shutdown failed"; \
+	wait $$pid || fail "daemon exited nonzero"; \
+	echo "serve-smoke: OK"
 
 check: build test lint serve-smoke bench-parallel bench-topk bench-rank bench-refine bench-proto bench-scale bench-reload fmt
 

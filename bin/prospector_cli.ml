@@ -66,13 +66,25 @@ let jobs_arg =
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:"Fan work out across N domains (batch answering, corpus mining,               reach-index construction). Results are byte-identical at any               N; 1 (the default) stays fully sequential.")
 
-(* Validated exactly like --workers / --cache-capacity: a friendly one-line
-   error and exit 1, never an exception trace. *)
-let pool_of_jobs jobs =
-  if jobs < 1 then begin
-    Printf.eprintf "error: --jobs must be at least 1 (got %d)\n" jobs;
+(* The one check every numeric flag goes through: a one-line error naming
+   the flag and the rejected value, and exit 1 — never an exception trace,
+   and never a value silently wrapped or clamped (a port of 70000 would
+   bind 4464). *)
+let check_flag flag ~must ok got =
+  if not ok then begin
+    Printf.eprintf "error: --%s must be %s (got %s)\n" flag must got;
     exit 1
-  end;
+  end
+
+let check_at_least flag lo n =
+  check_flag flag ~must:(Printf.sprintf "at least %d" lo) (n >= lo) (string_of_int n)
+
+let check_seconds flag ~must ok = function
+  | Some s -> check_flag flag ~must (Float.is_finite s && ok s) (Printf.sprintf "%g" s)
+  | None -> ()
+
+let pool_of_jobs jobs =
+  check_at_least "jobs" 1 jobs;
   Prospector_parallel.Pool.create ~jobs
 
 let setup_logs verbose =
@@ -566,11 +578,8 @@ let batch_cmd =
   let run api corpus no_mining protected_ max_results slack strategy ranking
       protocol verbose file repeat no_cache cache_capacity stats_flag jobs =
     setup_logs verbose;
-    if cache_capacity < 1 then begin
-      Printf.eprintf "error: --cache-capacity must be at least 1 (got %d)\n"
-        cache_capacity;
-      exit 1
-    end;
+    check_at_least "repeat" 1 repeat;
+    check_at_least "cache-capacity" 1 cache_capacity;
     let pool = pool_of_jobs jobs in
     handle_errors (fun () ->
         let env =
@@ -1138,8 +1147,9 @@ let serve_cmd =
   in
   let cache_capacity =
     Arg.(
-      value & opt int 512
-      & info [ "cache-capacity" ] ~docv:"K" ~doc:"LRU capacity of the query cache.")
+      value & opt int 256
+      & info [ "cache-capacity" ] ~docv:"K"
+          ~doc:"LRU capacity of each worker's result cache.")
   in
   let session_ttl =
     Arg.(
@@ -1164,15 +1174,16 @@ let serve_cmd =
       max_connections deadline stdio save_graph cache_capacity session_ttl
       watch jobs =
     setup_logs verbose;
-    if cache_capacity < 1 then begin
-      Printf.eprintf "error: --cache-capacity must be at least 1 (got %d)\n"
-        cache_capacity;
-      exit 1
-    end;
-    if workers < 1 then begin
-      Printf.eprintf "error: --workers must be at least 1 (got %d)\n" workers;
-      exit 1
-    end;
+    check_at_least "cache-capacity" 1 cache_capacity;
+    check_at_least "workers" 1 workers;
+    check_flag "port" ~must:"between 0 and 65535" (port >= 0 && port <= 65535)
+      (string_of_int port);
+    check_at_least "max-request-bytes" 1 max_request_bytes;
+    check_at_least "max-connections" 1 max_connections;
+    check_seconds "deadline" ~must:"a positive, finite number of seconds"
+      (fun d -> d > 0.) deadline;
+    check_seconds "session-ttl" ~must:"a non-negative, finite number of seconds"
+      (fun t -> t >= 0.) session_ttl;
     let pool = pool_of_jobs jobs in
     handle_errors (fun () ->
         let env, reach =
@@ -1188,11 +1199,11 @@ let serve_cmd =
         let engine =
           match env.sv_base with
           | `Graph graph ->
-              Prospector.Query.engine ~cache_capacity ?reach ~pool ?edge_cost
-                ?protocol_check ~graph ~hierarchy:env.sv_hierarchy ()
+              Prospector.Query.engine ?reach ~pool ?edge_cost ?protocol_check
+                ~graph ~hierarchy:env.sv_hierarchy ()
           | `Frozen frozen ->
-              Prospector.Query.engine_of_frozen ~cache_capacity ?reach ~pool
-                ?edge_cost ?protocol_check ~frozen ~hierarchy:env.sv_hierarchy ()
+              Prospector.Query.engine_of_frozen ?reach ~pool ?edge_cost
+                ?protocol_check ~frozen ~hierarchy:env.sv_hierarchy ()
         in
         (* ---- live-reload callbacks (DESIGN §9) ----
            The service applies deltas; what it cannot do without the mining
@@ -1293,7 +1304,7 @@ let serve_cmd =
         let service =
           Service.create
             ~settings:(settings ~max_results ~slack ~strategy ~ranking ~protocol)
-            ?vet:
+            ~cache_capacity ?vet:
               (Option.map
                  (fun m j -> Analysis.Protolint.vet m j)
                  env.sv_proto)

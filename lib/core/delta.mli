@@ -55,7 +55,7 @@ type patch = {
   p_touched : Reach.Bits.t;
       (** over the {e old} snapshot's node ids: endpoints of every added or
           removed edge (all nodes when [Rebuilt]) — the dirty set that
-          scopes {!Reach} maintenance and cache invalidation *)
+          scopes {!Reach} maintenance *)
   p_touched_count : int;
   p_mode : mode;
   p_ops : int;

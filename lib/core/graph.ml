@@ -412,31 +412,3 @@ let frozen_iter_edges fz f =
       f fz.f_fwd_edge.(k)
     done
   done
-
-let of_frozen fz =
-  let g = create () in
-  for i = 0 to fz.f_nodes - 1 do
-    let id =
-      match fz.f_origins.(i) with
-      | None -> ensure_type_node g fz.f_types.(i)
-      | Some origin -> add_typestate g ~underlying:fz.f_types.(i) ~origin
-    in
-    if id <> i then
-      invalid_arg "Graph.of_frozen: snapshot node ids are not reproducible"
-  done;
-  (* [add_edge] conses onto the front of the row, so replaying each node's
-     edges in reverse restores the exact [succs] order the snapshot froze.
-     [preds] order is not reproduced (it interleaved insertions across
-     sources); nothing observes it — see [derive_bwd]. *)
-  for u = 0 to fz.f_nodes - 1 do
-    for k = fz.f_fwd_end.{u} - 1 downto fz.f_fwd_off.{u} do
-      let e = fz.f_fwd_edge.(k) in
-      add_edge g ~src:u e.elem ~dst:e.dst
-    done
-  done;
-  if g.edges <> fz.f_edges then
-    invalid_arg "Graph.of_frozen: snapshot edge set is not reproducible";
-  (* Rebuilding is not a mutation of the model the snapshot captured:
-     adopt its generation so derived caches stay valid. *)
-  g.generation <- fz.f_generation;
-  g

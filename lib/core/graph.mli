@@ -57,11 +57,11 @@ val edge_count : t -> int
 
 val generation : t -> int
 (** Mutation counter: bumped by every node creation and every (non-duplicate)
-    edge insertion, never by lookups. Derived structures — the {!Reach}
-    reachability index, the {!Qcache}-backed query cache — record the
-    generation they were built against and treat any change as
-    invalidation, which is how {!Mining.Enrich} splicing mined downcast
-    edges into a graph transparently flushes stale query results. *)
+    edge insertion, never by lookups. {!freeze} stamps it on the snapshot
+    ({!frozen_generation}), and a {!Reach} index records the generation it
+    was built for, so a persisted index is only ever applied to the build
+    it describes. Mutating a graph after freezing it leaves the snapshot,
+    and every engine built on it, unchanged. *)
 
 val nodes : t -> node list
 
@@ -231,12 +231,3 @@ val frozen_succs : frozen -> node -> edge list
 (** Convenience slice of the CSR row, in {!succs} order (for callers off the
     hot path). *)
 
-val of_frozen : frozen -> t
-(** Rebuild a live (mutable) graph from a snapshot: nodes re-interned in id
-    order, forward rows replayed so {!succs} order matches the snapshot
-    exactly, and the snapshot's generation adopted (rebuilding is not a
-    model change). O(nodes + edges) with full hashtable re-interning — this
-    is the slow path that mmap warm starts avoid; it only runs if something
-    actually needs the mutable view (e.g. splicing mined examples into a
-    warm-started server). Raises [Invalid_argument] if the snapshot's node
-    numbering cannot be reproduced. *)

@@ -21,8 +21,6 @@ type ('k, 'a) t = {
   mutable misses : int;
   mutable evictions : int;
   mutable invalidations : int;
-  mutable dropped : int;  (* entries removed by clear/refresh, cumulative *)
-  mutable scoped : int;  (* cone-scoped refresh passes (vs generation nukes) *)
 }
 
 type stats = {
@@ -32,8 +30,6 @@ type stats = {
   s_invalidations : int;
   s_entries : int;
   s_capacity : int;
-  s_dropped : int;
-  s_scoped : int;
 }
 
 let create ?(capacity = 256) () =
@@ -47,8 +43,6 @@ let create ?(capacity = 256) () =
     misses = 0;
     evictions = 0;
     invalidations = 0;
-    dropped = 0;
-    scoped = 0;
   }
 
 let capacity t = t.capacity
@@ -109,7 +103,6 @@ let find_or_add t key f =
       v
 
 let clear t =
-  t.dropped <- t.dropped + Hashtbl.length t.tbl;
   Hashtbl.reset t.tbl;
   t.mru <- None;
   t.lru <- None;
@@ -122,29 +115,6 @@ let keys_mru_first t =
   in
   go [] t.mru
 
-let refresh t f =
-  (* Cone-scoped invalidation: survivors are rekeyed via [f], everything
-     else is dropped. Walking MRU-first and re-adding LRU-first preserves
-     the recency order ([add] pushes to the MRU end). One refresh counts as
-     a scoped pass, not an invalidation — the stats distinguish targeted
-     reload maintenance from wholesale generation nukes. *)
-  let rec collect acc = function
-    | None -> acc (* acc ends up LRU-first *)
-    | Some e -> collect ((e.ekey, e.value) :: acc) e.next
-  in
-  let entries = collect [] t.mru in
-  let before = Hashtbl.length t.tbl in
-  Hashtbl.reset t.tbl;
-  t.mru <- None;
-  t.lru <- None;
-  List.iter
-    (fun (k, v) -> match f k with None -> () | Some k' -> add t k' v)
-    entries;
-  let removed = before - Hashtbl.length t.tbl in
-  t.dropped <- t.dropped + removed;
-  t.scoped <- t.scoped + 1;
-  removed
-
 let stats t =
   {
     s_hits = t.hits;
@@ -153,8 +123,6 @@ let stats t =
     s_invalidations = t.invalidations;
     s_entries = length t;
     s_capacity = t.capacity;
-    s_dropped = t.dropped;
-    s_scoped = t.scoped;
   }
 
 let merge_stats a b =
@@ -165,8 +133,6 @@ let merge_stats a b =
     s_invalidations = a.s_invalidations + b.s_invalidations;
     s_entries = a.s_entries + b.s_entries;
     s_capacity = a.s_capacity + b.s_capacity;
-    s_dropped = a.s_dropped + b.s_dropped;
-    s_scoped = a.s_scoped + b.s_scoped;
   }
 
 let hit_rate s =

@@ -2,13 +2,13 @@
     layer under the {!Query} engine.
 
     Keys are any structurally hashable type. The engine passes flat key
-    records (type pair, settings, graph generation) rather than rendered
-    strings, so two distinct queries can never collide the way concatenated
-    strings can when an adversarial type name contains the separator. All
-    operations are O(1). The counters are cumulative for the lifetime of the
-    cache: {!clear} empties the table (counted as an invalidation) but
-    preserves the hit/miss history, so a long-running engine's statistics
-    survive graph enrichment. *)
+    records (type pair, settings) rather than rendered strings, so two
+    distinct queries can never collide the way concatenated strings can
+    when an adversarial type name contains the separator. All operations
+    are O(1). The counters are cumulative for the lifetime of the cache:
+    {!clear} empties the table (counted as an invalidation) but preserves
+    the hit/miss history, so a long-running engine's statistics survive
+    its reloads. *)
 
 type ('k, 'a) t
 
@@ -19,10 +19,6 @@ type stats = {
   s_invalidations : int;  (** times {!clear} was called *)
   s_entries : int;  (** current size *)
   s_capacity : int;
-  s_dropped : int;
-      (** entries removed by {!clear} or {!refresh}, cumulative — the
-          invalidation cost in entries rather than passes *)
-  s_scoped : int;  (** cone-scoped {!refresh} passes (vs generation nukes) *)
 }
 
 val create : ?capacity:int -> unit -> ('k, 'a) t
@@ -47,17 +43,7 @@ val find_or_add : ('k, 'a) t -> 'k -> (unit -> 'a) -> 'a
 (** [find] then, on miss, compute, [add], and return. *)
 
 val clear : ('k, 'a) t -> unit
-(** Drop every entry and count one invalidation (plus the entry count in
-    [s_dropped]). *)
-
-val refresh : ('k, 'a) t -> ('k -> 'k option) -> int
-(** [refresh t f] maps every entry's key through [f]: [None] drops the
-    entry, [Some k'] keeps its value under the (possibly rewritten) key.
-    Recency order is preserved; when two keys map to the same [k'] the more
-    recent entry wins. Counts one scoped pass and adds the removed-entry
-    count to [s_dropped]; returns that count. This is the cone-scoped
-    invalidation primitive behind live reload: survivors are rekeyed to the
-    new graph generation instead of being nuked wholesale. *)
+(** Drop every entry and count one invalidation. *)
 
 val keys_mru_first : ('k, 'a) t -> 'k list
 (** The recency order, most recent first (for tests and debugging). *)

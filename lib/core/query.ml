@@ -190,11 +190,10 @@ let protocol_pred ~protocol ~protocol_check =
 
 (* The snapshot a [?graph] call runs on, and the one an engine keeps. The
    void pseudo-node is interned first so every snapshot can serve the
-   multi-source (content-assist) path without creating it mid-query, which
-   would bump the generation under the engine's caches; [Sig_graph.build]
-   already interns it, so freezing a built graph never moves its
-   generation. The cost model, if any, is baked into the weighted lanes,
-   so weighted search agrees with the model the rank layer applies. *)
+   multi-source (content-assist) path; [Sig_graph.build] already interns
+   it, so freezing a built graph never moves its generation. The cost
+   model, if any, is baked into the weighted lanes, so weighted search
+   agrees with the model the rank layer applies. *)
 let freeze ?edge_cost graph =
   ignore (Graph.void_node graph);
   Graph.freeze ?wcost:edge_cost graph
@@ -595,29 +594,22 @@ let cluster results =
 (* Cache keys are flat records compared and hashed structurally. The old
    scheme rendered keys to strings with separator characters, which an
    adversarial type name containing the separator could forge into a
-   collision; a record key cannot collide by construction. Generation rides
-   along even though validation already clears stale entries — a second,
-   independent guard against serving results for a graph that no longer
-   exists. *)
+   collision; a record key cannot collide by construction. Keys carry no
+   generation: the engine's snapshot changes only through [engine_reload],
+   which clears both caches. *)
 type single_key = {
   sk_tin : Jtype.t;
   sk_tout : Jtype.t;
   sk_settings : settings;
-  sk_gen : int;
 }
 
 type multi_key = {
   mk_vars : (string * Jtype.t) list;
   mk_tout : Jtype.t;
   mk_settings : settings;
-  mk_gen : int;
 }
 
 type engine = {
-  mutable e_graph : Graph.t Lazy.t;
-      (* mmap-warm-started engines never pay for the mutable rebuild unless
-         something (enrichment, DOT export) actually asks for it; reload
-         swaps in a lazy rebuild of the patched snapshot *)
   mutable e_hierarchy : Hierarchy.t;  (* swapped by reload *)
   e_single : (single_key, result list) Qcache.t;
   e_multi : (multi_key, multi_result list) Qcache.t;
@@ -626,26 +618,26 @@ type engine = {
   mutable e_edge_cost : (Elem.t -> int) option;  (* mined cost model, if loaded *)
   mutable e_protocol_check : (Jungloid.t -> string list) option;
       (* mined typestate checker, if loaded: violations of a chain *)
-  mutable e_frozen : Graph.frozen;  (* CSR snapshot, valid for [e_gen] *)
-  mutable e_reach : Reach.t option;  (* built lazily, valid for [e_gen] *)
+  mutable e_frozen : Graph.frozen;  (* CSR snapshot, swapped by reload *)
+  mutable e_reach : Reach.t option;  (* built lazily for [e_frozen] *)
   mutable e_shards : Shard.t option option;
       (* package-cone shard plan: [None] = not planned yet,
          [Some None] = planned and unavailable *)
-  mutable e_gen : int;  (* graph generation the caches describe *)
 }
 
-let engine ?(cache_capacity = 256) ?(prune = true) ?reach ?pool ?edge_cost
-    ?protocol_check ~graph ~hierarchy () =
-  (* A persisted index (Serialize.load_reach) only counts if it describes
-     this exact graph build; anything stale is dropped and rebuilt lazily. *)
-  let frozen = freeze ?edge_cost graph in
+(* Both public constructors end here, with [frozen] already baked under
+   [edge_cost]. A persisted index (Serialize.load_reach) only counts if it
+   describes this exact snapshot; anything stale is dropped and rebuilt
+   lazily. *)
+let make_engine ~cache_capacity ~prune ?reach ?pool ?edge_cost ?protocol_check
+    ~frozen ~hierarchy () =
   let seed =
     match reach with
-    | Some r when prune && Reach.generation r = Graph.generation graph -> Some r
+    | Some r when prune && Reach.generation r = Graph.frozen_generation frozen ->
+        Some r
     | _ -> None
   in
   {
-    e_graph = Lazy.from_val graph;
     e_hierarchy = hierarchy;
     e_single = Qcache.create ~capacity:cache_capacity ();
     e_multi = Qcache.create ~capacity:cache_capacity ();
@@ -656,14 +648,15 @@ let engine ?(cache_capacity = 256) ?(prune = true) ?reach ?pool ?edge_cost
     e_frozen = frozen;
     e_reach = seed;
     e_shards = None;
-    e_gen = Graph.generation graph;
   }
 
-(* The warm-start constructor: everything engine-driven runs on the snapshot
-   as loaded (possibly mmapped), and the mutable graph exists only as a
-   lazy rebuild. An [edge_cost] model re-bakes the weighted-cost arrays —
-   snapshots persist only the default baking — and a persisted reach index
-   seeds pruning exactly as in [engine]. *)
+let engine ?(cache_capacity = 256) ?(prune = true) ?reach ?pool ?edge_cost
+    ?protocol_check ~graph ~hierarchy () =
+  make_engine ~cache_capacity ~prune ?reach ?pool ?edge_cost ?protocol_check
+    ~frozen:(freeze ?edge_cost graph) ~hierarchy ()
+
+(* The warm-start constructor. An [edge_cost] model re-bakes the
+   weighted-cost arrays — snapshots persist only the default baking. *)
 let engine_of_frozen ?(cache_capacity = 256) ?(prune = true) ?reach ?pool
     ?edge_cost ?protocol_check ~frozen ~hierarchy () =
   let frozen =
@@ -671,26 +664,8 @@ let engine_of_frozen ?(cache_capacity = 256) ?(prune = true) ?reach ?pool
     | Some wcost -> Graph.rebake ~wcost frozen
     | None -> frozen
   in
-  let gen = Graph.frozen_generation frozen in
-  let seed =
-    match reach with
-    | Some r when prune && Reach.generation r = gen -> Some r
-    | _ -> None
-  in
-  {
-    e_graph = lazy (Graph.of_frozen frozen);
-    e_hierarchy = hierarchy;
-    e_single = Qcache.create ~capacity:cache_capacity ();
-    e_multi = Qcache.create ~capacity:cache_capacity ();
-    e_prune = prune;
-    e_pool = Option.value pool ~default:Pool.sequential;
-    e_edge_cost = edge_cost;
-    e_protocol_check = protocol_check;
-    e_frozen = frozen;
-    e_reach = seed;
-    e_shards = None;
-    e_gen = gen;
-  }
+  make_engine ~cache_capacity ~prune ?reach ?pool ?edge_cost ?protocol_check
+    ~frozen ~hierarchy ()
 
 let engine_hierarchy e = e.e_hierarchy
 
@@ -698,37 +673,9 @@ let engine_edge_cost e = e.e_edge_cost
 
 let engine_protocol_check e = e.e_protocol_check
 
-(* The generation the engine's caches would be validated against right now:
-   the live graph's if the mutable view was ever forced, the snapshot's
-   otherwise. Probing it never forces the rebuild (the server's stats and
-   staleness checks use this). *)
-let engine_live_generation e =
-  if Lazy.is_val e.e_graph then Graph.generation (Lazy.force e.e_graph)
-  else e.e_gen
-
-let invalidate e =
-  let graph = Lazy.force e.e_graph in
-  Log.debug (fun m ->
-      m "engine: invalidated at graph generation %d" (Graph.generation graph));
-  Qcache.clear e.e_single;
-  Qcache.clear e.e_multi;
-  e.e_reach <- None;
-  e.e_shards <- None;
-  e.e_frozen <- freeze ?edge_cost:e.e_edge_cost graph;
-  e.e_gen <- Graph.generation graph
-
-(* Every cached entry point revalidates first, so mutating the graph (e.g.
-   Mining.Enrich splicing in mined examples) transparently flushes both
-   caches, the snapshot, and the reach index the next time the engine is
-   used. A graph that was never forced cannot have moved. *)
-let validate e = if engine_live_generation e <> e.e_gen then invalidate e
-
-let engine_frozen e =
-  validate e;
-  e.e_frozen
+let engine_frozen e = e.e_frozen
 
 let engine_reach e =
-  validate e;
   if not e.e_prune then None
   else
     match e.e_reach with
@@ -745,7 +692,6 @@ let engine_reach e =
    use (shard contents themselves stay lazy inside [Shard.t]). Needs the
    reach index — without pruning there is no condensation to plan over. *)
 let engine_shards e =
-  validate e;
   match e.e_shards with
   | Some s -> s
   | None ->
@@ -765,88 +711,27 @@ let engine_shards e =
 let engine_stats e = Qcache.merge_stats (Qcache.stats e.e_single) (Qcache.stats e.e_multi)
 
 (* Live reload: swap a delta patch into the engine without a cold restart.
-
    The reach index is maintained incrementally (only components downstream
-   of a touched node are re-closed — [Reach.patch]); cache invalidation is
-   cone-scoped rather than a generation nuke. The soundness argument for
-   keeping an entry with target [tout]: any query answer that changed did so
-   through some path using an added or removed edge. Take the LAST changed
-   edge (s, d) on such a path — the suffix from [d] to [tout] uses only
-   edges present in the OLD graph (for an added edge, the suffix is
-   addition-free by choice of last; for a removed edge, the old path's
-   suffix is old edges by definition) — so [d], a touched endpoint, reaches
-   [tout] in the old index. Contrapositive: if no touched endpoint lies in
-   the old cone of [tout], no answer for [tout] changed, and the entry
-   survives with its key rewritten to the new generation. Entries computed
-   under [estimate_freevars] also read void-rooted distances over the whole
-   graph, so they never survive a structural change.
-
-   A new [edge_cost] (corpus delta re-derived the mined model) shifts every
-   weighted cost — Usage's normalization denominator is global — so both
-   caches are cleared (a counted generation nuke) and the lanes re-baked; a
-   new [protocol_check] likewise invalidates Filter/Warn results wholesale.
-   A [Rebuilt] patch has unstable node ids, so it too clears. *)
+   of a touched node are re-closed — [Reach.patch]); a [Rebuilt] patch has
+   unstable node ids, so its index is rebuilt lazily instead. Both caches
+   are cleared: every cached answer describes the old snapshot. A new
+   [edge_cost] (a corpus delta re-derived the mined model) re-bakes the
+   weighted lanes; a new [protocol_check] replaces the checker. *)
 let engine_reload ?edge_cost ?protocol_check e (patch : Delta.patch) =
-  let old_gen = e.e_gen in
-  let old_reach = e.e_reach in
-  let old_frozen = e.e_frozen in
+  let old_gen = Graph.frozen_generation e.e_frozen in
   let fz =
     match edge_cost with
     | Some wcost -> Graph.rebake ~wcost patch.Delta.p_frozen
     | None -> patch.Delta.p_frozen
   in
-  let new_gen = Graph.frozen_generation fz in
   let reach' =
-    match old_reach with
+    match e.e_reach with
     | Some r when e.e_prune && patch.Delta.p_mode = Delta.Spliced ->
         Some (Reach.patch ~pool:e.e_pool ~old:r ~touched:patch.Delta.p_touched fz)
     | _ -> None (* rebuilt lazily on next pruned query *)
   in
-  let model_changed =
-    Option.is_some edge_cost || Option.is_some protocol_check
-  in
-  if model_changed || patch.Delta.p_mode = Delta.Rebuilt || old_reach = None
-  then begin
-    Qcache.clear e.e_single;
-    Qcache.clear e.e_multi
-  end
-  else begin
-    let touched_nodes =
-      let acc = ref [] in
-      for u = Graph.frozen_node_count old_frozen - 1 downto 0 do
-        if Reach.Bits.mem patch.Delta.p_touched u then acc := u :: !acc
-      done;
-      !acc
-    in
-    let r = Option.get old_reach in
-    let cone_clean tout =
-      match Graph.frozen_find_type_node old_frozen tout with
-      | None -> false
-      | Some dst ->
-          not (List.exists (fun u -> Reach.mem r ~src:u ~target:dst) touched_nodes)
-    in
-    let dropped_s =
-      Qcache.refresh e.e_single (fun k ->
-          if
-            k.sk_gen = old_gen
-            && (not k.sk_settings.estimate_freevars)
-            && cone_clean k.sk_tout
-          then Some { k with sk_gen = new_gen }
-          else None)
-    in
-    let dropped_m =
-      Qcache.refresh e.e_multi (fun k ->
-          if
-            k.mk_gen = old_gen
-            && (not k.mk_settings.estimate_freevars)
-            && cone_clean k.mk_tout
-          then Some { k with mk_gen = new_gen }
-          else None)
-    in
-    Log.debug (fun m ->
-        m "engine: reload dropped %d cached entries (cone-scoped)"
-          (dropped_s + dropped_m))
-  end;
+  Qcache.clear e.e_single;
+  Qcache.clear e.e_multi;
   e.e_hierarchy <- patch.Delta.p_hierarchy;
   (match edge_cost with Some _ -> e.e_edge_cost <- edge_cost | None -> ());
   (match protocol_check with
@@ -855,19 +740,15 @@ let engine_reload ?edge_cost ?protocol_check e (patch : Delta.patch) =
   e.e_frozen <- fz;
   e.e_reach <- reach';
   e.e_shards <- None;
-  e.e_gen <- new_gen;
-  e.e_graph <- lazy (Graph.of_frozen fz);
   Log.debug (fun m ->
       m "engine: reloaded (%s) — generation %d -> %d, %d touched nodes"
         (Delta.mode_string patch.Delta.p_mode)
-        old_gen new_gen patch.Delta.p_touched_count)
+        old_gen (Graph.frozen_generation fz) patch.Delta.p_touched_count)
 
-let single_key ~gen ~settings q =
-  { sk_tin = q.tin; sk_tout = q.tout; sk_settings = settings; sk_gen = gen }
+let single_key ~settings q = { sk_tin = q.tin; sk_tout = q.tout; sk_settings = settings }
 
 let run_cached ?(settings = default_settings) e q =
-  validate e;
-  Qcache.find_or_add e.e_single (single_key ~gen:e.e_gen ~settings q) (fun () ->
+  Qcache.find_or_add e.e_single (single_key ~settings q) (fun () ->
       run ~settings ?reach:(engine_reach e) ~frozen:e.e_frozen
         ?edge_cost:e.e_edge_cost ?protocol_check:e.e_protocol_check
         ~hierarchy:e.e_hierarchy q)
@@ -887,14 +768,13 @@ let run_cached ?(settings = default_settings) e q =
    shuffle the cache differently than phase A predicted) is recomputed
    inline, exactly as [jobs = 1] would have. *)
 let run_batch ?(settings = default_settings) ?pool e qs =
-  validate e;
   let pool = match pool with Some p -> p | None -> e.e_pool in
   if Pool.jobs pool <= 1 then List.map (fun q -> (q, run_cached ~settings e q)) qs
   else begin
     Hierarchy.warm e.e_hierarchy;
     let reach = engine_reach e in
     let frozen = e.e_frozen in
-    let key q = single_key ~gen:e.e_gen ~settings q in
+    let key q = single_key ~settings q in
     let solve q =
       run ~settings ?reach ~frozen ?edge_cost:e.e_edge_cost
         ?protocol_check:e.e_protocol_check ~hierarchy:e.e_hierarchy q
@@ -957,8 +837,7 @@ let run_batch ?(settings = default_settings) ?pool e qs =
   end
 
 let run_multi_cached ?(settings = default_settings) e ~vars ~tout () =
-  validate e;
-  let k = { mk_vars = vars; mk_tout = tout; mk_settings = settings; mk_gen = e.e_gen } in
+  let k = { mk_vars = vars; mk_tout = tout; mk_settings = settings } in
   Qcache.find_or_add e.e_multi k (fun () ->
       run_multi ~settings ?reach:(engine_reach e) ~frozen:e.e_frozen
         ?edge_cost:e.e_edge_cost ?protocol_check:e.e_protocol_check

@@ -274,14 +274,16 @@ val run_multi :
 
 (** {2 The query engine}
 
-    A long-lived handle bundling a graph, its hierarchy, an LRU result cache
-    per query shape (single-source and multi-source), and a lazily built
-    {!Reach} index. Cache keys are [(tin, tout, settings, graph
-    generation)]; whenever {!Graph.generation} moves — e.g. {!Mining.Enrich}
-    splicing mined downcast edges into the graph — the next cached call
-    flushes both caches and drops the index, so cached results are always
-    exactly what the uncached pipeline would return ([test_cache.ml] checks
-    the equivalence over the full Table 1 workload). *)
+    A long-lived handle bundling one frozen CSR snapshot, its hierarchy, an
+    LRU result cache per query shape (single-source and multi-source), and
+    a lazily built {!Reach} index. The model an engine answers over changes
+    only through {!engine_reload}, which swaps the snapshot and clears both
+    caches; mutating the graph an engine was built from changes nothing the
+    engine sees. Cache keys are [(tin, tout, settings)] (plus the visible
+    variables for the multi-source shape), so cached results are always
+    exactly what the uncached pipeline returns on {!engine_frozen}
+    ([test_cache.ml] checks the equivalence over the full Table 1 workload,
+    [test_reload.ml] across random reload sequences). *)
 
 type engine
 
@@ -305,14 +307,15 @@ val engine :
     the graph is silently dropped (the engine rebuilds lazily), so a stale
     cache file can cost time but never correctness. [?pool] (default
     sequential) is used by {!run_batch} and by the reach-index build; it
-    changes wall-clock only, never results. The engine freezes a CSR
-    snapshot of the graph eagerly (and again on every invalidation), so all
-    engine-driven searches run on flat arrays.
+    changes wall-clock only, never results. The engine freezes [graph] once
+    ({!freeze}), keeps only that snapshot, and runs every search on its
+    flat arrays; later mutations of [graph] do not reach it — build a new
+    engine, or {!engine_reload} a {!Delta} patch, to change the model.
 
     [?edge_cost] installs the mined usage model ({!Mining.Usage.edge_cost}
-    in practice) for queries with [settings.ranking = Mined]; every
-    snapshot the engine freezes bakes this model into its weighted-cost
-    arrays, so weighted search and the rank layer always agree. Without
+    in practice) for queries with [settings.ranking = Mined]; the engine's
+    snapshot bakes this model into its weighted-cost arrays, so weighted
+    search and the rank layer always agree. Without
     it, [Mined] requests fall back to [Paper] with an {!info.warnings}
     entry.
 
@@ -336,17 +339,10 @@ val engine_of_frozen :
 (** An engine over an existing CSR snapshot — the mmap warm-start path: a
     server restart hands {!Serialize.load_frozen}'s (possibly mmapped)
     snapshot straight here and starts answering queries without rebuilding
-    anything; the mutable graph is reconstructed lazily, only if
-    {!invalidate} needs it.
+    anything. {!engine} ends in the same constructor, after freezing.
     With [?edge_cost] the snapshot's weighted-cost arrays are re-baked
     under the model ({!Graph.rebake}) so weighted search and the rank layer
     agree, as in {!engine}. All other parameters behave as in {!engine}. *)
-
-val engine_live_generation : engine -> int
-(** The generation the engine's caches are validated against: the live
-    graph's if the mutable view was ever forced, the snapshot's otherwise.
-    Never forces the lazy rebuild of a warm-started engine's graph — the
-    server's staleness probes use this. *)
 
 val engine_hierarchy : engine -> Javamodel.Hierarchy.t
 
@@ -362,13 +358,13 @@ val engine_protocol_check : engine -> (Jungloid.t -> string list) option
     snapshot readers. *)
 
 val engine_frozen : engine -> Graph.frozen
-(** The engine's CSR snapshot for the current graph generation (re-frozen
-    after any graph mutation). The server publishes this snapshot for its
+(** The engine's CSR snapshot: the one it was built with, or the last
+    {!engine_reload}ed one. The server publishes this snapshot for its
     lock-free readers. *)
 
 val engine_reach : engine -> Reach.t option
-(** The engine's reachability index for the current graph generation,
-    building it on first use; [None] when the engine was created with
+(** The engine's reachability index for {!engine_frozen}, building it on
+    first use; [None] when the engine was created with
     [prune:false]. Exposed so a server can persist the index it is already
     using ({!Serialize.save_reach}) instead of computing it twice. *)
 
@@ -420,30 +416,21 @@ val run_multi_cached :
     variables — the content-assist hot path: re-opening assist at the same
     program point is a hit. *)
 
-val invalidate : engine -> unit
-(** Explicitly flush both caches and the reach index (also happens
-    automatically when the graph generation changes). Counted in
-    {!engine_stats}. *)
-
 val engine_reload :
   ?edge_cost:(Elem.t -> int) ->
   ?protocol_check:(Jungloid.t -> string list) ->
   engine ->
   Delta.patch ->
   unit
-(** Swap a {!Delta.apply} patch into a live engine. The CSR snapshot and
-    hierarchy are replaced, the reach index is maintained incrementally
+(** Swap a {!Delta.apply} patch into a live engine — the one way an
+    engine's model changes. The CSR snapshot and hierarchy are replaced,
+    the reach index of a [Spliced] patch is maintained incrementally
     ({!Reach.patch} — only components downstream of a touched node are
-    re-closed), and cache invalidation is cone-scoped: an entry survives,
-    rekeyed to the new generation, iff no endpoint of a changed edge lies in
-    its target's old reachability cone (and it was not computed under
-    [estimate_freevars], which reads whole-graph distances). [edge_cost] /
-    [protocol_check], when given, install a re-derived mined model — that
-    shifts every weighted cost (the usage model's normalization is global),
-    so the snapshot is re-baked and both caches are cleared wholesale, as
-    they are for a [Rebuilt] patch (node ids unstable). Subsequent queries
-    answer over the patched model; the mutable graph view becomes a lazy
-    rebuild of the patched snapshot. *)
+    re-closed; a [Rebuilt] patch's is rebuilt on next use), and both caches
+    are cleared (one invalidation each in {!engine_stats}). [edge_cost] /
+    [protocol_check], when given, install a re-derived mined model, and
+    the snapshot's weighted lanes are re-baked under it. Subsequent queries
+    answer over the patched model. *)
 
 val engine_stats : engine -> Qcache.stats
 (** Combined hit/miss/eviction/invalidation counters of both internal

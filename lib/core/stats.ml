@@ -69,12 +69,7 @@ let pp_cache fmt (s : Qcache.stats) =
      invalidations"
     s.Qcache.s_entries s.Qcache.s_capacity s.Qcache.s_hits s.Qcache.s_misses
     (100.0 *. Qcache.hit_rate s)
-    s.Qcache.s_evictions s.Qcache.s_invalidations;
-  (* Reload accounting appears only once a reload has actually touched the
-     cache, so pre-reload output (pinned by the cram suite) is unchanged. *)
-  if s.Qcache.s_dropped > 0 || s.Qcache.s_scoped > 0 then
-    Format.fprintf fmt ", %d dropped, %d scoped" s.Qcache.s_dropped
-      s.Qcache.s_scoped
+    s.Qcache.s_evictions s.Qcache.s_invalidations
 
 let cache_to_string s = Format.asprintf "%a" pp_cache s
 

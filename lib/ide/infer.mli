@@ -54,8 +54,9 @@ val suggest_at :
 (** Content-assist suggestions for one hole. Pass [?engine] (see {!session})
     to serve the hole from the interactive query cache — the IDE keeps one
     engine per open workspace, so re-triggering assist at an unchanged
-    program point costs a hash lookup, and graph enrichment (new mined
-    examples arriving) transparently invalidates it. [?edge_cost] is the
+    program point costs a hash lookup. The engine answers from the snapshot
+    it froze at creation: once the graph is enriched (new mined examples
+    arriving), start a new {!session}. [?edge_cost] is the
     mined usage model for [Mined]-ranking settings; [?protocol_check] the
     mined typestate checker for [Warn]/[Filter]-protocol settings (engine
     sessions carry their own — see {!session}). *)
@@ -68,8 +69,8 @@ val session :
   hierarchy:Javamodel.Hierarchy.t ->
   unit ->
   Prospector.Query.engine
-(** The interactive session handle: a {!Prospector.Query.engine} over the
-    workspace graph, shared by every completion request. [?edge_cost]
+(** The interactive session handle: a {!Prospector.Query.engine} over a
+    snapshot of the workspace graph, shared by every completion request. [?edge_cost]
     installs the workspace's mined usage model for [Mined]-ranking
     completions; [?protocol_check] its mined typestate checker for
     [Warn]/[Filter]-protocol completions. *)

@@ -76,7 +76,8 @@ type session = {
 type t = {
   eng : Query.engine;
   snap : snapshot Atomic.t;
-  publish : Mutex.t;  (* serializes engine touches and snapshot rebuilds *)
+  publish : Mutex.t;  (* serializes reloads: engine touches and publication *)
+  cache_capacity : int;  (* entries per worker cache *)
   locals : local list ref;  (* every cache handed out, for the stats op *)
   locals_lock : Mutex.t;
   mets : Metrics.t;
@@ -128,13 +129,15 @@ let take_snapshot ~vet engine =
     s_vet = vet;
   }
 
-let create ?(settings = Query.default_settings) ?vet
+let create ?(settings = Query.default_settings) ?(cache_capacity = 256) ?vet
     ?(graph_config = Prospector.Sig_graph.default_config) ?remodel ?rebuild
     ?reload_hook ?deadline_s ?session_ttl_s ~engine () =
+  if cache_capacity < 1 then invalid_arg "Service.create: cache_capacity must be >= 1";
   {
     eng = engine;
     snap = Atomic.make (take_snapshot ~vet engine);
     publish = Mutex.create ();
+    cache_capacity;
     locals = ref [];
     locals_lock = Mutex.create ();
     mets = Metrics.create ();
@@ -193,38 +196,15 @@ let request_shutdown t =
         publish_session_gauge t
       end)
 
-let local ?(capacity = 256) t =
-  let l = { lcache = Qcache.create ~capacity () } in
+let local t =
+  let l = { lcache = Qcache.create ~capacity:t.cache_capacity () } in
   Mutex.lock t.locals_lock;
   t.locals := l :: !(t.locals);
   Mutex.unlock t.locals_lock;
   l
 
-(* The published snapshot, republishing first if the graph moved on.
-
-   The generation probe reads a plain int field of the mutable graph — OCaml
-   guarantees the read cannot tear, only lag, and a lagging read merely
-   delays republication to the next request (results stay internally
-   consistent: they come from the complete previous snapshot). The rebuild
-   itself runs under [publish], because the engine (caches, re-freeze, reach
-   build) is not safe to touch concurrently; the double-check inside the
-   lock keeps a stampede of stale readers down to one rebuild. *)
-let current t =
-  let snap = Atomic.get t.snap in
-  if Query.engine_live_generation t.eng = snap.s_gen then snap
-  else begin
-    Mutex.lock t.publish;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.publish)
-      (fun () ->
-        let snap = Atomic.get t.snap in
-        if Query.engine_live_generation t.eng = snap.s_gen then snap
-        else begin
-          let s = take_snapshot ~vet:snap.s_vet t.eng in
-          Atomic.set t.snap s;
-          s
-        end)
-  end
+(* The published snapshot. [reload_locked] is its only publisher. *)
+let current t = Atomic.get t.snap
 
 (* ---------- response payloads ---------- *)
 
@@ -363,22 +343,25 @@ let lint_diagnostics t local snap q =
   in
   match memo local key compute with Vlint ds -> ds | _ -> assert false
 
-(* Engine counters plus every worker cache's counters. Foreign caches may be
-   mid-mutation on other domains while we read; the counters are plain ints
-   (stale at worst, never torn), fine for monitoring output. *)
+(* Every worker cache's counters — the caches that serve reads (the
+   engine's own are never read here). Foreign caches may be mid-mutation on
+   other domains while we read; the counters are plain ints (stale at
+   worst, never torn), fine for monitoring output. *)
 let cache_stats t =
   Mutex.lock t.locals_lock;
   let ls = !(t.locals) in
   Mutex.unlock t.locals_lock;
-  let engine_stats =
-    Mutex.lock t.publish;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.publish)
-      (fun () -> Query.engine_stats t.eng)
-  in
   List.fold_left
     (fun acc l -> Qcache.merge_stats acc (Qcache.stats l.lcache))
-    engine_stats ls
+    {
+      Qcache.s_hits = 0;
+      s_misses = 0;
+      s_evictions = 0;
+      s_invalidations = 0;
+      s_entries = 0;
+      s_capacity = 0;
+    }
+    ls
 
 (* ---------- refine sessions ---------- *)
 

@@ -15,13 +15,13 @@
     snapshot, which no one ever mutates — so reads take no lock, scale
     across worker domains, and a reload landing mid-request cannot mix two
     models into one answer.
-    When the underlying graph's generation moves, the next request rebuilds
-    the engine state and publishes a fresh snapshot under a private mutex
-    (double-checked, so a stampede of stale readers triggers one rebuild);
-    in-flight readers simply finish on the previous snapshot. Result
-    caching is per worker ({!local}) because an LRU mutates on reads; a
-    worker that brings no cache still gets correct, lock-free, merely
-    uncached answers. *)
+    The snapshot changes only on a [reload] op, the one way the model
+    changes: it patches the engine and publishes the new snapshot with one
+    atomic store, under a private mutex that serializes reloads; in-flight
+    readers simply finish on the previous snapshot. Result caching is per
+    worker ({!local}) because an LRU mutates on reads; a worker that brings
+    no cache still gets correct, lock-free, merely uncached answers. The
+    engine's own caches never serve a read. *)
 
 type t
 
@@ -43,6 +43,7 @@ type remodel = {
 
 val create :
   ?settings:Prospector.Query.settings ->
+  ?cache_capacity:int ->
   ?vet:(Prospector.Jungloid.t -> Analysis.Diagnostic.t list) ->
   ?graph_config:Prospector.Sig_graph.config ->
   ?remodel:(Javamodel.Hierarchy.t -> string -> (remodel, string) result) ->
@@ -54,10 +55,12 @@ val create :
   unit ->
   t
 (** [settings] is the base for every request ([max_results]/[slack] fields
-    override per request). [vet] is the protocol vetting pass the lint op
-    appends to its per-result diagnostics (typically
-    [Analysis.Protolint.vet] over a mined model) — injected here because
-    this library must not depend on the mining layer that learns the model.
+    override per request). [cache_capacity] (default 256) sizes each
+    worker's result cache ({!local}); below 1 it raises [Invalid_argument].
+    [vet] is the protocol vetting pass the lint op appends to its
+    per-result diagnostics (typically [Analysis.Protolint.vet] over a mined
+    model) — injected here because this library must not depend on the
+    mining layer that learns the model.
 
     The next four parameters serve the [reload] op (all deltas apply under
     the publish mutex, off the lock-free read path, and land as one atomic
@@ -91,17 +94,17 @@ val create :
     cross-request mutable state; they live behind their own mutex and
     never touch the lock-free snapshot read path.
 
-    Creation eagerly warms the hierarchy's lazy memos, freezes the graph,
-    and builds the reach index, so the first snapshot is published before
-    any worker starts. *)
+    Creation eagerly warms the hierarchy's lazy memos and builds the
+    engine's reach index, so the first snapshot is published before any
+    worker starts. *)
 
 val engine : t -> Prospector.Query.engine
 
 val metrics : t -> Metrics.t
 
-val local : ?capacity:int -> t -> local
-(** A fresh worker cache (default capacity 256 entries), registered for
-    stats reporting. Call once per worker thread/domain. *)
+val local : t -> local
+(** A fresh worker cache of [cache_capacity] entries (see {!create}),
+    registered for stats reporting. Call once per worker thread/domain. *)
 
 val shutdown_requested : t -> bool
 (** Set once a [shutdown] request has been answered; transports poll it and
@@ -117,9 +120,8 @@ val live_sessions : t -> int
     and the ["refine_sessions"] metrics gauge). *)
 
 val handle : ?local:local -> t -> Proto.envelope -> Proto.json
-(** Dispatch one parsed request on the current snapshot (republishing it
-    first if the graph moved): lock-free for every read op, memoized in
-    [?local] when given. Engine exceptions become [internal] error replies —
+(** Dispatch one parsed request on the published snapshot: lock-free for
+    every read op, memoized in [?local] when given. Engine exceptions become [internal] error replies —
     a poisoned query must not take the daemon down. Records one metrics
     sample per call. *)
 

@@ -262,29 +262,36 @@ let test_mining_deterministic () =
   check_bool "corpus has examples" true (seq <> []);
   check_bool "mining output identical at jobs = 4" true (seq = par)
 
-(* ---------- the service republishes its snapshot after mutation ---------- *)
+(* ---------- the service's snapshot moves only on reload ---------- *)
 
-let stats_nodes line =
-  match Proto.of_string line with
-  | Proto.Obj _ as j -> (
-      match Proto.member "graph" j with
-      | Some g -> (
-          match Proto.member "nodes" g with
-          | Some (Proto.Int n) -> n
-          | _ -> Alcotest.fail "stats without graph.nodes")
-      | None -> Alcotest.fail ("stats without graph in: " ^ line))
-  | _ -> Alcotest.fail "unparseable stats reply"
+let stats_graph svc =
+  let j = Proto.of_string (Service.handle_line svc "{\"op\": \"stats\"}") in
+  match Option.map (fun g -> (Proto.member "nodes" g, Proto.member "generation" g))
+          (Proto.member "graph" j)
+  with
+  | Some (Some (Proto.Int n), Some (Proto.Int gen)) -> (n, gen)
+  | _ -> Alcotest.fail "stats without graph.nodes / graph.generation"
 
-let test_service_snapshot_republish () =
-  let graph, hierarchy, _ = workload () in
-  let svc = Service.create ~engine:(Query.engine ~graph ~hierarchy ()) () in
-  let local = Service.local svc in
-  let before = stats_nodes (Service.handle_line ~local svc "{\"op\": \"stats\"}") in
-  check_int "snapshot sees the full graph" (Graph.node_count graph) before;
-  (* grow the live graph: the next request must observe a fresh snapshot *)
+(* The engine froze its graph at creation, so the graph is only a builder:
+   growing it publishes nothing. A reload op is what moves the snapshot
+   readers see. *)
+let test_service_snapshot_moves_on_reload () =
+  let h = Japi.Loader.load_string "package p; class A { B toB(); } class B { }" in
+  let graph = Prospector.Sig_graph.build h in
+  let svc = Service.create ~engine:(Query.engine ~graph ~hierarchy:h ()) () in
+  let nodes, gen = stats_graph svc in
+  check_int "snapshot sees the built graph" (Graph.node_count graph) nodes;
   ignore (Graph.ensure_type_node graph (Jtype.ref_of_string "brand.New"));
-  let after = stats_nodes (Service.handle_line ~local svc "{\"op\": \"stats\"}") in
-  check_int "republished after generation bump" (before + 1) after
+  check_bool "a builder mutation moves nothing" true (stats_graph svc = (nodes, gen));
+  let reply =
+    Service.handle_line svc
+      "{\"op\": \"reload\", \"japi\": \"package p; class C { A toA(); }\"}"
+  in
+  check_bool ("reload applied: " ^ reply) true
+    (Proto.member "ok" (Proto.of_string reply) = Some (Proto.Bool true));
+  let nodes', gen' = stats_graph svc in
+  check_int "the reloaded class is in the snapshot" (nodes + 1) nodes';
+  check_bool "the generation moved" true (gen' > gen)
 
 let () =
   Alcotest.run "parallel"
@@ -317,7 +324,7 @@ let () =
         ] );
       ( "service",
         [
-          Alcotest.test_case "snapshot republish on mutation" `Quick
-            test_service_snapshot_republish;
+          Alcotest.test_case "snapshot moves only on reload" `Quick
+            test_service_snapshot_moves_on_reload;
         ] );
     ]

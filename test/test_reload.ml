@@ -4,7 +4,8 @@
    delta took — checked over random op sequences on Apigen worlds. The
    reach index patched through [Reach.patch] must be bit-for-bit the fresh
    build. Printed delta-sized .japi files must reload to the same model,
-   and the cone-scoped cache invalidation counters must add up. *)
+   and after every reload an engine's cached answers must be the ones its
+   uncached pipeline gives on the patched snapshot. *)
 
 module Qname = Javamodel.Qname
 module Jtype = Javamodel.Jtype
@@ -15,8 +16,7 @@ module Graph = Prospector.Graph
 module Sig_graph = Prospector.Sig_graph
 module Delta = Prospector.Delta
 module Reach = Prospector.Reach
-module Qcache = Prospector.Qcache
-module Stats = Prospector.Stats
+module Query = Prospector.Query
 module Rng = Corpusgen.Rng
 module Apigen = Corpusgen.Apigen
 
@@ -219,57 +219,64 @@ let prop_delta_file_roundtrip =
            { Apigen.default_params with classes; seed; packages = 1 }))
     roundtrips
 
-(* ---------- cache invalidation counters ---------- *)
+(* ---------- engine caches across reloads ---------- *)
 
-let test_clear_counts_dropped () =
-  let c = Qcache.create ~capacity:8 () in
-  List.iter (fun k -> Qcache.add c k (k * 10)) [ 1; 2; 3 ];
-  Qcache.clear c;
-  let st = Qcache.stats c in
-  Alcotest.(check int) "dropped = entry count at clear" 3 st.Qcache.s_dropped;
-  Alcotest.(check int) "one invalidation" 1 st.Qcache.s_invalidations;
-  Alcotest.(check int) "no scoped pass" 0 st.Qcache.s_scoped;
-  Alcotest.(check int) "empty after" 0 st.Qcache.s_entries;
-  Qcache.clear c;
-  Alcotest.(check int) "empty clear drops nothing" 3 (Qcache.stats c).Qcache.s_dropped
-
-let test_refresh_counts_and_rekeys () =
-  let c = Qcache.create ~capacity:8 () in
-  List.iter (fun k -> Qcache.add c k (k * 10)) [ 1; 2; 3; 4 ];
-  let removed =
-    Qcache.refresh c (fun k -> if k mod 2 = 0 then Some (k + 100) else None)
+(* The class an op edits against the return type of each method the class
+   has in the starting model or that the op gives it: the queries a body
+   edit can change. *)
+let edit_queries h op =
+  let name =
+    match op with
+    | Delta.Add_class d | Delta.Replace_class d -> d.Decl.dname
+    | Delta.Remove_class q | Delta.Add_method (q, _) | Delta.Remove_method (q, _) -> q
   in
-  Alcotest.(check int) "two entries removed" 2 removed;
-  let st = Qcache.stats c in
-  Alcotest.(check int) "dropped counts removals" 2 st.Qcache.s_dropped;
-  Alcotest.(check int) "one scoped pass" 1 st.Qcache.s_scoped;
-  Alcotest.(check int) "refresh is not an invalidation" 0 st.Qcache.s_invalidations;
-  Alcotest.(check bool) "survivor rekeyed" true (Qcache.mem c 102);
-  Alcotest.(check bool) "old key gone" false (Qcache.mem c 2);
-  Alcotest.(check (list int)) "recency preserved, mru first" [ 104; 102 ]
-    (Qcache.keys_mru_first c);
-  Alcotest.(check (option int)) "value survives rekeying" (Some 40) (Qcache.find c 104)
+  let rets (d : Decl.t) = List.map (fun (m : Member.meth) -> m.Member.ret) d.Decl.methods in
+  let before = match Hierarchy.find_opt h name with Some d -> rets d | None -> [] in
+  let after =
+    match op with
+    | Delta.Add_class d | Delta.Replace_class d -> rets d
+    | Delta.Add_method (_, m) -> [ m.Member.ret ]
+    | Delta.Remove_class _ | Delta.Remove_method _ -> []
+  in
+  List.map (fun tout -> { Query.tin = Jtype.Ref name; tout }) (before @ after)
 
-let test_refresh_preserves_eviction_order () =
-  let c = Qcache.create ~capacity:3 () in
-  List.iter (fun k -> Qcache.add c k k) [ 1; 2; 3 ];
-  ignore (Qcache.find c 1);
-  (* recency now 1,3,2 — identity refresh must not disturb it *)
-  ignore (Qcache.refresh c (fun k -> Some k));
-  Qcache.add c 4 4;
-  Alcotest.(check bool) "lru evicted" false (Qcache.mem c 2);
-  Alcotest.(check bool) "mru kept" true (Qcache.mem c 1);
-  Alcotest.(check bool) "middle kept" true (Qcache.mem c 3)
-
-let test_stats_render_gated () =
-  let c = Qcache.create ~capacity:4 () in
-  Alcotest.(check bool) "silent before any reload" false
-    (contains (Stats.cache_to_string (Qcache.stats c)) "dropped");
-  Qcache.add c 1 1;
-  Qcache.clear c;
-  let s = Stats.cache_to_string (Qcache.stats c) in
-  Alcotest.(check bool) "dropped rendered" true (contains s "1 dropped");
-  Alcotest.(check bool) "scoped rendered alongside" true (contains s "0 scoped")
+(* Warm both engine caches, then apply the ops one reload at a time: after
+   each, every cached answer (single- and multi-source) must equal the
+   uncached pipeline's on the engine's own snapshot, index and hierarchy.
+   An entry that survived a reload it should not have serves the old
+   world's answer and fails this. *)
+let prop_engine_caches_follow_reloads =
+  QCheck2.Test.make ~name:"caches agree after every reload"
+    ~count:40 world_gen (fun (seed, classes, nops) ->
+      let h = Apigen.generate { Apigen.default_params with classes; seed } in
+      let e = Query.engine ~graph:(Sig_graph.build h) ~hierarchy:h () in
+      let ops = build_ops (Rng.create ~seed:(seed lxor 0xcac4e)) h nops in
+      let qs = List.sort_uniq compare (List.concat_map (edit_queries h) ops) in
+      let assist (q : Query.t) = ([ ("x", q.Query.tin) ], q.Query.tout) in
+      let agree () =
+        let frozen = Query.engine_frozen e and reach = Query.engine_reach e in
+        let hierarchy = Query.engine_hierarchy e in
+        List.for_all
+          (fun q ->
+            Query.run_cached e q = Query.run ~frozen ?reach ~hierarchy q
+            &&
+            let vars, tout = assist q in
+            Query.run_multi_cached e ~vars ~tout ()
+            = Query.run_multi ~frozen ?reach ~hierarchy ~vars ~tout ())
+          qs
+      in
+      ignore (agree ());
+      List.for_all
+        (fun op ->
+          match
+            Delta.apply ~hierarchy:(Query.engine_hierarchy e)
+              ~frozen:(Query.engine_frozen e) [ op ]
+          with
+          | Error _ -> false
+          | Ok patch ->
+              Query.engine_reload e patch;
+              agree ())
+        ops)
 
 let () =
   Alcotest.run "reload"
@@ -286,14 +293,6 @@ let () =
           ] );
       ( "japi round-trip",
         List.map QCheck_alcotest.to_alcotest [ prop_delta_file_roundtrip ] );
-      ( "qcache counters",
-        [
-          Alcotest.test_case "clear counts dropped" `Quick test_clear_counts_dropped;
-          Alcotest.test_case "refresh counts and rekeys" `Quick
-            test_refresh_counts_and_rekeys;
-          Alcotest.test_case "refresh preserves eviction order" `Quick
-            test_refresh_preserves_eviction_order;
-          Alcotest.test_case "stats render gated on counters" `Quick
-            test_stats_render_gated;
-        ] );
+      ( "engine caches",
+        List.map QCheck_alcotest.to_alcotest [ prop_engine_caches_follow_reloads ] );
     ]
