@@ -123,19 +123,24 @@ bench-proto: build
 # methods by default — BENCH_SCALE_SIZES=10000,100000,1000000 adds the
 # million-method row). The section exits nonzero on any shard/mmap
 # identity divergence, on a two-job batch that routes no query to a shard,
-# or when run_batch at jobs = 2 on the 100k world allocates more than 1024
+# when run_batch at jobs = 2 on the 100k world allocates more than 1024
 # words per query straight into the major heap (parked pool workers keep
-# their search workspaces), so this is the scale gate inside `make check`.
+# their search workspaces), or when the graph builder keeps more than 20
+# words per edge beyond the hierarchy (builder_words_per_edge, exact: 16.76
+# on the 100k world, 25.58 while it kept an edge-dedup hash table), so this
+# is the scale gate inside `make check`.
 bench-scale: build
 	dune exec bench/main.exe -- --section scale
 
 # Live-reload gate (BENCH_reload.json: single-class delta apply + reach
-# patch vs cold rebuild, plus query p50/p99 under sustained churn against
-# a full-rebuild baseline, at 10k/100k methods by default —
-# BENCH_RELOAD_SIZES overrides). The section exits nonzero if the patched
-# snapshot diverges from a cold rebuild, a patch fails to beat the rebuild
-# stall, churn p99 is not strictly better than the rebuild baseline, or
-# incremental patch time grows superlinearly across the sizes.
+# patch vs cold rebuild, plus query p50 and maximum latency under sustained
+# churn against a full-rebuild baseline, at 10k/100k methods by default —
+# BENCH_RELOAD_SIZES overrides). The tail is the maximum of the 120 churn
+# samples: the 9 reload stalls are their top 7.5%, beyond any percentile's
+# reach. The section exits nonzero if the patched snapshot diverges from a
+# cold rebuild, a patch fails to beat the rebuild stall, the churn maximum
+# is not strictly below the rebuild baseline's, or incremental patch time
+# grows superlinearly across the sizes.
 bench-reload: build
 	dune exec bench/main.exe -- --section reload
 

@@ -21,7 +21,6 @@ type t = {
   mutable n : int;
   mutable edges : int;
   mutable generation : int;
-  edge_seen : (node * Elem.t * node, unit) Hashtbl.t;
 }
 
 let initial_capacity = 256
@@ -35,7 +34,6 @@ let create () =
     n = 0;
     edges = 0;
     generation = 0;
-    edge_seen = Hashtbl.create initial_capacity;
   }
 
 let grow t =
@@ -79,10 +77,23 @@ let void_node t = ensure_type_node t Jtype.Void
 let add_typestate t ~underlying ~origin =
   fresh_node t { ty = underlying; origin = Some origin }
 
+(* A duplicate of [(src, elem, dst)] sits in both [fwd.(src)] and
+   [bwd.(dst)], so walking the two lists in lockstep finds it before the
+   shorter one runs out: at most twice the shorter list per insertion. A hub
+   row (void's out-list, Object's in-list) is paid for only up to the length
+   of the other endpoint's list. *)
+let mem_edge t ~src elem ~dst =
+  let same e = compare e.elem elem = 0 in
+  let rec walk out in_ =
+    match (out, in_) with
+    | [], _ | _, [] -> false
+    | o :: out', i :: in' ->
+        (o.dst = dst && same o) || (i.src = src && same i) || walk out' in'
+  in
+  walk t.fwd.(src) t.bwd.(dst)
+
 let add_edge t ~src elem ~dst =
-  let key = (src, elem, dst) in
-  if not (Hashtbl.mem t.edge_seen key) then begin
-    Hashtbl.replace t.edge_seen key ();
+  if not (mem_edge t ~src elem ~dst) then begin
     let e = { elem; src; dst } in
     t.fwd.(src) <- e :: t.fwd.(src);
     t.bwd.(dst) <- e :: t.bwd.(dst);

@@ -37,7 +37,11 @@ val add_typestate : t -> underlying:Jtype.t -> origin:string -> node
     created it (used by DOT output and debugging). *)
 
 val add_edge : t -> src:node -> Elem.t -> dst:node -> unit
-(** Duplicate edges (same source, elem, and destination) are dropped. *)
+(** Duplicate edges (same source, elem, and destination) are dropped. The
+    check walks [src]'s out-list and [dst]'s in-list in lockstep — a
+    duplicate sits in both — so one insertion costs at most twice the
+    shorter of the two lists, and no side table is kept: the builder holds
+    only the adjacency lists themselves. *)
 
 val node_type : t -> node -> Jtype.t
 (** The type carried by the node — for typestate nodes, the underlying

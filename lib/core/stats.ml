@@ -32,7 +32,7 @@ let of_graph g =
     call_edges = !call;
     field_edges = !field;
     (* Rough model: a node costs ~9 words (info record + table slots), an
-       edge ~14 words (record + two adjacency cons cells + dedup entry). *)
+       edge ~14 words (record + two adjacency cons cells + its elem). *)
     approx_bytes = ((nodes * 9) + (edges * 14)) * (Sys.word_size / 8);
   }
 

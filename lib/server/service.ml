@@ -39,31 +39,23 @@ type snapshot = {
    one of these. One cache holds all three read shapes — a variant key keeps
    them from colliding while letting hot ops steal capacity from cold ones. *)
 type lkey =
-  | Lquery of {
-      tin : Jtype.t;
-      tout : Jtype.t;
-      settings : Query.settings;
-      gen : int;
-    }
+  | Lquery of { tin : Jtype.t; tout : Jtype.t; settings : Query.settings }
   | Lassist of {
       vars : (string * Jtype.t) list;
       tout : Jtype.t;
       settings : Query.settings;
-      gen : int;
     }
-  | Llint of {
-      tin : Jtype.t;
-      tout : Jtype.t;
-      settings : Query.settings;
-      gen : int;
-    }
+  | Llint of { tin : Jtype.t; tout : Jtype.t; settings : Query.settings }
 
 type lval =
   | Vresults of Query.result list * bool  (* results, truncated *)
   | Vsuggest of Prospector.Assist.suggestion list
   | Vlint of Analysis.Diagnostic.t list
 
-type local = { lcache : (lkey, lval) Qcache.t }
+(* [lgen] is the generation every entry of [lcache] describes. Only the
+   owning worker writes either field; the stats op reads them from other
+   domains (stale at worst, never torn). *)
+type local = { lcache : (lkey, lval) Qcache.t; mutable lgen : int }
 
 (* One refine session: the pure {!Prospector_eval.Session} state plus the
    bookkeeping TTL eviction needs. Mutated only under [sessions_lock]. *)
@@ -196,15 +188,17 @@ let request_shutdown t =
         publish_session_gauge t
       end)
 
+(* The published snapshot. [reload_locked] is its only publisher. *)
+let current t = Atomic.get t.snap
+
 let local t =
-  let l = { lcache = Qcache.create ~capacity:t.cache_capacity () } in
+  let l =
+    { lcache = Qcache.create ~capacity:t.cache_capacity (); lgen = (current t).s_gen }
+  in
   Mutex.lock t.locals_lock;
   t.locals := l :: !(t.locals);
   Mutex.unlock t.locals_lock;
   l
-
-(* The published snapshot. [reload_locked] is its only publisher. *)
-let current t = Atomic.get t.snap
 
 (* ---------- response payloads ---------- *)
 
@@ -277,11 +271,19 @@ let cache_json stats =
 
 (* Run a read on the snapshot, memoized in the worker's cache when it has
    one. Without a [local] (direct library callers, tests) the read simply
-   computes — still lock-free, just uncached. *)
-let memo local key compute =
+   computes — still lock-free, just uncached. The first read of another
+   generation empties the cache (one invalidation, counted only when there
+   was something to drop): no entry of an older model can ever hit again,
+   so keeping them would only hold LRU capacity. *)
+let memo local snap key compute =
   match local with
   | None -> compute ()
-  | Some l -> Qcache.find_or_add l.lcache key compute
+  | Some l ->
+      if l.lgen <> snap.s_gen then begin
+        if Qcache.length l.lcache > 0 then Qcache.clear l.lcache;
+        l.lgen <- snap.s_gen
+      end;
+      Qcache.find_or_add l.lcache key compute
 
 let query_results t local snap ~settings q =
   let compute () =
@@ -295,10 +297,8 @@ let query_results t local snap ~settings q =
     if info.Query.truncated then Atomic.incr t.truncated_queries;
     Vresults (rs, info.Query.truncated)
   in
-  let key =
-    Lquery { tin = q.Query.tin; tout = q.Query.tout; settings; gen = snap.s_gen }
-  in
-  match memo local key compute with
+  let key = Lquery { tin = q.Query.tin; tout = q.Query.tout; settings } in
+  match memo local snap key compute with
   | Vresults (rs, truncated) -> (rs, truncated)
   | _ -> assert false
 
@@ -311,14 +311,9 @@ let assist_suggestions local snap ~settings (ctx : Prospector.Assist.context) =
   in
   let key =
     Lassist
-      {
-        vars = ctx.Prospector.Assist.vars;
-        tout = ctx.Prospector.Assist.expected;
-        settings;
-        gen = snap.s_gen;
-      }
+      { vars = ctx.Prospector.Assist.vars; tout = ctx.Prospector.Assist.expected; settings }
   in
-  match memo local key compute with Vsuggest ss -> ss | _ -> assert false
+  match memo local snap key compute with Vsuggest ss -> ss | _ -> assert false
 
 let lint_diagnostics t local snap q =
   let hierarchy = snap.s_hierarchy in
@@ -332,27 +327,26 @@ let lint_diagnostics t local snap q =
              @ vet r.Query.jungloid)
       |> List.sort_uniq Analysis.Diagnostic.compare)
   in
-  let key =
-    Llint
-      {
-        tin = q.Query.tin;
-        tout = q.Query.tout;
-        settings = t.base_settings;
-        gen = snap.s_gen;
-      }
-  in
-  match memo local key compute with Vlint ds -> ds | _ -> assert false
+  let key = Llint { tin = q.Query.tin; tout = q.Query.tout; settings = t.base_settings } in
+  match memo local snap key compute with Vlint ds -> ds | _ -> assert false
 
 (* Every worker cache's counters — the caches that serve reads (the
    engine's own are never read here). Foreign caches may be mid-mutation on
    other domains while we read; the counters are plain ints (stale at
-   worst, never torn), fine for monitoring output. *)
+   worst, never torn), fine for monitoring output. Entries count only in
+   caches at the published generation: a worker that has not read since
+   the last reload still holds the old model's entries, which will never
+   hit and go on its next read. *)
 let cache_stats t =
+  let gen = (current t).s_gen in
   Mutex.lock t.locals_lock;
   let ls = !(t.locals) in
   Mutex.unlock t.locals_lock;
   List.fold_left
-    (fun acc l -> Qcache.merge_stats acc (Qcache.stats l.lcache))
+    (fun acc l ->
+      let s = Qcache.stats l.lcache in
+      Qcache.merge_stats acc
+        (if l.lgen = gen then s else { s with Qcache.s_entries = 0 }))
     {
       Qcache.s_hits = 0;
       s_misses = 0;
@@ -554,10 +548,9 @@ let reload_locked t ~id ~japi ~remove ~corpus =
               in
               let s = take_snapshot ~vet t.eng in
               Atomic.set t.snap s;
-              (* Worker caches are left alone: their keys embed the
-                 generation, so stale entries can never hit again — they age
-                 out of the LRU. Touching a foreign worker's cache here would
-                 race with its own reads. *)
+              (* Worker caches are left alone: touching a foreign worker's
+                 cache here would race with its own reads. Each one empties
+                 itself on its first read of this generation. *)
               let n = Atomic.fetch_and_add t.reloads 1 + 1 in
               Metrics.set_gauge t.mets "graph_generation" s.s_gen;
               Metrics.set_gauge t.mets "reloads_applied" n;

@@ -29,7 +29,11 @@ type local
 (** A per-worker result cache (one LRU over the query/assist/lint shapes).
     Not thread-safe — each transport worker owns exactly one and passes it
     to {!handle_line}. All caches created by {!local} are registered with
-    the service so the stats op can report their combined counters. *)
+    the service so the stats op can report their combined counters. A
+    cache records the graph generation its entries describe and empties
+    itself on its first read of a newer snapshot (one invalidation when it
+    held entries); stats count entries only in caches at the published
+    generation. *)
 
 type remodel = {
   rm_edge_cost : (Prospector.Elem.t -> int) option;

@@ -8,6 +8,10 @@
    the pipeline sorts, dedups and filters whole lists. Fast enough for the
    small worlds the tests build, and no faster.
 
+   Its [builder] keeps every edge in one list and finds duplicates with
+   [List.exists], for [Graph]'s lockstep duplicate check to be held
+   against.
+
    It renders with its own [Printf] renderers too ([to_java],
    [to_expression], [to_string]): plain folds from the input outward that
    re-format the whole expression at every step, sharing nothing with the
@@ -213,6 +217,51 @@ let to_string (t : Jungloid.t) =
   Printf.sprintf "%s%s : %s -> %s" binder (to_expression t)
     (Jtype.simple_string t.Jungloid.input)
     (Jtype.simple_string (Jungloid.output_type t))
+
+(* ---------- reference builder ---------- *)
+
+(* [Graph]'s builder with the duplicate check done the obvious way: every
+   inserted edge kept in one list, newest first, and searched with
+   [List.exists]. A node's successors and predecessors are that list
+   filtered, so they come newest first, as [Graph.succs] and [Graph.preds]
+   promise. Types intern through an association list. *)
+type builder = {
+  mutable b_types : (Jtype.t * Graph.node) list;
+  mutable b_nodes : int;
+  mutable b_edges : Graph.edge list;
+  mutable b_generation : int;
+}
+
+let builder () = { b_types = []; b_nodes = 0; b_edges = []; b_generation = 0 }
+
+let fresh_node b =
+  let id = b.b_nodes in
+  b.b_nodes <- id + 1;
+  b.b_generation <- b.b_generation + 1;
+  id
+
+let ensure_type_node b ty =
+  match List.assoc_opt ty b.b_types with
+  | Some id -> id
+  | None ->
+      let id = fresh_node b in
+      b.b_types <- (ty, id) :: b.b_types;
+      id
+
+let add_typestate b = fresh_node b
+
+let add_edge b ~src elem ~dst =
+  let same (e : Graph.edge) = e.Graph.src = src && e.Graph.elem = elem && e.Graph.dst = dst in
+  if not (List.exists same b.b_edges) then begin
+    b.b_edges <- { Graph.elem; src; dst } :: b.b_edges;
+    b.b_generation <- b.b_generation + 1
+  end
+
+let succs b u = List.filter (fun (e : Graph.edge) -> e.Graph.src = u) b.b_edges
+
+let preds b v = List.filter (fun (e : Graph.edge) -> e.Graph.dst = v) b.b_edges
+
+let edge_count b = List.length b.b_edges
 
 (* Relax every edge [(u, v, c)] that [dir] yields until nothing improves. *)
 let fixpoint g ~starts ~dir =

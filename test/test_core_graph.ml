@@ -170,6 +170,92 @@ let test_graph_growth () =
   done;
   check_int "1000 nodes" 1000 (Graph.node_count g)
 
+(* ---------- builder dedup vs the reference ---------- *)
+
+type build_op =
+  | Type of int  (* intern [types.(i)]; type 0 is the hub *)
+  | Typestate of int  (* a fresh typestate node over [types.(i)] *)
+  | Edge of int * int * int  (* src, dst (mod the node count), elem *)
+
+let types =
+  [|
+    Jtype.ref_of_string "p.Hub";
+    Jtype.ref_of_string "p.A";
+    Jtype.ref_of_string "p.B";
+    Jtype.object_t;
+    Jtype.Void;
+  |]
+
+(* Five elems, built afresh on every call so equal ones are never the same
+   block: the duplicate check must compare structurally. *)
+let pool_elem i =
+  let a = Jtype.ref_of_string "p.A" and b = Jtype.ref_of_string "p.B" in
+  let m = Member.meth "get" ~params:[ ("x", a) ] ~ret:b in
+  match i with
+  | 0 -> Elem.Widen { from_ = a; to_ = b }
+  | 1 -> Elem.Widen { from_ = a; to_ = Jtype.object_t }
+  | 2 -> Elem.Instance_call { owner = q "p.A"; meth = m; input = Elem.Receiver }
+  | 3 -> Elem.Instance_call { owner = q "p.A"; meth = m; input = Elem.Param 0 }
+  | _ -> Elem.Downcast { from_ = Jtype.object_t; to_ = a }
+
+let max_nodes = 8
+
+(* Most edges touch the hub (node 0), so its out- and in-lists grow long
+   while the other endpoint's stay short, and a repeated edge usually sits
+   deep in the longer list. *)
+let build_ops_gen =
+  QCheck2.Gen.(
+    let endpoint = frequency [ (3, return 0); (2, int_range 1 (max_nodes - 1)) ] in
+    list_size (int_range 1 80)
+      (frequency
+         [
+           (1, map (fun i -> Type i) (int_bound 4));
+           (1, map (fun i -> Typestate i) (int_bound 4));
+           (6, map3 (fun s d e -> Edge (s, d, e)) endpoint endpoint (int_bound 4));
+         ]))
+
+let print_build_op = function
+  | Type i -> Printf.sprintf "Type %d" i
+  | Typestate i -> Printf.sprintf "Typestate %d" i
+  | Edge (s, d, e) -> Printf.sprintf "Edge (%d, %d, %d)" s d e
+
+let agrees g r =
+  let n = Graph.node_count g in
+  n = r.Naive.b_nodes
+  && Graph.edge_count g = Naive.edge_count r
+  && Graph.generation g = r.Naive.b_generation
+  && List.for_all
+       (fun u -> Graph.succs g u = Naive.succs r u && Graph.preds g u = Naive.preds r u)
+       (List.init n Fun.id)
+
+let prop_builder_dedup =
+  QCheck2.Test.make ~name:"builder dedup matches the List.exists reference" ~count:300
+    ~print:(fun ops -> String.concat "; " (List.map print_build_op ops))
+    build_ops_gen
+    (fun ops ->
+      let g = Graph.create () and r = Naive.builder () in
+      ignore (Graph.ensure_type_node g types.(0));
+      ignore (Naive.ensure_type_node r types.(0));
+      List.for_all
+        (fun op ->
+          let n = Graph.node_count g in
+          (match op with
+          | Type i ->
+              if n < max_nodes || Graph.find_type_node g types.(i) <> None then begin
+                ignore (Graph.ensure_type_node g types.(i));
+                ignore (Naive.ensure_type_node r types.(i))
+              end
+          | Typestate i ->
+              if n < max_nodes then begin
+                ignore (Graph.add_typestate g ~underlying:types.(i) ~origin:"ex");
+                ignore (Naive.add_typestate r)
+              end
+          | Edge (s, d, e) ->
+              Graph.add_edge g ~src:(s mod n) (pool_elem e) ~dst:(d mod n);
+              Naive.add_edge r ~src:(s mod n) (pool_elem e) ~dst:(d mod n));
+          agrees g r)
+        ops)
+
 (* ---------- Sig_graph.build ---------- *)
 
 let test_build_faq270 () =
@@ -273,6 +359,7 @@ let () =
           tc "edge dedup" test_graph_edges_dedup;
           tc "typestate" test_graph_typestate;
           tc "growth" test_graph_growth;
+          QCheck_alcotest.to_alcotest prop_builder_dedup;
         ] );
       ( "sig_graph",
         [

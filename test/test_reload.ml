@@ -278,6 +278,50 @@ let prop_engine_caches_follow_reloads =
               agree ())
         ops)
 
+(* The daemon's per-worker caches across a reload: each empties itself on
+   its own first read of the new generation (one invalidation, only when it
+   held entries), and stats count only the entries of the published
+   generation, whichever worker holds them. *)
+let test_worker_caches_drop_stale () =
+  let module Service = Prospector_server.Service in
+  let module Proto = Prospector_server.Proto in
+  let h = Japi.Loader.load_string "package p; class A { B toB(); } class B { }" in
+  let svc =
+    Service.create ~engine:(Query.engine ~graph:(Sig_graph.build h) ~hierarchy:h ()) ()
+  in
+  let w1 = Service.local svc and w2 = Service.local svc in
+  let query local =
+    ignore (Service.handle_line ~local svc {|{"op": "query", "tin": "p.A", "tout": "p.B"}|})
+  in
+  let expect what ~entries ~hits ~misses ~invalidations =
+    let cache =
+      Result.to_option (Proto.parse (Service.handle_line svc {|{"op": "stats"}|}))
+      |> Fun.flip Option.bind (Proto.member "cache")
+    in
+    List.iter
+      (fun (k, v) ->
+        Alcotest.(check (option int)) (what ^ ": " ^ k) (Some v)
+          (match Option.bind cache (Proto.member k) with
+          | Some (Proto.Int i) -> Some i
+          | _ -> None))
+      [
+        ("entries", entries); ("hits", hits); ("misses", misses);
+        ("invalidations", invalidations);
+      ]
+  in
+  query w1;
+  ignore
+    (Service.handle_line svc
+       {|{"op": "reload", "japi": "package p; class A { B toB(); B again(); }"}|});
+  expect "after the reload" ~entries:0 ~hits:0 ~misses:1 ~invalidations:0;
+  query w2;
+  expect "an empty cache drops nothing" ~entries:1 ~hits:0 ~misses:2 ~invalidations:0;
+  query w1;
+  expect "the stale cache empties on its next read" ~entries:2 ~hits:0 ~misses:3
+    ~invalidations:1;
+  query w2;
+  expect "the current generation hits" ~entries:2 ~hits:1 ~misses:3 ~invalidations:1
+
 let () =
   Alcotest.run "reload"
     [
@@ -294,5 +338,9 @@ let () =
       ( "japi round-trip",
         List.map QCheck_alcotest.to_alcotest [ prop_delta_file_roundtrip ] );
       ( "engine caches",
-        List.map QCheck_alcotest.to_alcotest [ prop_engine_caches_follow_reloads ] );
+        List.map QCheck_alcotest.to_alcotest [ prop_engine_caches_follow_reloads ]
+        @ [
+            Alcotest.test_case "worker caches drop stale generations" `Quick
+              test_worker_caches_drop_stale;
+          ] );
     ]
