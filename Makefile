@@ -60,10 +60,13 @@ serve-smoke: build
 	wait $$pid || fail "daemon exited nonzero"; \
 	echo "serve-smoke: OK"
 
-check: build test lint serve-smoke bench-parallel bench-topk bench-rank bench-refine bench-proto bench-scale bench-reload fmt
+check: build test lint serve-smoke bench-cache bench-parallel bench-topk bench-rank bench-refine bench-proto bench-scale bench-reload fmt
 
-# Regenerates BENCH_cache.json (cold/warm cache latency, pruned/unpruned
-# search, O(1) miss rejection).
+# Regenerates BENCH_cache.json (queries with and without the reach index,
+# O(1) rejection of unsolvable ones, cold/warm LRU cache latency; every
+# timing a median of alternating rounds after a warm-up pass). The section
+# exits nonzero if the index or the cache changes any answer, so this is
+# the reach-rejection and cache equivalence gate inside `make check`.
 bench-cache: build
 	dune exec bench/main.exe -- cache
 

@@ -479,11 +479,40 @@ let section_objparam () =
     (List.length r3) stats.Mining.Objparam.sites stats.Mining.Objparam.edges_added
 
 (* ------------------------------------------------------------------ *)
-(* Query acceleration: reachability pruning and the LRU query cache    *)
+(* Reach rejection and the LRU query cache                             *)
 (* ------------------------------------------------------------------ *)
 
+(* Every timing here is a median over [cache_rounds] passes. Each A/B pair
+   first runs one untimed warm-up pass of both sides, then alternates which
+   side goes first from round to round. Timed once each with the index-free
+   side first, the synthetic pair below reads 1.1-1.4x; alternated medians
+   read about 1. *)
+let cache_rounds = 7
+
+let median xs = percentile xs 0.5
+
+let median_time ~rounds f = median (List.init rounds (fun _ -> fst (time_of f)))
+
+(* The results of both warm-up passes, and each side's median time. *)
+let ab_medians ~rounds a b =
+  let ra = a () and rb = b () in
+  let ta = ref [] and tb = ref [] in
+  let timed f acc = acc := fst (time_of f) :: !acc in
+  for round = 1 to rounds do
+    if round mod 2 = 1 then begin
+      timed a ta;
+      timed b tb
+    end
+    else begin
+      timed b tb;
+      timed a ta
+    end
+  done;
+  (median !ta, ra, median !tb, rb)
+
 let section_cache () =
-  rule "Query acceleration — reachability pruning and the LRU query cache";
+  rule "Reach rejection and LRU cache";
+  let rounds = cache_rounds in
   let graph = Apidata.Api.default_graph () in
   let hierarchy = Apidata.Api.hierarchy () in
   let qs =
@@ -492,115 +521,101 @@ let section_cache () =
   in
   let nq = List.length qs in
   let frozen = Query.freeze graph in
-  (* Reachability pruning, measured without any caching. *)
-  let base_t, baseline =
-    time_of (fun () -> List.map (fun q -> Query.run ~frozen ~hierarchy q) qs)
-  in
-  let build_t, reach = time_of (fun () -> Prospector.Reach.build graph) in
-  let pruned_t, pruned =
-    time_of (fun () -> List.map (fun q -> Query.run ~reach ~frozen ~hierarchy q) qs)
+  let build_t = median_time ~rounds (fun () -> Prospector.Reach.build_frozen frozen) in
+  let reach = Prospector.Reach.build_frozen frozen in
+  (* The index only rejects: a solvable query runs the same search with or
+     without it, so on Table 1 (all solvable) both sides should tie. *)
+  let base_t, baseline, pruned_t, pruned =
+    ab_medians ~rounds
+      (fun () -> List.map (fun q -> Query.run ~frozen ~hierarchy q) qs)
+      (fun () -> List.map (fun q -> Query.run ~reach ~frozen ~hierarchy q) qs)
   in
   let n_nodes = Prospector.Reach.node_count reach in
-  let cone_fractions =
-    List.filter_map
-      (fun (q : Query.t) ->
-        Option.map
-          (fun dst ->
-            float_of_int (Prospector.Reach.cone_size reach ~target:dst)
-            /. float_of_int n_nodes)
-          (Prospector.Graph.find_type_node graph q.Query.tout))
-      qs
+  let avg_cone ~reach ~frozen qs =
+    let fractions =
+      List.filter_map
+        (fun (q : Query.t) ->
+          Option.map
+            (fun dst ->
+              float_of_int (Prospector.Reach.cone_size reach ~target:dst)
+              /. float_of_int (Prospector.Reach.node_count reach))
+            (Prospector.Graph.frozen_find_type_node frozen q.Query.tout))
+        qs
+    in
+    List.fold_left ( +. ) 0.0 fractions /. float_of_int (max 1 (List.length fractions))
   in
-  let avg_cone =
-    List.fold_left ( +. ) 0.0 cone_fractions
-    /. float_of_int (max 1 (List.length cone_fractions))
-  in
+  let cone = avg_cone ~reach ~frozen qs in
+  let same = baseline = pruned in
+  Printf.printf "one warm-up pass, then medians of %d alternating rounds\n" rounds;
   Printf.printf "reach index: %d nodes, %d SCCs, built in %.4f s\n" n_nodes
     (Prospector.Reach.scc_count reach) build_t;
-  Printf.printf "average viable cone: %.1f%% of the graph\n" (100.0 *. avg_cone);
+  Printf.printf "average cone of a target: %.1f%% of the graph\n" (100.0 *. cone);
   Printf.printf "Table 1 workload (%d queries), uncached:\n" nq;
-  Printf.printf "  unpruned: %.4f s    pruned: %.4f s    speedup %.2fx\n" base_t pruned_t
-    (base_t /. pruned_t);
-  Printf.printf "  pruned results identical to unpruned: %b\n" (baseline = pruned);
-  (* The same pruning measurement on a large layered synthetic graph, where
-     the viable cone is a small fraction of the graph and the prune has room
-     to work (the curated graph is small and dense, so its cones are wide
-     and the engine falls back to the unfiltered search there). *)
+  Printf.printf "  no index: %.4f s    with index: %.4f s    ratio %.2fx\n" base_t
+    pruned_t (base_t /. pruned_t);
+  Printf.printf "  results with index identical to without: %b\n" same;
+  (* The same on a large layered synthetic graph, where a target's cone is a
+     small fraction of the graph. Its queries are all solvable too. *)
   let synth_h = Corpusgen.Workload.layered_api ~classes:2000 in
   let synth_g = Sig_graph.build synth_h in
   let synth_qs = Corpusgen.Workload.random_queries synth_h synth_g ~count:40 ~seed:23 in
   let synth_fz = Query.freeze synth_g in
-  let sbase_t, sbase =
-    time_of (fun () ->
-        List.map (fun q -> Query.run ~frozen:synth_fz ~hierarchy:synth_h q) synth_qs)
+  let sbuild_t =
+    median_time ~rounds (fun () -> Prospector.Reach.build_frozen synth_fz)
   in
-  let sbuild_t, synth_reach = time_of (fun () -> Prospector.Reach.build synth_g) in
-  let spruned_t, spruned =
-    time_of (fun () ->
-        List.map
-          (fun q -> Query.run ~reach:synth_reach ~frozen:synth_fz ~hierarchy:synth_h q)
-          synth_qs)
+  let synth_reach = Prospector.Reach.build_frozen synth_fz in
+  let run_all ?reach qs () =
+    List.map (fun q -> Query.run ?reach ~frozen:synth_fz ~hierarchy:synth_h q) qs
+  in
+  let sbase_t, sbase, spruned_t, spruned =
+    ab_medians ~rounds (run_all synth_qs) (run_all ~reach:synth_reach synth_qs)
   in
   let sn = Prospector.Reach.node_count synth_reach in
-  let scones =
-    List.filter_map
-      (fun (q : Query.t) ->
-        Option.map
-          (fun dst ->
-            float_of_int (Prospector.Reach.cone_size synth_reach ~target:dst)
-            /. float_of_int sn)
-          (Prospector.Graph.find_type_node synth_g q.Query.tout))
-      synth_qs
-  in
-  let savg_cone =
-    List.fold_left ( +. ) 0.0 scones /. float_of_int (max 1 (List.length scones))
-  in
+  let savg_cone = avg_cone ~reach:synth_reach ~frozen:synth_fz synth_qs in
+  let ssame = sbase = spruned in
   Printf.printf
-    "synthetic graph (%d nodes, %d queries): average viable cone %.1f%%\n" sn
+    "synthetic graph (%d nodes, %d queries): average cone %.1f%%\n" sn
     (List.length synth_qs) (100.0 *. savg_cone);
   Printf.printf
-    "  unpruned: %.4f s    pruned: %.4f s    speedup %.2fx (index built in %.4f s)\n"
+    "  no index: %.4f s    with index: %.4f s    ratio %.2fx (index built in %.4f s)\n"
     sbase_t spruned_t (sbase_t /. spruned_t) sbuild_t;
-  Printf.printf "  pruned results identical to unpruned: %b\n" (sbase = spruned);
-  (* Unsolvable queries — the common case when exploring an unfamiliar API.
-     Unpruned each costs a full search that finds nothing; the index rejects
-     them with one bitset probe. *)
+  Printf.printf "  results with index identical to without: %b\n" ssame;
+  (* Unsolvable queries — the common case when exploring an unfamiliar API,
+     and the one the index is for. Without it each costs a search that
+     finds nothing; with it, one bitset probe. *)
   let miss_qs = Corpusgen.Workload.random_misses synth_g ~count:40 ~seed:29 in
-  let mbase_t, mbase =
-    time_of (fun () ->
-        List.map (fun q -> Query.run ~frozen:synth_fz ~hierarchy:synth_h q) miss_qs)
+  let mbase_t, mbase, mpruned_t, mpruned =
+    ab_medians ~rounds (run_all miss_qs) (run_all ~reach:synth_reach miss_qs)
   in
-  let mpruned_t, mpruned =
-    time_of (fun () ->
-        List.map
-          (fun q -> Query.run ~reach:synth_reach ~frozen:synth_fz ~hierarchy:synth_h q)
-          miss_qs)
-  in
+  let msame = mbase = mpruned && List.for_all (fun r -> r = []) mpruned in
   Printf.printf "unsolvable queries (%d), O(1) rejection:\n" (List.length miss_qs);
-  Printf.printf "  unpruned: %.4f s    pruned: %.4f s    speedup %.0fx\n" mbase_t
+  Printf.printf "  no index: %.4f s    with index: %.4f s    speedup %.0fx\n" mbase_t
     mpruned_t (mbase_t /. mpruned_t);
-  Printf.printf "  pruned results identical to unpruned (all empty): %b\n"
-    (mbase = mpruned && List.for_all (fun r -> r = []) mpruned);
-  (* The LRU cache: one cold pass, then many warm passes. *)
-  let engine = Query.engine ~graph ~hierarchy () in
-  let cold_t, cold = time_of (fun () -> Query.run_batch engine qs) in
+  Printf.printf "  results with index identical to without (all empty): %b\n" msame;
+  (* The LRU cache: the first pass of a fresh engine (which also builds its
+     index), then many warm passes over one of those engines. *)
+  let engines = List.init rounds (fun _ -> Query.engine ~graph ~hierarchy ()) in
+  let colds = List.map (fun e -> time_of (fun () -> Query.run_batch e qs)) engines in
+  let cold_t = median (List.map fst colds) in
+  let e = List.hd engines in
   let warm_passes = 100 in
-  let warm_total, warm =
-    time_of (fun () ->
-        let last = ref [] in
+  let warm = ref [] in
+  let warm_t =
+    median_time ~rounds (fun () ->
         for _ = 1 to warm_passes do
-          last := Query.run_batch engine qs
-        done;
-        !last)
+          warm := Query.run_batch e qs
+        done)
+    /. float_of_int warm_passes
   in
-  let warm_t = warm_total /. float_of_int warm_passes in
   let speedup = cold_t /. warm_t in
+  let csame =
+    List.map snd !warm = baseline
+    && List.for_all (fun (_, cold) -> List.map snd cold = baseline) colds
+  in
   Printf.printf "cache: cold pass %.4f s; warm pass %.6f s (avg of %d); speedup %.0fx\n"
     cold_t warm_t warm_passes speedup;
-  Printf.printf "  warm results identical to uncached baseline: %b\n"
-    (List.map snd warm = baseline && List.map snd cold = baseline);
-  Printf.printf "  %s\n"
-    (Prospector.Stats.cache_to_string (Query.engine_stats engine));
+  Printf.printf "  warm results identical to uncached baseline: %b\n" csame;
+  Printf.printf "  %s\n" (Prospector.Stats.cache_to_string (Query.engine_stats e));
   let json =
     Printf.sprintf
       "{\n\
@@ -632,11 +647,17 @@ let section_cache () =
        }\n"
       nq base_t pruned_t (base_t /. pruned_t) build_t n_nodes
       (Prospector.Reach.scc_count reach)
-      avg_cone cold_t warm_t warm_passes speedup sn (List.length synth_qs) sbase_t
+      cone cold_t warm_t warm_passes speedup sn (List.length synth_qs) sbase_t
       spruned_t (sbase_t /. spruned_t) sbuild_t savg_cone (List.length miss_qs)
       mbase_t mpruned_t (mbase_t /. mpruned_t)
   in
-  write_bench ~model_methods:(hier_methods hierarchy) "BENCH_cache.json" json
+  write_bench ~model_methods:(hier_methods hierarchy) "BENCH_cache.json" json;
+  if not (same && ssame && msame && csame) then begin
+    prerr_endline
+      "error: cache gate failed (results with the reach index or from the cache \
+       differ from the uncached, index-free baseline)";
+    exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Analyzer: verifier overhead and lint pass timings                   *)

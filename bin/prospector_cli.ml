@@ -627,8 +627,8 @@ let batch_cmd =
   in
   Cmd.v
     (Cmd.info "batch"
-       ~doc:"Answer a file of queries through the cached, reachability-pruned \
-             query engine.")
+       ~doc:"Answer a file of queries through the cached query engine, \
+             which rejects unsolvable queries with its reachability index.")
     Term.(
       const run $ api_files $ corpus_files $ no_mining $ protected_flag $ max_results
       $ slack $ strategy_arg $ ranking_arg $ protocol_arg $ verbose_flag $ file
@@ -961,8 +961,6 @@ module Service = Prospector_server.Service
 module Server = Prospector_server.Server
 module Metrics = Prospector_server.Metrics
 
-let reach_path graph_path = graph_path ^ ".reach"
-
 (* What [serve] builds its engine from: a mutable graph (cold build) or a
    frozen CSR snapshot (warm start — mmapped, so the mutable graph is never
    materialized). *)
@@ -982,13 +980,14 @@ let corpus_sources_for ~api ~corpus =
   | _, files -> List.map (fun f -> (f, read_file f)) files
 
 (* Warm start: when --save-graph names an existing file, load the persisted
-   snapshot (and the reach index, if present) instead of rebuilding from
-   .japi and re-mining the corpus; on a cache miss, build as usual and
-   persist both files for the next start. The snapshot mmaps straight into
-   the engine; anything foreign, truncated or corrupt degrades to the cold
-   build with a warning and the freshly built snapshot overwrites the bad
-   file. The hierarchy itself is always re-parsed — it is the cheap part,
-   and .japi text is the interchange format. *)
+   snapshot instead of rebuilding from .japi and re-mining the corpus; on a
+   cache miss, build as usual and persist the snapshot for the next start.
+   The snapshot mmaps straight into the engine, which builds its reach
+   index from it as a cold start does; anything foreign, truncated or
+   corrupt degrades to the cold build with a warning and the freshly built
+   snapshot overwrites the bad file. The hierarchy itself is always
+   re-parsed — it is the cheap part, and .japi text is the interchange
+   format. *)
 let load_env_for_serve ?pool ~api ~corpus ~mining ~protected_ ~save_graph () =
   let remine hierarchy =
     if not mining then (None, None)
@@ -1017,35 +1016,27 @@ let load_env_for_serve ?pool ~api ~corpus ~mining ~protected_ ~save_graph () =
     let t0 = Unix.gettimeofday () in
     let env = load_env ?pool ~api ~corpus ~mining ~protected_ () in
     let build_dt = Unix.gettimeofday () -. t0 in
-    let reach =
-      match save_graph with
-      | None ->
-          Printf.eprintf "graph: built in %.3f s\n%!" build_dt;
-          None
-      | Some path ->
-          let t1 = Unix.gettimeofday () in
-          let r = Prospector.Reach.build env.graph in
-          (* Persist the v2 CSR snapshot (default cost baking — a mined
-             model is re-baked at load time) so the next start mmaps it. *)
-          ignore (Prospector.Graph.void_node env.graph);
-          let fz = Prospector.Graph.freeze env.graph in
-          let gsize = Prospector.Serialize.save_frozen fz path in
-          let rsize = Prospector.Serialize.save_reach r (reach_path path) in
-          Printf.eprintf
-            "graph: built in %.3f s; saved %d+%d bytes to %s (+.reach) in %.3f s — \
-             next start loads instead\n%!"
-            build_dt gsize rsize path
-            (Unix.gettimeofday () -. t1);
-          Some r
-    in
-    ( {
-        sv_hierarchy = env.hierarchy;
-        sv_base = `Graph env.graph;
-        sv_usage = env.usage;
-        sv_proto = env.proto;
-        sv_corpus = (if mining then corpus_sources_for ~api ~corpus else []);
-      },
-      reach )
+    (match save_graph with
+    | None -> Printf.eprintf "graph: built in %.3f s\n%!" build_dt
+    | Some path ->
+        let t1 = Unix.gettimeofday () in
+        (* Persist the v2 CSR snapshot (default cost baking — a mined
+           model is re-baked at load time) so the next start mmaps it. *)
+        ignore (Prospector.Graph.void_node env.graph);
+        let fz = Prospector.Graph.freeze env.graph in
+        let gsize = Prospector.Serialize.save_frozen fz path in
+        Printf.eprintf
+          "graph: built in %.3f s; saved %d bytes to %s in %.3f s — next start \
+           loads instead\n%!"
+          build_dt gsize path
+          (Unix.gettimeofday () -. t1));
+    {
+      sv_hierarchy = env.hierarchy;
+      sv_base = `Graph env.graph;
+      sv_usage = env.usage;
+      sv_proto = env.proto;
+      sv_corpus = (if mining then corpus_sources_for ~api ~corpus else []);
+    }
   in
   match save_graph with
   | Some path when Sys.file_exists path -> (
@@ -1061,32 +1052,18 @@ let load_env_for_serve ?pool ~api ~corpus ~mining ~protected_ ~save_graph () =
             (Prospector.Serialize.error_message e);
           cold_build ()
       | Ok frozen ->
-          let reach =
-            let rp = reach_path path in
-            if Sys.file_exists rp then
-              match Prospector.Serialize.load_reach_result rp with
-              | Ok r -> Some r
-              | Error e ->
-                  Printf.eprintf "warning: ignoring %s: %s\n%!" rp
-                    (Prospector.Serialize.error_message e);
-                  None
-            else None
-          in
-          let dt = Unix.gettimeofday () -. t0 in
           Printf.eprintf
-            "graph: mmap warm start from %s in %.3f s (reach index %s) — skipped \
-             build + mining\n%!"
-            path dt
-            (match reach with Some _ -> "loaded" | None -> "absent, will rebuild");
+            "graph: mmap warm start from %s in %.3f s — skipped build + mining\n%!"
+            path
+            (Unix.gettimeofday () -. t0);
           let usage, proto = remine hierarchy in
-          ( {
-              sv_hierarchy = hierarchy;
-              sv_base = `Frozen frozen;
-              sv_usage = usage;
-              sv_proto = proto;
-              sv_corpus = (if mining then corpus_sources_for ~api ~corpus else []);
-            },
-            reach ))
+          {
+            sv_hierarchy = hierarchy;
+            sv_base = `Frozen frozen;
+            sv_usage = usage;
+            sv_proto = proto;
+            sv_corpus = (if mining then corpus_sources_for ~api ~corpus else []);
+          })
   | _ -> cold_build ()
 
 let serve_cmd =
@@ -1142,8 +1119,9 @@ let serve_cmd =
     Arg.(
       value & opt (some string) None
       & info [ "save-graph" ] ~docv:"PATH"
-          ~doc:"Persist the built graph and reach index to $(docv) / \
-                $(docv).reach on first start and warm-start from them later.")
+          ~doc:"Persist the built graph to $(docv) on first start and \
+                warm-start from it later (the snapshot is mmapped; the \
+                reachability index is rebuilt from it).")
   in
   let cache_capacity =
     Arg.(
@@ -1186,7 +1164,7 @@ let serve_cmd =
       (fun t -> t >= 0.) session_ttl;
     let pool = pool_of_jobs jobs in
     handle_errors (fun () ->
-        let env, reach =
+        let env =
           load_env_for_serve ~pool ~api ~corpus ~mining:(not no_mining)
             ~protected_ ~save_graph ()
         in
@@ -1199,11 +1177,11 @@ let serve_cmd =
         let engine =
           match env.sv_base with
           | `Graph graph ->
-              Prospector.Query.engine ?reach ~pool ?edge_cost ?protocol_check
-                ~graph ~hierarchy:env.sv_hierarchy ()
+              Prospector.Query.engine ~pool ?edge_cost ?protocol_check ~graph
+                ~hierarchy:env.sv_hierarchy ()
           | `Frozen frozen ->
-              Prospector.Query.engine_of_frozen ?reach ~pool ?edge_cost
-                ?protocol_check ~frozen ~hierarchy:env.sv_hierarchy ()
+              Prospector.Query.engine_of_frozen ~pool ?edge_cost ?protocol_check
+                ~frozen ~hierarchy:env.sv_hierarchy ()
         in
         (* ---- live-reload callbacks (DESIGN §9) ----
            The service applies deltas; what it cannot do without the mining
@@ -1286,17 +1264,11 @@ let serve_cmd =
           | None -> None
           | Some path ->
               Some
-                (fun fz reach ->
+                (fun fz ->
                   try
                     let gsize = Prospector.Serialize.save_frozen fz path in
-                    let rsize =
-                      match reach with
-                      | Some r -> Prospector.Serialize.save_reach r (reach_path path)
-                      | None -> 0
-                    in
-                    Printf.eprintf
-                      "graph: re-saved %d+%d bytes to %s (+.reach) after reload\n%!"
-                      gsize rsize path
+                    Printf.eprintf "graph: re-saved %d bytes to %s after reload\n%!"
+                      gsize path
                   with e ->
                     Printf.eprintf "warning: could not re-save %s: %s\n%!" path
                       (Printexc.to_string e))

@@ -248,32 +248,12 @@ type multi_result = {
   result : result;
 }
 
-(* A reach index only prunes when it describes the snapshot the query
-   reads: the generation captured at freeze time. Anything stale (engine
-   callers never produce this, manual callers might) is ignored rather than
-   risked. *)
+(* A reach index only rejects inputs when it describes the snapshot the
+   query reads: the generation captured at freeze time. Anything stale
+   (engine callers never produce this, manual callers might) is ignored
+   rather than risked. *)
 let current_reach ~gen reach =
   match reach with Some r when Reach.generation r = gen -> Some r | _ -> None
-
-(* Filtering every BFS relaxation costs more than it saves once the viable
-   cone covers most of the graph (on the dense curated graph cones run
-   ~95%), so the prune only engages below this fraction; above it the index
-   still provides the O(1) unsolvable-query rejection. Either way the result
-   set is identical. *)
-let prune_threshold = 0.75
-
-let viable_of ~reach ~target =
-  match reach with
-  | None -> None
-  | Some r -> (
-      match Reach.cone r ~target with
-      | None -> None
-      | Some (cn, size) ->
-          if
-            float_of_int size
-            <= prune_threshold *. float_of_int (Reach.node_count r)
-          then Some cn
-          else None)
 
 (* Per-query execution report: how many candidates the search materialized
    into jungloids (the laziness metric) and whether it stopped at
@@ -301,13 +281,12 @@ let no_info = { candidates = 0; truncated = false; warnings = [] }
    ([Topk.Memo.domain]): the consumer is done with it before [execute]
    returns, so the next search on this domain may take it over. *)
 let best_first_source ~scratch ~settings ~hierarchy ~freevar_cost_of
-    ?edge_cost ?cone fz ~dist_to ~budgets ~target =
+    ?edge_cost fz ~dist_to ~budgets ~target =
   let weighted =
     Option.map
       (fun _ ->
         {
-          Topk.wdist_to =
-            Search.Csr.weighted_distances_to ~scratch ?cone fz ~target;
+          Topk.wdist_to = Search.Csr.weighted_distances_to ~scratch fz ~target;
           edge_wcost = (fun ord _ -> fz.Graph.f_fwd_wcost.(ord));
         })
       edge_cost
@@ -332,11 +311,11 @@ let best_first_source ~scratch ~settings ~hierarchy ~freevar_cost_of
    stable sort keeps full-key ties in enumeration order, which is the order
    Topk certifies them in, so below the path cap the consumer cannot tell
    the two sources apart. *)
-let exhaustive_source ~scratch ~settings ~key_of ?cone fz ~sources ~target =
+let exhaustive_source ~scratch ~settings ~key_of fz ~sources ~target =
   let truncated = ref false in
   let paths =
     Search.Csr.enumerate_per_source ~scratch fz ~sources ~target
-      ~slack:settings.slack ~limit:settings.limit ?cone ~truncated ()
+      ~slack:settings.slack ~limit:settings.limit ~truncated ()
   in
   let rest =
     ref
@@ -455,9 +434,8 @@ let execute ~settings ?reach ?frozen ?verify ?edge_cost ?protocol_check ?graph
         ok)
     && match pfilter with None -> true | Some f -> f j
   in
-  let search ~reach ~target inputs =
-    let cone = viable_of ~reach ~target in
-    let dist_to = Search.Csr.distances_to ~scratch ?cone fz ~target in
+  let search ~target inputs =
+    let dist_to = Search.Csr.distances_to ~scratch fz ~target in
     let budgets =
       List.filter_map
         (fun s ->
@@ -472,13 +450,13 @@ let execute ~settings ?reach ?frozen ?verify ?edge_cost ?protocol_check ?graph
         match strategy with
         | BestFirst ->
             best_first_source ~scratch ~settings ~hierarchy ~freevar_cost_of
-              ?edge_cost ?cone fz ~dist_to ~budgets ~target
+              ?edge_cost fz ~dist_to ~budgets ~target
         | Exhaustive ->
             exhaustive_source ~scratch ~settings
               ~key_of:
                 (Rank.key ~weights:settings.weights ?freevar_cost_of ?edge_cost
                    hierarchy)
-              ?cone fz ~sources:(List.map fst budgets) ~target
+              fz ~sources:(List.map fst budgets) ~target
       in
       (* The key is the source's own: Topk's incremental one, or the
          exhaustive source's [key_of] — both what [Rank.key] computes. *)
@@ -514,7 +492,7 @@ let execute ~settings ?reach ?frozen ?verify ?edge_cost ?protocol_check ?graph
             inputs
         with
         | [] -> ([], no_info)
-        | inputs -> search ~reach ~target inputs)
+        | inputs -> search ~target inputs)
   in
   let results, info = Search.Scratch.with_frame scratch body in
   (* [Warn] never touches the result list: emitted results are vetted after
@@ -588,7 +566,7 @@ let cluster results =
   List.rev_map (fun key -> Hashtbl.find seen key) !order
 
 (* ------------------------------------------------------------------ *)
-(* The query engine: LRU-memoized, reachability-pruned entry points    *)
+(* The query engine: LRU-memoized entry points over one snapshot      *)
 (* ------------------------------------------------------------------ *)
 
 (* Cache keys are flat records compared and hashed structurally. The old
@@ -626,9 +604,8 @@ type engine = {
 }
 
 (* Both public constructors end here, with [frozen] already baked under
-   [edge_cost]. A persisted index (Serialize.load_reach) only counts if it
-   describes this exact snapshot; anything stale is dropped and rebuilt
-   lazily. *)
+   [edge_cost]. A seeded index only counts if it describes this exact
+   snapshot; anything stale is dropped and rebuilt lazily. *)
 let make_engine ~cache_capacity ~prune ?reach ?pool ?edge_cost ?protocol_check
     ~frozen ~hierarchy () =
   let seed =
@@ -650,13 +627,14 @@ let make_engine ~cache_capacity ~prune ?reach ?pool ?edge_cost ?protocol_check
     e_shards = None;
   }
 
-let engine ?(cache_capacity = 256) ?(prune = true) ?reach ?pool ?edge_cost
+let engine ?(cache_capacity = 256) ?(prune = true) ?pool ?edge_cost
     ?protocol_check ~graph ~hierarchy () =
-  make_engine ~cache_capacity ~prune ?reach ?pool ?edge_cost ?protocol_check
+  make_engine ~cache_capacity ~prune ?pool ?edge_cost ?protocol_check
     ~frozen:(freeze ?edge_cost graph) ~hierarchy ()
 
 (* The warm-start constructor. An [edge_cost] model re-bakes the
-   weighted-cost arrays — snapshots persist only the default baking. *)
+   weighted-cost arrays — snapshots persist only the default baking. A
+   [reach] seed is an index the caller already built from [frozen]. *)
 let engine_of_frozen ?(cache_capacity = 256) ?(prune = true) ?reach ?pool
     ?edge_cost ?protocol_check ~frozen ~hierarchy () =
   let frozen =
@@ -690,7 +668,7 @@ let engine_reach e =
 
 (* The package-cone shard plan for the current snapshot, planned on first
    use (shard contents themselves stay lazy inside [Shard.t]). Needs the
-   reach index — without pruning there is no condensation to plan over. *)
+   reach index — with [prune:false] there is no condensation to plan over. *)
 let engine_shards e =
   match e.e_shards with
   | Some s -> s
@@ -728,7 +706,7 @@ let engine_reload ?edge_cost ?protocol_check e (patch : Delta.patch) =
     match e.e_reach with
     | Some r when e.e_prune && patch.Delta.p_mode = Delta.Spliced ->
         Some (Reach.patch ~pool:e.e_pool ~old:r ~touched:patch.Delta.p_touched fz)
-    | _ -> None (* rebuilt lazily on next pruned query *)
+    | _ -> None (* rebuilt lazily on next use *)
   in
   Qcache.clear e.e_single;
   Qcache.clear e.e_multi;
@@ -791,8 +769,9 @@ let run_batch ?(settings = default_settings) ?pool e qs =
       match sub with
       | None -> solve q
       | Some sfz ->
-          (* No reach index for the shard: its whole point is that the
-             sub-graph is close to the target's cone already. *)
+          (* No reach index for the shard: the sub-snapshot numbers its
+             nodes afresh, so the full snapshot's index does not describe
+             it. *)
           run ~settings ~frozen:sfz ?edge_cost:e.e_edge_cost
             ?protocol_check:e.e_protocol_check ~hierarchy:e.e_hierarchy q
     in

@@ -204,12 +204,11 @@ val run :
     per-domain epoch-stamped scratch lanes, so at steady state a query
     allocates nothing proportional to the graph.
 
-    When [?reach] is a {!Reach} index for the snapshot's generation,
-    unsolvable queries are rejected in O(1) and — when [tout]'s
-    reachability cone is a small enough fraction of the graph for filtering
-    to pay — the search frontier is pruned to the cone; the result list is
-    provably identical with and without the index. A stale index is
-    ignored, never misapplied. [?verify] filters unsound chains (see
+    When [?reach] is a {!Reach} index for the snapshot's generation, a
+    query whose [tin] cannot reach [tout] is answered [[]] in O(1), without
+    a search; every other query runs exactly as without the index, so the
+    result list is the same either way. A stale index is ignored, never
+    misapplied. [?verify] filters unsound chains (see
     {!verify}); the cached entry points below never take it, so cached and
     verified results cannot mix.
 
@@ -276,12 +275,13 @@ val run_multi :
 
     A long-lived handle bundling one frozen CSR snapshot, its hierarchy, an
     LRU result cache per query shape (single-source and multi-source), and
-    a lazily built {!Reach} index. The model an engine answers over changes
-    only through {!engine_reload}, which swaps the snapshot and clears both
-    caches; mutating the graph an engine was built from changes nothing the
-    engine sees. Cache keys are [(tin, tout, settings)] (plus the visible
-    variables for the multi-source shape), so cached results are always
-    exactly what the uncached pipeline returns on {!engine_frozen}
+    a {!Reach} index built lazily from that snapshot. The model an engine
+    answers over changes only through {!engine_reload}, which swaps the
+    snapshot and clears both caches; mutating the graph an engine was built
+    from changes nothing the engine sees. Cache keys are
+    [(tin, tout, settings)] (plus the visible variables for the
+    multi-source shape), so cached results are always exactly what the
+    uncached pipeline returns on {!engine_frozen}
     ([test_cache.ml] checks the equivalence over the full Table 1 workload,
     [test_reload.ml] across random reload sequences). *)
 
@@ -290,7 +290,6 @@ type engine
 val engine :
   ?cache_capacity:int ->
   ?prune:bool ->
-  ?reach:Reach.t ->
   ?pool:Prospector_parallel.Pool.t ->
   ?edge_cost:(Elem.t -> int) ->
   ?protocol_check:(Jungloid.t -> string list) ->
@@ -299,18 +298,16 @@ val engine :
   unit ->
   engine
 (** [cache_capacity] (default 256) sizes each of the two internal LRU
-    caches; [prune:false] disables the reach index (the bench uses this to
-    measure the pruning speedup in isolation). [?reach] seeds the engine
-    with a prebuilt index — the warm-start path: a server restart hands the
-    {!Serialize.load_reach} result straight to the engine and skips the
-    closure computation. A seed whose {!Reach.generation} does not match
-    the graph is silently dropped (the engine rebuilds lazily), so a stale
-    cache file can cost time but never correctness. [?pool] (default
-    sequential) is used by {!run_batch} and by the reach-index build; it
-    changes wall-clock only, never results. The engine freezes [graph] once
-    ({!freeze}), keeps only that snapshot, and runs every search on its
-    flat arrays; later mutations of [graph] do not reach it — build a new
-    engine, or {!engine_reload} a {!Delta} patch, to change the model.
+    caches. [prune:false] turns the reach index off: no unsolvable query is
+    rejected before its search, and {!run_batch} plans no shards (the
+    bench uses this to measure the rejection in isolation); answers are
+    the same either way. The index is built from the engine's own snapshot
+    on first use. [?pool] (default sequential) is used by {!run_batch} and
+    by the reach-index build; it changes wall-clock only, never results.
+    The engine freezes [graph] once ({!freeze}), keeps only that snapshot,
+    and runs every search on its flat arrays; later mutations of [graph]
+    do not reach it — build a new engine, or {!engine_reload} a {!Delta}
+    patch, to change the model.
 
     [?edge_cost] installs the mined usage model ({!Mining.Usage.edge_cost}
     in practice) for queries with [settings.ranking = Mined]; the engine's
@@ -339,9 +336,14 @@ val engine_of_frozen :
 (** An engine over an existing CSR snapshot — the mmap warm-start path: a
     server restart hands {!Serialize.load_frozen}'s (possibly mmapped)
     snapshot straight here and starts answering queries without rebuilding
-    anything. {!engine} ends in the same constructor, after freezing.
-    With [?edge_cost] the snapshot's weighted-cost arrays are re-baked
-    under the model ({!Graph.rebake}) so weighted search and the rank layer
+    anything but the reach index, which it builds from this snapshot on
+    first use ({!Reach.build_frozen}; about 18 ms at 100k methods). {!engine}
+    ends in the same constructor, after freezing. [?reach] hands over an
+    index the caller already built from [frozen]; one whose
+    {!Reach.generation} does not match the snapshot is dropped and rebuilt
+    lazily, so a stale seed costs time, never correctness. With
+    [?edge_cost] the snapshot's weighted-cost arrays are re-baked under
+    the model ({!Graph.rebake}) so weighted search and the rank layer
     agree, as in {!engine}. All other parameters behave as in {!engine}. *)
 
 val engine_hierarchy : engine -> Javamodel.Hierarchy.t
@@ -364,9 +366,9 @@ val engine_frozen : engine -> Graph.frozen
 
 val engine_reach : engine -> Reach.t option
 (** The engine's reachability index for {!engine_frozen}, building it on
-    first use; [None] when the engine was created with
-    [prune:false]. Exposed so a server can persist the index it is already
-    using ({!Serialize.save_reach}) instead of computing it twice. *)
+    first use; [None] when the engine was created with [prune:false].
+    Exposed so a server's lock-free readers can pass it as {!run}'s
+    [?reach] alongside the snapshot it indexes. *)
 
 val engine_shards : engine -> Shard.t option
 (** The engine's package-cone shard plan for the current snapshot, planned
@@ -377,7 +379,7 @@ val engine_shards : engine -> Shard.t option
 
 val run_cached : ?settings:settings -> engine -> t -> result list
 (** {!run} through the cache: a hit costs one hash lookup; a miss runs the
-    reachability-pruned pipeline and stores the result. *)
+    pipeline with the engine's reach index and stores the result. *)
 
 val run_batch :
   ?settings:settings ->

@@ -1,8 +1,9 @@
 (* Reachability index: for every node, the bitset of nodes it can reach.
-   Built once per graph generation, it answers "can u ever reach tout?" in
-   O(1), which lets the search restrict its frontier to the query's viable
-   cone instead of the whole graph, and lets the query layer reject
-   unsolvable (tin, tout) pairs without any BFS at all.
+   Built once per snapshot, it answers "can u ever reach tout?" in O(1),
+   which lets the query layer reject unsolvable (tin, tout) pairs without
+   any BFS at all, and gives the shard planner the condensation. It never
+   filters a search: the backward sweep from tout only enters nodes that
+   reach tout, so there is nothing for a cone to remove.
 
    Construction runs an iterative Tarjan SCC pass (the jungloid graph is
    cyclic: widening edges alone create cycles through shared supertypes),
@@ -39,10 +40,6 @@ module Bits = struct
     for k = 0 to Array.length dst - 1 do
       dst.(k) <- dst.(k) lor src.(k)
     done
-
-  let count (b : t) =
-    let rec popcount x acc = if x = 0 then acc else popcount (x lsr 1) (acc + (x land 1)) in
-    Array.fold_left (fun acc w -> popcount w acc) 0 b
 end
 
 type t = {
@@ -278,19 +275,18 @@ let scc_count t = Array.length t.creach
 let components t = t.comp
 
 (* Nodes the index has never seen (created after the build) are conservatively
-   reported reachable: [mem] is a pruning oracle, and "don't prune" is the
+   reported reachable: [mem] is a rejection oracle, and "don't reject" is the
    only safe answer for an unknown node. Engines avoid the situation entirely
-   by rebuilding on generation change. *)
+   by indexing exactly the snapshot they serve. *)
 let mem t ~src ~target =
   if src < 0 || src >= t.n || target < 0 || target >= t.n then true
   else Bits.mem t.creach.(t.comp.(src)) target
 
 (* The cone of a target, flipped component-wise: instead of a per-node
    closure probe (node -> component -> bitset-of-nodes), precompute the set
-   of components that reach the target as a bitset over component ids. The
-   search's viability check then costs two array loads and a mask — no
-   closure call — and building the cone is O(SCCs), not O(nodes), because
-   [csize] carries member counts. *)
+   of components that reach the target as a bitset over component ids. A
+   membership check then costs two array loads and a mask, and building the
+   cone is O(SCCs), not O(nodes), because [csize] carries member counts. *)
 type cone = {
   cone_comp : int array;  (* node -> component id (shared with the index) *)
   cone_bits : Bits.t;  (* component ids that reach the target *)
@@ -311,45 +307,5 @@ let cone t ~target =
     Some ({ cone_comp = t.comp; cone_bits = bits }, !size)
   end
 
-let cone_viable cn =
-  let comp = cn.cone_comp and bits = cn.cone_bits in
-  let n = Array.length comp in
-  fun u -> u < 0 || u >= n || Bits.mem bits comp.(u)
-
 let cone_size t ~target =
   match cone t ~target with None -> t.n | Some (_, size) -> size
-
-let reachable_count t ~src =
-  if src < 0 || src >= t.n then t.n else Bits.count t.creach.(t.comp.(src))
-
-(* ---------- persistence (see Serialize for the framed file format) ---------- *)
-
-type dump = {
-  d_version : int;
-  d_n : int;
-  d_built_at : int;
-  d_comp : int array;
-  d_creach : int array array;
-}
-
-let dump_version = 1
-
-let dump t =
-  {
-    d_version = dump_version;
-    d_n = t.n;
-    d_built_at = t.built_at;
-    d_comp = t.comp;
-    d_creach = t.creach;
-  }
-
-let undump d =
-  if d.d_version <> dump_version then
-    invalid_arg
-      (Printf.sprintf "Reach.undump: index format version %d, expected %d" d.d_version
-         dump_version);
-  (* [csize] is derivable, so the dump format (version 1) doesn't carry it. *)
-  let ncomp = Array.length d.d_creach in
-  let csize = Array.make ncomp 0 in
-  Array.iter (fun c -> csize.(c) <- csize.(c) + 1) d.d_comp;
-  { n = d.d_n; built_at = d.d_built_at; comp = d.d_comp; creach = d.d_creach; csize }

@@ -1,22 +1,23 @@
-(** Precomputed reachability over the jungloid graph — the index behind
-    reachability-pruned search.
+(** Precomputed reachability over the jungloid graph — a rejection oracle.
 
-    A query [(tin, tout)] only ever walks nodes that can still reach [tout];
-    everything else is dead frontier. This module computes, once per graph
-    {!Graph.generation}, the full reachability closure (an SCC condensation
-    followed by one bitset DP), after which [can u reach tout?] is a single
-    bit test. {!Search} consumes it as a {!cone}; {!Query}'s
-    engine builds and rebuilds it transparently; {!Serialize} persists it
-    next to the graph so a server restart skips the closure computation.
+    This module computes, once per {!Graph.frozen} snapshot, the full
+    reachability closure (an SCC condensation followed by one bitset DP),
+    after which [can u reach tout?] is a single bit test. {!Query} uses it
+    for one thing: a query input that cannot reach [tout] is dropped, and a
+    query with no input left is answered [[]] without any search. The
+    engine builds the index from the snapshot it serves, and patches it
+    ({!patch}) across spliced reloads; {!Shard} plans over its
+    condensation.
 
-    Pruning with the {e exact} cone is result-preserving by construction:
-    every path that ends at [tout] lies entirely inside the cone, so the
-    pruned search enumerates exactly the same path set in exactly the same
-    order ([test_reach.ml] checks this property on randomized graphs). *)
+    The index never filters a search. The paper's search (a 0-1 BFS back
+    from [tout], then a DFS pruned by the remaining distance to [tout])
+    already stays inside the set of nodes that reach [tout], so a cone
+    filter on it could never drop a node; {!cone} and {!cone_size} remain
+    for observability (cone fractions in benches and traces). *)
 
 (** Compact bitsets over dense int ids ([Sys.int_size] bits per word).
-    Exposed so hot loops ({!Search.Csr}, {!Shard}) can probe a {!cone}
-    directly instead of going through a closure. *)
+    Exposed so hot loops ({!Search.Csr}, {!Shard}) can probe a {!cone} or
+    a node set directly instead of going through a closure. *)
 module Bits : sig
   type t = int array
 
@@ -39,14 +40,16 @@ val build : ?pool:Prospector_parallel.Pool.t -> Graph.t -> t
     [build_frozen ?pool (Graph.freeze g)]. *)
 
 val build_frozen : ?pool:Prospector_parallel.Pool.t -> Graph.frozen -> t
-(** Build from an existing CSR snapshot (the engine already has one — no
-    point freezing twice). With [?pool], the bitset DP over the SCC
-    condensation fans out level by level: all components whose successors'
-    closures are complete are closed concurrently, one [parallel_for] per
-    level, each returning only after every worker has finished. The result
-    is bit-for-bit identical to the sequential build — each component
-    writes only its own bitset and unions are commutative — so pool size
-    never affects query results. *)
+(** Build from an existing CSR snapshot — the engine's path, cold or warm:
+    a warm start builds the index from the mmapped snapshot (about 1 ms at
+    10k methods and 18 ms at 100k, next to a [.japi] parse of about 0.5 s
+    at 100k), so no index file is kept beside it. With [?pool], the bitset
+    DP over the SCC condensation fans out level by level: all components
+    whose successors' closures are complete are closed concurrently, one
+    [parallel_for] per level, each returning only after every worker has
+    finished. The result is bit-for-bit identical to the sequential build —
+    each component writes only its own bitset and unions are commutative —
+    so pool size never affects query results. *)
 
 val patch :
   ?pool:Prospector_parallel.Pool.t -> old:t -> touched:Bits.t -> Graph.frozen -> t
@@ -77,12 +80,12 @@ val components : t -> int array
 val mem : t -> src:Graph.node -> target:Graph.node -> bool
 (** [mem t ~src ~target] — can [src] reach [target]? Nodes outside the
     indexed range (created after the build) are conservatively reported
-    reachable, so a stale index can only under-prune, never drop results. *)
+    reachable, so a stale index can only fail to reject, never drop
+    results. *)
 
 (** A target's reachability cone in probe form: bit [cone_comp.(u)] of
-    [cone_bits] says whether [u] can reach the target. Two array loads and a
-    mask per check — the allocation-free, closure-free viability test the
-    CSR search inlines per relaxed edge. *)
+    [cone_bits] says whether [u] can reach the target, for
+    [u < Array.length cone_comp]. Two array loads and a mask per check. *)
 type cone = {
   cone_comp : int array;  (** node -> SCC id; shared with the index *)
   cone_bits : Bits.t;  (** over SCC ids: components that reach the target *)
@@ -90,28 +93,9 @@ type cone = {
 
 val cone : t -> target:Graph.node -> (cone * int) option
 (** The cone of [target] together with its node count, in O(SCCs) — the
-    member-count sum replaces the old O(nodes) sweep, which mattered once
-    cones were built per query at 10^5+ nodes. [None] when [target] is
-    outside the indexed range (the caller must then search unpruned). *)
-
-val cone_viable : cone -> Graph.node -> bool
-(** The cone as a predicate (the search filters its sources with it);
-    out-of-range nodes are conservatively viable, matching {!mem}. *)
+    member-count sum replaces an O(nodes) sweep, which matters at 10^5+
+    nodes. [None] when [target] is outside the indexed range. *)
 
 val cone_size : t -> target:Graph.node -> int
-(** Number of nodes that can reach [target] — the pruned search's whole
-    world. The bench reports this against {!node_count} as the pruning
-    ratio. *)
-
-val reachable_count : t -> src:Graph.node -> int
-(** Number of nodes reachable from [src]. *)
-
-(** {2 Persistence} — used by {!Serialize.save_reach} /
-    {!Serialize.load_reach}; the dump is a plain marshalable value. *)
-
-type dump
-
-val dump : t -> dump
-
-val undump : dump -> t
-(** @raise Invalid_argument on a format version mismatch. *)
+(** Number of nodes that can reach [target]. Benches and traces report it
+    against {!node_count} as the cone fraction. *)

@@ -282,9 +282,11 @@ module Csr = struct
     { Dist.d = lane.Scratch.ld; stamp = lane.Scratch.lstamp; epoch = lane.Scratch.lepoch }
 
   (* Shared 0-1 BFS core over one direction of the CSR: [off]/[adj]/[cost]
-     are either the forward or the backward lanes. The viability check is
-     the cone's bitset probed inline — two array loads per relaxed edge, no
-     closure call. *)
+     are either the forward or the backward lanes. A [cone] filter is the
+     cone's bitset probed inline; a node the cone's index never saw (past
+     [Array.length comp], as in a snapshot that grew after the index was
+     built) is viable, as {!Reach.mem} reports it. Without a cone [comp] is
+     empty, so every node passes the same test. *)
   let bfs_into (lane : Scratch.lane) dq n ~starts ~(off : Graph.int_array1)
       ~(fin : Graph.int_array1) ~(adj : Graph.int_array1)
       ~(cost : Graph.cost_array1) ~cone =
@@ -296,7 +298,7 @@ module Csr = struct
       | Some c -> (c.Reach.cone_comp, c.Reach.cone_bits)
       | None -> ([||], [||])
     in
-    let pruned = Array.length comp > 0 in
+    let indexed = Array.length comp in
     List.iter
       (fun s ->
         if s >= 0 && s < n && (stamp.(s) <> epoch || dist.(s) > 0) then begin
@@ -324,8 +326,7 @@ module Csr = struct
             in
             if
               d < dv
-              && ((not pruned)
-                 || Reach.Bits.mem cbits (Array.unsafe_get comp v))
+              && (v >= indexed || Reach.Bits.mem cbits (Array.unsafe_get comp v))
             then begin
               Array.unsafe_set dist v d;
               Array.unsafe_set stamp v epoch;
@@ -336,7 +337,7 @@ module Csr = struct
       end
     done
 
-  let bfs ?scratch n ~starts ~off ~fin ~adj ~cost ~cone =
+  let bfs ?scratch ?cone n ~starts ~off ~fin ~adj ~cost =
     let lane = lane_of scratch n in
     let dq =
       match scratch with Some s -> Scratch.take_dq s | None -> Ideque.create ()
@@ -346,48 +347,33 @@ module Csr = struct
     dist_of lane
 
   let distances_to ?scratch ?cone fz ~target =
-    bfs ?scratch fz.Graph.f_nodes ~starts:[ target ] ~off:fz.Graph.f_bwd_off
+    bfs ?scratch ?cone fz.Graph.f_nodes ~starts:[ target ] ~off:fz.Graph.f_bwd_off
       ~fin:fz.Graph.f_bwd_end ~adj:fz.Graph.f_bwd_src ~cost:fz.Graph.f_bwd_cost
-      ~cone
 
   (* Weighted (mined) distances to the target, over the baked-in
      [f_bwd_wcost] — the backward rows carry no [edge], so the cost model
      must have been supplied at freeze time. *)
-  let weighted_distances_to ?scratch ?cone fz ~target =
+  let weighted_distances_to ?scratch fz ~target =
     let off = fz.Graph.f_bwd_off in
     let fin = fz.Graph.f_bwd_end in
     let adj = fz.Graph.f_bwd_src in
     let wcost = fz.Graph.f_bwd_wcost in
     let n = fz.Graph.f_nodes in
-    let comp, cbits =
-      match (cone : Reach.cone option) with
-      | Some c -> (c.Reach.cone_comp, c.Reach.cone_bits)
-      | None -> ([||], [||])
-    in
-    let pruned = Array.length comp > 0 in
     let lane = lane_of scratch n in
     dijkstra_into lane n ~starts:[ target ] ~next:(fun u f ->
         for k = off.{u} to fin.{u} - 1 do
-          let v = adj.{k} in
-          if (not pruned) || Reach.Bits.mem cbits comp.(v) then f wcost.(k) v
+          f wcost.(k) adj.{k}
         done);
     dist_of lane
 
-  let distances_from ?scratch ?cone fz ~sources =
+  let distances_from ?scratch fz ~sources =
     bfs ?scratch fz.Graph.f_nodes ~starts:sources ~off:fz.Graph.f_fwd_off
       ~fin:fz.Graph.f_fwd_end ~adj:fz.Graph.f_fwd_dst ~cost:fz.Graph.f_fwd_cost
-      ~cone
 
-  let shortest_cost ?scratch ?cone fz ~sources ~target =
-    let sources =
-      match cone with
-      | None -> sources
-      | Some c -> List.filter (Reach.cone_viable c) sources
-    in
-    if sources = [] then None
-    else
-      let dist = distances_from ?scratch ?cone fz ~sources in
-      match Dist.get dist target with d when d < max_int -> Some d | _ -> None
+  let shortest_cost ?scratch fz ~sources ~target =
+    match Dist.get (distances_from ?scratch fz ~sources) target with
+    | d when d < max_int -> Some d
+    | _ -> None
 
   (* The DFS core: enumerate acyclic paths from [source] to [target] of cost
      at most [budget], pruning with the precomputed backward distances. The
@@ -442,10 +428,10 @@ module Csr = struct
     end
 
   let enumerate_per_source ?scratch fz ~sources ~target ?(slack = 1) ?(limit = 4096)
-      ?cone ?truncated () =
+      ?truncated () =
     if target >= fz.Graph.f_nodes then []
     else
-      let dist_to = distances_to ?scratch ?cone fz ~target in
+      let dist_to = distances_to ?scratch fz ~target in
       let n = fz.Graph.f_nodes in
       let on_path = lane_of scratch n in
       let results = ref [] in

@@ -83,13 +83,11 @@ val path_cost : path -> int
     keep {!Graph.succs} order, so the enumeration order is the adjacency
     order of the graph the snapshot was taken from.
 
-    The [?cone] argument of every function here is a pruning oracle,
-    normally {!Reach.cone} for the query's target: nodes outside it are
-    never entered, shrinking the BFS frontier to the target's reachability
-    cone. With the exact cone the prune is result-preserving — every path
-    that reaches the target lies inside the cone — so all distances and
-    enumerations relevant to the target are unchanged. [test/naive.ml] is
-    the reference these kernels are checked against.
+    No kernel here needs a reachability filter: a backward sweep from the
+    target only ever enters nodes that can reach it, and the path DFS only
+    follows edges whose head has a finite distance to the target, so
+    neither can leave the target's cone. [test/naive.ml] is the reference
+    these kernels are checked against.
 
     These functions never touch the originating mutable graph, so they are
     safe to call from many domains sharing one snapshot (each domain using
@@ -103,11 +101,16 @@ module Csr : sig
     target:Graph.node ->
     Dist.t
   (** Cost of the cheapest path from each node to [target]; [max_int] when
-      unreachable. *)
+      unreachable. [?cone] ({!Reach.cone} of [target]) skips every node
+      outside it. With the cone of this snapshot's own index that changes
+      nothing, since the backward sweep never enters such a node anyway. A
+      node past the cone's index (a snapshot that grew after the index was
+      built) is never skipped, as {!Reach.mem} reports it reachable. No
+      program path passes a cone; only [perfbench/]'s per-layer trace
+      does. *)
 
   val distances_from :
     ?scratch:Scratch.t ->
-    ?cone:Reach.cone ->
     Graph.frozen ->
     sources:Graph.node list ->
     Dist.t
@@ -115,7 +118,6 @@ module Csr : sig
 
   val weighted_distances_to :
     ?scratch:Scratch.t ->
-    ?cone:Reach.cone ->
     Graph.frozen ->
     target:Graph.node ->
     Dist.t
@@ -127,7 +129,6 @@ module Csr : sig
 
   val shortest_cost :
     ?scratch:Scratch.t ->
-    ?cone:Reach.cone ->
     Graph.frozen ->
     sources:Graph.node list ->
     target:Graph.node ->
@@ -141,7 +142,6 @@ module Csr : sig
     target:Graph.node ->
     ?slack:int ->
     ?limit:int ->
-    ?cone:Reach.cone ->
     ?truncated:bool ref ->
     unit ->
     path list

@@ -1,7 +1,5 @@
 module Jtype = Javamodel.Jtype
 
-exception Format_error of string
-
 type error =
   | Io of string
   | Bad_magic of string
@@ -25,10 +23,6 @@ let marshal_from_bytes b ofs =
   | Invalid_argument msg -> Error (Corrupt msg)
   | End_of_file -> Error (Corrupt "truncated")
 
-let raise_error = function
-  | Io msg -> raise (Sys_error msg)
-  | e -> raise (Format_error (error_message e))
-
 (* Every save writes a temp file and renames it over [path]. Truncating the
    target in place would pull the pages out from under a process that has
    the old file mmapped ([load_frozen]) — the serving daemon re-saves to
@@ -47,58 +41,6 @@ let atomic_write path f =
       close_out_noerr oc;
       (try Sys.remove tmp with Sys_error _ -> ());
       raise e
-
-let read_bytes_from path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      let b = Bytes.create len in
-      really_input ic b 0 len;
-      b)
-
-let read_bytes_result path =
-  match read_bytes_from path with
-  | b -> Ok b
-  | exception Sys_error msg -> Error (Io msg)
-  | exception End_of_file -> Error (Corrupt "truncated")
-
-(* ---------- the reachability index ---------- *)
-
-let reach_magic = "PROSPECTOR-REACH"
-
-let reach_to_bytes r =
-  let payload = Marshal.to_bytes (Reach.dump r) [] in
-  Bytes.cat (Bytes.of_string reach_magic) payload
-
-let reach_of_bytes_result b =
-  let mlen = String.length reach_magic in
-  if Bytes.length b < mlen then Error (Bad_magic (Bytes.to_string b))
-  else if Bytes.sub_string b 0 mlen <> reach_magic then
-    Error (Bad_magic (Bytes.sub_string b 0 mlen))
-  else
-    match marshal_from_bytes b mlen with
-    | Error _ as e -> e
-    | Ok (d : Reach.dump) -> (
-        try Ok (Reach.undump d) with Invalid_argument msg -> Error (Corrupt msg))
-
-let reach_of_bytes b =
-  match reach_of_bytes_result b with Ok r -> r | Error e -> raise_error e
-
-let save_reach r path =
-  let b = reach_to_bytes r in
-  atomic_write path (fun oc ->
-      output_bytes oc b;
-      Bytes.length b)
-
-let load_reach_result path =
-  match read_bytes_result path with
-  | Error _ as e -> e
-  | Ok b -> reach_of_bytes_result b
-
-let load_reach path =
-  match load_reach_result path with Ok r -> r | Error e -> raise_error e
 
 (* ---------- frozen CSR snapshots (v2, mmap-ready) ---------- *)
 

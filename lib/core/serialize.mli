@@ -8,9 +8,9 @@
     they are a cache, not an interchange format (the interchange format is
     [.japi] text, which {!Japi.Printer} round-trips). Every save writes a
     temp file and renames it over the target, so a process that has the
-    old file mapped keeps reading it intact. *)
-
-exception Format_error of string
+    old file mapped keeps reading it intact. There is no second file: a
+    warm start rebuilds the {!Reach} index from the loaded snapshot
+    ({!Reach.build_frozen}, about 18 ms at 100k methods). *)
 
 (** Why a cache file could not be loaded. Loaders classify every failure —
     missing file, short read, foreign file, version skew, garbled Marshal
@@ -51,24 +51,3 @@ val load_frozen : ?mmap:bool -> string -> (Graph.frozen, error) result
     bounds are validated {e before} mapping, so a truncated file is a
     [Corrupt] error, never a [SIGBUS]. Any file that is not a v2 snapshot
     (including the retired v1 Marshal graph format) reports [Bad_magic]. *)
-
-(** {2 Reachability index}
-
-    The {!Reach} index is a pure function of the graph, so it is persisted
-    beside the graph as a second cache file: a server restart loads both and
-    skips the closure computation. {!Reach.generation} survives the round
-    trip, so the usual generation check still guards against pairing a stale
-    index with a newer graph. *)
-
-val save_reach : Reach.t -> string -> int
-(** [save_reach r path] writes the index and returns the byte size. *)
-
-val load_reach_result : string -> (Reach.t, error) result
-
-val load_reach : string -> Reach.t
-(** @raise Format_error on a missing/garbled header or version mismatch.
-    @raise Sys_error on I/O failure. *)
-
-val reach_to_bytes : Reach.t -> bytes
-
-val reach_of_bytes : bytes -> Reach.t

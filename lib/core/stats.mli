@@ -1,7 +1,7 @@
 (** Graph statistics for the Section 5 performance measurements: node and
-    edge counts by kind, and an estimate of in-memory size (the paper
-    reports 24 MB for J2SE + Eclipse; our curated subset is smaller, the
-    bench reports the analogous figure). *)
+    edge counts by kind. The paper's in-memory size (24 MB for J2SE +
+    Eclipse) has its analogue in [bench perf]'s exact signature-graph heap
+    line, not here. *)
 
 type t = {
   nodes : int;
@@ -12,13 +12,13 @@ type t = {
   downcast_edges : int;
   call_edges : int;
   field_edges : int;
-  approx_bytes : int;
 }
 
 val of_graph : Graph.t -> t
+(** [of_frozen (Graph.freeze g)]. *)
 
 val of_frozen : Graph.frozen -> t
-(** Same figures from a CSR snapshot, without touching the mutable graph —
+(** The figures of a CSR snapshot, without touching the mutable graph —
     what the server's lock-free stats op uses. *)
 
 val pp : Format.formatter -> t -> unit

@@ -155,8 +155,7 @@ val start :
     and [edge_slots] the length of the snapshot's edge table (every [ord]
     is below it); per-edge rank contributions are memoized once per edge.
     [dist_to] are exact backward 0-1-BFS distances to [target] ([max_int] =
-    unreachable); pruned distances are fine as long as the pruning is
-    cone-exact, which keeps the priority admissible and consistent.
+    unreachable), which keeps the priority admissible and consistent.
     [sources] pairs each source node with its cost budget
     (shortest-cost + slack — per source, as {!Search.Csr.enumerate_per_source}
     budgets them); a node must appear at most once. [limit] caps completed

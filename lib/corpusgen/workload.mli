@@ -6,8 +6,8 @@ val scaling_api : classes:int -> Javamodel.Hierarchy.t
 val layered_api : classes:int -> Javamodel.Hierarchy.t
 (** Like {!scaling_api} but stratified: 32 packages, locality 0.9, so type
     references mostly stay inside a package or point at lower layers.
-    Reachability cones are narrow — the shape {!Prospector.Reach} pruning is
-    designed for. *)
+    Reachability cones are narrow, so most (tin, tout) pairs are unsolvable
+    and {!Prospector.Reach} rejects them. *)
 
 val mega_api : methods:int -> Javamodel.Hierarchy.t
 (** {!Apigen.mega} at the default seed: ~[methods] methods with heavy-tailed

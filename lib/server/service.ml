@@ -84,7 +84,7 @@ type t = {
       (* the cold enriched build the server would do at startup, from a
          patched hierarchy; used in place of [Delta]'s signature-only
          rebuild so mined (spliced) nodes and edges survive a reload *)
-  reload_hook : (Graph.frozen -> Prospector.Reach.t option -> unit) option;
+  reload_hook : (Graph.frozen -> unit) option;
       (* called after each successful reload with the published snapshot
          (re-persistence for [--save-graph]); must not raise *)
   reloads : int Atomic.t;
@@ -555,7 +555,7 @@ let reload_locked t ~id ~japi ~remove ~corpus =
               Metrics.set_gauge t.mets "graph_generation" s.s_gen;
               Metrics.set_gauge t.mets "reloads_applied" n;
               (match t.reload_hook with
-              | Some hook -> hook s.s_frozen s.s_reach
+              | Some hook -> hook s.s_frozen
               | None -> ());
               Proto.ok_response ~id ~op:"reload"
                 [

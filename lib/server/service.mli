@@ -52,7 +52,7 @@ val create :
   ?graph_config:Prospector.Sig_graph.config ->
   ?remodel:(Javamodel.Hierarchy.t -> string -> (remodel, string) result) ->
   ?rebuild:(Javamodel.Hierarchy.t -> Prospector.Graph.frozen) ->
-  ?reload_hook:(Prospector.Graph.frozen -> Prospector.Reach.t option -> unit) ->
+  ?reload_hook:(Prospector.Graph.frozen -> unit) ->
   ?deadline_s:float ->
   ?session_ttl_s:float ->
   engine:Prospector.Query.engine ->
@@ -80,8 +80,9 @@ val create :
     a reload and a structural reload builds one graph. Every corpus delta
     takes it too, after the models are re-derived, since new examples
     cannot be row-spliced. [reload_hook] runs after each
-    successful reload with the newly published snapshot (the [--save-graph]
-    re-persistence point); it must not raise.
+    successful reload with the newly published CSR snapshot (the
+    [--save-graph] re-persistence point; the reach index is not persisted,
+    a warm start rebuilds it from the snapshot); it must not raise.
 
     [deadline_s] is the per-request deadline: a
     request whose execution exceeds it gets a [timeout] error reply instead

@@ -331,7 +331,8 @@ let test_stats () =
     (s.Prospector.Stats.edges
     = s.Prospector.Stats.widen_edges + s.Prospector.Stats.call_edges
       + s.Prospector.Stats.field_edges + s.Prospector.Stats.downcast_edges);
-  check_bool "memory positive" true (s.Prospector.Stats.approx_bytes > 0)
+  check_int "nodes = the builder's" (Graph.node_count g) s.Prospector.Stats.nodes;
+  check_int "edges = the builder's" (Graph.edge_count g) s.Prospector.Stats.edges
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
