@@ -121,11 +121,10 @@ bench-proto: build
 	dune exec bench/main.exe -- proto
 
 # Regenerates BENCH_scale.json (mega-world generation, search-kernel and
-# end-to-end query times, package-cone sharded batch vs the sequential
-# oracle, and mmap vs read-into-memory warm-start times, at 10k/100k
-# methods by default — BENCH_SCALE_SIZES=10000,100000,1000000 adds the
-# million-method row). The section exits nonzero on any shard/mmap
-# identity divergence, on a two-job batch that routes no query to a shard,
+# end-to-end query times, and package-cone sharded batch vs the sequential
+# oracle, at 10k/100k methods by default —
+# BENCH_SCALE_SIZES=10000,100000,1000000 adds the million-method row).
+# The section exits nonzero on any shard identity divergence, on a two-job batch that routes no query to a shard,
 # when run_batch at jobs = 2 on the 100k world allocates more than 1024
 # words per query straight into the major heap (parked pool workers keep
 # their search workspaces), or when the graph builder keeps more than 20

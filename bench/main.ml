@@ -118,19 +118,7 @@ let section_perf () =
     time_of (fun () -> Mining.Enrich.enrich graph (Apidata.Api.program ()))
   in
   Printf.printf "corpus mining + enrichment:              %.4f s\n" mine_t;
-  (* the paper's on-disk graph: 8 MB, loaded in 1.5 s. The snapshot is read
-     whole into memory (no mmap), as the paper's load was. *)
   let frozen = Query.freeze graph in
-  let path = Filename.temp_file "prospector" ".froz" in
-  let save_t, size =
-    time_of (fun () -> Prospector.Serialize.save_frozen frozen path)
-  in
-  let load_graph_t, _ =
-    time_of (fun () -> Prospector.Serialize.load_frozen ~mmap:false path)
-  in
-  Sys.remove path;
-  Printf.printf "graph on disk: %d KiB, saved in %.4f s, loaded in %.4f s (paper: 8 MB, 1.5 s)\n"
-    (size / 1024) save_t load_graph_t;
   Printf.printf "\n%s\n" (Stats.to_string (Stats.of_graph graph));
   let times_curated =
     List.map
@@ -1686,7 +1674,7 @@ let section_micro () =
     (List.sort compare rows)
 
 (* ------------------------------------------------------------------ *)
-(* Million-method scale: mega worlds, shards, mmap warm starts         *)
+(* Million-method scale: mega worlds, shards, search kernels           *)
 (* ------------------------------------------------------------------ *)
 
 (* [run_batch]'s routing rule: a query goes to its target's shard when the
@@ -1787,7 +1775,7 @@ let sample_solvable ?(distinct = false) ~seed ~count g reach =
   done;
   List.rev !acc
 
-(* Gates `make check` at reduced sizes (10k/100k): a shard or mmap identity
+(* Gates `make check` at reduced sizes (10k/100k): a shard identity
    divergence, a batch that routes no query to a shard, the parked-pool gate
    above (100k row) or the builder's words per edge over its limit exits
    nonzero. The full million-method row is opt-in:
@@ -1799,7 +1787,7 @@ let sample_solvable ?(distinct = false) ~seed ~count g reach =
    (which routes through reach) falls back to the whole snapshot there; the
    identity checks still run, the routing and parked-pool gates do not. *)
 let section_scale () =
-  rule "Million-method scale — mega worlds, shards, mmap warm starts";
+  rule "Million-method scale — mega worlds, shards, search kernels";
   let sizes =
     match Sys.getenv_opt "BENCH_SCALE_SIZES" with
     | None -> [ 10_000; 100_000 ]
@@ -1923,28 +1911,6 @@ let section_scale () =
           failed := true
         end)
       pool_words;
-    (* Warm start: mmap vs reading the segments into memory. *)
-    let froz_path = Filename.temp_file "prospector_scale" ".froz" in
-    let _, froz_bytes =
-      time_of (fun () -> Prospector.Serialize.save_frozen frozen froz_path)
-    in
-    let load_frozen_exn ~mmap =
-      match Prospector.Serialize.load_frozen ~mmap froz_path with
-      | Ok fz -> fz
-      | Error e -> failwith (Prospector.Serialize.error_message e)
-    in
-    let mmap_t, mmap_fz = time_of (fun () -> load_frozen_exn ~mmap:true) in
-    let read_t, read_fz = time_of (fun () -> load_frozen_exn ~mmap:false) in
-    Sys.remove froz_path;
-    let run_on fz =
-      List.map (fun q -> Query.run ~frozen:fz ~hierarchy:h q) qs
-    in
-    let mmap_identical =
-      run_on mmap_fz = query_rs && run_on read_fz = query_rs
-    in
-    Printf.printf "  warm start: mmap %.4f s, raw read %.4f s, identical %b\n%!"
-      mmap_t read_t mmap_identical;
-    if not mmap_identical then failed := true;
     Printf.sprintf
       "    {\n\
       \      \"methods\": %d,\n\
@@ -1964,18 +1930,13 @@ let section_scale () =
       \      \"shards\": %d,\n\
       \      \"routed\": %d,\n\
       \      \"shard_identical\": %b,\n\
-      \      \"pool_major_words_per_query\": %s,\n\
-      \      \"frozen_bytes\": %d,\n\
-      \      \"warm_mmap_s\": %.5f,\n\
-      \      \"warm_read_s\": %.5f,\n\
-      \      \"mmap_identical\": %b\n\
+      \      \"pool_major_words_per_query\": %s\n\
       \    }"
       methods nodes edges gen_t build_t
       (match builder_words with Some w -> Printf.sprintf "%.2f" w | None -> "null")
       freeze_t reach_t nq passes kern_t
       query_t batch_t qps shard_count routed shard_identical
       (match pool_words with Some w -> Printf.sprintf "%.1f" w | None -> "null")
-      froz_bytes mmap_t read_t mmap_identical
   in
   let rows = List.map measure sizes in
   let json =
@@ -1985,9 +1946,9 @@ let section_scale () =
     json;
   if !failed then begin
     prerr_endline
-      "error: scale gate failed (shard or mmap identity divergence, no query \
-       routed to a shard, the pool's major-heap words or the builder's words \
-       per edge over the limit)";
+      "error: scale gate failed (shard identity divergence, no query routed \
+       to a shard, the pool's major-heap words or the builder's words per \
+       edge over the limit)";
     exit 1
   end
 

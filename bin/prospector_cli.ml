@@ -104,6 +104,10 @@ type env = {
       (* mined usage model, present whenever corpus mining ran *)
   proto : Analysis.Protocol.model option;
       (* mined typestate model, present whenever corpus mining ran *)
+  mined_corpus : (string * string) list;
+      (* the corpus sources mining read, kept so [serve]'s live reload can
+         re-enrich a rebuilt graph and re-mine the protocol model; [] when
+         not mining *)
 }
 
 let load_env ?pool ~api ~corpus ~mining ~protected_ () =
@@ -131,7 +135,13 @@ let load_env ?pool ~api ~corpus ~mining ~protected_ () =
          graph prog);
     proto := Some (Mining.Protomine.mine prog)
   end;
-  { hierarchy; graph; usage = !usage; proto = !proto }
+  {
+    hierarchy;
+    graph;
+    usage = !usage;
+    proto = !proto;
+    mined_corpus = (if mining then corpus_sources else []);
+  }
 
 let strategy_arg =
   Arg.(
@@ -203,7 +213,7 @@ let settings ~max_results ~slack ~strategy ~ranking ~protocol =
   }
 
 (* The usage model as the [?edge_cost] the query layer consumes; [None]
-   (mining disabled, or a warm start without corpus sources) makes [Mined]
+   (mining disabled, or no corpus sources) makes [Mined]
    requests fall back to [Paper] with a logged warning (the query layer
    reports configuration fallbacks at warning level, which the CLI shows
    by default). *)
@@ -951,120 +961,15 @@ let lint_cmd =
 
 (* ---------- serve ---------- *)
 
-(* The daemon: load (or warm-start) the engine once, then answer query
-   traffic over newline-delimited JSON — the deployment shape the ROADMAP's
-   "heavy traffic" north star asks for. See DESIGN.md "Server architecture"
-   for the protocol grammar and the locking model. *)
+(* The daemon: load the engine once, then answer query traffic over
+   newline-delimited JSON — the deployment shape the ROADMAP's "heavy
+   traffic" north star asks for. See DESIGN.md "Server architecture" for
+   the protocol grammar and the locking model. *)
 
 module Proto = Prospector_server.Proto
 module Service = Prospector_server.Service
 module Server = Prospector_server.Server
 module Metrics = Prospector_server.Metrics
-
-(* What [serve] builds its engine from: a mutable graph (cold build) or a
-   frozen CSR snapshot (warm start — mmapped, so the mutable graph is never
-   materialized). *)
-type serve_env = {
-  sv_hierarchy : Javamodel.Hierarchy.t;
-  sv_base : [ `Graph of Prospector.Graph.t | `Frozen of Prospector.Graph.frozen ];
-  sv_usage : Mining.Usage.t option;
-  sv_proto : Analysis.Protocol.model option;
-  sv_corpus : (string * string) list;
-      (* the mined corpus sources, kept so live reload can re-enrich a
-         rebuilt graph and re-mine the protocol model; [] when not mining *)
-}
-
-let corpus_sources_for ~api ~corpus =
-  match (api, corpus) with
-  | [], [] -> Apidata.Api.corpus_sources
-  | _, files -> List.map (fun f -> (f, read_file f)) files
-
-(* Warm start: when --save-graph names an existing file, load the persisted
-   snapshot instead of rebuilding from .japi and re-mining the corpus; on a
-   cache miss, build as usual and persist the snapshot for the next start.
-   The snapshot mmaps straight into the engine, which builds its reach
-   index from it as a cold start does; anything foreign, truncated or
-   corrupt degrades to the cold build with a warning and the freshly built
-   snapshot overwrites the bad file. The hierarchy itself is always
-   re-parsed — it is the cheap part, and .japi text is the interchange
-   format. *)
-let load_env_for_serve ?pool ~api ~corpus ~mining ~protected_ ~save_graph () =
-  let remine hierarchy =
-    if not mining then (None, None)
-    else
-      (* The persisted snapshot already contains the spliced examples, but
-         the usage and protocol models cannot be read back off it —
-         re-extract them from the corpus sources (no graph mutation, so the
-         loaded snapshot stays exactly what was saved). *)
-      let corpus_sources = corpus_sources_for ~api ~corpus in
-      if corpus_sources = [] then (None, None)
-      else begin
-        let t1 = Unix.gettimeofday () in
-        let prog = Minijava.Resolve.parse_program ~api:hierarchy corpus_sources in
-        let m =
-          Mining.Usage.of_examples
-            (Mining.Enrich.examples ~include_protected:protected_ ?pool prog)
-        in
-        let p = Mining.Protomine.mine prog in
-        Printf.eprintf "usage model: re-mined in %.3f s (%d occurrences)\n%!"
-          (Unix.gettimeofday () -. t1)
-          (Mining.Usage.total m);
-        (Some m, Some p)
-      end
-  in
-  let cold_build () =
-    let t0 = Unix.gettimeofday () in
-    let env = load_env ?pool ~api ~corpus ~mining ~protected_ () in
-    let build_dt = Unix.gettimeofday () -. t0 in
-    (match save_graph with
-    | None -> Printf.eprintf "graph: built in %.3f s\n%!" build_dt
-    | Some path ->
-        let t1 = Unix.gettimeofday () in
-        (* Persist the v2 CSR snapshot (default cost baking — a mined
-           model is re-baked at load time) so the next start mmaps it. *)
-        ignore (Prospector.Graph.void_node env.graph);
-        let fz = Prospector.Graph.freeze env.graph in
-        let gsize = Prospector.Serialize.save_frozen fz path in
-        Printf.eprintf
-          "graph: built in %.3f s; saved %d bytes to %s in %.3f s — next start \
-           loads instead\n%!"
-          build_dt gsize path
-          (Unix.gettimeofday () -. t1));
-    {
-      sv_hierarchy = env.hierarchy;
-      sv_base = `Graph env.graph;
-      sv_usage = env.usage;
-      sv_proto = env.proto;
-      sv_corpus = (if mining then corpus_sources_for ~api ~corpus else []);
-    }
-  in
-  match save_graph with
-  | Some path when Sys.file_exists path -> (
-      let hierarchy =
-        match api with
-        | [] -> Apidata.Api.hierarchy ()
-        | files -> Japi.Loader.load_files (List.map (fun f -> (f, read_file f)) files)
-      in
-      let t0 = Unix.gettimeofday () in
-      match Prospector.Serialize.load_frozen path with
-      | Error e ->
-          Printf.eprintf "warning: ignoring %s: %s — rebuilding\n%!" path
-            (Prospector.Serialize.error_message e);
-          cold_build ()
-      | Ok frozen ->
-          Printf.eprintf
-            "graph: mmap warm start from %s in %.3f s — skipped build + mining\n%!"
-            path
-            (Unix.gettimeofday () -. t0);
-          let usage, proto = remine hierarchy in
-          {
-            sv_hierarchy = hierarchy;
-            sv_base = `Frozen frozen;
-            sv_usage = usage;
-            sv_proto = proto;
-            sv_corpus = (if mining then corpus_sources_for ~api ~corpus else []);
-          })
-  | _ -> cold_build ()
 
 let serve_cmd =
   let host =
@@ -1115,14 +1020,6 @@ let serve_cmd =
           ~doc:"Serve one request line per stdin line instead of TCP (editor \
                 integration).")
   in
-  let save_graph =
-    Arg.(
-      value & opt (some string) None
-      & info [ "save-graph" ] ~docv:"PATH"
-          ~doc:"Persist the built graph to $(docv) on first start and \
-                warm-start from it later (the snapshot is mmapped; the \
-                reachability index is rebuilt from it).")
-  in
   let cache_capacity =
     Arg.(
       value & opt int 256
@@ -1149,8 +1046,7 @@ let serve_cmd =
   in
   let run api corpus no_mining protected_ max_results slack strategy ranking
       protocol verbose host port port_file workers max_request_bytes
-      max_connections deadline stdio save_graph cache_capacity session_ttl
-      watch jobs =
+      max_connections deadline stdio cache_capacity session_ttl watch jobs =
     setup_logs verbose;
     check_at_least "cache-capacity" 1 cache_capacity;
     check_at_least "workers" 1 workers;
@@ -1164,24 +1060,13 @@ let serve_cmd =
       (fun t -> t >= 0.) session_ttl;
     let pool = pool_of_jobs jobs in
     handle_errors (fun () ->
-        let env =
-          load_env_for_serve ~pool ~api ~corpus ~mining:(not no_mining)
-            ~protected_ ~save_graph ()
-        in
-        let edge_cost = Option.map Mining.Usage.edge_cost env.sv_usage in
-        let protocol_check =
-          Option.map
-            (fun m j -> Analysis.Protolint.violations m j)
-            env.sv_proto
-        in
+        let t0 = Unix.gettimeofday () in
+        let env = load_env ~pool ~api ~corpus ~mining:(not no_mining) ~protected_ () in
+        Printf.eprintf "graph: built in %.3f s\n%!" (Unix.gettimeofday () -. t0);
         let engine =
-          match env.sv_base with
-          | `Graph graph ->
-              Prospector.Query.engine ~pool ?edge_cost ?protocol_check ~graph
-                ~hierarchy:env.sv_hierarchy ()
-          | `Frozen frozen ->
-              Prospector.Query.engine_of_frozen ~pool ?edge_cost ?protocol_check
-                ~frozen ~hierarchy:env.sv_hierarchy ()
+          Prospector.Query.engine ~pool ?edge_cost:(edge_cost_of env)
+            ?protocol_check:(protocol_check_of env) ~graph:env.graph
+            ~hierarchy:env.hierarchy ()
         in
         (* ---- live-reload callbacks (DESIGN §9) ----
            The service applies deltas; what it cannot do without the mining
@@ -1193,8 +1078,8 @@ let serve_cmd =
         let config =
           { Prospector.Sig_graph.default_config with include_protected = protected_ }
         in
-        let corpus_srcs = ref env.sv_corpus in
-        let usage_ref = ref env.sv_usage in
+        let corpus_srcs = ref env.mined_corpus in
+        let usage_ref = ref env.usage in
         let remodel =
           if not mining then None
           else
@@ -1259,33 +1144,16 @@ let serve_cmd =
                 let wcost = Option.map Mining.Usage.edge_cost !usage_ref in
                 Prospector.Graph.freeze ?wcost g)
         in
-        let reload_hook =
-          match save_graph with
-          | None -> None
-          | Some path ->
-              Some
-                (fun fz ->
-                  try
-                    let gsize = Prospector.Serialize.save_frozen fz path in
-                    Printf.eprintf "graph: re-saved %d bytes to %s after reload\n%!"
-                      gsize path
-                  with e ->
-                    Printf.eprintf "warning: could not re-save %s: %s\n%!" path
-                      (Printexc.to_string e))
-        in
         let service =
           Service.create
             ~settings:(settings ~max_results ~slack ~strategy ~ranking ~protocol)
             ~cache_capacity ?vet:
-              (Option.map
-                 (fun m j -> Analysis.Protolint.vet m j)
-                 env.sv_proto)
-            ~graph_config:config ?remodel ?rebuild ?reload_hook
-            ?deadline_s:deadline ?session_ttl_s:session_ttl ~engine ()
+              (Option.map (fun m j -> Analysis.Protolint.vet m j) env.proto)
+            ~graph_config:config ?remodel ?rebuild ?deadline_s:deadline
+            ?session_ttl_s:session_ttl ~engine ()
         in
         (* --watch: a polling thread that feeds the file through the same
-           reload op a client would send, so metrics, gauges and --save-graph
-           re-persistence all apply. *)
+           reload op a client would send, so metrics and gauges apply. *)
         (match watch with
         | None -> ()
         | Some path ->
@@ -1392,8 +1260,8 @@ let serve_cmd =
       const run $ api_files $ corpus_files $ no_mining $ protected_flag
       $ max_results $ slack $ strategy_arg $ ranking_arg $ protocol_arg
       $ verbose_flag $ host $ port $ port_file $ workers $ max_request_bytes
-      $ max_connections $ deadline $ stdio $ save_graph $ cache_capacity
-      $ session_ttl $ watch $ jobs_arg)
+      $ max_connections $ deadline $ stdio $ cache_capacity $ session_ttl
+      $ watch $ jobs_arg)
 
 (* ---------- client ---------- *)
 
@@ -1835,11 +1703,30 @@ let study_cmd =
     (Cmd.info "study" ~doc:"Reproduce the Figure 8 user study (simulated).")
     Term.(const run $ seed $ users)
 
+(* Cmdliner reads every token that starts with '-' as an option, so
+   [--deadline -1] fails on an unknown option [-1] (usage text, exit 124)
+   before the flag check can name the value. No option is spelled
+   [-<digit>], so joining such a token onto the long option before it
+   ([--deadline=-1]) changes only command lines that fail today. Tokens
+   after [--] are positional and left alone. *)
+let join_negative_values argv =
+  let long a =
+    String.length a > 2 && String.starts_with ~prefix:"--" a && not (String.contains a '=')
+  in
+  let negative a = String.length a > 1 && a.[0] = '-' && a.[1] >= '0' && a.[1] <= '9' in
+  let rec go acc = function
+    | "--" :: rest -> List.rev_append acc ("--" :: rest)
+    | flag :: v :: rest when long flag && negative v -> go ((flag ^ "=" ^ v) :: acc) rest
+    | a :: rest -> go (a :: acc) rest
+    | [] -> List.rev acc
+  in
+  Array.of_list (go [] (Array.to_list argv))
+
 let () =
   let doc = "jungloid mining: helping to navigate the API jungle" in
   let info = Cmd.info "prospector" ~version:"1.0.0" ~doc in
   exit
-    (Cmd.eval
+    (Cmd.eval ~argv:(join_negative_values Sys.argv)
        (Cmd.group info
           [
             query_cmd;

@@ -187,8 +187,7 @@ let dense_end (off : int_array1) n : int_array1 = Bigarray.Array1.sub off 1 n
    destination, so each [v]'s predecessors appear in ascending forward-edge
    order. This makes the backward representation a pure function of the
    forward one — which is what lets [rebake] recompute [f_bwd_wcost] for a
-   new cost model without any stored fwd->bwd mapping, and lets the
-   serialized form carry only forward [Elem.t]s. Distance sweeps are
+   new cost model without any stored fwd->bwd mapping. Distance sweeps are
    relaxation-order independent, so the (deliberate) departure from [preds]
    order is unobservable in results. *)
 let derive_bwd ?cap ~n ~m ~(fwd_off : int_array1) ~(fwd_end : int_array1)
@@ -388,12 +387,6 @@ let compact ?slack fz =
     f_bwd_used = m;
     f_tail = Atomic.make false;
   }
-
-let is_compact fz =
-  fz.f_fwd_used = fz.f_edges
-  && fz.f_bwd_used = fz.f_edges
-  && Bigarray.Array1.dim fz.f_fwd_dst = fz.f_edges
-  && Bigarray.Array1.dim fz.f_bwd_src = fz.f_edges
 
 let frozen_generation fz = fz.f_generation
 

@@ -63,8 +63,8 @@ val generation : t -> int
 (** Mutation counter: bumped by every node creation and every (non-duplicate)
     edge insertion, never by lookups. {!freeze} stamps it on the snapshot
     ({!frozen_generation}), and a {!Reach} index records the generation it
-    was built for, so a persisted index is only ever applied to the build
-    it describes. Mutating a graph after freezing it leaves the snapshot,
+    was built for, so an engine never applies an index to a snapshot it
+    does not describe. Mutating a graph after freezing it leaves the snapshot,
     and every engine built on it, unchanged. *)
 
 val nodes : t -> node list
@@ -80,8 +80,7 @@ val real_nodes : t -> (Jtype.t * node) list
     split into a {e hot} and a {e cold} half. The hot half — row offsets,
     destinations/sources, and 0/1 paper costs — is packed into out-of-heap
     {!Bigarray} lanes (native-word ids, uint16 costs): the GC never scans
-    them, they mmap straight from a {!Serialize} snapshot, and they are safe
-    to share read-only across domains. The cold half — the boxed {!edge}
+    them, and they are safe to share read-only across domains. The cold half — the boxed {!edge}
     table, weighted costs, node metadata, and a private copy of the
     type-interning table — stays on the OCaml heap and is only touched when
     a found path is materialized, never per relaxed edge. The record is
@@ -184,10 +183,6 @@ val compact : ?slack:int -> frozen -> frozen
     O(nodes) bookkeeping plus one blit per maximal physically contiguous
     row stretch — a lightly patched snapshot compacts in a few memcpys. *)
 
-val is_compact : frozen -> bool
-(** Rows dense in offset order with zero tail slack — the only layout
-    {!Serialize} writes (it compacts first when this is false). *)
-
 val frozen_iter_edges : frozen -> (edge -> unit) -> unit
 (** Every live edge, row by row in node order. Use this instead of scanning
     [f_fwd_edge] directly: the lane's physical order is not edge order once
@@ -211,8 +206,8 @@ val freeze : ?wcost:(Elem.t -> int) -> t -> frozen
 val rebake : ?wcost:(Elem.t -> int) -> frozen -> frozen
 (** A copy of the snapshot with [f_fwd_wcost]/[f_bwd_wcost] recomputed under
     a new cost model — everything else is shared with the input. This is how
-    a deserialized snapshot (which carries only structure) is fitted with a
-    mined cost model without rebuilding the graph. *)
+    a reload fits a patched snapshot with a re-derived mined cost model
+    without rebuilding the graph. *)
 
 val frozen_generation : frozen -> int
 

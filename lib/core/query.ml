@@ -632,18 +632,12 @@ let engine ?(cache_capacity = 256) ?(prune = true) ?pool ?edge_cost
   make_engine ~cache_capacity ~prune ?pool ?edge_cost ?protocol_check
     ~frozen:(freeze ?edge_cost graph) ~hierarchy ()
 
-(* The warm-start constructor. An [edge_cost] model re-bakes the
-   weighted-cost arrays — snapshots persist only the default baking. A
-   [reach] seed is an index the caller already built from [frozen]. *)
+(* An engine over a snapshot the caller already froze, under the default
+   cost model. A [reach] seed is an index the caller already built from
+   [frozen]. *)
 let engine_of_frozen ?(cache_capacity = 256) ?(prune = true) ?reach ?pool
-    ?edge_cost ?protocol_check ~frozen ~hierarchy () =
-  let frozen =
-    match edge_cost with
-    | Some wcost -> Graph.rebake ~wcost frozen
-    | None -> frozen
-  in
-  make_engine ~cache_capacity ~prune ?reach ?pool ?edge_cost ?protocol_check
-    ~frozen ~hierarchy ()
+    ~frozen ~hierarchy () =
+  make_engine ~cache_capacity ~prune ?reach ?pool ~frozen ~hierarchy ()
 
 let engine_hierarchy e = e.e_hierarchy
 

@@ -327,24 +327,20 @@ val engine_of_frozen :
   ?prune:bool ->
   ?reach:Reach.t ->
   ?pool:Prospector_parallel.Pool.t ->
-  ?edge_cost:(Elem.t -> int) ->
-  ?protocol_check:(Jungloid.t -> string list) ->
   frozen:Graph.frozen ->
   hierarchy:Hierarchy.t ->
   unit ->
   engine
-(** An engine over an existing CSR snapshot — the mmap warm-start path: a
-    server restart hands {!Serialize.load_frozen}'s (possibly mmapped)
-    snapshot straight here and starts answering queries without rebuilding
-    anything but the reach index, which it builds from this snapshot on
-    first use ({!Reach.build_frozen}; about 18 ms at 100k methods). {!engine}
-    ends in the same constructor, after freezing. [?reach] hands over an
-    index the caller already built from [frozen]; one whose
-    {!Reach.generation} does not match the snapshot is dropped and rebuilt
-    lazily, so a stale seed costs time, never correctness. With
-    [?edge_cost] the snapshot's weighted-cost arrays are re-baked under
-    the model ({!Graph.rebake}) so weighted search and the rank layer
-    agree, as in {!engine}. All other parameters behave as in {!engine}. *)
+(** An engine over a CSR snapshot the caller already froze, under the
+    default cost model (no mined ranking, no protocol checker): benchmarks
+    and tests that freeze once and build several engines over the result
+    start here. The reach index is built from this snapshot on first use
+    ({!Reach.build_frozen}; about 18 ms at 100k methods). {!engine} ends in
+    the same constructor, after freezing. [?reach] hands over an index the
+    caller already built from [frozen]; one whose {!Reach.generation} does
+    not match the snapshot is dropped and rebuilt lazily, so a stale seed
+    costs time, never correctness. All other parameters behave as in
+    {!engine}. *)
 
 val engine_hierarchy : engine -> Javamodel.Hierarchy.t
 

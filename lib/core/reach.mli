@@ -40,11 +40,10 @@ val build : ?pool:Prospector_parallel.Pool.t -> Graph.t -> t
     [build_frozen ?pool (Graph.freeze g)]. *)
 
 val build_frozen : ?pool:Prospector_parallel.Pool.t -> Graph.frozen -> t
-(** Build from an existing CSR snapshot — the engine's path, cold or warm:
-    a warm start builds the index from the mmapped snapshot (about 1 ms at
-    10k methods and 18 ms at 100k, next to a [.japi] parse of about 0.5 s
-    at 100k), so no index file is kept beside it. With [?pool], the bitset
-    DP over the SCC condensation fans out level by level: all components
+(** Build from an existing CSR snapshot — the engine's path (about 1 ms
+    at 10k methods and 18 ms at 100k, next to a [.japi] parse of about
+    0.5 s at 100k), so no index file is kept on disk. With [?pool], the
+    bitset DP over the SCC condensation fans out level by level: all components
     whose successors' closures are complete are closed concurrently, one
     [parallel_for] per level, each returning only after every worker has
     finished. The result is bit-for-bit identical to the sequential build —

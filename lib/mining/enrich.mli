@@ -29,9 +29,8 @@ val examples :
   Extract.example list
 (** The extraction front half of {!enrich} alone: visibility-filtered,
     pre-generalization examples, exactly what [enrich]'s [on_examples] hook
-    reports — without touching any graph. The serve warm-start uses this to
-    rebuild the {!Usage} model next to a graph loaded from disk (which
-    already contains the spliced examples). *)
+    reports — without touching any graph. A corpus reload uses this to
+    grow the {!Usage} model from the new sources alone. *)
 
 val enrich :
   ?max_per_cast:int ->

@@ -84,9 +84,6 @@ type t = {
       (* the cold enriched build the server would do at startup, from a
          patched hierarchy; used in place of [Delta]'s signature-only
          rebuild so mined (spliced) nodes and edges survive a reload *)
-  reload_hook : (Graph.frozen -> unit) option;
-      (* called after each successful reload with the published snapshot
-         (re-persistence for [--save-graph]); must not raise *)
   reloads : int Atomic.t;
   deadline_s : float option;
   stop : bool Atomic.t;
@@ -123,7 +120,7 @@ let take_snapshot ~vet engine =
 
 let create ?(settings = Query.default_settings) ?(cache_capacity = 256) ?vet
     ?(graph_config = Prospector.Sig_graph.default_config) ?remodel ?rebuild
-    ?reload_hook ?deadline_s ?session_ttl_s ~engine () =
+    ?deadline_s ?session_ttl_s ~engine () =
   if cache_capacity < 1 then invalid_arg "Service.create: cache_capacity must be >= 1";
   {
     eng = engine;
@@ -137,7 +134,6 @@ let create ?(settings = Query.default_settings) ?(cache_capacity = 256) ?vet
     graph_config;
     remodel;
     rebuild;
-    reload_hook;
     reloads = Atomic.make 0;
     deadline_s;
     stop = Atomic.make false;
@@ -554,9 +550,6 @@ let reload_locked t ~id ~japi ~remove ~corpus =
               let n = Atomic.fetch_and_add t.reloads 1 + 1 in
               Metrics.set_gauge t.mets "graph_generation" s.s_gen;
               Metrics.set_gauge t.mets "reloads_applied" n;
-              (match t.reload_hook with
-              | Some hook -> hook s.s_frozen
-              | None -> ());
               Proto.ok_response ~id ~op:"reload"
                 [
                   ("ops", Proto.Int patch.Delta.p_ops);

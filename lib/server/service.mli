@@ -52,7 +52,6 @@ val create :
   ?graph_config:Prospector.Sig_graph.config ->
   ?remodel:(Javamodel.Hierarchy.t -> string -> (remodel, string) result) ->
   ?rebuild:(Javamodel.Hierarchy.t -> Prospector.Graph.frozen) ->
-  ?reload_hook:(Prospector.Graph.frozen -> unit) ->
   ?deadline_s:float ->
   ?session_ttl_s:float ->
   engine:Prospector.Query.engine ->
@@ -66,7 +65,7 @@ val create :
     model) — injected here because this library must not depend on the
     mining layer that learns the model.
 
-    The next four parameters serve the [reload] op (all deltas apply under
+    The next three parameters serve the [reload] op (all deltas apply under
     the publish mutex, off the lock-free read path, and land as one atomic
     snapshot swap). [graph_config] must be the {!Prospector.Sig_graph}
     config the engine's graph was built with — {!Prospector.Delta.apply}
@@ -79,10 +78,7 @@ val create :
     build on the fallback path, so mined (spliced) nodes and edges survive
     a reload and a structural reload builds one graph. Every corpus delta
     takes it too, after the models are re-derived, since new examples
-    cannot be row-spliced. [reload_hook] runs after each
-    successful reload with the newly published CSR snapshot (the
-    [--save-graph] re-persistence point; the reach index is not persisted,
-    a warm start rebuilds it from the snapshot); it must not raise.
+    cannot be row-spliced.
 
     [deadline_s] is the per-request deadline: a
     request whose execution exceeds it gets a [timeout] error reply instead

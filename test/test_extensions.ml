@@ -1,11 +1,10 @@
-(* Tests for the extensions beyond the paper's core: graph serialization
-   (the Section 5 on-disk representation) and result clustering (the future
-   work the paper proposes for crowded queries). *)
+(* Tests for the extensions beyond the paper's core: result clustering (the
+   future work the paper proposes for crowded queries) and free-variable
+   cost estimation. *)
 
 module Jtype = Javamodel.Jtype
 module Graph = Prospector.Graph
 module Query = Prospector.Query
-module Serialize = Prospector.Serialize
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -15,93 +14,6 @@ let contains ~sub s =
   let n = String.length sub and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   n = 0 || go 0
-
-(* ---------- serialization ---------- *)
-
-(* A snapshot through a temp file and back (read into memory, and mmapped:
-   both must give the same snapshot). *)
-let roundtrip fz =
-  let path = Filename.temp_file "prospector" ".froz" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      ignore (Serialize.save_frozen fz path : int);
-      let load mmap =
-        match Serialize.load_frozen ~mmap path with
-        | Ok fz -> fz
-        | Error e -> Alcotest.fail (Serialize.error_message e)
-      in
-      let read = load false and mapped = load true in
-      check_bool "mmap = read" true (Prospector.Delta.frozen_equal read mapped);
-      read)
-
-let snapshots_equal a b =
-  Graph.frozen_generation a = Graph.frozen_generation b
-  && Prospector.Delta.frozen_equal a b
-
-let test_roundtrip_signature_graph () =
-  let fz = Graph.freeze (Apidata.Api.signature_graph ()) in
-  check_bool "equal" true (snapshots_equal fz (roundtrip fz))
-
-let test_roundtrip_jungloid_graph () =
-  (* typestate nodes and downcast edges survive *)
-  let g, _ = Apidata.Api.jungloid_graph () in
-  let fz = Graph.freeze g in
-  let fz' = roundtrip fz in
-  check_bool "equal" true (snapshots_equal fz fz');
-  let ts fz =
-    List.length
-      (List.filter (Graph.frozen_is_typestate fz)
-         (List.init (Graph.frozen_node_count fz) Fun.id))
-  in
-  check_bool "has typestates" true (ts fz > 0);
-  check_int "typestates preserved" (ts fz) (ts fz')
-
-let test_loaded_graph_answers_queries () =
-  let g, _ = Apidata.Api.jungloid_graph () in
-  let h = Apidata.Api.hierarchy () in
-  let fz' = roundtrip (Query.freeze g) in
-  let q =
-    Query.query "org.eclipse.debug.ui.IDebugView"
-      "org.eclipse.jdt.internal.debug.ui.display.JavaInspectExpression"
-  in
-  let r = Query.run ~graph:g ~hierarchy:h q in
-  let r' = Query.run ~frozen:fz' ~hierarchy:h q in
-  check_bool "has results" true (r <> []);
-  check_int "same result count" (List.length r) (List.length r');
-  List.iter2
-    (fun a b -> check_string "same code" a.Query.code b.Query.code)
-    r r'
-
-let test_save_load_file () =
-  let fz = Graph.freeze (Apidata.Api.signature_graph ()) in
-  let path = Filename.temp_file "prospector" ".froz" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let size = Serialize.save_frozen fz path in
-      check_bool "nonempty" true (size > 1000);
-      check_bool "file size matches" true ((Unix.stat path).Unix.st_size = size);
-      check_bool "no temp file left behind" false (Sys.file_exists (path ^ ".tmp"));
-      match Serialize.load_frozen path with
-      | Ok fz' -> check_bool "equal" true (snapshots_equal fz fz')
-      | Error e -> Alcotest.fail (Serialize.error_message e))
-
-let test_reject_garbage () =
-  let path = Filename.temp_file "prospector" ".froz" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let load contents =
-        Out_channel.with_open_bin path (fun oc -> output_string oc contents);
-        Serialize.load_frozen path
-      in
-      (match load "not a graph at all, and long enough for a header" with
-      | Error (Serialize.Bad_magic _) -> ()
-      | _ -> Alcotest.fail "expected Bad_magic");
-      match load "short" with
-      | Error (Serialize.Corrupt _) -> ()
-      | _ -> Alcotest.fail "expected Corrupt on short input")
 
 (* ---------- clustering ---------- *)
 
@@ -220,14 +132,6 @@ let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "extensions"
     [
-      ( "serialize",
-        [
-          tc "roundtrip signature graph" test_roundtrip_signature_graph;
-          tc "roundtrip jungloid graph" test_roundtrip_jungloid_graph;
-          tc "loaded graph answers queries" test_loaded_graph_answers_queries;
-          tc "save/load file" test_save_load_file;
-          tc "reject garbage" test_reject_garbage;
-        ] );
       ( "cluster",
         [
           tc "groups parallel jungloids" test_cluster_groups_parallel_jungloids;

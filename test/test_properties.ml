@@ -161,39 +161,6 @@ let prop_codegen_result_var_present =
           in
           contains ~sub:gen.Prospector.Codegen.result_var gen.Prospector.Codegen.code))
 
-(* The cold half of a snapshot file (node types, typestate origins, edge
-   elements) against the builder graph it was frozen from. *)
-let prop_serialize_roundtrip =
-  QCheck2.Test.make ~name:"serialize/deserialize preserves the graph structurally"
-    ~count:20 world_gen (fun w ->
-      let g = w.w_g in
-      let path = Filename.temp_file "prospector_prop" ".froz" in
-      let loaded =
-        Fun.protect
-          ~finally:(fun () -> Sys.remove path)
-          (fun () ->
-            ignore (Prospector.Serialize.save_frozen (Graph.freeze g) path : int);
-            Prospector.Serialize.load_frozen ~mmap:false path)
-      in
-      match loaded with
-      | Error e ->
-          QCheck2.Test.fail_reportf "load_frozen: %s"
-            (Prospector.Serialize.error_message e)
-      | Ok fz ->
-          let edges iter =
-            let acc = ref [] in
-            iter (fun e -> acc := (e.Graph.src, e.Graph.elem, e.Graph.dst) :: !acc);
-            List.sort compare !acc
-          in
-          Graph.node_count g = Graph.frozen_node_count fz
-          && List.for_all
-               (fun n ->
-                 Jtype.equal (Graph.node_type g n) (Graph.frozen_node_type fz n)
-                 && Graph.typestate_origin g n = fz.Graph.f_origins.(n)
-                 && Graph.frozen_succs fz n = Graph.succs g n)
-               (Graph.nodes g)
-          && edges (Graph.iter_edges g) = edges (Graph.frozen_iter_edges fz))
-
 let prop_cluster_partitions =
   QCheck2.Test.make ~name:"clusters partition the result list" ~count:40 world_gen
     (fun w ->
@@ -292,6 +259,46 @@ let prop_enrich_only_adds =
       let n0 = Graph.node_count g and e0 = Graph.edge_count g in
       let _ = Mining.Enrich.enrich g prog in
       Graph.node_count g >= n0 && Graph.edge_count g > e0)
+
+(* A snapshot against the builder graph it was frozen from: node types,
+   typestate origins, each row's successor order, and the edge multiset.
+   Half the worlds are signature graphs; the other half are Truthgen APIs
+   enriched with their corpus, whose typestate nodes and downcast edges
+   only mining creates. *)
+let freeze_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun w -> w.w_g) world_gen;
+        map
+          (fun t ->
+            let h = t.Corpusgen.Truthgen.hierarchy in
+            let g = Prospector.Sig_graph.build h in
+            ignore
+              (Mining.Enrich.enrich g
+                 (Minijava.Resolve.parse_program ~api:h t.Corpusgen.Truthgen.corpus)
+                : Mining.Enrich.stats);
+            g)
+          truth_gen;
+      ])
+
+let prop_freeze_preserves_graph =
+  QCheck2.Test.make ~name:"freeze preserves the graph structurally" ~count:30
+    freeze_gen (fun g ->
+      let fz = Graph.freeze g in
+      let edges iter =
+        let acc = ref [] in
+        iter (fun e -> acc := (e.Graph.src, e.Graph.elem, e.Graph.dst) :: !acc);
+        List.sort compare !acc
+      in
+      Graph.node_count g = Graph.frozen_node_count fz
+      && List.for_all
+           (fun n ->
+             Jtype.equal (Graph.node_type g n) (Graph.frozen_node_type fz n)
+             && Graph.typestate_origin g n = fz.Graph.f_origins.(n)
+             && Graph.frozen_succs fz n = Graph.succs g n)
+           (Graph.nodes g)
+      && edges (Graph.iter_edges g) = edges (Graph.frozen_iter_edges fz))
 
 (* ---------- robustness over random corpora ---------- *)
 
@@ -394,7 +401,7 @@ let () =
           [
             prop_codegen_declares_ref_frees;
             prop_codegen_result_var_present;
-            prop_serialize_roundtrip;
+            prop_freeze_preserves_graph;
             prop_cluster_partitions;
             prop_japi_printer_roundtrip;
           ] );

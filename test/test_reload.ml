@@ -38,8 +38,9 @@ let fresh_meth rng h tag =
 
 (* Generate [nops] ops against a private copy of [h], applying each to the
    copy as we go — later ops must see earlier effects, exactly as
-   [Delta.apply] validates them. *)
-let build_ops rng h nops =
+   [Delta.apply] validates them. With [~spliced:true] only the body-only
+   kinds (method edits, class replacements) are drawn. *)
+let build_ops ?(spliced = false) rng h nops =
   let hcur = Hierarchy.copy h in
   let tag = ref 0 in
   let next_tag () = incr tag; !tag in
@@ -50,7 +51,7 @@ let build_ops rng h nops =
         (real_decls hcur)
     in
     let d = Rng.pick rng decls in
-    match Rng.int rng 5 with
+    match Rng.int rng (if spliced then 3 else 5) with
     | 0 ->
         (* body-only replacement: the spliced shape *)
         let d' = { d with Decl.methods = fresh_meth rng hcur (next_tag ()) :: d.Decl.methods } in
@@ -90,19 +91,26 @@ let freeze_cold h = Graph.freeze (Sig_graph.build h)
 
 (* Bit-for-bit reach equality: the node -> component map, and the closure
    bit of every (src, target) pair, which is bit [target] of src's
-   component's closure — together every bit the index holds. Structural,
-   so physical reuse inside the patched index cannot skew it. *)
+   component's closure — together every bit the index holds. Once the
+   component maps agree, one source per component reads every closure.
+   Structural, so physical reuse inside the patched index cannot skew it. *)
 let reach_equal a b =
   let n = Reach.node_count a in
+  let comp = Reach.components a in
+  let seen = Array.make (Reach.scc_count a) false in
   Reach.node_count b = n
   && Reach.generation a = Reach.generation b
   && Reach.scc_count a = Reach.scc_count b
-  && Reach.components a = Reach.components b
+  && comp = Reach.components b
   && Seq.for_all
        (fun src ->
-         Seq.for_all
-           (fun target -> Reach.mem a ~src ~target = Reach.mem b ~src ~target)
-           (Seq.init n Fun.id))
+         seen.(comp.(src))
+         || begin
+              seen.(comp.(src)) <- true;
+              Seq.for_all
+                (fun target -> Reach.mem a ~src ~target = Reach.mem b ~src ~target)
+                (Seq.init n Fun.id)
+            end)
        (Seq.init n Fun.id)
 
 let roundtrips h =
@@ -110,33 +118,121 @@ let roundtrips h =
   let a = real_decls h and b = real_decls h' in
   List.length a = List.length b && List.for_all2 Decl.equal a b
 
+(* Half the cases start from lanes with no spare tail, as
+   [Graph.compact ~slack:0] leaves them, and draw only body-only ops: their
+   splice cannot append in place and must refit into fresh lanes before
+   its first write, leaving the input snapshot as it was. *)
 let prop_patched_equals_cold =
   QCheck2.Test.make ~name:"patched frozen = cold-rebuilt frozen, lane for lane"
-    ~count:60 world_gen (fun (seed, classes, nops) ->
+    ~count:60
+    QCheck2.Gen.(pair world_gen bool)
+    (fun ((seed, classes, nops), zero_slack) ->
       let h = Apigen.generate { Apigen.default_params with classes; seed } in
-      let frozen = freeze_cold h in
+      let cold = freeze_cold h in
+      let frozen = if zero_slack then Graph.compact ~slack:0 cold else cold in
       let rng = Rng.create ~seed:(seed lxor 0x5eed) in
-      let ops = build_ops rng h nops in
+      let ops = build_ops ~spliced:zero_slack rng h nops in
       match Delta.apply ~hierarchy:h ~frozen ops with
       | Error errs ->
           QCheck2.Test.fail_reportf "delta rejected: %s"
             (String.concat "; "
                (List.map (fun (e : Delta.error) -> e.Delta.reason) errs))
       | Ok patch ->
-          let cold = freeze_cold patch.Delta.p_hierarchy in
-          Delta.frozen_equal patch.Delta.p_frozen cold
+          Delta.frozen_equal patch.Delta.p_frozen (freeze_cold patch.Delta.p_hierarchy)
           && Graph.frozen_generation patch.Delta.p_frozen
              > Graph.frozen_generation frozen
-          && roundtrips patch.Delta.p_hierarchy)
+          && roundtrips patch.Delta.p_hierarchy
+          && ((not zero_slack)
+             || (patch.Delta.p_mode = Delta.Spliced && Delta.frozen_equal frozen cold)))
+
+(* Worlds with many strongly connected components, where a closure change
+   must travel up the condensation: [Workload.layered_api] at 100–400
+   classes has 39–51 components, [Workload.mega_api] 30 at 2k methods and
+   101 at 10k. The Apigen worlds above have 3–8, and their random ops
+   rarely change a closure bit at all. *)
+let scc_worlds = Hashtbl.create 8
+
+let scc_world key =
+  match Hashtbl.find_opt scc_worlds key with
+  | Some w -> w
+  | None ->
+      let h =
+        match key with
+        | `Layered classes -> Corpusgen.Workload.layered_api ~classes
+        | `Mega methods -> Corpusgen.Workload.mega_api ~methods
+      in
+      let w = (h, Sig_graph.build h) in
+      Hashtbl.add scc_worlds key w;
+      w
+
+(* The old index picks a class [c] and a type [t] that [c] cannot reach,
+   where some predecessor [u] of [c] in another component cannot reach [t]
+   either. Adding [c.zzJoin() : t] then gives [t] to the closures of [c]'s
+   component and of [u]'s, which the delta never touches: a patch that
+   re-closes only touched components, without following dirty successors
+   up the condensation, keeps [u]'s stale closure. *)
+let pick_join rng h frozen old =
+  let decls = Array.of_list (real_decls h) in
+  let node (d : Decl.t) = Graph.frozen_find_type_node frozen (Jtype.Ref d.Decl.dname) in
+  let comp = Reach.components old in
+  let upstream c t =
+    let found = ref false in
+    for k = frozen.Graph.f_bwd_off.{c} to frozen.Graph.f_bwd_end.{c} - 1 do
+      let u = frozen.Graph.f_bwd_src.{k} in
+      if comp.(u) <> comp.(c) && not (Reach.mem old ~src:u ~target:t) then
+        found := true
+    done;
+    !found
+  in
+  let rec go tries =
+    if tries = 0 then None
+    else
+      let d = decls.(Rng.int rng (Array.length decls)) in
+      let target = decls.(Rng.int rng (Array.length decls)) in
+      match (node d, node target) with
+      | Some c, Some t when (not (Reach.mem old ~src:c ~target:t)) && upstream c t ->
+          Some (d, target)
+      | _ -> go (tries - 1)
+  in
+  go 10_000
+
+(* Random op sequences on the small Apigen worlds, and one add-method join
+   (above) on a many-component world. *)
+let reach_case_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        map
+          (fun (seed, classes, nops) ->
+            let h = Apigen.generate { Apigen.default_params with classes; seed } in
+            let frozen = freeze_cold h in
+            ( h,
+              frozen,
+              Reach.build_frozen frozen,
+              build_ops (Rng.create ~seed:(seed lxor 0xcafe)) h nops ))
+          world_gen;
+        map
+          (fun (key, seed) ->
+            let h, g = scc_world key in
+            let frozen = Graph.freeze g in
+            let old = Reach.build_frozen frozen in
+            match pick_join (Rng.create ~seed) h frozen old with
+            | None -> failwith "no class with an unreachable type upstream"
+            | Some (d, target) ->
+                let m = Member.meth "zzJoin" ~params:[] ~ret:(Jtype.Ref target.Decl.dname) in
+                (h, frozen, old, [ Delta.Add_method (d.Decl.dname, m) ]))
+          (pair
+             (oneofl
+                [
+                  `Layered 100; `Layered 200; `Layered 300; `Layered 400; `Mega 2_000;
+                  `Mega 10_000;
+                ])
+             (int_range 1 1_000_000));
+      ])
 
 let prop_reach_patch_identity =
   QCheck2.Test.make ~name:"Reach.patch = Reach.build_frozen on the patched snapshot"
-    ~count:40 world_gen (fun (seed, classes, nops) ->
-      let h = Apigen.generate { Apigen.default_params with classes; seed } in
-      let frozen = freeze_cold h in
-      let old = Reach.build_frozen frozen in
-      let rng = Rng.create ~seed:(seed lxor 0xcafe) in
-      let ops = build_ops rng h nops in
+    ~count:60 reach_case_gen (fun (h, frozen, old, ops) ->
       match Delta.apply ~hierarchy:h ~frozen ops with
       | Error _ -> false
       | Ok patch ->

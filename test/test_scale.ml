@@ -1,10 +1,8 @@
 (* Million-method-scale plumbing, shrunk to test size: the package-cone
    shard router must be invisible in batch answers (qcheck, over locality
-   worlds where the planner actually engages), the v2 frozen snapshot must
-   round-trip through disk bit for bit with and without mmap, a damaged
-   cache file must surface as a typed error rather than a crash, saving
-   over a mapped snapshot must not disturb it, and the
-   mega generator must be a pure function of its seed. *)
+   worlds where the planner actually engages), pooled search scratch must
+   not leak between queries, and the mega generator must be a pure
+   function of its seed. *)
 
 module Jtype = Javamodel.Jtype
 module Graph = Prospector.Graph
@@ -12,7 +10,6 @@ module Query = Prospector.Query
 module Search = Prospector.Search
 module Reach = Prospector.Reach
 module Shard = Prospector.Shard
-module Serialize = Prospector.Serialize
 
 let check_bool = Alcotest.(check bool)
 
@@ -29,13 +26,7 @@ let results_equal (a : Query.result list) (b : Query.result list) =
          && x.Query.code = y.Query.code)
        a b
 
-let with_temp f =
-  let path = Filename.temp_file "prospector_test" ".froz" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () -> f path)
-
-(* ---------- qcheck: sharded batches and disk round-trips ---------- *)
+(* ---------- qcheck: sharded batches ---------- *)
 
 let world_gen ~locality =
   QCheck2.Gen.(
@@ -89,130 +80,6 @@ let prop_sharded_batch_oracle =
            (fun (q', rs) q ->
              q' = q && results_equal rs (Query.run ~frozen ~hierarchy:h q))
            batch qs)
-
-let prop_frozen_disk_roundtrip =
-  QCheck2.Test.make ~name:"save_frozen/load_frozen = freeze (mmap and read)"
-    ~count:20 (world_gen ~locality:0.0) (fun (h, g) ->
-      let frozen = Graph.freeze g in
-      with_temp (fun path ->
-          ignore (Serialize.save_frozen frozen path : int);
-          let lanes_equal fz =
-            let n = frozen.Graph.f_nodes and m = frozen.Graph.f_edges in
-            let ok = ref (fz.Graph.f_nodes = n && fz.Graph.f_edges = m) in
-            if !ok then begin
-              for i = 0 to n do
-                if
-                  fz.Graph.f_fwd_off.{i} <> frozen.Graph.f_fwd_off.{i}
-                  || fz.Graph.f_bwd_off.{i} <> frozen.Graph.f_bwd_off.{i}
-                then ok := false
-              done;
-              for k = 0 to m - 1 do
-                if
-                  fz.Graph.f_fwd_dst.{k} <> frozen.Graph.f_fwd_dst.{k}
-                  || fz.Graph.f_fwd_cost.{k} <> frozen.Graph.f_fwd_cost.{k}
-                  || fz.Graph.f_bwd_src.{k} <> frozen.Graph.f_bwd_src.{k}
-                  || fz.Graph.f_bwd_cost.{k} <> frozen.Graph.f_bwd_cost.{k}
-                then ok := false
-              done
-            end;
-            !ok
-          in
-          let check fz =
-            fz.Graph.f_generation = frozen.Graph.f_generation
-            && lanes_equal fz
-            && List.for_all
-                 (fun q ->
-                   results_equal
-                     (Query.run ~frozen:fz ~hierarchy:h q)
-                     (Query.run ~frozen ~hierarchy:h q))
-                 (Corpusgen.Workload.random_queries h g ~count:3 ~seed:9)
-          in
-          let load mmap =
-            match Serialize.load_frozen ~mmap path with
-            | Ok fz -> fz
-            | Error e ->
-                QCheck2.Test.fail_reportf "load_frozen: %s"
-                  (Serialize.error_message e)
-          in
-          check (load true) && check (load false)))
-
-(* ---------- typed errors for damaged cache files ---------- *)
-
-let small_world () =
-  let h =
-    Corpusgen.Apigen.generate
-      { Corpusgen.Apigen.default_params with classes = 60 }
-  in
-  (h, Prospector.Sig_graph.build h)
-
-let test_damaged_files () =
-  let _, g = small_world () in
-  let frozen = Graph.freeze g in
-  with_temp (fun path ->
-      ignore (Serialize.save_frozen frozen path : int);
-      let full = In_channel.with_open_bin path In_channel.input_all in
-      let rewrite s =
-        Out_channel.with_open_bin path (fun oc ->
-            Out_channel.output_string oc s)
-      in
-      rewrite (String.sub full 0 (String.length full / 2));
-      (match Serialize.load_frozen path with
-      | Error (Serialize.Corrupt _) -> ()
-      | Ok _ -> Alcotest.fail "truncated v2 file loaded"
-      | Error e ->
-          Alcotest.failf "truncated: expected Corrupt, got %s"
-            (Serialize.error_message e));
-      rewrite (String.sub full 0 20);
-      (match Serialize.load_frozen path with
-      | Error (Serialize.Corrupt _) -> ()
-      | Ok _ -> Alcotest.fail "header-only v2 file loaded"
-      | Error e ->
-          Alcotest.failf "header-only: expected Corrupt, got %s"
-            (Serialize.error_message e));
-      rewrite "definitely not a prospector cache file";
-      (match Serialize.load_frozen path with
-      | Error (Serialize.Bad_magic _) -> ()
-      | _ -> Alcotest.fail "foreign file was not Bad_magic");
-      (* a cache left by the retired v1 (Marshal graph) format is foreign
-         too: the server warns and rebuilds *)
-      rewrite ("PROSPECTOR-GRAPH" ^ String.sub full 16 (String.length full - 16));
-      match Serialize.load_frozen path with
-      | Error (Serialize.Bad_magic _) -> ()
-      | _ -> Alcotest.fail "v1 graph file was not Bad_magic")
-
-(* The daemon re-saves its snapshot to the file it warm-started from, whose
-   segments the live snapshot has mmapped. A save must leave the mapped
-   pages intact: truncating in place made the next read of the old
-   snapshot die with SIGBUS. *)
-let test_save_over_mapped () =
-  let _, big = small_world () in
-  let first = Graph.freeze big in
-  let smaller =
-    Graph.freeze
-      (Prospector.Sig_graph.build
-         (Corpusgen.Apigen.generate
-            { Corpusgen.Apigen.default_params with classes = 5 }))
-  in
-  with_temp (fun path ->
-      ignore (Serialize.save_frozen first path : int);
-      match Serialize.load_frozen path with
-      | Error e -> Alcotest.fail (Serialize.error_message e)
-      | Ok mapped ->
-          ignore (Serialize.save_frozen smaller path : int);
-          let m = first.Graph.f_edges in
-          let same = ref true in
-          for k = 0 to m - 1 do
-            if mapped.Graph.f_fwd_dst.{k} <> first.Graph.f_fwd_dst.{k} then
-              same := false
-          done;
-          check_bool "mapped snapshot reads as before" true !same;
-          check_bool "still logically equal" true
-            (Prospector.Delta.frozen_equal mapped first);
-          match Serialize.load_frozen path with
-          | Ok fz ->
-              check_bool "the file holds the new snapshot" true
-                (Prospector.Delta.frozen_equal fz smaller)
-          | Error e -> Alcotest.fail (Serialize.error_message e))
 
 (* ---------- shard plan invariants ---------- *)
 
@@ -323,14 +190,7 @@ let () =
     [
       ( "identity",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_sharded_batch_oracle; prop_frozen_disk_roundtrip ] );
-      ( "serialize",
-        [
-          Alcotest.test_case "damaged files are typed errors" `Quick
-            test_damaged_files;
-          Alcotest.test_case "saving over a mapped snapshot" `Quick
-            test_save_over_mapped;
-        ] );
+          [ prop_sharded_batch_oracle ] );
       ( "shard",
         [ Alcotest.test_case "plan engages and stays consistent" `Quick
             test_shards_engage ] );
