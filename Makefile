@@ -70,8 +70,9 @@ check: build test lint serve-smoke bench-cache bench-parallel bench-topk bench-r
 bench-cache: build
 	dune exec bench/main.exe -- cache
 
-# Regenerates BENCH_analysis.json (verified vs unverified query latency,
-# per-pass lint timings).
+# Regenerates BENCH_analysis.json (query latency with and without a
+# Verify.sound re-check of every result, the chains checked and found
+# unsound, per-pass lint timings).
 bench-analysis: build
 	dune exec bench/main.exe -- analysis
 

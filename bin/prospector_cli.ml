@@ -4,7 +4,13 @@
 
      query TIN TOUT      synthesize jungloids for a (tin, tout) query
      assist TOUT         content-assist: suggest code for an expected type
+     refine QUERY        narrow a ranked list by answering probe questions
+     batch FILE          answer a file of queries through one cached engine
+     serve               the daemon: the wire protocol over TCP or stdio
+     client OP           send one request to a running daemon
+     infer FILE...       suggest code for every ? hole in mini-Java source
      mine                show mining statistics and generalized examples
+     lint                analyzer passes over the model, corpus and queries
      stats               graph statistics (signature vs jungloid graph)
      dot                 export a neighborhood of the graph as Graphviz
      table1              reproduce the paper's Table 1
@@ -164,6 +170,24 @@ let parse_spelling of_string = function
           Printf.eprintf "error: %s\n" msg;
           exit 1)
 
+(* One --var binding, NAME:TYPE, as assist, refine and client read it: a
+   malformed one (no colon, or nothing on one side of it) is a one-line
+   error and exit 2, like the other malformed arguments those commands
+   reject. The type stays a string for the wire; [typed_vars] resolves it
+   for a local search. *)
+let parse_var s =
+  match String.index_opt s ':' with
+  | Some i when i > 0 && i < String.length s - 1 ->
+      (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
+  | _ ->
+      Printf.eprintf "error: bad --var %S, expected NAME:TYPE\n" s;
+      exit 2
+
+let typed_vars =
+  List.map (fun s ->
+      let name, ty = parse_var s in
+      (name, Javamodel.Jtype.ref_of_string ty))
+
 let ranking_arg =
   Arg.(
     value
@@ -304,20 +328,9 @@ let assist_cmd =
       protocol vars tout =
     handle_errors (fun () ->
         let env = load_env ~api ~corpus ~mining:(not no_mining) ~protected_ () in
-        let parsed_vars =
-          List.map
-            (fun s ->
-              match String.index_opt s ':' with
-              | Some i ->
-                  ( String.sub s 0 i,
-                    Javamodel.Jtype.ref_of_string
-                      (String.sub s (i + 1) (String.length s - i - 1)) )
-              | None -> failwith (Printf.sprintf "bad --var %S, expected NAME:TYPE" s))
-            vars
-        in
         let ctx =
           {
-            Prospector.Assist.vars = parsed_vars;
+            Prospector.Assist.vars = typed_vars vars;
             expected = Javamodel.Jtype.ref_of_string tout;
           }
         in
@@ -437,22 +450,9 @@ let refine_cmd =
                 ~hierarchy:env.hierarchy q
               |> List.map (fun result -> { Esession.source = None; result })
           | [ tout ], _ :: _ ->
-              let parsed_vars =
-                List.map
-                  (fun s ->
-                    match String.index_opt s ':' with
-                    | Some i ->
-                        ( String.sub s 0 i,
-                          Javamodel.Jtype.ref_of_string
-                            (String.sub s (i + 1) (String.length s - i - 1)) )
-                    | None ->
-                        Printf.eprintf "error: bad --var %S, expected NAME:TYPE\n" s;
-                        exit 2)
-                  vars
-              in
               let ctx =
                 {
-                  Prospector.Assist.vars = parsed_vars;
+                  Prospector.Assist.vars = typed_vars vars;
                   expected = Javamodel.Jtype.ref_of_string tout;
                 }
               in
@@ -779,7 +779,7 @@ let infer_cmd =
         let holes = Prospector_ide.Infer.contexts ~api:env.hierarchy sources in
         if holes = [] then print_endline "no ? holes found"
         else
-          (* One engine for the whole buffer, as the IDE session would hold. *)
+          (* One snapshot and reach index for the whole buffer. *)
           Prospector_ide.Infer.suggest_all
             ~settings:(settings ~max_results ~slack ~strategy ~ranking ~protocol)
             ?edge_cost:(edge_cost_of env)
@@ -1529,18 +1529,7 @@ let client_cmd =
       | [ "query"; tin; tout ] ->
           envelope (Proto.Query { tin; tout; overrides; cluster = false })
       | [ "assist"; tout ] ->
-          let vars =
-            List.map
-              (fun s ->
-                match String.index_opt s ':' with
-                | Some i ->
-                    (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
-                | None ->
-                    Printf.eprintf "error: bad --var %S, expected NAME:TYPE\n" s;
-                    exit 2)
-              vars
-          in
-          envelope (Proto.Assist { tout; vars; overrides })
+          envelope (Proto.Assist { tout; vars = List.map parse_var vars; overrides })
       | [ "batch"; file ] ->
           let pairs =
             parse_query_file file
@@ -1553,18 +1542,9 @@ let client_cmd =
       | [ "refine-start"; tin; tout ] when vars = [] ->
           envelope (Proto.Refine_start { tin = Some tin; tout; vars = []; overrides })
       | [ "refine-start"; tout ] when vars <> [] ->
-          let vars =
-            List.map
-              (fun s ->
-                match String.index_opt s ':' with
-                | Some i ->
-                    (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
-                | None ->
-                    Printf.eprintf "error: bad --var %S, expected NAME:TYPE\n" s;
-                    exit 2)
-              vars
-          in
-          envelope (Proto.Refine_start { tin = None; tout; vars; overrides })
+          envelope
+            (Proto.Refine_start
+               { tin = None; tout; vars = List.map parse_var vars; overrides })
       | [ "refine-answer"; session; choice ] -> (
           match int_of_string_opt choice with
           | Some choice -> envelope (Proto.Refine_answer { session; choice })
@@ -1704,19 +1684,25 @@ let study_cmd =
     Term.(const run $ seed $ users)
 
 (* Cmdliner reads every token that starts with '-' as an option, so
-   [--deadline -1] fails on an unknown option [-1] (usage text, exit 124)
-   before the flag check can name the value. No option is spelled
-   [-<digit>], so joining such a token onto the long option before it
-   ([--deadline=-1]) changes only command lines that fail today. Tokens
-   after [--] are positional and left alone. *)
+   [--deadline -1] and [-n -1] fail on an unknown option [-1] (usage text,
+   exit 124) before the flag check can name the value. No option is
+   spelled [-<digit>], and every short option takes a value, so joining
+   such a token onto the option before it ([--deadline=-1], [-n-1])
+   changes only command lines that fail today. Tokens after [--] are
+   positional and left alone. *)
 let join_negative_values argv =
   let long a =
     String.length a > 2 && String.starts_with ~prefix:"--" a && not (String.contains a '=')
+  in
+  let short a =
+    String.length a = 2 && a.[0] = '-'
+    && match a.[1] with 'a' .. 'z' | 'A' .. 'Z' -> true | _ -> false
   in
   let negative a = String.length a > 1 && a.[0] = '-' && a.[1] >= '0' && a.[1] <= '9' in
   let rec go acc = function
     | "--" :: rest -> List.rev_append acc ("--" :: rest)
     | flag :: v :: rest when long flag && negative v -> go ((flag ^ "=" ^ v) :: acc) rest
+    | flag :: v :: rest when short flag && negative v -> go ((flag ^ v) :: acc) rest
     | a :: rest -> go (a :: acc) rest
     | [] -> List.rev acc
   in

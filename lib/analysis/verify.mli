@@ -6,8 +6,9 @@
     that every member a step references actually exists with the claimed
     signature, that input slots are valid for the step kind, that
     constructed classes are instantiable, and that referenced members are
-    public. It is the trusted oracle the query engine's [?verify] mode and
-    [Mining.Extract]'s well-typedness check are built on.
+    public. It is the trusted oracle that [lint --pass query], the tests
+    and [Mining.Extract]'s well-typedness check hold the search's answers
+    and the mined examples against; it never runs inside a query.
 
     Codes: [J001] step does not compose; [J002] missing or mismatched
     member; [J003] widening edge does not widen; [J004] downcast to an
@@ -21,5 +22,4 @@ val check : Javamodel.Hierarchy.t -> Prospector.Jungloid.t -> Diagnostic.t list
     is fully verified. *)
 
 val sound : Javamodel.Hierarchy.t -> Prospector.Jungloid.t -> bool
-(** No error-severity finding (warnings and infos are allowed). This is the
-    predicate behind [Query.run ~verify]. *)
+(** No error-severity finding (warnings and infos are allowed). *)

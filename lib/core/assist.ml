@@ -66,15 +66,10 @@ let of_multi mr =
     result = mr.Query.result;
   }
 
-let suggest ?settings ?engine ?frozen ?reach ?edge_cost ?protocol_check ?graph
-    ~hierarchy ctx =
+let suggest ?settings ?frozen ?reach ?edge_cost ?protocol_check ?graph ~hierarchy
+    ctx =
   let multi =
-    (* The engine's cache keys on (vars, tout, settings, generation), so
-       re-opening assist at the same program point is a hit. *)
-    match engine with
-    | Some e -> Query.run_multi_cached ?settings e ~vars:ctx.vars ~tout:ctx.expected ()
-    | None ->
-        Query.run_multi ?settings ?reach ?frozen ?edge_cost ?protocol_check
-          ?graph ~hierarchy ~vars:ctx.vars ~tout:ctx.expected ()
+    Query.run_multi ?settings ?reach ?frozen ?edge_cost ?protocol_check ?graph
+      ~hierarchy ~vars:ctx.vars ~tout:ctx.expected ()
   in
   direct_suggestions ~hierarchy ctx @ List.map of_multi multi

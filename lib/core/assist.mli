@@ -25,7 +25,6 @@ type suggestion = {
 
 val suggest :
   ?settings:Query.settings ->
-  ?engine:Query.engine ->
   ?frozen:Graph.frozen ->
   ?reach:Reach.t ->
   ?edge_cost:(Elem.t -> int) ->
@@ -39,10 +38,7 @@ val suggest :
     points", Section 5). Variables whose type already widens to the expected
     type are suggested first, verbatim — no jungloid needed.
 
-    When [?engine] is supplied, the multi-source search goes through its
-    cache and reach index ({!Query.run_multi_cached}); the engine must have
-    been built over the same [graph]/[hierarchy] pair (its own usage model
-    serves [Mined]-ranking requests, its own checker [Warn]/[Filter]
-    protocol requests). Without an engine, [?frozen]/[?reach]/[?edge_cost]/
-    [?protocol_check] forward to {!Query.run_multi} — the server's
-    lock-free read path runs assist on a published snapshot this way. *)
+    [?frozen]/[?reach]/[?edge_cost]/[?protocol_check]/[?graph] forward to
+    {!Query.run_multi}. The server's lock-free read path runs assist on a
+    published snapshot this way, and the IDE layer's [Infer.suggest_all]
+    on one snapshot frozen for a whole buffer. *)

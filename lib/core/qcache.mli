@@ -51,8 +51,8 @@ val keys_mru_first : ('k, 'a) t -> 'k list
 val stats : ('k, 'a) t -> stats
 
 val merge_stats : stats -> stats -> stats
-(** Pointwise sum — an engine with several internal caches reports one
-    combined figure. *)
+(** Pointwise sum — the daemon's per-worker caches report one combined
+    figure. *)
 
 val hit_rate : stats -> float
 (** Hits over total lookups; [0.] before any lookup. *)

@@ -87,9 +87,8 @@ let ranking_of_string = function
    field) so settings stay flat and structurally comparable. [Warn]
    surfaces violations in [info.warnings] without touching the result
    list; [Filter] drops violating chains — post-enumeration, per
-   candidate, at exactly the positions the [?verify] oracle runs, never
-   inside the search priority, so BestFirst stays byte-identical to the
-   Exhaustive oracle. *)
+   candidate, in the consumer, never inside the search priority, so
+   BestFirst stays byte-identical to the Exhaustive oracle. *)
 type protocol =
   | Off
   | Warn
@@ -172,21 +171,19 @@ let effective_mode ~edge_cost ~protocol_check settings =
   List.iter (fun w -> Log.warn (fun m -> m "%s" w)) (List.rev !warnings);
   (strategy, edge_cost, protocol, List.rev !warnings)
 
-(* In [Filter] mode a violating chain is dropped exactly where the
-   [?verify] oracle drops unsound ones: in the consumer, per candidate,
-   before truncation — never inside the search priority, which is what
-   keeps the best-first order certificate valid. *)
-let protocol_pred ~protocol ~protocol_check =
+(* The consumer's [keep]. In [Filter] mode a violating chain is dropped
+   in the consumer, per candidate, before truncation — never inside the
+   search priority, which is what keeps the best-first order certificate
+   valid. *)
+let protocol_keep ~protocol ~protocol_check =
   match (protocol, protocol_check) with
   | Filter, Some pc ->
-      Some
-        (fun j ->
-          let ok = pc j = [] in
-          if not ok then
-            Log.info (fun m ->
-                m "protocol filter dropped %s" (Jungloid.to_string j));
-          ok)
-  | _ -> None
+      fun j ->
+        let ok = pc j = [] in
+        if not ok then
+          Log.info (fun m -> m "protocol filter dropped %s" (Jungloid.to_string j));
+        ok
+  | _ -> fun _ -> true
 
 (* The snapshot a [?graph] call runs on, and the one an engine keeps. The
    void pseudo-node is interned first so every snapshot can serve the
@@ -231,17 +228,6 @@ type result = {
   key : Rank.key;
   code : string;
 }
-
-(* Soundness filtering is injected as a closure so the analyzer can sit on
-   top of this library without a dependency cycle; the counters let callers
-   report how much (ideally nothing) the oracle rejected. *)
-type verify = {
-  vcheck : Jungloid.t -> bool;
-  mutable vchecked : int;
-  mutable vfiltered : int;
-}
-
-let verifier vcheck = { vcheck; vchecked = 0; vfiltered = 0 }
 
 type multi_result = {
   source_var : string option;
@@ -343,8 +329,8 @@ let exhaustive_source ~scratch ~settings ~key_of fz ~sources ~target =
    and no key is compared. Then the first candidate of each (variable,
    rendering) is offered — distinct jungloids can render identically, e.g.
    two declarations of getFile(String) with a free receiver — and [keep]
-   (the verifier, then the protocol filter) runs on it, so a rejected chain
-   frees its slot for the next-ranked one. Pulling stops at
+   (the protocol filter) runs on it, so a rejected chain frees its slot
+   for the next-ranked one. Pulling stops at
    [settings.max_results] survivors. *)
 let consume ~settings ~inputs ~keep ~render next =
   let out = ref [] and count = ref 0 in
@@ -413,27 +399,14 @@ let consume ~settings ~inputs ~keep ~render next =
    [Search.Csr.enumerate_per_source] budgets sources. Distance lanes come
    from the domain's scratch pool, released when the frame ends (nothing
    in a result refers to them). *)
-let execute ~settings ?reach ?frozen ?verify ?edge_cost ?protocol_check ?graph
+let execute ~settings ?reach ?frozen ?edge_cost ?protocol_check ?graph
     ~hierarchy ~inputs ~tout () =
   let strategy, edge_cost, protocol, warnings =
     effective_mode ~edge_cost ~protocol_check settings
   in
   let fz = snapshot ?frozen ?graph ~edge_cost () in
   let scratch = Search.Scratch.domain () in
-  let pfilter = protocol_pred ~protocol ~protocol_check in
-  let keep j =
-    (match verify with
-    | None -> true
-    | Some v ->
-        v.vchecked <- v.vchecked + 1;
-        let ok = v.vcheck j in
-        if not ok then begin
-          v.vfiltered <- v.vfiltered + 1;
-          Log.warn (fun m -> m "verifier rejected %s" (Jungloid.to_string j))
-        end;
-        ok)
-    && match pfilter with None -> true | Some f -> f j
-  in
+  let keep = protocol_keep ~protocol ~protocol_check in
   let search ~target inputs =
     let dist_to = Search.Csr.distances_to ~scratch fz ~target in
     let budgets =
@@ -513,24 +486,21 @@ let execute ~settings ?reach ?frozen ?verify ?edge_cost ?protocol_check ?graph
   List.iter (fun w -> Log.warn (fun m -> m "%s" w)) pwarnings;
   (results, { info with warnings = warnings @ pwarnings })
 
-let run_info ?(settings = default_settings) ?reach ?frozen ?verify ?edge_cost
+let run_info ?(settings = default_settings) ?reach ?frozen ?edge_cost
     ?protocol_check ?graph ~hierarchy q =
   let results, info =
-    execute ~settings ?reach ?frozen ?verify ?edge_cost ?protocol_check ?graph
+    execute ~settings ?reach ?frozen ?edge_cost ?protocol_check ?graph
       ~hierarchy ~inputs:[ (q.tin, None) ] ~tout:q.tout ()
   in
   (List.map (fun mr -> mr.result) results, info)
 
-let run ?settings ?reach ?frozen ?verify ?edge_cost ?protocol_check ?graph
-    ~hierarchy q =
-  fst
-    (run_info ?settings ?reach ?frozen ?verify ?edge_cost ?protocol_check
-       ?graph ~hierarchy q)
+let run ?settings ?reach ?frozen ?edge_cost ?protocol_check ?graph ~hierarchy q =
+  fst (run_info ?settings ?reach ?frozen ?edge_cost ?protocol_check ?graph ~hierarchy q)
 
-let run_multi ?(settings = default_settings) ?reach ?frozen ?verify ?edge_cost
+let run_multi ?(settings = default_settings) ?reach ?frozen ?edge_cost
     ?protocol_check ?graph ~hierarchy ~vars ~tout () =
   fst
-    (execute ~settings ?reach ?frozen ?verify ?edge_cost ?protocol_check ?graph
+    (execute ~settings ?reach ?frozen ?edge_cost ?protocol_check ?graph
        ~hierarchy
        ~inputs:((Jtype.Void, None) :: List.map (fun (name, ty) -> (ty, Some name)) vars)
        ~tout ())
@@ -566,7 +536,7 @@ let cluster results =
   List.rev_map (fun key -> Hashtbl.find seen key) !order
 
 (* ------------------------------------------------------------------ *)
-(* The query engine: LRU-memoized entry points over one snapshot      *)
+(* The query engine: one LRU-memoized batch entry over one snapshot   *)
 (* ------------------------------------------------------------------ *)
 
 (* Cache keys are flat records compared and hashed structurally. The old
@@ -574,23 +544,16 @@ let cluster results =
    adversarial type name containing the separator could forge into a
    collision; a record key cannot collide by construction. Keys carry no
    generation: the engine's snapshot changes only through [engine_reload],
-   which clears both caches. *)
-type single_key = {
-  sk_tin : Jtype.t;
-  sk_tout : Jtype.t;
-  sk_settings : settings;
-}
-
-type multi_key = {
-  mk_vars : (string * Jtype.t) list;
-  mk_tout : Jtype.t;
-  mk_settings : settings;
+   which clears the cache. *)
+type key = {
+  k_tin : Jtype.t;
+  k_tout : Jtype.t;
+  k_settings : settings;
 }
 
 type engine = {
   mutable e_hierarchy : Hierarchy.t;  (* swapped by reload *)
-  e_single : (single_key, result list) Qcache.t;
-  e_multi : (multi_key, multi_result list) Qcache.t;
+  e_cache : (key, result list) Qcache.t;
   e_prune : bool;
   e_pool : Pool.t;
   mutable e_edge_cost : (Elem.t -> int) option;  (* mined cost model, if loaded *)
@@ -616,8 +579,7 @@ let make_engine ~cache_capacity ~prune ?reach ?pool ?edge_cost ?protocol_check
   in
   {
     e_hierarchy = hierarchy;
-    e_single = Qcache.create ~capacity:cache_capacity ();
-    e_multi = Qcache.create ~capacity:cache_capacity ();
+    e_cache = Qcache.create ~capacity:cache_capacity ();
     e_prune = prune;
     e_pool = Option.value pool ~default:Pool.sequential;
     e_edge_cost = edge_cost;
@@ -680,13 +642,13 @@ let engine_shards e =
       e.e_shards <- Some s;
       s
 
-let engine_stats e = Qcache.merge_stats (Qcache.stats e.e_single) (Qcache.stats e.e_multi)
+let engine_stats e = Qcache.stats e.e_cache
 
 (* Live reload: swap a delta patch into the engine without a cold restart.
    The reach index is maintained incrementally (only components downstream
    of a touched node are re-closed — [Reach.patch]); a [Rebuilt] patch has
-   unstable node ids, so its index is rebuilt lazily instead. Both caches
-   are cleared: every cached answer describes the old snapshot. A new
+   unstable node ids, so its index is rebuilt lazily instead. The cache
+   is cleared: every cached answer describes the old snapshot. A new
    [edge_cost] (a corpus delta re-derived the mined model) re-bakes the
    weighted lanes; a new [protocol_check] replaces the checker. *)
 let engine_reload ?edge_cost ?protocol_check e (patch : Delta.patch) =
@@ -702,8 +664,7 @@ let engine_reload ?edge_cost ?protocol_check e (patch : Delta.patch) =
         Some (Reach.patch ~pool:e.e_pool ~old:r ~touched:patch.Delta.p_touched fz)
     | _ -> None (* rebuilt lazily on next use *)
   in
-  Qcache.clear e.e_single;
-  Qcache.clear e.e_multi;
+  Qcache.clear e.e_cache;
   e.e_hierarchy <- patch.Delta.p_hierarchy;
   (match edge_cost with Some _ -> e.e_edge_cost <- edge_cost | None -> ());
   (match protocol_check with
@@ -717,13 +678,17 @@ let engine_reload ?edge_cost ?protocol_check e (patch : Delta.patch) =
         (Delta.mode_string patch.Delta.p_mode)
         old_gen (Graph.frozen_generation fz) patch.Delta.p_touched_count)
 
-let single_key ~settings q = { sk_tin = q.tin; sk_tout = q.tout; sk_settings = settings }
+let cache_key ~settings q = { k_tin = q.tin; k_tout = q.tout; k_settings = settings }
 
-let run_cached ?(settings = default_settings) e q =
-  Qcache.find_or_add e.e_single (single_key ~settings q) (fun () ->
-      run ~settings ?reach:(engine_reach e) ~frozen:e.e_frozen
-        ?edge_cost:e.e_edge_cost ?protocol_check:e.e_protocol_check
-        ~hierarchy:e.e_hierarchy q)
+(* One query on [frozen] under the engine's model. *)
+let solve_on e ~settings ?reach frozen q =
+  run ~settings ?reach ~frozen ?edge_cost:e.e_edge_cost
+    ?protocol_check:e.e_protocol_check ~hierarchy:e.e_hierarchy q
+
+(* [run_batch] at [jobs = 1]: one query through the cache. *)
+let run_cached ~settings e q =
+  Qcache.find_or_add e.e_cache (cache_key ~settings q) (fun () ->
+      solve_on e ~settings ?reach:(engine_reach e) e.e_frozen q)
 
 (* The parallel batch replays the sequential cache protocol exactly:
 
@@ -746,11 +711,8 @@ let run_batch ?(settings = default_settings) ?pool e qs =
     Hierarchy.warm e.e_hierarchy;
     let reach = engine_reach e in
     let frozen = e.e_frozen in
-    let key q = single_key ~settings q in
-    let solve q =
-      run ~settings ?reach ~frozen ?edge_cost:e.e_edge_cost
-        ?protocol_check:e.e_protocol_check ~hierarchy:e.e_hierarchy q
-    in
+    let key q = cache_key ~settings q in
+    let solve q = solve_on e ~settings ?reach frozen q in
     (* Scatter-gather: a query whose target has a package runs on that
        package group's shard — a sub-snapshot containing the target's whole
        reachability cone, so the answer is byte-identical to the full-graph
@@ -766,8 +728,7 @@ let run_batch ?(settings = default_settings) ?pool e qs =
           (* No reach index for the shard: the sub-snapshot numbers its
              nodes afresh, so the full snapshot's index does not describe
              it. *)
-          run ~settings ~frozen:sfz ?edge_cost:e.e_edge_cost
-            ?protocol_check:e.e_protocol_check ~hierarchy:e.e_hierarchy q
+          solve_on e ~settings sfz q
     in
     let route q =
       match shards with
@@ -785,7 +746,7 @@ let run_batch ?(settings = default_settings) ?pool e qs =
       List.filter
         (fun q ->
           let k = key q in
-          if Qcache.mem e.e_single k || Hashtbl.mem seen k then false
+          if Qcache.mem e.e_cache k || Hashtbl.mem seen k then false
           else begin
             Hashtbl.replace seen k ();
             true
@@ -802,16 +763,9 @@ let run_batch ?(settings = default_settings) ?pool e qs =
     List.map
       (fun q ->
         ( q,
-          Qcache.find_or_add e.e_single (key q) (fun () ->
+          Qcache.find_or_add e.e_cache (key q) (fun () ->
               match Hashtbl.find_opt precomputed (key q) with
               | Some r -> r
               | None -> solve q) ))
       qs
   end
-
-let run_multi_cached ?(settings = default_settings) e ~vars ~tout () =
-  let k = { mk_vars = vars; mk_tout = tout; mk_settings = settings } in
-  Qcache.find_or_add e.e_multi k (fun () ->
-      run_multi ~settings ?reach:(engine_reach e) ~frozen:e.e_frozen
-        ?edge_cost:e.e_edge_cost ?protocol_check:e.e_protocol_check
-        ~hierarchy:e.e_hierarchy ~vars ~tout ())

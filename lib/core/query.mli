@@ -22,7 +22,7 @@ val query : string -> string -> t
     an array type. *)
 
 (** Where the rank-ordered candidates come from. Both strategies feed one
-    consumer (dedup, verification, protocol filtering, truncation, codegen)
+    consumer (dedup, protocol filtering, truncation, codegen)
     and differ only in the source: [BestFirst] (the default) pops
     rank-ordered path prefixes from a min-heap ({!Topk}) and stops once the
     top results are certified; [Exhaustive] enumerates every within-budget
@@ -76,9 +76,10 @@ val ranking_of_string : string -> (ranking, string) result
     ([Mining.Protomine] / [Analysis.Protolint] in practice). [Warn] vets
     the {e emitted} results after selection and reports violations in
     {!info.warnings} — the result list is byte-identical to [Off]. [Filter]
-    drops violating chains post-enumeration, per candidate, at exactly the
-    positions the [?verify] oracle runs — never inside the search priority
-    — so [BestFirst] stays byte-identical to [Exhaustive] under every mode
+    drops violating chains post-enumeration, per candidate, before
+    truncation — never inside the search priority — so a dropped chain
+    frees its slot for the next-ranked one and [BestFirst] stays
+    byte-identical to [Exhaustive] under every mode
     ([test_topk.ml] pins this). The checker itself travels separately
     ([?protocol_check] / the engine's checker), keeping settings flat and
     structurally comparable for the cache keys; [Warn]/[Filter] without a
@@ -123,25 +124,6 @@ type result = {
   code : string;  (** generated Java, input named after [tin] *)
 }
 
-(** {2 Verified mode}
-
-    An independent soundness oracle (in practice [Analysis.Verify.sound],
-    injected as a closure to keep the analyzer layered above this library)
-    re-checks ranked chains in rank order until [max_results] of them
-    survive, under either strategy; unsound ones are dropped {e before}
-    truncation, so each frees its slot for the next-ranked chain, and
-    counted. On a healthy pipeline [vfiltered] stays 0 — the property
-    suite enforces this over the curated workload. *)
-
-type verify = {
-  vcheck : Jungloid.t -> bool;
-  mutable vchecked : int;  (** chains inspected *)
-  mutable vfiltered : int;  (** chains rejected as unsound *)
-}
-
-val verifier : (Jungloid.t -> bool) -> verify
-(** Fresh counters around a soundness predicate. *)
-
 type info = {
   candidates : int;
       (** candidates the search materialized into jungloids: every
@@ -170,7 +152,6 @@ val run_info :
   ?settings:settings ->
   ?reach:Reach.t ->
   ?frozen:Graph.frozen ->
-  ?verify:verify ->
   ?edge_cost:(Elem.t -> int) ->
   ?protocol_check:(Jungloid.t -> string list) ->
   ?graph:Graph.t ->
@@ -184,7 +165,6 @@ val run :
   ?settings:settings ->
   ?reach:Reach.t ->
   ?frozen:Graph.frozen ->
-  ?verify:verify ->
   ?edge_cost:(Elem.t -> int) ->
   ?protocol_check:(Jungloid.t -> string list) ->
   ?graph:Graph.t ->
@@ -208,9 +188,7 @@ val run :
     query whose [tin] cannot reach [tout] is answered [[]] in O(1), without
     a search; every other query runs exactly as without the index, so the
     result list is the same either way. A stale index is ignored, never
-    misapplied. [?verify] filters unsound chains (see
-    {!verify}); the cached entry points below never take it, so cached and
-    verified results cannot mix.
+    misapplied.
 
     [?edge_cost] is the mined usage model ([Mining.Usage.edge_cost]),
     consulted only when [settings.ranking = Mined]. It must be
@@ -246,7 +224,6 @@ val run_multi :
   ?settings:settings ->
   ?reach:Reach.t ->
   ?frozen:Graph.frozen ->
-  ?verify:verify ->
   ?edge_cost:(Elem.t -> int) ->
   ?protocol_check:(Jungloid.t -> string list) ->
   ?graph:Graph.t ->
@@ -274,16 +251,18 @@ val run_multi :
 (** {2 The query engine}
 
     A long-lived handle bundling one frozen CSR snapshot, its hierarchy, an
-    LRU result cache per query shape (single-source and multi-source), and
-    a {!Reach} index built lazily from that snapshot. The model an engine
-    answers over changes only through {!engine_reload}, which swaps the
-    snapshot and clears both caches; mutating the graph an engine was built
-    from changes nothing the engine sees. Cache keys are
-    [(tin, tout, settings)] (plus the visible variables for the
-    multi-source shape), so cached results are always exactly what the
-    uncached pipeline returns on {!engine_frozen}
-    ([test_cache.ml] checks the equivalence over the full Table 1 workload,
-    [test_reload.ml] across random reload sequences). *)
+    LRU result cache for {!run_batch}, and a {!Reach} index built lazily
+    from that snapshot. The model an engine answers over changes only
+    through {!engine_reload}, which swaps the snapshot and clears the
+    cache; mutating the graph an engine was built from changes nothing the
+    engine sees. Cache keys are [(tin, tout, settings)], so cached results
+    are always exactly what the uncached pipeline returns on
+    {!engine_frozen} ([test_cache.ml] checks the equivalence over the full
+    Table 1 workload, [test_reload.ml] across random reload sequences).
+    Content assist has no engine entry point: a multi-source search runs
+    {!run_multi} on {!engine_frozen} with {!engine_reach},
+    {!engine_edge_cost} and {!engine_protocol_check}, as the server's
+    readers do. *)
 
 type engine
 
@@ -297,8 +276,8 @@ val engine :
   hierarchy:Hierarchy.t ->
   unit ->
   engine
-(** [cache_capacity] (default 256) sizes each of the two internal LRU
-    caches. [prune:false] turns the reach index off: no unsolvable query is
+(** [cache_capacity] (default 256) sizes the LRU result cache.
+    [prune:false] turns the reach index off: no unsolvable query is
     rejected before its search, and {!run_batch} plans no shards (the
     bench uses this to measure the rejection in isolation); answers are
     the same either way. The index is built from the engine's own snapshot
@@ -318,9 +297,9 @@ val engine :
 
     [?protocol_check] installs the mined typestate checker
     ({!run}'s [?protocol_check]) for queries with [settings.protocol]
-    of [Warn] or [Filter]; cached entry points apply it automatically,
-    and [settings.protocol] is part of every cache key, so [Filter]ed
-    and unfiltered results never mix. *)
+    of [Warn] or [Filter]; {!run_batch} applies it automatically, and
+    [settings.protocol] is part of every cache key, so [Filter]ed and
+    unfiltered results never mix. *)
 
 val engine_of_frozen :
   ?cache_capacity:int ->
@@ -373,10 +352,6 @@ val engine_shards : engine -> Shard.t option
     packages. {!run_batch} routes through this; it is exposed for the
     scale bench's shard statistics. *)
 
-val run_cached : ?settings:settings -> engine -> t -> result list
-(** {!run} through the cache: a hit costs one hash lookup; a miss runs the
-    pipeline with the engine's reach index and stores the result. *)
-
 val run_batch :
   ?settings:settings ->
   ?pool:Prospector_parallel.Pool.t ->
@@ -384,8 +359,10 @@ val run_batch :
   t list ->
   (t * result list) list
 (** Answer many queries through one engine — the reach index is built once
-    and every repeated [(tin, tout)] pair after the first is a cache hit.
-    Results are in input order, duplicates included.
+    and every repeated [(tin, tout)] pair after the first is a cache hit
+    (one hash lookup; a miss runs {!run} on the engine's snapshot, reach
+    index and models, and stores the result). Results are in input order,
+    duplicates included. [run_batch e [q]] is the one-query form.
 
     With a [?pool] (default: the engine's) of more than one job, cache
     misses are computed concurrently over the engine's snapshot and then
@@ -403,17 +380,6 @@ val run_batch :
     generated worlds). Packageless targets, oversized shards, and
     [settings.estimate_freevars] runs fall back to the full snapshot. *)
 
-val run_multi_cached :
-  ?settings:settings ->
-  engine ->
-  vars:(string * Jtype.t) list ->
-  tout:Jtype.t ->
-  unit ->
-  multi_result list
-(** {!run_multi} through the cache, keyed additionally on the visible
-    variables — the content-assist hot path: re-opening assist at the same
-    program point is a hit. *)
-
 val engine_reload :
   ?edge_cost:(Elem.t -> int) ->
   ?protocol_check:(Jungloid.t -> string list) ->
@@ -424,12 +390,12 @@ val engine_reload :
     engine's model changes. The CSR snapshot and hierarchy are replaced,
     the reach index of a [Spliced] patch is maintained incrementally
     ({!Reach.patch} — only components downstream of a touched node are
-    re-closed; a [Rebuilt] patch's is rebuilt on next use), and both caches
-    are cleared (one invalidation each in {!engine_stats}). [edge_cost] /
+    re-closed; a [Rebuilt] patch's is rebuilt on next use), and the cache
+    is cleared (one invalidation in {!engine_stats}). [edge_cost] /
     [protocol_check], when given, install a re-derived mined model, and
     the snapshot's weighted lanes are re-baked under it. Subsequent queries
     answer over the patched model. *)
 
 val engine_stats : engine -> Qcache.stats
-(** Combined hit/miss/eviction/invalidation counters of both internal
-    caches; render with {!Stats.pp_cache}. *)
+(** Hit/miss/eviction/invalidation counters of the result cache; render
+    with {!Stats.pp_cache}. *)

@@ -61,22 +61,20 @@ let contexts ~api sources = holes (Minijava.Resolve.parse_program ~api sources)
 
 let to_context h = { Prospector.Assist.vars = h.vars; expected = h.expected }
 
-let suggest_at ?settings ?engine ?edge_cost ?protocol_check ~graph ~hierarchy h =
-  Prospector.Assist.suggest ?settings ?engine ?edge_cost ?protocol_check ~graph
+let suggest_at ?settings ?edge_cost ?protocol_check ~graph ~hierarchy h =
+  Prospector.Assist.suggest ?settings ?edge_cost ?protocol_check ~graph
     ~hierarchy (to_context h)
 
-let session ?cache_capacity ?edge_cost ?protocol_check ~graph ~hierarchy () =
-  Prospector.Query.engine ?cache_capacity ?edge_cost ?protocol_check ~graph
-    ~hierarchy ()
-
-let suggest_all ?settings ?engine ?edge_cost ?protocol_check ~graph ~hierarchy
-    holes =
-  (* An editing session: one engine across every hole in the buffer, so
-     holes sharing an expected type (or revisited after an edit elsewhere)
-     reuse search work instead of repeating it. *)
-  let engine =
-    match engine with
-    | Some e -> e
-    | None -> session ?edge_cost ?protocol_check ~graph ~hierarchy ()
-  in
-  List.map (fun h -> (h, suggest_at ?settings ~engine ~graph ~hierarchy h)) holes
+(* One snapshot and one reach index serve every hole in the buffer. The
+   snapshot bakes [edge_cost] whatever the ranking, so under [Mined] the
+   weighted search reads the same model the rank keys apply; under [Paper]
+   the query layer ignores it. *)
+let suggest_all ?settings ?edge_cost ?protocol_check ~graph ~hierarchy holes =
+  let frozen = Prospector.Query.freeze ?edge_cost graph in
+  let reach = Prospector.Reach.build_frozen frozen in
+  List.map
+    (fun h ->
+      ( h,
+        Prospector.Assist.suggest ?settings ~frozen ~reach ?edge_cost
+          ?protocol_check ~hierarchy (to_context h) ))
+    holes

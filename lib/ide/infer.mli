@@ -44,46 +44,28 @@ val to_context : hole -> Prospector.Assist.context
 
 val suggest_at :
   ?settings:Prospector.Query.settings ->
-  ?engine:Prospector.Query.engine ->
   ?edge_cost:(Prospector.Elem.t -> int) ->
   ?protocol_check:(Prospector.Jungloid.t -> string list) ->
   graph:Prospector.Graph.t ->
   hierarchy:Javamodel.Hierarchy.t ->
   hole ->
   Prospector.Assist.suggestion list
-(** Content-assist suggestions for one hole. Pass [?engine] (see {!session})
-    to serve the hole from the interactive query cache — the IDE keeps one
-    engine per open workspace, so re-triggering assist at an unchanged
-    program point costs a hash lookup. The engine answers from the snapshot
-    it froze at creation: once the graph is enriched (new mined examples
-    arriving), start a new {!session}. [?edge_cost] is the
-    mined usage model for [Mined]-ranking settings; [?protocol_check] the
-    mined typestate checker for [Warn]/[Filter]-protocol settings (engine
-    sessions carry their own — see {!session}). *)
-
-val session :
-  ?cache_capacity:int ->
-  ?edge_cost:(Prospector.Elem.t -> int) ->
-  ?protocol_check:(Prospector.Jungloid.t -> string list) ->
-  graph:Prospector.Graph.t ->
-  hierarchy:Javamodel.Hierarchy.t ->
-  unit ->
-  Prospector.Query.engine
-(** The interactive session handle: a {!Prospector.Query.engine} over a
-    snapshot of the workspace graph, shared by every completion request. [?edge_cost]
-    installs the workspace's mined usage model for [Mined]-ranking
-    completions; [?protocol_check] its mined typestate checker for
-    [Warn]/[Filter]-protocol completions. *)
+(** Content-assist suggestions for one hole: one multi-source search from
+    scratch over [graph], as the plugin ran it for each request.
+    [?edge_cost] is the mined usage model for [Mined]-ranking settings;
+    [?protocol_check] the mined typestate checker for
+    [Warn]/[Filter]-protocol settings. *)
 
 val suggest_all :
   ?settings:Prospector.Query.settings ->
-  ?engine:Prospector.Query.engine ->
   ?edge_cost:(Prospector.Elem.t -> int) ->
   ?protocol_check:(Prospector.Jungloid.t -> string list) ->
   graph:Prospector.Graph.t ->
   hierarchy:Javamodel.Hierarchy.t ->
   hole list ->
   (hole * Prospector.Assist.suggestion list) list
-(** Suggestions for every hole of a buffer through one shared engine (a
-    fresh one when [?engine] is absent): the batch counterpart of
-    {!suggest_at}, in source order. *)
+(** Suggestions for every hole of a buffer, in source order: the batch
+    counterpart of {!suggest_at}, with the same answers. [graph] is frozen
+    once ({!Prospector.Query.freeze}, baking [?edge_cost]) and indexed once
+    ({!Prospector.Reach.build_frozen}); each hole then runs its own search
+    on that snapshot. *)

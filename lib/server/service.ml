@@ -327,7 +327,7 @@ let lint_diagnostics t local snap q =
   match memo local snap key compute with Vlint ds -> ds | _ -> assert false
 
 (* Every worker cache's counters — the caches that serve reads (the
-   engine's own are never read here). Foreign caches may be mid-mutation on
+   engine's own is never read here). Foreign caches may be mid-mutation on
    other domains while we read; the counters are plain ints (stale at
    worst, never torn), fine for monitoring output. Entries count only in
    caches at the published generation: a worker that has not read since

@@ -21,7 +21,7 @@
     readers simply finish on the previous snapshot. Result caching is per
     worker ({!local}) because an LRU mutates on reads; a worker that brings
     no cache still gets correct, lock-free, merely uncached answers. The
-    engine's own caches never serve a read. *)
+    engine's own cache never serves a read. *)
 
 type t
 

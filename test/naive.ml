@@ -340,8 +340,8 @@ let enumerate_per_source g ~sources ~target ?(slack = 1) ?(limit = 4096)
    distinct pairs, in enumeration order, are sorted stably by (rank key,
    variable), the key's text rendered by [to_string]; the first pair of
    each (variable, [to_expression] rendering) is offered to
-   [keep], which stands where the verifier and the protocol filter drop
-   chains; the first [max_results] survivors are the answer. *)
+   [keep], which stands where the protocol filter drops chains; the first
+   [max_results] survivors are the answer. *)
 let numeric (k : Prospector.Rank.key) =
   Prospector.Rank.(k.weighted, k.length, k.crossings, k.specificity, k.interior)
 

@@ -1,8 +1,8 @@
 (* Tests for the analyzer: the jungloid soundness verifier (J codes), the
    API-model/graph lint (A codes), the corpus linter (C codes), the codegen
-   re-check (G codes), and their wiring into Query ?verify and the mining
-   extraction gate. Each lint rule gets a positive (fires) and a negative
-   (stays quiet) case. *)
+   re-check (G codes), and their wiring as oracles over the Table 1 answers
+   and as the mining extraction gate. Each lint rule gets a positive
+   (fires) and a negative (stays quiet) case. *)
 
 module Qname = Javamodel.Qname
 module Jtype = Javamodel.Jtype
@@ -440,26 +440,32 @@ let table1_solutions_verified () =
         m.Apidata.Problems.results)
     ms
 
+(* The verifier as an oracle over the query path: every result of every
+   Table 1 query, under both candidate sources, is sound — a verifier
+   filtering the answers would drop nothing. *)
 let table1_verified_filters_zero () =
   let graph = Apidata.Api.default_graph () in
   let hierarchy = Apidata.Api.hierarchy () in
+  let frozen = Query.freeze graph in
+  let checked = ref 0 in
   List.iter
-    (fun (p : Apidata.Problems.t) ->
-      let q = Query.query p.Apidata.Problems.tin p.Apidata.Problems.tout in
-      let plain = Query.run ~graph ~hierarchy q in
-      let v = Query.verifier (Verify.sound hierarchy) in
-      let verified = Query.run ~verify:v ~graph ~hierarchy q in
-      check_int
-        (Printf.sprintf "problem %d: vfiltered" p.Apidata.Problems.id)
-        0 v.Query.vfiltered;
-      check_bool
-        (Printf.sprintf "problem %d: same results" p.Apidata.Problems.id)
-        true
-        (List.for_all2
-           (fun (a : Query.result) (b : Query.result) ->
-             Jungloid.equal a.Query.jungloid b.Query.jungloid)
-           plain verified))
-    Apidata.Problems.all
+    (fun strategy ->
+      let settings = { Query.default_settings with strategy } in
+      List.iter
+        (fun (p : Apidata.Problems.t) ->
+          let q = Query.query p.Apidata.Problems.tin p.Apidata.Problems.tout in
+          List.iter
+            (fun (res : Query.result) ->
+              incr checked;
+              if not (Verify.sound hierarchy res.Query.jungloid) then
+                Alcotest.failf "problem %d (%s): unsound result %s"
+                  p.Apidata.Problems.id
+                  (Query.strategy_to_string strategy)
+                  (Jungloid.to_string res.Query.jungloid))
+            (Query.run ~settings ~frozen ~hierarchy q))
+        Apidata.Problems.all)
+    [ Query.BestFirst; Query.Exhaustive ];
+  check_bool "some results checked" true (!checked > 0)
 
 let gencheck_rejects_nonsense () =
   let h = verifier_api () in
@@ -756,22 +762,6 @@ let prop_solutions_pass_verifier =
             (Query.run ~graph:w.w_g ~hierarchy:w.w_h q))
         w.w_queries)
 
-let prop_verified_mode_filters_nothing =
-  QCheck2.Test.make ~name:"verified mode filters zero solutions" ~count:30 world_gen
-    (fun w ->
-      List.for_all
-        (fun q ->
-          let plain = Query.run ~graph:w.w_g ~hierarchy:w.w_h q in
-          let v = Query.verifier (Verify.sound w.w_h) in
-          let verified = Query.run ~verify:v ~graph:w.w_g ~hierarchy:w.w_h q in
-          v.Query.vfiltered = 0
-          && List.length plain = List.length verified
-          && List.for_all2
-               (fun (a : Query.result) (b : Query.result) ->
-                 Jungloid.equal a.Query.jungloid b.Query.jungloid)
-               plain verified)
-        w.w_queries)
-
 let prop_extracted_examples_sound =
   QCheck2.Test.make ~name:"extracted examples pass example_well_typed (verifier)"
     ~count:20
@@ -870,7 +860,6 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_solutions_pass_verifier;
-            prop_verified_mode_filters_nothing;
             prop_extracted_examples_sound;
             prop_reaching_defs_refine_producers;
           ] );

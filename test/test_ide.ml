@@ -162,6 +162,51 @@ let test_no_holes () =
   in
   check_int "none" 0 (List.length (Infer.contexts ~api:(api ()) [ ("s", src) ]))
 
+(* [suggest_all] freezes the graph once for the whole buffer. Under the
+   mined ranking that snapshot must bake the usage model, or the weighted
+   search and the rank keys disagree; hole by hole it must answer as
+   [suggest_at], which searches the graph afresh. The mined order differs
+   from the paper order on this buffer, so a snapshot without the model
+   shows here. *)
+let test_suggest_all_mined () =
+  let src =
+    {|
+    package client;
+    class Editors {
+      void run(IWorkbench workbench, IEditorPart ep) {
+        IWorkbenchWindow window = ?;
+        Shell shell = ?;
+        IEditorInput inp = ?;
+      }
+    }
+    |}
+  in
+  let graph = graph () and hierarchy = api () in
+  let hs = Infer.contexts ~api:hierarchy [ ("snippet", src) ] in
+  check_int "three holes" 3 (List.length hs);
+  let edge_cost = Mining.Usage.edge_cost (Apidata.Api.usage ()) in
+  let at ranking = { Prospector.Query.default_settings with ranking } in
+  let titles = List.map (fun (s : Prospector.Assist.suggestion) -> s.title) in
+  let all ranking =
+    Infer.suggest_all ~settings:(at ranking) ~edge_cost ~graph ~hierarchy hs
+  in
+  let mined = all Prospector.Query.Mined in
+  List.iter2
+    (fun h (h', got) ->
+      check_bool "holes in source order" true (h == h');
+      let want =
+        Infer.suggest_at ~settings:(at Prospector.Query.Mined) ~edge_cost ~graph
+          ~hierarchy h
+      in
+      Alcotest.(check (list string))
+        (Jtype.to_string h.Infer.expected)
+        (titles want) (titles got);
+      check_bool "same suggestions, keys and code" true (want = got))
+    hs mined;
+  check_bool "the mined order is not the paper order" true
+    (List.map (fun (_, ss) -> titles ss) mined
+    <> List.map (fun (_, ss) -> titles ss) (all Prospector.Query.Paper))
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "ide"
@@ -177,5 +222,6 @@ let () =
           tc "branch locals scoped" test_branch_locals_scoped;
           tc "static method no this" test_static_method_no_this;
           tc "no holes" test_no_holes;
+          tc "suggest_all = suggest_at, mined" test_suggest_all_mined;
         ] );
     ]

@@ -346,11 +346,11 @@ let edit_queries h op =
   in
   List.map (fun tout -> { Query.tin = Jtype.Ref name; tout }) (before @ after)
 
-(* Warm both engine caches, then apply the ops one reload at a time: after
-   each, every cached answer (single- and multi-source) must equal the
-   uncached pipeline's on the engine's own snapshot, index and hierarchy.
-   An entry that survived a reload it should not have serves the old
-   world's answer and fails this. *)
+(* Warm the engine's cache, then apply the ops one reload at a time: after
+   each, every cached answer must equal the uncached pipeline's on the
+   engine's own snapshot, index and hierarchy. An entry that survived a
+   reload it should not have serves the old world's answer and fails
+   this. *)
 let prop_engine_caches_follow_reloads =
   QCheck2.Test.make ~name:"caches agree after every reload"
     ~count:40 world_gen (fun (seed, classes, nops) ->
@@ -358,17 +358,12 @@ let prop_engine_caches_follow_reloads =
       let e = Query.engine ~graph:(Sig_graph.build h) ~hierarchy:h () in
       let ops = build_ops (Rng.create ~seed:(seed lxor 0xcac4e)) h nops in
       let qs = List.sort_uniq compare (List.concat_map (edit_queries h) ops) in
-      let assist (q : Query.t) = ([ ("x", q.Query.tin) ], q.Query.tout) in
       let agree () =
         let frozen = Query.engine_frozen e and reach = Query.engine_reach e in
         let hierarchy = Query.engine_hierarchy e in
         List.for_all
           (fun q ->
-            Query.run_cached e q = Query.run ~frozen ?reach ~hierarchy q
-            &&
-            let vars, tout = assist q in
-            Query.run_multi_cached e ~vars ~tout ()
-            = Query.run_multi ~frozen ?reach ~hierarchy ~vars ~tout ())
+            Query.run_batch e [ q ] = [ (q, Query.run ~frozen ?reach ~hierarchy q) ])
           qs
       in
       ignore (agree ());

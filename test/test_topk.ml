@@ -752,17 +752,17 @@ let prop_estimated_freevars_equal =
 (* ---------- the shared consumer against the naive pipeline ---------- *)
 
 (* Both strategies feed one consumer, so the suites above cannot see a bug
-   in its dedup, verification, filtering, truncation, keys or codegen: it
-   would show on both sides alike. [Naive.run] and [Naive.run_multi]
-   rebuild that pipeline from the naive enumeration instead, and the code
-   of each result is held against [Naive.to_java], the key against
-   [Rank.key] under the snapshot's own cost model. The verifier and the
-   protocol filter each reject a deterministic share of chains — the
-   verifier by the chain's members, so of two chains that render alike
-   (free receivers of different classes) it may reject one only — and the
-   naive [keep] rejects their union. The limit stays far above the few
-   thousand paths these worlds have at slack 2, so no run stops at the
-   path cap. *)
+   in its dedup, filtering, truncation, keys or codegen: it would show on
+   both sides alike. [Naive.run] and [Naive.run_multi] rebuild that
+   pipeline from the naive enumeration instead, and the code of each
+   result is held against [Naive.to_java], the key against [Rank.key]
+   under the snapshot's own cost model. The protocol filter rejects the
+   union of two deterministic shares of chains: one by the chain's
+   members, so of two chains that render alike (free receivers of
+   different classes) it may reject one only, and one by the chain's
+   rendering. The naive [keep] rejects the same union. The limit stays far
+   above the few thousand paths these worlds have at slack 2, so no run
+   stops at the path cap. *)
 let unsound (j : Prospector.Jungloid.t) =
   Hashtbl.hash (List.map Prospector.Elem.describe j.Prospector.Jungloid.elems) mod 4 = 0
 
@@ -773,13 +773,12 @@ let key_fields (k : Rank.key) =
 
 let prop_consumer_equals_naive =
   QCheck2.Test.make
-    ~name:"run and run_multi = the naive pipeline (verify, filter, k, slack, ranking)"
+    ~name:"run and run_multi = the naive pipeline (filter, k, slack, ranking)"
     ~count:20 world_gen (fun (h, g) ->
       let model = synthetic_cost ~seed:11 in
       let frozen = Graph.freeze ~wcost:model g in
-      let protocol_check j = if deviant j then [ "synthetic violation" ] else [] in
       let keep j = not (unsound j || deviant j) in
-      let verify () = Query.verifier (fun j -> not (unsound j)) in
+      let protocol_check j = if keep j then [] else [ "synthetic violation" ] in
       let qs = Corpusgen.Workload.random_queries h g ~count:3 ~seed:23 in
       let code var j =
         let input = Option.map (fun n -> (n, Prospector.Jungloid.input_type j)) var in
@@ -812,13 +811,13 @@ let prop_consumer_equals_naive =
               in
               let expected j = key_fields (Rank.key ?edge_cost h j) in
               let single =
-                Query.run ~settings ~verify:(verify ()) ~protocol_check ~edge_cost:model
-                  ~frozen ~hierarchy:h q
+                Query.run ~settings ~protocol_check ~edge_cost:model ~frozen
+                  ~hierarchy:h q
                 |> List.map result
               in
               let multi =
-                Query.run_multi ~settings ~verify:(verify ()) ~protocol_check
-                  ~edge_cost:model ~frozen ~hierarchy:h ~vars ~tout:q.Query.tout ()
+                Query.run_multi ~settings ~protocol_check ~edge_cost:model ~frozen
+                  ~hierarchy:h ~vars ~tout:q.Query.tout ()
                 |> List.map (fun (m : Query.multi_result) ->
                        (m.Query.source_var, result m.Query.result))
               in
