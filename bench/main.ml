@@ -658,7 +658,9 @@ let section_cache () =
    every ranked chain, so its price scales with results per query, not
    with search effort — on the Table 1 workload it should be noise next to
    the search itself. [chains_unsound] counts results the verifier rejects:
-   0 on a healthy pipeline. *)
+   0 on a healthy pipeline. One timed pass of each side read -10% to +31%
+   overhead over six runs of one tree (2 vCPUs), so the two are timed as
+   [bench cache] times its pairs ([ab_medians]). *)
 
 let section_analysis () =
   rule "Analyzer — verifier overhead and lint pass timings";
@@ -670,31 +672,40 @@ let section_analysis () =
   in
   let nq = List.length qs in
   let passes = 10 in
-  let run_passes f =
-    time_of (fun () ->
-        let last = ref [] in
-        for _ = 1 to passes do
-          last := List.map f qs
-        done;
-        !last)
-  in
   let frozen = Query.freeze graph in
-  let plain_t, plain = run_passes (fun q -> Query.run ~frozen ~hierarchy q) in
-  let checked = ref 0 and unsound = ref 0 in
-  let verified_t, _ =
-    run_passes (fun q ->
-        List.iter
-          (fun (r : Query.result) ->
-            incr checked;
-            if not (Analysis.Verify.sound hierarchy r.Query.jungloid) then incr unsound)
-          (Query.run ~frozen ~hierarchy q))
+  let run_passes f () =
+    let last = ref [] in
+    for _ = 1 to passes do
+      last := List.map f qs
+    done;
+    !last
+  in
+  (* Each side returns what its warm-up pass saw: the verified one counts
+     (chains checked, unsound) over its [passes] passes. *)
+  let plain_t, plain, verified_t, (checked, unsound) =
+    ab_medians ~rounds:cache_rounds
+      (run_passes (fun q -> Query.run ~frozen ~hierarchy q))
+      (fun () ->
+        let checked = ref 0 and unsound = ref 0 in
+        ignore
+          (run_passes
+             (fun q ->
+               List.iter
+                 (fun (r : Query.result) ->
+                   incr checked;
+                   if not (Analysis.Verify.sound hierarchy r.Query.jungloid) then
+                     incr unsound)
+                 (Query.run ~frozen ~hierarchy q))
+             ());
+        (!checked, !unsound))
   in
   let per_q t = t *. 1000.0 /. float_of_int (passes * nq) in
-  Printf.printf "Table 1 workload (%d queries, %d passes):\n" nq passes;
+  Printf.printf "Table 1 workload (%d queries, %d passes, median of %d rounds):\n" nq
+    passes cache_rounds;
   Printf.printf "  unverified: %.3f ms/query    verified: %.3f ms/query    overhead %.1f%%\n"
     (per_q plain_t) (per_q verified_t)
     (100.0 *. ((verified_t /. plain_t) -. 1.0));
-  Printf.printf "  chains checked: %d, unsound: %d\n" !checked !unsound;
+  Printf.printf "  chains checked: %d, unsound: %d\n" checked unsound;
   (* Standalone pass timings over the shipped model, corpus, and solutions. *)
   let chains =
     List.concat plain |> List.map (fun (r : Query.result) -> r.Query.jungloid)
@@ -731,6 +742,7 @@ let section_analysis () =
       "{\n\
       \  \"queries\": %d,\n\
       \  \"passes\": %d,\n\
+      \  \"rounds\": %d,\n\
       \  \"unverified_ms_per_query\": %.4f,\n\
       \  \"verified_ms_per_query\": %.4f,\n\
       \  \"verify_overhead_fraction\": %.4f,\n\
@@ -744,9 +756,9 @@ let section_analysis () =
       \  \"corpuslint_s\": %.6f,\n\
       \  \"corpuslint_findings\": %d\n\
        }\n"
-      nq passes (per_q plain_t) (per_q verified_t)
+      nq passes cache_rounds (per_q plain_t) (per_q verified_t)
       ((verified_t /. plain_t) -. 1.0)
-      !checked !unsound nchains
+      checked unsound nchains
       (1e6 *. verify_t /. float_of_int (max 1 nchains))
       (1e6 *. gencheck_t /. float_of_int (max 1 nchains))
       apilint_t (List.length api_ds) corpuslint_t (List.length corpus_ds)

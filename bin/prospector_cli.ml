@@ -89,6 +89,16 @@ let check_seconds flag ~must ok = function
   | Some s -> check_flag flag ~must (Float.is_finite s && ok s) (Printf.sprintf "%g" s)
   | None -> ()
 
+(* A positional type argument goes through the check the wire's type-name
+   fields use: a blank name is a one-line error and exit 1, never a
+   trace. *)
+let check_type_arg what name =
+  match Prospector.Query.check_type_name ~what name with
+  | Ok () -> ()
+  | Error msg ->
+      Printf.eprintf "error: %s\n" msg;
+      exit 1
+
 let pool_of_jobs jobs =
   check_at_least "jobs" 1 jobs;
   Prospector_parallel.Pool.create ~jobs
@@ -112,8 +122,7 @@ type env = {
       (* mined typestate model, present whenever corpus mining ran *)
   mined_corpus : (string * string) list;
       (* the corpus sources mining read, kept so [serve]'s live reload can
-         re-enrich a rebuilt graph and re-mine the protocol model; [] when
-         not mining *)
+         re-enrich a rebuilt graph; [] when not mining *)
 }
 
 let load_env ?pool ~api ~corpus ~mining ~protected_ () =
@@ -280,6 +289,8 @@ let query_cmd =
   let run api corpus no_mining protected_ max_results slack strategy ranking
       protocol cluster verbose tin tout =
     setup_logs verbose;
+    check_type_arg "TIN" tin;
+    check_type_arg "TOUT" tout;
     handle_errors (fun () ->
         let env =
           load_env ~api ~corpus ~mining:(not no_mining) ~protected_ ()
@@ -326,6 +337,7 @@ let assist_cmd =
   in
   let run api corpus no_mining protected_ max_results slack strategy ranking
       protocol vars tout =
+    check_type_arg "TOUT" tout;
     handle_errors (fun () ->
         let env = load_env ~api ~corpus ~mining:(not no_mining) ~protected_ () in
         let ctx =
@@ -444,12 +456,15 @@ let refine_cmd =
         let candidates =
           match (argv, vars) with
           | [ tin; tout ], [] ->
+              check_type_arg "TIN" tin;
+              check_type_arg "TOUT" tout;
               let q = Prospector.Query.query tin tout in
               Prospector.Query.run ~settings:st ?edge_cost:(edge_cost_of env)
                 ?protocol_check:(protocol_check_of env) ~graph:env.graph
                 ~hierarchy:env.hierarchy q
               |> List.map (fun result -> { Esession.source = None; result })
           | [ tout ], _ :: _ ->
+              check_type_arg "TOUT" tout;
               let ctx =
                 {
                   Prospector.Assist.vars = typed_vars vars;
@@ -1068,80 +1083,30 @@ let serve_cmd =
             ?protocol_check:(protocol_check_of env) ~graph:env.graph
             ~hierarchy:env.hierarchy ()
         in
-        (* ---- live-reload callbacks (DESIGN §9) ----
-           The service applies deltas; what it cannot do without the mining
-           layer is injected here: re-deriving the usage/protocol models
-           from corpus text and re-running the enriched cold build when a
-           delta cannot be row-spliced. Both closures run under the
-           service's publish mutex, so the mutable refs need no lock. *)
-        let mining = not no_mining in
+        (* ---- live reload (DESIGN §9) ----
+           A structural reload of a mining server rebuilds the way startup
+           built: the signature graph of the patched hierarchy, enriched
+           from the startup corpus and frozen under the startup usage
+           model, which the engine keeps for life. The service injects this
+           into [Delta.apply], since the server library must not depend on
+           the mining layer. *)
         let config =
           { Prospector.Sig_graph.default_config with include_protected = protected_ }
         in
-        let corpus_srcs = ref env.mined_corpus in
-        let usage_ref = ref env.usage in
-        let remodel =
-          if not mining then None
-          else
-            Some
-              (fun hierarchy src ->
-                try
-                  (* parse everything first — a rejected delta must leave
-                     the refs untouched *)
-                  let prog_new =
-                    Minijava.Resolve.parse_program ~api:hierarchy
-                      [ ("<reload>", src) ]
-                  in
-                  let all = !corpus_srcs @ [ ("<reload>", src) ] in
-                  let prog_all =
-                    Minijava.Resolve.parse_program ~api:hierarchy all
-                  in
-                  let examples =
-                    Mining.Enrich.examples ~include_protected:protected_ ~pool
-                      prog_new
-                  in
-                  (* usage grows incrementally; the protocol model has no
-                     merge, so it re-learns over the full corpus (sequence
-                     reconstruction is cheap next to query cost) *)
-                  let usage =
-                    match !usage_ref with
-                    | Some u -> Mining.Usage.add_examples u examples
-                    | None -> Mining.Usage.of_examples examples
-                  in
-                  let p = Mining.Protomine.mine prog_all in
-                  usage_ref := Some usage;
-                  corpus_srcs := all;
-                  Ok
-                    {
-                      Service.rm_edge_cost = Some (Mining.Usage.edge_cost usage);
-                      rm_protocol_check =
-                        Some (fun j -> Analysis.Protolint.violations p j);
-                      rm_vet = Some (fun j -> Analysis.Protolint.vet p j);
-                    }
-                with
-                | Japi.Error.E e -> Error (Japi.Error.to_string e)
-                | Javamodel.Hierarchy.Unknown_type q ->
-                    Error
-                      (Printf.sprintf "unknown type %s"
-                         (Javamodel.Qname.to_string q))
-                | Failure msg -> Error msg)
-        in
         let rebuild =
-          if not mining then None
+          (* bound outside the closure, which must not keep [env.graph], the
+             builder graph the engine has frozen, alive for the daemon's life *)
+          let mined = env.mined_corpus and wcost = edge_cost_of env in
+          if no_mining then None
           else
             Some
               (fun hierarchy ->
                 let g = Prospector.Sig_graph.build ~config hierarchy in
-                if !corpus_srcs <> [] then begin
-                  let prog =
-                    Minijava.Resolve.parse_program ~api:hierarchy !corpus_srcs
-                  in
+                if mined <> [] then
                   ignore
                     (Mining.Enrich.enrich ~include_protected:protected_ ~pool g
-                       prog)
-                end;
+                       (Minijava.Resolve.parse_program ~api:hierarchy mined));
                 ignore (Prospector.Graph.void_node g);
-                let wcost = Option.map Mining.Usage.edge_cost !usage_ref in
                 Prospector.Graph.freeze ?wcost g)
         in
         let service =
@@ -1149,7 +1114,7 @@ let serve_cmd =
             ~settings:(settings ~max_results ~slack ~strategy ~ranking ~protocol)
             ~cache_capacity ?vet:
               (Option.map (fun m j -> Analysis.Protolint.vet m j) env.proto)
-            ~graph_config:config ?remodel ?rebuild ?deadline_s:deadline
+            ~graph_config:config ?rebuild ?deadline_s:deadline
             ?session_ttl_s:session_ttl ~engine ()
         in
         (* --watch: a polling thread that feeds the file through the same
@@ -1179,12 +1144,7 @@ let serve_cmd =
                                  {
                                    Proto.id = Proto.Null;
                                    req =
-                                     Proto.Reload
-                                       {
-                                         japi = Some src;
-                                         remove = [];
-                                         corpus = None;
-                                       };
+                                     Proto.Reload { japi = Some src; remove = [] };
                                  }
                              in
                              match Proto.member "ok" resp with
@@ -1481,13 +1441,6 @@ let client_cmd =
       & info [ "remove" ] ~docv:"QNAME"
           ~doc:"For $(b,reload): drop this fully qualified class (repeatable).")
   in
-  let corpus_arg =
-    Arg.(
-      value & opt (some file) None
-      & info [ "corpus" ] ~docv:"FILE"
-          ~doc:"For $(b,reload): mini-Java source whose mined examples are \
-                folded into the daemon's usage/protocol models.")
-  in
   let argv =
     Arg.(
       non_empty & pos_all string []
@@ -1496,12 +1449,11 @@ let client_cmd =
                 $(b,lint TIN TOUT), $(b,refine-start TIN TOUT) (or \
                 $(b,refine-start TOUT) with $(b,--var)), $(b,refine-answer \
                 SESSION CHOICE), $(b,refine-status SESSION), $(b,refine-stop \
-                SESSION), $(b,reload FILE.japi) (with $(b,--remove) / \
-                $(b,--corpus)), $(b,stats), $(b,health), $(b,shutdown), \
-                $(b,raw LINE).")
+                SESSION), $(b,reload FILE.japi) (with $(b,--remove)), \
+                $(b,stats), $(b,health), $(b,shutdown), $(b,raw LINE).")
   in
   let run max_results slack strategy ranking protocol host port port_file
-      json_flag vars remove corpus_file argv =
+      json_flag vars remove argv =
     let port =
       match port_file with
       | None -> port
@@ -1560,16 +1512,14 @@ let client_cmd =
             | [ file ] -> Some (read_file file)
             | _ ->
                 Printf.eprintf
-                  "error: reload takes at most one .japi file (plus --remove/--corpus)\n";
+                  "error: reload takes at most one .japi file (plus --remove)\n";
                 exit 2
           in
-          let corpus = Option.map read_file corpus_file in
-          if japi = None && remove = [] && corpus = None then begin
-            Printf.eprintf
-              "error: reload needs a .japi file, --remove or --corpus\n";
+          if japi = None && remove = [] then begin
+            Printf.eprintf "error: reload needs a .japi file or --remove\n";
             exit 2
           end;
-          envelope (Proto.Reload { japi; remove; corpus })
+          envelope (Proto.Reload { japi; remove })
       | [ "stats" ] -> envelope Proto.Stats
       | [ "health" ] -> envelope Proto.Health
       | [ "shutdown" ] -> envelope Proto.Shutdown
@@ -1640,8 +1590,7 @@ let client_cmd =
        ~doc:"Send one request to a running prospector daemon and print the reply.")
     Term.(
       const run $ max_results $ slack $ strategy_arg $ ranking_arg $ protocol_arg
-      $ host $ port $ port_file $ json_flag $ vars $ remove_args $ corpus_arg
-      $ argv)
+      $ host $ port $ port_file $ json_flag $ vars $ remove_args $ argv)
 
 (* ---------- table1 ---------- *)
 

@@ -78,8 +78,7 @@ val apply :
 (** Apply a delta. Ops validate and apply in order (later ops see earlier
     effects); validation is all-or-nothing but reports {e every} invalid op.
     [config] must be the one the snapshot was built with, and [wcost] the
-    cost model its lanes were baked with (new edges are costed with it; when
-    a corpus delta changes the model, {!Graph.rebake} the result). The
+    cost model its lanes were baked with (new edges are costed with it). The
     inputs are never mutated.
 
     [rebuild] is the caller's cold build from a patched (closed) hierarchy.

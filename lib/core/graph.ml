@@ -186,8 +186,8 @@ let dense_end (off : int_array1) n : int_array1 = Bigarray.Array1.sub off 1 n
 (* Backward rows are derived from the forward rows by a counting sort on
    destination, so each [v]'s predecessors appear in ascending forward-edge
    order. This makes the backward representation a pure function of the
-   forward one — which is what lets [rebake] recompute [f_bwd_wcost] for a
-   new cost model without any stored fwd->bwd mapping. Distance sweeps are
+   forward one, so derived snapshots ([Shard]) and patched ones ([Delta])
+   reproduce it without any stored fwd->bwd mapping. Distance sweeps are
    relaxation-order independent, so the (deliberate) departure from [preds]
    order is unobservable in results. *)
 let derive_bwd ?cap ~n ~m ~(fwd_off : int_array1) ~(fwd_end : int_array1)
@@ -282,30 +282,6 @@ let freeze ?(wcost = default_wcost) t =
     f_ids = Hashtbl.copy t.ids;
     f_void = Hashtbl.find_opt t.ids (type_key Jtype.Void);
   }
-
-(* Recompute the weighted-cost lanes for a new cost model, in place in the
-   physical layout: forward positions are keyed by the edge table, and each
-   backward row is refilled by the same forward-scan order that built it
-   (ascending source, then row offset) — valid for dense and appended
-   layouts alike. Shares every other lane with the input, including the
-   tail-claim token (the physical tails are the same storage). *)
-let rebake ?(wcost = default_wcost) fz =
-  let n = fz.f_nodes in
-  let cap = Array.length fz.f_fwd_edge in
-  let bcap = Array.length fz.f_bwd_wcost in
-  let fwd_wcost = Array.make cap 0 in
-  let bwd_wcost = Array.make bcap 0 in
-  let cursor = Array.make (max n 1) 0 in
-  for u = 0 to n - 1 do
-    for k = fz.f_fwd_off.{u} to fz.f_fwd_end.{u} - 1 do
-      let w = wcost fz.f_fwd_edge.(k).elem in
-      fwd_wcost.(k) <- w;
-      let v = fz.f_fwd_dst.{k} in
-      bwd_wcost.(fz.f_bwd_off.{v} + cursor.(v)) <- w;
-      cursor.(v) <- cursor.(v) + 1
-    done
-  done;
-  { fz with f_fwd_wcost = fwd_wcost; f_bwd_wcost = bwd_wcost }
 
 (* Dense copy of a (possibly appended / holey) snapshot: rows packed back
    into offset order with fresh tail slack. Maximal physically contiguous

@@ -97,7 +97,7 @@ val real_nodes : t -> (Jtype.t * node) list
     forward-edge order) — {e not} {!preds} order; distance sweeps are
     relaxation-order independent, so the difference is unobservable, and it
     makes the backward half a pure function of the forward half (see
-    {!rebake}). *)
+    {!derive_bwd}). *)
 
 type int_array1 = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** Native-word lanes, not int32: without flambda, boxed [Int32] reads would
@@ -146,9 +146,9 @@ type frozen = {
           {!Delta}'s spliced-path eligibility check is O(1) *)
   f_tail : bool Atomic.t;
       (** tail-claim token: set once by the first patch that appends into
-          this snapshot's tail slack. Records sharing lanes share the token
-          ({!rebake}), so two patches can never append over each other — the
-          loser takes the compact-and-copy path. *)
+          this snapshot's tail slack. Records sharing lanes share the token,
+          so two patches can never append over each other — the loser takes
+          the compact-and-copy path. *)
   f_types : Jtype.t array;
   f_origins : string option array;
   f_ids : (string, node) Hashtbl.t;  (** private copy; never written again *)
@@ -168,9 +168,9 @@ val derive_bwd :
   int_array1 * int_array1 * cost_array1 * int array
 (** [(bwd_off, bwd_src, bwd_cost, bwd_wcost)] derived from forward rows by a
     counting sort on destination — the canonical backward representation
-    {!freeze} and {!rebake} use, exposed for builders of derived snapshots
-    ({!Shard}). The output is dense; [cap] (default [m]) sizes the physical
-    lanes, leaving tail slack past index [m - 1]. *)
+    {!freeze} uses, exposed for builders of derived snapshots ({!Shard}).
+    The output is dense; [cap] (default [m]) sizes the physical lanes,
+    leaving tail slack past index [m - 1]. *)
 
 val default_slack : int -> int
 (** Tail-slack heuristic for [m] edges (~12.5%, floored at 64) — the spare
@@ -190,8 +190,8 @@ val frozen_iter_edges : frozen -> (edge -> unit) -> unit
 
 val default_wcost : Elem.t -> int
 (** The paper cost in fixed-point units, [Elem.cost_scale * Elem.cost] — the
-    default [wcost] of {!freeze} and {!rebake}, exposed so incremental
-    patching ({!Delta}) can cost new edges identically. *)
+    default [wcost] of {!freeze}, exposed so incremental patching
+    ({!Delta}) can cost new edges identically. *)
 
 val freeze : ?wcost:(Elem.t -> int) -> t -> frozen
 (** O(nodes + edges). Captures the graph at its current {!generation}. The
@@ -202,12 +202,6 @@ val freeze : ?wcost:(Elem.t -> int) -> t -> frozen
     default is the paper cost in fixed-point units,
     [Elem.cost_scale * Elem.cost] — snapshots frozen with the default are
     only valid for weighted search under the same (default) cost model. *)
-
-val rebake : ?wcost:(Elem.t -> int) -> frozen -> frozen
-(** A copy of the snapshot with [f_fwd_wcost]/[f_bwd_wcost] recomputed under
-    a new cost model — everything else is shared with the input. This is how
-    a reload fits a patched snapshot with a re-derived mined cost model
-    without rebuilding the graph. *)
 
 val frozen_generation : frozen -> int
 

@@ -62,6 +62,11 @@ let check_limits ~max_results ~slack =
     Error (Printf.sprintf "slack must be non-negative (got %d)" slack)
   else Ok ()
 
+let check_type_name ~what name =
+  if String.trim name = "" then
+    Error (Printf.sprintf "%s must name a type (got %S)" what name)
+  else Ok ()
+
 (* [Mined] orders results by the usage-weighted cost learned from the
    corpus ([Mining.Usage]), with the paper key as tiebreak; the candidate
    set (paper-cost budget) is unchanged, so both rankings surface the same
@@ -556,8 +561,8 @@ type engine = {
   e_cache : (key, result list) Qcache.t;
   e_prune : bool;
   e_pool : Pool.t;
-  mutable e_edge_cost : (Elem.t -> int) option;  (* mined cost model, if loaded *)
-  mutable e_protocol_check : (Jungloid.t -> string list) option;
+  e_edge_cost : (Elem.t -> int) option;  (* mined cost model, if loaded *)
+  e_protocol_check : (Jungloid.t -> string list) option;
       (* mined typestate checker, if loaded: violations of a chain *)
   mutable e_frozen : Graph.frozen;  (* CSR snapshot, swapped by reload *)
   mutable e_reach : Reach.t option;  (* built lazily for [e_frozen] *)
@@ -648,16 +653,11 @@ let engine_stats e = Qcache.stats e.e_cache
    The reach index is maintained incrementally (only components downstream
    of a touched node are re-closed — [Reach.patch]); a [Rebuilt] patch has
    unstable node ids, so its index is rebuilt lazily instead. The cache
-   is cleared: every cached answer describes the old snapshot. A new
-   [edge_cost] (a corpus delta re-derived the mined model) re-bakes the
-   weighted lanes; a new [protocol_check] replaces the checker. *)
-let engine_reload ?edge_cost ?protocol_check e (patch : Delta.patch) =
+   is cleared: every cached answer describes the old snapshot. The mined
+   models stay the ones the engine was created with. *)
+let engine_reload e (patch : Delta.patch) =
   let old_gen = Graph.frozen_generation e.e_frozen in
-  let fz =
-    match edge_cost with
-    | Some wcost -> Graph.rebake ~wcost patch.Delta.p_frozen
-    | None -> patch.Delta.p_frozen
-  in
+  let fz = patch.Delta.p_frozen in
   let reach' =
     match e.e_reach with
     | Some r when e.e_prune && patch.Delta.p_mode = Delta.Spliced ->
@@ -666,10 +666,6 @@ let engine_reload ?edge_cost ?protocol_check e (patch : Delta.patch) =
   in
   Qcache.clear e.e_cache;
   e.e_hierarchy <- patch.Delta.p_hierarchy;
-  (match edge_cost with Some _ -> e.e_edge_cost <- edge_cost | None -> ());
-  (match protocol_check with
-  | Some _ -> e.e_protocol_check <- protocol_check
-  | None -> ());
   e.e_frozen <- fz;
   e.e_reach <- reach';
   e.e_shards <- None;

@@ -50,6 +50,14 @@ val check_limits : max_results:int -> slack:int -> (unit, string) result
     work: a negative [max_results] or [slack] is a caller's mistake, never
     a query. *)
 
+val check_type_name : what:string -> string -> (unit, string) result
+(** [Error] with a user-ready message, ["WHAT must name a type (got ...)"],
+    when the name is empty after trimming — a name no type can have. The
+    wire decoder checks every type-name field with it and the CLI its
+    positional type arguments, so a blank name is a caller's mistake,
+    never an internal error. Non-blank malformed names (["a..b"]) pass:
+    they resolve to no node and answer with no jungloids. *)
+
 (** How results are ordered. [Paper] is Section 3.2's static rule
     (length, crossings, specificity). [Mined] orders by the usage-weighted
     cost learned from the corpus ([Mining.Usage] — −log frequency with
@@ -380,21 +388,17 @@ val run_batch :
     generated worlds). Packageless targets, oversized shards, and
     [settings.estimate_freevars] runs fall back to the full snapshot. *)
 
-val engine_reload :
-  ?edge_cost:(Elem.t -> int) ->
-  ?protocol_check:(Jungloid.t -> string list) ->
-  engine ->
-  Delta.patch ->
-  unit
+val engine_reload : engine -> Delta.patch -> unit
 (** Swap a {!Delta.apply} patch into a live engine — the one way an
     engine's model changes. The CSR snapshot and hierarchy are replaced,
     the reach index of a [Spliced] patch is maintained incrementally
     ({!Reach.patch} — only components downstream of a touched node are
     re-closed; a [Rebuilt] patch's is rebuilt on next use), and the cache
-    is cleared (one invalidation in {!engine_stats}). [edge_cost] /
-    [protocol_check], when given, install a re-derived mined model, and
-    the snapshot's weighted lanes are re-baked under it. Subsequent queries
-    answer over the patched model. *)
+    is cleared (one invalidation in {!engine_stats}). The mined models
+    ({!engine_edge_cost}, {!engine_protocol_check}) are the ones installed
+    at creation, for the engine's whole life: the patch must have been
+    built under the same usage model ({!Delta.apply}'s [wcost]). Subsequent
+    queries answer over the patched model. *)
 
 val engine_stats : engine -> Qcache.stats
 (** Hit/miss/eviction/invalidation counters of the result cache; render

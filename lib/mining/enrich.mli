@@ -29,8 +29,8 @@ val examples :
   Extract.example list
 (** The extraction front half of {!enrich} alone: visibility-filtered,
     pre-generalization examples, exactly what [enrich]'s [on_examples] hook
-    reports — without touching any graph. A corpus reload uses this to
-    grow the {!Usage} model from the new sources alone. *)
+    reports — without touching any graph. Callers that want only the
+    {!Usage} model ([Apidata.Api.usage]) use this. *)
 
 val enrich :
   ?max_per_cast:int ->

@@ -34,26 +34,6 @@ let of_examples examples =
     examples;
   { counts; pairs; total = !total }
 
-(* Incremental corpus growth for live reload: fold more examples into an
-   existing model without re-extracting the whole corpus. Counting is
-   additive over examples, so merging into copied tables is definitionally
-   [of_examples (old_examples @ new_examples)]. *)
-let add_examples t examples =
-  let fresh = of_examples examples in
-  let counts = Hashtbl.copy t.counts in
-  let pairs = Hashtbl.copy t.pairs in
-  Hashtbl.iter
-    (fun e c ->
-      let prev = match Hashtbl.find_opt counts e with Some p -> p | None -> 0 in
-      Hashtbl.replace counts e (prev + c))
-    fresh.counts;
-  Hashtbl.iter
-    (fun p c ->
-      let prev = match Hashtbl.find_opt pairs p with Some v -> v | None -> 0 in
-      Hashtbl.replace pairs p (prev + c))
-    fresh.pairs;
-  { counts; pairs; total = t.total + fresh.total }
-
 let count t e = match Hashtbl.find_opt t.counts e with Some c -> c | None -> 0
 
 let pair_count t a b =

@@ -42,14 +42,6 @@ val of_examples : Extract.example list -> t
     non-widening elems. Deterministic in the example list, which
     {!Extract.extract} keeps identical at any job count. *)
 
-val add_examples : t -> Extract.example list -> t
-(** A new model with the examples folded in — equal, field for field, to
-    [of_examples] over the concatenated example lists. The input model is
-    unchanged (tables are copied), so a server can keep answering off the
-    old cost model while a reload derives the new one. Used by live reload
-    to grow the mined statistics for touched elems without re-extracting
-    the whole corpus. *)
-
 val count : t -> Elem.t -> int
 (** Mined occurrences of the elem; 0 when unseen. Widening conversions are
     never counted. *)

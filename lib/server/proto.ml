@@ -345,7 +345,6 @@ type request =
   | Reload of {
       japi : string option;  (* .japi source: classes added or replaced *)
       remove : string list;  (* fully qualified class names to drop *)
-      corpus : string option;  (* mini-Java source: corpus examples added *)
     }
   | Stats
   | Health
@@ -396,6 +395,19 @@ let field_overrides j =
   let* protocol = spelled "protocol" Prospector.Query.protocol_of_string in
   Ok { max_results; slack; strategy; ranking; protocol }
 
+(* A type-name field: a blank name is the requester's mistake, answered
+   before any engine work like a negative count. *)
+let checked_type k s =
+  Result.map
+    (fun () -> s)
+    (Prospector.Query.check_type_name ~what:("field \"" ^ k ^ "\"") s)
+
+let field_type j k = Result.bind (field_string j k) (checked_type k)
+
+let field_type_opt j k =
+  let* s = field_string_opt j k in
+  match s with None -> Ok None | Some s -> Result.map Option.some (checked_type k s)
+
 let field_bool j k ~default =
   match member k j with
   | Some (Bool b) -> Ok b
@@ -405,14 +417,14 @@ let field_bool j k ~default =
 let parse_var = function
   | Obj _ as o ->
       let* name = field_string o "name" in
-      let* ty = field_string o "type" in
+      let* ty = field_type o "type" in
       Ok (name, ty)
   | _ -> Error "each var must be an object {\"name\", \"type\"}"
 
 let parse_pair = function
   | Obj _ as o ->
-      let* tin = field_string o "tin" in
-      let* tout = field_string o "tout" in
+      let* tin = field_type o "tin" in
+      let* tout = field_type o "tout" in
       Ok (tin, tout)
   | _ -> Error "each query must be an object {\"tin\", \"tout\"}"
 
@@ -431,13 +443,13 @@ let request_of_json j =
       let* req =
         match op with
         | "query" ->
-            let* tin = field_string j "tin" in
-            let* tout = field_string j "tout" in
+            let* tin = field_type j "tin" in
+            let* tout = field_type j "tout" in
             let* overrides = field_overrides j in
             let* cluster = field_bool j "cluster" ~default:false in
             Ok (Query { tin; tout; overrides; cluster })
         | "assist" ->
-            let* tout = field_string j "tout" in
+            let* tout = field_type j "tout" in
             let* vars =
               match member "vars" j with
               | Some (Arr vs) -> map_m parse_var vs
@@ -455,12 +467,12 @@ let request_of_json j =
             let* overrides = field_overrides j in
             Ok (Batch { pairs; overrides })
         | "lint" ->
-            let* tin = field_string j "tin" in
-            let* tout = field_string j "tout" in
+            let* tin = field_type j "tin" in
+            let* tout = field_type j "tout" in
             Ok (Lint { tin; tout })
         | "refine_start" ->
-            let* tin = field_string_opt j "tin" in
-            let* tout = field_string j "tout" in
+            let* tin = field_type_opt j "tin" in
+            let* tout = field_type j "tout" in
             let* vars =
               match member "vars" j with
               | Some (Arr vs) -> map_m parse_var vs
@@ -502,13 +514,18 @@ let request_of_json j =
               | Some Null | None -> Ok []
               | Some _ -> Error "field \"remove\" must be an array of strings"
             in
-            let* corpus = field_string_opt j "corpus" in
             let* () =
-              if japi = None && remove = [] && corpus = None then
-                Error "reload needs at least one of \"japi\", \"remove\", \"corpus\""
+              (* Mined models are fixed at server start: rejecting the field
+                 whole keeps a [japi] sent beside it from landing alone. *)
+              if member "corpus" j <> None then
+                Error
+                  "field \"corpus\" is not supported: a reload takes \"japi\" \
+                   and \"remove\"; the mined corpus is fixed at server start"
+              else if japi = None && remove = [] then
+                Error "reload needs at least one of \"japi\", \"remove\""
               else Ok ()
             in
-            Ok (Reload { japi; remove; corpus })
+            Ok (Reload { japi; remove })
         | "stats" -> Ok Stats
         | "health" -> Ok Health
         | "shutdown" -> Ok Shutdown
@@ -572,13 +589,12 @@ let envelope_to_json { id; req } =
         [ ("op", Str "refine_status"); ("session", Str session) ]
     | Refine_stop { session } ->
         [ ("op", Str "refine_stop"); ("session", Str session) ]
-    | Reload { japi; remove; corpus } ->
+    | Reload { japi; remove } ->
         [ ("op", Str "reload") ]
         @ opt_s "japi" japi
         @ (match remove with
           | [] -> []
           | rs -> [ ("remove", Arr (List.map (fun r -> Str r) rs)) ])
-        @ opt_s "corpus" corpus
     | Stats -> [ ("op", Str "stats") ]
     | Health -> [ ("op", Str "health") ]
     | Shutdown -> [ ("op", Str "shutdown") ]

@@ -22,6 +22,7 @@
       {"op": "refine_answer", "id"?: J, "session": S, "choice": I}
       {"op": "refine_status", "id"?: J, "session": S}
       {"op": "refine_stop",   "id"?: J, "session": S}
+      {"op": "reload",   "id"?: J, "japi"?: S, "remove"?: [S...]}
       {"op": "stats",    "id"?: J}
       {"op": "health",   "id"?: J}
       {"op": "shutdown", "id"?: J}
@@ -123,14 +124,14 @@ type request =
           (** [.japi] source sent inline: every class in it is added if
               undeclared, replaced otherwise *)
       remove : string list;  (** fully qualified class names to drop *)
-      corpus : string option;
-          (** mini-Java source sent inline: examples mined from it are
-              folded into the usage/protocol models *)
     }
-      (** Apply a model delta to the running server. At least one field must
+      (** Apply an API delta to the running server. At least one field must
           be present; per-delta validation failures come back as a
           [bad_request] carrying an [errors] array of
-          [{index, op, subject, reason}] objects. *)
+          [{index, op, subject, reason}] objects. A reload changes the API
+          model only: the mined corpus and the models learned from it are
+          fixed at server start, and a request that carries a ["corpus"]
+          field is a [bad_request] that applies nothing. *)
   | Stats
   | Health
   | Shutdown
@@ -139,15 +140,17 @@ type envelope = { id : json; req : request }
 (** [id] is echoed into the response untouched; [Null] when absent. *)
 
 val request_of_json : json -> (envelope, string) result
-(** [Error] on a missing or ill-typed field, on a negative ["max_results"]
-    or ["slack"] ({!Prospector.Query.check_limits}), and on an unknown
+(** [Error] on a missing or ill-typed field, on a blank type name in any
+    ["tin"], ["tout"] or var ["type"] field
+    ({!Prospector.Query.check_type_name}), on a negative ["max_results"]
+    or ["slack"] ({!Prospector.Query.check_limits}), on an unknown
     ["strategy"], ["ranking"] or ["protocol"] spelling (the message lists
-    the accepted ones). *)
+    the accepted ones), and on a reload that carries a ["corpus"] field. *)
 
 val envelope_to_json : envelope -> json
 (** The client-side inverse of {!request_of_json}:
     [request_of_json (envelope_to_json e) = Ok e] for every envelope whose
-    counts are non-negative. *)
+    counts are non-negative and whose type names are not blank. *)
 
 (** {1 Responses} *)
 

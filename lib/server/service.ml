@@ -7,15 +7,6 @@ module Jtype = Javamodel.Jtype
 module Qname = Javamodel.Qname
 module Hierarchy = Javamodel.Hierarchy
 
-(* What a corpus delta re-derives: the mined models the engine consumes and
-   the vetting pass lint appends. Produced by the [?remodel] callback so
-   this library keeps not depending on the mining layer (see [create]). *)
-type remodel = {
-  rm_edge_cost : (Prospector.Elem.t -> int) option;
-  rm_protocol_check : (Jungloid.t -> string list) option;
-  rm_vet : (Jungloid.t -> Analysis.Diagnostic.t list) option;
-}
-
 (* What a reader needs, captured at one graph generation: the graph, its
    reach index, and the model that ranks and vets answers over it — the
    hierarchy (warmed before publication, so readers on many domains only
@@ -77,9 +68,6 @@ type t = {
   graph_config : Prospector.Sig_graph.config;
       (* the config the engine's graph was built with — [Delta.apply] must
          rebuild under the same one or the oracle breaks *)
-  remodel : (Hierarchy.t -> string -> (remodel, string) result) option;
-      (* corpus text -> re-derived mined models, against the patched
-         hierarchy; absent on servers that never mined *)
   rebuild : (Hierarchy.t -> Graph.frozen) option;
       (* the cold enriched build the server would do at startup, from a
          patched hierarchy; used in place of [Delta]'s signature-only
@@ -119,7 +107,7 @@ let take_snapshot ~vet engine =
   }
 
 let create ?(settings = Query.default_settings) ?(cache_capacity = 256) ?vet
-    ?(graph_config = Prospector.Sig_graph.default_config) ?remodel ?rebuild
+    ?(graph_config = Prospector.Sig_graph.default_config) ?rebuild
     ?deadline_s ?session_ttl_s ~engine () =
   if cache_capacity < 1 then invalid_arg "Service.create: cache_capacity must be >= 1";
   {
@@ -132,7 +120,6 @@ let create ?(settings = Query.default_settings) ?(cache_capacity = 256) ?vet
     mets = Metrics.create ();
     base_settings = settings;
     graph_config;
-    remodel;
     rebuild;
     reloads = Atomic.make 0;
     deadline_s;
@@ -477,86 +464,49 @@ let delta_errors_response ~id errs =
 
 (* The whole reload, called with [publish] held. Order matters: validate and
    patch first (all-or-nothing — a rejected delta must leave no trace), then
-   re-derive the mined models against the patched hierarchy, then swap the
-   engine and publish. Readers keep answering off the previous snapshot
-   until the single [Atomic.set]. *)
-let reload_locked t ~id ~japi ~remove ~corpus =
+   swap the engine and publish. Readers keep answering off the previous
+   snapshot until the single [Atomic.set]. An enriched server's structural
+   reload builds through the injected cold-build closure, inside
+   [Delta.apply]: [Delta]'s own rebuild is signature-only and would silently
+   drop the spliced mined examples. That closure re-resolves the mined
+   corpus against the patched hierarchy, so a delta that removes or
+   reshapes a class the corpus uses fails there, as a [Japi.Error.E]. *)
+let reload_locked t ~id ~japi ~remove =
   match ops_of_reload t ~japi ~remove with
   | Error msg -> Proto.error_response ~id Proto.Bad_request msg
   | Ok ops -> (
-      let hierarchy = Query.engine_hierarchy t.eng in
-      let frozen = Query.engine_frozen t.eng in
       let wcost =
         match Query.engine_edge_cost t.eng with
         | Some f -> f
         | None -> Graph.default_wcost
       in
-      (* An enriched server's structural reload builds through the injected
-         cold-build closure, inside [Delta.apply] — [Delta]'s own rebuild is
-         signature-only and would silently drop the spliced mined examples.
-         A corpus delta is the exception: its graph must be built after the
-         models are re-derived below, so here [Delta] keeps its cheaper
-         signature-only build. *)
-      let rebuild = match corpus with None -> t.rebuild | Some _ -> None in
-      match Delta.apply ~config:t.graph_config ~wcost ?rebuild ~hierarchy ~frozen ops with
+      match
+        Delta.apply ~config:t.graph_config ~wcost ?rebuild:t.rebuild
+          ~hierarchy:(Query.engine_hierarchy t.eng) ~frozen:(Query.engine_frozen t.eng)
+          ops
+      with
+      | exception Japi.Error.E e ->
+          Proto.error_response ~id Proto.Bad_request
+            ("delta rejected: the mined corpus no longer resolves: "
+            ^ Japi.Error.to_string e)
       | Error errs -> delta_errors_response ~id errs
-      | Ok patch -> (
-          let rm =
-            match (corpus, t.remodel) with
-            | None, _ -> Ok None
-            | Some _, None ->
-                Error
-                  "this server mined no corpus (started with --no-mining); \
-                   corpus deltas need a mined model to extend"
-            | Some src, Some f ->
-                Result.map Option.some (f patch.Delta.p_hierarchy src)
-          in
-          match rm with
-          | Error msg -> Proto.error_response ~id Proto.Bad_request msg
-          | Ok rm ->
-              (* A corpus delta rebuilds through the cold-build closure
-                 whatever [Delta] did: new examples must be spliced in, which
-                 no row splice can do. Generation comes from the patch so the
-                 monotone-bump contract holds. *)
-              let patch =
-                match t.rebuild with
-                | Some rebuild when rm <> None ->
-                    let fz = rebuild patch.Delta.p_hierarchy in
-                    {
-                      patch with
-                      Delta.p_frozen =
-                        {
-                          fz with
-                          Graph.f_generation =
-                            Graph.frozen_generation patch.Delta.p_frozen;
-                        };
-                      p_mode = Delta.Rebuilt;
-                    }
-                | _ -> patch
-              in
-              let edge_cost = Option.bind rm (fun r -> r.rm_edge_cost) in
-              let protocol_check = Option.bind rm (fun r -> r.rm_protocol_check) in
-              Query.engine_reload ?edge_cost ?protocol_check t.eng patch;
-              let vet =
-                match Option.bind rm (fun r -> r.rm_vet) with
-                | Some v -> Some v
-                | None -> (Atomic.get t.snap).s_vet
-              in
-              let s = take_snapshot ~vet t.eng in
-              Atomic.set t.snap s;
-              (* Worker caches are left alone: touching a foreign worker's
-                 cache here would race with its own reads. Each one empties
-                 itself on its first read of this generation. *)
-              let n = Atomic.fetch_and_add t.reloads 1 + 1 in
-              Metrics.set_gauge t.mets "graph_generation" s.s_gen;
-              Metrics.set_gauge t.mets "reloads_applied" n;
-              Proto.ok_response ~id ~op:"reload"
-                [
-                  ("ops", Proto.Int patch.Delta.p_ops);
-                  ("mode", Proto.Str (Delta.mode_string patch.Delta.p_mode));
-                  ("touched", Proto.Int patch.Delta.p_touched_count);
-                  ("generation", Proto.Int s.s_gen);
-                ]))
+      | Ok patch ->
+          Query.engine_reload t.eng patch;
+          let s = take_snapshot ~vet:(current t).s_vet t.eng in
+          Atomic.set t.snap s;
+          (* Worker caches are left alone: touching a foreign worker's
+             cache here would race with its own reads. Each one empties
+             itself on its first read of this generation. *)
+          let n = Atomic.fetch_and_add t.reloads 1 + 1 in
+          Metrics.set_gauge t.mets "graph_generation" s.s_gen;
+          Metrics.set_gauge t.mets "reloads_applied" n;
+          Proto.ok_response ~id ~op:"reload"
+            [
+              ("ops", Proto.Int patch.Delta.p_ops);
+              ("mode", Proto.Str (Delta.mode_string patch.Delta.p_mode));
+              ("touched", Proto.Int patch.Delta.p_touched_count);
+              ("generation", Proto.Int s.s_gen);
+            ])
 
 (* ---------- dispatch ---------- *)
 
@@ -750,13 +700,13 @@ let dispatch ?local t ~id req =
                 publish_session_gauge t;
                 Proto.ok_response ~id ~op:"refine_stop"
                   [ ("session", Proto.Str session); ("stopped", Proto.Bool true) ])
-  | Proto.Reload { japi; remove; corpus } ->
+  | Proto.Reload { japi; remove } ->
       if shutdown_requested t then draining_response ~id
       else begin
         Mutex.lock t.publish;
         Fun.protect
           ~finally:(fun () -> Mutex.unlock t.publish)
-          (fun () -> reload_locked t ~id ~japi ~remove ~corpus)
+          (fun () -> reload_locked t ~id ~japi ~remove)
       end
   | Proto.Stats ->
       let snap = current t in

@@ -35,22 +35,11 @@ type local
     held entries); stats count entries only in caches at the published
     generation. *)
 
-type remodel = {
-  rm_edge_cost : (Prospector.Elem.t -> int) option;
-  rm_protocol_check : (Prospector.Jungloid.t -> string list) option;
-  rm_vet : (Prospector.Jungloid.t -> Analysis.Diagnostic.t list) option;
-}
-(** What a corpus delta re-derives — the mined models the engine consumes
-    and the vetting pass lint appends. Returned by the [?remodel] callback
-    of {!create}; a [None] field leaves the server's current model in
-    place. *)
-
 val create :
   ?settings:Prospector.Query.settings ->
   ?cache_capacity:int ->
   ?vet:(Prospector.Jungloid.t -> Analysis.Diagnostic.t list) ->
   ?graph_config:Prospector.Sig_graph.config ->
-  ?remodel:(Javamodel.Hierarchy.t -> string -> (remodel, string) result) ->
   ?rebuild:(Javamodel.Hierarchy.t -> Prospector.Graph.frozen) ->
   ?deadline_s:float ->
   ?session_ttl_s:float ->
@@ -65,20 +54,21 @@ val create :
     model) — injected here because this library must not depend on the
     mining layer that learns the model.
 
-    The next three parameters serve the [reload] op (all deltas apply under
-    the publish mutex, off the lock-free read path, and land as one atomic
-    snapshot swap). [graph_config] must be the {!Prospector.Sig_graph}
-    config the engine's graph was built with — {!Prospector.Delta.apply}
-    rebuilds under it when a delta cannot be spliced. [remodel] maps the
-    request's corpus text to re-derived mined models against the patched
-    hierarchy (absent = corpus deltas are rejected with [bad_request]).
-    [rebuild] is the cold {e enriched} build the server would do at
-    startup, from a patched hierarchy; when present it is
-    {!Prospector.Delta.apply}'s [?rebuild], replacing the signature-only
-    build on the fallback path, so mined (spliced) nodes and edges survive
-    a reload and a structural reload builds one graph. Every corpus delta
-    takes it too, after the models are re-derived, since new examples
-    cannot be row-spliced.
+    The next two parameters serve the [reload] op, which takes [.japi]
+    deltas only (all deltas apply under the publish mutex, off the
+    lock-free read path, and land as one atomic snapshot swap).
+    [graph_config] must be the {!Prospector.Sig_graph} config the engine's
+    graph was built with — {!Prospector.Delta.apply} rebuilds under it when
+    a delta cannot be spliced. [rebuild] is the cold {e enriched} build the
+    server would do at startup, from a patched hierarchy: it re-resolves
+    the startup corpus against that hierarchy and freezes under the
+    engine's usage model. When present it is {!Prospector.Delta.apply}'s
+    [?rebuild], replacing the signature-only build on the fallback path, so
+    mined (spliced) nodes and edges survive a reload and a structural
+    reload builds one graph. A [Japi.Error.E] it raises (a delta that
+    removes or reshapes a class the corpus uses) answers [bad_request] and
+    applies nothing. The engine's mined models and [vet] never change
+    after creation.
 
     [deadline_s] is the per-request deadline: a
     request whose execution exceeds it gets a [timeout] error reply instead

@@ -312,6 +312,38 @@ let test_service_builds_once () =
   Alcotest.(check bool) ("new class rebuilds: " ^ r) true (contains r "rebuilt");
   Alcotest.(check int) "one build for a structural reload" 1 !builds
 
+(* A mining service rebuilds the way the CLI's [serve] does: the startup
+   corpus re-resolved against the patched API and spliced in. A delta that
+   removes a class the corpus uses fails in that build; the reply is a
+   bad_request, and the model is the one before the reload. *)
+let test_service_rejects_unresolvable_corpus () =
+  let module Service = Prospector_server.Service in
+  let h = Japi.Loader.load_string "package p; class A { Object get(); } class B { }" in
+  let corpus =
+    [ ("c.java", "package c; class U { B use(A a) { B b = (B) a.get(); return b; } }") ]
+  in
+  let enriched h =
+    let g = Sig_graph.build h in
+    ignore (Mining.Enrich.enrich g (Minijava.Resolve.parse_program ~api:h corpus));
+    g
+  in
+  let rebuild h =
+    let g = enriched h in
+    ignore (Graph.void_node g);
+    Graph.freeze g
+  in
+  let svc =
+    Service.create ~rebuild ~engine:(Query.engine ~graph:(enriched h) ~hierarchy:h ()) ()
+  in
+  let query () = Service.handle_line svc {|{"op": "query", "tin": "p.A", "tout": "p.B"}|} in
+  let before = query () in
+  Alcotest.(check bool) ("the mined downcast answers: " ^ before) true
+    (contains before "((B) x.get())");
+  let r = Service.handle_line svc {|{"op": "reload", "remove": ["p.A"]}|} in
+  Alcotest.(check bool) ("a bad_request: " ^ r) true
+    (contains r "\"bad_request\"" && contains r "the mined corpus no longer resolves");
+  Alcotest.(check string) "the model is unchanged" before (query ())
+
 (* ---------- japi round-trip at delta-file scale ---------- *)
 
 let prop_delta_file_roundtrip =
@@ -435,6 +467,8 @@ let () =
         @ [
             Alcotest.test_case "the service builds once per structural reload" `Quick
               test_service_builds_once;
+            Alcotest.test_case "a delta the mined corpus cannot resolve is rejected" `Quick
+              test_service_rejects_unresolvable_corpus;
           ] );
       ( "japi round-trip",
         List.map QCheck_alcotest.to_alcotest [ prop_delta_file_roundtrip ] );

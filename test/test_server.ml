@@ -88,27 +88,36 @@ let gen_overrides =
     let* protocol = opt (oneofl [ Query.Off; Query.Warn; Query.Filter ]) in
     return { Proto.max_results; slack; strategy; ranking; protocol })
 
+(* Type names likewise: the decoder rejects a blank one
+   ([test_blank_type_names]), so the round-trip covers the others. *)
+let gen_type =
+  QCheck2.Gen.map (fun s -> if String.trim s = "" then s ^ "T" else s) gen_string
+
 let gen_request =
   QCheck2.Gen.(
     let name = string_size ~gen:printable (int_range 1 12) in
-    let vars = list_size (int_range 0 3) (pair name gen_string) in
+    let vars = list_size (int_range 0 3) (pair name gen_type) in
     oneof
       [
-        (let* tin = gen_string and* tout = gen_string in
+        (let* tin = gen_type and* tout = gen_type in
          let* overrides = gen_overrides and* cluster = bool in
          return (Proto.Query { tin; tout; overrides; cluster }));
-        (let* tout = gen_string and* vars = vars and* overrides = gen_overrides in
+        (let* tout = gen_type and* vars = vars and* overrides = gen_overrides in
          return (Proto.Assist { tout; vars; overrides }));
-        (let* pairs = list_size (int_range 0 3) (pair gen_string gen_string) in
+        (let* pairs = list_size (int_range 0 3) (pair gen_type gen_type) in
          let* overrides = gen_overrides in
          return (Proto.Batch { pairs; overrides }));
-        (let* tout = gen_string and* overrides = gen_overrides in
+        (let* tout = gen_type and* overrides = gen_overrides in
          let* tin, vars =
-           oneof [ map (fun tin -> (Some tin, [])) gen_string; map (fun vs -> (None, vs)) vars ]
+           oneof [ map (fun tin -> (Some tin, [])) gen_type; map (fun vs -> (None, vs)) vars ]
          in
          return (Proto.Refine_start { tin; tout; vars; overrides }));
-        (let* tin = gen_string and* tout = gen_string in
+        (let* tin = gen_type and* tout = gen_type in
          return (Proto.Lint { tin; tout }));
+        (let* japi = opt gen_string and* remove = list_size (int_range 0 3) gen_string in
+         (* the decoder needs at least one of the two *)
+         let japi = if japi = None && remove = [] then Some "" else japi in
+         return (Proto.Reload { japi; remove }));
         return Proto.Stats;
         return Proto.Health;
         return Proto.Shutdown;
@@ -306,16 +315,49 @@ let test_service_errors () =
       ("batch", "\"queries\": []");
       ("refine_start", "\"tin\": \"void\", \"tout\": \"java.io.File\"");
     ];
-  (* a poisoned query becomes an internal error reply, not an exception *)
-  let reply = Service.handle_line svc "{\"op\": \"query\", \"tin\": \"\", \"tout\": \"\"}" in
-  let ok, _ = response_ok reply in
-  ignore ok;
-  (* the service survived either way: a normal request still works *)
+  (* an empty type name is a bad_request ([test_blank_type_names]) *)
+  expect_error_code
+    (Service.handle_line svc "{\"op\": \"query\", \"tin\": \"\", \"tout\": \"\"}")
+    "bad_request";
+  (* the service survived every one: a normal request still works *)
   let ok, j = response_ok (Service.handle_line svc "{\"op\": \"health\"}") in
   Alcotest.(check bool) "health after garbage" true ok;
   match field [ "status" ] j with
   | Some (Proto.Str "ok") -> ()
   | _ -> Alcotest.fail "health status"
+
+(* A blank type name is the requester's mistake on each of the five ops
+   that take one, in every type-name field: a bad_request that names the
+   field, never an internal error. A reload that carries a corpus is
+   rejected the same way, whatever else it carries. *)
+let test_blank_type_names () =
+  let svc = fresh_service () in
+  List.iter
+    (fun (field, line) ->
+      let reply = Service.handle_line svc line in
+      expect_error_code reply "bad_request";
+      Alcotest.(check bool)
+        (Printf.sprintf "the reply names %S: %s" field reply)
+        true
+        (Util.contains ~sub:(Printf.sprintf "field \\\"%s\\\"" field) reply))
+    [
+      ("tin", {|{"op": "query", "tin": "", "tout": "java.io.File"}|});
+      ("tout", {|{"op": "query", "tin": "void", "tout": " "}|});
+      ("tout", {|{"op": "assist", "tout": ""}|});
+      ("type", {|{"op": "assist", "tout": "java.io.File", "vars": [{"name": "x", "type": ""}]}|});
+      ("tin", {|{"op": "batch", "queries": [{"tin": "void", "tout": "java.io.File"}, {"tin": "", "tout": "java.io.File"}]}|});
+      ("tout", {|{"op": "batch", "queries": [{"tin": "void", "tout": "\t"}]}|});
+      ("tin", {|{"op": "lint", "tin": "", "tout": "java.io.File"}|});
+      ("tout", {|{"op": "lint", "tin": "void", "tout": ""}|});
+      ("tin", {|{"op": "refine_start", "tin": "", "tout": "java.io.File"}|});
+      ("tout", {|{"op": "refine_start", "tout": "", "vars": [{"name": "x", "type": "java.io.File"}]}|});
+      ("type", {|{"op": "refine_start", "tout": "java.io.File", "vars": [{"name": "x", "type": "  "}]}|});
+      ("corpus", {|{"op": "reload", "corpus": "package c; class K { }"}|});
+      ("corpus", {|{"op": "reload", "japi": "package p; class K { }", "corpus": "package c; class K { }"}|});
+    ];
+  let stats = Service.handle_line svc {|{"op": "stats"}|} in
+  Alcotest.(check bool) ("no reload applied: " ^ stats) false
+    (Util.contains ~sub:"reloads_applied" stats)
 
 let test_deadline_timeout () =
   (* deadline 0: every engine-touching request exceeds it deterministically *)
@@ -663,6 +705,7 @@ let () =
       ( "service",
         [
           Alcotest.test_case "error replies" `Quick test_service_errors;
+          Alcotest.test_case "blank type names are bad requests" `Quick test_blank_type_names;
           Alcotest.test_case "deadline timeout" `Quick test_deadline_timeout;
           Alcotest.test_case "shutdown flag" `Quick test_shutdown_flag;
           Alcotest.test_case "reads beside reloads answer one model" `Quick
