@@ -128,7 +128,9 @@ bench-proto: build
 # The section exits nonzero on any shard identity divergence, on a two-job batch that routes no query to a shard,
 # when run_batch at jobs = 2 on the 100k world allocates more than 1024
 # words per query straight into the major heap (parked pool workers keep
-# their search workspaces), or when the graph builder keeps more than 20
+# their search workspaces; both domains answer every measured pair once
+# before the measurement, so the reading does not depend on which domain
+# drew which query), or when the graph builder keeps more than 20
 # words per edge beyond the hierarchy (builder_words_per_edge, exact: 16.76
 # on the 100k world, 25.58 while it kept an edge-dedup hash table), so this
 # is the scale gate inside `make check`.

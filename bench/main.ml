@@ -274,7 +274,7 @@ let section_figures () =
     Query.query "org.eclipse.swt.graphics.Image"
       "org.eclipse.jdt.internal.debug.ui.display.JavaInspectExpression"
   in
-  let spurious = Query.run ~graph:g3 ~hierarchy spurious_q in
+  let spurious = Query.run ~frozen:(Query.freeze g3) ~hierarchy spurious_q in
   let shortest g =
     match
       ( Prospector.Graph.find_type_node g spurious_q.Query.tin,
@@ -301,7 +301,7 @@ let section_figures () =
   in
   write_file "fig6_jungloid_graph.dot"
     (Prospector.Dot.subgraph g6 ~centers:[ sel; jie ] ~radius:2);
-  let viable = Query.run ~graph:g6 ~hierarchy spurious_q in
+  let viable = Query.run ~frozen:(Query.freeze g6) ~hierarchy spurious_q in
   Printf.printf
     "jungloid graph: the same query's shortest candidate is %s elementary jungloids \
      long (%d results) — every downcast is reachable only through a mined, blessed \
@@ -453,13 +453,13 @@ let section_objparam () =
      declared to accept anything, actually wanting editor inputs. *)
   let q = Query.query "org.eclipse.ui.IEditorInput" "org.eclipse.jface.text.IDocument" in
   let unrestricted = Sig_graph.build hierarchy in
-  let r1 = Query.run ~graph:unrestricted ~hierarchy q in
+  let r1 = Query.run ~frozen:(Query.freeze unrestricted) ~hierarchy q in
   let config = { Sig_graph.default_config with restrict_obj_string_params = true } in
   let restricted = Sig_graph.build ~config hierarchy in
-  let r2 = Query.run ~graph:restricted ~hierarchy q in
+  let r2 = Query.run ~frozen:(Query.freeze restricted) ~hierarchy q in
   let mined = Sig_graph.build ~config hierarchy in
   let stats = Mining.Objparam.enrich mined prog in
-  let r3 = Query.run ~graph:mined ~hierarchy q in
+  let r3 = Query.run ~frozen:(Query.freeze mined) ~hierarchy q in
   Printf.printf "query (IEditorInput, IDocument), via getDocument(Object):\n";
   Printf.printf "  unrestricted signature graph:        %d results\n" (List.length r1);
   Printf.printf "  Object/String params restricted:     %d results\n" (List.length r2);
@@ -788,7 +788,7 @@ let section_server () =
         ignore
           (Mining.Enrich.enrich g
              (Minijava.Resolve.parse_program ~api:h Apidata.Api.corpus_sources));
-        ignore (Query.run ~graph:g ~hierarchy:h q0))
+        ignore (Query.run ~frozen:(Query.freeze g) ~hierarchy:h q0))
   in
   Printf.printf "one-shot CLI cost (load + build + mine + 1 query): %.4f s\n" oneshot_t;
   let graph = Apidata.Api.default_graph () in
@@ -811,7 +811,6 @@ let section_server () =
                         tin = p.Problems.tin;
                         tout = p.Problems.tout;
                         overrides = Proto.defaults;
-                        cluster = false;
                       };
                 }))
     |> Array.of_list
@@ -1203,14 +1202,14 @@ let section_refine () =
     int_of_float (ceil (log (float_of_int (max 1 k)) /. log 2.0)) + 2
   in
   (* -- Table 1 ------------------------------------------------------ *)
-  let graph = Apidata.Api.default_graph () in
+  let frozen = Query.freeze (Apidata.Api.default_graph ()) in
   let hierarchy = Apidata.Api.hierarchy () in
   let failed = ref false in
   let table1_rows =
     List.filter_map
       (fun (p : Problems.t) ->
         let results =
-          Query.run ~graph ~hierarchy (Query.query p.Problems.tin p.Problems.tout)
+          Query.run ~frozen ~hierarchy (Query.query p.Problems.tin p.Problems.tout)
         in
         match run_session results with
         | None -> None
@@ -1230,9 +1229,10 @@ let section_refine () =
   let h = Corpusgen.Workload.layered_api ~classes:500 in
   let g = Sig_graph.build h in
   let qs = Corpusgen.Workload.random_queries h g ~count:20 ~seed:7 in
+  let frozen = Query.freeze g in
   let layered =
     List.filter_map
-      (fun q -> run_session (Query.run ~graph:g ~hierarchy:h q))
+      (fun q -> run_session (Query.run ~frozen ~hierarchy:h q))
       qs
   in
   let layered_sessions = List.length layered in
@@ -1401,8 +1401,9 @@ let section_rank () =
     in
     go 1 results
   in
+  let tg_frozen = Query.freeze ~edge_cost:t_cost tg in
   let run_producer ~settings ?edge_cost i =
-    Query.run ~settings ?edge_cost ~graph:tg
+    Query.run ~settings ~frozen:tg_frozen ?edge_cost
       ~hierarchy:t.Corpusgen.Truthgen.hierarchy
       (Query.query Corpusgen.Truthgen.registry (Corpusgen.Truthgen.model i))
   in
@@ -1716,11 +1717,16 @@ let routed_to_shard shards frozen (q : Query.t) =
    never answers one, and every shard is built before the warm-up, as in a
    long-running batch process. A worker domain that outlived its call kept
    its Topk workspace at the high-water mark; one spawned per call grew it
-   again, straight into the major heap. The gate runs on the 100k world
-   only, the one perfbench's `batch-100k` queries: on the 10k world the
-   workspaces still reach new high-water marks within these calls (~200
-   words per query even at jobs = 1, 300–580 at jobs = 2), which says
-   nothing about the pool. *)
+   again, straight into the major heap. Before measuring, each of the two
+   domains answers every measured pair once on the whole snapshot, so both
+   workspaces already hold the largest query of the run: which domain
+   answers which query depends on scheduling, and a workspace reaching a
+   new high-water mark inside the measured calls read 655–1,402 words per
+   query in 7 of 30 runs without it (−14 to 2 in 29 of 29 with it; 2
+   vCPUs). The gate runs on the 100k world only, the one perfbench's
+   `batch-100k` queries: on the 10k world the workspaces still reach new
+   high-water marks within these calls (~200 words per query even at
+   jobs = 1, 300–580 at jobs = 2), which says nothing about the pool. *)
 let pool_gate_methods = 100_000
 
 let pool_calls = 4
@@ -1745,6 +1751,14 @@ let pool_major_words_per_query ~reach ~frozen ~hierarchy qs =
       done)
     (Query.engine_shards engine);
   ignore (Query.run_batch engine (call 0));
+  let measured = List.concat_map call (List.init pool_calls succ) in
+  ignore
+    (Pool.map_list (Pool.create ~jobs:2)
+       (fun () ->
+         List.iter
+           (fun q -> ignore (Query.run ~reach ~frozen ~hierarchy q))
+           measured)
+       [ (); () ]);
   major_direct_words (fun () ->
       for c = 1 to pool_calls do
         ignore (Query.run_batch engine (call c))

@@ -252,6 +252,11 @@ let settings ~max_results ~slack ~strategy ~ranking ~protocol =
    by default). *)
 let edge_cost_of env = Option.map Mining.Usage.edge_cost env.usage
 
+(* [env.graph]'s snapshot, frozen once per command under the model
+   [edge_cost_of] passes: a [Mined] search reads its weighted lanes. *)
+let frozen_of env =
+  Prospector.Query.freeze ?edge_cost:(edge_cost_of env) env.graph
+
 (* The mined typestate model as the [?protocol_check] the query layer
    consumes; [None] makes [Warn]/[Filter] requests fall back to [Off] with
    the same logged-warning discipline as [Mined] ranking. *)
@@ -298,9 +303,9 @@ let query_cmd =
         let q = Prospector.Query.query tin tout in
         let st = settings ~max_results ~slack ~strategy ~ranking ~protocol in
         let results, info =
-          Prospector.Query.run_info ~settings:st ?edge_cost:(edge_cost_of env)
-            ?protocol_check:(protocol_check_of env) ~graph:env.graph
-            ~hierarchy:env.hierarchy q
+          Prospector.Query.run_info ~settings:st ~frozen:(frozen_of env)
+            ?edge_cost:(edge_cost_of env)
+            ?protocol_check:(protocol_check_of env) ~hierarchy:env.hierarchy q
         in
         if info.Prospector.Query.truncated then
           Printf.eprintf
@@ -349,9 +354,8 @@ let assist_cmd =
         let suggestions =
           Prospector.Assist.suggest
             ~settings:(settings ~max_results ~slack ~strategy ~ranking ~protocol)
-            ?edge_cost:(edge_cost_of env)
-            ?protocol_check:(protocol_check_of env) ~graph:env.graph
-            ~hierarchy:env.hierarchy ctx
+            ~frozen:(frozen_of env) ?edge_cost:(edge_cost_of env)
+            ?protocol_check:(protocol_check_of env) ~hierarchy:env.hierarchy ctx
         in
         if suggestions = [] then print_endline "no suggestions"
         else
@@ -459,9 +463,9 @@ let refine_cmd =
               check_type_arg "TIN" tin;
               check_type_arg "TOUT" tout;
               let q = Prospector.Query.query tin tout in
-              Prospector.Query.run ~settings:st ?edge_cost:(edge_cost_of env)
-                ?protocol_check:(protocol_check_of env) ~graph:env.graph
-                ~hierarchy:env.hierarchy q
+              Prospector.Query.run ~settings:st ~frozen:(frozen_of env)
+                ?edge_cost:(edge_cost_of env)
+                ?protocol_check:(protocol_check_of env) ~hierarchy:env.hierarchy q
               |> List.map (fun result -> { Esession.source = None; result })
           | [ tout ], _ :: _ ->
               check_type_arg "TOUT" tout;
@@ -471,10 +475,9 @@ let refine_cmd =
                   expected = Javamodel.Jtype.ref_of_string tout;
                 }
               in
-              Prospector.Assist.suggest ~settings:st
+              Prospector.Assist.suggest ~settings:st ~frozen:(frozen_of env)
                 ?edge_cost:(edge_cost_of env)
-                ?protocol_check:(protocol_check_of env) ~graph:env.graph
-                ~hierarchy:env.hierarchy ctx
+                ?protocol_check:(protocol_check_of env) ~hierarchy:env.hierarchy ctx
               |> List.map (fun (s : Prospector.Assist.suggestion) ->
                      {
                        Esession.source = s.Prospector.Assist.uses_var;
@@ -662,7 +665,7 @@ let batch_cmd =
 (* ---------- mine ---------- *)
 
 let mine_cmd =
-  let run api corpus protected_ jobs =
+  let run api corpus jobs =
     let pool = pool_of_jobs jobs in
     handle_errors (fun () ->
         let hierarchy =
@@ -717,12 +720,11 @@ let mine_cmd =
                   (Protocol.end_count model ~tname ~meth)
                   usually)
               (Protocol.methods model ~tname))
-          (Protocol.modeled_types model);
-        ignore protected_)
+          (Protocol.modeled_types model))
   in
   Cmd.v
     (Cmd.info "mine" ~doc:"Extract and generalize example jungloids from a corpus.")
-    Term.(const run $ api_files $ corpus_files $ protected_flag $ jobs_arg)
+    Term.(const run $ api_files $ corpus_files $ jobs_arg)
 
 (* ---------- stats ---------- *)
 
@@ -932,6 +934,7 @@ let lint_cmd =
                   Analysis.Protolint.check model
                     (Mining.Protomine.sequences (Mining.Dataflow.build prog)))
           | `Query ->
+              let frozen = frozen_of env in
               List.concat_map
                 (fun spec ->
                   let tin, tout = parse_query_spec spec in
@@ -939,8 +942,8 @@ let lint_cmd =
                   Prospector.Query.run
                     ~settings:
                       (settings ~max_results ~slack ~strategy ~ranking ~protocol)
-                    ?edge_cost:(edge_cost_of env)
-                    ?protocol_check:(protocol_check_of env) ~graph:env.graph
+                    ~frozen ?edge_cost:(edge_cost_of env)
+                    ?protocol_check:(protocol_check_of env)
                     ~hierarchy:env.hierarchy q
                   |> List.concat_map (fun (r : Prospector.Query.result) ->
                          let j = r.Prospector.Query.jungloid in
@@ -1479,7 +1482,7 @@ let client_cmd =
       let envelope req = Proto.to_string (Proto.envelope_to_json { Proto.id = Proto.Null; req }) in
       match argv with
       | [ "query"; tin; tout ] ->
-          envelope (Proto.Query { tin; tout; overrides; cluster = false })
+          envelope (Proto.Query { tin; tout; overrides })
       | [ "assist"; tout ] ->
           envelope (Proto.Assist { tout; vars = List.map parse_var vars; overrides })
       | [ "batch"; file ] ->

@@ -5,7 +5,8 @@
    Run with:  dune exec examples/api_explorer.exe            (demo script)
               dune exec examples/api_explorer.exe -- -i      (interactive) *)
 
-let graph = lazy (Apidata.Api.default_graph ())
+(* One snapshot serves the whole session. *)
+let frozen = lazy (Prospector.Query.freeze (Apidata.Api.default_graph ()))
 let hierarchy = lazy (Apidata.Api.hierarchy ())
 
 let suggest vars expected =
@@ -16,8 +17,8 @@ let suggest vars expected =
       expected = Javamodel.Jtype.ref_of_string expected;
     }
   in
-  Prospector.Assist.suggest ~graph:(Lazy.force graph) ~hierarchy:(Lazy.force hierarchy)
-    ctx
+  Prospector.Assist.suggest ~frozen:(Lazy.force frozen)
+    ~hierarchy:(Lazy.force hierarchy) ctx
 
 let show vars expected =
   Printf.printf "\n> %s  (in scope: %s)\n" expected

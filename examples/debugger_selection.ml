@@ -18,7 +18,9 @@ let () =
   (* Signatures only: the dead end the paper describes. *)
   let sig_graph = Apidata.Api.signature_graph () in
   let q = Prospector.Query.query tin tout in
-  let without = Prospector.Query.run ~graph:sig_graph ~hierarchy q in
+  let without =
+    Prospector.Query.run ~frozen:(Prospector.Query.freeze sig_graph) ~hierarchy q
+  in
   Printf.printf "signature graph only: %d results (ISelection is a dead end)\n\n"
     (List.length without);
 
@@ -28,7 +30,7 @@ let () =
     "mined the corpus: %d casts, %d examples, %d after generalization, %d edges added\n\n"
     stats.Mining.Enrich.casts_in_corpus stats.Mining.Enrich.examples_extracted
     stats.Mining.Enrich.examples_after_generalization stats.Mining.Enrich.edges_added;
-  match Prospector.Query.run ~graph ~hierarchy q with
+  match Prospector.Query.run ~frozen:(Prospector.Query.freeze graph) ~hierarchy q with
   | [] -> print_endline "unexpected: still no results"
   | top :: _ ->
       print_endline "with the jungloid graph:";

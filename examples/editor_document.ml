@@ -8,7 +8,7 @@
 
 let () =
   let hierarchy = Apidata.Api.hierarchy () in
-  let graph = Apidata.Api.default_graph () in
+  let frozen = Prospector.Query.freeze (Apidata.Api.default_graph ()) in
 
   print_endline "FAQ 270: manipulate the document behind a visual editor.\n";
 
@@ -18,7 +18,7 @@ let () =
     Prospector.Query.query "org.eclipse.ui.IEditorPart"
       "org.eclipse.ui.texteditor.IDocumentProvider"
   in
-  let r1 = Prospector.Query.run ~graph ~hierarchy q1 in
+  let r1 = Prospector.Query.run ~frozen ~hierarchy q1 in
   let has sub s =
     let n = String.length sub and m = String.length s in
     let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
@@ -51,7 +51,7 @@ let () =
         Javamodel.Jtype.ref_of_string "org.eclipse.ui.texteditor.DocumentProviderRegistry";
     }
   in
-  (match Prospector.Assist.suggest ~graph ~hierarchy ctx with
+  (match Prospector.Assist.suggest ~frozen ~hierarchy ctx with
   | top :: _ ->
       Printf.printf "  %s%s\n" top.Prospector.Assist.title
         (match top.Prospector.Assist.uses_var with

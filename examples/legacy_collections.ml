@@ -18,7 +18,10 @@ let () =
   (* Signatures only: the Enumeration is a dead end (nextElement() returns
      Object), so the only routes are constructors and getEntry. *)
   let sig_graph = Apidata.Api.signature_graph () in
-  let without = Prospector.Query.run ~settings ~graph:sig_graph ~hierarchy q in
+  let without =
+    Prospector.Query.run ~settings ~frozen:(Prospector.Query.freeze sig_graph)
+      ~hierarchy q
+  in
   print_endline "signature graph only:";
   List.iteri
     (fun i (r : Prospector.Query.result) ->
@@ -28,8 +31,8 @@ let () =
     without;
 
   (* With the mined corpus, the enumeration route exists. *)
-  let graph = Apidata.Api.default_graph () in
-  let with_mining = Prospector.Query.run ~settings ~graph ~hierarchy q in
+  let frozen = Prospector.Query.freeze (Apidata.Api.default_graph ()) in
+  let with_mining = Prospector.Query.run ~settings ~frozen ~hierarchy q in
   print_endline "\nwith the mined corpus:";
   List.iteri
     (fun i (r : Prospector.Query.result) ->

@@ -8,7 +8,7 @@
 
 let () =
   let hierarchy = Apidata.Api.hierarchy () in
-  let graph = Apidata.Api.default_graph () in
+  let frozen = Prospector.Query.freeze (Apidata.Api.default_graph ()) in
 
   print_endline "Task: parse the Java source file behind an IFile.\n";
   print_endline "Query: (IFile, ASTNode)\n";
@@ -17,7 +17,7 @@ let () =
     Prospector.Query.query "org.eclipse.core.resources.IFile"
       "org.eclipse.jdt.core.dom.ASTNode"
   in
-  let results = Prospector.Query.run ~graph ~hierarchy q in
+  let results = Prospector.Query.run ~frozen ~hierarchy q in
   List.iteri
     (fun i (r : Prospector.Query.result) ->
       Printf.printf "result #%d (length %d):\n" (i + 1)

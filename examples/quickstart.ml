@@ -38,9 +38,11 @@ let () =
   Printf.printf "signature graph: %d nodes, %d edges\n\n" stats.Prospector.Stats.nodes
     stats.Prospector.Stats.edges;
 
-  (* 3. Ask: "I have a Database, I need a Row." *)
+  (* 3. Freeze the graph into the flat snapshot every search runs on, once,
+        and ask: "I have a Database, I need a Row." *)
+  let frozen = Prospector.Query.freeze graph in
   let q = Prospector.Query.query "demo.io.Database" "demo.io.Row" in
-  let results = Prospector.Query.run ~graph ~hierarchy q in
+  let results = Prospector.Query.run ~frozen ~hierarchy q in
 
   (* 4. Read the ranked jungloids and the generated Java. *)
   List.iteri
@@ -54,7 +56,7 @@ let () =
         so the producer query starts from String. (A zero-argument factory
         would make it a void query instead.) *)
   let producer_q = Prospector.Query.query "java.lang.String" "demo.io.Database" in
-  (match Prospector.Query.run ~graph ~hierarchy producer_q with
+  (match Prospector.Query.run ~frozen ~hierarchy producer_q with
   | top :: _ ->
       Printf.printf "how do I even get a Database? (from its URL string)\n%s"
         top.Prospector.Query.code

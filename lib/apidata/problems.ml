@@ -216,7 +216,7 @@ type measured = {
   results : Prospector.Query.result list;
 }
 
-let measure ?settings ?edge_cost ~frozen ~hierarchy p =
+let run_one ?settings ?edge_cost ~frozen ~hierarchy p =
   let q = Query.query p.tin p.tout in
   let t0 = Unix.gettimeofday () in
   let results = Query.run ?settings ?edge_cost ~frozen ~hierarchy q in
@@ -228,11 +228,8 @@ let measure ?settings ?edge_cost ~frozen ~hierarchy p =
   in
   { problem = p; time_s; rank; results }
 
-let run_one ?settings ?edge_cost ~graph ~hierarchy p =
-  measure ?settings ?edge_cost ~frozen:(Query.freeze ?edge_cost graph) ~hierarchy p
-
 let run_all ?settings ?edge_cost ~graph ~hierarchy () =
   let frozen = Query.freeze ?edge_cost graph in
-  List.map (measure ?settings ?edge_cost ~frozen ~hierarchy) all
+  List.map (run_one ?settings ?edge_cost ~frozen ~hierarchy) all
 
 let found m = match m.rank with Some r -> r <= 5 | None -> false

@@ -30,10 +30,12 @@ type measured = {
 val run_one :
   ?settings:Prospector.Query.settings ->
   ?edge_cost:(Prospector.Elem.t -> int) ->
-  graph:Prospector.Graph.t ->
+  frozen:Prospector.Graph.frozen ->
   hierarchy:Javamodel.Hierarchy.t ->
   t ->
   measured
+(** One row's query, timed, on the caller's snapshot, frozen under the
+    same [?edge_cost]. *)
 
 val run_all :
   ?settings:Prospector.Query.settings ->
@@ -42,6 +44,7 @@ val run_all :
   hierarchy:Javamodel.Hierarchy.t ->
   unit ->
   measured list
+(** Every row, in order, on one snapshot of [graph]. *)
 
 val found : measured -> bool
 (** The paper's success criterion: the desired solution appears and the user

@@ -81,14 +81,14 @@ let all =
 
 let parse_ty = Javamodel.Jtype.ref_of_string
 
-let tool_rank ~graph ~hierarchy p =
+let tool_rank ~frozen ~hierarchy p =
   let ctx =
     {
       Assist.vars = List.map (fun (n, ty) -> (n, parse_ty ty)) p.vars;
       expected = parse_ty p.tout;
     }
   in
-  let suggestions = Assist.suggest ~graph ~hierarchy ctx in
+  let suggestions = Assist.suggest ~frozen ~hierarchy ctx in
   List.mapi (fun i s -> (i + 1, s)) suggestions
   |> List.find_opt (fun (_, s) -> p.is_desired s.Assist.result)
   |> Option.map fst

@@ -24,7 +24,8 @@ type t = {
 val all : t list
 
 val tool_rank :
-  graph:Prospector.Graph.t -> hierarchy:Javamodel.Hierarchy.t -> t -> int option
+  frozen:Prospector.Graph.frozen -> hierarchy:Javamodel.Hierarchy.t -> t -> int option
 (** The rank at which the {e real} engine surfaces the desired solution for
     this problem via content assist over the problem's context — the
-    with-tool arm of the simulation is driven by actual system output. *)
+    with-tool arm of the simulation is driven by actual system output, on
+    the caller's snapshot. *)

@@ -66,10 +66,9 @@ let of_multi mr =
     result = mr.Query.result;
   }
 
-let suggest ?settings ?frozen ?reach ?edge_cost ?protocol_check ?graph ~hierarchy
-    ctx =
+let suggest ?settings ~frozen ?reach ?edge_cost ?protocol_check ~hierarchy ctx =
   let multi =
-    Query.run_multi ?settings ?reach ?frozen ?edge_cost ?protocol_check ?graph
+    Query.run_multi ?settings ?reach ~frozen ?edge_cost ?protocol_check
       ~hierarchy ~vars:ctx.vars ~tout:ctx.expected ()
   in
   direct_suggestions ~hierarchy ctx @ List.map of_multi multi

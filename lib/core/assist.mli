@@ -25,11 +25,10 @@ type suggestion = {
 
 val suggest :
   ?settings:Query.settings ->
-  ?frozen:Graph.frozen ->
+  frozen:Graph.frozen ->
   ?reach:Reach.t ->
   ?edge_cost:(Elem.t -> int) ->
   ?protocol_check:(Jungloid.t -> string list) ->
-  ?graph:Graph.t ->
   hierarchy:Hierarchy.t ->
   context ->
   suggestion list
@@ -38,7 +37,6 @@ val suggest :
     points", Section 5). Variables whose type already widens to the expected
     type are suggested first, verbatim — no jungloid needed.
 
-    [?frozen]/[?reach]/[?edge_cost]/[?protocol_check]/[?graph] forward to
-    {!Query.run_multi}. The server's lock-free read path runs assist on a
-    published snapshot this way, and the IDE layer's [Infer.suggest_all]
-    on one snapshot frozen for a whole buffer. *)
+    [frozen]/[?reach]/[?edge_cost]/[?protocol_check] forward to
+    {!Query.run_multi}. The server's lock-free readers pass a published
+    snapshot, the IDE layer's [Infer.suggest_all] one frozen per buffer. *)

@@ -28,7 +28,6 @@
 
 module Qname = Javamodel.Qname
 module Jtype = Javamodel.Jtype
-module Member = Javamodel.Member
 module Decl = Javamodel.Decl
 module Hierarchy = Javamodel.Hierarchy
 
@@ -36,8 +35,6 @@ type op =
   | Add_class of Decl.t
   | Remove_class of Qname.t
   | Replace_class of Decl.t
-  | Add_method of Qname.t * Member.meth
-  | Remove_method of Qname.t * string
 
 type error = {
   index : int;
@@ -63,14 +60,10 @@ let op_name = function
   | Add_class _ -> "add-class"
   | Remove_class _ -> "remove-class"
   | Replace_class _ -> "replace-class"
-  | Add_method _ -> "add-method"
-  | Remove_method _ -> "remove-method"
 
 let op_subject = function
   | Add_class d | Replace_class d -> Qname.to_string d.Decl.dname
   | Remove_class q -> Qname.to_string q
-  | Add_method (q, m) -> Qname.to_string q ^ "#" ^ m.Member.mname
-  | Remove_method (q, name) -> Qname.to_string q ^ "#" ^ name
 
 let mode_string = function Spliced -> "spliced" | Rebuilt -> "rebuilt"
 
@@ -117,28 +110,7 @@ let validate_and_apply h' ops =
           else begin
             note_original d.Decl.dname;
             Hierarchy.replace h' d
-          end
-      | Add_method (q, m) -> (
-          match Hierarchy.find_opt h' q with
-          | None -> err index op "not declared"
-          | Some d ->
-              note_original q;
-              Hierarchy.replace h'
-                { d with Decl.methods = d.Decl.methods @ [ m ] })
-      | Remove_method (q, name) -> (
-          match Hierarchy.find_opt h' q with
-          | None -> err index op "not declared"
-          | Some d ->
-              let keep, drop =
-                List.partition
-                  (fun (m : Member.meth) -> not (String.equal m.Member.mname name))
-                  d.Decl.methods
-              in
-              if drop = [] then err index op "no method with this name"
-              else begin
-                note_original q;
-                Hierarchy.replace h' { d with Decl.methods = keep }
-              end))
+          end)
     ops;
   (List.rev !errors, !structural, originals)
 

@@ -27,16 +27,16 @@
     count could collide) — as is physical row placement. *)
 
 module Decl = Javamodel.Decl
-module Member = Javamodel.Member
 module Qname = Javamodel.Qname
 module Hierarchy = Javamodel.Hierarchy
 
+(** Ops are class-level: a method edit is a [Replace_class] of the edited
+    declaration, which takes the spliced path when its name and supertypes
+    are unchanged. *)
 type op =
   | Add_class of Decl.t
   | Remove_class of Qname.t  (** [java.lang.Object] is not removable *)
   | Replace_class of Decl.t
-  | Add_method of Qname.t * Member.meth  (** appended to the class body *)
-  | Remove_method of Qname.t * string  (** drops every overload of the name *)
 
 type error = {
   index : int;  (** position of the offending op in the delta *)

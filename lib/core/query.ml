@@ -190,7 +190,7 @@ let protocol_keep ~protocol ~protocol_check =
         ok
   | _ -> fun _ -> true
 
-(* The snapshot a [?graph] call runs on, and the one an engine keeps. The
+(* The query-time snapshot of a builder graph; an engine keeps one. The
    void pseudo-node is interned first so every snapshot can serve the
    multi-source (content-assist) path; [Sig_graph.build] already interns
    it, so freezing a built graph never moves its generation. The cost
@@ -199,14 +199,6 @@ let protocol_keep ~protocol ~protocol_check =
 let freeze ?edge_cost graph =
   ignore (Graph.void_node graph);
   Graph.freeze ?wcost:edge_cost graph
-
-(* [?frozen] wins when both are given. [edge_cost] is the effective model,
-   so a paper-ranked call never pays for baking a mined one. *)
-let snapshot ?frozen ?graph ~edge_cost () =
-  match (frozen, graph) with
-  | Some fz, _ -> fz
-  | None, Some g -> freeze ?edge_cost g
-  | None, None -> invalid_arg "Query: pass at least one of ?graph / ?frozen"
 
 (* The future-work free-variable estimator: a free variable of type T will
    cost about as much as the cheapest way to conjure a T from nothing (the
@@ -404,12 +396,11 @@ let consume ~settings ~inputs ~keep ~render next =
    [Search.Csr.enumerate_per_source] budgets sources. Distance lanes come
    from the domain's scratch pool, released when the frame ends (nothing
    in a result refers to them). *)
-let execute ~settings ?reach ?frozen ?edge_cost ?protocol_check ?graph
-    ~hierarchy ~inputs ~tout () =
+let execute ~settings ?reach ~frozen:fz ?edge_cost ?protocol_check ~hierarchy
+    ~inputs ~tout () =
   let strategy, edge_cost, protocol, warnings =
     effective_mode ~edge_cost ~protocol_check settings
   in
-  let fz = snapshot ?frozen ?graph ~edge_cost () in
   let scratch = Search.Scratch.domain () in
   let keep = protocol_keep ~protocol ~protocol_check in
   let search ~target inputs =
@@ -491,22 +482,21 @@ let execute ~settings ?reach ?frozen ?edge_cost ?protocol_check ?graph
   List.iter (fun w -> Log.warn (fun m -> m "%s" w)) pwarnings;
   (results, { info with warnings = warnings @ pwarnings })
 
-let run_info ?(settings = default_settings) ?reach ?frozen ?edge_cost
-    ?protocol_check ?graph ~hierarchy q =
+let run_info ?(settings = default_settings) ?reach ~frozen ?edge_cost
+    ?protocol_check ~hierarchy q =
   let results, info =
-    execute ~settings ?reach ?frozen ?edge_cost ?protocol_check ?graph
-      ~hierarchy ~inputs:[ (q.tin, None) ] ~tout:q.tout ()
+    execute ~settings ?reach ~frozen ?edge_cost ?protocol_check ~hierarchy
+      ~inputs:[ (q.tin, None) ] ~tout:q.tout ()
   in
   (List.map (fun mr -> mr.result) results, info)
 
-let run ?settings ?reach ?frozen ?edge_cost ?protocol_check ?graph ~hierarchy q =
-  fst (run_info ?settings ?reach ?frozen ?edge_cost ?protocol_check ?graph ~hierarchy q)
+let run ?settings ?reach ~frozen ?edge_cost ?protocol_check ~hierarchy q =
+  fst (run_info ?settings ?reach ~frozen ?edge_cost ?protocol_check ~hierarchy q)
 
-let run_multi ?(settings = default_settings) ?reach ?frozen ?edge_cost
-    ?protocol_check ?graph ~hierarchy ~vars ~tout () =
+let run_multi ?(settings = default_settings) ?reach ~frozen ?edge_cost
+    ?protocol_check ~hierarchy ~vars ~tout () =
   fst
-    (execute ~settings ?reach ?frozen ?edge_cost ?protocol_check ?graph
-       ~hierarchy
+    (execute ~settings ?reach ~frozen ?edge_cost ?protocol_check ~hierarchy
        ~inputs:((Jtype.Void, None) :: List.map (fun (name, ty) -> (ty, Some name)) vars)
        ~tout ())
 

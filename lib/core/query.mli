@@ -151,18 +151,18 @@ type info = {
 }
 
 val freeze : ?edge_cost:(Elem.t -> int) -> Graph.t -> Graph.frozen
-(** The snapshot a [?graph] call runs on: the [void] pseudo-node is
+(** The query-time snapshot of a builder graph: the [void] pseudo-node is
     interned first (a no-op on graphs from {!Sig_graph.build}, which intern
     it up front), then {!Graph.freeze} bakes [edge_cost] into the weighted
-    lanes. Loops over one graph call this once and pass [~frozen]. *)
+    lanes. Beside {!engine}, the one place a builder graph becomes a
+    snapshot: freeze once per model and pass [~frozen] to every query. *)
 
 val run_info :
   ?settings:settings ->
   ?reach:Reach.t ->
-  ?frozen:Graph.frozen ->
+  frozen:Graph.frozen ->
   ?edge_cost:(Elem.t -> int) ->
   ?protocol_check:(Jungloid.t -> string list) ->
-  ?graph:Graph.t ->
   hierarchy:Hierarchy.t ->
   t ->
   result list * info
@@ -172,25 +172,20 @@ val run_info :
 val run :
   ?settings:settings ->
   ?reach:Reach.t ->
-  ?frozen:Graph.frozen ->
+  frozen:Graph.frozen ->
   ?edge_cost:(Elem.t -> int) ->
   ?protocol_check:(Jungloid.t -> string list) ->
-  ?graph:Graph.t ->
   hierarchy:Hierarchy.t ->
   t ->
   result list
 (** Ranked solution jungloids; [[]] when [tin] or [tout] has no node or no
     path exists. The whole pipeline (type lookup, 0-1 BFS, path search,
-    jungloid conversion) runs on a CSR snapshot: [?frozen], or, as a
-    shorthand, [?graph] frozen once for this call ({!freeze}, with the
-    usage model baked only when the effective ranking is [Mined]). One of
-    the two is required ([Invalid_argument] when both are missing;
-    [?frozen] wins when both are given); loops over one graph should freeze
-    once and pass [~frozen]. A query never reads the mutable graph, which is
-    the lock-free server read path; the snapshot is trusted, and results
-    describe whatever graph it captured. Distances land in recycled
-    per-domain epoch-stamped scratch lanes, so at steady state a query
-    allocates nothing proportional to the graph.
+    jungloid conversion) runs on the CSR snapshot [frozen] ({!freeze}, or
+    an engine's {!engine_frozen}). A query never reads the mutable graph,
+    which is the lock-free server read path; the snapshot is trusted, and
+    results describe whatever graph it captured. Distances land in
+    recycled per-domain epoch-stamped scratch lanes, so at steady state a
+    query allocates nothing proportional to the graph.
 
     When [?reach] is a {!Reach} index for the snapshot's generation, a
     query whose [tin] cannot reach [tout] is answered [[]] in O(1), without
@@ -200,10 +195,10 @@ val run :
 
     [?edge_cost] is the mined usage model ([Mining.Usage.edge_cost]),
     consulted only when [settings.ranking = Mined]. It must be
-    non-negative, and when combined with [?frozen] the snapshot must have
-    been taken with [Graph.freeze ~wcost] under the {e same} model — the
-    weighted best-first search reads the snapshot's baked cost arrays.
-    Engine snapshots maintain this invariant automatically.
+    non-negative, and [frozen] must have been taken under the {e same}
+    model ([freeze ~edge_cost]) — the weighted best-first search reads the
+    snapshot's baked cost arrays. Engine snapshots maintain this invariant
+    automatically.
 
     [?protocol_check] returns the protocol violations of a chain
     ([Analysis.Protolint.violations] against a mined model in practice; []
@@ -231,10 +226,9 @@ val cluster : result list -> cluster list
 val run_multi :
   ?settings:settings ->
   ?reach:Reach.t ->
-  ?frozen:Graph.frozen ->
+  frozen:Graph.frozen ->
   ?edge_cost:(Elem.t -> int) ->
   ?protocol_check:(Jungloid.t -> string list) ->
-  ?graph:Graph.t ->
   hierarchy:Hierarchy.t ->
   vars:(string * Jtype.t) list ->
   tout:Jtype.t ->
@@ -244,10 +238,10 @@ val run_multi :
     references the variable it starts from. The ranked order interleaves all
     sources, each under its own budget (its shortest cost plus slack), and
     a variable whose type has no node, or that the reach index proves
-    cannot reach [tout], simply takes no part. [?reach], [?frozen] and
-    [?graph] behave exactly as in {!run} (a snapshot without an interned
-    [void] node simply omits the [void] source; {!freeze} and engine
-    snapshots always intern it first). Suggestions that tie on the full
+    cannot reach [tout], simply takes no part. [?reach] and [frozen]
+    behave exactly as in {!run} (a snapshot without an interned [void]
+    node simply omits the [void] source; {!freeze} and engine snapshots
+    always intern it first). Suggestions that tie on the full
     rank key are ordered by variable name ([void] first) and, within one
     variable, keep enumeration order; both strategies share the consumer
     that does this, so they agree byte for byte below the path cap.

@@ -61,10 +61,6 @@ let contexts ~api sources = holes (Minijava.Resolve.parse_program ~api sources)
 
 let to_context h = { Prospector.Assist.vars = h.vars; expected = h.expected }
 
-let suggest_at ?settings ?edge_cost ?protocol_check ~graph ~hierarchy h =
-  Prospector.Assist.suggest ?settings ?edge_cost ?protocol_check ~graph
-    ~hierarchy (to_context h)
-
 (* One snapshot and one reach index serve every hole in the buffer. The
    snapshot bakes [edge_cost] whatever the ranking, so under [Mined] the
    weighted search reads the same model the rank keys apply; under [Paper]

@@ -17,8 +17,8 @@
 
     and {!holes} recovers, for each hole, the expected type and every
     variable in scope at that point ([workbench] and [page] above, plus
-    [this] in instance methods); {!suggest_at} then runs the multi-source
-    search exactly as the plugin's content assist did. *)
+    [this] in instance methods); {!suggest_all} then runs the multi-source
+    search for each hole exactly as the plugin's content assist did. *)
 
 module Jtype = Javamodel.Jtype
 module Qname = Javamodel.Qname
@@ -42,20 +42,6 @@ val contexts :
 
 val to_context : hole -> Prospector.Assist.context
 
-val suggest_at :
-  ?settings:Prospector.Query.settings ->
-  ?edge_cost:(Prospector.Elem.t -> int) ->
-  ?protocol_check:(Prospector.Jungloid.t -> string list) ->
-  graph:Prospector.Graph.t ->
-  hierarchy:Javamodel.Hierarchy.t ->
-  hole ->
-  Prospector.Assist.suggestion list
-(** Content-assist suggestions for one hole: one multi-source search from
-    scratch over [graph], as the plugin ran it for each request.
-    [?edge_cost] is the mined usage model for [Mined]-ranking settings;
-    [?protocol_check] the mined typestate checker for
-    [Warn]/[Filter]-protocol settings. *)
-
 val suggest_all :
   ?settings:Prospector.Query.settings ->
   ?edge_cost:(Prospector.Elem.t -> int) ->
@@ -64,8 +50,8 @@ val suggest_all :
   hierarchy:Javamodel.Hierarchy.t ->
   hole list ->
   (hole * Prospector.Assist.suggestion list) list
-(** Suggestions for every hole of a buffer, in source order: the batch
-    counterpart of {!suggest_at}, with the same answers. [graph] is frozen
-    once ({!Prospector.Query.freeze}, baking [?edge_cost]) and indexed once
-    ({!Prospector.Reach.build_frozen}); each hole then runs its own search
-    on that snapshot. *)
+(** Content-assist suggestions for every hole of a buffer, in source
+    order. [graph] is frozen once ({!Prospector.Query.freeze}, baking the
+    mined [?edge_cost]) and indexed once ({!Prospector.Reach.build_frozen});
+    each hole then runs its own {!Prospector.Assist.suggest} on that
+    snapshot, with the mined [?protocol_check]. *)

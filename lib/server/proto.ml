@@ -321,7 +321,6 @@ type request =
       tin : string;
       tout : string;
       overrides : overrides;
-      cluster : bool;
     }
   | Assist of {
       tout : string;
@@ -408,25 +407,45 @@ let field_type_opt j k =
   let* s = field_string_opt j k in
   match s with None -> Ok None | Some s -> Result.map Option.some (checked_type k s)
 
-let field_bool j k ~default =
-  match member k j with
-  | Some (Bool b) -> Ok b
-  | Some Null | None -> Ok default
-  | Some _ -> Error (Printf.sprintf "field %S must be a boolean" k)
+(* The grammar is closed: dropping a misspelled or foreign field would
+   answer a different request than the one sent. *)
+let only_fields ~what ~takes fields =
+  match List.find_opt (fun (k, _) -> not (List.mem k takes)) fields with
+  | None -> Ok ()
+  | Some (k, _) ->
+      Error
+        (Printf.sprintf "unknown field %S in %s (it takes %s)" k what
+           (String.concat ", " (List.map (Printf.sprintf "%S") takes)))
 
 let parse_var = function
-  | Obj _ as o ->
+  | Obj fields as o ->
+      let* () = only_fields ~what:"a var" ~takes:[ "name"; "type" ] fields in
       let* name = field_string o "name" in
       let* ty = field_type o "type" in
       Ok (name, ty)
   | _ -> Error "each var must be an object {\"name\", \"type\"}"
 
 let parse_pair = function
-  | Obj _ as o ->
+  | Obj fields as o ->
+      let* () = only_fields ~what:"a batch query" ~takes:[ "tin"; "tout" ] fields in
       let* tin = field_type o "tin" in
       let* tout = field_type o "tout" in
       Ok (tin, tout)
   | _ -> Error "each query must be an object {\"tin\", \"tout\"}"
+
+(* Each op's own fields, besides "id" and "op". *)
+let op_fields op =
+  let settings = [ "max_results"; "slack"; "strategy"; "ranking"; "protocol" ] in
+  match op with
+  | "query" -> "tin" :: "tout" :: settings
+  | "assist" -> "tout" :: "vars" :: settings
+  | "batch" -> "queries" :: settings
+  | "refine_start" -> "tin" :: "tout" :: "vars" :: settings
+  | "lint" -> [ "tin"; "tout" ]
+  | "refine_answer" -> [ "session"; "choice" ]
+  | "refine_status" | "refine_stop" -> [ "session" ]
+  | "reload" -> [ "japi"; "remove" ]
+  | _ -> []
 
 let rec map_m f = function
   | [] -> Ok []
@@ -437,7 +456,7 @@ let rec map_m f = function
 
 let request_of_json j =
   match j with
-  | Obj _ ->
+  | Obj fields ->
       let id = Option.value (member "id" j) ~default:Null in
       let* op = field_string j "op" in
       let* req =
@@ -446,8 +465,7 @@ let request_of_json j =
             let* tin = field_type j "tin" in
             let* tout = field_type j "tout" in
             let* overrides = field_overrides j in
-            let* cluster = field_bool j "cluster" ~default:false in
-            Ok (Query { tin; tout; overrides; cluster })
+            Ok (Query { tin; tout; overrides })
         | "assist" ->
             let* tout = field_type j "tout" in
             let* vars =
@@ -531,6 +549,10 @@ let request_of_json j =
         | "shutdown" -> Ok Shutdown
         | op -> Error (Printf.sprintf "unknown op %S" op)
       in
+      let* () =
+        only_fields ~what:(Printf.sprintf "a %S request" op)
+          ~takes:("id" :: "op" :: op_fields op) fields
+      in
       Ok { id; req }
   | _ -> Error "request must be a JSON object"
 
@@ -556,10 +578,8 @@ let envelope_to_json { id; req } =
   in
   let fields =
     match req with
-    | Query { tin; tout; overrides = o; cluster } ->
-        [ ("op", Str "query"); ("tin", Str tin); ("tout", Str tout) ]
-        @ overrides o
-        @ if cluster then [ ("cluster", Bool true) ] else []
+    | Query { tin; tout; overrides = o } ->
+        [ ("op", Str "query"); ("tin", Str tin); ("tout", Str tout) ] @ overrides o
     | Assist { tout; vars; overrides = o } ->
         [ ("op", Str "assist"); ("tout", Str tout) ] @ vars_field vars @ overrides o
     | Batch { pairs; overrides = o } ->

@@ -10,8 +10,7 @@
 
     Request grammar (one object per line):
     {v
-      {"op": "query",    "id"?: J, "tin": S, "tout": S, SETTINGS,
-       "cluster"?: B}
+      {"op": "query",    "id"?: J, "tin": S, "tout": S, SETTINGS}
       {"op": "assist",   "id"?: J, "tout": S,
        "vars"?: [{"name": S, "type": S}...], SETTINGS}
       {"op": "batch",    "id"?: J, "queries": [{"tin": S, "tout": S}...],
@@ -32,6 +31,9 @@
        "max_results"?: I, "slack"?: I, "strategy"?: S, "ranking"?: S,
        "protocol"?: S
     v}
+    The grammar is closed: a request, a [vars] item or a [queries] item
+    that carries any other field is a [bad_request] naming that field, so
+    a misspelled setting is never dropped in silence.
     [refine_start] opens a stateful disambiguation session over the
     query's (or assist context's) ranked candidates; the reply carries a
     session id for the follow-up ops. A [tin] makes it query-shaped, [vars]
@@ -95,7 +97,6 @@ type request =
       tin : string;
       tout : string;
       overrides : overrides;
-      cluster : bool;
     }
   | Assist of {
       tout : string;
@@ -145,7 +146,9 @@ val request_of_json : json -> (envelope, string) result
     ({!Prospector.Query.check_type_name}), on a negative ["max_results"]
     or ["slack"] ({!Prospector.Query.check_limits}), on an unknown
     ["strategy"], ["ranking"] or ["protocol"] spelling (the message lists
-    the accepted ones), and on a reload that carries a ["corpus"] field. *)
+    the accepted ones), on a reload that carries a ["corpus"] field, and
+    on any field outside the grammar above — ["unknown field "K" in
+    ..."], followed by the fields that object takes. *)
 
 val envelope_to_json : envelope -> json
 (** The client-side inverse of {!request_of_json}:

@@ -196,15 +196,6 @@ let result_json i (r : Query.result) =
 let results_json rs =
   Proto.Arr (List.mapi result_json rs)
 
-let cluster_json i (c : Query.cluster) =
-  Proto.Obj
-    [
-      ("rank", Proto.Int (i + 1));
-      ("members", Proto.Int c.Query.members);
-      ("type_path", Proto.Str c.Query.type_path);
-      ("representative", result_json i c.Query.representative);
-    ]
-
 let suggestion_json i (s : Prospector.Assist.suggestion) =
   Proto.Obj
     [
@@ -543,26 +534,16 @@ let context ~tout vars =
 
 let dispatch ?local t ~id req =
   match req with
-  | Proto.Query { tin; tout; overrides; cluster } ->
+  | Proto.Query { tin; tout; overrides } ->
       let settings = settings_for t overrides in
       let q = Query.query tin tout in
       let rs, truncated = query_results t local (current t) ~settings q in
-      let payload =
-        if cluster then
-          let cs = Query.cluster rs in
-          [
-            ("count", Proto.Int (List.length cs));
-            ("clusters", Proto.Arr (List.mapi cluster_json cs));
-            ("truncated", Proto.Bool truncated);
-          ]
-        else
-          [
-            ("count", Proto.Int (List.length rs));
-            ("results", results_json rs);
-            ("truncated", Proto.Bool truncated);
-          ]
-      in
-      Proto.ok_response ~id ~op:"query" payload
+      Proto.ok_response ~id ~op:"query"
+        [
+          ("count", Proto.Int (List.length rs));
+          ("results", results_json rs);
+          ("truncated", Proto.Bool truncated);
+        ]
   | Proto.Assist { tout; vars; overrides } ->
       let settings = settings_for t overrides in
       let suggestions =

@@ -60,18 +60,19 @@ let is_hidden_link = function
   | Elem.Instance_call _ | Elem.Field_access _ | Elem.Widen _ | Elem.Downcast _ ->
       false
 
-let out_degree graph ty =
-  match Graph.find_type_node graph ty with
-  | Some n -> List.length (Graph.succs graph n)
+(* A snapshot row holds exactly the builder node's successors. *)
+let out_degree (fz : Graph.frozen) ty =
+  match Graph.frozen_find_type_node fz ty with
+  | Some n -> fz.Graph.f_fwd_end.{n} - fz.Graph.f_fwd_off.{n}
   | None -> 10
 
 (* Expected unaided browsing cost of a route — used to pick the route a
    no-tool programmer gravitates to (they find what is browsable). *)
-let expected_browse_cost c graph (j : Prospector.Jungloid.t) =
+let expected_browse_cost c frozen (j : Prospector.Jungloid.t) =
   let cur = ref (Prospector.Jungloid.input_type j) in
   List.fold_left
     (fun acc e ->
-      let deg = float_of_int (out_degree graph !cur) in
+      let deg = float_of_int (out_degree frozen !cur) in
       let scan = deg *. c.minutes_per_member_scanned in
       let detour = deg *. c.detour_probability_per_member *. c.detour_minutes in
       let hunt =
@@ -84,7 +85,7 @@ let expected_browse_cost c graph (j : Prospector.Jungloid.t) =
 
 (* The routes an unaided programmer might converge on: the engine's
    suggestions for the problem's baseline framing. *)
-let baseline_routes ~graph ~hierarchy (p : Apidata.Study.t) =
+let baseline_routes ~frozen ~hierarchy (p : Apidata.Study.t) =
   let tout =
     Option.value ~default:p.Apidata.Study.tout p.Apidata.Study.baseline_tout
   in
@@ -94,7 +95,7 @@ let baseline_routes ~graph ~hierarchy (p : Apidata.Study.t) =
       expected = parse_ty tout;
     }
   in
-  List.map (fun s -> s.Assist.result.Query.jungloid) (Assist.suggest ~graph ~hierarchy ctx)
+  List.map (fun s -> s.Assist.result.Query.jungloid) (Assist.suggest ~frozen ~hierarchy ctx)
 
 let reimplement c ~rng ~skill base =
   let bug = Rng.bool rng c.reimplement_bug_probability in
@@ -103,16 +104,16 @@ let reimplement c ~rng ~skill base =
     outcome = (if bug then Incorrect else Correct_reimplemented);
   }
 
-let solve_baseline c ~rng ~skill ~graph ~hierarchy (p : Apidata.Study.t) =
+let solve_baseline c ~rng ~skill ~frozen ~hierarchy (p : Apidata.Study.t) =
   let base = understand c p in
-  match baseline_routes ~graph ~hierarchy p with
+  match baseline_routes ~frozen ~hierarchy p with
   | [] -> reimplement c ~rng ~skill base
   | routes ->
       (* Gravitate to the most browsable route. *)
       let route =
         List.fold_left
           (fun best j ->
-            if expected_browse_cost c graph j < expected_browse_cost c graph best then j
+            if expected_browse_cost c frozen j < expected_browse_cost c frozen best then j
             else best)
           (List.hd routes) (List.tl routes)
       in
@@ -122,7 +123,7 @@ let solve_baseline c ~rng ~skill ~graph ~hierarchy (p : Apidata.Study.t) =
       List.iter
         (fun e ->
           if not !gave_up then begin
-            let deg = out_degree graph !cur in
+            let deg = out_degree frozen !cur in
             minutes :=
               !minutes +. (float_of_int deg *. c.minutes_per_member_scanned);
             (* wrong turns while scanning a wide class *)
@@ -152,9 +153,9 @@ let solve_baseline c ~rng ~skill ~graph ~hierarchy (p : Apidata.Study.t) =
           outcome = Correct_reuse;
         }
 
-let solve_with_tool c ~rng ~skill ~graph ~hierarchy (p : Apidata.Study.t) =
+let solve_with_tool c ~rng ~skill ~frozen ~hierarchy (p : Apidata.Study.t) =
   let base = understand c p in
-  match Apidata.Study.tool_rank ~graph ~hierarchy p with
+  match Apidata.Study.tool_rank ~frozen ~hierarchy p with
   | Some rank ->
       let minutes =
         skill
@@ -167,7 +168,7 @@ let solve_with_tool c ~rng ~skill ~graph ~hierarchy (p : Apidata.Study.t) =
   | None ->
       (* The tool has nothing: fall back to unaided behavior, having paid
          the invocation. *)
-      let fallback = solve_baseline c ~rng ~skill ~graph ~hierarchy p in
+      let fallback = solve_baseline c ~rng ~skill ~frozen ~hierarchy p in
       { fallback with minutes = fallback.minutes +. (skill *. c.invoke_minutes) }
 
 (* ---------- probe answering (refine sessions) ---------- *)

@@ -52,19 +52,22 @@ val solve_with_tool :
   constants ->
   rng:Corpusgen.Rng.t ->
   skill:float ->
-  graph:Prospector.Graph.t ->
+  frozen:Prospector.Graph.frozen ->
   hierarchy:Javamodel.Hierarchy.t ->
   Apidata.Study.t ->
   attempt
+(** One attempt with content assist ({!Apidata.Study.tool_rank}). *)
 
 val solve_baseline :
   constants ->
   rng:Corpusgen.Rng.t ->
   skill:float ->
-  graph:Prospector.Graph.t ->
+  frozen:Prospector.Graph.frozen ->
   hierarchy:Javamodel.Hierarchy.t ->
   Apidata.Study.t ->
   attempt
+(** One unaided attempt; a class's browsing cost is its row length in
+    [frozen], the out-degree of its node. *)
 
 (** {2 Probe answering}
 

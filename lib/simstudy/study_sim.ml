@@ -40,6 +40,7 @@ let mean = function
 
 let simulate ?(constants = Programmer.default_constants) ?(users = 13) ?(seed = 2005)
     ~graph ~hierarchy problems =
+  let frozen = Prospector.Query.freeze graph in
   let runs = ref [] in
   for user = 1 to users do
     (* Per-user stream for ability and assignment; per-(user, problem)
@@ -60,9 +61,9 @@ let simulate ?(constants = Programmer.default_constants) ?(users = 13) ?(seed = 
         let attempt =
           match arm with
           | Tool ->
-              Programmer.solve_with_tool constants ~rng ~skill ~graph ~hierarchy p
+              Programmer.solve_with_tool constants ~rng ~skill ~frozen ~hierarchy p
           | Baseline ->
-              Programmer.solve_baseline constants ~rng ~skill ~graph ~hierarchy p
+              Programmer.solve_baseline constants ~rng ~skill ~frozen ~hierarchy p
         in
         runs :=
           {
@@ -202,8 +203,9 @@ let refine_results (results : Prospector.Query.result list) =
         }
 
 let refine_table1 ?settings ~graph ~hierarchy () =
+  let frozen = Prospector.Query.freeze graph in
   List.filter_map
     (fun (p : Apidata.Problems.t) ->
-      let m = Apidata.Problems.run_one ?settings ~graph ~hierarchy p in
+      let m = Apidata.Problems.run_one ?settings ~frozen ~hierarchy p in
       Option.map (fun r -> (p, r)) (refine_results m.Apidata.Problems.results))
     Apidata.Problems.all

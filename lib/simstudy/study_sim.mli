@@ -50,7 +50,8 @@ val simulate :
   hierarchy:Javamodel.Hierarchy.t ->
   Apidata.Study.t list ->
   summary
-(** Defaults: 13 users, seed 2005. *)
+(** Defaults: 13 users, seed 2005. Every attempt runs on one snapshot of
+    [graph]. *)
 
 val render_figure8 : summary -> string
 (** A textual Figure 8: per-problem time scatter for both arms with means —
@@ -82,4 +83,5 @@ val refine_table1 :
   hierarchy:Javamodel.Hierarchy.t ->
   unit ->
   (Apidata.Problems.t * refine_run) list
-(** One refine session per Table 1 problem that returns any results. *)
+(** One refine session per Table 1 problem that returns any results, all
+    on one snapshot of [graph]. *)

@@ -759,7 +759,7 @@ let prop_solutions_pass_verifier =
         (fun q ->
           List.for_all
             (fun (r : Query.result) -> Verify.sound w.w_h r.Query.jungloid)
-            (Query.run ~graph:w.w_g ~hierarchy:w.w_h q))
+            (Query.run ~frozen:(Query.freeze w.w_g) ~hierarchy:w.w_h q))
         w.w_queries)
 
 let prop_extracted_examples_sound =

@@ -47,9 +47,10 @@ let cached engine q =
 let test_cached_equals_uncached () =
   let graph, hierarchy, qs = workload () in
   let engine = Query.engine ~graph ~hierarchy () in
+  let frozen = Query.freeze graph in
   List.iter
     (fun (q : Query.t) ->
-      let plain = Query.run ~graph ~hierarchy q in
+      let plain = Query.run ~frozen ~hierarchy q in
       let cold = cached engine q in
       let warm = cached engine q in
       let name =
@@ -72,10 +73,11 @@ let test_batch_equals_uncached () =
   let out = Query.run_batch engine batch_in in
   Alcotest.(check int) "batch answers every query" (List.length batch_in)
     (List.length out);
+  let frozen = Query.freeze graph in
   List.iter2
     (fun q (q', rs) ->
       Alcotest.(check bool) "batch preserves input order" true (q = q');
-      check_results_equal "batch" (Query.run ~graph ~hierarchy q) rs)
+      check_results_equal "batch" (Query.run ~frozen ~hierarchy q) rs)
     batch_in out
 
 (* ---------- the engine keeps its snapshot ---------- *)
@@ -108,7 +110,7 @@ let test_builder_mutation_ignored () =
        { from_ = Graph.node_type g a; to_ = Graph.node_type g b })
     ~dst:b;
   Alcotest.(check bool) "the builder now has a path" true
-    (Query.run ~graph:g ~hierarchy:h q <> []);
+    (Query.run ~frozen:(Query.freeze g) ~hierarchy:h q <> []);
   Alcotest.(check (list reject)) "cached answer unchanged" [] (cached engine q);
   Alcotest.(check (list reject)) "fresh answer on the engine's snapshot unchanged" []
     (Query.run ~frozen:(Query.engine_frozen engine)

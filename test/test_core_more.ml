@@ -73,19 +73,19 @@ let test_query_parse_array_types () =
   let h = load "package p; class A { byte[] data(); } class B { B wrap(byte[] raw); }" in
   let g = Sig_graph.build h in
   (* query with an array tout written with [] suffix *)
-  let rs = Query.run ~graph:g ~hierarchy:h (Query.query "p.A" "byte[]") in
+  let rs = Query.run ~frozen:(Query.freeze g) ~hierarchy:h (Query.query "p.A" "byte[]") in
   check_bool "array tout" true (rs <> []);
   check_bool "uses data()" true (contains ~sub:".data()" (List.hd rs).Query.code)
 
 let test_query_void_to_void_empty () =
   let h = load "package p; class A { }" in
   let g = Sig_graph.build h in
-  check_int "void-void" 0 (List.length (Query.run ~graph:g ~hierarchy:h (Query.query "void" "void")))
+  check_int "void-void" 0 (List.length (Query.run ~frozen:(Query.freeze g) ~hierarchy:h (Query.query "void" "void")))
 
 let test_query_same_type_no_identity () =
   let h = load "package p; class A { p.A clone2(); }" in
   let g = Sig_graph.build h in
-  let rs = Query.run ~graph:g ~hierarchy:h (Query.query "p.A" "p.A") in
+  let rs = Query.run ~frozen:(Query.freeze g) ~hierarchy:h (Query.query "p.A" "p.A") in
   (* no identity jungloid; only real chains like clone2 twice are cyclic, so
      the only candidate is a single call... which ends at A again. *)
   List.iter
@@ -125,21 +125,21 @@ let test_per_source_budgets_independent () =
 let test_codegen_static_field () =
   let h = load "package p; class K { static K INSTANCE; }" in
   let g = Sig_graph.build h in
-  let rs = Query.run ~graph:g ~hierarchy:h (Query.query "void" "p.K") in
+  let rs = Query.run ~frozen:(Query.freeze g) ~hierarchy:h (Query.query "void" "p.K") in
   check_bool "found" true (rs <> []);
   check_bool "static field access" true (contains ~sub:"K.INSTANCE" (List.hd rs).Query.code)
 
 let test_codegen_instance_field () =
   let h = load "package p; class A { B child; } class B { }" in
   let g = Sig_graph.build h in
-  let rs = Query.run ~graph:g ~hierarchy:h (Query.query "p.A" "p.B") in
+  let rs = Query.run ~frozen:(Query.freeze g) ~hierarchy:h (Query.query "p.A" "p.B") in
   check_bool "found" true (rs <> []);
   check_bool "field read" true (contains ~sub:".child" (List.hd rs).Query.code)
 
 let test_codegen_void_input_no_x () =
   let h = load "package p; class F { static F make(); }" in
   let g = Sig_graph.build h in
-  let rs = Query.run ~graph:g ~hierarchy:h (Query.query "void" "p.F") in
+  let rs = Query.run ~frozen:(Query.freeze g) ~hierarchy:h (Query.query "void" "p.F") in
   let top = List.hd rs in
   check_string "code" "F f = F.make();\n" top.Query.code
 
@@ -150,7 +150,7 @@ let test_legacy_zip_entries_mined () =
   let h = Apidata.Api.hierarchy () in
   let settings = { Query.default_settings with slack = 2 } in
   let rs =
-    Query.run ~settings ~graph:g ~hierarchy:h
+    Query.run ~settings ~frozen:(Query.freeze g) ~hierarchy:h
       (Query.query "java.util.zip.ZipFile" "java.util.zip.ZipEntry")
   in
   check_bool "mined enumeration route present" true
@@ -164,7 +164,7 @@ let test_legacy_vector_element_mined () =
   let g = Apidata.Api.default_graph () in
   let h = Apidata.Api.hierarchy () in
   let rs =
-    Query.run ~graph:g ~hierarchy:h
+    Query.run ~frozen:(Query.freeze g) ~hierarchy:h
       (Query.query "java.util.Vector" "org.eclipse.core.resources.IFile")
   in
   check_bool "found" true (rs <> []);

@@ -76,7 +76,7 @@ let test_codegen_parsing_example () =
   let h = parsing_model () in
   let g = Sig_graph.build h in
   let q = Query.query "org.eclipse.core.resources.IFile" "org.eclipse.jdt.core.dom.ASTNode" in
-  match Query.run ~graph:g ~hierarchy:h q with
+  match Query.run ~frozen:(Query.freeze g) ~hierarchy:h q with
   | [] -> Alcotest.fail "expected a result for (IFile, ASTNode)"
   | top :: _ ->
       (* Paper Section 1: createCompilationUnitFrom then parseCompilationUnit. *)
@@ -91,7 +91,7 @@ let test_codegen_free_variable_declared () =
   let q =
     Query.query "org.eclipse.ui.IEditorPart" "org.eclipse.ui.IDocumentProvider"
   in
-  match Query.run ~graph:g ~hierarchy:h q with
+  match Query.run ~frozen:(Query.freeze g) ~hierarchy:h q with
   | [] -> Alcotest.fail "expected a result"
   | top :: _ ->
       check_bool "free variable comment" true (contains ~sub:"// free variable" top.Query.code);
@@ -135,13 +135,13 @@ let test_query_faq270_both_steps () =
   let g = Sig_graph.build h in
   (* Step 1 of Section 2.2. *)
   let r1 =
-    Query.run ~graph:g ~hierarchy:h
+    Query.run ~frozen:(Query.freeze g) ~hierarchy:h
       (Query.query "org.eclipse.ui.IEditorPart" "org.eclipse.ui.IDocumentProvider")
   in
   check_bool "step 1 found" true (r1 <> []);
   (* Step 2: the void query for the registry. *)
   let r2 =
-    Query.run ~graph:g ~hierarchy:h
+    Query.run ~frozen:(Query.freeze g) ~hierarchy:h
       (Query.query "void" "org.eclipse.ui.DocumentProviderRegistry")
   in
   check_bool "step 2 found" true (r2 <> []);
@@ -152,7 +152,7 @@ let test_query_no_path () =
   let h = faq270_model () in
   let g = Sig_graph.build h in
   let r =
-    Query.run ~graph:g ~hierarchy:h
+    Query.run ~frozen:(Query.freeze g) ~hierarchy:h
       (Query.query "org.eclipse.ui.IDocumentProvider" "org.eclipse.ui.IEditorPart")
   in
   check_int "no results" 0 (List.length r)
@@ -160,7 +160,7 @@ let test_query_no_path () =
 let test_query_unknown_type () =
   let h = faq270_model () in
   let g = Sig_graph.build h in
-  let r = Query.run ~graph:g ~hierarchy:h (Query.query "no.Such" "also.Missing") in
+  let r = Query.run ~frozen:(Query.freeze g) ~hierarchy:h (Query.query "no.Such" "also.Missing") in
   check_int "no results" 0 (List.length r)
 
 let test_query_max_results () =
@@ -173,14 +173,14 @@ let test_query_max_results () =
   let h = Japi.Loader.load_string (Buffer.contents buf) in
   let g = Sig_graph.build h in
   let settings = { Query.default_settings with max_results = 5 } in
-  let r = Query.run ~settings ~graph:g ~hierarchy:h (Query.query "p.A" "p.T") in
+  let r = Query.run ~settings ~frozen:(Query.freeze g) ~hierarchy:h (Query.query "p.A" "p.T") in
   check_int "truncated to 5" 5 (List.length r)
 
 let test_query_results_sorted () =
   let h = parsing_model () in
   let g = Sig_graph.build h in
   let q = Query.query "org.eclipse.core.resources.IFile" "org.eclipse.jdt.core.dom.ASTNode" in
-  let rs = Query.run ~graph:g ~hierarchy:h q in
+  let rs = Query.run ~frozen:(Query.freeze g) ~hierarchy:h q in
   let keys = List.map (fun r -> r.Query.key) rs in
   let rec sorted = function
     | a :: (b :: _ as rest) -> Prospector.Rank.compare_key a b <= 0 && sorted rest
@@ -203,7 +203,7 @@ let test_assist_finds_registry_via_void () =
       expected = Jtype.ref_of_string "org.eclipse.ui.DocumentProviderRegistry";
     }
   in
-  let suggestions = Assist.suggest ~graph:g ~hierarchy:h ctx in
+  let suggestions = Assist.suggest ~frozen:(Query.freeze g) ~hierarchy:h ctx in
   check_bool "found" true (suggestions <> []);
   let top = List.hd suggestions in
   (* Section 2.2: only the void query has a solution. *)
@@ -219,7 +219,7 @@ let test_assist_uses_variable () =
       expected = Jtype.ref_of_string "org.eclipse.ui.IEditorInput";
     }
   in
-  let suggestions = Assist.suggest ~graph:g ~hierarchy:h ctx in
+  let suggestions = Assist.suggest ~frozen:(Query.freeze g) ~hierarchy:h ctx in
   check_bool "found" true (suggestions <> []);
   let top = List.hd suggestions in
   check_bool "uses ep" true (top.Assist.uses_var = Some "ep");
@@ -241,7 +241,7 @@ let test_assist_direct_variable () =
       expected = Jtype.ref_of_string "p.IPart";
     }
   in
-  let suggestions = Assist.suggest ~graph:g ~hierarchy:h ctx in
+  let suggestions = Assist.suggest ~frozen:(Query.freeze g) ~hierarchy:h ctx in
   check_bool "has suggestions" true (suggestions <> []);
   let top = List.hd suggestions in
   check_string "variable itself first" "ed" top.Assist.title;
@@ -261,7 +261,7 @@ let test_assist_two_vars_same_type () =
       expected = Jtype.ref_of_string "org.eclipse.ui.IEditorInput";
     }
   in
-  let suggestions = Assist.suggest ~graph:g ~hierarchy:h ctx in
+  let suggestions = Assist.suggest ~frozen:(Query.freeze g) ~hierarchy:h ctx in
   let vars = List.filter_map (fun s -> s.Assist.uses_var) suggestions in
   check_bool "editor1 suggested" true (List.mem "editor1" vars);
   check_bool "editor2 suggested" true (List.mem "editor2" vars)

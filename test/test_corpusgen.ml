@@ -73,7 +73,7 @@ let test_random_queries_solvable () =
   List.iter
     (fun q ->
       check_bool "solvable" true
-        (Prospector.Query.run ~graph:g ~hierarchy:h q <> []))
+        (Prospector.Query.run ~frozen:(Prospector.Query.freeze g) ~hierarchy:h q <> []))
     qs
 
 (* ---------- truthgen: the §4.4 accuracy experiment ---------- *)

@@ -138,7 +138,7 @@ let world = lazy (Apidata.Api.default_graph (), Apidata.Api.hierarchy ())
 
 let results_for tin tout =
   let graph, hierarchy = Lazy.force world in
-  Query.run ~graph ~hierarchy (Query.query tin tout)
+  Query.run ~frozen:(Query.freeze graph) ~hierarchy (Query.query tin tout)
 
 let test_session_converges () =
   let results = results_for "java.io.File" "java.io.BufferedReader" in

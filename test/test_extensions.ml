@@ -29,7 +29,7 @@ let test_cluster_groups_parallel_jungloids () =
       |}
   in
   let g = Prospector.Sig_graph.build h in
-  let rs = Query.run ~graph:g ~hierarchy:h (Query.query "p.A" "p.T") in
+  let rs = Query.run ~frozen:(Query.freeze g) ~hierarchy:h (Query.query "p.A" "p.T") in
   (* four length-2 jungloids: two through B (parallel), one through C *)
   check_int "three results" 3 (List.length rs);
   let cs = Query.cluster rs in
@@ -41,7 +41,7 @@ let test_cluster_preserves_rank_order () =
   let g = Apidata.Api.default_graph () in
   let h = Apidata.Api.hierarchy () in
   let rs =
-    Query.run ~graph:g ~hierarchy:h
+    Query.run ~frozen:(Query.freeze g) ~hierarchy:h
       (Query.query "java.lang.String" "java.io.BufferedReader")
   in
   let cs = Query.cluster rs in
@@ -59,7 +59,7 @@ let test_cluster_rescues_crowded_query () =
   let h = Apidata.Api.hierarchy () in
   let settings = { Query.default_settings with max_results = 100 } in
   let rs =
-    Query.run ~settings ~graph:g ~hierarchy:h
+    Query.run ~settings ~frozen:(Query.freeze g) ~hierarchy:h
       (Query.query "org.eclipse.core.resources.IWorkspace"
          "org.eclipse.core.resources.IFile")
   in
@@ -105,7 +105,7 @@ let test_freevar_estimation_reorders () =
   let g = Prospector.Sig_graph.build h in
   let q = Query.query "p.A" "p.T" in
   let top settings =
-    match Query.run ~settings ~graph:g ~hierarchy:h q with
+    match Query.run ~settings ~frozen:(Query.freeze g) ~hierarchy:h q with
     | r :: _ -> r.Query.code
     | [] -> Alcotest.fail "no results"
   in

@@ -16,6 +16,10 @@ let contains ~sub s =
 let api = Apidata.Api.hierarchy
 let graph = Apidata.Api.default_graph
 
+(* Content assist at one hole, through the IDE entry point. *)
+let suggest h =
+  snd (List.hd (Infer.suggest_all ~graph:(graph ()) ~hierarchy:(api ()) [ h ]))
+
 let faq270_snippet =
   {|
   package client;
@@ -45,9 +49,7 @@ let test_hole_vars_in_scope () =
 let test_hole_suggestions () =
   (* The Section 2.2 void query answers: DocumentProviderRegistry.getDefault() *)
   let hs = Infer.contexts ~api:(api ()) [ ("snippet", faq270_snippet) ] in
-  let suggestions =
-    Infer.suggest_at ~graph:(graph ()) ~hierarchy:(api ()) (List.hd hs)
-  in
+  let suggestions = suggest (List.hd hs) in
   check_bool "suggestions exist" true (suggestions <> []);
   check_string "top is getDefault" "DocumentProviderRegistry.getDefault()"
     (List.hd suggestions).Prospector.Assist.title
@@ -64,9 +66,7 @@ let test_hole_uses_visible_variable () =
     |}
   in
   let hs = Infer.contexts ~api:(api ()) [ ("snippet", src) ] in
-  let suggestions =
-    Infer.suggest_at ~graph:(graph ()) ~hierarchy:(api ()) (List.hd hs)
-  in
+  let suggestions = suggest (List.hd hs) in
   let top = List.hd suggestions in
   check_bool "uses ep" true (top.Prospector.Assist.uses_var = Some "ep");
   check_bool "title references ep" true (contains ~sub:"ep." top.Prospector.Assist.title)
@@ -88,9 +88,7 @@ let test_assignment_hole () =
   let h = List.hd hs in
   check_string "expected from declared type" "org.eclipse.jface.viewers.ISelection"
     (Jtype.to_string h.Infer.expected);
-  let suggestions =
-    Infer.suggest_at ~graph:(graph ()) ~hierarchy:(api ()) h
-  in
+  let suggestions = suggest h in
   check_bool "event.getSelection() suggested" true
     (List.exists
        (fun s -> contains ~sub:"event.getSelection()" s.Prospector.Assist.title)
@@ -165,9 +163,9 @@ let test_no_holes () =
 (* [suggest_all] freezes the graph once for the whole buffer. Under the
    mined ranking that snapshot must bake the usage model, or the weighted
    search and the rank keys disagree; hole by hole it must answer as
-   [suggest_at], which searches the graph afresh. The mined order differs
-   from the paper order on this buffer, so a snapshot without the model
-   shows here. *)
+   [Assist.suggest] on a snapshot frozen under the model, without a reach
+   index. The mined order differs from the paper order on this buffer, so
+   a snapshot without the model shows here. *)
 let test_suggest_all_mined () =
   let src =
     {|
@@ -195,8 +193,9 @@ let test_suggest_all_mined () =
     (fun h (h', got) ->
       check_bool "holes in source order" true (h == h');
       let want =
-        Infer.suggest_at ~settings:(at Prospector.Query.Mined) ~edge_cost ~graph
-          ~hierarchy h
+        Prospector.Assist.suggest ~settings:(at Prospector.Query.Mined)
+          ~frozen:(Prospector.Query.freeze ~edge_cost graph) ~edge_cost
+          ~hierarchy (Infer.to_context h)
       in
       Alcotest.(check (list string))
         (Jtype.to_string h.Infer.expected)
@@ -222,6 +221,6 @@ let () =
           tc "branch locals scoped" test_branch_locals_scoped;
           tc "static method no this" test_static_method_no_this;
           tc "no holes" test_no_holes;
-          tc "suggest_all = suggest_at, mined" test_suggest_all_mined;
+          tc "suggest_all = suggest, mined" test_suggest_all_mined;
         ] );
     ]

@@ -467,7 +467,7 @@ let test_enrich_enables_downcast_query () =
     Query.query "org.eclipse.debug.ui.IDebugView"
       "org.eclipse.debug.ui.JavaInspectExpression"
   in
-  match Query.run ~graph:g ~hierarchy:h q with
+  match Query.run ~frozen:(Query.freeze g) ~hierarchy:h q with
   | [] -> Alcotest.fail "expected mined jungloid for (IDebugView, JavaInspectExpression)"
   | top :: _ ->
       check_bool "goes through getViewer" true
@@ -485,7 +485,7 @@ let test_enrich_no_spurious_downcasts () =
     Query.query "org.eclipse.debug.ui.Unrelated"
       "org.eclipse.debug.ui.JavaInspectExpression"
   in
-  check_int "no inviable jungloid" 0 (List.length (Query.run ~graph:g ~hierarchy:h q))
+  check_int "no inviable jungloid" 0 (List.length (Query.run ~frozen:(Query.freeze g) ~hierarchy:h q))
 
 let test_enrich_typestates_not_reentrant () =
   let g, _, _ = jungloid_graph () in
@@ -508,7 +508,7 @@ let test_figure3_contrast () =
       "org.eclipse.debug.ui.JavaInspectExpression"
   in
   check_bool "naive graph synthesizes the inviable jungloid" true
-    (Query.run ~graph:g ~hierarchy:h q <> [])
+    (Query.run ~frozen:(Query.freeze g) ~hierarchy:h q <> [])
 
 (* ---------- Section 4.3: Object/String parameters ---------- *)
 
@@ -539,7 +539,7 @@ let test_objparam_restricted_graph () =
   let g = Sig_graph.build ~config api in
   let q = Query.query "p.GoodModel" "p.Result" in
   check_int "restricted: no signature path" 0
-    (List.length (Query.run ~graph:g ~hierarchy:api q))
+    (List.length (Query.run ~frozen:(Query.freeze g) ~hierarchy:api q))
 
 let test_objparam_mining_readds_viable () =
   let api = objparam_api () in
@@ -551,9 +551,9 @@ let test_objparam_mining_readds_viable () =
   check_bool "sites found" true (stats.Mining.Objparam.sites >= 1);
   check_bool "edges added" true (stats.Mining.Objparam.edges_added > 0);
   let good = Query.query "p.GoodModel" "p.Result" in
-  check_bool "good model synthesizable" true (Query.run ~graph:g ~hierarchy:h good <> []);
+  check_bool "good model synthesizable" true (Query.run ~frozen:(Query.freeze g) ~hierarchy:h good <> []);
   let bad = Query.query "p.BadModel" "p.Result" in
-  check_int "bad model still blocked" 0 (List.length (Query.run ~graph:g ~hierarchy:h bad))
+  check_int "bad model still blocked" 0 (List.length (Query.run ~frozen:(Query.freeze g) ~hierarchy:h bad))
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in

@@ -190,7 +190,7 @@ let prop_frozen_run_equals_live =
       let frozen = Graph.freeze g in
       List.for_all
         (fun q ->
-          let live = Query.run ~graph:g ~hierarchy:h q in
+          let live = Query.run ~frozen:(Query.freeze g) ~hierarchy:h q in
           let frz = Query.run ~frozen ~hierarchy:h q in
           List.map (fun (r : Query.result) -> r.Query.jungloid) frz
           = Naive.run g ~hierarchy:h q

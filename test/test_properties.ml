@@ -31,8 +31,9 @@ let world_gen =
        { w_h = h; w_g = g; w_queries = qs }))
 
 let for_all_results w f =
+  let frozen = Query.freeze w.w_g in
   List.for_all
-    (fun q -> List.for_all (fun r -> f q r) (Query.run ~graph:w.w_g ~hierarchy:w.w_h q))
+    (fun q -> List.for_all (fun r -> f q r) (Query.run ~frozen ~hierarchy:w.w_h q))
     w.w_queries
 
 let prop_results_well_typed =
@@ -112,9 +113,10 @@ let prop_slack_monotone =
 let prop_rank_sorted =
   QCheck2.Test.make ~name:"results come back in non-decreasing rank order" ~count:40
     world_gen (fun w ->
+      let frozen = Query.freeze w.w_g in
       List.for_all
         (fun q ->
-          let rs = Query.run ~graph:w.w_g ~hierarchy:w.w_h q in
+          let rs = Query.run ~frozen ~hierarchy:w.w_h q in
           let rec ok = function
             | a :: (b :: _ as rest) ->
                 Rank.compare_key a.Query.key b.Query.key <= 0 && ok rest
@@ -127,10 +129,11 @@ let prop_rank_sort_stable_under_shuffle =
   QCheck2.Test.make ~name:"Rank.sort is permutation-invariant" ~count:30
     QCheck2.Gen.(pair world_gen (int_range 0 1000))
     (fun (w, shuffle_seed) ->
+      let frozen = Query.freeze w.w_g in
       List.for_all
         (fun q ->
           let js =
-            List.map (fun r -> r.Query.jungloid) (Query.run ~graph:w.w_g ~hierarchy:w.w_h q)
+            List.map (fun r -> r.Query.jungloid) (Query.run ~frozen ~hierarchy:w.w_h q)
           in
           let rng = Corpusgen.Rng.create ~seed:shuffle_seed in
           let shuffled = Corpusgen.Rng.shuffle rng js in
@@ -164,9 +167,10 @@ let prop_codegen_result_var_present =
 let prop_cluster_partitions =
   QCheck2.Test.make ~name:"clusters partition the result list" ~count:40 world_gen
     (fun w ->
+      let frozen = Query.freeze w.w_g in
       List.for_all
         (fun q ->
-          let rs = Query.run ~graph:w.w_g ~hierarchy:w.w_h q in
+          let rs = Query.run ~frozen ~hierarchy:w.w_h q in
           let cs = Query.cluster rs in
           List.fold_left (fun acc c -> acc + c.Query.members) 0 cs = List.length rs)
         w.w_queries)

@@ -106,11 +106,11 @@ let prop_pruned_search_identical =
 let prop_pruned_query_identical =
   QCheck2.Test.make ~name:"Query.run ~reach equals Query.run, rank and order"
     ~count:30 world_gen (fun w ->
-      let r = Reach.build w.w_g in
+      let r = Reach.build w.w_g and frozen = Query.freeze w.w_g in
       List.for_all
         (fun q ->
-          Query.run ~graph:w.w_g ~hierarchy:w.w_h q
-          = Query.run ~reach:r ~graph:w.w_g ~hierarchy:w.w_h q)
+          Query.run ~frozen ~hierarchy:w.w_h q
+          = Query.run ~reach:r ~frozen ~hierarchy:w.w_h q)
         w.w_queries)
 
 (* The same equivalence on a graph enriched with mined downcast edges — the
@@ -137,11 +137,11 @@ let prop_pruned_identical_after_enrich =
       let _ = Mining.Enrich.enrich g prog in
       let r = Reach.build g in
       let qs = Corpusgen.Workload.random_queries h g ~count:3 ~seed in
+      let frozen = Query.freeze g in
       Reach.generation r = Graph.generation g
       && List.for_all
            (fun q ->
-             Query.run ~graph:g ~hierarchy:h q
-             = Query.run ~reach:r ~graph:g ~hierarchy:h q)
+             Query.run ~frozen ~hierarchy:h q = Query.run ~reach:r ~frozen ~hierarchy:h q)
            qs)
 
 (* ---------- units: a tiny hand-made world ---------- *)

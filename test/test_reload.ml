@@ -36,14 +36,23 @@ let fresh_meth rng h tag =
   let ret = Jtype.Ref (Rng.pick rng (real_decls h)).Decl.dname in
   Member.meth (Printf.sprintf "zzReload%d" tag) ~params:[] ~ret
 
+(* The declaration [d] with method [m] appended to its body: a method
+   addition, as a class-level op. *)
+let with_method (d : Decl.t) m = { d with Decl.methods = d.Decl.methods @ [ m ] }
+
 (* Generate [nops] ops against a private copy of [h], applying each to the
    copy as we go — later ops must see earlier effects, exactly as
-   [Delta.apply] validates them. With [~spliced:true] only the body-only
-   kinds (method edits, class replacements) are drawn. *)
+   [Delta.apply] validates them. A method edit is a [Replace_class] of the
+   edited declaration: a method prepended, appended or removed by name.
+   With [~spliced:true] only those body-only edits are drawn. *)
 let build_ops ?(spliced = false) rng h nops =
   let hcur = Hierarchy.copy h in
   let tag = ref 0 in
   let next_tag () = incr tag; !tag in
+  let replace d' =
+    Hierarchy.replace hcur d';
+    Delta.Replace_class d'
+  in
   let rec gen_op retries =
     let decls =
       List.filter
@@ -54,18 +63,16 @@ let build_ops ?(spliced = false) rng h nops =
     match Rng.int rng (if spliced then 3 else 5) with
     | 0 ->
         (* body-only replacement: the spliced shape *)
-        let d' = { d with Decl.methods = fresh_meth rng hcur (next_tag ()) :: d.Decl.methods } in
-        Hierarchy.replace hcur d';
-        Delta.Replace_class d'
-    | 1 ->
-        let m = fresh_meth rng hcur (next_tag ()) in
-        Hierarchy.replace hcur { d with Decl.methods = d.Decl.methods @ [ m ] };
-        Delta.Add_method (d.Decl.dname, m)
+        replace { d with Decl.methods = fresh_meth rng hcur (next_tag ()) :: d.Decl.methods }
+    | 1 -> replace (with_method d (fresh_meth rng hcur (next_tag ())))
     | 2 when d.Decl.methods <> [] ->
         let victim = (Rng.pick rng d.Decl.methods).Member.mname in
-        let keep = List.filter (fun (m : Member.meth) -> m.Member.mname <> victim) d.Decl.methods in
-        Hierarchy.replace hcur { d with Decl.methods = keep };
-        Delta.Remove_method (d.Decl.dname, victim)
+        replace
+          {
+            d with
+            Decl.methods =
+              List.filter (fun (m : Member.meth) -> m.Member.mname <> victim) d.Decl.methods;
+          }
     | 3 ->
         let q = Qname.of_string (Printf.sprintf "zz.Fresh%d" (next_tag ())) in
         let m = fresh_meth rng hcur (next_tag ()) in
@@ -196,8 +203,8 @@ let pick_join rng h frozen old =
   in
   go 10_000
 
-(* Random op sequences on the small Apigen worlds, and one add-method join
-   (above) on a many-component world. *)
+(* Random op sequences on the small Apigen worlds, and one method-addition
+   join (above) on a many-component world. *)
 let reach_case_gen =
   QCheck2.Gen.(
     oneof
@@ -220,7 +227,7 @@ let reach_case_gen =
             | None -> failwith "no class with an unreachable type upstream"
             | Some (d, target) ->
                 let m = Member.meth "zzJoin" ~params:[] ~ret:(Jtype.Ref target.Decl.dname) in
-                (h, frozen, old, [ Delta.Add_method (d.Decl.dname, m) ]))
+                (h, frozen, old, [ Delta.Replace_class (with_method d m) ]))
           (pair
              (oneofl
                 [
@@ -241,7 +248,8 @@ let prop_reach_patch_identity =
           in
           reach_equal patched (Reach.build_frozen patch.Delta.p_frozen))
 
-(* A lone method addition with already-interned types is the canonical
+(* A lone method addition with already-interned types — a [Replace_class]
+   of the declaration with the method appended — is the canonical
    live-edit: it must take the spliced path, not the rebuild fallback. *)
 let prop_add_method_splices =
   QCheck2.Test.make ~name:"single add-method on an unenriched snapshot splices"
@@ -256,7 +264,7 @@ let prop_add_method_splices =
       let rng = Rng.create ~seed in
       let d = Rng.pick rng (real_decls h) in
       let m = fresh_meth rng h 1 in
-      match Delta.apply ~hierarchy:h ~frozen [ Delta.Add_method (d.Decl.dname, m) ] with
+      match Delta.apply ~hierarchy:h ~frozen [ Delta.Replace_class (with_method d m) ] with
       | Error _ -> false
       | Ok patch ->
           patch.Delta.p_mode = Delta.Spliced
@@ -366,15 +374,14 @@ let edit_queries h op =
   let name =
     match op with
     | Delta.Add_class d | Delta.Replace_class d -> d.Decl.dname
-    | Delta.Remove_class q | Delta.Add_method (q, _) | Delta.Remove_method (q, _) -> q
+    | Delta.Remove_class q -> q
   in
   let rets (d : Decl.t) = List.map (fun (m : Member.meth) -> m.Member.ret) d.Decl.methods in
   let before = match Hierarchy.find_opt h name with Some d -> rets d | None -> [] in
   let after =
     match op with
     | Delta.Add_class d | Delta.Replace_class d -> rets d
-    | Delta.Add_method (_, m) -> [ m.Member.ret ]
-    | Delta.Remove_class _ | Delta.Remove_method _ -> []
+    | Delta.Remove_class _ -> []
   in
   List.map (fun tout -> { Query.tin = Jtype.Ref name; tout }) (before @ after)
 

@@ -100,8 +100,8 @@ let gen_request =
     oneof
       [
         (let* tin = gen_type and* tout = gen_type in
-         let* overrides = gen_overrides and* cluster = bool in
-         return (Proto.Query { tin; tout; overrides; cluster }));
+         let* overrides = gen_overrides in
+         return (Proto.Query { tin; tout; overrides }));
         (let* tout = gen_type and* vars = vars and* overrides = gen_overrides in
          return (Proto.Assist { tout; vars; overrides }));
         (let* pairs = list_size (int_range 0 3) (pair gen_type gen_type) in
@@ -139,6 +139,53 @@ let prop_envelope_wire_roundtrip =
     gen_envelope (fun e ->
       Proto.request_of_json (Proto.of_string (Proto.to_string (Proto.envelope_to_json e)))
       = Ok e)
+
+(* Each op's fields besides "id" and "op", as proto.mli's grammar spells
+   them. *)
+let grammar (req : Proto.request) =
+  let settings = [ "max_results"; "slack"; "strategy"; "ranking"; "protocol" ] in
+  match req with
+  | Proto.Query _ -> [ "tin"; "tout" ] @ settings
+  | Proto.Assist _ -> [ "tout"; "vars" ] @ settings
+  | Proto.Batch _ -> "queries" :: settings
+  | Proto.Lint _ -> [ "tin"; "tout" ]
+  | Proto.Refine_start _ -> [ "tin"; "tout"; "vars" ] @ settings
+  | Proto.Refine_answer _ -> [ "session"; "choice" ]
+  | Proto.Refine_status _ | Proto.Refine_stop _ -> [ "session" ]
+  | Proto.Reload _ -> [ "japi"; "remove" ]
+  | Proto.Stats | Proto.Health | Proto.Shutdown -> []
+
+(* Near misses and other ops' fields, beside arbitrary strings. *)
+let gen_stray_key =
+  QCheck2.Gen.(
+    oneof
+      [
+        gen_string;
+        oneofl
+          [
+            "max_result"; "cluster"; "corpus"; "vars"; "tin"; "tout"; "queries";
+            "session"; "choice"; "japi"; "remove"; "name"; "type"; "Op"; "";
+          ];
+      ])
+
+(* The decoder takes exactly the grammar: one field outside the op's is an
+   error that names it, wherever it sits among the others. *)
+let prop_stray_field_rejected =
+  QCheck2.Test.make ~name:"a field outside the op's grammar is an error naming it"
+    ~count:300
+    QCheck2.Gen.(
+      let* e = gen_envelope and* key = gen_stray_key and* at = int_range 0 8 in
+      return (e, key, at))
+    (fun (e, key, at) ->
+      QCheck2.assume (not (List.mem key ("id" :: "op" :: grammar e.Proto.req)));
+      match Proto.envelope_to_json e with
+      | Proto.Obj fields -> (
+          let before = List.filteri (fun i _ -> i < at) fields in
+          let after = List.filteri (fun i _ -> i >= at) fields in
+          match Proto.request_of_json (Proto.Obj (before @ [ (key, Proto.Int 1) ] @ after)) with
+          | Ok _ -> false
+          | Error msg -> Util.contains ~sub:(Printf.sprintf "%S" key) msg)
+      | _ -> false)
 
 (* ---------- qcheck: Util.contains vs a naive oracle ---------- *)
 
@@ -256,7 +303,6 @@ let query_line ?max_results ?slack tin tout =
          tin;
          tout;
          overrides = { Proto.defaults with max_results; slack };
-         cluster = false;
        })
 
 let field path j =
@@ -438,7 +484,7 @@ let test_concurrent_equals_sequential () =
   (* and the responses really are Query.run's answers: spot-check one *)
   let graph, hierarchy = Lazy.force world in
   let q = Query.query "void" "org.eclipse.ui.texteditor.DocumentProviderRegistry" in
-  let plain = Query.run ~graph ~hierarchy q in
+  let plain = Query.run ~frozen:(Query.freeze graph) ~hierarchy q in
   let _, j = response_ok (Service.handle_line shared (query_line "void" "org.eclipse.ui.texteditor.DocumentProviderRegistry")) in
   (match field [ "results" ] j with
   | Some (Proto.Arr rs) ->
@@ -694,6 +740,7 @@ let () =
             prop_parse_never_crashes;
             prop_envelope_roundtrip;
             prop_envelope_wire_roundtrip;
+            prop_stray_field_rejected;
             prop_contains_matches_naive;
           ] );
       ( "proto-edges",

@@ -154,7 +154,7 @@ let test_row19_extension_unblocks () =
     Query.query "org.eclipse.gef.editparts.AbstractGraphicalEditPart"
       "org.eclipse.draw2d.ConnectionLayer"
   in
-  match Query.run ~graph:g ~hierarchy:h q with
+  match Query.run ~frozen:(Query.freeze g) ~hierarchy:h q with
   | [] -> Alcotest.fail "expected the protected extension to find getLayer"
   | top :: _ -> check_bool "uses getLayer" true (contains ~sub:"getLayer(" top.Query.code)
 
@@ -168,7 +168,7 @@ let test_row20_crowded_but_present () =
 
 let test_parsing_example_full_model () =
   let rs =
-    Query.run ~graph:(graph ()) ~hierarchy:(hierarchy ())
+    Query.run ~frozen:(Query.freeze (graph ())) ~hierarchy:(hierarchy ())
       (Query.query "org.eclipse.core.resources.IFile" "org.eclipse.jdt.core.dom.ASTNode")
   in
   check_bool "found" true (rs <> []);
@@ -180,7 +180,7 @@ let test_parsing_example_full_model () =
 
 let test_faq270_full_model () =
   let rs =
-    Query.run ~graph:(graph ()) ~hierarchy:(hierarchy ())
+    Query.run ~frozen:(Query.freeze (graph ())) ~hierarchy:(hierarchy ())
       (Query.query "org.eclipse.ui.IEditorPart" "org.eclipse.ui.texteditor.IDocumentProvider")
   in
   check_bool "found" true (rs <> []);
@@ -192,7 +192,7 @@ let test_faq270_full_model () =
 
 let test_debugger_example_full_model () =
   let rs =
-    Query.run ~graph:(graph ()) ~hierarchy:(hierarchy ())
+    Query.run ~frozen:(Query.freeze (graph ())) ~hierarchy:(hierarchy ())
       (Query.query "org.eclipse.debug.ui.IDebugView"
          "org.eclipse.jdt.internal.debug.ui.display.JavaInspectExpression")
   in
@@ -204,7 +204,7 @@ let test_xmleditor_generality_anecdote () =
      plainer type — the Section 3.2 anecdote. The top result must not be an
      XMLEditor construction. *)
   let rs =
-    Query.run ~graph:(graph ()) ~hierarchy:(hierarchy ())
+    Query.run ~frozen:(Query.freeze (graph ())) ~hierarchy:(hierarchy ())
       (Query.query "void" "org.eclipse.ui.IEditorPart")
   in
   check_bool "results exist" true (rs <> []);
@@ -216,10 +216,10 @@ let test_xmleditor_generality_anecdote () =
 (* ---------- study problems via assist ---------- *)
 
 let test_study_problems_tool_ranks () =
-  let g = graph () and h = hierarchy () in
+  let frozen = Query.freeze (graph ()) and h = hierarchy () in
   List.iter
     (fun (p : Apidata.Study.t) ->
-      match Apidata.Study.tool_rank ~graph:g ~hierarchy:h p with
+      match Apidata.Study.tool_rank ~frozen ~hierarchy:h p with
       | Some r ->
           check_bool
             (Printf.sprintf "study %d rank %d <= 5" p.Apidata.Study.id r)

@@ -239,17 +239,15 @@ let results_equal (a : Query.result list) (b : Query.result list) =
 let test_bundled_equivalence () =
   (* the mined Eclipse graph: downcast edges, typestate duplicates, the
      full Table 1 workload at the default k *)
-  let graph = Apidata.Api.default_graph () in
+  let frozen = Query.freeze (Apidata.Api.default_graph ()) in
   let hierarchy = Apidata.Api.hierarchy () in
   List.iter
     (fun (p : Problems.t) ->
       let q = Query.query p.Problems.tin p.Problems.tout in
       let ex =
-        Query.run
-          ~settings:(settings_at ~k:10 Query.Exhaustive)
-          ~graph ~hierarchy q
+        Query.run ~settings:(settings_at ~k:10 Query.Exhaustive) ~frozen ~hierarchy q
       in
-      let bf = Query.run ~graph ~hierarchy q (* default = BestFirst, k=10 *) in
+      let bf = Query.run ~frozen ~hierarchy q (* default = BestFirst, k=10 *) in
       check_bool
         (Printf.sprintf "problem %d identical" p.Problems.id)
         true (results_equal ex bf))
@@ -264,7 +262,7 @@ let test_layered_equivalence () =
       let ex =
         Query.run
           ~settings:(settings_at ~k:10 Query.Exhaustive)
-          ~graph:g ~hierarchy:h q
+          ~frozen:(Query.freeze g) ~hierarchy:h q
       in
       let bf =
         Query.run
@@ -286,12 +284,12 @@ let test_exhaustion_below_k () =
   let ex =
     Query.run
       ~settings:(settings_at ~k:10_000 Query.Exhaustive)
-      ~graph:g ~hierarchy:h q
+      ~frozen:(Query.freeze g) ~hierarchy:h q
   in
   let bf, info =
     Query.run_info
       ~settings:(settings_at ~k:10_000 Query.BestFirst)
-      ~graph:g ~hierarchy:h q
+      ~frozen:(Query.freeze g) ~hierarchy:h q
   in
   check_bool "everything delivered" true (results_equal ex bf);
   check_bool "at least the chain itself" true (List.length bf >= 1);
@@ -308,7 +306,7 @@ let test_truncation_reported () =
         let _, i =
           Query.run_info
             ~settings:(settings_at ~k:100 Query.Exhaustive)
-            ~graph:g ~hierarchy:h q
+            ~frozen:(Query.freeze g) ~hierarchy:h q
         in
         i.Query.candidates > 1)
       qs
@@ -317,10 +315,10 @@ let test_truncation_reported () =
     { Query.default_settings with max_results = 100; strategy; limit = 1 }
   in
   let _, exi =
-    Query.run_info ~settings:(tight Query.Exhaustive) ~graph:g ~hierarchy:h q
+    Query.run_info ~settings:(tight Query.Exhaustive) ~frozen:(Query.freeze g) ~hierarchy:h q
   in
   let _, bfi =
-    Query.run_info ~settings:(tight Query.BestFirst) ~graph:g ~hierarchy:h q
+    Query.run_info ~settings:(tight Query.BestFirst) ~frozen:(Query.freeze g) ~hierarchy:h q
   in
   check_bool "exhaustive reports truncation" true exi.Query.truncated;
   check_bool "best-first reports truncation" true bfi.Query.truncated
@@ -334,7 +332,7 @@ let test_multi_equivalence () =
       let at strategy =
         Query.run_multi
           ~settings:{ Query.default_settings with strategy }
-          ~graph ~hierarchy ~vars ~tout:(ty tout) ()
+          ~frozen:(Query.freeze graph) ~hierarchy ~vars ~tout:(ty tout) ()
       in
       let ex = at Query.Exhaustive and bf = at Query.BestFirst in
       check_int "multi: same count" (List.length ex) (List.length bf);
@@ -378,18 +376,18 @@ let synthetic_cost ~seed e =
   else Hashtbl.hash (seed, e) mod (3 * Prospector.Elem.cost_scale)
 
 let test_bundled_mined_equivalence () =
-  let graph = Apidata.Api.default_graph () in
   let hierarchy = Apidata.Api.hierarchy () in
   let edge_cost = Mining.Usage.edge_cost (Apidata.Api.usage ()) in
+  let frozen = Query.freeze ~edge_cost (Apidata.Api.default_graph ()) in
   List.iter
     (fun (p : Problems.t) ->
       let q = Query.query p.Problems.tin p.Problems.tout in
       let ex =
-        Query.run ~settings:(mined_at ~k:10 Query.Exhaustive) ~edge_cost ~graph
+        Query.run ~settings:(mined_at ~k:10 Query.Exhaustive) ~edge_cost ~frozen
           ~hierarchy q
       in
       let bf =
-        Query.run ~settings:(mined_at ~k:10 Query.BestFirst) ~edge_cost ~graph
+        Query.run ~settings:(mined_at ~k:10 Query.BestFirst) ~edge_cost ~frozen
           ~hierarchy q
       in
       check_bool
@@ -407,7 +405,7 @@ let test_layered_mined_equivalence () =
     (fun q ->
       let ex =
         Query.run ~settings:(mined_at ~k:10 Query.Exhaustive) ~edge_cost
-          ~graph:g ~hierarchy:h q
+          ~frozen:(Query.freeze ~edge_cost g) ~hierarchy:h q
       in
       let bf =
         Query.run ~settings:(mined_at ~k:10 Query.BestFirst) ~edge_cost ~frozen
@@ -435,7 +433,7 @@ let test_multi_mined_equivalence () =
   let at strategy =
     Query.run_multi
       ~settings:{ Query.default_settings with strategy; ranking = Query.Mined }
-      ~edge_cost ~graph ~hierarchy ~vars ~tout ()
+      ~edge_cost ~frozen:(Query.freeze ~edge_cost graph) ~hierarchy ~vars ~tout ()
   in
   let ex = at Query.Exhaustive and bf = at Query.BestFirst in
   check_int "mined multi: same count" (List.length ex) (List.length bf);
@@ -457,7 +455,7 @@ let test_fallback_warnings () =
   let hierarchy = Apidata.Api.hierarchy () in
   let q = Query.query "org.eclipse.ui.IEditorPart" "org.eclipse.core.resources.IFile" in
   (* healthy configuration: no warnings *)
-  let _, info = Query.run_info ~graph ~hierarchy q in
+  let _, info = Query.run_info ~frozen:(Query.freeze graph) ~hierarchy q in
   check_bool "default run reports no warnings" true (info.Query.warnings = []);
   (* a negative freevar charge voids the best-first certificate: the run
      must fall back to the exhaustive strategy AND say so (the fallback was
@@ -468,7 +466,7 @@ let test_fallback_warnings () =
       weights = { Rank.default_weights with Rank.freevar_cost = -1 };
     }
   in
-  let rs_bf, info_bf = Query.run_info ~settings:ablation ~graph ~hierarchy q in
+  let rs_bf, info_bf = Query.run_info ~settings:ablation ~frozen:(Query.freeze graph) ~hierarchy q in
   check_int "negative freevar_cost: one warning" 1
     (List.length info_bf.Query.warnings);
   check_bool "warning names the exhaustive fallback" true
@@ -483,7 +481,7 @@ let test_fallback_warnings () =
   let rs_ex =
     Query.run
       ~settings:{ ablation with strategy = Query.Exhaustive }
-      ~graph ~hierarchy q
+      ~frozen:(Query.freeze graph) ~hierarchy q
   in
   check_bool "fallback answers = exhaustive answers" true
     (results_equal rs_ex rs_bf);
@@ -491,7 +489,7 @@ let test_fallback_warnings () =
   let rs_m, info_m =
     Query.run_info
       ~settings:{ Query.default_settings with ranking = Query.Mined }
-      ~graph ~hierarchy q
+      ~frozen:(Query.freeze graph) ~hierarchy q
   in
   check_int "mined without model: one warning" 1 (List.length info_m.Query.warnings);
   check_bool "warning names the paper fallback" true
@@ -501,7 +499,7 @@ let test_fallback_warnings () =
        i + n <= m && (String.sub w i n = "paper ranking" || go (i + 1))
      in
      go 0);
-  let rs_p = Query.run ~graph ~hierarchy q in
+  let rs_p = Query.run ~frozen:(Query.freeze graph) ~hierarchy q in
   check_bool "modelless mined answers = paper answers" true
     (results_equal rs_p rs_m)
 
@@ -535,13 +533,13 @@ let test_bundled_protocol_equivalence () =
   List.iter
     (fun (p : Problems.t) ->
       let q = Query.query p.Problems.tin p.Problems.tout in
-      let off = Query.run ~graph ~hierarchy q in
+      let off = Query.run ~frozen:(Query.freeze graph) ~hierarchy q in
       List.iter
         (fun protocol ->
           let at strategy =
             Query.run
               ~settings:(proto_at ~k:10 ~protocol strategy)
-              ~protocol_check ~graph ~hierarchy q
+              ~protocol_check ~frozen:(Query.freeze graph) ~hierarchy q
           in
           let ex = at Query.Exhaustive and bf = at Query.BestFirst in
           check_bool
@@ -565,7 +563,7 @@ let test_synthetic_filter_equivalence () =
       let at strategy =
         Query.run
           ~settings:(proto_at ~k:10 ~protocol:Query.Filter strategy)
-          ~protocol_check:synthetic_check ~graph ~hierarchy q
+          ~protocol_check:synthetic_check ~frozen:(Query.freeze graph) ~hierarchy q
       in
       let ex = at Query.Exhaustive and bf = at Query.BestFirst in
       check_bool
@@ -583,14 +581,14 @@ let test_protocol_fallback_warning () =
   let graph = Apidata.Api.default_graph () in
   let hierarchy = Apidata.Api.hierarchy () in
   let q = Query.query "org.eclipse.ui.IEditorPart" "org.eclipse.core.resources.IFile" in
-  let off = Query.run ~graph ~hierarchy q in
+  let off = Query.run ~frozen:(Query.freeze graph) ~hierarchy q in
   (* Warn/Filter without a loaded checker: revert to Off, say so once *)
   List.iter
     (fun protocol ->
       let rs, info =
         Query.run_info
           ~settings:{ Query.default_settings with protocol }
-          ~graph ~hierarchy q
+          ~frozen:(Query.freeze graph) ~hierarchy q
       in
       check_int
         (Printf.sprintf "%s without checker: one warning"
@@ -609,7 +607,7 @@ let test_protocol_fallback_warning () =
     Query.run_info
       ~settings:{ Query.default_settings with protocol = Query.Warn }
       ~protocol_check:(fun _ -> [ "always deviant" ])
-      ~graph ~hierarchy q
+      ~frozen:(Query.freeze graph) ~hierarchy q
   in
   check_bool "warn with checker keeps results" true (results_equal off rs_w);
   check_int "one violation warning per result" (List.length off)
@@ -645,12 +643,12 @@ let prop_best_first_equals_exhaustive =
               let ex, exi =
                 Query.run_info
                   ~settings:(settings_at ~k Query.Exhaustive)
-                  ~graph:g ~hierarchy:h q
+                  ~frozen:(Query.freeze g) ~hierarchy:h q
               in
               let bf, bfi =
                 Query.run_info
                   ~settings:(settings_at ~k Query.BestFirst)
-                  ~graph:g ~hierarchy:h q
+                  ~frozen:(Query.freeze g) ~hierarchy:h q
               in
               let bz =
                 Query.run
@@ -679,12 +677,12 @@ let prop_mined_equals_exhaustive =
               let ex, exi =
                 Query.run_info
                   ~settings:(mined_at ~k Query.Exhaustive)
-                  ~edge_cost ~graph:g ~hierarchy:h q
+                  ~edge_cost ~frozen:(Query.freeze ~edge_cost g) ~hierarchy:h q
               in
               let bf =
                 Query.run
                   ~settings:(mined_at ~k Query.BestFirst)
-                  ~edge_cost ~graph:g ~hierarchy:h q
+                  ~edge_cost ~frozen:(Query.freeze ~edge_cost g) ~hierarchy:h q
               in
               let bz =
                 Query.run
@@ -742,10 +740,11 @@ let prop_estimated_freevars_equal =
           max_results = 10;
         }
       in
+      let frozen = Query.freeze g in
       List.for_all
         (fun q ->
-          let ex = Query.run ~settings:(at Query.Exhaustive) ~graph:g ~hierarchy:h q in
-          let bf = Query.run ~settings:(at Query.BestFirst) ~graph:g ~hierarchy:h q in
+          let ex = Query.run ~settings:(at Query.Exhaustive) ~frozen ~hierarchy:h q in
+          let bf = Query.run ~settings:(at Query.BestFirst) ~frozen ~hierarchy:h q in
           results_equal ex bf)
         (Corpusgen.Workload.random_queries h g ~count:3 ~seed:13))
 
@@ -867,7 +866,7 @@ let test_bundled_renderers () =
   List.iter
     (fun (p : Problems.t) ->
       let rs =
-        Query.run ~settings:wide ~graph ~hierarchy
+        Query.run ~settings:wide ~frozen:(Query.freeze graph) ~hierarchy
           (Query.query p.Problems.tin p.Problems.tout)
       in
       check_bool
@@ -912,7 +911,7 @@ let test_cross_source_ties () =
       let got =
         Query.run_multi
           ~settings:{ Query.default_settings with strategy }
-          ~graph:g ~hierarchy:h ~vars ~tout ()
+          ~frozen:(Query.freeze g) ~hierarchy:h ~vars ~tout ()
       in
       check_bool
         (Query.strategy_to_string strategy ^ " = naive")

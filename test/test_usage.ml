@@ -195,7 +195,7 @@ let prop_weighted_distance_is_lower_bound =
               in
               wdist = Naive.weighted_distances_to g ~target ~cost:edge_cost
               &&
-              Query.run ~settings ~edge_cost ~graph:g ~hierarchy:h q
+              Query.run ~settings ~edge_cost ~frozen:(Query.freeze ~edge_cost g) ~hierarchy:h q
               |> List.for_all (fun (r : Query.result) ->
                      let mined =
                        List.fold_left
