@@ -122,7 +122,8 @@ bench-proto: build
 	dune exec bench/main.exe -- proto
 
 # Regenerates BENCH_scale.json (mega-world generation, search-kernel and
-# end-to-end query times, and package-cone sharded batch vs the sequential
+# end-to-end query times, the world's .japi text loaded 5 times (median and
+# IQR of japi_load_s), and package-cone sharded batch vs the sequential
 # oracle, at 10k/100k methods by default —
 # BENCH_SCALE_SIZES=10000,100000,1000000 adds the million-method row).
 # The section exits nonzero on any shard identity divergence, on a two-job batch that routes no query to a shard,
@@ -130,10 +131,13 @@ bench-proto: build
 # words per query straight into the major heap (parked pool workers keep
 # their search workspaces; both domains answer every measured pair once
 # before the measurement, so the reading does not depend on which domain
-# drew which query), or when the graph builder keeps more than 20
-# words per edge beyond the hierarchy (builder_words_per_edge, exact: 16.76
-# on the 100k world, 25.58 while it kept an edge-dedup hash table), so this
-# is the scale gate inside `make check`.
+# drew which query), when the graph builder keeps more than 20
+# words per edge beyond the hierarchy (builder_words_per_edge, exact: 16.36
+# on the 100k world, 25.58 while it kept an edge-dedup hash table), or when
+# the hierarchy loaded from .japi keeps more than 21 words per method
+# (hierarchy_words_per_method, exact: 19.35 on the 100k world, 45.11 while
+# every mention of a name built its own Qname), so this is the scale gate
+# inside `make check`.
 bench-scale: build
 	dune exec bench/main.exe -- --section scale
 

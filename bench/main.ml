@@ -1775,6 +1775,33 @@ let builder_words_limit = 20.
 let builder_words_per_edge g h =
   float_of_int (graph_words g h) /. float_of_int (Prospector.Graph.edge_count g)
 
+(* The [.japi] front end on the same world, where start-up pays for it: the
+   world printed with [Japi.Printer.print_files] and loaded [japi_loads]
+   times (median and quartile spread), and the words the loaded hierarchy
+   keeps per method. The words are an exact count, gated on the worlds the
+   builder gate covers: 19.35 on the 100k world, where each resolved name
+   is one shared [Qname.t] and [Jtype.Ref] and the lexer interns
+   identifiers; 45.11 while every mention of a name built its own. The
+   limit is tight enough to fail a loader that shares [Qname]s but builds a
+   [Ref] per mention (21.66), or copies each member name (21.35). *)
+let japi_loads = 5
+
+let hierarchy_words_limit = 21.
+
+let japi_row h =
+  let files = Japi.Printer.print_files h in
+  let times = ref [] and loaded = ref h in
+  for _ = 1 to japi_loads do
+    let t, h' = time_of (fun () -> Japi.Loader.load_files files) in
+    times := t :: !times;
+    loaded := h'
+  done;
+  let words =
+    float_of_int (Obj.reachable_words (Obj.repr !loaded))
+    /. float_of_int (hier_methods !loaded)
+  in
+  (median !times, percentile !times 0.75 -. percentile !times 0.25, words)
+
 (* [count] solvable (tin, tout) pairs drawn with [seed], each probed in O(1)
    against the reach index — the rejection sampling in
    [Workload.random_queries] pays a full search per probe, which does not
@@ -1810,8 +1837,8 @@ let sample_solvable ?(distinct = false) ~seed ~count g reach =
 
 (* Gates `make check` at reduced sizes (10k/100k): a shard identity
    divergence, a batch that routes no query to a shard, the parked-pool gate
-   above (100k row) or the builder's words per edge over its limit exits
-   nonzero. The full million-method row is opt-in:
+   above (100k row), the builder's words per edge or the loaded
+   hierarchy's words per method over its limit exits nonzero. The full million-method row is opt-in:
 
      BENCH_SCALE_SIZES=10000,100000,1000000 dune exec bench/main.exe -- scale
 
@@ -1855,6 +1882,24 @@ let section_scale () =
           failed := true
         end)
       builder_words;
+    let japi =
+      if methods <= builder_gate_methods then Some (japi_row h) else None
+    in
+    Option.iter
+      (fun (load_t, load_iqr, words) ->
+        Printf.printf
+          "  .japi: load %.3f s (median of %d, IQR %.3f s); hierarchy %.2f words \
+           per method (limit %.0f)\n\
+           %!"
+          load_t japi_loads load_iqr words hierarchy_words_limit;
+        if words > hierarchy_words_limit then begin
+          Printf.eprintf
+            "error: the loaded hierarchy keeps %.2f words per method, over the %.0f \
+             limit\n"
+            words hierarchy_words_limit;
+          failed := true
+        end)
+      japi;
     let reach_t, reach =
       time_of (fun () -> Prospector.Reach.build_frozen frozen)
     in
@@ -1952,6 +1997,9 @@ let section_scale () =
       \      \"gen_s\": %.3f,\n\
       \      \"build_s\": %.3f,\n\
       \      \"builder_words_per_edge\": %s,\n\
+      \      \"japi_load_s\": %s,\n\
+      \      \"japi_load_iqr_s\": %s,\n\
+      \      \"hierarchy_words_per_method\": %s,\n\
       \      \"freeze_s\": %.4f,\n\
       \      \"reach_s\": %.3f,\n\
       \      \"queries\": %d,\n\
@@ -1967,6 +2015,9 @@ let section_scale () =
       \    }"
       methods nodes edges gen_t build_t
       (match builder_words with Some w -> Printf.sprintf "%.2f" w | None -> "null")
+      (match japi with Some (t, _, _) -> Printf.sprintf "%.4f" t | None -> "null")
+      (match japi with Some (_, iqr, _) -> Printf.sprintf "%.4f" iqr | None -> "null")
+      (match japi with Some (_, _, w) -> Printf.sprintf "%.2f" w | None -> "null")
       freeze_t reach_t nq passes kern_t
       query_t batch_t qps shard_count routed shard_identical
       (match pool_words with Some w -> Printf.sprintf "%.1f" w | None -> "null")
@@ -1980,8 +2031,8 @@ let section_scale () =
   if !failed then begin
     prerr_endline
       "error: scale gate failed (shard identity divergence, no query routed \
-       to a shard, the pool's major-heap words or the builder's words per \
-       edge over the limit)";
+       to a shard, the pool's major-heap words, the builder's words per \
+       edge or the loaded hierarchy's words per method over the limit)";
     exit 1
   end
 

@@ -1,11 +1,11 @@
 type rtype = {
-  base : string;
+  base : int;
   dims : int;
 }
 
 type rparam = {
   ptype : rtype;
-  pname : string option;
+  pname : int;
 }
 
 type rmember =
@@ -31,16 +31,16 @@ type rmember =
 type rdecl = {
   kind : Javamodel.Decl.kind;
   abstract : bool;
-  name : string;
-  extends : string list;
-  implements : string list;
+  name : int;
+  extends : int list;
+  implements : int list;
   members : rmember list;
   decl_line : int;
 }
 
 type rfile = {
   src_file : string;
-  package : string list;
-  imports : string list;
+  package : int;
+  imports : int list;
   decls : rdecl list;
 }

@@ -1,16 +1,19 @@
 (** Raw (unresolved) syntax trees for [.japi] files.
 
-    Type names are kept as dotted strings; {!Loader} resolves them against
-    the set of declarations loaded across all files. *)
+    Names are ids in the load's {!Names} table: a type or supertype name is
+    a path (a dotted name as written), a declaration or parameter name an
+    identifier, and a member name the identifier's shared text. {!Loader}
+    resolves the paths against the set of declarations loaded across all
+    files. *)
 
 type rtype = {
-  base : string;  (** dotted name, primitive keyword, or ["void"] *)
+  base : int;  (** path as written: a name, primitive keyword, or [void] *)
   dims : int;  (** array dimensions *)
 }
 
 type rparam = {
   ptype : rtype;
-  pname : string option;  (** parameter names are optional in signatures *)
+  pname : int;  (** identifier, or [-1]: names are optional in signatures *)
 }
 
 type rmember =
@@ -36,16 +39,16 @@ type rmember =
 type rdecl = {
   kind : Javamodel.Decl.kind;
   abstract : bool;
-  name : string;  (** simple name; the file's package qualifies it *)
-  extends : string list;  (** dotted names *)
-  implements : string list;
+  name : int;  (** simple name, an identifier; the file's package qualifies it *)
+  extends : int list;  (** paths *)
+  implements : int list;
   members : rmember list;
   decl_line : int;
 }
 
 type rfile = {
   src_file : string;
-  package : string list;
-  imports : string list;  (** dotted names of imported types *)
+  package : int;  (** path, or {!Names.root} for the default package *)
+  imports : int list;  (** paths of imported types *)
   decls : rdecl list;
 }

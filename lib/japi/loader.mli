@@ -13,7 +13,12 @@
 
     After resolution the hierarchy is validated: no inheritance cycles, a
     class may not extend an interface (or vice versa), and a class may not
-    implement a class. *)
+    implement a class.
+
+    Each call is one load: it makes its own {!Names} table, lexer lanes and
+    resolution memo and drops them when it returns, so loads may run on any
+    domain, concurrently. Every resolution to one name shares one
+    [Qname.t] and one [Jtype.Ref]. *)
 
 val load_files : (string * string) list -> Javamodel.Hierarchy.t
 (** [load_files [(name, source); ...]] parses every source, resolves names
@@ -23,5 +28,3 @@ val load_files : (string * string) list -> Javamodel.Hierarchy.t
 val load_string : ?file:string -> string -> Javamodel.Hierarchy.t
 (** Single-source convenience wrapper around {!load_files}. *)
 
-val load_rfiles : Ast.rfile list -> Javamodel.Hierarchy.t
-(** Resolution/validation entry point when the caller already parsed. *)

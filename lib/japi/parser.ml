@@ -1,59 +1,56 @@
+open Lexer
+
 type state = {
   file : string;
-  toks : Token.t array;
+  lx : Lexer.t;
   mutable pos : int;
 }
 
-let peek st = st.toks.(st.pos)
+let peek st = st.lx.kinds.(st.pos)
 
+(* Consume one token and return its index; [Eof] is never consumed. *)
 let next st =
-  let t = st.toks.(st.pos) in
-  if t.Token.kind <> Token.Eof then st.pos <- st.pos + 1;
-  t
+  let k = st.pos in
+  if st.lx.kinds.(k) <> Eof then st.pos <- k + 1;
+  k
 
-let fail_at st (t : Token.t) msg = Error.fail ~file:st.file ~line:t.line ~col:t.col msg
+let fail_at st k msg =
+  Error.fail ~file:st.file ~line:st.lx.lines.(k) ~col:st.lx.cols.(k) msg
 
 let expect st kind =
-  let t = next st in
-  if t.Token.kind <> kind then
-    fail_at st t
-      (Printf.sprintf "expected %s but found %s" (Token.describe kind)
-         (Token.describe t.Token.kind))
+  let k = next st in
+  if st.lx.kinds.(k) <> kind then
+    fail_at st k
+      (Printf.sprintf "expected %s but found %s" (Lexer.describe_kind kind)
+         (Lexer.describe st.lx k))
 
 let expect_ident st what =
-  let t = next st in
-  match t.Token.kind with
-  | Token.Ident s -> s
-  | k -> fail_at st t (Printf.sprintf "expected %s but found %s" what (Token.describe k))
+  let k = next st in
+  if st.lx.kinds.(k) = Ident then st.lx.idents.(k)
+  else fail_at st k (Printf.sprintf "expected %s but found %s" what (Lexer.describe st.lx k))
 
-(* Dotted name: IDENT (. IDENT)* *)
+(* Dotted name: IDENT (. IDENT)*, as a path. *)
+let rec dotted_rest st p =
+  match peek st with
+  | Dot ->
+      ignore (next st);
+      dotted_rest st (Names.path st.lx.names ~prefix:p (expect_ident st "a name after '.'"))
+  | _ -> p
+
 let parse_dotted st =
-  let first = expect_ident st "a name" in
-  let buf = Buffer.create 16 in
-  Buffer.add_string buf first;
-  let rec loop () =
-    match (peek st).Token.kind with
-    | Token.Dot ->
-        ignore (next st);
-        Buffer.add_char buf '.';
-        Buffer.add_string buf (expect_ident st "a name after '.'");
-        loop ()
-    | _ -> ()
-  in
-  loop ();
-  Buffer.contents buf
+  dotted_rest st (Names.path st.lx.names ~prefix:Names.root (expect_ident st "a name"))
+
+let rec array_dims st n =
+  match peek st with
+  | Lbracket ->
+      ignore (next st);
+      expect st Rbracket;
+      array_dims st (n + 1)
+  | _ -> n
 
 let parse_type st =
   let base = parse_dotted st in
-  let rec dims n =
-    match (peek st).Token.kind with
-    | Token.Lbracket ->
-        ignore (next st);
-        expect st Token.Rbracket;
-        dims (n + 1)
-    | _ -> n
-  in
-  { Ast.base; dims = dims 0 }
+  { Ast.base; dims = array_dims st 0 }
 
 type modifiers = {
   mutable vis : Javamodel.Member.visibility;
@@ -67,33 +64,33 @@ let parse_annotations_and_modifiers st =
     { vis = Javamodel.Member.Public; static = false; abstract = false; deprecated = false }
   in
   let rec loop () =
-    match (peek st).Token.kind with
-    | Token.At ->
+    match peek st with
+    | At ->
         ignore (next st);
         let name = expect_ident st "an annotation name" in
-        if String.equal name "Deprecated" then m.deprecated <- true;
+        if String.equal (Names.ident st.lx.names name) "Deprecated" then m.deprecated <- true;
         loop ()
-    | Token.Kw_public ->
+    | Kw_public ->
         ignore (next st);
         m.vis <- Javamodel.Member.Public;
         loop ()
-    | Token.Kw_protected ->
+    | Kw_protected ->
         ignore (next st);
         m.vis <- Javamodel.Member.Protected;
         loop ()
-    | Token.Kw_private ->
+    | Kw_private ->
         ignore (next st);
         m.vis <- Javamodel.Member.Private;
         loop ()
-    | Token.Kw_static ->
+    | Kw_static ->
         ignore (next st);
         m.static <- true;
         loop ()
-    | Token.Kw_abstract ->
+    | Kw_abstract ->
         ignore (next st);
         m.abstract <- true;
         loop ()
-    | Token.Kw_final ->
+    | Kw_final ->
         ignore (next st);
         loop ()
     | _ -> ()
@@ -102,44 +99,43 @@ let parse_annotations_and_modifiers st =
   m
 
 let parse_params st =
-  expect st Token.Lparen;
+  expect st Lparen;
   let params = ref [] in
-  (match (peek st).Token.kind with
-  | Token.Rparen -> ()
+  (match peek st with
+  | Rparen -> ()
   | _ ->
       let rec loop () =
         let ptype = parse_type st in
         let pname =
-          match (peek st).Token.kind with
-          | Token.Ident _ -> Some (expect_ident st "a parameter name")
-          | _ -> None
+          match peek st with Ident -> expect_ident st "a parameter name" | _ -> -1
         in
         params := { Ast.ptype; pname } :: !params;
-        match (peek st).Token.kind with
-        | Token.Comma ->
+        match peek st with
+        | Comma ->
             ignore (next st);
             loop ()
         | _ -> ()
       in
       loop ());
-  expect st Token.Rparen;
+  expect st Rparen;
   List.rev !params
 
-let parse_member st ~decl_name =
+(* [ctor_path] is the declaration's simple name as a path: a member that
+   starts with it and then '(' is a constructor. *)
+let parse_member st ~ctor_path =
   let m = parse_annotations_and_modifiers st in
   let first = parse_type st in
-  match (peek st).Token.kind with
-  | Token.Lparen when first.Ast.dims = 0 && String.equal first.Ast.base decl_name ->
-      (* Constructor: the declaration's own simple name followed by '('. *)
+  match peek st with
+  | Lparen when first.Ast.dims = 0 && first.Ast.base = ctor_path ->
       let params = parse_params st in
-      expect st Token.Semi;
+      expect st Semi;
       Ast.Rctor { vis = m.vis; params }
   | _ -> (
-      let name = expect_ident st "a member name" in
-      match (peek st).Token.kind with
-      | Token.Lparen ->
+      let name = Names.ident st.lx.names (expect_ident st "a member name") in
+      match peek st with
+      | Lparen ->
           let params = parse_params st in
-          expect st Token.Semi;
+          expect st Semi;
           Ast.Rmeth
             {
               vis = m.vis;
@@ -150,14 +146,14 @@ let parse_member st ~decl_name =
               params;
             }
       | _ ->
-          expect st Token.Semi;
+          expect st Semi;
           Ast.Rfield { vis = m.vis; static = m.static; typ = first; name })
 
 let parse_name_list st =
   let rec loop acc =
     let n = parse_dotted st in
-    match (peek st).Token.kind with
-    | Token.Comma ->
+    match peek st with
+    | Comma ->
         ignore (next st);
         loop (n :: acc)
     | _ -> List.rev (n :: acc)
@@ -165,41 +161,44 @@ let parse_name_list st =
   loop []
 
 let parse_decl st =
-  let decl_line = (peek st).Token.line in
+  let decl_line = st.lx.lines.(st.pos) in
   let m = parse_annotations_and_modifiers st in
   let kind =
-    match (next st).Token.kind with
-    | Token.Kw_class -> Javamodel.Decl.Class
-    | Token.Kw_interface -> Javamodel.Decl.Interface
-    | k ->
-        fail_at st
-          st.toks.(st.pos - 1)
+    let k = next st in
+    match st.lx.kinds.(k) with
+    | Kw_class -> Javamodel.Decl.Class
+    | Kw_interface -> Javamodel.Decl.Interface
+    | _ ->
+        (* Located at the token before the cursor: at end of input, the
+           last token read. *)
+        fail_at st (st.pos - 1)
           (Printf.sprintf "expected 'class' or 'interface' but found %s"
-             (Token.describe k))
+             (Lexer.describe st.lx k))
   in
   let name = expect_ident st "a class or interface name" in
   let extends =
-    match (peek st).Token.kind with
-    | Token.Kw_extends ->
+    match peek st with
+    | Kw_extends ->
         ignore (next st);
         parse_name_list st
     | _ -> []
   in
   let implements =
-    match (peek st).Token.kind with
-    | Token.Kw_implements ->
+    match peek st with
+    | Kw_implements ->
         ignore (next st);
         parse_name_list st
     | _ -> []
   in
-  expect st Token.Lbrace;
+  expect st Lbrace;
+  let ctor_path = Names.path st.lx.names ~prefix:Names.root name in
   let members = ref [] in
   let rec loop () =
-    match (peek st).Token.kind with
-    | Token.Rbrace -> ignore (next st)
-    | Token.Eof -> fail_at st (peek st) "unexpected end of input inside a declaration"
+    match peek st with
+    | Rbrace -> ignore (next st)
+    | Eof -> fail_at st st.pos "unexpected end of input inside a declaration"
     | _ ->
-        members := parse_member st ~decl_name:name :: !members;
+        members := parse_member st ~ctor_path :: !members;
         loop ()
   in
   loop ();
@@ -213,32 +212,33 @@ let parse_decl st =
     decl_line;
   }
 
-let parse ~file src =
-  let st = { file; toks = Lexer.tokenize ~file src; pos = 0 } in
+let parse lx ~file src =
+  Lexer.tokenize lx ~file src;
+  let st = { file; lx; pos = 0 } in
   let package =
-    match (peek st).Token.kind with
-    | Token.Kw_package ->
+    match peek st with
+    | Kw_package ->
         ignore (next st);
         let name = parse_dotted st in
-        expect st Token.Semi;
-        String.split_on_char '.' name
-    | _ -> []
+        expect st Semi;
+        name
+    | _ -> Names.root
   in
   let imports = ref [] in
   let rec import_loop () =
-    match (peek st).Token.kind with
-    | Token.Kw_import ->
+    match peek st with
+    | Kw_import ->
         ignore (next st);
         imports := parse_dotted st :: !imports;
-        expect st Token.Semi;
+        expect st Semi;
         import_loop ()
     | _ -> ()
   in
   import_loop ();
   let decls = ref [] in
   let rec decl_loop () =
-    match (peek st).Token.kind with
-    | Token.Eof -> ()
+    match peek st with
+    | Eof -> ()
     | _ ->
         decls := parse_decl st :: !decls;
         decl_loop ()

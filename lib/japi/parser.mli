@@ -13,5 +13,6 @@
     annotation::= @ IDENT                            -- only @Deprecated is meaningful
     v} *)
 
-val parse : file:string -> string -> Ast.rfile
-(** @raise Error.E on syntax errors. *)
+val parse : Lexer.t -> file:string -> string -> Ast.rfile
+(** Lex the whole source into the lexer's lanes, then parse them.
+    @raise Error.E on lexical or syntax errors. *)

@@ -113,41 +113,48 @@ let decls t =
   fold t ~init:[] ~f:(fun acc d -> d :: acc)
   |> List.sort (fun (a : Decl.t) (b : Decl.t) -> Qname.compare a.dname b.dname)
 
-(* Base reference names mentioned by a type, unwrapping arrays. *)
-let rec base_qnames ty acc =
-  match ty with
-  | Jtype.Ref q -> Qname.Set.add q acc
-  | Jtype.Array el -> base_qnames el acc
-  | Jtype.Prim _ | Jtype.Void -> acc
+(* Every type name a declaration mentions, with repeats, unwrapping arrays. *)
+let iter_referenced (d : Decl.t) f =
+  let rec ty = function
+    | Jtype.Ref q -> f q
+    | Jtype.Array el -> ty el
+    | Jtype.Prim _ | Jtype.Void -> ()
+  in
+  let params = List.iter (fun (_, t) -> ty t) in
+  List.iter f d.extends;
+  List.iter f d.implements;
+  List.iter (fun (fd : Member.field) -> ty fd.ftype) d.fields;
+  List.iter
+    (fun (m : Member.meth) ->
+      ty m.ret;
+      params m.params)
+    d.methods;
+  List.iter (fun (c : Member.ctor) -> params c.cparams) d.ctors
 
-let referenced_qnames (d : Decl.t) =
-  let acc = Qname.Set.empty in
-  let acc = List.fold_left (fun acc q -> Qname.Set.add q acc) acc d.extends in
-  let acc = List.fold_left (fun acc q -> Qname.Set.add q acc) acc d.implements in
-  let acc =
-    List.fold_left (fun acc (f : Member.field) -> base_qnames f.ftype acc) acc d.fields
-  in
-  let acc =
-    List.fold_left
-      (fun acc (m : Member.meth) ->
-        let acc = base_qnames m.ret acc in
-        List.fold_left (fun acc (_, ty) -> base_qnames ty acc) acc m.params)
-      acc d.methods
-  in
-  List.fold_left
-    (fun acc (c : Member.ctor) ->
-      List.fold_left (fun acc (_, ty) -> base_qnames ty acc) acc c.cparams)
-    acc d.ctors
+let referenced_qnames d =
+  let acc = ref Qname.Set.empty in
+  iter_referenced d (fun q -> acc := Qname.Set.add q !acc);
+  !acc
 
 let ensure_closed t =
-  (* Fixpoint is unnecessary: opaque decls reference only Object. *)
-  let missing =
-    fold t ~init:Qname.Set.empty ~f:(fun acc d ->
-        Qname.Set.union acc
-          (Qname.Set.filter (fun q -> not (mem t q)) (referenced_qnames d)))
-  in
-  Qname.Set.iter (fun q -> add t (Decl.opaque q)) missing
+  (* Fixpoint is unnecessary: opaque decls reference only Object. Each
+     name is looked up once; the placeholders go in in [Qname.compare]
+     order, since their insertion stamps fix node ids downstream. *)
+  let seen = Hashtbl.create 64 in
+  let missing = ref [] in
+  iter t (fun d ->
+      iter_referenced d (fun q ->
+          if not (Hashtbl.mem seen (key q)) then begin
+            Hashtbl.add seen (key q) ();
+            if not (mem t q) then missing := q :: !missing
+          end));
+  if !missing <> [] then begin
+    List.iter (fun q -> insert t (Decl.opaque q)) (List.sort Qname.compare !missing);
+    invalidate t
+  end
 
+(* [insert], unlike [add], leaves the memos alone: a new hierarchy's are
+   empty, and nothing reads them before it is returned. *)
 let of_decls ds =
   let t = create () in
   List.iter
@@ -155,7 +162,8 @@ let of_decls ds =
       if Qname.equal d.dname Qname.object_qname then
         (* Allow the data set to re-declare Object with real members. *)
         replace t d
-      else add t d)
+      else if mem t d.dname then raise (Duplicate_decl d.dname)
+      else insert t d)
     ds;
   ensure_closed t;
   t

@@ -1,11 +1,14 @@
 (** Qualified Java names: a package path plus a simple name.
 
     [Qname.t] values identify classes and interfaces throughout the model.
-    They are immutable and totally ordered so they can key maps and sets. *)
+    They are immutable and totally ordered so they can key maps and sets.
+    The type is private so the dotted rendering, computed once by {!make} or
+    {!of_string}, always agrees with the components. *)
 
-type t = {
+type t = private {
   pkg : string list;  (** package components, e.g. [["java"; "lang"]] *)
   name : string;  (** simple name, e.g. ["Object"] *)
+  dotted : string;  (** the two joined by ['.'], e.g. ["java.lang.Object"] *)
 }
 
 val equal : t -> t -> bool
@@ -24,7 +27,8 @@ val of_string : string -> t
     simple name, the rest is the package. A bare name has an empty package. *)
 
 val to_string : t -> string
-(** Dotted rendering, e.g. ["java.lang.Object"]. *)
+(** Dotted rendering, e.g. ["java.lang.Object"]: the [dotted] field, so it
+    allocates nothing. *)
 
 val simple : t -> string
 (** The simple (unqualified) name. *)

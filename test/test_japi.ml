@@ -21,39 +21,124 @@ let expect_error src =
 
 (* ---------- lexer ---------- *)
 
-let kinds src =
-  Array.to_list (Japi.Lexer.tokenize ~file:"t" src)
-  |> List.map (fun t -> t.Japi.Token.kind)
+module L = Japi.Lexer
+
+(* The production lexer's lanes as reference tokens. *)
+let lex src =
+  let lx = L.create (Japi.Names.create ()) in
+  L.tokenize lx ~file:"t" src;
+  List.init lx.L.length (fun k ->
+      let kind : Ref_lexer.kind =
+        match lx.L.kinds.(k) with
+        | L.Ident -> Ident (Japi.Names.ident lx.L.names lx.L.idents.(k))
+        | L.Kw_package -> Kw_package
+        | L.Kw_import -> Kw_import
+        | L.Kw_class -> Kw_class
+        | L.Kw_interface -> Kw_interface
+        | L.Kw_extends -> Kw_extends
+        | L.Kw_implements -> Kw_implements
+        | L.Kw_static -> Kw_static
+        | L.Kw_public -> Kw_public
+        | L.Kw_protected -> Kw_protected
+        | L.Kw_private -> Kw_private
+        | L.Kw_abstract -> Kw_abstract
+        | L.Kw_final -> Kw_final
+        | L.Lbrace -> Lbrace
+        | L.Rbrace -> Rbrace
+        | L.Lparen -> Lparen
+        | L.Rparen -> Rparen
+        | L.Semi -> Semi
+        | L.Comma -> Comma
+        | L.Dot -> Dot
+        | L.Lbracket -> Lbracket
+        | L.Rbracket -> Rbracket
+        | L.At -> At
+        | L.Eof -> Eof
+      in
+      { Ref_lexer.kind; line = lx.L.lines.(k); col = lx.L.cols.(k) })
+
+let kinds src = List.map (fun (t : Ref_lexer.token) -> t.kind) (lex src)
 
 let test_lexer_basic () =
   check_int "token count" 5 (List.length (kinds "class Foo { }"));
   (* class, Ident, '{', '}', Eof *)
-  check_bool "class kw" true (List.mem Japi.Token.Kw_class (kinds "class Foo { }"))
+  check_bool "class kw" true (List.mem Ref_lexer.Kw_class (kinds "class Foo { }"))
 
 let test_lexer_comments () =
   let ks = kinds "class /* hi \n multi */ Foo { // trailing\n }" in
   check_bool "comments skipped" true
-    (ks = [ Japi.Token.Kw_class; Japi.Token.Ident "Foo"; Japi.Token.Lbrace;
-            Japi.Token.Rbrace; Japi.Token.Eof ])
+    (ks = [ Ref_lexer.Kw_class; Ident "Foo"; Lbrace; Rbrace; Eof ])
 
 let test_lexer_positions () =
-  let toks = Japi.Lexer.tokenize ~file:"t" "class\n  Foo" in
-  check_int "line of Foo" 2 toks.(1).Japi.Token.line;
-  check_int "col of Foo" 3 toks.(1).Japi.Token.col
+  let toks = Array.of_list (lex "class\n  Foo") in
+  check_int "line of Foo" 2 toks.(1).Ref_lexer.line;
+  check_int "col of Foo" 3 toks.(1).Ref_lexer.col
 
 let test_lexer_bad_char () =
-  match Japi.Lexer.tokenize ~file:"t" "class # Foo" with
+  match lex "class # Foo" with
   | exception Japi.Error.E e ->
       check_int "line" 1 e.Japi.Error.line;
       check_int "col" 7 e.Japi.Error.col
   | _ -> Alcotest.fail "expected lexer error"
 
 let test_lexer_unterminated_comment () =
-  match Japi.Lexer.tokenize ~file:"t" "/* oops" with
+  match lex "/* oops" with
   | exception Japi.Error.E e ->
       check_bool "mentions comment" true
         (String.length e.Japi.Error.msg > 0)
   | _ -> Alcotest.fail "expected lexer error"
+
+(* One load's lanes and names serve file after file: a long file's lanes
+   are reused for a short one, and a name interned by the first keeps its
+   id in the second. *)
+let test_lexer_reuse () =
+  let names = Japi.Names.create () in
+  let lx = L.create names in
+  let long = String.concat " " (List.init 3000 (fun i -> Printf.sprintf "n%d" (i mod 7))) in
+  L.tokenize lx ~file:"a" long;
+  check_int "long file" 3001 lx.L.length;
+  let id = lx.L.idents.(0) in
+  L.tokenize lx ~file:"b" "class n0";
+  check_int "short file" 3 lx.L.length;
+  check_int "same id" id lx.L.idents.(1);
+  check_bool "keyword" true (lx.L.kinds.(0) = L.Kw_class)
+
+(* Sources from random fragments: the differential check wants every kind
+   of token, every kind of blank and comment, and the two lexical errors. *)
+let fragment =
+  let open QCheck2.Gen in
+  let ident =
+    let first = oneofl [ 'a'; 'z'; 'A'; 'Q'; '_'; '$' ] in
+    let rest = oneofl [ 'a'; 'k'; 'Z'; '_'; '$'; '0'; '7'; '9' ] in
+    map2
+      (fun c cs -> String.make 1 c ^ String.of_seq (List.to_seq cs))
+      first (list_size (int_range 0 4) rest)
+  in
+  frequency
+    [
+      (6, ident);
+      ( 4,
+        oneofl
+          [ "package"; "import"; "class"; "interface"; "extends"; "implements"; "static";
+            "public"; "protected"; "private"; "abstract"; "final" ] );
+      (6, oneofl [ "{"; "}"; "("; ")"; ";"; ","; "."; "["; "]"; "@" ]);
+      (8, oneofl [ " "; "  "; "\t"; "\r"; "\n"; "\r\n"; "\n\t" ]);
+      (2, map (fun s -> "//" ^ s ^ "\n") (oneofl [ ""; " x"; "*/"; "/*" ]));
+      (2, oneofl [ "/**/"; "/* a */"; "/* \n * b\n */"; "/*/ */"; "/***/" ]);
+      (1, return "#");
+      (1, return "/* never closed");
+      (1, return "/");
+    ]
+
+let source_gen =
+  QCheck2.Gen.(map (String.concat "") (list_size (int_range 0 40) fragment))
+
+let prop_lexer_matches_reference =
+  QCheck2.Test.make ~name:"lanes match the reference lexer" ~count:2000
+    ~print:(Printf.sprintf "%S") source_gen (fun src ->
+      let outcome f = match f () with v -> Ok v | exception Japi.Error.E e -> Error e in
+      let reference = outcome (fun () -> Array.to_list (Ref_lexer.tokenize ~file:"t" src)) in
+      reference = outcome (fun () -> lex src))
 
 (* ---------- parser + loader ---------- *)
 
@@ -300,6 +385,8 @@ let () =
           tc "positions" test_lexer_positions;
           tc "bad char" test_lexer_bad_char;
           tc "unterminated comment" test_lexer_unterminated_comment;
+          tc "lanes reused across files" test_lexer_reuse;
+          QCheck_alcotest.to_alcotest prop_lexer_matches_reference;
         ] );
       ( "parser",
         [
