@@ -142,14 +142,21 @@ bench-scale: build
 	dune exec bench/main.exe -- --section scale
 
 # Live-reload gate (BENCH_reload.json: single-class delta apply + reach
-# patch vs cold rebuild, plus query p50 and maximum latency under sustained
-# churn against a full-rebuild baseline, at 10k/100k methods by default —
-# BENCH_RELOAD_SIZES overrides). The tail is the maximum of the 120 churn
-# samples: the 9 reload stalls are their top 7.5%, beyond any percentile's
-# reach. The section exits nonzero if the patched snapshot diverges from a
-# cold rebuild, a patch fails to beat the rebuild stall, the churn maximum
-# is not strictly below the rebuild baseline's, or incremental patch time
-# grows superlinearly across the sizes.
+# patch vs cold rebuild; a sink edit — a method with one reference
+# parameter returning a type whose upstream cone earlier edits of that shape
+# widened past half the nodes, perfbench reload-10k's usual delta — whose
+# best-of-5 reach patch is timed against a cold reach build of the same
+# snapshot; an additive delta (a fresh interface with one method) with
+# its apply, reach-build and warm times; plus query p50 and maximum latency
+# under sustained churn against a full-rebuild baseline, at 10k/100k
+# methods by default — BENCH_RELOAD_SIZES overrides). The tail is the
+# maximum of the 120 churn samples: the 9 reload stalls are their top 7.5%,
+# beyond any percentile's reach. The section exits nonzero if a patched
+# snapshot or index diverges from a cold build, a patch fails to beat the
+# rebuild stall, the sink edit's reach patch is not strictly cheaper than
+# the cold reach build, the churn maximum is not strictly below the rebuild
+# baseline's, or incremental patch time grows superlinearly across the
+# sizes.
 bench-reload: build
 	dune exec bench/main.exe -- --section reload
 

@@ -50,7 +50,7 @@ type mode =
 type patch = {
   p_frozen : Graph.frozen;
   p_hierarchy : Hierarchy.t;
-  p_touched : Reach.Bits.t;
+  p_sources : Reach.Bits.t;
   p_touched_count : int;
   p_mode : mode;
   p_ops : int;
@@ -237,6 +237,9 @@ let splice_once ~wcost ~h_new ~(fz : Graph.frozen)
   (* New member blocks per (row, owner): the deduped emission-order elems
      with that input node, reversed into frozen-row order. *)
   let new_blocks : (int * string, Graph.edge list) Hashtbl.t = Hashtbl.create 32 in
+  (* [touched] counts both endpoints of every added or removed edge, for
+     the reply; [sources] holds their sources, all that {!Reach.patch}
+     needs. *)
   let touched = Reach.Bits.create n in
   let touched_count = ref 0 in
   let touch u =
@@ -245,6 +248,7 @@ let splice_once ~wcost ~h_new ~(fz : Graph.frozen)
       incr touched_count
     end
   in
+  let sources = Reach.Bits.create n in
   let changed = ref 0 in
   (* Rows to rewrite: only those where the owner's elem *sequence* for the
      row changed. A body edit leaves most of a class's blocks byte-identical
@@ -261,7 +265,9 @@ let splice_once ~wcost ~h_new ~(fz : Graph.frozen)
       List.iter (fun e -> Hashtbl.replace news e ()) r.r_new_elems;
       let mark e =
         incr changed;
-        touch (node_of (Elem.input_type e));
+        let src = node_of (Elem.input_type e) in
+        Reach.Bits.set sources src;
+        touch src;
         touch (node_of (Elem.output_type e))
       in
       List.iter (fun e -> if not (Hashtbl.mem news e) then mark e) r.r_old_elems;
@@ -567,7 +573,7 @@ let splice_once ~wcost ~h_new ~(fz : Graph.frozen)
       f_tail = Atomic.make false;
     }
   in
-  (fz', touched, !touched_count)
+  (fz', sources, !touched_count)
 
 (* Claim the tail before splicing. Exactly one patch per lane storage wins
    the compare-and-set; a loser (a sibling patch of the same base, or a
@@ -594,11 +600,28 @@ let splice ~wcost ~h_new ~(fz : Graph.frozen) ~reps =
 
 (* ---------- entry point ---------- *)
 
+(* The input hierarchy is closed (every load and every patch result is),
+   so only the delta can open it, through the names its own final
+   declarations mention. A removal opens every declaration that referred
+   to the removed name too, and referrers are not indexed, so a delta with
+   a removal closes the whole hierarchy. Either way the placeholders are
+   the ones a whole-hierarchy closure would add, in the same order. *)
+let close_delta h' ops =
+  if List.exists (function Remove_class _ -> true | _ -> false) ops then
+    Hierarchy.ensure_closed h'
+  else
+    Hierarchy.close_over h'
+      (List.filter_map
+         (function
+           | Add_class d | Replace_class d -> Hierarchy.find_opt h' d.Decl.dname
+           | Remove_class _ -> None)
+         ops)
+
 (* [build] is the caller's cold build when it passed one (an enriched
    server must keep its mined nodes and edges); [None] builds from
    signatures only. *)
-let rebuild ~build ~config ~wcost ~h' ~old_frozen ~nops =
-  Hierarchy.ensure_closed h';
+let rebuild ~build ~config ~wcost ~h' ~old_frozen ops =
+  close_delta h' ops;
   let fz =
     match build with
     | Some build -> build h'
@@ -608,14 +631,17 @@ let rebuild ~build ~config ~wcost ~h' ~old_frozen ~nops =
      snapshot's; force strict monotonic growth so stale cache keys can never
      alias the reloaded world. *)
   let fz =
-    { fz with Graph.f_generation = old_frozen.Graph.f_generation + nops + 1 }
+    {
+      fz with
+      Graph.f_generation = old_frozen.Graph.f_generation + List.length ops + 1;
+    }
   in
   let old_n = old_frozen.Graph.f_nodes in
-  let touched = Reach.Bits.create old_n in
+  let sources = Reach.Bits.create old_n in
   for u = 0 to old_n - 1 do
-    Reach.Bits.set touched u
+    Reach.Bits.set sources u
   done;
-  (fz, touched, old_n)
+  (fz, sources, old_n)
 
 let apply ?(config = Sig_graph.default_config) ?(wcost = Graph.default_wcost) ?rebuild:build
     ~hierarchy ~frozen ops =
@@ -624,12 +650,12 @@ let apply ?(config = Sig_graph.default_config) ?(wcost = Graph.default_wcost) ?r
   if errors <> [] then Error errors
   else begin
     let nops = List.length ops in
-    let finish mode (fz, touched, touched_count) =
+    let finish mode (fz, sources, touched_count) =
       Ok
         {
           p_frozen = fz;
           p_hierarchy = h';
-          p_touched = touched;
+          p_sources = sources;
           p_touched_count = touched_count;
           p_mode = mode;
           p_ops = nops;
@@ -660,7 +686,7 @@ let apply ?(config = Sig_graph.default_config) ?(wcost = Graph.default_wcost) ?r
            originals true
     in
     if not eligible then
-      finish Rebuilt (rebuild ~build ~config ~wcost ~h' ~old_frozen:frozen ~nops)
+      finish Rebuilt (rebuild ~build ~config ~wcost ~h' ~old_frozen:frozen ops)
     else begin
       let reps =
         Hashtbl.fold
@@ -677,7 +703,7 @@ let apply ?(config = Sig_graph.default_config) ?(wcost = Graph.default_wcost) ?r
       match splice ~wcost ~h_new:h' ~fz:frozen ~reps with
       | result -> finish Spliced result
       | exception Fallback ->
-          finish Rebuilt (rebuild ~build ~config ~wcost ~h' ~old_frozen:frozen ~nops)
+          finish Rebuilt (rebuild ~build ~config ~wcost ~h' ~old_frozen:frozen ops)
     end
   end
 

@@ -52,11 +52,13 @@ type mode =
 type patch = {
   p_frozen : Graph.frozen;
   p_hierarchy : Hierarchy.t;  (** the patched model (a copy; input untouched) *)
-  p_touched : Reach.Bits.t;
-      (** over the {e old} snapshot's node ids: endpoints of every added or
-          removed edge (all nodes when [Rebuilt]) — the dirty set that
-          scopes {!Reach} maintenance *)
+  p_sources : Reach.Bits.t;
+      (** over the {e old} snapshot's node ids: the source of every added
+          or removed edge (all nodes when [Rebuilt]) — the set that scopes
+          {!Reach.patch} *)
   p_touched_count : int;
+      (** distinct endpoints, source or destination, of every added or
+          removed edge (the old node count when [Rebuilt]) *)
   p_mode : mode;
   p_ops : int;
 }
@@ -81,12 +83,18 @@ val apply :
     cost model its lanes were baked with (new edges are costed with it). The
     inputs are never mutated.
 
+    [hierarchy] must be closed: every name a declaration mentions is
+    declared, as {!Hierarchy.of_decls} and {!Hierarchy.ensure_closed} leave
+    it, and as every patch's [p_hierarchy] is. A rebuild then closes over
+    the delta's own declarations only, or over the whole hierarchy when the
+    delta removes a class.
+
     [rebuild] is the caller's cold build from a patched (closed) hierarchy.
     When the patch cannot be spliced it runs once, in place of the
     signature-only [Sig_graph.build] + [Graph.freeze] — so a server whose
     snapshot carries mined examples builds one graph per structural reload,
     not two. It is never called for a spliced patch. The generation bump
-    and the all-nodes [p_touched] are the same either way. *)
+    and the all-nodes [p_sources] are the same either way. *)
 
 val frozen_equal : Graph.frozen -> Graph.frozen -> bool
 (** Logical row-wise equality ignoring [f_generation] and physical layout

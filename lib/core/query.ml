@@ -640,9 +640,10 @@ let engine_shards e =
 let engine_stats e = Qcache.stats e.e_cache
 
 (* Live reload: swap a delta patch into the engine without a cold restart.
-   The reach index is maintained incrementally (only components downstream
-   of a touched node are re-closed — [Reach.patch]); a [Rebuilt] patch has
-   unstable node ids, so its index is rebuilt lazily instead. The cache
+   The reach index is maintained incrementally (only components that
+   reach a changed edge's source are re-closed — [Reach.patch]); a
+   [Rebuilt] patch has unstable node ids, so its index is rebuilt lazily
+   instead. The cache
    is cleared: every cached answer describes the old snapshot. The mined
    models stay the ones the engine was created with. *)
 let engine_reload e (patch : Delta.patch) =
@@ -651,7 +652,7 @@ let engine_reload e (patch : Delta.patch) =
   let reach' =
     match e.e_reach with
     | Some r when e.e_prune && patch.Delta.p_mode = Delta.Spliced ->
-        Some (Reach.patch ~pool:e.e_pool ~old:r ~touched:patch.Delta.p_touched fz)
+        Some (Reach.patch ~pool:e.e_pool ~old:r ~sources:patch.Delta.p_sources fz)
     | _ -> None (* rebuilt lazily on next use *)
   in
   Qcache.clear e.e_cache;

@@ -386,8 +386,9 @@ val engine_reload : engine -> Delta.patch -> unit
 (** Swap a {!Delta.apply} patch into a live engine — the one way an
     engine's model changes. The CSR snapshot and hierarchy are replaced,
     the reach index of a [Spliced] patch is maintained incrementally
-    ({!Reach.patch} — only components downstream of a touched node are
-    re-closed; a [Rebuilt] patch's is rebuilt on next use), and the cache
+    ({!Reach.patch} — only components that reach the source of an added
+    or removed edge are re-closed; a [Rebuilt] patch's is rebuilt on next
+    use), and the cache
     is cleared (one invalidation in {!engine_stats}). The mined models
     ({!engine_edge_cost}, {!engine_protocol_check}) are the ones installed
     at creation, for the engine's whole life: the patch must have been

@@ -40,9 +40,9 @@ val build : ?pool:Prospector_parallel.Pool.t -> Graph.t -> t
     [build_frozen ?pool (Graph.freeze g)]. *)
 
 val build_frozen : ?pool:Prospector_parallel.Pool.t -> Graph.frozen -> t
-(** Build from an existing CSR snapshot — the engine's path (about 1 ms
-    at 10k methods and 18 ms at 100k, next to a [.japi] parse of about
-    0.5 s at 100k), so no index file is kept on disk. With [?pool], the
+(** Build from an existing CSR snapshot — the engine's path (under 1 ms
+    at 10k methods and about 8–13 ms at 100k, next to a [.japi] parse of
+    about 0.2–0.3 s at 100k), so no index file is kept on disk. With [?pool], the
     bitset DP over the SCC condensation fans out level by level: all components
     whose successors' closures are complete are closed concurrently, one
     [parallel_for] per level, each returning only after every worker has
@@ -51,18 +51,21 @@ val build_frozen : ?pool:Prospector_parallel.Pool.t -> Graph.frozen -> t
     so pool size never affects query results. *)
 
 val patch :
-  ?pool:Prospector_parallel.Pool.t -> old:t -> touched:Bits.t -> Graph.frozen -> t
-(** Delta-aware maintenance after a reload: [patch ~old ~touched fz] indexes
+  ?pool:Prospector_parallel.Pool.t -> old:t -> sources:Bits.t -> Graph.frozen -> t
+(** Delta-aware maintenance after a reload: [patch ~old ~sources fz] indexes
     the patched snapshot [fz], recomputing only components with a path to a
-    [touched] node (an endpoint of an added or removed edge, over node ids
+    node of [sources] (the source of an added or removed edge, over node ids
     shared between [old] and [fz]) and reusing every other component's
-    closure bitset from [old] by reference. Falls back to {!build_frozen}
-    when the node count changed or the dirty set passes a fixed threshold
-    (25% of nodes — past that the ascending sweep stops paying for itself).
-    The result is bit-for-bit identical to [build_frozen fz]: same component
-    numbering (Tarjan reruns over the new lanes either way) and same
-    closures (clean components' member sets and successor closures are
-    unchanged by construction, and verified). *)
+    closure bitset from [old] by reference. Only sources count: an edge
+    u -> v changes the closures of the nodes that reach u, never v's own.
+    Falls back to {!build_frozen} when the node count changed, and to
+    closing every component afresh when the dirty set passes a fixed
+    threshold (25% of nodes — past that the ascending sweep stops paying for
+    itself); the components found for the sweep are reused, so no second
+    Tarjan pass runs. The result is bit-for-bit identical to
+    [build_frozen fz]: same component numbering (Tarjan reruns over the new
+    lanes either way) and same closures (clean components' member sets and
+    successor closures are unchanged by construction, and verified). *)
 
 val generation : t -> int
 (** The graph generation the index was built against. *)

@@ -159,9 +159,7 @@ let tokenize t ~file src =
     | ('{' | '}' | '(' | ')' | ';' | ',' | '.' | '[' | ']' | '@') as c ->
         emit t (punct_kind c) 0 !line (!i - !bol + 1);
         incr i
-    | c ->
-        Error.fail ~file ~line:!line ~col:(!i - !bol + 1)
-          (Printf.sprintf "unexpected character '%c'" c)
+    | _ -> Error.unexpected_char ~file ~line:!line ~col:(!i - !bol + 1) src !i
   done;
   emit t Eof 0 !line (n - !bol + 1)
 

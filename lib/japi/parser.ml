@@ -169,9 +169,7 @@ let parse_decl st =
     | Kw_class -> Javamodel.Decl.Class
     | Kw_interface -> Javamodel.Decl.Interface
     | _ ->
-        (* Located at the token before the cursor: at end of input, the
-           last token read. *)
-        fail_at st (st.pos - 1)
+        fail_at st k
           (Printf.sprintf "expected 'class' or 'interface' but found %s"
              (Lexer.describe st.lx k))
   in

@@ -16,8 +16,9 @@ module Imap = Map.Make (Int)
 
    The two memos depend only on each declaration's kind and supertype
    clauses ([direct_supers]), so a [replace] that keeps those keeps them
-   too; every other mutation drops both, since one class's depth feeds
-   the depths of all its subtypes. *)
+   too. So does an [add] of a name no depth was memoized for ([add]
+   explains why); every other mutation drops both, since one class's depth
+   feeds the depths of all its subtypes. *)
 type t = {
   mutable seq : int;  (* next insertion stamp *)
   mutable count : int;
@@ -76,10 +77,65 @@ let mem t q = Smap.mem (key q) t.byname
 
 let size t = t.count
 
+let direct_supers t q =
+  if Qname.equal q Qname.object_qname then []
+  else
+    match find_opt t q with
+    | None -> [ Qname.object_qname ]
+    | Some d -> (
+        match d.kind with
+        | Decl.Interface ->
+            (* Interface values widen to Object even without declared supers. *)
+            if d.extends = [] then [ Qname.object_qname ] else d.extends
+        | Decl.Class ->
+            let super =
+              match d.extends with [] -> [ Qname.object_qname ] | es -> es
+            in
+            super @ d.implements)
+
+(* The reverse index [r] with [q] filed under each of its direct supers.
+   Persistent: a copy sharing [r] keeps it. *)
+let index_supers t r q =
+  List.fold_left
+    (fun r sup ->
+      let cur = Option.value ~default:Qname.Set.empty (Qname.Map.find_opt sup r) in
+      Qname.Map.add sup (Qname.Set.add q cur) r)
+    r (direct_supers t q)
+
+let depth t q =
+  (* [visiting] breaks inheritance cycles in malformed inputs; the japi
+     loader rejects them earlier, but depth must still terminate. *)
+  let rec go visiting q =
+    match Hashtbl.find_opt t.depth_cache (key q) with
+    | Some d -> d
+    | None ->
+        if Qname.Set.mem q visiting then 0
+        else
+          let visiting = Qname.Set.add q visiting in
+          let d =
+            match direct_supers t q with
+            | [] -> 0
+            | supers -> 1 + List.fold_left (fun m s -> max m (go visiting s)) 0 supers
+          in
+          Hashtbl.replace t.depth_cache (key q) d;
+          d
+  in
+  go Qname.Set.empty q
+
+(* [depth] memoizes every name it visits, declared or not, so a name with
+   no depth entry fed no memoized depth while it was undeclared: declaring
+   it changes no entry. The reverse index only gains the name under its
+   own direct supers. A warm hierarchy memoizes the new depth at once, so
+   it stays warm and readers never write. A name that has an entry (some
+   depth was read while it was undeclared) drops both memos. *)
 let add t (d : Decl.t) =
   if mem t d.dname then raise (Duplicate_decl d.dname);
   insert t d;
-  invalidate t
+  if Hashtbl.mem t.depth_cache (key d.dname) then invalidate t
+  else begin
+    Option.iter (fun r -> t.reverse <- Some (index_supers t r d.dname)) t.reverse;
+    if t.warmed then ignore (depth t d.dname)
+  end
 
 let same_supers (a : Decl.t) (b : Decl.t) =
   a.kind = b.kind
@@ -136,22 +192,25 @@ let referenced_qnames d =
   iter_referenced d (fun q -> acc := Qname.Set.add q !acc);
   !acc
 
-let ensure_closed t =
-  (* Fixpoint is unnecessary: opaque decls reference only Object. Each
-     name is looked up once; the placeholders go in in [Qname.compare]
-     order, since their insertion stamps fix node ids downstream. *)
+(* Placeholders for every name the declarations [each] visits mention but
+   the table lacks. Fixpoint is unnecessary: opaque decls reference only
+   Object. Each name is looked up once; the placeholders go in in
+   [Qname.compare] order, since their insertion stamps fix node ids
+   downstream, and through [add], which keeps the memos when it can. *)
+let close t each =
   let seen = Hashtbl.create 64 in
   let missing = ref [] in
-  iter t (fun d ->
+  each (fun d ->
       iter_referenced d (fun q ->
           if not (Hashtbl.mem seen (key q)) then begin
             Hashtbl.add seen (key q) ();
             if not (mem t q) then missing := q :: !missing
           end));
-  if !missing <> [] then begin
-    List.iter (fun q -> insert t (Decl.opaque q)) (List.sort Qname.compare !missing);
-    invalidate t
-  end
+  List.iter (fun q -> add t (Decl.opaque q)) (List.sort Qname.compare !missing)
+
+let ensure_closed t = close t (iter t)
+
+let close_over t ds = close t (fun f -> List.iter f ds)
 
 (* [insert], unlike [add], leaves the memos alone: a new hierarchy's are
    empty, and nothing reads them before it is returned. *)
@@ -167,22 +226,6 @@ let of_decls ds =
     ds;
   ensure_closed t;
   t
-
-let direct_supers t q =
-  if Qname.equal q Qname.object_qname then []
-  else
-    match find_opt t q with
-    | None -> [ Qname.object_qname ]
-    | Some d -> (
-        match d.kind with
-        | Decl.Interface ->
-            (* Interface values widen to Object even without declared supers. *)
-            if d.extends = [] then [ Qname.object_qname ] else d.extends
-        | Decl.Class ->
-            let super =
-              match d.extends with [] -> [ Qname.object_qname ] | es -> es
-            in
-            super @ d.implements)
 
 let supers t q =
   let rec go seen q =
@@ -214,15 +257,7 @@ let reverse_index t =
   | Some r -> r
   | None ->
       let r =
-        fold t ~init:Qname.Map.empty ~f:(fun acc (d : Decl.t) ->
-            List.fold_left
-              (fun acc sup ->
-                let cur =
-                  Option.value ~default:Qname.Set.empty (Qname.Map.find_opt sup acc)
-                in
-                Qname.Map.add sup (Qname.Set.add d.dname cur) acc)
-              acc
-              (direct_supers t d.dname))
+        fold t ~init:Qname.Map.empty ~f:(fun r (d : Decl.t) -> index_supers t r d.dname)
       in
       t.reverse <- Some r;
       r
@@ -235,26 +270,6 @@ let subtypes t q =
       (fun s seen ->
         if Qname.Set.mem s seen then seen else go (Qname.Set.add s seen) s)
       (direct q) seen
-  in
-  go Qname.Set.empty q
-
-let depth t q =
-  (* [visiting] breaks inheritance cycles in malformed inputs; the japi
-     loader rejects them earlier, but depth must still terminate. *)
-  let rec go visiting q =
-    match Hashtbl.find_opt t.depth_cache (key q) with
-    | Some d -> d
-    | None ->
-        if Qname.Set.mem q visiting then 0
-        else
-          let visiting = Qname.Set.add q visiting in
-          let d =
-            match direct_supers t q with
-            | [] -> 0
-            | supers -> 1 + List.fold_left (fun m s -> max m (go visiting s)) 0 supers
-          in
-          Hashtbl.replace t.depth_cache (key q) d;
-          d
   in
   go Qname.Set.empty q
 

@@ -33,7 +33,14 @@ val of_decls : Decl.t list -> t
     @raise Duplicate_decl if two declarations share a name. *)
 
 val add : t -> Decl.t -> unit
-(** @raise Duplicate_decl on re-declaration. *)
+(** Declare a new name. When no {!depth} computation visited the name while
+    it was undeclared (directly, or through a declaration naming it as a
+    supertype), no memoized depth depended on its absence, so the
+    {!subtypes} and {!depth} memos stay and are extended: the reverse index
+    gains the name under its direct supers and, on a warm hierarchy, its
+    depth is memoized here, so the hierarchy stays warm. Otherwise both
+    memos are dropped.
+    @raise Duplicate_decl on re-declaration. *)
 
 val replace : t -> Decl.t -> unit
 (** Swap the declaration under an already-declared name in place. Unlike
@@ -43,7 +50,7 @@ val replace : t -> Decl.t -> unit
     A replacement with the same kind, [extends] and [implements] (a body
     edit) keeps the {!subtypes} and {!depth} memos, which depend on nothing
     else; any other changes a depth its subtypes inherit, so it drops both,
-    as {!add} and {!remove} always do.
+    as {!remove} always does.
     @raise Unknown_type if the name is not declared. *)
 
 val remove : t -> Qname.t -> unit
@@ -54,7 +61,15 @@ val remove : t -> Qname.t -> unit
 
 val ensure_closed : t -> unit
 (** Add an opaque synthetic class for every type referenced by a signature or
-    an [extends]/[implements] clause but not declared. Idempotent. *)
+    an [extends]/[implements] clause but not declared, in {!Qname.compare}
+    order, each through {!add}. Idempotent. *)
+
+val close_over : t -> Decl.t list -> unit
+(** {!ensure_closed} limited to the names the given declarations mention.
+    On a hierarchy that was closed before these declarations were added or
+    replaced in, and that has lost no declaration since, it adds exactly the
+    placeholders {!ensure_closed} would, in the same order, at a cost that
+    grows with the declarations rather than the table. *)
 
 val find : t -> Qname.t -> Decl.t
 (** @raise Unknown_type *)
@@ -105,8 +120,9 @@ val warm : t -> unit
     share read-only across domains after warming — the memos mutate on first
     use — so every parallel entry point ({!Mining.Extract},
     [Query.run_batch], the server engine) warms before fanning out. Idempotent
-    and invalidated with the memos themselves (by {!add}, {!remove} and a
-    supertype-changing {!replace}); on a warm hierarchy it is O(1). *)
+    and invalidated with the memos themselves (by {!remove}, a
+    supertype-changing {!replace} and an {!add} that drops them); on a warm
+    hierarchy it is O(1). *)
 
 val lookup_method : t -> Qname.t -> string -> arity:int -> (Qname.t * Member.meth) option
 (** Member lookup along the supertype chain, for the mini-Java resolver:

@@ -110,9 +110,7 @@ let tokenize ~file src =
       advance ();
       emit (Punct c) ~line:tok_line ~col:tok_col
     end
-    else
-      Japi.Error.fail ~file ~line:tok_line ~col:tok_col
-        (Printf.sprintf "unexpected character '%c'" c)
+    else Japi.Error.unexpected_char ~file ~line:tok_line ~col:tok_col src !i
   done;
   tokens := { kind = Eof; line = !line; col = !col } :: !tokens;
   Array.of_list (List.rev !tokens)

@@ -526,7 +526,7 @@ let request_of_json j =
               | Some (Arr rs) ->
                   map_m
                     (function
-                      | Str s -> Ok s
+                      | Str s -> checked_type "remove" s
                       | _ -> Error "field \"remove\" must be an array of strings")
                     rs
               | Some Null | None -> Ok []

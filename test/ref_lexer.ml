@@ -35,6 +35,23 @@ type token = {
   col : int;
 }
 
+(* An unexpected byte as the error message shows it: printable ASCII as
+   itself, the whole character when the bytes from [i] form one UTF-8
+   sequence (its length read off the lead byte), [\xNN] otherwise. *)
+let shown src i =
+  let c = Char.code src.[i] in
+  let len =
+    if c >= 0xc2 && c <= 0xdf then 2
+    else if c >= 0xe0 && c <= 0xef then 3
+    else if c >= 0xf0 && c <= 0xf4 then 4
+    else 0
+  in
+  if c >= 0x20 && c < 0x7f then String.make 1 src.[i]
+  else if
+    len > 0 && i + len <= String.length src && String.is_valid_utf_8 (String.sub src i len)
+  then String.sub src i len
+  else Printf.sprintf "\\x%02x" c
+
 let keyword_of_ident = function
   | "package" -> Some Kw_package
   | "import" -> Some Kw_import
@@ -126,7 +143,7 @@ let tokenize ~file src =
           emit k ~line:tok_line ~col:tok_col
       | None ->
           Japi.Error.fail ~file ~line:tok_line ~col:tok_col
-            (Printf.sprintf "unexpected character '%c'" c)
+            (Printf.sprintf "unexpected character '%s'" (shown src !i))
     end
   done;
   tokens := { kind = Eof; line = !line; col = !col } :: !tokens;

@@ -104,7 +104,10 @@ let test_lexer_reuse () =
   check_bool "keyword" true (lx.L.kinds.(0) = L.Kw_class)
 
 (* Sources from random fragments: the differential check wants every kind
-   of token, every kind of blank and comment, and the two lexical errors. *)
+   of token, every kind of blank and comment, and the two lexical errors —
+   the unexpected character as printable ASCII, as whole UTF-8 characters
+   of two to four bytes, as a stray, truncated or surrogate-encoding byte
+   sequence, and as a control character. *)
 let fragment =
   let open QCheck2.Gen in
   let ident =
@@ -125,7 +128,7 @@ let fragment =
       (8, oneofl [ " "; "  "; "\t"; "\r"; "\n"; "\r\n"; "\n\t" ]);
       (2, map (fun s -> "//" ^ s ^ "\n") (oneofl [ ""; " x"; "*/"; "/*" ]));
       (2, oneofl [ "/**/"; "/* a */"; "/* \n * b\n */"; "/*/ */"; "/***/" ]);
-      (1, return "#");
+      (1, oneofl [ "#"; "\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9f\x90\xab"; "\xff"; "\xc3"; "\xed\xa0\x80"; "\x01"; "\x7f" ]);
       (1, return "/* never closed");
       (1, return "/");
     ]
@@ -138,7 +141,9 @@ let prop_lexer_matches_reference =
     ~print:(Printf.sprintf "%S") source_gen (fun src ->
       let outcome f = match f () with v -> Ok v | exception Japi.Error.E e -> Error e in
       let reference = outcome (fun () -> Array.to_list (Ref_lexer.tokenize ~file:"t" src)) in
-      reference = outcome (fun () -> lex src))
+      let lanes = outcome (fun () -> lex src) in
+      reference = lanes
+      && match lanes with Error e -> String.is_valid_utf_8 e.Japi.Error.msg | Ok _ -> true)
 
 (* ---------- parser + loader ---------- *)
 

@@ -284,9 +284,10 @@ let prop_depth_decreases_upward =
         (List.init n (fun i -> i)))
 
 (* Memos across mutation. A warmed copy of a random hierarchy takes a
-   random sequence of adds, removals, body-only replaces (which keep both
-   memos) and supertype-changing replaces (which drop them), with memo
-   reads and warms interleaved. Afterwards [depth] and [subtypes] must
+   random sequence of adds of fresh names and body-only replaces (which
+   keep both memos), adds of names whose depth was read while they were
+   undeclared, removals and supertype-changing replaces (which drop them),
+   with memo reads and warms interleaved. Afterwards [depth] and [subtypes] must
    match a fresh [of_decls] over the surviving declarations, and the
    original must still answer for its own. Supertypes always name
    declarations that exist and were created earlier, and only a name no
@@ -324,8 +325,9 @@ let prop_memos_survive_mutation =
         | Decl.Class ->
             { d with Decl.extends = supers n Decl.Class 1; implements = supers n Decl.Interface 2 }
       in
+      let next_name () = Qname.make ~pkg:[ "m" ] (Printf.sprintf "T%d" (Hashtbl.length born)) in
       let create () =
-        let dname = Qname.make ~pkg:[ "m" ] (Printf.sprintf "T%d" (Hashtbl.length born)) in
+        let dname = next_name () in
         Hashtbl.replace born dname (Hashtbl.length born);
         let kind = if Random.State.bool rng then Decl.Class else Decl.Interface in
         with_supers (Decl.make ~kind dname)
@@ -350,12 +352,19 @@ let prop_memos_survive_mutation =
             (fun (d : Decl.t) -> if Qname.equal d.Decl.dname d'.Decl.dname then d' else d)
             !decls
       in
+      let add () =
+        let d = create () in
+        Hierarchy.add h d;
+        decls := !decls @ [ d ]
+      in
       for _ = 1 to steps do
-        (match (Random.State.int rng 4, !decls) with
-        | 0, _ | _, [] ->
-            let d = create () in
-            Hierarchy.add h d;
-            decls := !decls @ [ d ]
+        (match (Random.State.int rng 5, !decls) with
+        | 0, _ | _, [] -> add ()
+        | 4, _ ->
+            (* a depth read while the name is undeclared, memoized as an
+               opaque class's: the add must not keep it *)
+            ignore (Hierarchy.depth h (next_name ()));
+            add ()
         | 1, ds ->
             (* the newest declaration is never extended, so a leaf exists *)
             let d = pick (List.filter (fun d -> not (extended d)) ds) in

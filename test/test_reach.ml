@@ -35,6 +35,44 @@ let world_gen =
     let* locality = oneofl [ 0.0; 0.9 ] in
     return (make_world ~locality ~classes ~seed ()))
 
+(* ---------- the flat Tarjan matches the reference ---------- *)
+
+(* A random digraph as a frozen snapshot: [n] type nodes interned in order
+   and widening edges between them, self-loops and parallel draws
+   included; dense draws make large cycles, sparse ones long chains. *)
+let digraph_gen =
+  QCheck2.Gen.(
+    let* n = int_range 1 80 in
+    let* density = oneofl [ 0.5; 1.0; 2.0; 4.0 ] in
+    let* edges =
+      list_size
+        (int_range 0 (int_of_float (density *. float_of_int n)))
+        (pair (int_range 0 (n - 1)) (int_range 0 (n - 1)))
+    in
+    return (n, edges))
+
+let frozen_of_digraph (n, edges) =
+  let g = Graph.create () in
+  let ty i = Jtype.ref_of_string (Printf.sprintf "r.N%d" i) in
+  let node = Array.init n (fun i -> Graph.ensure_type_node g (ty i)) in
+  List.iter
+    (fun (a, b) -> Graph.add_edge g ~src:node.(a) (Elem.Widen { from_ = ty a; to_ = ty b }) ~dst:node.(b))
+    edges;
+  Graph.freeze g
+
+let prop_sccs_match_reference =
+  QCheck2.Test.make ~name:"flat-stack Tarjan numbers components like the reference"
+    ~count:500
+    ~print:(fun (n, edges) ->
+      Printf.sprintf "%d nodes: %s" n
+        (String.concat " " (List.map (fun (a, b) -> Printf.sprintf "%d->%d" a b) edges)))
+    digraph_gen
+    (fun d ->
+      let fz = frozen_of_digraph d in
+      let comp, ncomp = Ref_tarjan.sccs fz in
+      let r = Reach.build_frozen fz in
+      Reach.components r = comp && Reach.scc_count r = ncomp)
+
 (* ---------- Reach.mem agrees with the BFS ---------- *)
 
 let prop_mem_agrees_with_bfs =
@@ -234,6 +272,7 @@ let () =
             prop_pruned_search_identical;
             prop_pruned_query_identical;
             prop_pruned_identical_after_enrich;
+            prop_sccs_match_reference;
           ] );
       ( "units",
         [

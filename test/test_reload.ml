@@ -31,9 +31,14 @@ let real_decls h =
   List.filter (fun (d : Decl.t) -> not d.Decl.synthetic) (Hierarchy.decls h)
 
 (* A method whose types are already interned, so a lone add stays
-   spliceable; [tag] keeps names unique across the op sequence. *)
-let fresh_meth rng h tag =
-  let ret = Jtype.Ref (Rng.pick rng (real_decls h)).Decl.dname in
+   spliceable; [tag] keeps names unique across the op sequence. With
+   [~missing] it returns a name nothing declares instead, which the
+   delta's closure must add as a placeholder. *)
+let fresh_meth ?(missing = false) rng h tag =
+  let ret =
+    if missing then Jtype.Ref (Qname.of_string (Printf.sprintf "zz.Missing%d" tag))
+    else Jtype.Ref (Rng.pick rng (real_decls h)).Decl.dname
+  in
   Member.meth (Printf.sprintf "zzReload%d" tag) ~params:[] ~ret
 
 (* The declaration [d] with method [m] appended to its body: a method
@@ -44,7 +49,9 @@ let with_method (d : Decl.t) m = { d with Decl.methods = d.Decl.methods @ [ m ] 
    copy as we go — later ops must see earlier effects, exactly as
    [Delta.apply] validates them. A method edit is a [Replace_class] of the
    edited declaration: a method prepended, appended or removed by name.
-   With [~spliced:true] only those body-only edits are drawn. *)
+   With [~spliced:true] only those body-only edits are drawn, with already
+   interned types; otherwise an appended method, and a fresh class's
+   method or superclass, may name an undeclared type. *)
 let build_ops ?(spliced = false) rng h nops =
   let hcur = Hierarchy.copy h in
   let tag = ref 0 in
@@ -64,7 +71,9 @@ let build_ops ?(spliced = false) rng h nops =
     | 0 ->
         (* body-only replacement: the spliced shape *)
         replace { d with Decl.methods = fresh_meth rng hcur (next_tag ()) :: d.Decl.methods }
-    | 1 -> replace (with_method d (fresh_meth rng hcur (next_tag ())))
+    | 1 ->
+        let missing = (not spliced) && Rng.int rng 4 = 0 in
+        replace (with_method d (fresh_meth ~missing rng hcur (next_tag ())))
     | 2 when d.Decl.methods <> [] ->
         let victim = (Rng.pick rng d.Decl.methods).Member.mname in
         replace
@@ -75,8 +84,13 @@ let build_ops ?(spliced = false) rng h nops =
           }
     | 3 ->
         let q = Qname.of_string (Printf.sprintf "zz.Fresh%d" (next_tag ())) in
-        let m = fresh_meth rng hcur (next_tag ()) in
-        let fresh = Decl.make ~methods:[ m ] q in
+        let m = fresh_meth ~missing:(Rng.bool rng 0.5) rng hcur (next_tag ()) in
+        let extends =
+          if Rng.int rng 4 = 0 then
+            [ Qname.of_string (Printf.sprintf "zz.MissingSuper%d" (next_tag ())) ]
+          else []
+        in
+        let fresh = Decl.make ~extends ~methods:[ m ] q in
         Hierarchy.add hcur fresh;
         Delta.Add_class fresh
     | 4 when List.length decls > 2 ->
@@ -95,6 +109,22 @@ let world_gen =
     return (seed, classes, nops))
 
 let freeze_cold h = Graph.freeze (Sig_graph.build h)
+
+(* The patched model the slow way: every op through the plain hierarchy
+   calls, then a closure over the whole hierarchy. [Delta] closes over the
+   delta's own declarations only, unless it removes a class; a cold build
+   of this model checks that both closures add the same placeholders in
+   the same order. *)
+let reference_model h ops =
+  let r = Hierarchy.copy h in
+  List.iter
+    (function
+      | Delta.Add_class d -> Hierarchy.add r d
+      | Delta.Remove_class q -> Hierarchy.remove r q
+      | Delta.Replace_class d -> Hierarchy.replace r d)
+    ops;
+  Hierarchy.ensure_closed r;
+  r
 
 (* Bit-for-bit reach equality: the node -> component map, and the closure
    bit of every (src, target) pair, which is bit [target] of src's
@@ -145,7 +175,7 @@ let prop_patched_equals_cold =
             (String.concat "; "
                (List.map (fun (e : Delta.error) -> e.Delta.reason) errs))
       | Ok patch ->
-          Delta.frozen_equal patch.Delta.p_frozen (freeze_cold patch.Delta.p_hierarchy)
+          Delta.frozen_equal patch.Delta.p_frozen (freeze_cold (reference_model h ops))
           && Graph.frozen_generation patch.Delta.p_frozen
              > Graph.frozen_generation frozen
           && roundtrips patch.Delta.p_hierarchy
@@ -203,8 +233,128 @@ let pick_join rng h frozen old =
   in
   go 10_000
 
-(* Random op sequences on the small Apigen worlds, and one method-addition
-   join (above) on a many-component world. *)
+(* The edit perfbench's reload-10k sends most: a class [c] gains a method
+   that takes one reference parameter and returns a sink type [t]. Such
+   edits accumulate, each adding a path into [t] from another class, so the
+   base world carries earlier ones that widen [t]'s upstream cone towards
+   half the nodes, and the delta is the next one, from a class that cannot
+   reach [t] yet. Its edges c -> t and p -> t change the closures upstream
+   of [c] and [p]; [t]'s wide cone is untouched. *)
+let rec pick_sink ?(targets = 50) rng h frozen old =
+  let decls = Array.of_list (real_decls h) in
+  let draw () = decls.(Rng.int rng (Array.length decls)) in
+  let node (d : Decl.t) =
+    Option.get (Graph.frozen_find_type_node frozen (Jtype.Ref d.Decl.dname))
+  in
+  let n = frozen.Graph.f_nodes in
+  let target = draw () in
+  let t = node target in
+  let sink_meth k =
+    Member.meth (Printf.sprintf "zzSink%d" k)
+      ~params:[ ("arg0", Jtype.Ref (draw ()).Decl.dname) ]
+      ~ret:(Jtype.Ref target.Decl.dname)
+  in
+  let cone = Array.init n (fun x -> Reach.mem old ~src:x ~target:t) in
+  let size = ref (Array.fold_left (fun a b -> if b then a + 1 else a) 0 cone) in
+  let base = Hierarchy.copy h in
+  let widening = ref 0 in
+  for _ = 1 to 1_000 do
+    let c = draw () in
+    if !size < n / 2 && not cone.(node c) then begin
+      Hierarchy.replace base (with_method (Hierarchy.find base c.Decl.dname) (sink_meth !widening));
+      incr widening;
+      for x = 0 to n - 1 do
+        if (not cone.(x)) && Reach.mem old ~src:x ~target:(node c) then begin
+          cone.(x) <- true;
+          incr size
+        end
+      done
+    end
+  done;
+  let widened = freeze_cold base in
+  let widened_reach = Reach.build_frozen widened in
+  let rec host tries =
+    if tries = 0 then None
+    else
+      let c = draw () in
+      if Reach.mem widened_reach ~src:(node c) ~target:t then host (tries - 1)
+      else
+        let c = Hierarchy.find base c.Decl.dname in
+        Some
+          ( base,
+            widened,
+            widened_reach,
+            [ Delta.Replace_class (with_method c (sink_meth !widening)) ] )
+  in
+  (* the parameters' own cones join [t]'s too, so a sink can end up
+     reached from every class; draw another *)
+  match host 1_000 with
+  | None when targets > 1 -> pick_sink ~targets:(targets - 1) rng h frozen old
+  | found -> found
+
+(* Removals: the base world carries a method [c.zzJoin() : t] for a type
+   [t] that [c] cannot otherwise reach, and the delta drops it again. Without
+   [split] nothing leads from [t] back to [c], so the removal cuts the only
+   path from [c]'s component, and from everything upstream of it, to [t]:
+   their closures shrink though no member reaches [t] after the delta. With
+   [split], [t] reaches [c], so the method closed a cycle and its removal
+   splits a strongly connected component. *)
+let pick_removal ~split rng h frozen old =
+  let decls = Array.of_list (real_decls h) in
+  let draw () = decls.(Rng.int rng (Array.length decls)) in
+  let node (d : Decl.t) = Graph.frozen_find_type_node frozen (Jtype.Ref d.Decl.dname) in
+  let rec go tries =
+    if tries = 0 then None
+    else
+      let d = draw () and target = draw () in
+      match (node d, node target) with
+      | Some c, Some t
+        when (not (Reach.mem old ~src:c ~target:t))
+             && Reach.mem old ~src:t ~target:c = split ->
+          Some (d, target)
+      | _ -> go (tries - 1)
+  in
+  go 100_000
+
+let scc_key_gen =
+  QCheck2.Gen.(
+    pair
+      (oneofl
+         [ `Layered 100; `Layered 200; `Layered 300; `Layered 400; `Mega 2_000; `Mega 10_000 ])
+      (int_range 1 1_000_000))
+
+(* A reach case on a many-component world: the world, its snapshot and
+   index, and a one-op delta. *)
+let scc_case kind (key, seed) =
+  let h, g = scc_world key in
+  let frozen = Graph.freeze g in
+  let old = Reach.build_frozen frozen in
+  let rng = Rng.create ~seed in
+  let none what = failwith ("no " ^ what ^ " in this world") in
+  match kind with
+  | `Join -> (
+      match pick_join rng h frozen old with
+      | None -> none "class with an unreachable type upstream"
+      | Some (d, target) ->
+          let m = Member.meth "zzJoin" ~params:[] ~ret:(Jtype.Ref target.Decl.dname) in
+          (h, frozen, old, [ Delta.Replace_class (with_method d m) ]))
+  | `Sink -> (
+      match pick_sink rng h frozen old with
+      | None -> none "class that cannot reach the sink"
+      | Some case -> case)
+  | `Remove split -> (
+      match pick_removal ~split rng h frozen old with
+      | None -> none "join to remove"
+      | Some (d, target) ->
+          let m = Member.meth "zzJoin" ~params:[] ~ret:(Jtype.Ref target.Decl.dname) in
+          let joined = Hierarchy.copy h in
+          Hierarchy.replace joined (with_method d m);
+          let frozen = freeze_cold joined in
+          (joined, frozen, Reach.build_frozen frozen, [ Delta.Replace_class d ]))
+
+(* Random op sequences on the small Apigen worlds, and on a many-component
+   world one method-addition join, one sink edit and one removal of each
+   kind (above). *)
 let reach_case_gen =
   QCheck2.Gen.(
     oneof
@@ -218,33 +368,20 @@ let reach_case_gen =
               Reach.build_frozen frozen,
               build_ops (Rng.create ~seed:(seed lxor 0xcafe)) h nops ))
           world_gen;
-        map
-          (fun (key, seed) ->
-            let h, g = scc_world key in
-            let frozen = Graph.freeze g in
-            let old = Reach.build_frozen frozen in
-            match pick_join (Rng.create ~seed) h frozen old with
-            | None -> failwith "no class with an unreachable type upstream"
-            | Some (d, target) ->
-                let m = Member.meth "zzJoin" ~params:[] ~ret:(Jtype.Ref target.Decl.dname) in
-                (h, frozen, old, [ Delta.Replace_class (with_method d m) ]))
-          (pair
-             (oneofl
-                [
-                  `Layered 100; `Layered 200; `Layered 300; `Layered 400; `Mega 2_000;
-                  `Mega 10_000;
-                ])
-             (int_range 1 1_000_000));
+        map (scc_case `Join) scc_key_gen;
+        map (scc_case `Sink) scc_key_gen;
+        map (scc_case (`Remove false)) scc_key_gen;
+        map (scc_case (`Remove true)) scc_key_gen;
       ])
 
 let prop_reach_patch_identity =
   QCheck2.Test.make ~name:"Reach.patch = Reach.build_frozen on the patched snapshot"
-    ~count:60 reach_case_gen (fun (h, frozen, old, ops) ->
+    ~count:100 reach_case_gen (fun (h, frozen, old, ops) ->
       match Delta.apply ~hierarchy:h ~frozen ops with
       | Error _ -> false
       | Ok patch ->
           let patched =
-            Reach.patch ~old ~touched:patch.Delta.p_touched patch.Delta.p_frozen
+            Reach.patch ~old ~sources:patch.Delta.p_sources patch.Delta.p_frozen
           in
           reach_equal patched (Reach.build_frozen patch.Delta.p_frozen))
 

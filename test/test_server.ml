@@ -114,7 +114,7 @@ let gen_request =
          return (Proto.Refine_start { tin; tout; vars; overrides }));
         (let* tin = gen_type and* tout = gen_type in
          return (Proto.Lint { tin; tout }));
-        (let* japi = opt gen_string and* remove = list_size (int_range 0 3) gen_string in
+        (let* japi = opt gen_string and* remove = list_size (int_range 0 3) gen_type in
          (* the decoder needs at least one of the two *)
          let japi = if japi = None && remove = [] then Some "" else japi in
          return (Proto.Reload { japi; remove }));
@@ -372,7 +372,7 @@ let test_service_errors () =
   | Some (Proto.Str "ok") -> ()
   | _ -> Alcotest.fail "health status"
 
-(* A blank type name is the requester's mistake on each of the five ops
+(* A blank type name is the requester's mistake on each of the six ops
    that take one, in every type-name field: a bad_request that names the
    field, never an internal error. A reload that carries a corpus is
    rejected the same way, whatever else it carries. *)
@@ -398,12 +398,32 @@ let test_blank_type_names () =
       ("tin", {|{"op": "refine_start", "tin": "", "tout": "java.io.File"}|});
       ("tout", {|{"op": "refine_start", "tout": "", "vars": [{"name": "x", "type": "java.io.File"}]}|});
       ("type", {|{"op": "refine_start", "tout": "java.io.File", "vars": [{"name": "x", "type": "  "}]}|});
+      ("remove", {|{"op": "reload", "remove": [""]}|});
+      ("remove", {|{"op": "reload", "japi": "package p; class K { }", "remove": ["java.io.File", " "]}|});
       ("corpus", {|{"op": "reload", "corpus": "package c; class K { }"}|});
       ("corpus", {|{"op": "reload", "japi": "package p; class K { }", "corpus": "package c; class K { }"}|});
     ];
   let stats = Service.handle_line svc {|{"op": "stats"}|} in
   Alcotest.(check bool) ("no reload applied: " ^ stats) false
     (Util.contains ~sub:"reloads_applied" stats)
+
+(* A [.japi] lexer error travels inside the reload reply's JSON message,
+   so the reply must be valid UTF-8 whatever bytes the delta held: a
+   non-ASCII character is quoted whole, a stray byte as \xNN. *)
+let test_reload_lexer_errors_utf8 () =
+  let svc = fresh_service () in
+  List.iter
+    (fun (japi, shown) ->
+      let reply =
+        Service.handle_line svc
+          (Proto.to_string (Proto.Obj [ ("op", Proto.Str "reload"); ("japi", Proto.Str japi) ]))
+      in
+      expect_error_code reply "bad_request";
+      Alcotest.(check bool) ("valid UTF-8: " ^ String.escaped reply) true
+        (String.is_valid_utf_8 reply);
+      Alcotest.(check bool) ("quotes the character: " ^ reply) true
+        (Util.contains ~sub:(Printf.sprintf "unexpected character '%s'" shown) reply))
+    [ ("package p; class Caf\xc3\xa9 { }", "\xc3\xa9"); ("package p; class A\xff { }", "\\\\xff") ]
 
 let test_deadline_timeout () =
   (* deadline 0: every engine-touching request exceeds it deterministically *)
@@ -753,6 +773,8 @@ let () =
         [
           Alcotest.test_case "error replies" `Quick test_service_errors;
           Alcotest.test_case "blank type names are bad requests" `Quick test_blank_type_names;
+          Alcotest.test_case "reload lexer errors are valid UTF-8" `Quick
+            test_reload_lexer_errors_utf8;
           Alcotest.test_case "deadline timeout" `Quick test_deadline_timeout;
           Alcotest.test_case "shutdown flag" `Quick test_shutdown_flag;
           Alcotest.test_case "reads beside reloads answer one model" `Quick
