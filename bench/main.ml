@@ -1482,11 +1482,10 @@ let section_rank () =
 (* Mined typestate protocols                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Mining cost, lint throughput over the bundled corpus, the overhead a
-   protocol-checked query pays at [Warn], and two gates: every Table 1
-   solution must vet clean against the bundled model (protocol checking
-   must never flag the paper's own answers), and BestFirst must stay
-   byte-identical to Exhaustive under [Warn] and [Filter]. *)
+(* Mining cost, lint throughput over the bundled corpus, and one gate:
+   every solution of the Table 1 and extended problems (each row under its
+   own settings) must vet clean against the bundled model. The mined call
+   order must never flag the answers the evaluation holds correct. *)
 let section_proto () =
   rule "Mined typestate protocols";
   let prog = Apidata.Api.program () in
@@ -1527,66 +1526,29 @@ let section_proto () =
      on the corpus itself)\n"
     (List.length seqs) lint_passes lint_t seqs_per_s
     (List.length findings);
-  (* -- query overhead at Warn, and the equivalence gates ------------- *)
-  let protocol_check j = Analysis.Protolint.violations model j in
-  let passes = 5 in
+  (* -- evaluation solutions must vet clean -------------------------- *)
   let frozen = Query.freeze graph in
-  let run_all ~protocol ~strategy () =
+  let queries =
     List.map
-      (fun (p : Problems.t) ->
-        Query.run
-          ~settings:{ Query.default_settings with protocol; strategy }
-          ~protocol_check ~frozen ~hierarchy
-          (Query.query p.Problems.tin p.Problems.tout))
+      (fun (p : Problems.t) -> (Query.default_settings, p.Problems.tin, p.Problems.tout))
       Problems.all
+    @ List.map
+        (fun (p : Apidata.Extended.t) ->
+          (p.Apidata.Extended.settings, p.Apidata.Extended.tin, p.Apidata.Extended.tout))
+        Apidata.Extended.all
   in
-  let timed ~protocol ~strategy =
-    let t, r =
-      time_of (fun () ->
-          let last = ref [] in
-          for _ = 1 to passes do
-            last := run_all ~protocol ~strategy ()
-          done;
-          !last)
-    in
-    (t /. float_of_int passes, r)
-  in
-  let off_t, off = timed ~protocol:Query.Off ~strategy:Query.BestFirst in
-  let warn_t, warn = timed ~protocol:Query.Warn ~strategy:Query.BestFirst in
-  let overhead = (warn_t -. off_t) /. off_t *. 100.0 in
-  Printf.printf
-    "Table 1 workload: off %.4f s   warn %.4f s   overhead %+.1f%%\n" off_t
-    warn_t overhead;
-  let results_equal a b =
-    List.length a = List.length b
-    && List.for_all2
-         (fun (x : Query.result) (y : Query.result) ->
-           Prospector.Jungloid.equal x.Query.jungloid y.Query.jungloid
-           && x.Query.code = y.Query.code)
-         a b
-  in
-  let identical = ref true in
-  List.iter
-    (fun protocol ->
-      let _, ex = timed ~protocol ~strategy:Query.Exhaustive in
-      let _, bf = timed ~protocol ~strategy:Query.BestFirst in
-      if not (List.for_all2 results_equal ex bf) then identical := false)
-    [ Query.Warn; Query.Filter ];
-  Printf.printf "best-first = exhaustive under warn and filter: %b\n" !identical;
-  (* warn must not perturb the result set either *)
-  if not (List.for_all2 results_equal off warn) then identical := false;
-  (* -- Table 1 solutions must vet clean ----------------------------- *)
-  let flagged =
+  let chains =
     List.concat_map
-      (fun rs ->
-        List.concat_map
-          (fun (r : Query.result) ->
-            Analysis.Protolint.vet model r.Query.jungloid)
-          rs)
-      off
+      (fun (settings, tin, tout) ->
+        List.map
+          (fun (r : Query.result) -> r.Query.jungloid)
+          (Query.run ~settings ~frozen ~hierarchy (Query.query tin tout)))
+      queries
   in
-  Printf.printf "protocol findings on Table 1 solutions: %d\n"
-    (List.length flagged);
+  let flagged = List.concat_map (Analysis.Protolint.vet model) chains in
+  Printf.printf
+    "protocol findings on %d solutions of %d Table 1 and extended queries: %d\n"
+    (List.length chains) (List.length queries) (List.length flagged);
   let json =
     Printf.sprintf
       "{\n\
@@ -1596,11 +1558,9 @@ let section_proto () =
       \  \"transitions\": %d,\n\
       \  \"lint_sequences_per_s\": %.1f,\n\
       \  \"corpus_findings\": %d,\n\
-      \  \"query_off_s\": %.6f,\n\
-      \  \"query_warn_s\": %.6f,\n\
-      \  \"warn_overhead_pct\": %.2f,\n\
-      \  \"table1_flagged\": %d,\n\
-      \  \"identical\": %b\n\
+      \  \"vetted_queries\": %d,\n\
+      \  \"vetted_chains\": %d,\n\
+      \  \"flagged\": %d\n\
        }\n"
       mine_t
       (List.length (Analysis.Protocol.modeled_types model))
@@ -1608,9 +1568,7 @@ let section_proto () =
       (Analysis.Protocol.transition_count model)
       seqs_per_s
       (List.length findings)
-      off_t warn_t overhead
-      (List.length flagged)
-      !identical
+      (List.length queries) (List.length chains) (List.length flagged)
   in
   write_bench ~model_methods:(hier_methods hierarchy) "BENCH_proto.json" json;
   if flagged <> [] then begin
@@ -1618,13 +1576,7 @@ let section_proto () =
       (fun d -> prerr_endline (Analysis.Diagnostic.to_string d))
       flagged;
     prerr_endline
-      "error: the mined protocol model flagged a Table 1 solution";
-    exit 1
-  end;
-  if not !identical then begin
-    prerr_endline
-      "error: best-first results diverged from the exhaustive oracle under \
-       protocol checking";
+      "error: the mined protocol model flagged a Table 1 or extended solution";
     exit 1
   end
 

@@ -168,7 +168,7 @@ let strategy_arg =
               $(b,exhaustive) (enumerate every within-budget path, the \
               equivalence oracle). Output is byte-identical either way.")
 
-(* A --strategy, --ranking or --protocol spelling, validated like --jobs:
+(* A --strategy or --ranking spelling, validated like --jobs:
    a friendly one-line error and exit 1. *)
 let parse_spelling of_string = function
   | None -> None
@@ -208,19 +208,7 @@ let ranking_arg =
               $(b,paper) with a warning when no corpus was mined). The \
               candidate set is identical either way — only the order changes.")
 
-let protocol_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "protocol" ] ~docv:"MODE"
-        ~doc:"Mined-typestate checking of synthesized jungloids: $(b,off) \
-              (the default), $(b,warn) (results unchanged; call-order \
-              violations against the mined automata are reported as \
-              warnings) or $(b,filter) (violating jungloids are dropped \
-              from the results). Falls back to $(b,off) with a warning when \
-              no corpus was mined.")
-
-let settings ~max_results ~slack ~strategy ~ranking ~protocol =
+let settings ~max_results ~slack ~strategy ~ranking =
   (match Prospector.Query.check_limits ~max_results ~slack with
   | Ok () -> ()
   | Error msg ->
@@ -239,10 +227,6 @@ let settings ~max_results ~slack ~strategy ~ranking ~protocol =
       Option.value
         (parse_spelling Prospector.Query.ranking_of_string ranking)
         ~default:base.Prospector.Query.ranking;
-    protocol =
-      Option.value
-        (parse_spelling Prospector.Query.protocol_of_string protocol)
-        ~default:base.Prospector.Query.protocol;
   }
 
 (* The usage model as the [?edge_cost] the query layer consumes; [None]
@@ -257,11 +241,10 @@ let edge_cost_of env = Option.map Mining.Usage.edge_cost env.usage
 let frozen_of env =
   Prospector.Query.freeze ?edge_cost:(edge_cost_of env) env.graph
 
-(* The mined typestate model as the [?protocol_check] the query layer
-   consumes; [None] makes [Warn]/[Filter] requests fall back to [Off] with
-   the same logged-warning discipline as [Mined] ranking. *)
-let protocol_check_of env =
-  Option.map (fun m j -> Analysis.Protolint.violations m j) env.proto
+(* The mined typestate model as the J010–J012 vetting pass that the query
+   lint (here and in the daemon's lint op) runs on each result; [None] when
+   no corpus was mined. *)
+let vet_of env = Option.map Analysis.Protolint.vet env.proto
 
 let handle_errors f =
   try f () with
@@ -292,7 +275,7 @@ let query_cmd =
                 representative per group.")
   in
   let run api corpus no_mining protected_ max_results slack strategy ranking
-      protocol cluster verbose tin tout =
+      cluster verbose tin tout =
     setup_logs verbose;
     check_type_arg "TIN" tin;
     check_type_arg "TOUT" tout;
@@ -301,11 +284,10 @@ let query_cmd =
           load_env ~api ~corpus ~mining:(not no_mining) ~protected_ ()
         in
         let q = Prospector.Query.query tin tout in
-        let st = settings ~max_results ~slack ~strategy ~ranking ~protocol in
+        let st = settings ~max_results ~slack ~strategy ~ranking in
         let results, info =
           Prospector.Query.run_info ~settings:st ~frozen:(frozen_of env)
-            ?edge_cost:(edge_cost_of env)
-            ?protocol_check:(protocol_check_of env) ~hierarchy:env.hierarchy q
+            ?edge_cost:(edge_cost_of env) ~hierarchy:env.hierarchy q
         in
         if info.Prospector.Query.truncated then
           Printf.eprintf
@@ -326,8 +308,8 @@ let query_cmd =
     (Cmd.info "query" ~doc:"Synthesize jungloids for a (tin, tout) query.")
     Term.(
       const run $ api_files $ corpus_files $ no_mining $ protected_flag
-      $ max_results $ slack $ strategy_arg $ ranking_arg $ protocol_arg
-      $ cluster_flag $ verbose_flag $ tin $ tout)
+      $ max_results $ slack $ strategy_arg $ ranking_arg $ cluster_flag
+      $ verbose_flag $ tin $ tout)
 
 (* ---------- assist ---------- *)
 
@@ -341,7 +323,7 @@ let assist_cmd =
                 (repeatable).")
   in
   let run api corpus no_mining protected_ max_results slack strategy ranking
-      protocol vars tout =
+      vars tout =
     check_type_arg "TOUT" tout;
     handle_errors (fun () ->
         let env = load_env ~api ~corpus ~mining:(not no_mining) ~protected_ () in
@@ -353,9 +335,9 @@ let assist_cmd =
         in
         let suggestions =
           Prospector.Assist.suggest
-            ~settings:(settings ~max_results ~slack ~strategy ~ranking ~protocol)
+            ~settings:(settings ~max_results ~slack ~strategy ~ranking)
             ~frozen:(frozen_of env) ?edge_cost:(edge_cost_of env)
-            ?protocol_check:(protocol_check_of env) ~hierarchy:env.hierarchy ctx
+            ~hierarchy:env.hierarchy ctx
         in
         if suggestions = [] then print_endline "no suggestions"
         else
@@ -371,8 +353,7 @@ let assist_cmd =
     (Cmd.info "assist" ~doc:"Content assist: suggestions for an expected type.")
     Term.(
       const run $ api_files $ corpus_files $ no_mining $ protected_flag
-      $ max_results $ slack $ strategy_arg $ ranking_arg $ protocol_arg $ vars
-      $ tout)
+      $ max_results $ slack $ strategy_arg $ ranking_arg $ vars $ tout)
 
 (* ---------- refine ---------- *)
 
@@ -452,11 +433,11 @@ let refine_cmd =
                 stdin.")
   in
   let run api corpus no_mining protected_ max_results slack strategy ranking
-      protocol verbose vars auto argv =
+      verbose vars auto argv =
     setup_logs verbose;
     handle_errors (fun () ->
         let env = load_env ~api ~corpus ~mining:(not no_mining) ~protected_ () in
-        let st = settings ~max_results ~slack ~strategy ~ranking ~protocol in
+        let st = settings ~max_results ~slack ~strategy ~ranking in
         let candidates =
           match (argv, vars) with
           | [ tin; tout ], [] ->
@@ -464,8 +445,7 @@ let refine_cmd =
               check_type_arg "TOUT" tout;
               let q = Prospector.Query.query tin tout in
               Prospector.Query.run ~settings:st ~frozen:(frozen_of env)
-                ?edge_cost:(edge_cost_of env)
-                ?protocol_check:(protocol_check_of env) ~hierarchy:env.hierarchy q
+                ?edge_cost:(edge_cost_of env) ~hierarchy:env.hierarchy q
               |> List.map (fun result -> { Esession.source = None; result })
           | [ tout ], _ :: _ ->
               check_type_arg "TOUT" tout;
@@ -476,8 +456,7 @@ let refine_cmd =
                 }
               in
               Prospector.Assist.suggest ~settings:st ~frozen:(frozen_of env)
-                ?edge_cost:(edge_cost_of env)
-                ?protocol_check:(protocol_check_of env) ~hierarchy:env.hierarchy ctx
+                ?edge_cost:(edge_cost_of env) ~hierarchy:env.hierarchy ctx
               |> List.map (fun (s : Prospector.Assist.suggestion) ->
                      {
                        Esession.source = s.Prospector.Assist.uses_var;
@@ -542,8 +521,8 @@ let refine_cmd =
              Questions\" probes on concrete inputs.")
     Term.(
       const run $ api_files $ corpus_files $ no_mining $ protected_flag
-      $ max_results $ slack $ strategy_arg $ ranking_arg $ protocol_arg
-      $ verbose_flag $ vars $ auto_flag $ argv)
+      $ max_results $ slack $ strategy_arg $ ranking_arg $ verbose_flag $ vars
+      $ auto_flag $ argv)
 
 (* ---------- batch ---------- *)
 
@@ -604,7 +583,7 @@ let batch_cmd =
           ~doc:"Print hit/miss/eviction counters after the batch.")
   in
   let run api corpus no_mining protected_ max_results slack strategy ranking
-      protocol verbose file repeat no_cache cache_capacity stats_flag jobs =
+      verbose file repeat no_cache cache_capacity stats_flag jobs =
     setup_logs verbose;
     check_at_least "repeat" 1 repeat;
     check_at_least "cache-capacity" 1 cache_capacity;
@@ -614,14 +593,11 @@ let batch_cmd =
           load_env ~pool ~api ~corpus ~mining:(not no_mining) ~protected_ ()
         in
         let qs = parse_query_file file in
-        let settings =
-          settings ~max_results ~slack ~strategy ~ranking ~protocol
-        in
+        let settings = settings ~max_results ~slack ~strategy ~ranking in
         let edge_cost = edge_cost_of env in
-        let protocol_check = protocol_check_of env in
         let engine =
           Prospector.Query.engine ~cache_capacity ~pool ?edge_cost
-            ?protocol_check ~graph:env.graph ~hierarchy:env.hierarchy ()
+            ~graph:env.graph ~hierarchy:env.hierarchy ()
         in
         let run_pass () =
           if no_cache then
@@ -633,7 +609,7 @@ let batch_cmd =
               (fun q ->
                 ( q,
                   Prospector.Query.run ~settings ~frozen ?edge_cost
-                    ?protocol_check ~hierarchy:env.hierarchy q ))
+                    ~hierarchy:env.hierarchy q ))
               qs
           else Prospector.Query.run_batch ~settings engine qs
         in
@@ -659,8 +635,8 @@ let batch_cmd =
              which rejects unsolvable queries with its reachability index.")
     Term.(
       const run $ api_files $ corpus_files $ no_mining $ protected_flag $ max_results
-      $ slack $ strategy_arg $ ranking_arg $ protocol_arg $ verbose_flag $ file
-      $ repeat $ no_cache $ cache_capacity $ stats_flag $ jobs_arg)
+      $ slack $ strategy_arg $ ranking_arg $ verbose_flag $ file $ repeat
+      $ no_cache $ cache_capacity $ stats_flag $ jobs_arg)
 
 (* ---------- mine ---------- *)
 
@@ -789,7 +765,7 @@ let infer_cmd =
          ~doc:"Mini-Java source files containing ? holes.")
   in
   let run api corpus no_mining protected_ max_results slack strategy ranking
-      protocol files =
+      files =
     handle_errors (fun () ->
         let env = load_env ~api ~corpus ~mining:(not no_mining) ~protected_ () in
         let sources = List.map (fun f -> (f, read_file f)) files in
@@ -798,9 +774,8 @@ let infer_cmd =
         else
           (* One snapshot and reach index for the whole buffer. *)
           Prospector_ide.Infer.suggest_all
-            ~settings:(settings ~max_results ~slack ~strategy ~ranking ~protocol)
-            ?edge_cost:(edge_cost_of env)
-            ?protocol_check:(protocol_check_of env) ~graph:env.graph
+            ~settings:(settings ~max_results ~slack ~strategy ~ranking)
+            ?edge_cost:(edge_cost_of env) ~graph:env.graph
             ~hierarchy:env.hierarchy holes
           |> List.iter (fun ((h : Prospector_ide.Infer.hole), suggestions) ->
                  Printf.printf "hole in %s.%s, expecting %s (in scope: %s)\n"
@@ -821,7 +796,7 @@ let infer_cmd =
        ~doc:"Infer queries from ? holes in mini-Java source and suggest code.")
     Term.(
       const run $ api_files $ corpus_files $ no_mining $ protected_flag
-      $ max_results $ slack $ strategy_arg $ ranking_arg $ protocol_arg $ files)
+      $ max_results $ slack $ strategy_arg $ ranking_arg $ files)
 
 (* ---------- lint ---------- *)
 
@@ -864,8 +839,10 @@ let lint_cmd =
       value & opt_all string []
       & info [ "query"; "q" ] ~docv:"TIN,TOUT"
           ~doc:"Verify this query's solutions (repeatable): every ranked \
-                jungloid is re-typechecked against the hierarchy and its \
-                generated code is re-parsed and linted.")
+                jungloid is re-typechecked against the hierarchy, its \
+                generated code is re-parsed and linted, and, when a corpus \
+                was mined, its calls are vetted against the mined call \
+                order (J010-J012), as the daemon's $(b,lint) op does.")
   in
   let json_flag =
     Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON report.")
@@ -876,7 +853,7 @@ let lint_cmd =
       & info [ "strict" ] ~doc:"Exit nonzero on warnings, not just errors.")
   in
   let run api corpus no_mining protected_ max_results slack strategy ranking
-      protocol verbose passes queries json strict =
+      verbose passes queries json strict =
     setup_logs verbose;
     let passes =
       match passes with
@@ -934,21 +911,18 @@ let lint_cmd =
                   Analysis.Protolint.check model
                     (Mining.Protomine.sequences (Mining.Dataflow.build prog)))
           | `Query ->
-              let frozen = frozen_of env in
+              (* The daemon's lint op reports the same findings. *)
+              let frozen = frozen_of env and vet = vet_of env in
               List.concat_map
                 (fun spec ->
                   let tin, tout = parse_query_spec spec in
                   let q = Prospector.Query.query tin tout in
                   Prospector.Query.run
-                    ~settings:
-                      (settings ~max_results ~slack ~strategy ~ranking ~protocol)
-                    ~frozen ?edge_cost:(edge_cost_of env)
-                    ?protocol_check:(protocol_check_of env)
-                    ~hierarchy:env.hierarchy q
+                    ~settings:(settings ~max_results ~slack ~strategy ~ranking)
+                    ~frozen ?edge_cost:(edge_cost_of env) ~hierarchy:env.hierarchy q
                   |> List.concat_map (fun (r : Prospector.Query.result) ->
-                         let j = r.Prospector.Query.jungloid in
-                         Analysis.Verify.check env.hierarchy j
-                         @ Analysis.Gencheck.check env.hierarchy j))
+                         Analysis.Verify.findings ?vet env.hierarchy
+                           r.Prospector.Query.jungloid))
                 queries
         in
         let ds =
@@ -974,8 +948,8 @@ let lint_cmd =
              verification, with a shared diagnostic report.")
     Term.(
       const run $ api_files $ corpus_files $ no_mining $ protected_flag
-      $ max_results $ slack $ strategy_arg $ ranking_arg $ protocol_arg
-      $ verbose_flag $ passes $ queries $ json_flag $ strict_flag)
+      $ max_results $ slack $ strategy_arg $ ranking_arg $ verbose_flag
+      $ passes $ queries $ json_flag $ strict_flag)
 
 (* ---------- serve ---------- *)
 
@@ -1063,7 +1037,7 @@ let serve_cmd =
                 requests.")
   in
   let run api corpus no_mining protected_ max_results slack strategy ranking
-      protocol verbose host port port_file workers max_request_bytes
+      verbose host port port_file workers max_request_bytes
       max_connections deadline stdio cache_capacity session_ttl watch jobs =
     setup_logs verbose;
     check_at_least "cache-capacity" 1 cache_capacity;
@@ -1083,8 +1057,7 @@ let serve_cmd =
         Printf.eprintf "graph: built in %.3f s\n%!" (Unix.gettimeofday () -. t0);
         let engine =
           Prospector.Query.engine ~pool ?edge_cost:(edge_cost_of env)
-            ?protocol_check:(protocol_check_of env) ~graph:env.graph
-            ~hierarchy:env.hierarchy ()
+            ~graph:env.graph ~hierarchy:env.hierarchy ()
         in
         (* ---- live reload (DESIGN §9) ----
            A structural reload of a mining server rebuilds the way startup
@@ -1114,10 +1087,9 @@ let serve_cmd =
         in
         let service =
           Service.create
-            ~settings:(settings ~max_results ~slack ~strategy ~ranking ~protocol)
-            ~cache_capacity ?vet:
-              (Option.map (fun m j -> Analysis.Protolint.vet m j) env.proto)
-            ~graph_config:config ?rebuild ?deadline_s:deadline
+            ~settings:(settings ~max_results ~slack ~strategy ~ranking)
+            ~cache_capacity ?vet:(vet_of env) ~graph_config:config ?rebuild
+            ?deadline_s:deadline
             ?session_ttl_s:session_ttl ~engine ()
         in
         (* --watch: a polling thread that feeds the file through the same
@@ -1221,8 +1193,8 @@ let serve_cmd =
        ~doc:"Run the long-lived query daemon (newline-delimited JSON over TCP).")
     Term.(
       const run $ api_files $ corpus_files $ no_mining $ protected_flag
-      $ max_results $ slack $ strategy_arg $ ranking_arg $ protocol_arg
-      $ verbose_flag $ host $ port $ port_file $ workers $ max_request_bytes
+      $ max_results $ slack $ strategy_arg $ ranking_arg $ verbose_flag
+      $ host $ port $ port_file $ workers $ max_request_bytes
       $ max_connections $ deadline $ stdio $ cache_capacity $ session_ttl
       $ watch $ jobs_arg)
 
@@ -1455,8 +1427,8 @@ let client_cmd =
                 SESSION), $(b,reload FILE.japi) (with $(b,--remove)), \
                 $(b,stats), $(b,health), $(b,shutdown), $(b,raw LINE).")
   in
-  let run max_results slack strategy ranking protocol host port port_file
-      json_flag vars remove argv =
+  let run max_results slack strategy ranking host port port_file json_flag
+      vars remove argv =
     let port =
       match port_file with
       | None -> port
@@ -1475,7 +1447,6 @@ let client_cmd =
         slack = Some slack;
         strategy = parse_spelling Prospector.Query.strategy_of_string strategy;
         ranking = parse_spelling Prospector.Query.ranking_of_string ranking;
-        protocol = parse_spelling Prospector.Query.protocol_of_string protocol;
       }
     in
     let line =
@@ -1592,8 +1563,8 @@ let client_cmd =
     (Cmd.info "client"
        ~doc:"Send one request to a running prospector daemon and print the reply.")
     Term.(
-      const run $ max_results $ slack $ strategy_arg $ ranking_arg $ protocol_arg
-      $ host $ port $ port_file $ json_flag $ vars $ remove_args $ argv)
+      const run $ max_results $ slack $ strategy_arg $ ranking_arg $ host $ port
+      $ port_file $ json_flag $ vars $ remove_args $ argv)
 
 (* ---------- table1 ---------- *)
 

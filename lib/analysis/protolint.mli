@@ -17,8 +17,9 @@
       object whose first call is start-deviant ([P003] specialized to the
       paper's mined-downcast pattern, reported instead of [P003]).
 
-    Jungloid vetting ([vet], codes J01x) — over a chain about to be shown
-    to the user. Only objects the chain itself produces are checked (the
+    Jungloid vetting ([vet], codes J01x) — over a chain a query answered,
+    as the query lint ({!Verify.findings}) runs it; the query itself never
+    vets. Only objects the chain itself produces are checked (the
     query input's provenance is unknown, and the final output's life
     continues in user code):
     - [J010] (warning) the single call the chain makes on a synthesized
@@ -38,5 +39,4 @@ val vet : Protocol.model -> Jungloid.t -> Diagnostic.t list
 (** Subjects are chain steps in [Verify]'s ["step i (elem)"] style. *)
 
 val violations : Protocol.model -> Jungloid.t -> string list
-(** {!vet} rendered one line per finding — the shape [Query.run]'s
-    [?protocol_check] closure wants. Empty means the chain is clean. *)
+(** {!vet} rendered one line per finding; empty means the chain is clean. *)

@@ -204,3 +204,5 @@ let check h (j : Jungloid.t) =
   List.sort Diagnostic.compare !diags
 
 let sound h j = Diagnostic.errors (check h j) = []
+
+let findings ?(vet = fun _ -> []) h j = check h j @ Gencheck.check h j @ vet j

@@ -23,3 +23,14 @@ val check : Javamodel.Hierarchy.t -> Prospector.Jungloid.t -> Diagnostic.t list
 
 val sound : Javamodel.Hierarchy.t -> Prospector.Jungloid.t -> bool
 (** No error-severity finding (warnings and infos are allowed). *)
+
+val findings :
+  ?vet:(Prospector.Jungloid.t -> Diagnostic.t list) ->
+  Javamodel.Hierarchy.t ->
+  Prospector.Jungloid.t ->
+  Diagnostic.t list
+(** Every finding on a chain shown to a user: {!check}'s, then
+    {!Gencheck.check}'s on its generated code, then [vet]'s — the mined
+    call-order vetting ({!Protolint.vet}, J010–J012) when a protocol model
+    is loaded. The daemon's lint op and [lint --pass query] both report
+    this, so the two agree on every chain. *)

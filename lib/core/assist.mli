@@ -28,7 +28,6 @@ val suggest :
   frozen:Graph.frozen ->
   ?reach:Reach.t ->
   ?edge_cost:(Elem.t -> int) ->
-  ?protocol_check:(Jungloid.t -> string list) ->
   hierarchy:Hierarchy.t ->
   context ->
   suggestion list
@@ -37,6 +36,6 @@ val suggest :
     points", Section 5). Variables whose type already widens to the expected
     type are suggested first, verbatim — no jungloid needed.
 
-    [frozen]/[?reach]/[?edge_cost]/[?protocol_check] forward to
-    {!Query.run_multi}. The server's lock-free readers pass a published
-    snapshot, the IDE layer's [Infer.suggest_all] one frozen per buffer. *)
+    [frozen]/[?reach]/[?edge_cost] forward to {!Query.run_multi}. The
+    server's lock-free readers pass a published snapshot, the IDE layer's
+    [Infer.suggest_all] one frozen per buffer. *)

@@ -86,30 +86,6 @@ let ranking_of_string = function
       Error
         (Printf.sprintf "unknown ranking %S (expected \"paper\" or \"mined\")" s)
 
-(* Typestate vetting of synthesized chains against a mined protocol model
-   ([Analysis.Protolint] via [Mining.Protomine]). Like the usage model,
-   the checker itself travels separately ([?protocol_check] / the engine
-   field) so settings stay flat and structurally comparable. [Warn]
-   surfaces violations in [info.warnings] without touching the result
-   list; [Filter] drops violating chains — post-enumeration, per
-   candidate, in the consumer, never inside the search priority, so
-   BestFirst stays byte-identical to the Exhaustive oracle. *)
-type protocol =
-  | Off
-  | Warn
-  | Filter
-
-let protocol_to_string = function Off -> "off" | Warn -> "warn" | Filter -> "filter"
-
-let protocol_of_string = function
-  | "off" -> Ok Off
-  | "warn" -> Ok Warn
-  | "filter" -> Ok Filter
-  | s ->
-      Error
-        (Printf.sprintf
-           "unknown protocol %S (expected \"off\", \"warn\" or \"filter\")" s)
-
 type settings = {
   slack : int;
   limit : int;
@@ -118,7 +94,6 @@ type settings = {
   estimate_freevars : bool;
   strategy : strategy;
   ranking : ranking;
-  protocol : protocol;
 }
 
 let default_settings =
@@ -130,18 +105,16 @@ let default_settings =
     estimate_freevars = false;
     strategy = BestFirst;
     ranking = Paper;
-    protocol = Off;
   }
 
 (* A negative free-variable cost would make the best-first priority
    non-monotone (prefixes could get cheaper as they grow), voiding the
    order certificate; such ablation configurations fall back to the
    exhaustive strategy. Likewise [Mined] without a loaded usage model
-   falls back to the paper ranking, and [Warn]/[Filter] without a loaded
-   protocol checker fall back to [Off]. All fallbacks are reported in
+   falls back to the paper ranking. Both fallbacks are reported in
    [info.warnings] so callers are never silently served by a different
    configuration than they asked for. *)
-let effective_mode ~edge_cost ~protocol_check settings =
+let effective_mode ~edge_cost settings =
   let warnings = ref [] in
   let strategy =
     if settings.weights.Rank.freevar_cost < 0 && settings.strategy = BestFirst then begin
@@ -164,31 +137,8 @@ let effective_mode ~edge_cost ~protocol_check settings =
   (* Gate the cost model on the effective ranking so paper-mode callers
      that happen to hold a model rank identically to ones that do not. *)
   let edge_cost = match ranking with Mined -> edge_cost | Paper -> None in
-  let protocol =
-    match settings.protocol with
-    | (Warn | Filter) when Option.is_none protocol_check ->
-        warnings :=
-          "protocol checking requested but no protocol model is loaded; running with protocol checks off"
-          :: !warnings;
-        Off
-    | p -> p
-  in
   List.iter (fun w -> Log.warn (fun m -> m "%s" w)) (List.rev !warnings);
-  (strategy, edge_cost, protocol, List.rev !warnings)
-
-(* The consumer's [keep]. In [Filter] mode a violating chain is dropped
-   in the consumer, per candidate, before truncation — never inside the
-   search priority, which is what keeps the best-first order certificate
-   valid. *)
-let protocol_keep ~protocol ~protocol_check =
-  match (protocol, protocol_check) with
-  | Filter, Some pc ->
-      fun j ->
-        let ok = pc j = [] in
-        if not ok then
-          Log.info (fun m -> m "protocol filter dropped %s" (Jungloid.to_string j));
-        ok
-  | _ -> fun _ -> true
+  (strategy, edge_cost, List.rev !warnings)
 
 (* The query-time snapshot of a builder graph; an engine keeps one. The
    void pseudo-node is interned first so every snapshot can serve the
@@ -324,12 +274,10 @@ let exhaustive_source ~scratch ~settings ~key_of fz ~sources ~target =
    run of full-key ties is regrouped by variable name (stably, so each
    variable keeps enumeration order); with one there is nothing to regroup
    and no key is compared. Then the first candidate of each (variable,
-   rendering) is offered — distinct jungloids can render identically, e.g.
-   two declarations of getFile(String) with a free receiver — and [keep]
-   (the protocol filter) runs on it, so a rejected chain frees its slot
-   for the next-ranked one. Pulling stops at
-   [settings.max_results] survivors. *)
-let consume ~settings ~inputs ~keep ~render next =
+   rendering) is kept — distinct jungloids can render identically, e.g.
+   two declarations of getFile(String) with a free receiver. Pulling stops
+   at [settings.max_results] results. *)
+let consume ~settings ~inputs ~render next =
   let out = ref [] and count = ref 0 in
   let tables = ref [] in
   let renderings var =
@@ -345,10 +293,8 @@ let consume ~settings ~inputs ~keep ~render next =
       let expr = Jungloid.to_expression c.Topk.cand_jungloid in
       if not (Hashtbl.mem seen expr) then begin
         Hashtbl.replace seen expr ();
-        if keep c.Topk.cand_jungloid then begin
-          out := render c var :: !out;
-          incr count
-        end
+        out := render c var :: !out;
+        incr count
       end
     end
   in
@@ -396,13 +342,9 @@ let consume ~settings ~inputs ~keep ~render next =
    [Search.Csr.enumerate_per_source] budgets sources. Distance lanes come
    from the domain's scratch pool, released when the frame ends (nothing
    in a result refers to them). *)
-let execute ~settings ?reach ~frozen:fz ?edge_cost ?protocol_check ~hierarchy
-    ~inputs ~tout () =
-  let strategy, edge_cost, protocol, warnings =
-    effective_mode ~edge_cost ~protocol_check settings
-  in
+let execute ~settings ?reach ~frozen:fz ?edge_cost ~hierarchy ~inputs ~tout () =
+  let strategy, edge_cost, warnings = effective_mode ~edge_cost settings in
   let scratch = Search.Scratch.domain () in
-  let keep = protocol_keep ~protocol ~protocol_check in
   let search ~target inputs =
     let dist_to = Search.Csr.distances_to ~scratch fz ~target in
     let budgets =
@@ -437,7 +379,7 @@ let execute ~settings ?reach ~frozen:fz ?edge_cost ?protocol_check ~hierarchy
           result = { jungloid = j; key = c.Topk.cand_key; code = Codegen.to_java ?input j };
         }
       in
-      let results = consume ~settings ~inputs ~keep ~render next in
+      let results = consume ~settings ~inputs ~render next in
       let candidates, truncated = report () in
       Log.debug (fun m ->
           m "query for %s: %d candidates materialized (%s)" (Jtype.to_string tout)
@@ -464,39 +406,22 @@ let execute ~settings ?reach ~frozen:fz ?edge_cost ?protocol_check ~hierarchy
         | inputs -> search ~target inputs)
   in
   let results, info = Search.Scratch.with_frame scratch body in
-  (* [Warn] never touches the result list: emitted results are vetted after
-     selection and violations ride along as warnings only, so the output
-     stays byte-identical to [Off]. *)
-  let pwarnings =
-    match (protocol, protocol_check) with
-    | Warn, Some pc ->
-        List.concat_map
-          (fun mr ->
-            List.map
-              (Printf.sprintf "protocol: %s: %s"
-                 (Jungloid.to_expression mr.result.jungloid))
-              (pc mr.result.jungloid))
-          results
-    | _ -> []
-  in
-  List.iter (fun w -> Log.warn (fun m -> m "%s" w)) pwarnings;
-  (results, { info with warnings = warnings @ pwarnings })
+  (results, { info with warnings })
 
-let run_info ?(settings = default_settings) ?reach ~frozen ?edge_cost
-    ?protocol_check ~hierarchy q =
+let run_info ?(settings = default_settings) ?reach ~frozen ?edge_cost ~hierarchy q =
   let results, info =
-    execute ~settings ?reach ~frozen ?edge_cost ?protocol_check ~hierarchy
-      ~inputs:[ (q.tin, None) ] ~tout:q.tout ()
+    execute ~settings ?reach ~frozen ?edge_cost ~hierarchy ~inputs:[ (q.tin, None) ]
+      ~tout:q.tout ()
   in
   (List.map (fun mr -> mr.result) results, info)
 
-let run ?settings ?reach ~frozen ?edge_cost ?protocol_check ~hierarchy q =
-  fst (run_info ?settings ?reach ~frozen ?edge_cost ?protocol_check ~hierarchy q)
+let run ?settings ?reach ~frozen ?edge_cost ~hierarchy q =
+  fst (run_info ?settings ?reach ~frozen ?edge_cost ~hierarchy q)
 
-let run_multi ?(settings = default_settings) ?reach ~frozen ?edge_cost
-    ?protocol_check ~hierarchy ~vars ~tout () =
+let run_multi ?(settings = default_settings) ?reach ~frozen ?edge_cost ~hierarchy ~vars
+    ~tout () =
   fst
-    (execute ~settings ?reach ~frozen ?edge_cost ?protocol_check ~hierarchy
+    (execute ~settings ?reach ~frozen ?edge_cost ~hierarchy
        ~inputs:((Jtype.Void, None) :: List.map (fun (name, ty) -> (ty, Some name)) vars)
        ~tout ())
 
@@ -552,8 +477,6 @@ type engine = {
   e_prune : bool;
   e_pool : Pool.t;
   e_edge_cost : (Elem.t -> int) option;  (* mined cost model, if loaded *)
-  e_protocol_check : (Jungloid.t -> string list) option;
-      (* mined typestate checker, if loaded: violations of a chain *)
   mutable e_frozen : Graph.frozen;  (* CSR snapshot, swapped by reload *)
   mutable e_reach : Reach.t option;  (* built lazily for [e_frozen] *)
   mutable e_shards : Shard.t option option;
@@ -564,8 +487,7 @@ type engine = {
 (* Both public constructors end here, with [frozen] already baked under
    [edge_cost]. A seeded index only counts if it describes this exact
    snapshot; anything stale is dropped and rebuilt lazily. *)
-let make_engine ~cache_capacity ~prune ?reach ?pool ?edge_cost ?protocol_check
-    ~frozen ~hierarchy () =
+let make_engine ~cache_capacity ~prune ?reach ?pool ?edge_cost ~frozen ~hierarchy () =
   let seed =
     match reach with
     | Some r when prune && Reach.generation r = Graph.frozen_generation frozen ->
@@ -578,15 +500,15 @@ let make_engine ~cache_capacity ~prune ?reach ?pool ?edge_cost ?protocol_check
     e_prune = prune;
     e_pool = Option.value pool ~default:Pool.sequential;
     e_edge_cost = edge_cost;
-    e_protocol_check = protocol_check;
     e_frozen = frozen;
     e_reach = seed;
     e_shards = None;
   }
 
+(* [?protocol_check] is ignored: [perfbench/model.ml] still passes one. *)
 let engine ?(cache_capacity = 256) ?(prune = true) ?pool ?edge_cost
-    ?protocol_check ~graph ~hierarchy () =
-  make_engine ~cache_capacity ~prune ?pool ?edge_cost ?protocol_check
+    ?protocol_check:_ ~graph ~hierarchy () =
+  make_engine ~cache_capacity ~prune ?pool ?edge_cost
     ~frozen:(freeze ?edge_cost graph) ~hierarchy ()
 
 (* An engine over a snapshot the caller already froze, under the default
@@ -599,8 +521,6 @@ let engine_of_frozen ?(cache_capacity = 256) ?(prune = true) ?reach ?pool
 let engine_hierarchy e = e.e_hierarchy
 
 let engine_edge_cost e = e.e_edge_cost
-
-let engine_protocol_check e = e.e_protocol_check
 
 let engine_frozen e = e.e_frozen
 
@@ -644,8 +564,8 @@ let engine_stats e = Qcache.stats e.e_cache
    reach a changed edge's source are re-closed — [Reach.patch]); a
    [Rebuilt] patch has unstable node ids, so its index is rebuilt lazily
    instead. The cache
-   is cleared: every cached answer describes the old snapshot. The mined
-   models stay the ones the engine was created with. *)
+   is cleared: every cached answer describes the old snapshot. The usage
+   model stays the one the engine was created with. *)
 let engine_reload e (patch : Delta.patch) =
   let old_gen = Graph.frozen_generation e.e_frozen in
   let fz = patch.Delta.p_frozen in
@@ -669,8 +589,7 @@ let cache_key ~settings q = { k_tin = q.tin; k_tout = q.tout; k_settings = setti
 
 (* One query on [frozen] under the engine's model. *)
 let solve_on e ~settings ?reach frozen q =
-  run ~settings ?reach ~frozen ?edge_cost:e.e_edge_cost
-    ?protocol_check:e.e_protocol_check ~hierarchy:e.e_hierarchy q
+  run ~settings ?reach ~frozen ?edge_cost:e.e_edge_cost ~hierarchy:e.e_hierarchy q
 
 (* [run_batch] at [jobs = 1]: one query through the cache. *)
 let run_cached ~settings e q =

@@ -22,11 +22,11 @@ val query : string -> string -> t
     an array type. *)
 
 (** Where the rank-ordered candidates come from. Both strategies feed one
-    consumer (dedup, protocol filtering, truncation, codegen)
-    and differ only in the source: [BestFirst] (the default) pops
-    rank-ordered path prefixes from a min-heap ({!Topk}) and stops once the
-    top results are certified; [Exhaustive] enumerates every within-budget
-    path and sorts it. Below the path cap the answers are byte-identical
+    consumer (dedup, truncation, codegen) and differ only in the source:
+    [BestFirst] (the default) pops rank-ordered path prefixes from a
+    min-heap ({!Topk}) and stops once the top results are certified;
+    [Exhaustive] enumerates every within-budget path and sorts it. Below
+    the path cap the answers are byte-identical
     ([test_topk.ml] pins the equivalence; [test/naive.ml]'s pipeline checks
     the shared consumer on its own). [Exhaustive] is the choice for corpus
     tooling that wants the full path set. Configurations with a negative
@@ -80,30 +80,6 @@ val ranking_of_string : string -> (ranking, string) result
 (** Inverse of {!ranking_to_string}; [Error] carries a user-ready message
     listing the accepted spellings. *)
 
-(** Typestate vetting of synthesized chains against a mined protocol model
-    ([Mining.Protomine] / [Analysis.Protolint] in practice). [Warn] vets
-    the {e emitted} results after selection and reports violations in
-    {!info.warnings} — the result list is byte-identical to [Off]. [Filter]
-    drops violating chains post-enumeration, per candidate, before
-    truncation — never inside the search priority — so a dropped chain
-    frees its slot for the next-ranked one and [BestFirst] stays
-    byte-identical to [Exhaustive] under every mode
-    ([test_topk.ml] pins this). The checker itself travels separately
-    ([?protocol_check] / the engine's checker), keeping settings flat and
-    structurally comparable for the cache keys; [Warn]/[Filter] without a
-    checker fall back to [Off] with an {!info.warnings} entry. *)
-type protocol =
-  | Off
-  | Warn
-  | Filter
-
-val protocol_to_string : protocol -> string
-(** ["off"] / ["warn"] / ["filter"] — the wire and CLI spelling. *)
-
-val protocol_of_string : string -> (protocol, string) result
-(** Inverse of {!protocol_to_string}; [Error] carries a user-ready message
-    listing the accepted spellings. *)
-
 type settings = {
   slack : int;  (** extra path cost beyond the shortest; the paper uses 1 *)
   limit : int;  (** cap on enumerated paths *)
@@ -115,12 +91,11 @@ type settings = {
           paper leaves as future work (default [false]) *)
   strategy : strategy;
   ranking : ranking;
-  protocol : protocol;
 }
 
 val default_settings : settings
 (** [slack = 1], [limit = 4096], [max_results = 10], default weights,
-    [strategy = BestFirst], [ranking = Paper], [protocol = Off]. *)
+    [strategy = BestFirst], [ranking = Paper]. *)
 
 type result = {
   jungloid : Jungloid.t;
@@ -142,12 +117,9 @@ type info = {
           missing better-ranked solutions and callers should say so *)
   warnings : string list;
       (** configuration fallbacks applied to this query — a negative
-          [freevar_cost] forcing the exhaustive strategy, [Mined] ranking
-          without a loaded usage model reverting to [Paper], or
-          [Warn]/[Filter] without a protocol checker reverting to [Off] —
-          plus, under [protocol = Warn], one ["protocol: ..."] line per
-          violation found on an emitted result. Empty when the query ran
-          exactly as configured and nothing was flagged. *)
+          [freevar_cost] forcing the exhaustive strategy, or [Mined]
+          ranking without a loaded usage model reverting to [Paper]. Empty
+          when the query ran exactly as configured. *)
 }
 
 val freeze : ?edge_cost:(Elem.t -> int) -> Graph.t -> Graph.frozen
@@ -162,7 +134,6 @@ val run_info :
   ?reach:Reach.t ->
   frozen:Graph.frozen ->
   ?edge_cost:(Elem.t -> int) ->
-  ?protocol_check:(Jungloid.t -> string list) ->
   hierarchy:Hierarchy.t ->
   t ->
   result list * info
@@ -174,7 +145,6 @@ val run :
   ?reach:Reach.t ->
   frozen:Graph.frozen ->
   ?edge_cost:(Elem.t -> int) ->
-  ?protocol_check:(Jungloid.t -> string list) ->
   hierarchy:Hierarchy.t ->
   t ->
   result list
@@ -200,10 +170,9 @@ val run :
     snapshot's baked cost arrays. Engine snapshots maintain this invariant
     automatically.
 
-    [?protocol_check] returns the protocol violations of a chain
-    ([Analysis.Protolint.violations] against a mined model in practice; []
-    means clean), consulted only when [settings.protocol] is [Warn] or
-    [Filter] (see {!protocol}). *)
+    No query vets its answers against the mined call-order model: the
+    daemon's [lint] op and [lint --pass query] report those findings
+    ([Analysis.Verify.findings]). *)
 
 type multi_result = {
   source_var : string option;  (** [None] for the [void] source *)
@@ -228,7 +197,6 @@ val run_multi :
   ?reach:Reach.t ->
   frozen:Graph.frozen ->
   ?edge_cost:(Elem.t -> int) ->
-  ?protocol_check:(Jungloid.t -> string list) ->
   hierarchy:Hierarchy.t ->
   vars:(string * Jtype.t) list ->
   tout:Jtype.t ->
@@ -246,9 +214,7 @@ val run_multi :
     variable, keep enumeration order; both strategies share the consumer
     that does this, so they agree byte for byte below the path cap.
     Within one variable, only the best-ranked of several identically
-    rendered chains is kept. There is no info channel here, so
-    [protocol = Warn] violations are logged rather than returned; [Filter]
-    drops violating suggestions as in {!run}. *)
+    rendered chains is kept. *)
 
 (** {2 The query engine}
 
@@ -262,9 +228,8 @@ val run_multi :
     {!engine_frozen} ([test_cache.ml] checks the equivalence over the full
     Table 1 workload, [test_reload.ml] across random reload sequences).
     Content assist has no engine entry point: a multi-source search runs
-    {!run_multi} on {!engine_frozen} with {!engine_reach},
-    {!engine_edge_cost} and {!engine_protocol_check}, as the server's
-    readers do. *)
+    {!run_multi} on {!engine_frozen} with {!engine_reach} and
+    {!engine_edge_cost}, as the server's readers do. *)
 
 type engine
 
@@ -297,11 +262,8 @@ val engine :
     it, [Mined] requests fall back to [Paper] with an {!info.warnings}
     entry.
 
-    [?protocol_check] installs the mined typestate checker
-    ({!run}'s [?protocol_check]) for queries with [settings.protocol]
-    of [Warn] or [Filter]; {!run_batch} applies it automatically, and
-    [settings.protocol] is part of every cache key, so [Filter]ed and
-    unfiltered results never mix. *)
+    [?protocol_check] is ignored; the parameter stays only because
+    [perfbench/model.ml] still passes one, and goes with that call. *)
 
 val engine_of_frozen :
   ?cache_capacity:int ->
@@ -313,7 +275,7 @@ val engine_of_frozen :
   unit ->
   engine
 (** An engine over a CSR snapshot the caller already froze, under the
-    default cost model (no mined ranking, no protocol checker): benchmarks
+    default cost model (no mined ranking): benchmarks
     and tests that freeze once and build several engines over the result
     start here. The reach index is built from this snapshot on first use
     ({!Reach.build_frozen}; about 18 ms at 100k methods). {!engine} ends in
@@ -330,11 +292,6 @@ val engine_edge_cost : engine -> (Elem.t -> int) option
     that run on {!engine_frozen} snapshots pass this as their [?edge_cost]:
     the snapshot's baked weighted costs and the rank layer's model are then
     the same by construction. *)
-
-val engine_protocol_check : engine -> (Jungloid.t -> string list) option
-(** The typestate checker installed at engine creation, if any — the
-    [?protocol_check] counterpart of {!engine_edge_cost} for lock-free
-    snapshot readers. *)
 
 val engine_frozen : engine -> Graph.frozen
 (** The engine's CSR snapshot: the one it was built with, or the last
@@ -389,9 +346,9 @@ val engine_reload : engine -> Delta.patch -> unit
     ({!Reach.patch} — only components that reach the source of an added
     or removed edge are re-closed; a [Rebuilt] patch's is rebuilt on next
     use), and the cache
-    is cleared (one invalidation in {!engine_stats}). The mined models
-    ({!engine_edge_cost}, {!engine_protocol_check}) are the ones installed
-    at creation, for the engine's whole life: the patch must have been
+    is cleared (one invalidation in {!engine_stats}). The usage model
+    ({!engine_edge_cost}) is the one installed at creation, for the
+    engine's whole life: the patch must have been
     built under the same usage model ({!Delta.apply}'s [wcost]). Subsequent
     queries answer over the patched model. *)
 

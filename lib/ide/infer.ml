@@ -65,12 +65,12 @@ let to_context h = { Prospector.Assist.vars = h.vars; expected = h.expected }
    snapshot bakes [edge_cost] whatever the ranking, so under [Mined] the
    weighted search reads the same model the rank keys apply; under [Paper]
    the query layer ignores it. *)
-let suggest_all ?settings ?edge_cost ?protocol_check ~graph ~hierarchy holes =
+let suggest_all ?settings ?edge_cost ~graph ~hierarchy holes =
   let frozen = Prospector.Query.freeze ?edge_cost graph in
   let reach = Prospector.Reach.build_frozen frozen in
   List.map
     (fun h ->
       ( h,
-        Prospector.Assist.suggest ?settings ~frozen ~reach ?edge_cost
-          ?protocol_check ~hierarchy (to_context h) ))
+        Prospector.Assist.suggest ?settings ~frozen ~reach ?edge_cost ~hierarchy
+          (to_context h) ))
     holes

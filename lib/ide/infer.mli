@@ -45,7 +45,6 @@ val to_context : hole -> Prospector.Assist.context
 val suggest_all :
   ?settings:Prospector.Query.settings ->
   ?edge_cost:(Prospector.Elem.t -> int) ->
-  ?protocol_check:(Prospector.Jungloid.t -> string list) ->
   graph:Prospector.Graph.t ->
   hierarchy:Javamodel.Hierarchy.t ->
   hole list ->
@@ -54,4 +53,4 @@ val suggest_all :
     order. [graph] is frozen once ({!Prospector.Query.freeze}, baking the
     mined [?edge_cost]) and indexed once ({!Prospector.Reach.build_frozen});
     each hole then runs its own {!Prospector.Assist.suggest} on that
-    snapshot, with the mined [?protocol_check]. *)
+    snapshot. *)

@@ -310,11 +310,9 @@ type overrides = {
   slack : int option;
   strategy : Prospector.Query.strategy option;
   ranking : Prospector.Query.ranking option;
-  protocol : Prospector.Query.protocol option;
 }
 
-let defaults =
-  { max_results = None; slack = None; strategy = None; ranking = None; protocol = None }
+let defaults = { max_results = None; slack = None; strategy = None; ranking = None }
 
 type request =
   | Query of {
@@ -373,8 +371,8 @@ let field_string_opt j k =
 
 (* The per-request settings, decoded and validated in one place: a
    negative count (the same rule the CLI applies to its flags) or an
-   unknown strategy, ranking or protocol spelling is the requester's
-   mistake, answered with the accepted spellings before any engine work. *)
+   unknown strategy or ranking spelling is the requester's mistake,
+   answered with the accepted spellings before any engine work. *)
 let field_overrides j =
   let spelled k of_string =
     let* s = field_string_opt j k in
@@ -391,8 +389,7 @@ let field_overrides j =
   in
   let* strategy = spelled "strategy" Prospector.Query.strategy_of_string in
   let* ranking = spelled "ranking" Prospector.Query.ranking_of_string in
-  let* protocol = spelled "protocol" Prospector.Query.protocol_of_string in
-  Ok { max_results; slack; strategy; ranking; protocol }
+  Ok { max_results; slack; strategy; ranking }
 
 (* A type-name field: a blank name is the requester's mistake, answered
    before any engine work like a negative count. *)
@@ -435,7 +432,7 @@ let parse_pair = function
 
 (* Each op's own fields, besides "id" and "op". *)
 let op_fields op =
-  let settings = [ "max_results"; "slack"; "strategy"; "ranking"; "protocol" ] in
+  let settings = [ "max_results"; "slack"; "strategy"; "ranking" ] in
   match op with
   | "query" -> "tin" :: "tout" :: settings
   | "assist" -> "tout" :: "vars" :: settings
@@ -565,7 +562,6 @@ let envelope_to_json { id; req } =
     opt "max_results" o.max_results @ opt "slack" o.slack
     @ spelled "strategy" Prospector.Query.strategy_to_string o.strategy
     @ spelled "ranking" Prospector.Query.ranking_to_string o.ranking
-    @ spelled "protocol" Prospector.Query.protocol_to_string o.protocol
   in
   let vars_field = function
     | [] -> []

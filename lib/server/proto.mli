@@ -28,8 +28,7 @@
     v}
     where SETTINGS stands for the optional fields of {!overrides}:
     {v
-       "max_results"?: I, "slack"?: I, "strategy"?: S, "ranking"?: S,
-       "protocol"?: S
+       "max_results"?: I, "slack"?: I, "strategy"?: S, "ranking"?: S
     v}
     The grammar is closed: a request, a [vars] item or a [queries] item
     that carries any other field is a [bad_request] naming that field, so
@@ -81,13 +80,13 @@ type overrides = {
   slack : int option;  (** non-negative *)
   strategy : Prospector.Query.strategy option;
   ranking : Prospector.Query.ranking option;
-  protocol : Prospector.Query.protocol option;
 }
 (** The per-request settings a [query], [assist], [batch] or
     [refine_start] may carry, each overriding the server's base setting
-    when present. On the wire they are five optional fields, spelled as
-    {!Prospector.Query.strategy_to_string} and its siblings spell them;
-    {!request_of_json} validates all five. *)
+    when present. On the wire they are four optional fields, spelled as
+    {!Prospector.Query.strategy_to_string} and
+    {!Prospector.Query.ranking_to_string} spell them; {!request_of_json}
+    validates all four. *)
 
 val defaults : overrides
 (** Every field absent: the server's base settings apply. *)
@@ -145,8 +144,8 @@ val request_of_json : json -> (envelope, string) result
     ["tin"], ["tout"] or var ["type"] field
     ({!Prospector.Query.check_type_name}), on a negative ["max_results"]
     or ["slack"] ({!Prospector.Query.check_limits}), on an unknown
-    ["strategy"], ["ranking"] or ["protocol"] spelling (the message lists
-    the accepted ones), on a reload that carries a ["corpus"] field, and
+    ["strategy"] or ["ranking"] spelling (the message lists the accepted
+    ones), on a reload that carries a ["corpus"] field, and
     on any field outside the grammar above — ["unknown field "K" in
     ..."], followed by the fields that object takes. *)
 

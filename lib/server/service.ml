@@ -8,10 +8,10 @@ module Qname = Javamodel.Qname
 module Hierarchy = Javamodel.Hierarchy
 
 (* What a reader needs, captured at one graph generation: the graph, its
-   reach index, and the model that ranks and vets answers over it — the
+   reach index, and the model that ranks and lints answers over it — the
    hierarchy (warmed before publication, so readers on many domains only
    read its memos), the usage model baked into the snapshot's weighted
-   lanes, the protocol checker and the lint vetting pass. Readers take the
+   lanes, and the lint op's protocol vetting pass. Readers take the
    whole record with one [Atomic.get] and never look back at the engine, so
    a concurrent reload can at worst give them the previous, internally
    consistent, snapshot. *)
@@ -21,7 +21,6 @@ type snapshot = {
   s_reach : Prospector.Reach.t option;
   s_hierarchy : Hierarchy.t;
   s_edge_cost : (Prospector.Elem.t -> int) option;
-  s_protocol_check : (Jungloid.t -> string list) option;
   s_vet : (Jungloid.t -> Analysis.Diagnostic.t list) option;
 }
 
@@ -102,7 +101,6 @@ let take_snapshot ~vet engine =
     s_reach = Query.engine_reach engine;
     s_hierarchy = hierarchy;
     s_edge_cost = Query.engine_edge_cost engine;
-    s_protocol_check = Query.engine_protocol_check engine;
     s_vet = vet;
   }
 
@@ -265,8 +263,7 @@ let query_results t local snap ~settings q =
       (* The engine froze this snapshot with the usage model captured next
          to it, so the model passed here matches the baked weighted costs. *)
       Query.run_info ~settings ?reach:snap.s_reach ~frozen:snap.s_frozen
-        ?edge_cost:snap.s_edge_cost ?protocol_check:snap.s_protocol_check
-        ~hierarchy:snap.s_hierarchy q
+        ?edge_cost:snap.s_edge_cost ~hierarchy:snap.s_hierarchy q
     in
     if info.Query.truncated then Atomic.incr t.truncated_queries;
     Vresults (rs, info.Query.truncated)
@@ -280,8 +277,7 @@ let assist_suggestions local snap ~settings (ctx : Prospector.Assist.context) =
   let compute () =
     Vsuggest
       (Prospector.Assist.suggest ~settings ~frozen:snap.s_frozen ?reach:snap.s_reach
-         ?edge_cost:snap.s_edge_cost ?protocol_check:snap.s_protocol_check
-         ~hierarchy:snap.s_hierarchy ctx)
+         ?edge_cost:snap.s_edge_cost ~hierarchy:snap.s_hierarchy ctx)
   in
   let key =
     Lassist
@@ -290,15 +286,11 @@ let assist_suggestions local snap ~settings (ctx : Prospector.Assist.context) =
   match memo local snap key compute with Vsuggest ss -> ss | _ -> assert false
 
 let lint_diagnostics t local snap q =
-  let hierarchy = snap.s_hierarchy in
-  let vet = match snap.s_vet with Some v -> v | None -> fun _ -> [] in
   let compute () =
     Vlint
       (fst (query_results t local snap ~settings:t.base_settings q)
       |> List.concat_map (fun (r : Query.result) ->
-             Analysis.Verify.check hierarchy r.Query.jungloid
-             @ Analysis.Gencheck.check hierarchy r.Query.jungloid
-             @ vet r.Query.jungloid)
+             Analysis.Verify.findings ?vet:snap.s_vet snap.s_hierarchy r.Query.jungloid)
       |> List.sort_uniq Analysis.Diagnostic.compare)
   in
   let key = Llint { tin = q.Query.tin; tout = q.Query.tout; settings = t.base_settings } in
@@ -523,7 +515,6 @@ let settings_for t (o : Proto.overrides) =
     slack = Option.value o.Proto.slack ~default:s.Query.slack;
     strategy = Option.value o.Proto.strategy ~default:s.Query.strategy;
     ranking = Option.value o.Proto.ranking ~default:s.Query.ranking;
-    protocol = Option.value o.Proto.protocol ~default:s.Query.protocol;
   }
 
 let context ~tout vars =

@@ -8,8 +8,8 @@
     Concurrency model (snapshot publication, no read lock): the service
     keeps an {!Stdlib.Atomic} pointer to an immutable {e snapshot} — the
     engine's CSR-frozen graph, its reachability index and the model that
-    ranks and vets answers over that graph (the warmed hierarchy, the usage
-    model, the protocol checker, the lint vetting pass), stamped with the
+    ranks and lints answers over that graph (the warmed hierarchy, the
+    usage model, the lint op's protocol vetting pass), stamped with the
     graph generation. Every read op (query, assist, batch, lint,
     refine_start, stats) loads the pointer once and runs entirely on that
     snapshot, which no one ever mutates — so reads take no lock, scale
@@ -49,10 +49,11 @@ val create :
 (** [settings] is the base for every request ([max_results]/[slack] fields
     override per request). [cache_capacity] (default 256) sizes each
     worker's result cache ({!local}); below 1 it raises [Invalid_argument].
-    [vet] is the protocol vetting pass the lint op appends to its
-    per-result diagnostics (typically [Analysis.Protolint.vet] over a mined
-    model) — injected here because this library must not depend on the
-    mining layer that learns the model.
+    [vet] is the protocol vetting pass the lint op runs on each result
+    through [Analysis.Verify.findings] (typically [Analysis.Protolint.vet]
+    over a mined model) — injected here because this library must not
+    depend on the mining layer that learns the model. No other op vets:
+    query, assist, batch and refine answers are the search's own.
 
     The next two parameters serve the [reload] op, which takes [.japi]
     deltas only (all deltas apply under the publish mutex, off the

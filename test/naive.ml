@@ -5,7 +5,7 @@
    fixpoint over [Graph.iter_edges], enumeration is a plain recursive DFS
    over [Graph.succs] with the kernels' exclusions (no cycles, no cost-0
    path, nothing past the target) and their [limit]/[truncated] rules, and
-   the pipeline sorts, dedups and filters whole lists. Fast enough for the
+   the pipeline sorts, dedups and truncates whole lists. Fast enough for the
    small worlds the tests build, and no faster.
 
    Its [builder] keeps every edge in one list and finds duplicates with
@@ -339,13 +339,12 @@ let enumerate_per_source g ~sources ~target ?(slack = 1) ?(limit = 4096)
    becomes one (variable, jungloid) pair per variable of its source; the
    distinct pairs, in enumeration order, are sorted stably by (rank key,
    variable), the key's text rendered by [to_string]; the first pair of
-   each (variable, [to_expression] rendering) is offered to
-   [keep], which stands where the protocol filter drops chains; the first
-   [max_results] survivors are the answer. *)
+   each (variable, [to_expression] rendering) is kept, and the first
+   [max_results] of those are the answer. *)
 let numeric (k : Prospector.Rank.key) =
   Prospector.Rank.(k.weighted, k.length, k.crossings, k.specificity, k.interior)
 
-let pipeline ~settings ?edge_cost ~keep g ~hierarchy ~inputs ~target =
+let pipeline ~settings ?edge_cost g ~hierarchy ~inputs ~target =
   let first_by key xs =
     let seen = Hashtbl.create 16 in
     List.filter
@@ -371,23 +370,19 @@ let pipeline ~settings ?edge_cost ~keep g ~hierarchy ~inputs ~target =
          | c -> c)
   |> List.map (fun (_, var, j) -> (var, j))
   |> first_by (fun (var, j) -> (var, to_expression j))
-  |> List.filter (fun (_, j) -> keep j)
   |> List.filteri (fun i _ -> i < settings.Query.max_results)
 
 (* [Query.run]'s answer: the one-input pipeline from [tin]. *)
-let run ?(settings = Query.default_settings) ?edge_cost ?(keep = fun _ -> true) g
-    ~hierarchy (q : Query.t) =
+let run ?(settings = Query.default_settings) ?edge_cost g ~hierarchy (q : Query.t) =
   match (Graph.find_type_node g q.tin, Graph.find_type_node g q.tout) with
   | Some src, Some dst ->
       List.map snd
-        (pipeline ~settings ?edge_cost ~keep g ~hierarchy ~inputs:[ (src, None) ]
-           ~target:dst)
+        (pipeline ~settings ?edge_cost g ~hierarchy ~inputs:[ (src, None) ] ~target:dst)
   | _ -> []
 
 (* [Query.run_multi]'s answer: the pipeline from [void] and every variable
    whose type has a node. *)
-let run_multi ?(settings = Query.default_settings) ?edge_cost ?(keep = fun _ -> true) g
-    ~hierarchy ~vars ~tout =
+let run_multi ?(settings = Query.default_settings) ?edge_cost g ~hierarchy ~vars ~tout =
   match Graph.find_type_node g tout with
   | None -> []
   | Some dst ->
@@ -397,4 +392,4 @@ let run_multi ?(settings = Query.default_settings) ?edge_cost ?(keep = fun _ -> 
           ((Javamodel.Jtype.Void, None)
           :: List.map (fun (name, ty) -> (ty, Some name)) vars)
       in
-      pipeline ~settings ?edge_cost ~keep g ~hierarchy ~inputs ~target:dst
+      pipeline ~settings ?edge_cost g ~hierarchy ~inputs ~target:dst

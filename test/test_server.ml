@@ -85,8 +85,7 @@ let gen_overrides =
     let* max_results = gen_opt_int and* slack = gen_opt_int in
     let* strategy = opt (oneofl [ Query.BestFirst; Query.Exhaustive ]) in
     let* ranking = opt (oneofl [ Query.Paper; Query.Mined ]) in
-    let* protocol = opt (oneofl [ Query.Off; Query.Warn; Query.Filter ]) in
-    return { Proto.max_results; slack; strategy; ranking; protocol })
+    return { Proto.max_results; slack; strategy; ranking })
 
 (* Type names likewise: the decoder rejects a blank one
    ([test_blank_type_names]), so the round-trip covers the others. *)
@@ -143,7 +142,7 @@ let prop_envelope_wire_roundtrip =
 (* Each op's fields besides "id" and "op", as proto.mli's grammar spells
    them. *)
 let grammar (req : Proto.request) =
-  let settings = [ "max_results"; "slack"; "strategy"; "ranking"; "protocol" ] in
+  let settings = [ "max_results"; "slack"; "strategy"; "ranking" ] in
   match req with
   | Proto.Query _ -> [ "tin"; "tout" ] @ settings
   | Proto.Assist _ -> [ "tout"; "vars" ] @ settings
@@ -163,8 +162,9 @@ let gen_stray_key =
         gen_string;
         oneofl
           [
-            "max_result"; "cluster"; "corpus"; "vars"; "tin"; "tout"; "queries";
-            "session"; "choice"; "japi"; "remove"; "name"; "type"; "Op"; "";
+            "max_result"; "cluster"; "corpus"; "protocol"; "vars"; "tin"; "tout";
+            "queries"; "session"; "choice"; "japi"; "remove"; "name"; "type"; "Op";
+            "";
           ];
       ])
 
@@ -344,8 +344,8 @@ let test_service_errors () =
       "{\"op\": \"batch\", \"queries\": [], \"slack\": -1}";
       "{\"op\": \"refine_start\", \"tout\": \"java.io.File\", \"max_results\": -2}";
     ];
-  (* so is a misspelled strategy, ranking or protocol, on every op that
-     takes them: the decoder rejects it before any engine work *)
+  (* so is a misspelled strategy or ranking, on every op that takes them:
+     the decoder rejects it before any engine work *)
   List.iter
     (fun (op, fields) ->
       List.iter
@@ -354,7 +354,7 @@ let test_service_errors () =
             (Service.handle_line svc
                (Printf.sprintf "{\"op\": \"%s\", %s, \"%s\": \"bogus\"}" op fields setting))
             "bad_request")
-        [ "strategy"; "ranking"; "protocol" ])
+        [ "strategy"; "ranking" ])
     [
       ("query", "\"tin\": \"void\", \"tout\": \"java.io.File\"");
       ("assist", "\"tout\": \"java.io.File\"");

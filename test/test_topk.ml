@@ -503,116 +503,6 @@ let test_fallback_warnings () =
   check_bool "modelless mined answers = paper answers" true
     (results_equal rs_p rs_m)
 
-(* ---------- mined-protocol checking: the same differential harness ---------- *)
-
-(* The settings contract: [Warn] leaves the result set byte-identical to
-   [Off] (violations only surface as warnings), and [Filter] drops
-   violating candidates after enumeration — never inside the search
-   priority — so BestFirst and Exhaustive stay byte-identical under every
-   mode. The real mined model covers the bundled graph; a synthetic checker
-   exercises arbitrary drop sets. *)
-
-let bundled_check =
-  lazy
-    (let model = Apidata.Api.proto () in
-     fun j -> Analysis.Protolint.violations model j)
-
-(* Deterministic, model-free: drops roughly a third of all candidates. *)
-let synthetic_check j =
-  if Hashtbl.hash (Prospector.Jungloid.to_expression j) mod 3 = 0 then
-    [ "synthetic violation" ]
-  else []
-
-let proto_at ~k ~protocol strategy =
-  { Query.default_settings with max_results = k; strategy; protocol }
-
-let test_bundled_protocol_equivalence () =
-  let graph = Apidata.Api.default_graph () in
-  let hierarchy = Apidata.Api.hierarchy () in
-  let protocol_check = Lazy.force bundled_check in
-  List.iter
-    (fun (p : Problems.t) ->
-      let q = Query.query p.Problems.tin p.Problems.tout in
-      let off = Query.run ~frozen:(Query.freeze graph) ~hierarchy q in
-      List.iter
-        (fun protocol ->
-          let at strategy =
-            Query.run
-              ~settings:(proto_at ~k:10 ~protocol strategy)
-              ~protocol_check ~frozen:(Query.freeze graph) ~hierarchy q
-          in
-          let ex = at Query.Exhaustive and bf = at Query.BestFirst in
-          check_bool
-            (Printf.sprintf "problem %d identical under %s" p.Problems.id
-               (Query.protocol_to_string protocol))
-            true (results_equal ex bf);
-          if protocol = Query.Warn then
-            check_bool
-              (Printf.sprintf "problem %d: warn leaves results untouched"
-                 p.Problems.id)
-              true (results_equal off bf))
-        [ Query.Warn; Query.Filter ])
-    Problems.all
-
-let test_synthetic_filter_equivalence () =
-  let graph = Apidata.Api.default_graph () in
-  let hierarchy = Apidata.Api.hierarchy () in
-  List.iter
-    (fun (p : Problems.t) ->
-      let q = Query.query p.Problems.tin p.Problems.tout in
-      let at strategy =
-        Query.run
-          ~settings:(proto_at ~k:10 ~protocol:Query.Filter strategy)
-          ~protocol_check:synthetic_check ~frozen:(Query.freeze graph) ~hierarchy q
-      in
-      let ex = at Query.Exhaustive and bf = at Query.BestFirst in
-      check_bool
-        (Printf.sprintf "problem %d identical under synthetic filter"
-           p.Problems.id)
-        true (results_equal ex bf);
-      (* the filter really ran: every survivor passes the predicate *)
-      check_bool "no violating survivor" true
-        (List.for_all
-           (fun (r : Query.result) -> synthetic_check r.Query.jungloid = [])
-           bf))
-    Problems.all
-
-let test_protocol_fallback_warning () =
-  let graph = Apidata.Api.default_graph () in
-  let hierarchy = Apidata.Api.hierarchy () in
-  let q = Query.query "org.eclipse.ui.IEditorPart" "org.eclipse.core.resources.IFile" in
-  let off = Query.run ~frozen:(Query.freeze graph) ~hierarchy q in
-  (* Warn/Filter without a loaded checker: revert to Off, say so once *)
-  List.iter
-    (fun protocol ->
-      let rs, info =
-        Query.run_info
-          ~settings:{ Query.default_settings with protocol }
-          ~frozen:(Query.freeze graph) ~hierarchy q
-      in
-      check_int
-        (Printf.sprintf "%s without checker: one warning"
-           (Query.protocol_to_string protocol))
-        1
-        (List.length info.Query.warnings);
-      check_bool "warning names the protocol fallback" true
-        (let w = List.hd info.Query.warnings in
-         let n = String.length "protocol" and m = String.length w in
-         let rec go i = (i + n <= m) && (String.sub w i n = "protocol" || go (i + 1)) in
-         go 0);
-      check_bool "checkerless answers = off answers" true (results_equal off rs))
-    [ Query.Warn; Query.Filter ];
-  (* and with a checker, Warn reports violations without touching results *)
-  let rs_w, info_w =
-    Query.run_info
-      ~settings:{ Query.default_settings with protocol = Query.Warn }
-      ~protocol_check:(fun _ -> [ "always deviant" ])
-      ~frozen:(Query.freeze graph) ~hierarchy q
-  in
-  check_bool "warn with checker keeps results" true (results_equal off rs_w);
-  check_int "one violation warning per result" (List.length off)
-    (List.length info_w.Query.warnings)
-
 (* ---------- qcheck: random Apigen worlds ---------- *)
 
 let world_gen =
@@ -751,33 +641,21 @@ let prop_estimated_freevars_equal =
 (* ---------- the shared consumer against the naive pipeline ---------- *)
 
 (* Both strategies feed one consumer, so the suites above cannot see a bug
-   in its dedup, filtering, truncation, keys or codegen: it would show on
-   both sides alike. [Naive.run] and [Naive.run_multi] rebuild that
-   pipeline from the naive enumeration instead, and the code of each
-   result is held against [Naive.to_java], the key against [Rank.key]
-   under the snapshot's own cost model. The protocol filter rejects the
-   union of two deterministic shares of chains: one by the chain's
-   members, so of two chains that render alike (free receivers of
-   different classes) it may reject one only, and one by the chain's
-   rendering. The naive [keep] rejects the same union. The limit stays far
-   above the few thousand paths these worlds have at slack 2, so no run
-   stops at the path cap. *)
-let unsound (j : Prospector.Jungloid.t) =
-  Hashtbl.hash (List.map Prospector.Elem.describe j.Prospector.Jungloid.elems) mod 4 = 0
-
-let deviant j = Hashtbl.hash (Naive.to_expression j) mod 5 = 1
-
+   in its dedup, truncation, keys or codegen: it would show on both sides
+   alike. [Naive.run] and [Naive.run_multi] rebuild that pipeline from the
+   naive enumeration instead, and the code of each result is held against
+   [Naive.to_java], the key against [Rank.key] under the snapshot's own
+   cost model. The limit stays far above the few thousand paths these
+   worlds have at slack 2, so no run stops at the path cap. *)
 let key_fields (k : Rank.key) =
   Rank.(k.weighted, k.length, k.crossings, k.specificity, k.interior, k.tie)
 
 let prop_consumer_equals_naive =
   QCheck2.Test.make
-    ~name:"run and run_multi = the naive pipeline (filter, k, slack, ranking)"
+    ~name:"run and run_multi = the naive pipeline (k, slack, ranking)"
     ~count:20 world_gen (fun (h, g) ->
       let model = synthetic_cost ~seed:11 in
       let frozen = Graph.freeze ~wcost:model g in
-      let keep j = not (unsound j || deviant j) in
-      let protocol_check j = if keep j then [] else [ "synthetic violation" ] in
       let qs = Corpusgen.Workload.random_queries h g ~count:3 ~seed:23 in
       let code var j =
         let input = Option.map (fun n -> (n, Prospector.Jungloid.input_type j)) var in
@@ -801,7 +679,6 @@ let prop_consumer_equals_naive =
                   max_results;
                   slack;
                   limit = 100_000;
-                  protocol = Query.Filter;
                 }
               in
               let edge_cost = match ranking with Query.Mined -> Some model | Query.Paper -> None in
@@ -810,24 +687,23 @@ let prop_consumer_equals_naive =
               in
               let expected j = key_fields (Rank.key ?edge_cost h j) in
               let single =
-                Query.run ~settings ~protocol_check ~edge_cost:model ~frozen
-                  ~hierarchy:h q
+                Query.run ~settings ~edge_cost:model ~frozen ~hierarchy:h q
                 |> List.map result
               in
               let multi =
-                Query.run_multi ~settings ~protocol_check ~edge_cost:model ~frozen
-                  ~hierarchy:h ~vars ~tout:q.Query.tout ()
+                Query.run_multi ~settings ~edge_cost:model ~frozen ~hierarchy:h ~vars
+                  ~tout:q.Query.tout ()
                 |> List.map (fun (m : Query.multi_result) ->
                        (m.Query.source_var, result m.Query.result))
               in
               single
               = List.map
                   (fun j -> (j, code None j, expected j))
-                  (Naive.run ~settings ?edge_cost ~keep g ~hierarchy:h q)
+                  (Naive.run ~settings ?edge_cost g ~hierarchy:h q)
               && multi
                  = List.map
                      (fun (var, j) -> (var, (j, code var j, expected j)))
-                     (Naive.run_multi ~settings ?edge_cost ~keep g ~hierarchy:h ~vars
+                     (Naive.run_multi ~settings ?edge_cost g ~hierarchy:h ~vars
                         ~tout:q.Query.tout))
             (List.concat_map
                (fun ranking ->
@@ -979,14 +855,5 @@ let () =
           Alcotest.test_case "bundled Eclipse graph, Table 1" `Quick
             test_bundled_renderers;
           QCheck_alcotest.to_alcotest prop_renderers_equal_naive;
-        ] );
-      ( "protocol",
-        [
-          Alcotest.test_case "bundled Eclipse graph, Table 1, mined model"
-            `Quick test_bundled_protocol_equivalence;
-          Alcotest.test_case "synthetic filter drops, both strategies agree"
-            `Quick test_synthetic_filter_equivalence;
-          Alcotest.test_case "checkerless fallback warns; warn keeps results"
-            `Quick test_protocol_fallback_warning;
         ] );
     ]
