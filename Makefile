@@ -122,12 +122,13 @@ bench-proto: build
 
 # Regenerates BENCH_scale.json (mega-world generation, search-kernel and
 # end-to-end query times, the world's .japi text loaded 5 times (median and
-# IQR of japi_load_s), and package-cone sharded batch vs the sequential
-# oracle, at 10k/100k methods by default —
+# IQR of japi_load_s), and a two-job run_batch vs one query at a time, at
+# 10k/100k methods by default —
 # BENCH_SCALE_SIZES=10000,100000,1000000 adds the million-method row).
-# The section exits nonzero on any shard identity divergence, on a two-job batch that routes no query to a shard,
-# when run_batch at jobs = 2 on the 100k world allocates more than 1024
-# words per query straight into the major heap (parked pool workers keep
+# The section exits nonzero when the two-job batch differs from one query
+# at a time (batch_identical), when run_batch at jobs = 2 on the 100k
+# world allocates more than 1024 words per query straight into the major
+# heap (parked pool workers keep
 # their search workspaces; both domains answer every measured pair once
 # before the measurement, so the reading does not depend on which domain
 # drew which query), when the graph builder keeps more than 20

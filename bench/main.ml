@@ -1646,36 +1646,22 @@ let section_micro () =
     (List.sort compare rows)
 
 (* ------------------------------------------------------------------ *)
-(* Million-method scale: mega worlds, shards, search kernels           *)
+(* Million-method scale: mega worlds, search kernels, batches         *)
 (* ------------------------------------------------------------------ *)
-
-(* [run_batch]'s routing rule: a query goes to its target's shard when the
-   target has a package group and that shard is small enough to build. *)
-let routed_to_shard shards frozen (q : Query.t) =
-  match shards with
-  | None -> false
-  | Some sh -> (
-      match Prospector.Graph.frozen_find_type_node frozen q.Query.tout with
-      | None -> false
-      | Some dst -> (
-          match Prospector.Shard.route sh ~target:dst with
-          | None -> false
-          | Some g -> Option.is_some (Prospector.Shard.sub sh g)))
 
 (* The parked-pool gate: words one [run_batch] query allocates straight
    into the major heap at jobs = 2, over [pool_calls] calls of
    [pool_call_size] distinct solvable pairs after one warm-up call of as
    many. Every pair of the run is distinct, so the engine's 256-entry cache
-   never answers one, and every shard is built before the warm-up, as in a
-   long-running batch process. A worker domain that outlived its call kept
-   its Topk workspace at the high-water mark; one spawned per call grew it
-   again, straight into the major heap. Before measuring, each of the two
-   domains answers every measured pair once on the whole snapshot, so both
-   workspaces already hold the largest query of the run: which domain
-   answers which query depends on scheduling, and a workspace reaching a
-   new high-water mark inside the measured calls read 655–1,402 words per
-   query in 7 of 30 runs without it (−14 to 2 in 29 of 29 with it; 2
-   vCPUs). The gate runs on the 100k world only, the one perfbench's
+   never answers one, as in a long-running batch process. A worker domain
+   that outlived its call kept its Topk workspace at the high-water mark;
+   one spawned per call grew it again, straight into the major heap.
+   Before measuring, each of the two domains answers every measured pair
+   once on the whole snapshot, so both workspaces already hold the largest
+   query of the run: which domain answers which query depends on
+   scheduling, and a workspace reaching a new high-water mark inside the
+   measured calls read 655–1,402 words per query in 7 of 30 runs without it
+   (−14 to 2 in 29 of 29 with it; 2 vCPUs). The gate runs on the 100k world only, the one perfbench's
    `batch-100k` queries: on the 10k world the workspaces still reach new
    high-water marks within these calls (~200 words per query even at
    jobs = 1, 300–580 at jobs = 2), which says nothing about the pool. *)
@@ -1696,12 +1682,6 @@ let pool_major_words_per_query ~reach ~frozen ~hierarchy qs =
     Query.engine_of_frozen ~pool:(Pool.create ~jobs:2) ~reach ~frozen
       ~hierarchy ()
   in
-  Option.iter
-    (fun sh ->
-      for g = 0 to Prospector.Shard.shard_count sh - 1 do
-        ignore (Prospector.Shard.sub sh g)
-      done)
-    (Query.engine_shards engine);
   ignore (Query.run_batch engine (call 0));
   let measured = List.concat_map call (List.init pool_calls succ) in
   ignore
@@ -1787,19 +1767,16 @@ let sample_solvable ?(distinct = false) ~seed ~count g reach =
   done;
   List.rev !acc
 
-(* Gates `make check` at reduced sizes (10k/100k): a shard identity
-   divergence, a batch that routes no query to a shard, the parked-pool gate
-   above (100k row), the builder's words per edge or the loaded
-   hierarchy's words per method over its limit exits nonzero. The full million-method row is opt-in:
+(* Gates `make check` at reduced sizes (10k/100k): a batch that differs
+   from one query at a time, the parked-pool gate above (100k row), the
+   builder's words per edge or the loaded hierarchy's words per method over
+   its limit exits nonzero. The full million-method row is opt-in:
 
      BENCH_SCALE_SIZES=10000,100000,1000000 dune exec bench/main.exe -- scale
 
-   Above 200k methods the engine runs unpruned — the reach index is the one
-   structure whose memory grows faster than the graph — so the shard path
-   (which routes through reach) falls back to the whole snapshot there; the
-   identity checks still run, the routing and parked-pool gates do not. *)
+   Above the 100k row only the identity check gates. *)
 let section_scale () =
-  rule "Million-method scale — mega worlds, shards, search kernels";
+  rule "Million-method scale — mega worlds, search kernels, batches";
   let sizes =
     match Sys.getenv_opt "BENCH_SCALE_SIZES" with
     | None -> [ 10_000; 100_000 ]
@@ -1887,34 +1864,19 @@ let section_scale () =
       time_of (fun () -> List.map (fun q -> Query.run ~frozen ~hierarchy:h q) qs)
     in
     Printf.printf "  end-to-end: %.3f s\n%!" query_t;
-    (* Package-cone sharding: batch fan-out vs the sequential whole-snapshot
-       oracle, byte for byte. The engine fans out over two jobs: at one,
-       [run_batch] answers every query on the whole snapshot and no query
-       reaches a shard. *)
-    let prune = methods <= 200_000 in
+    (* The batch fan-out over two jobs vs the sequential one-query-at-a-time
+       answers, byte for byte. *)
     let engine =
-      Query.engine_of_frozen ~pool:(Pool.create ~jobs:2) ~prune ~reach ~frozen
+      Query.engine_of_frozen ~pool:(Pool.create ~jobs:2) ~reach ~frozen
         ~hierarchy:h ()
     in
     let batch_t, batch = time_of (fun () -> Query.run_batch engine qs) in
-    let shards = Query.engine_shards engine in
-    let shard_count =
-      match shards with Some sh -> Prospector.Shard.shard_count sh | None -> 0
-    in
-    let routed = List.length (List.filter (routed_to_shard shards frozen) qs) in
-    let shard_identical = batch = List.combine qs query_rs in
+    let batch_identical = batch = List.combine qs query_rs in
     let qps = float_of_int nq /. batch_t in
     Printf.printf
-      "  batch (jobs=2): %.3f s (%.0f queries/s), %d shard(s), %d of %d \
-       queries routed to a shard, identical to oracle %b\n\
-       %!"
-      batch_t qps shard_count routed nq shard_identical;
-    if not shard_identical then failed := true;
-    (* Unpruned, there is no reach index to plan shards over. *)
-    if prune && routed = 0 then begin
-      prerr_endline "error: no batch query was routed to a shard";
-      failed := true
-    end;
+      "  batch (jobs=2): %.3f s (%.0f queries/s), identical to oracle %b\n%!"
+      batch_t qps batch_identical;
+    if not batch_identical then failed := true;
     let pool_words =
       if methods = pool_gate_methods then
         Some
@@ -1960,9 +1922,7 @@ let section_scale () =
       \      \"query_s\": %.4f,\n\
       \      \"batch_s\": %.4f,\n\
       \      \"queries_per_s\": %.1f,\n\
-      \      \"shards\": %d,\n\
-      \      \"routed\": %d,\n\
-      \      \"shard_identical\": %b,\n\
+      \      \"batch_identical\": %b,\n\
       \      \"pool_major_words_per_query\": %s\n\
       \    }"
       methods nodes edges gen_t build_t
@@ -1971,7 +1931,7 @@ let section_scale () =
       (match japi with Some (_, iqr, _) -> Printf.sprintf "%.4f" iqr | None -> "null")
       (match japi with Some (_, _, w) -> Printf.sprintf "%.2f" w | None -> "null")
       freeze_t reach_t nq passes kern_t
-      query_t batch_t qps shard_count routed shard_identical
+      query_t batch_t qps batch_identical
       (match pool_words with Some w -> Printf.sprintf "%.1f" w | None -> "null")
   in
   let rows = List.map measure sizes in
@@ -1982,9 +1942,9 @@ let section_scale () =
     json;
   if !failed then begin
     prerr_endline
-      "error: scale gate failed (shard identity divergence, no query routed \
-       to a shard, the pool's major-heap words, the builder's words per \
-       edge or the loaded hierarchy's words per method over the limit)";
+      "error: scale gate failed (a batch differs from one query at a time, \
+       the pool's major-heap words, the builder's words per edge or the \
+       loaded hierarchy's words per method over the limit)";
     exit 1
   end
 
@@ -2292,7 +2252,7 @@ let section_reload () =
     in
     let inc_lats =
       let engine =
-        Query.engine_of_frozen ~prune:true ~reach ~frozen ~hierarchy:h ()
+        Query.engine_of_frozen ~reach ~frozen ~hierarchy:h ()
       in
       churn_run
         ~reload:(fun k ->
@@ -2307,7 +2267,7 @@ let section_reload () =
     let reb_lats =
       let hcur = ref (Javamodel.Hierarchy.copy h) in
       let eng =
-        ref (Query.engine_of_frozen ~prune:true ~reach ~frozen ~hierarchy:!hcur ())
+        ref (Query.engine_of_frozen ~reach ~frozen ~hierarchy:!hcur ())
       in
       churn_run
         ~reload:(fun k ->
@@ -2317,7 +2277,7 @@ let section_reload () =
           let fz = Graph.freeze (Sig_graph.build !hcur) in
           let r = Reach.build_frozen fz in
           eng :=
-            Query.engine_of_frozen ~prune:true ~reach:r ~frozen:fz
+            Query.engine_of_frozen ~reach:r ~frozen:fz
               ~hierarchy:!hcur ())
         ~query:(fun i ->
           ignore (Query.run_batch !eng [ qarr.(i mod nq) ]))

@@ -531,20 +531,21 @@ let refine_cmd =
    queries are LRU cache hits. The paper's engine answered one interactive
    query at a time; this is the entry point for heavy query traffic. *)
 
+(* A line is two fields separated by a run of blanks; any other count is an
+   error, never a type name with a blank in it. *)
 let parse_query_file path =
   read_file path |> String.split_on_char '\n'
   |> List.filter_map (fun line ->
          let line = String.trim line in
          if line = "" || line.[0] = '#' then None
          else
-           match String.index_opt line ' ' with
-           | Some i ->
-               let tin = String.sub line 0 i in
-               let tout =
-                 String.trim (String.sub line (i + 1) (String.length line - i - 1))
-               in
-               Some (Prospector.Query.query tin tout)
-           | None ->
+           match
+             String.split_on_char ' ' line
+             |> List.concat_map (String.split_on_char '\t')
+             |> List.filter (( <> ) "")
+           with
+           | [ tin; tout ] -> Some (Prospector.Query.query tin tout)
+           | _ ->
                Printf.eprintf "error: bad query line %S, expected \"TIN TOUT\"\n" line;
                exit 1)
 
@@ -554,8 +555,8 @@ let batch_cmd =
       required
       & pos 0 (some file) None
       & info [] ~docv:"QUERIES"
-          ~doc:"Query file: one $(b,TIN TOUT) pair per line; blank lines and \
-                $(b,#) comments are skipped.")
+          ~doc:"Query file: one $(b,TIN TOUT) pair per line, separated by \
+                spaces or tabs; blank lines and $(b,#) comments are skipped.")
   in
   let repeat =
     Arg.(
@@ -563,13 +564,6 @@ let batch_cmd =
       & info [ "repeat" ] ~docv:"N"
           ~doc:"Run the whole batch N times (passes after the first exercise \
                 the warm cache).")
-  in
-  let no_cache =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ]
-          ~doc:"Bypass the query engine: run every query cold, without the \
-                cache or the reachability index.")
   in
   let cache_capacity =
     Arg.(
@@ -583,7 +577,7 @@ let batch_cmd =
           ~doc:"Print hit/miss/eviction counters after the batch.")
   in
   let run api corpus no_mining protected_ max_results slack strategy ranking
-      verbose file repeat no_cache cache_capacity stats_flag jobs =
+      verbose file repeat cache_capacity stats_flag jobs =
     setup_logs verbose;
     check_at_least "repeat" 1 repeat;
     check_at_least "cache-capacity" 1 cache_capacity;
@@ -594,25 +588,11 @@ let batch_cmd =
         in
         let qs = parse_query_file file in
         let settings = settings ~max_results ~slack ~strategy ~ranking in
-        let edge_cost = edge_cost_of env in
         let engine =
-          Prospector.Query.engine ~cache_capacity ~pool ?edge_cost
+          Prospector.Query.engine ~cache_capacity ~pool ?edge_cost:(edge_cost_of env)
             ~graph:env.graph ~hierarchy:env.hierarchy ()
         in
-        let run_pass () =
-          if no_cache then
-            (* Cold queries are independent, so the fan-out is a plain map
-               over the engine's frozen snapshot (baked with the same usage
-               model the rank layer applies). *)
-            let frozen = Prospector.Query.engine_frozen engine in
-            Prospector_parallel.Pool.map_list pool
-              (fun q ->
-                ( q,
-                  Prospector.Query.run ~settings ~frozen ?edge_cost
-                    ~hierarchy:env.hierarchy q ))
-              qs
-          else Prospector.Query.run_batch ~settings engine qs
-        in
+        let run_pass () = Prospector.Query.run_batch ~settings engine qs in
         let results = run_pass () in
         for _ = 2 to repeat do
           ignore (run_pass ())
@@ -636,7 +616,7 @@ let batch_cmd =
     Term.(
       const run $ api_files $ corpus_files $ no_mining $ protected_flag $ max_results
       $ slack $ strategy_arg $ ranking_arg $ verbose_flag $ file $ repeat
-      $ no_cache $ cache_capacity $ stats_flag $ jobs_arg)
+      $ cache_capacity $ stats_flag $ jobs_arg)
 
 (* ---------- mine ---------- *)
 

@@ -186,13 +186,12 @@ let dense_end (off : int_array1) n : int_array1 = Bigarray.Array1.sub off 1 n
 (* Backward rows are derived from the forward rows by a counting sort on
    destination, so each [v]'s predecessors appear in ascending forward-edge
    order. This makes the backward representation a pure function of the
-   forward one, so derived snapshots ([Shard]) and patched ones ([Delta])
-   reproduce it without any stored fwd->bwd mapping. Distance sweeps are
-   relaxation-order independent, so the (deliberate) departure from [preds]
-   order is unobservable in results. *)
-let derive_bwd ?cap ~n ~m ~(fwd_off : int_array1) ~(fwd_end : int_array1)
-    ~(fwd_dst : int_array1) ~(fwd_cost : cost_array1) ~fwd_wcost () =
-  let cap = match cap with Some c -> c | None -> m in
+   forward one, so patched snapshots ([Delta]) reproduce it without any
+   stored fwd->bwd mapping. Distance sweeps are relaxation-order
+   independent, so the (deliberate) departure from [preds] order is
+   unobservable in results. *)
+let derive_bwd ~cap ~n ~(fwd_off : int_array1) ~(fwd_end : int_array1)
+    ~(fwd_dst : int_array1) ~(fwd_cost : cost_array1) ~fwd_wcost =
   let bwd_off = ba_int (n + 1) in
   Bigarray.Array1.fill bwd_off 0;
   for u = 0 to n - 1 do
@@ -253,7 +252,7 @@ let freeze ?(wcost = default_wcost) t =
   done;
   let fwd_end = dense_end fwd_off n in
   let bwd_off, bwd_src, bwd_cost, bwd_wcost =
-    derive_bwd ~cap ~n ~m ~fwd_off ~fwd_end ~fwd_dst ~fwd_cost ~fwd_wcost ()
+    derive_bwd ~cap ~n ~fwd_off ~fwd_end ~fwd_dst ~fwd_cost ~fwd_wcost
   in
   for i = 0 to n - 1 do
     if t.info.(i).origin <> None then plain := false

@@ -96,8 +96,7 @@ val real_nodes : t -> (Jtype.t * node) list
     forward rows by destination (each node's predecessors in ascending
     forward-edge order) — {e not} {!preds} order; distance sweeps are
     relaxation-order independent, so the difference is unobservable, and it
-    makes the backward half a pure function of the forward half (see
-    {!derive_bwd}). *)
+    makes the backward half a pure function of the forward half. *)
 
 type int_array1 = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** Native-word lanes, not int32: without flambda, boxed [Int32] reads would
@@ -107,9 +106,7 @@ type cost_array1 =
   (int, Bigarray.int16_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 val ba_int : int -> int_array1
-(** Fresh uninitialized lane (for loaders and shard builders). *)
-
-val ba_cost : int -> cost_array1
+(** Fresh uninitialized lane (for {!Delta}'s patched rows). *)
 
 type frozen = {
   f_generation : int;
@@ -154,23 +151,6 @@ type frozen = {
   f_ids : (string, node) Hashtbl.t;  (** private copy; never written again *)
   f_void : node option;
 }
-
-val derive_bwd :
-  ?cap:int ->
-  n:int ->
-  m:int ->
-  fwd_off:int_array1 ->
-  fwd_end:int_array1 ->
-  fwd_dst:int_array1 ->
-  fwd_cost:cost_array1 ->
-  fwd_wcost:int array ->
-  unit ->
-  int_array1 * int_array1 * cost_array1 * int array
-(** [(bwd_off, bwd_src, bwd_cost, bwd_wcost)] derived from forward rows by a
-    counting sort on destination — the canonical backward representation
-    {!freeze} uses, exposed for builders of derived snapshots ({!Shard}).
-    The output is dense; [cap] (default [m]) sizes the physical lanes,
-    leaving tail slack past index [m - 1]. *)
 
 val default_slack : int -> int
 (** Tail-slack heuristic for [m] edges (~12.5%, floored at 64) — the spare

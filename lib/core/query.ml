@@ -474,49 +474,41 @@ type key = {
 type engine = {
   mutable e_hierarchy : Hierarchy.t;  (* swapped by reload *)
   e_cache : (key, result list) Qcache.t;
-  e_prune : bool;
   e_pool : Pool.t;
   e_edge_cost : (Elem.t -> int) option;  (* mined cost model, if loaded *)
   mutable e_frozen : Graph.frozen;  (* CSR snapshot, swapped by reload *)
   mutable e_reach : Reach.t option;  (* built lazily for [e_frozen] *)
-  mutable e_shards : Shard.t option option;
-      (* package-cone shard plan: [None] = not planned yet,
-         [Some None] = planned and unavailable *)
 }
 
 (* Both public constructors end here, with [frozen] already baked under
    [edge_cost]. A seeded index only counts if it describes this exact
    snapshot; anything stale is dropped and rebuilt lazily. *)
-let make_engine ~cache_capacity ~prune ?reach ?pool ?edge_cost ~frozen ~hierarchy () =
+let make_engine ~cache_capacity ?reach ?pool ?edge_cost ~frozen ~hierarchy () =
   let seed =
     match reach with
-    | Some r when prune && Reach.generation r = Graph.frozen_generation frozen ->
-        Some r
+    | Some r when Reach.generation r = Graph.frozen_generation frozen -> Some r
     | _ -> None
   in
   {
     e_hierarchy = hierarchy;
     e_cache = Qcache.create ~capacity:cache_capacity ();
-    e_prune = prune;
     e_pool = Option.value pool ~default:Pool.sequential;
     e_edge_cost = edge_cost;
     e_frozen = frozen;
     e_reach = seed;
-    e_shards = None;
   }
 
 (* [?protocol_check] is ignored: [perfbench/model.ml] still passes one. *)
-let engine ?(cache_capacity = 256) ?(prune = true) ?pool ?edge_cost
-    ?protocol_check:_ ~graph ~hierarchy () =
-  make_engine ~cache_capacity ~prune ?pool ?edge_cost
-    ~frozen:(freeze ?edge_cost graph) ~hierarchy ()
+let engine ?(cache_capacity = 256) ?pool ?edge_cost ?protocol_check:_ ~graph
+    ~hierarchy () =
+  make_engine ~cache_capacity ?pool ?edge_cost ~frozen:(freeze ?edge_cost graph)
+    ~hierarchy ()
 
 (* An engine over a snapshot the caller already froze, under the default
    cost model. A [reach] seed is an index the caller already built from
    [frozen]. *)
-let engine_of_frozen ?(cache_capacity = 256) ?(prune = true) ?reach ?pool
-    ~frozen ~hierarchy () =
-  make_engine ~cache_capacity ~prune ?reach ?pool ~frozen ~hierarchy ()
+let engine_of_frozen ?(cache_capacity = 256) ?reach ?pool ~frozen ~hierarchy () =
+  make_engine ~cache_capacity ?reach ?pool ~frozen ~hierarchy ()
 
 let engine_hierarchy e = e.e_hierarchy
 
@@ -524,38 +516,22 @@ let engine_edge_cost e = e.e_edge_cost
 
 let engine_frozen e = e.e_frozen
 
-let engine_reach e =
-  if not e.e_prune then None
-  else
-    match e.e_reach with
-    | Some r -> Some r
-    | None ->
-        let r = Reach.build_frozen ~pool:e.e_pool e.e_frozen in
-        Log.debug (fun m ->
-            m "engine: reach index built — %d nodes, %d SCCs" (Reach.node_count r)
-              (Reach.scc_count r));
-        e.e_reach <- Some r;
-        Some r
-
-(* The package-cone shard plan for the current snapshot, planned on first
-   use (shard contents themselves stay lazy inside [Shard.t]). Needs the
-   reach index — with [prune:false] there is no condensation to plan over. *)
-let engine_shards e =
-  match e.e_shards with
-  | Some s -> s
+(* The reach index for the current snapshot, built on first use. *)
+let reach_of e =
+  match e.e_reach with
+  | Some r -> r
   | None ->
-      let s =
-        match engine_reach e with
-        | None -> None
-        | Some r -> Shard.plan e.e_frozen r
-      in
-      (match s with
-      | Some sh ->
-          Log.debug (fun m ->
-              m "engine: shard plan — %d package groups" (Shard.shard_count sh))
-      | None -> ());
-      e.e_shards <- Some s;
-      s
+      let r = Reach.build_frozen ~pool:e.e_pool e.e_frozen in
+      Log.debug (fun m ->
+          m "engine: reach index built — %d nodes, %d SCCs" (Reach.node_count r)
+            (Reach.scc_count r));
+      e.e_reach <- Some r;
+      r
+
+let engine_reach e = Some (reach_of e)
+
+(* Kept for the callers in [perfbench/]; no plan is ever made. *)
+let engine_shards (_ : engine) : Shard.t option = None
 
 let engine_stats e = Qcache.stats e.e_cache
 
@@ -571,7 +547,7 @@ let engine_reload e (patch : Delta.patch) =
   let fz = patch.Delta.p_frozen in
   let reach' =
     match e.e_reach with
-    | Some r when e.e_prune && patch.Delta.p_mode = Delta.Spliced ->
+    | Some r when patch.Delta.p_mode = Delta.Spliced ->
         Some (Reach.patch ~pool:e.e_pool ~old:r ~sources:patch.Delta.p_sources fz)
     | _ -> None (* rebuilt lazily on next use *)
   in
@@ -579,7 +555,6 @@ let engine_reload e (patch : Delta.patch) =
   e.e_hierarchy <- patch.Delta.p_hierarchy;
   e.e_frozen <- fz;
   e.e_reach <- reach';
-  e.e_shards <- None;
   Log.debug (fun m ->
       m "engine: reloaded (%s) — generation %d -> %d, %d touched nodes"
         (Delta.mode_string patch.Delta.p_mode)
@@ -587,91 +562,48 @@ let engine_reload e (patch : Delta.patch) =
 
 let cache_key ~settings q = { k_tin = q.tin; k_tout = q.tout; k_settings = settings }
 
-(* One query on [frozen] under the engine's model. *)
-let solve_on e ~settings ?reach frozen q =
-  run ~settings ?reach ~frozen ?edge_cost:e.e_edge_cost ~hierarchy:e.e_hierarchy q
-
-(* [run_batch] at [jobs = 1]: one query through the cache. *)
-let run_cached ~settings e q =
-  Qcache.find_or_add e.e_cache (cache_key ~settings q) (fun () ->
-      solve_on e ~settings ?reach:(engine_reach e) e.e_frozen q)
-
-(* The parallel batch replays the sequential cache protocol exactly:
+(* A batch replays the one-query-at-a-time cache protocol exactly:
 
    Phase A walks the input and collects the distinct keys the cache does not
    hold, in first-occurrence order, using only the effect-free [Qcache.mem].
    Phase B computes those misses across the pool — every worker reads the
    same snapshot, reach index, and warmed hierarchy, and writes nothing
    shared. Phase C then performs, sequentially and in input order, the
-   identical [find_or_add] sequence the [jobs = 1] path performs, except
-   that a miss takes its value from phase B instead of computing. Hits,
-   misses, recency order, and evictions are therefore the same as
-   sequential execution — not just the returned results. A key that phase C
-   misses but phase B did not precompute (possible when replay evictions
-   shuffle the cache differently than phase A predicted) is recomputed
-   inline, exactly as [jobs = 1] would have. *)
-let run_batch ?(settings = default_settings) ?pool e qs =
-  let pool = match pool with Some p -> p | None -> e.e_pool in
-  if Pool.jobs pool <= 1 then List.map (fun q -> (q, run_cached ~settings e q)) qs
-  else begin
-    Hierarchy.warm e.e_hierarchy;
-    let reach = engine_reach e in
-    let frozen = e.e_frozen in
-    let key q = cache_key ~settings q in
-    let solve q = solve_on e ~settings ?reach frozen q in
-    (* Scatter-gather: a query whose target has a package runs on that
-       package group's shard — a sub-snapshot containing the target's whole
-       reachability cone, so the answer is byte-identical to the full-graph
-       one (test_scale.ml pins this against the jobs = 1 oracle). Queries
-       with packageless targets, oversized shards, or a freevar estimator
-       (which measures distances from [void] over the whole graph) fall
-       back to the full snapshot. *)
-    let shards = if settings.estimate_freevars then None else engine_shards e in
-    let solve_routed (q, sub) =
-      match sub with
-      | None -> solve q
-      | Some sfz ->
-          (* No reach index for the shard: the sub-snapshot numbers its
-             nodes afresh, so the full snapshot's index does not describe
-             it. *)
-          solve_on e ~settings sfz q
-    in
-    let route q =
-      match shards with
-      | None -> None
-      | Some sh -> (
-          match Graph.frozen_find_type_node frozen q.tout with
-          | None -> None
-          | Some dst -> (
-              match Shard.route sh ~target:dst with
-              | None -> None
-              | Some g -> Shard.sub sh g))
-    in
-    let seen = Hashtbl.create 64 in
-    let misses =
-      List.filter
-        (fun q ->
-          let k = key q in
-          if Qcache.mem e.e_cache k || Hashtbl.mem seen k then false
-          else begin
-            Hashtbl.replace seen k ();
-            true
-          end)
-        qs
-    in
-    (* Shard sub-snapshots are forced here, sequentially, before the fan-out
-       — workers only ever read published shards. *)
-    let routed = List.map (fun q -> (q, route q)) misses in
-    let precomputed = Hashtbl.create 64 in
-    List.iter
-      (fun (k, r) -> Hashtbl.replace precomputed k r)
-      (Pool.map_list pool (fun ((q, _) as rq) -> (key q, solve_routed rq)) routed);
-    List.map
+   [find_or_add] sequence one query at a time would perform, except that a
+   miss takes its value from phase B instead of computing. Hits, misses,
+   recency order, and evictions are therefore the same at every pool size —
+   not just the returned results. A key that phase C misses but phase B did
+   not precompute (possible when replay evictions shuffle the cache
+   differently than phase A predicted) is recomputed inline. *)
+let run_batch ?(settings = default_settings) e qs =
+  Hierarchy.warm e.e_hierarchy;
+  let reach = reach_of e in
+  let key q = cache_key ~settings q in
+  let solve q =
+    run ~settings ~reach ~frozen:e.e_frozen ?edge_cost:e.e_edge_cost
+      ~hierarchy:e.e_hierarchy q
+  in
+  let seen = Hashtbl.create 64 in
+  let misses =
+    List.filter
       (fun q ->
-        ( q,
-          Qcache.find_or_add e.e_cache (key q) (fun () ->
-              match Hashtbl.find_opt precomputed (key q) with
-              | Some r -> r
-              | None -> solve q) ))
+        let k = key q in
+        if Qcache.mem e.e_cache k || Hashtbl.mem seen k then false
+        else begin
+          Hashtbl.replace seen k ();
+          true
+        end)
       qs
-  end
+  in
+  let precomputed = Hashtbl.create 64 in
+  List.iter
+    (fun (k, r) -> Hashtbl.replace precomputed k r)
+    (Pool.map_list e.e_pool (fun q -> (key q, solve q)) misses);
+  List.map
+    (fun q ->
+      ( q,
+        Qcache.find_or_add e.e_cache (key q) (fun () ->
+            match Hashtbl.find_opt precomputed (key q) with
+            | Some r -> r
+            | None -> solve q) ))
+    qs

@@ -235,7 +235,6 @@ type engine
 
 val engine :
   ?cache_capacity:int ->
-  ?prune:bool ->
   ?pool:Prospector_parallel.Pool.t ->
   ?edge_cost:(Elem.t -> int) ->
   ?protocol_check:(Jungloid.t -> string list) ->
@@ -243,13 +242,10 @@ val engine :
   hierarchy:Hierarchy.t ->
   unit ->
   engine
-(** [cache_capacity] (default 256) sizes the LRU result cache.
-    [prune:false] turns the reach index off: no unsolvable query is
-    rejected before its search, and {!run_batch} plans no shards (the
-    bench uses this to measure the rejection in isolation); answers are
-    the same either way. The index is built from the engine's own snapshot
-    on first use. [?pool] (default sequential) is used by {!run_batch} and
-    by the reach-index build; it changes wall-clock only, never results.
+(** [cache_capacity] (default 256) sizes the LRU result cache. The reach
+    index is built from the engine's own snapshot on first use. [?pool]
+    (default sequential) is used by {!run_batch} and by the reach-index
+    build; it changes wall-clock only, never results.
     The engine freezes [graph] once ({!freeze}), keeps only that snapshot,
     and runs every search on its flat arrays; later mutations of [graph]
     do not reach it — build a new engine, or {!engine_reload} a {!Delta}
@@ -267,7 +263,6 @@ val engine :
 
 val engine_of_frozen :
   ?cache_capacity:int ->
-  ?prune:bool ->
   ?reach:Reach.t ->
   ?pool:Prospector_parallel.Pool.t ->
   frozen:Graph.frozen ->
@@ -300,20 +295,18 @@ val engine_frozen : engine -> Graph.frozen
 
 val engine_reach : engine -> Reach.t option
 (** The engine's reachability index for {!engine_frozen}, building it on
-    first use; [None] when the engine was created with [prune:false].
-    Exposed so a server's lock-free readers can pass it as {!run}'s
-    [?reach] alongside the snapshot it indexes. *)
+    first use. Exposed so a server's lock-free readers can pass it as
+    {!run}'s [?reach] alongside the snapshot it indexes. It is always
+    [Some]; the option stays only for the callers in [perfbench/oracle.ml]
+    and [perfbench/traced.ml]. *)
 
 val engine_shards : engine -> Shard.t option
-(** The engine's package-cone shard plan for the current snapshot, planned
-    on first use (shard contents stay lazy inside the plan); [None] when
-    sharding is unavailable — no reach index ([prune:false]), or too few
-    packages. {!run_batch} routes through this; it is exposed for the
-    scale bench's shard statistics. *)
+(** Always [None]: package-cone sharding is gone. Kept, with the {!Shard}
+    stub, only for the callers in [perfbench/batchw.ml] and
+    [perfbench/traced.ml]. *)
 
 val run_batch :
   ?settings:settings ->
-  ?pool:Prospector_parallel.Pool.t ->
   engine ->
   t list ->
   (t * result list) list
@@ -323,21 +316,13 @@ val run_batch :
     index and models, and stores the result). Results are in input order,
     duplicates included. [run_batch e [q]] is the one-query form.
 
-    With a [?pool] (default: the engine's) of more than one job, cache
-    misses are computed concurrently over the engine's snapshot and then
-    replayed through the cache in input order. The replay performs the same
-    [find]/[add] sequence the sequential path performs, so the output {e
-    and} the cache state afterwards (hits, misses, evictions, recency) are
-    byte-identical to [jobs = 1] — parallelism is observable only as
-    wall-clock.
-
-    Misses are additionally routed through the engine's package-cone shard
-    plan ({!engine_shards}): a query whose target type has a package runs
-    on the target's package-group sub-snapshot, which contains the whole
-    reachability cone of the target by construction, so results stay
-    byte-identical to the [jobs = 1] oracle ([test_scale.ml] pins this on
-    generated worlds). Packageless targets, oversized shards, and
-    [settings.estimate_freevars] runs fall back to the full snapshot. *)
+    The distinct cache misses are computed in one fan-out over the engine's
+    pool, then replayed through the cache in input order. The replay
+    performs the same [find]/[add] sequence as answering one query at a
+    time, so the output {e and} the cache state afterwards (hits, misses,
+    evictions, recency) are the same at every pool size ([test_scale.ml]
+    checks both against {!run} on generated worlds) — parallelism is
+    observable only as wall-clock. *)
 
 val engine_reload : engine -> Delta.patch -> unit
 (** Swap a {!Delta.apply} patch into a live engine — the one way an

@@ -1,7 +1,7 @@
 (* Reachability index: for every node, the bitset of nodes it can reach.
    Built once per snapshot, it answers "can u ever reach tout?" in O(1),
    which lets the query layer reject unsolvable (tin, tout) pairs without
-   any BFS at all, and gives the shard planner the condensation. It never
+   any BFS at all. It never
    filters a search: the backward sweep from tout only enters nodes that
    reach tout, so there is nothing for a cone to remove.
 

@@ -6,8 +6,7 @@
     for one thing: a query input that cannot reach [tout] is dropped, and a
     query with no input left is answered [[]] without any search. The
     engine builds the index from the snapshot it serves, and patches it
-    ({!patch}) across spliced reloads; {!Shard} plans over its
-    condensation.
+    ({!patch}) across spliced reloads.
 
     The index never filters a search. The paper's search (a 0-1 BFS back
     from [tout], then a DFS pruned by the remaining distance to [tout])
@@ -16,8 +15,8 @@
     for observability (cone fractions in benches and traces). *)
 
 (** Compact bitsets over dense int ids ([Sys.int_size] bits per word).
-    Exposed so hot loops ({!Search.Csr}, {!Shard}) can probe a {!cone} or
-    a node set directly instead of going through a closure. *)
+    Exposed so hot loops ({!Search.Csr}) can probe a {!cone} or a node set
+    directly instead of going through a closure. *)
 module Bits : sig
   type t = int array
 
@@ -77,7 +76,7 @@ val scc_count : t -> int
 val components : t -> int array
 (** The node -> SCC id map (ids in reverse topological order — a
     component's successors all have smaller ids). Shared with the index;
-    treat as read-only. {!Shard} uses it to run DPs over the condensation. *)
+    treat as read-only. *)
 
 val mem : t -> src:Graph.node -> target:Graph.node -> bool
 (** [mem t ~src ~target] — can [src] reach [target]? Nodes outside the

@@ -35,8 +35,7 @@ let class_qname p i = Javamodel.Qname.of_string (class_name p i)
    its package's child packages — a workbench-style facade fanning out into
    subsystems, never referencing back up. A search from a hub type can reach
    the whole tree, but a target's reachability cone is only the silos on the
-   root-to-target path, so sharding and reach rejection have real work to
-   do. Any edge pointing back toward the root (or uniformly across silos, as
+   root-to-target path, so reach rejection has real work to do. Any edge pointing back toward the root (or uniformly across silos, as
    the extends edges used to) would close a cycle and collapse the tree into
    one SCC with ~100% cones — which is exactly what the [locality = 0]
    expander is. *)

@@ -19,8 +19,8 @@ type params = {
           this probability and otherwise fan out into a child package, never
           back up. Hub types reach the whole tree but each target's cone is
           only the root-to-target silo path — the facade-over-subsystems
-          shape (narrow cones) that sharding and the {!Prospector.Reach}
-          rejection bench exercise. *)
+          shape (narrow cones) that the {!Prospector.Reach} rejection bench
+          exercises. *)
   seed : int;
 }
 
@@ -40,8 +40,8 @@ val mega_params : ?seed:int -> methods:int -> unit -> params
 
 val mega : ?seed:int -> methods:int -> unit -> Javamodel.Hierarchy.t
 (** A realistically shaped world with approximately [methods] methods:
-    package-tree locality (narrow reachability cones, so sharding and reach
-    rejection have real work), heavy-tailed methods-per-class (60% of classes
+    package-tree locality (narrow reachability cones, so reach rejection has
+    real work), heavy-tailed methods-per-class (60% of classes
     draw 1-3 methods, 30% draw 4-11, 10% draw 12-40), deterministic in
     [seed] (default 42). Cheap enough to regenerate at 100k/1M methods
     inside a benchmark run. *)

@@ -1,15 +1,13 @@
-(* Million-method-scale plumbing, shrunk to test size: the package-cone
-   shard router must be invisible in batch answers (qcheck, over locality
-   worlds where the planner actually engages), pooled search scratch must
-   not leak between queries, and the mega generator must be a pure
-   function of its seed. *)
+(* Million-method-scale plumbing, shrunk to test size: a batch must answer
+   exactly what one query at a time answers, at any pool size (qcheck),
+   pooled search scratch must not leak between queries, and the mega
+   generator must be a pure function of its seed. *)
 
 module Jtype = Javamodel.Jtype
 module Graph = Prospector.Graph
 module Query = Prospector.Query
 module Search = Prospector.Search
 module Reach = Prospector.Reach
-module Shard = Prospector.Shard
 
 let check_bool = Alcotest.(check bool)
 
@@ -26,12 +24,14 @@ let results_equal (a : Query.result list) (b : Query.result list) =
          && x.Query.code = y.Query.code)
        a b
 
-(* ---------- qcheck: sharded batches ---------- *)
+(* ---------- qcheck: batches ---------- *)
 
-let world_gen ~locality =
+let world_gen =
   QCheck2.Gen.(
     let* seed = int_range 1 10_000 in
     let* classes = int_range 60 160 in
+    let* locality = oneofl [ 0.; 0.9 ] in
+    let* estimate_freevars = bool in
     return
       (let params =
          {
@@ -43,84 +43,43 @@ let world_gen ~locality =
          }
        in
        let h = Corpusgen.Apigen.generate params in
-       (h, Prospector.Sig_graph.build h)))
+       (h, Prospector.Sig_graph.build h, estimate_freevars)))
 
-(* [run_batch]'s routing rule: a query goes to its target's shard when the
-   target has a package group and that shard is small enough to build. *)
-let routed_to_shard engine frozen (q : Query.t) =
-  match Query.engine_shards engine with
-  | None -> false
-  | Some sh -> (
-      match Graph.frozen_find_type_node frozen q.Query.tout with
-      | None -> false
-      | Some dst -> (
-          match Shard.route sh ~target:dst with
-          | None -> false
-          | Some s -> Option.is_some (Shard.sub sh s)))
-
-let prop_sharded_batch_oracle =
-  QCheck2.Test.make ~name:"sharded run_batch = sequential whole-graph oracle"
-    ~count:15 (world_gen ~locality:0.9) (fun (h, g) ->
+(* Two passes through a 4-entry cache: the duplicates are hits, the second
+   pass evicts entries that were cached when it started, and both job
+   counts must replay the same cache accounting as well as the same
+   answers. *)
+let prop_batch_oracle =
+  QCheck2.Test.make ~name:"run_batch = Query.run, one and two jobs" ~count:15
+    world_gen (fun (h, g, estimate_freevars) ->
       let frozen = Graph.freeze g in
+      let settings = { Query.default_settings with estimate_freevars } in
+      let solvable = Corpusgen.Workload.random_queries h g ~count:6 ~seed:5 in
       let qs =
-        Corpusgen.Workload.random_queries h g ~count:6 ~seed:5
+        solvable
         @ Corpusgen.Workload.random_misses g ~count:2 ~seed:6
+        @ List.filteri (fun i _ -> i mod 2 = 0) solvable
       in
-      (* Two jobs: at one, [run_batch] answers every query on the whole
-         snapshot and never routes one to a shard. *)
-      let engine =
-        Query.engine_of_frozen ~pool:(Prospector_parallel.Pool.create ~jobs:2)
-          ~frozen ~hierarchy:h ()
+      let oracle =
+        List.map (fun q -> (q, Query.run ~settings ~frozen ~hierarchy:h q)) qs
       in
-      let batch = Query.run_batch engine qs in
-      if not (List.exists (routed_to_shard engine frozen) qs) then
-        QCheck2.Test.fail_report "no query was routed to a shard";
-      List.length batch = List.length qs
-      && List.for_all2
-           (fun (q', rs) q ->
-             q' = q && results_equal rs (Query.run ~frozen ~hierarchy:h q))
-           batch qs)
-
-(* ---------- shard plan invariants ---------- *)
-
-let test_shards_engage () =
-  let h, g = mega_world 4000 in
-  let frozen = Graph.freeze g in
-  let reach = Reach.build_frozen frozen in
-  match Shard.plan frozen reach with
-  | None -> Alcotest.fail "planner declined a locality mega world"
-  | Some sh ->
-      check_bool "more than one shard" true (Shard.shard_count sh > 1);
-      let n = Graph.frozen_node_count frozen in
-      for s = 0 to Shard.shard_count sh - 1 do
-        match Shard.sub sh s with
-        | None -> ()
-        | Some sub ->
-            let pmap = Shard.to_parent sh s in
-            check_bool "sub node count matches its parent map" true
-              (Graph.frozen_node_count sub = Array.length pmap);
-            check_bool "sub is a strict subgraph" true
-              (Graph.frozen_node_count sub < n);
-            check_bool "parent ids are valid and ascending" true
-              (Array.for_all (fun u -> u >= 0 && u < n) pmap
-              &&
-              let asc = ref true in
-              for i = 1 to Array.length pmap - 1 do
-                if pmap.(i - 1) >= pmap.(i) then asc := false
-              done;
-              !asc)
-      done;
-      (* routing: every type node lands either in no shard (miss or hub) or
-         in one whose sub-snapshot the engine can substitute *)
-      List.iter
-        (fun (_, node) ->
-          match Shard.route sh ~target:node with
-          | None -> ()
-          | Some s ->
-              check_bool "routed shard exists" true
-                (s >= 0 && s < Shard.shard_count sh))
-        (Graph.real_nodes g);
-      ignore h
+      let same batch =
+        List.length batch = List.length oracle
+        && List.for_all2
+             (fun (q', rs) (q, want) -> q' == q && results_equal rs want)
+             batch oracle
+      in
+      let at jobs =
+        let engine =
+          Query.engine_of_frozen ~cache_capacity:4
+            ~pool:(Prospector_parallel.Pool.create ~jobs) ~frozen ~hierarchy:h ()
+        in
+        let first = Query.run_batch ~settings engine qs in
+        let second = Query.run_batch ~settings engine qs in
+        (same first && same second, Query.engine_stats engine)
+      in
+      let ok1, stats1 = at 1 and ok2, stats2 = at 2 in
+      ok1 && ok2 && stats1 = stats2)
 
 (* ---------- CSR kernels: scratch reuse and cone pruning ---------- *)
 
@@ -189,11 +148,7 @@ let () =
   Alcotest.run "scale"
     [
       ( "identity",
-        List.map QCheck_alcotest.to_alcotest
-          [ prop_sharded_batch_oracle ] );
-      ( "shard",
-        [ Alcotest.test_case "plan engages and stays consistent" `Quick
-            test_shards_engage ] );
+        List.map QCheck_alcotest.to_alcotest [ prop_batch_oracle ] );
       ( "kernels",
         [ Alcotest.test_case "scratch reuse and cone pruning" `Quick
             test_kernel_scratch_and_cone ] );
