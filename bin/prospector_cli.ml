@@ -116,8 +116,6 @@ let read_file path =
 type env = {
   hierarchy : Javamodel.Hierarchy.t;
   graph : Prospector.Graph.t;
-  usage : Mining.Usage.t option;
-      (* mined usage model, present whenever corpus mining ran *)
   proto : Analysis.Protocol.model option;
       (* mined typestate model, present whenever corpus mining ran *)
   mined_corpus : (string * string) list;
@@ -140,20 +138,15 @@ let load_env ?pool ~api ~corpus ~mining ~protected_ () =
     | [], [] -> Apidata.Api.corpus_sources
     | _, files -> List.map (fun f -> (f, read_file f)) files
   in
-  let usage = ref None in
   let proto = ref None in
   if mining && corpus_sources <> [] then begin
     let prog = Minijava.Resolve.parse_program ~api:hierarchy corpus_sources in
-    ignore
-      (Mining.Enrich.enrich ~include_protected:protected_ ?pool
-         ~on_examples:(fun exs -> usage := Some (Mining.Usage.of_examples exs))
-         graph prog);
+    ignore (Mining.Enrich.enrich ~include_protected:protected_ ?pool graph prog);
     proto := Some (Mining.Protomine.mine prog)
   end;
   {
     hierarchy;
     graph;
-    usage = !usage;
     proto = !proto;
     mined_corpus = (if mining then corpus_sources else []);
   }
@@ -168,12 +161,12 @@ let strategy_arg =
               $(b,exhaustive) (enumerate every within-budget path, the \
               equivalence oracle). Output is byte-identical either way.")
 
-(* A --strategy or --ranking spelling, validated like --jobs:
-   a friendly one-line error and exit 1. *)
-let parse_spelling of_string = function
+(* A --strategy spelling, validated like --jobs: a friendly one-line error
+   and exit 1. *)
+let parse_strategy = function
   | None -> None
   | Some s -> (
-      match of_string s with
+      match Prospector.Query.strategy_of_string s with
       | Ok v -> Some v
       | Error msg ->
           Printf.eprintf "error: %s\n" msg;
@@ -197,18 +190,7 @@ let typed_vars =
       let name, ty = parse_var s in
       (name, Javamodel.Jtype.ref_of_string ty))
 
-let ranking_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "ranking" ] ~docv:"NAME"
-        ~doc:"Result order: $(b,paper) (the default: Section 3.2's static \
-              length/crossings/specificity rule) or $(b,mined) (usage-weighted \
-              probabilistic order learned from the corpus; falls back to \
-              $(b,paper) with a warning when no corpus was mined). The \
-              candidate set is identical either way — only the order changes.")
-
-let settings ~max_results ~slack ~strategy ~ranking =
+let settings ~max_results ~slack ~strategy =
   (match Prospector.Query.check_limits ~max_results ~slack with
   | Ok () -> ()
   | Error msg ->
@@ -220,26 +202,8 @@ let settings ~max_results ~slack ~strategy ~ranking =
     Prospector.Query.max_results;
     slack;
     strategy =
-      Option.value
-        (parse_spelling Prospector.Query.strategy_of_string strategy)
-        ~default:base.Prospector.Query.strategy;
-    ranking =
-      Option.value
-        (parse_spelling Prospector.Query.ranking_of_string ranking)
-        ~default:base.Prospector.Query.ranking;
+      Option.value (parse_strategy strategy) ~default:base.Prospector.Query.strategy;
   }
-
-(* The usage model as the [?edge_cost] the query layer consumes; [None]
-   (mining disabled, or no corpus sources) makes [Mined]
-   requests fall back to [Paper] with a logged warning (the query layer
-   reports configuration fallbacks at warning level, which the CLI shows
-   by default). *)
-let edge_cost_of env = Option.map Mining.Usage.edge_cost env.usage
-
-(* [env.graph]'s snapshot, frozen once per command under the model
-   [edge_cost_of] passes: a [Mined] search reads its weighted lanes. *)
-let frozen_of env =
-  Prospector.Query.freeze ?edge_cost:(edge_cost_of env) env.graph
 
 (* The mined typestate model as the J010–J012 vetting pass that the query
    lint (here and in the daemon's lint op) runs on each result; [None] when
@@ -274,7 +238,7 @@ let query_cmd =
           ~doc:"Group similar jungloids (same type path) and show one \
                 representative per group.")
   in
-  let run api corpus no_mining protected_ max_results slack strategy ranking
+  let run api corpus no_mining protected_ max_results slack strategy
       cluster verbose tin tout =
     setup_logs verbose;
     check_type_arg "TIN" tin;
@@ -284,10 +248,10 @@ let query_cmd =
           load_env ~api ~corpus ~mining:(not no_mining) ~protected_ ()
         in
         let q = Prospector.Query.query tin tout in
-        let st = settings ~max_results ~slack ~strategy ~ranking in
+        let st = settings ~max_results ~slack ~strategy in
         let results, info =
-          Prospector.Query.run_info ~settings:st ~frozen:(frozen_of env)
-            ?edge_cost:(edge_cost_of env) ~hierarchy:env.hierarchy q
+          Prospector.Query.run_info ~settings:st
+            ~frozen:(Prospector.Query.freeze env.graph) ~hierarchy:env.hierarchy q
         in
         if info.Prospector.Query.truncated then
           Printf.eprintf
@@ -308,7 +272,7 @@ let query_cmd =
     (Cmd.info "query" ~doc:"Synthesize jungloids for a (tin, tout) query.")
     Term.(
       const run $ api_files $ corpus_files $ no_mining $ protected_flag
-      $ max_results $ slack $ strategy_arg $ ranking_arg $ cluster_flag
+      $ max_results $ slack $ strategy_arg $ cluster_flag
       $ verbose_flag $ tin $ tout)
 
 (* ---------- assist ---------- *)
@@ -322,7 +286,7 @@ let assist_cmd =
           ~doc:"A visible variable, e.g. $(b,ep:org.eclipse.ui.IEditorPart) \
                 (repeatable).")
   in
-  let run api corpus no_mining protected_ max_results slack strategy ranking
+  let run api corpus no_mining protected_ max_results slack strategy
       vars tout =
     check_type_arg "TOUT" tout;
     handle_errors (fun () ->
@@ -335,8 +299,8 @@ let assist_cmd =
         in
         let suggestions =
           Prospector.Assist.suggest
-            ~settings:(settings ~max_results ~slack ~strategy ~ranking)
-            ~frozen:(frozen_of env) ?edge_cost:(edge_cost_of env)
+            ~settings:(settings ~max_results ~slack ~strategy)
+            ~frozen:(Prospector.Query.freeze env.graph)
             ~hierarchy:env.hierarchy ctx
         in
         if suggestions = [] then print_endline "no suggestions"
@@ -353,7 +317,7 @@ let assist_cmd =
     (Cmd.info "assist" ~doc:"Content assist: suggestions for an expected type.")
     Term.(
       const run $ api_files $ corpus_files $ no_mining $ protected_flag
-      $ max_results $ slack $ strategy_arg $ ranking_arg $ vars $ tout)
+      $ max_results $ slack $ strategy_arg $ vars $ tout)
 
 (* ---------- refine ---------- *)
 
@@ -432,20 +396,20 @@ let refine_cmd =
                 study programmer does). Without it, answers are read from \
                 stdin.")
   in
-  let run api corpus no_mining protected_ max_results slack strategy ranking
+  let run api corpus no_mining protected_ max_results slack strategy
       verbose vars auto argv =
     setup_logs verbose;
     handle_errors (fun () ->
         let env = load_env ~api ~corpus ~mining:(not no_mining) ~protected_ () in
-        let st = settings ~max_results ~slack ~strategy ~ranking in
+        let st = settings ~max_results ~slack ~strategy in
         let candidates =
           match (argv, vars) with
           | [ tin; tout ], [] ->
               check_type_arg "TIN" tin;
               check_type_arg "TOUT" tout;
               let q = Prospector.Query.query tin tout in
-              Prospector.Query.run ~settings:st ~frozen:(frozen_of env)
-                ?edge_cost:(edge_cost_of env) ~hierarchy:env.hierarchy q
+              Prospector.Query.run ~settings:st
+                ~frozen:(Prospector.Query.freeze env.graph) ~hierarchy:env.hierarchy q
               |> List.map (fun result -> { Esession.source = None; result })
           | [ tout ], _ :: _ ->
               check_type_arg "TOUT" tout;
@@ -455,8 +419,8 @@ let refine_cmd =
                   expected = Javamodel.Jtype.ref_of_string tout;
                 }
               in
-              Prospector.Assist.suggest ~settings:st ~frozen:(frozen_of env)
-                ?edge_cost:(edge_cost_of env) ~hierarchy:env.hierarchy ctx
+              Prospector.Assist.suggest ~settings:st
+                ~frozen:(Prospector.Query.freeze env.graph) ~hierarchy:env.hierarchy ctx
               |> List.map (fun (s : Prospector.Assist.suggestion) ->
                      {
                        Esession.source = s.Prospector.Assist.uses_var;
@@ -521,7 +485,7 @@ let refine_cmd =
              Questions\" probes on concrete inputs.")
     Term.(
       const run $ api_files $ corpus_files $ no_mining $ protected_flag
-      $ max_results $ slack $ strategy_arg $ ranking_arg $ verbose_flag $ vars
+      $ max_results $ slack $ strategy_arg $ verbose_flag $ vars
       $ auto_flag $ argv)
 
 (* ---------- batch ---------- *)
@@ -576,7 +540,7 @@ let batch_cmd =
       & info [ "cache-stats" ]
           ~doc:"Print hit/miss/eviction counters after the batch.")
   in
-  let run api corpus no_mining protected_ max_results slack strategy ranking
+  let run api corpus no_mining protected_ max_results slack strategy
       verbose file repeat cache_capacity stats_flag jobs =
     setup_logs verbose;
     check_at_least "repeat" 1 repeat;
@@ -587,10 +551,10 @@ let batch_cmd =
           load_env ~pool ~api ~corpus ~mining:(not no_mining) ~protected_ ()
         in
         let qs = parse_query_file file in
-        let settings = settings ~max_results ~slack ~strategy ~ranking in
+        let settings = settings ~max_results ~slack ~strategy in
         let engine =
-          Prospector.Query.engine ~cache_capacity ~pool ?edge_cost:(edge_cost_of env)
-            ~graph:env.graph ~hierarchy:env.hierarchy ()
+          Prospector.Query.engine ~cache_capacity ~pool ~graph:env.graph
+            ~hierarchy:env.hierarchy ()
         in
         let run_pass () = Prospector.Query.run_batch ~settings engine qs in
         let results = run_pass () in
@@ -615,7 +579,7 @@ let batch_cmd =
              which rejects unsolvable queries with its reachability index.")
     Term.(
       const run $ api_files $ corpus_files $ no_mining $ protected_flag $ max_results
-      $ slack $ strategy_arg $ ranking_arg $ verbose_flag $ file $ repeat
+      $ slack $ strategy_arg $ verbose_flag $ file $ repeat
       $ cache_capacity $ stats_flag $ jobs_arg)
 
 (* ---------- mine ---------- *)
@@ -744,7 +708,7 @@ let infer_cmd =
     Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE"
          ~doc:"Mini-Java source files containing ? holes.")
   in
-  let run api corpus no_mining protected_ max_results slack strategy ranking
+  let run api corpus no_mining protected_ max_results slack strategy
       files =
     handle_errors (fun () ->
         let env = load_env ~api ~corpus ~mining:(not no_mining) ~protected_ () in
@@ -754,9 +718,8 @@ let infer_cmd =
         else
           (* One snapshot and reach index for the whole buffer. *)
           Prospector_ide.Infer.suggest_all
-            ~settings:(settings ~max_results ~slack ~strategy ~ranking)
-            ?edge_cost:(edge_cost_of env) ~graph:env.graph
-            ~hierarchy:env.hierarchy holes
+            ~settings:(settings ~max_results ~slack ~strategy)
+            ~graph:env.graph ~hierarchy:env.hierarchy holes
           |> List.iter (fun ((h : Prospector_ide.Infer.hole), suggestions) ->
                  Printf.printf "hole in %s.%s, expecting %s (in scope: %s)\n"
                    (Javamodel.Qname.to_string h.Prospector_ide.Infer.owner)
@@ -776,7 +739,7 @@ let infer_cmd =
        ~doc:"Infer queries from ? holes in mini-Java source and suggest code.")
     Term.(
       const run $ api_files $ corpus_files $ no_mining $ protected_flag
-      $ max_results $ slack $ strategy_arg $ ranking_arg $ files)
+      $ max_results $ slack $ strategy_arg $ files)
 
 (* ---------- lint ---------- *)
 
@@ -832,7 +795,7 @@ let lint_cmd =
       value & flag
       & info [ "strict" ] ~doc:"Exit nonzero on warnings, not just errors.")
   in
-  let run api corpus no_mining protected_ max_results slack strategy ranking
+  let run api corpus no_mining protected_ max_results slack strategy
       verbose passes queries json strict =
     setup_logs verbose;
     let passes =
@@ -892,14 +855,14 @@ let lint_cmd =
                     (Mining.Protomine.sequences (Mining.Dataflow.build prog)))
           | `Query ->
               (* The daemon's lint op reports the same findings. *)
-              let frozen = frozen_of env and vet = vet_of env in
+              let frozen = Prospector.Query.freeze env.graph and vet = vet_of env in
               List.concat_map
                 (fun spec ->
                   let tin, tout = parse_query_spec spec in
                   let q = Prospector.Query.query tin tout in
                   Prospector.Query.run
-                    ~settings:(settings ~max_results ~slack ~strategy ~ranking)
-                    ~frozen ?edge_cost:(edge_cost_of env) ~hierarchy:env.hierarchy q
+                    ~settings:(settings ~max_results ~slack ~strategy)
+                    ~frozen ~hierarchy:env.hierarchy q
                   |> List.concat_map (fun (r : Prospector.Query.result) ->
                          Analysis.Verify.findings ?vet env.hierarchy
                            r.Prospector.Query.jungloid))
@@ -928,7 +891,7 @@ let lint_cmd =
              verification, with a shared diagnostic report.")
     Term.(
       const run $ api_files $ corpus_files $ no_mining $ protected_flag
-      $ max_results $ slack $ strategy_arg $ ranking_arg $ verbose_flag
+      $ max_results $ slack $ strategy_arg $ verbose_flag
       $ passes $ queries $ json_flag $ strict_flag)
 
 (* ---------- serve ---------- *)
@@ -1016,7 +979,7 @@ let serve_cmd =
                 in place, without restarting or dropping in-flight \
                 requests.")
   in
-  let run api corpus no_mining protected_ max_results slack strategy ranking
+  let run api corpus no_mining protected_ max_results slack strategy
       verbose host port port_file workers max_request_bytes
       max_connections deadline stdio cache_capacity session_ttl watch jobs =
     setup_logs verbose;
@@ -1036,14 +999,12 @@ let serve_cmd =
         let env = load_env ~pool ~api ~corpus ~mining:(not no_mining) ~protected_ () in
         Printf.eprintf "graph: built in %.3f s\n%!" (Unix.gettimeofday () -. t0);
         let engine =
-          Prospector.Query.engine ~pool ?edge_cost:(edge_cost_of env)
-            ~graph:env.graph ~hierarchy:env.hierarchy ()
+          Prospector.Query.engine ~pool ~graph:env.graph ~hierarchy:env.hierarchy ()
         in
         (* ---- live reload (DESIGN §9) ----
            A structural reload of a mining server rebuilds the way startup
            built: the signature graph of the patched hierarchy, enriched
-           from the startup corpus and frozen under the startup usage
-           model, which the engine keeps for life. The service injects this
+           from the startup corpus and frozen. The service injects this
            into [Delta.apply], since the server library must not depend on
            the mining layer. *)
         let config =
@@ -1052,7 +1013,7 @@ let serve_cmd =
         let rebuild =
           (* bound outside the closure, which must not keep [env.graph], the
              builder graph the engine has frozen, alive for the daemon's life *)
-          let mined = env.mined_corpus and wcost = edge_cost_of env in
+          let mined = env.mined_corpus in
           if no_mining then None
           else
             Some
@@ -1063,11 +1024,11 @@ let serve_cmd =
                     (Mining.Enrich.enrich ~include_protected:protected_ ~pool g
                        (Minijava.Resolve.parse_program ~api:hierarchy mined));
                 ignore (Prospector.Graph.void_node g);
-                Prospector.Graph.freeze ?wcost g)
+                Prospector.Graph.freeze g)
         in
         let service =
           Service.create
-            ~settings:(settings ~max_results ~slack ~strategy ~ranking)
+            ~settings:(settings ~max_results ~slack ~strategy)
             ~cache_capacity ?vet:(vet_of env) ~graph_config:config ?rebuild
             ?deadline_s:deadline
             ?session_ttl_s:session_ttl ~engine ()
@@ -1173,7 +1134,7 @@ let serve_cmd =
        ~doc:"Run the long-lived query daemon (newline-delimited JSON over TCP).")
     Term.(
       const run $ api_files $ corpus_files $ no_mining $ protected_flag
-      $ max_results $ slack $ strategy_arg $ ranking_arg $ verbose_flag
+      $ max_results $ slack $ strategy_arg $ verbose_flag
       $ host $ port $ port_file $ workers $ max_request_bytes
       $ max_connections $ deadline $ stdio $ cache_capacity $ session_ttl
       $ watch $ jobs_arg)
@@ -1407,7 +1368,7 @@ let client_cmd =
                 SESSION), $(b,reload FILE.japi) (with $(b,--remove)), \
                 $(b,stats), $(b,health), $(b,shutdown), $(b,raw LINE).")
   in
-  let run max_results slack strategy ranking host port port_file json_flag
+  let run max_results slack strategy host port port_file json_flag
       vars remove argv =
     let port =
       match port_file with
@@ -1425,8 +1386,7 @@ let client_cmd =
       {
         Proto.max_results = Some max_results;
         slack = Some slack;
-        strategy = parse_spelling Prospector.Query.strategy_of_string strategy;
-        ranking = parse_spelling Prospector.Query.ranking_of_string ranking;
+        strategy = parse_strategy strategy;
       }
     in
     let line =
@@ -1543,7 +1503,7 @@ let client_cmd =
     (Cmd.info "client"
        ~doc:"Send one request to a running prospector daemon and print the reply.")
     Term.(
-      const run $ max_results $ slack $ strategy_arg $ ranking_arg $ host $ port
+      const run $ max_results $ slack $ strategy_arg $ host $ port
       $ port_file $ json_flag $ vars $ remove_args $ argv)
 
 (* ---------- table1 ---------- *)

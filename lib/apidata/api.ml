@@ -32,7 +32,4 @@ let jungloid_graph () =
 
 let default_graph = memo (fun () -> fst (jungloid_graph ()))
 
-let usage =
-  memo (fun () -> Mining.Usage.of_examples (Mining.Enrich.examples (program ())))
-
 let proto = memo (fun () -> Mining.Protomine.mine (program ()))

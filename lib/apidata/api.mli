@@ -29,12 +29,6 @@ val default_graph : unit -> Prospector.Graph.t
 (** Memoized jungloid graph for read-only use (queries, assist, benches).
     Do not mutate. *)
 
-val usage : unit -> Mining.Usage.t
-(** Memoized usage model mined from the bundled corpus — the
-    [Mined]-ranking counterpart of {!default_graph}: the same corpus
-    evidence the graph's spliced examples came from, counted pre-
-    generalization. *)
-
 val proto : unit -> Analysis.Protocol.model
 (** Memoized typestate model mined from the bundled corpus — what
     [lint --pass proto] and jungloid vetting check against. *)

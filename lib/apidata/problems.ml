@@ -216,10 +216,10 @@ type measured = {
   results : Prospector.Query.result list;
 }
 
-let run_one ?settings ?edge_cost ~frozen ~hierarchy p =
+let run_one ?settings ~frozen ~hierarchy p =
   let q = Query.query p.tin p.tout in
   let t0 = Unix.gettimeofday () in
-  let results = Query.run ?settings ?edge_cost ~frozen ~hierarchy q in
+  let results = Query.run ?settings ~frozen ~hierarchy q in
   let time_s = Unix.gettimeofday () -. t0 in
   let rank =
     List.mapi (fun i r -> (i + 1, r)) results
@@ -228,8 +228,8 @@ let run_one ?settings ?edge_cost ~frozen ~hierarchy p =
   in
   { problem = p; time_s; rank; results }
 
-let run_all ?settings ?edge_cost ~graph ~hierarchy () =
-  let frozen = Query.freeze ?edge_cost graph in
-  List.map (run_one ?settings ?edge_cost ~frozen ~hierarchy) all
+let run_all ?settings ~graph ~hierarchy () =
+  let frozen = Query.freeze graph in
+  List.map (run_one ?settings ~frozen ~hierarchy) all
 
 let found m = match m.rank with Some r -> r <= 5 | None -> false

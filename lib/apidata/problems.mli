@@ -29,17 +29,14 @@ type measured = {
 
 val run_one :
   ?settings:Prospector.Query.settings ->
-  ?edge_cost:(Prospector.Elem.t -> int) ->
   frozen:Prospector.Graph.frozen ->
   hierarchy:Javamodel.Hierarchy.t ->
   t ->
   measured
-(** One row's query, timed, on the caller's snapshot, frozen under the
-    same [?edge_cost]. *)
+(** One row's query, timed, on the caller's snapshot. *)
 
 val run_all :
   ?settings:Prospector.Query.settings ->
-  ?edge_cost:(Prospector.Elem.t -> int) ->
   graph:Prospector.Graph.t ->
   hierarchy:Javamodel.Hierarchy.t ->
   unit ->

@@ -66,9 +66,9 @@ let of_multi mr =
     result = mr.Query.result;
   }
 
-let suggest ?settings ~frozen ?reach ?edge_cost ~hierarchy ctx =
+let suggest ?settings ~frozen ?reach ~hierarchy ctx =
   let multi =
-    Query.run_multi ?settings ?reach ~frozen ?edge_cost ~hierarchy ~vars:ctx.vars
+    Query.run_multi ?settings ?reach ~frozen ~hierarchy ~vars:ctx.vars
       ~tout:ctx.expected ()
   in
   direct_suggestions ~hierarchy ctx @ List.map of_multi multi

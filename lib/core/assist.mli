@@ -27,7 +27,6 @@ val suggest :
   ?settings:Query.settings ->
   frozen:Graph.frozen ->
   ?reach:Reach.t ->
-  ?edge_cost:(Elem.t -> int) ->
   hierarchy:Hierarchy.t ->
   context ->
   suggestion list
@@ -36,6 +35,6 @@ val suggest :
     points", Section 5). Variables whose type already widens to the expected
     type are suggested first, verbatim — no jungloid needed.
 
-    [frozen]/[?reach]/[?edge_cost] forward to {!Query.run_multi}. The
+    [frozen]/[?reach] forward to {!Query.run_multi}. The
     server's lock-free readers pass a published snapshot, the IDE layer's
     [Infer.suggest_all] one frozen per buffer. *)

@@ -191,13 +191,13 @@ type bwd_entry =
    lane is shared with the input by reference. Backward rows get the same
    treatment, and only rows whose {e content} changes are rebuilt: a
    backward row holds per-source groups in ascending-source order, so a
-   rewritten source row whose (cost, wcost) contribution to [v] is unchanged
+   rewritten source row whose cost contribution to [v] is unchanged
    leaves [v]'s row byte-identical — in particular the void hub row (one
    group per void-returning decl, the graph's widest) survives a typical
    body edit untouched. Nothing on this path is O(edges): the patch costs
    O(nodes) for the offset copies plus work proportional to the rewritten
    rows themselves. *)
-let splice_once ~wcost ~h_new ~(fz : Graph.frozen)
+let splice_once ~h_new ~(fz : Graph.frozen)
     ~(reps : (string * replacement) list) =
   let n = fz.Graph.f_nodes in
   let off = fz.Graph.f_fwd_off in
@@ -389,9 +389,9 @@ let splice_once ~wcost ~h_new ~(fz : Graph.frozen)
     | Old j -> fz.Graph.f_fwd_dst.{j}
     | New e -> e.Graph.dst
   in
-  let entry_costs = function
-    | Old j -> (fz.Graph.f_fwd_cost.{j}, fz.Graph.f_fwd_wcost.(j))
-    | New e -> (Elem.cost e.Graph.elem, wcost e.Graph.elem)
+  let entry_cost = function
+    | Old j -> fz.Graph.f_fwd_cost.{j}
+    | New e -> Elem.cost e.Graph.elem
   in
   (* Forward placement: copy the offset/end lanes (the only O(nodes) work on
      this path) and repoint each rewritten row at the append cursor. Nothing
@@ -425,26 +425,24 @@ let splice_once ~wcost ~h_new ~(fz : Graph.frozen)
       done)
     rebuilt;
   (* Backward rows that actually change: for each rewritten source row,
-     diff its old vs new (cost, wcost) contribution per destination — the
+     diff its old vs new cost contribution per destination — the
      source id and the group's position in the row are fixed, so an equal
      contribution sequence means the backward row is already exact. *)
   let bchanged = Hashtbl.create 32 in
   List.iter
     (fun (u, es) ->
-      let oldc : (int, (int * int) list) Hashtbl.t = Hashtbl.create 16 in
+      let oldc : (int, int list) Hashtbl.t = Hashtbl.create 16 in
       for k = off.{u} to fin.{u} - 1 do
         let v = fz.Graph.f_fwd_dst.{k} in
         Hashtbl.replace oldc v
-          ((fz.Graph.f_fwd_cost.{k}, fz.Graph.f_fwd_wcost.(k))
-          :: Option.value ~default:[] (Hashtbl.find_opt oldc v))
+          (fz.Graph.f_fwd_cost.{k} :: Option.value ~default:[] (Hashtbl.find_opt oldc v))
       done;
-      let newc : (int, (int * int) list) Hashtbl.t = Hashtbl.create 16 in
+      let newc : (int, int list) Hashtbl.t = Hashtbl.create 16 in
       Array.iter
         (fun entry ->
           let v = entry_dst entry in
           Hashtbl.replace newc v
-            (entry_costs entry
-            :: Option.value ~default:[] (Hashtbl.find_opt newc v)))
+            (entry_cost entry :: Option.value ~default:[] (Hashtbl.find_opt newc v)))
         es;
       Hashtbl.iter
         (fun v oldl ->
@@ -519,7 +517,6 @@ let splice_once ~wcost ~h_new ~(fz : Graph.frozen)
      disjoint from every region any published reader can reach. *)
   let dst = fz.Graph.f_fwd_dst
   and cost = fz.Graph.f_fwd_cost
-  and wc = fz.Graph.f_fwd_wcost
   and edge = fz.Graph.f_fwd_edge in
   List.iter
     (fun (u, es) ->
@@ -530,17 +527,15 @@ let splice_once ~wcost ~h_new ~(fz : Graph.frozen)
           | Old j ->
               dst.{!k} <- dst.{j};
               cost.{!k} <- cost.{j};
-              wc.(!k) <- wc.(j);
               edge.(!k) <- edge.(j)
           | New e ->
               dst.{!k} <- e.Graph.dst;
               cost.{!k} <- Elem.cost e.Graph.elem;
-              wc.(!k) <- wcost e.Graph.elem;
               edge.(!k) <- e);
           incr k)
         es)
     rebuilt;
-  let bcost = fz.Graph.f_bwd_cost and bwc = fz.Graph.f_bwd_wcost in
+  let bcost = fz.Graph.f_bwd_cost in
   List.iter
     (fun (v, es) ->
       let i = ref boff'.{v} in
@@ -549,12 +544,10 @@ let splice_once ~wcost ~h_new ~(fz : Graph.frozen)
           (match entry with
           | Oldb j ->
               bsrc.{!i} <- bsrc.{j};
-              bcost.{!i} <- bcost.{j};
-              bwc.(!i) <- bwc.(j)
+              bcost.{!i} <- bcost.{j}
           | Newb (u, k) ->
               bsrc.{!i} <- u;
-              bcost.{!i} <- cost.{k};
-              bwc.(!i) <- wc.(k));
+              bcost.{!i} <- cost.{k});
           incr i)
         es)
     brebuilt;
@@ -581,7 +574,7 @@ let splice_once ~wcost ~h_new ~(fz : Graph.frozen)
    into fresh lanes first — whose token it owns by construction. Slack
    exhaustion surfaces as [Refit] before any shared write, and retries once
    on lanes compacted with enough room. *)
-let splice ~wcost ~h_new ~(fz : Graph.frozen) ~reps =
+let splice ~h_new ~(fz : Graph.frozen) ~reps =
   let base =
     if Atomic.compare_and_set fz.Graph.f_tail false true then fz
     else begin
@@ -590,13 +583,13 @@ let splice ~wcost ~h_new ~(fz : Graph.frozen) ~reps =
       c
     end
   in
-  try splice_once ~wcost ~h_new ~fz:base ~reps
+  try splice_once ~h_new ~fz:base ~reps
   with Refit need ->
     let c =
       Graph.compact ~slack:(need + Graph.default_slack fz.Graph.f_edges) fz
     in
     Atomic.set c.Graph.f_tail true;
-    splice_once ~wcost ~h_new ~fz:c ~reps
+    splice_once ~h_new ~fz:c ~reps
 
 (* ---------- entry point ---------- *)
 
@@ -620,12 +613,12 @@ let close_delta h' ops =
 (* [build] is the caller's cold build when it passed one (an enriched
    server must keep its mined nodes and edges); [None] builds from
    signatures only. *)
-let rebuild ~build ~config ~wcost ~h' ~old_frozen ops =
+let rebuild ~build ~config ~h' ~old_frozen ops =
   close_delta h' ops;
   let fz =
     match build with
     | Some build -> build h'
-    | None -> Graph.freeze ~wcost (Sig_graph.build ~config h')
+    | None -> Graph.freeze (Sig_graph.build ~config h')
   in
   (* A fresh build's generation (nodes + edges) can collide with the old
      snapshot's; force strict monotonic growth so stale cache keys can never
@@ -643,8 +636,9 @@ let rebuild ~build ~config ~wcost ~h' ~old_frozen ops =
   done;
   (fz, sources, old_n)
 
-let apply ?(config = Sig_graph.default_config) ?(wcost = Graph.default_wcost) ?rebuild:build
-    ~hierarchy ~frozen ops =
+(* [?wcost] is ignored: [perfbench/traced.ml] still passes one. *)
+let apply ?(config = Sig_graph.default_config) ?wcost:_ ?rebuild:build ~hierarchy ~frozen
+    ops =
   let h' = Hierarchy.copy hierarchy in
   let errors, structural, originals = validate_and_apply h' ops in
   if errors <> [] then Error errors
@@ -686,7 +680,7 @@ let apply ?(config = Sig_graph.default_config) ?(wcost = Graph.default_wcost) ?r
            originals true
     in
     if not eligible then
-      finish Rebuilt (rebuild ~build ~config ~wcost ~h' ~old_frozen:frozen ops)
+      finish Rebuilt (rebuild ~build ~config ~h' ~old_frozen:frozen ops)
     else begin
       let reps =
         Hashtbl.fold
@@ -700,10 +694,10 @@ let apply ?(config = Sig_graph.default_config) ?(wcost = Graph.default_wcost) ?r
             :: acc)
           originals []
       in
-      match splice ~wcost ~h_new:h' ~fz:frozen ~reps with
+      match splice ~h_new:h' ~fz:frozen ~reps with
       | result -> finish Spliced result
       | exception Fallback ->
-          finish Rebuilt (rebuild ~build ~config ~wcost ~h' ~old_frozen:frozen ops)
+          finish Rebuilt (rebuild ~build ~config ~h' ~old_frozen:frozen ops)
     end
   end
 
@@ -726,7 +720,6 @@ let rows_equal (a : Graph.frozen) (b : Graph.frozen) =
         if
           a.Graph.f_fwd_dst.{ka + i} <> b.Graph.f_fwd_dst.{kb + i}
           || a.Graph.f_fwd_cost.{ka + i} <> b.Graph.f_fwd_cost.{kb + i}
-          || a.Graph.f_fwd_wcost.(ka + i) <> b.Graph.f_fwd_wcost.(kb + i)
           || a.Graph.f_fwd_edge.(ka + i) <> b.Graph.f_fwd_edge.(kb + i)
         then raise Exit
       done;
@@ -737,7 +730,6 @@ let rows_equal (a : Graph.frozen) (b : Graph.frozen) =
         if
           a.Graph.f_bwd_src.{ka + i} <> b.Graph.f_bwd_src.{kb + i}
           || a.Graph.f_bwd_cost.{ka + i} <> b.Graph.f_bwd_cost.{kb + i}
-          || a.Graph.f_bwd_wcost.(ka + i) <> b.Graph.f_bwd_wcost.(kb + i)
         then raise Exit
       done
     done;

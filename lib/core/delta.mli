@@ -79,9 +79,9 @@ val apply :
   (patch, error list) result
 (** Apply a delta. Ops validate and apply in order (later ops see earlier
     effects); validation is all-or-nothing but reports {e every} invalid op.
-    [config] must be the one the snapshot was built with, and [wcost] the
-    cost model its lanes were baked with (new edges are costed with it). The
-    inputs are never mutated.
+    [config] must be the one the snapshot was built with. The inputs are
+    never mutated. [?wcost] is ignored; it stays only for the caller in
+    [perfbench/traced.ml].
 
     [hierarchy] must be closed: every name a declaration mentions is
     declared, as {!Hierarchy.of_decls} and {!Hierarchy.ensure_closed} leave

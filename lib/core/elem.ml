@@ -69,8 +69,6 @@ let free_vars = function
 
 let cost = function Widen _ -> 0 | _ -> 1
 
-let cost_scale = 1024
-
 let visibility = function
   | Field_access { field; _ } -> Some field.Member.fvis
   | Static_call { meth; _ } | Instance_call { meth; _ } -> Some meth.Member.mvis

@@ -51,12 +51,6 @@ val cost : t -> int
 (** Ranking cost of the elementary jungloid itself: 0 for {!Widen}, 1
     otherwise (free-variable charges are applied by {!Rank}). *)
 
-val cost_scale : int
-(** Fixed-point unit for learned (mined) edge costs: one paper cost unit
-    equals [cost_scale] weighted units. Mined −log-frequency costs are
-    rounded to this grid so weighted search stays in integer arithmetic
-    and is deterministic across platforms. *)
-
 val visibility : t -> Member.visibility option
 (** Declared visibility of the member referenced; [None] for conversions.
     Used to keep non-public members out of synthesized code. *)

@@ -154,13 +154,11 @@ type frozen = {
   f_fwd_end : int_array1;
   f_fwd_dst : int_array1;
   f_fwd_cost : cost_array1;
-  f_fwd_wcost : int array;
   f_fwd_edge : edge array;
   f_bwd_off : int_array1;
   f_bwd_end : int_array1;
   f_bwd_src : int_array1;
   f_bwd_cost : cost_array1;
-  f_bwd_wcost : int array;
   f_fwd_used : int;
   f_bwd_used : int;
   f_plain : bool;
@@ -171,7 +169,8 @@ type frozen = {
   f_void : node option;
 }
 
-let default_wcost e = Elem.cost_scale * Elem.cost e
+(* Kept with [freeze]'s ignored [?wcost] for [perfbench/traced.ml]. *)
+let default_wcost = Elem.cost
 
 (* Tail slack reserved past the last live edge so incremental patches
    ([Delta]) can relocate rewritten rows by appending instead of copying
@@ -191,7 +190,7 @@ let dense_end (off : int_array1) n : int_array1 = Bigarray.Array1.sub off 1 n
    independent, so the (deliberate) departure from [preds] order is
    unobservable in results. *)
 let derive_bwd ~cap ~n ~(fwd_off : int_array1) ~(fwd_end : int_array1)
-    ~(fwd_dst : int_array1) ~(fwd_cost : cost_array1) ~fwd_wcost =
+    ~(fwd_dst : int_array1) ~(fwd_cost : cost_array1) =
   let bwd_off = ba_int (n + 1) in
   Bigarray.Array1.fill bwd_off 0;
   for u = 0 to n - 1 do
@@ -205,7 +204,6 @@ let derive_bwd ~cap ~n ~(fwd_off : int_array1) ~(fwd_end : int_array1)
   done;
   let bwd_src = ba_int cap in
   let bwd_cost = ba_cost cap in
-  let bwd_wcost = Array.make cap 0 in
   let cursor = Array.make (max n 1) 0 in
   for u = 0 to n - 1 do
     for k = fwd_off.{u} to fwd_end.{u} - 1 do
@@ -213,13 +211,14 @@ let derive_bwd ~cap ~n ~(fwd_off : int_array1) ~(fwd_end : int_array1)
       let j = bwd_off.{v} + cursor.(v) in
       cursor.(v) <- cursor.(v) + 1;
       bwd_src.{j} <- u;
-      bwd_cost.{j} <- fwd_cost.{k};
-      bwd_wcost.(j) <- fwd_wcost.(k)
+      bwd_cost.{j} <- fwd_cost.{k}
     done
   done;
-  (bwd_off, bwd_src, bwd_cost, bwd_wcost)
+  (bwd_off, bwd_src, bwd_cost)
 
-let freeze ?(wcost = default_wcost) t =
+(* [?wcost] is ignored: [perfbench/model.ml] and [perfbench/traced.ml]
+   still pass one. *)
+let freeze ?wcost:_ t =
   let n = t.n in
   (* Forward adjacency, in the exact order [succs] yields it, so a DFS over
      the CSR enumerates paths in the same order as one over the lists. *)
@@ -235,7 +234,6 @@ let freeze ?(wcost = default_wcost) t =
   in
   let fwd_dst = ba_int cap in
   let fwd_cost = ba_cost cap in
-  let fwd_wcost = Array.make cap 0 in
   let fwd_edge = Array.make cap dummy in
   let plain = ref true in
   for u = 0 to n - 1 do
@@ -244,15 +242,14 @@ let freeze ?(wcost = default_wcost) t =
       (fun e ->
         fwd_dst.{!k} <- e.dst;
         fwd_cost.{!k} <- Elem.cost e.elem;
-        fwd_wcost.(!k) <- wcost e.elem;
         fwd_edge.(!k) <- e;
         if Elem.is_downcast e.elem then plain := false;
         incr k)
       t.fwd.(u)
   done;
   let fwd_end = dense_end fwd_off n in
-  let bwd_off, bwd_src, bwd_cost, bwd_wcost =
-    derive_bwd ~cap ~n ~fwd_off ~fwd_end ~fwd_dst ~fwd_cost ~fwd_wcost
+  let bwd_off, bwd_src, bwd_cost =
+    derive_bwd ~cap ~n ~fwd_off ~fwd_end ~fwd_dst ~fwd_cost
   in
   for i = 0 to n - 1 do
     if t.info.(i).origin <> None then plain := false
@@ -265,13 +262,11 @@ let freeze ?(wcost = default_wcost) t =
     f_fwd_end = fwd_end;
     f_fwd_dst = fwd_dst;
     f_fwd_cost = fwd_cost;
-    f_fwd_wcost = fwd_wcost;
     f_fwd_edge = fwd_edge;
     f_bwd_off = bwd_off;
     f_bwd_end = dense_end bwd_off n;
     f_bwd_src = bwd_src;
     f_bwd_cost = bwd_cost;
-    f_bwd_wcost = bwd_wcost;
     f_fwd_used = m;
     f_bwd_used = m;
     f_plain = !plain;
@@ -317,7 +312,6 @@ let compact ?slack fz =
   in
   let dst' = ba_int cap in
   let cost' = ba_cost cap in
-  let wcost' = Array.make cap 0 in
   let edge' = Array.make cap dummy in
   run_copy ~off ~fin ~off' (fun ~src0 ~dst0 ~len ->
       Bigarray.Array1.blit
@@ -326,7 +320,6 @@ let compact ?slack fz =
       Bigarray.Array1.blit
         (Bigarray.Array1.sub fz.f_fwd_cost src0 len)
         (Bigarray.Array1.sub cost' dst0 len);
-      Array.blit fz.f_fwd_wcost src0 wcost' dst0 len;
       Array.blit fz.f_fwd_edge src0 edge' dst0 len);
   let boff = fz.f_bwd_off and bfin = fz.f_bwd_end in
   let boff' = ba_int (n + 1) in
@@ -336,28 +329,24 @@ let compact ?slack fz =
   done;
   let bsrc' = ba_int cap in
   let bcost' = ba_cost cap in
-  let bwcost' = Array.make cap 0 in
   run_copy ~off:boff ~fin:bfin ~off':boff' (fun ~src0 ~dst0 ~len ->
       Bigarray.Array1.blit
         (Bigarray.Array1.sub fz.f_bwd_src src0 len)
         (Bigarray.Array1.sub bsrc' dst0 len);
       Bigarray.Array1.blit
         (Bigarray.Array1.sub fz.f_bwd_cost src0 len)
-        (Bigarray.Array1.sub bcost' dst0 len);
-      Array.blit fz.f_bwd_wcost src0 bwcost' dst0 len);
+        (Bigarray.Array1.sub bcost' dst0 len));
   {
     fz with
     f_fwd_off = off';
     f_fwd_end = dense_end off' n;
     f_fwd_dst = dst';
     f_fwd_cost = cost';
-    f_fwd_wcost = wcost';
     f_fwd_edge = edge';
     f_bwd_off = boff';
     f_bwd_end = dense_end boff' n;
     f_bwd_src = bsrc';
     f_bwd_cost = bcost';
-    f_bwd_wcost = bwcost';
     f_fwd_used = m;
     f_bwd_used = m;
     f_tail = Atomic.make false;

@@ -81,7 +81,7 @@ val real_nodes : t -> (Jtype.t * node) list
     destinations/sources, and 0/1 paper costs — is packed into out-of-heap
     {!Bigarray} lanes (native-word ids, uint16 costs): the GC never scans
     them, and they are safe to share read-only across domains. The cold half — the boxed {!edge}
-    table, weighted costs, node metadata, and a private copy of the
+    table, node metadata, and a private copy of the
     type-interning table — stays on the OCaml heap and is only touched when
     a found path is materialized, never per relaxed edge. The record is
     exposed transparently so hot loops ({!Search.Csr}, {!Reach}) can index
@@ -123,17 +123,11 @@ type frozen = {
   f_fwd_end : int_array1;  (** length [f_nodes]; exclusive row ends *)
   f_fwd_dst : int_array1;
   f_fwd_cost : cost_array1;  (** memoized [Elem.cost], aligned with [f_fwd_dst] *)
-  f_fwd_wcost : int array;
-      (** weighted edge cost (see {!freeze}'s [wcost]), aligned with
-          [f_fwd_dst]; plain [int array] — weighted costs exceed uint16 *)
   f_fwd_edge : edge array;  (** cold: the full edge, aligned with [f_fwd_dst] *)
   f_bwd_off : int_array1;
   f_bwd_end : int_array1;
   f_bwd_src : int_array1;
   f_bwd_cost : cost_array1;
-  f_bwd_wcost : int array;
-      (** weighted edge cost, aligned with [f_bwd_src] — backward rows carry
-          no [edge], so weighted distance-to-target sweeps need it baked in *)
   f_fwd_used : int;
       (** physical high-water mark: lane indices at or past this are free
           tail slack (capacity is the lanes' dimension) *)
@@ -169,19 +163,15 @@ val frozen_iter_edges : frozen -> (edge -> unit) -> unit
     a snapshot has been patched, and its tail holds dead entries. *)
 
 val default_wcost : Elem.t -> int
-(** The paper cost in fixed-point units, [Elem.cost_scale * Elem.cost] — the
-    default [wcost] of {!freeze}, exposed so incremental patching
-    ({!Delta}) can cost new edges identically. *)
+(** {!Elem.cost}. Kept, like {!freeze}'s [?wcost], only for
+    [perfbench/traced.ml], which passes it to {!Delta.apply}. *)
 
 val freeze : ?wcost:(Elem.t -> int) -> t -> frozen
 (** O(nodes + edges). Captures the graph at its current {!generation}. The
     lanes are allocated with ~12.5% tail slack so incremental patches
     ({!Delta.apply}) can append relocated rows without copying them.
-    [wcost] supplies the weighted (mined) cost per elementary jungloid,
-    baked into [f_fwd_wcost]/[f_bwd_wcost]; it must be non-negative. The
-    default is the paper cost in fixed-point units,
-    [Elem.cost_scale * Elem.cost] — snapshots frozen with the default are
-    only valid for weighted search under the same (default) cost model. *)
+    [?wcost] is ignored; it stays only for the callers in
+    [perfbench/model.ml] and [perfbench/traced.ml]. *)
 
 val frozen_generation : frozen -> int
 

@@ -67,25 +67,6 @@ let check_type_name ~what name =
     Error (Printf.sprintf "%s must name a type (got %S)" what name)
   else Ok ()
 
-(* [Mined] orders results by the usage-weighted cost learned from the
-   corpus ([Mining.Usage]), with the paper key as tiebreak; the candidate
-   set (paper-cost budget) is unchanged, so both rankings surface the same
-   solutions in different orders. The cost model itself travels separately
-   (the [?edge_cost] arguments / the engine field): settings stay a flat
-   structurally-comparable record, which the query cache keys require. *)
-type ranking =
-  | Paper
-  | Mined
-
-let ranking_to_string = function Paper -> "paper" | Mined -> "mined"
-
-let ranking_of_string = function
-  | "paper" -> Ok Paper
-  | "mined" -> Ok Mined
-  | s ->
-      Error
-        (Printf.sprintf "unknown ranking %S (expected \"paper\" or \"mined\")" s)
-
 type settings = {
   slack : int;
   limit : int;
@@ -93,7 +74,6 @@ type settings = {
   weights : Rank.weights;
   estimate_freevars : bool;
   strategy : strategy;
-  ranking : ranking;
 }
 
 let default_settings =
@@ -104,51 +84,31 @@ let default_settings =
     weights = Rank.default_weights;
     estimate_freevars = false;
     strategy = BestFirst;
-    ranking = Paper;
   }
 
 (* A negative free-variable cost would make the best-first priority
    non-monotone (prefixes could get cheaper as they grow), voiding the
    order certificate; such ablation configurations fall back to the
-   exhaustive strategy. Likewise [Mined] without a loaded usage model
-   falls back to the paper ranking. Both fallbacks are reported in
-   [info.warnings] so callers are never silently served by a different
-   configuration than they asked for. *)
-let effective_mode ~edge_cost settings =
-  let warnings = ref [] in
-  let strategy =
-    if settings.weights.Rank.freevar_cost < 0 && settings.strategy = BestFirst then begin
-      warnings :=
-        "negative freevar_cost voids the best-first order certificate; falling back to the exhaustive strategy"
-        :: !warnings;
-      Exhaustive
-    end
-    else settings.strategy
-  in
-  let ranking =
-    match settings.ranking with
-    | Mined when Option.is_none edge_cost ->
-        warnings :=
-          "mined ranking requested but no usage model is loaded; falling back to the paper ranking"
-          :: !warnings;
-        Paper
-    | r -> r
-  in
-  (* Gate the cost model on the effective ranking so paper-mode callers
-     that happen to hold a model rank identically to ones that do not. *)
-  let edge_cost = match ranking with Mined -> edge_cost | Paper -> None in
-  List.iter (fun w -> Log.warn (fun m -> m "%s" w)) (List.rev !warnings);
-  (strategy, edge_cost, List.rev !warnings)
+   exhaustive strategy, and the fallback is reported in [info.warnings] so
+   callers are never silently served by a different configuration than
+   they asked for. *)
+let effective_mode settings =
+  if settings.weights.Rank.freevar_cost < 0 && settings.strategy = BestFirst then begin
+    let w =
+      "negative freevar_cost voids the best-first order certificate; falling back to the exhaustive strategy"
+    in
+    Log.warn (fun m -> m "%s" w);
+    (Exhaustive, [ w ])
+  end
+  else (settings.strategy, [])
 
 (* The query-time snapshot of a builder graph; an engine keeps one. The
    void pseudo-node is interned first so every snapshot can serve the
    multi-source (content-assist) path; [Sig_graph.build] already interns
-   it, so freezing a built graph never moves its generation. The cost
-   model, if any, is baked into the weighted lanes, so weighted search
-   agrees with the model the rank layer applies. *)
-let freeze ?edge_cost graph =
+   it, so freezing a built graph never moves its generation. *)
+let freeze graph =
   ignore (Graph.void_node graph);
-  Graph.freeze ?wcost:edge_cost graph
+  Graph.freeze graph
 
 (* The future-work free-variable estimator: a free variable of type T will
    cost about as much as the cheapest way to conjure a T from nothing (the
@@ -206,24 +166,10 @@ let no_info = { candidates = 0; truncated = false; warnings = [] }
    [settings.limit]. The strategy only decides which source runs.
 
    Best-first: [budgets] pairs each source with its shortest cost plus
-   slack. With an [edge_cost] model the heap runs in weighted mode:
-   priorities use the exact weighted distances over the snapshot's baked
-   [wcost] lanes while the budget prune stays on the paper [dist_to], so
-   the candidate set is unchanged and only the certified order follows the
-   mined costs. The search runs in the domain's Topk workspace
+   slack. The search runs in the domain's Topk workspace
    ([Topk.Memo.domain]): the consumer is done with it before [execute]
    returns, so the next search on this domain may take it over. *)
-let best_first_source ~scratch ~settings ~hierarchy ~freevar_cost_of
-    ?edge_cost fz ~dist_to ~budgets ~target =
-  let weighted =
-    Option.map
-      (fun _ ->
-        {
-          Topk.wdist_to = Search.Csr.weighted_distances_to ~scratch fz ~target;
-          edge_wcost = (fun ord _ -> fz.Graph.f_fwd_wcost.(ord));
-        })
-      edge_cost
-  in
+let best_first_source ~settings ~hierarchy ~freevar_cost_of fz ~dist_to ~budgets ~target =
   let off = fz.Graph.f_fwd_off and fin = fz.Graph.f_fwd_end in
   let iter_succs u f =
     for k = off.{u} to fin.{u} - 1 do
@@ -231,7 +177,7 @@ let best_first_source ~scratch ~settings ~hierarchy ~freevar_cost_of
     done
   in
   let st =
-    Topk.start ?freevar_cost_of ?weighted ~memo:(Topk.Memo.domain ())
+    Topk.start ?freevar_cost_of ~memo:(Topk.Memo.domain ())
       ~weights:settings.weights ~hierarchy
       ~node_type:(Graph.frozen_node_type fz) ~iter_succs
       ~edge_slots:(Array.length fz.Graph.f_fwd_edge)
@@ -342,8 +288,8 @@ let consume ~settings ~inputs ~render next =
    [Search.Csr.enumerate_per_source] budgets sources. Distance lanes come
    from the domain's scratch pool, released when the frame ends (nothing
    in a result refers to them). *)
-let execute ~settings ?reach ~frozen:fz ?edge_cost ~hierarchy ~inputs ~tout () =
-  let strategy, edge_cost, warnings = effective_mode ~edge_cost settings in
+let execute ~settings ?reach ~frozen:fz ~hierarchy ~inputs ~tout () =
+  let strategy, warnings = effective_mode settings in
   let scratch = Search.Scratch.domain () in
   let search ~target inputs =
     let dist_to = Search.Csr.distances_to ~scratch fz ~target in
@@ -351,7 +297,8 @@ let execute ~settings ?reach ~frozen:fz ?edge_cost ~hierarchy ~inputs ~tout () =
       List.filter_map
         (fun s ->
           let d = Search.Dist.get dist_to s in
-          if d < max_int then Some (s, d + settings.slack) else None)
+          if d < max_int then Some (s, Search.budget ~shortest:d ~slack:settings.slack)
+          else None)
         (List.sort_uniq compare (List.map fst inputs))
     in
     if budgets = [] then ([], no_info)
@@ -360,13 +307,11 @@ let execute ~settings ?reach ~frozen:fz ?edge_cost ~hierarchy ~inputs ~tout () =
       let next, report =
         match strategy with
         | BestFirst ->
-            best_first_source ~scratch ~settings ~hierarchy ~freevar_cost_of
-              ?edge_cost fz ~dist_to ~budgets ~target
+            best_first_source ~settings ~hierarchy ~freevar_cost_of fz ~dist_to ~budgets
+              ~target
         | Exhaustive ->
             exhaustive_source ~scratch ~settings
-              ~key_of:
-                (Rank.key ~weights:settings.weights ?freevar_cost_of ?edge_cost
-                   hierarchy)
+              ~key_of:(Rank.key ~weights:settings.weights ?freevar_cost_of hierarchy)
               fz ~sources:(List.map fst budgets) ~target
       in
       (* The key is the source's own: Topk's incremental one, or the
@@ -408,20 +353,18 @@ let execute ~settings ?reach ~frozen:fz ?edge_cost ~hierarchy ~inputs ~tout () =
   let results, info = Search.Scratch.with_frame scratch body in
   (results, { info with warnings })
 
-let run_info ?(settings = default_settings) ?reach ~frozen ?edge_cost ~hierarchy q =
+let run_info ?(settings = default_settings) ?reach ~frozen ~hierarchy q =
   let results, info =
-    execute ~settings ?reach ~frozen ?edge_cost ~hierarchy ~inputs:[ (q.tin, None) ]
-      ~tout:q.tout ()
+    execute ~settings ?reach ~frozen ~hierarchy ~inputs:[ (q.tin, None) ] ~tout:q.tout ()
   in
   (List.map (fun mr -> mr.result) results, info)
 
-let run ?settings ?reach ~frozen ?edge_cost ~hierarchy q =
-  fst (run_info ?settings ?reach ~frozen ?edge_cost ~hierarchy q)
+let run ?settings ?reach ~frozen ~hierarchy q =
+  fst (run_info ?settings ?reach ~frozen ~hierarchy q)
 
-let run_multi ?(settings = default_settings) ?reach ~frozen ?edge_cost ~hierarchy ~vars
-    ~tout () =
+let run_multi ?(settings = default_settings) ?reach ~frozen ~hierarchy ~vars ~tout () =
   fst
-    (execute ~settings ?reach ~frozen ?edge_cost ~hierarchy
+    (execute ~settings ?reach ~frozen ~hierarchy
        ~inputs:((Jtype.Void, None) :: List.map (fun (name, ty) -> (ty, Some name)) vars)
        ~tout ())
 
@@ -475,15 +418,14 @@ type engine = {
   mutable e_hierarchy : Hierarchy.t;  (* swapped by reload *)
   e_cache : (key, result list) Qcache.t;
   e_pool : Pool.t;
-  e_edge_cost : (Elem.t -> int) option;  (* mined cost model, if loaded *)
   mutable e_frozen : Graph.frozen;  (* CSR snapshot, swapped by reload *)
   mutable e_reach : Reach.t option;  (* built lazily for [e_frozen] *)
 }
 
-(* Both public constructors end here, with [frozen] already baked under
-   [edge_cost]. A seeded index only counts if it describes this exact
-   snapshot; anything stale is dropped and rebuilt lazily. *)
-let make_engine ~cache_capacity ?reach ?pool ?edge_cost ~frozen ~hierarchy () =
+(* Both public constructors end here, with [frozen] already taken. A seeded
+   index only counts if it describes this exact snapshot; anything stale is
+   dropped and rebuilt lazily. *)
+let make_engine ~cache_capacity ?reach ?pool ~frozen ~hierarchy () =
   let seed =
     match reach with
     | Some r when Reach.generation r = Graph.frozen_generation frozen -> Some r
@@ -493,26 +435,22 @@ let make_engine ~cache_capacity ?reach ?pool ?edge_cost ~frozen ~hierarchy () =
     e_hierarchy = hierarchy;
     e_cache = Qcache.create ~capacity:cache_capacity ();
     e_pool = Option.value pool ~default:Pool.sequential;
-    e_edge_cost = edge_cost;
     e_frozen = frozen;
     e_reach = seed;
   }
 
-(* [?protocol_check] is ignored: [perfbench/model.ml] still passes one. *)
-let engine ?(cache_capacity = 256) ?pool ?edge_cost ?protocol_check:_ ~graph
-    ~hierarchy () =
-  make_engine ~cache_capacity ?pool ?edge_cost ~frozen:(freeze ?edge_cost graph)
-    ~hierarchy ()
+(* [?edge_cost] and [?protocol_check] are ignored: [perfbench/model.ml]
+   still passes both. *)
+let engine ?(cache_capacity = 256) ?pool ?edge_cost:_ ?protocol_check:_ ~graph ~hierarchy
+    () =
+  make_engine ~cache_capacity ?pool ~frozen:(freeze graph) ~hierarchy ()
 
-(* An engine over a snapshot the caller already froze, under the default
-   cost model. A [reach] seed is an index the caller already built from
-   [frozen]. *)
+(* An engine over a snapshot the caller already froze. A [reach] seed is an
+   index the caller already built from [frozen]. *)
 let engine_of_frozen ?(cache_capacity = 256) ?reach ?pool ~frozen ~hierarchy () =
   make_engine ~cache_capacity ?reach ?pool ~frozen ~hierarchy ()
 
 let engine_hierarchy e = e.e_hierarchy
-
-let engine_edge_cost e = e.e_edge_cost
 
 let engine_frozen e = e.e_frozen
 
@@ -540,8 +478,7 @@ let engine_stats e = Qcache.stats e.e_cache
    reach a changed edge's source are re-closed — [Reach.patch]); a
    [Rebuilt] patch has unstable node ids, so its index is rebuilt lazily
    instead. The cache
-   is cleared: every cached answer describes the old snapshot. The usage
-   model stays the one the engine was created with. *)
+   is cleared: every cached answer describes the old snapshot. *)
 let engine_reload e (patch : Delta.patch) =
   let old_gen = Graph.frozen_generation e.e_frozen in
   let fz = patch.Delta.p_frozen in
@@ -579,10 +516,7 @@ let run_batch ?(settings = default_settings) e qs =
   Hierarchy.warm e.e_hierarchy;
   let reach = reach_of e in
   let key q = cache_key ~settings q in
-  let solve q =
-    run ~settings ~reach ~frozen:e.e_frozen ?edge_cost:e.e_edge_cost
-      ~hierarchy:e.e_hierarchy q
-  in
+  let solve q = run ~settings ~reach ~frozen:e.e_frozen ~hierarchy:e.e_hierarchy q in
   let seen = Hashtbl.create 64 in
   let misses =
     List.filter

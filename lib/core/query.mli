@@ -58,30 +58,12 @@ val check_type_name : what:string -> string -> (unit, string) result
     never an internal error. Non-blank malformed names (["a..b"]) pass:
     they resolve to no node and answer with no jungloids. *)
 
-(** How results are ordered. [Paper] is Section 3.2's static rule
-    (length, crossings, specificity). [Mined] orders by the usage-weighted
-    cost learned from the corpus ([Mining.Usage] — −log frequency with
-    Laplace smoothing, in {!Elem.cost_scale} fixed-point units), refined by
-    the full paper key as the deterministic tiebreak. The candidate set
-    (paper-cost budget [m + slack]) is identical under both rankings — only
-    the order changes — and [BestFirst] remains byte-identical to
-    [Exhaustive] under either. The cost model itself is passed separately
-    ([?edge_cost] / the engine's model): settings stay a flat structurally
-    comparable record, as the query-cache keys require. [Mined] without a
-    model falls back to [Paper] and reports it in {!info.warnings}. *)
-type ranking =
-  | Paper
-  | Mined
-
-val ranking_to_string : ranking -> string
-(** ["paper"] / ["mined"] — the wire and CLI spelling. *)
-
-val ranking_of_string : string -> (ranking, string) result
-(** Inverse of {!ranking_to_string}; [Error] carries a user-ready message
-    listing the accepted spellings. *)
-
+(** Results are ordered by Section 3.2's static rule ({!Rank}: length,
+    package crossings, output generality), the only ranking. *)
 type settings = {
-  slack : int;  (** extra path cost beyond the shortest; the paper uses 1 *)
+  slack : int;
+      (** extra path cost beyond the shortest; the paper uses 1. A budget
+          past [max_int] saturates ({!Search.budget}): no bound. *)
   limit : int;  (** cap on enumerated paths *)
   max_results : int;  (** truncate the ranked list *)
   weights : Rank.weights;
@@ -90,20 +72,18 @@ type settings = {
           shortest production cost from the void node — the estimation the
           paper leaves as future work (default [false]) *)
   strategy : strategy;
-  ranking : ranking;
 }
 
 val default_settings : settings
 (** [slack = 1], [limit = 4096], [max_results = 10], default weights,
-    [strategy = BestFirst], [ranking = Paper]. *)
+    [strategy = BestFirst]. *)
 
 type result = {
   jungloid : Jungloid.t;
   key : Rank.key;
       (** the candidate source's own key — {!Topk}'s incrementally built
           one, or the exhaustive source's {!Rank.key} — taken over, not
-          recomputed; either equals {!Rank.key} under the snapshot's cost
-          model *)
+          recomputed; either equals {!Rank.key} *)
   code : string;  (** generated Java, input named after [tin] *)
 }
 
@@ -117,23 +97,21 @@ type info = {
           missing better-ranked solutions and callers should say so *)
   warnings : string list;
       (** configuration fallbacks applied to this query — a negative
-          [freevar_cost] forcing the exhaustive strategy, or [Mined]
-          ranking without a loaded usage model reverting to [Paper]. Empty
-          when the query ran exactly as configured. *)
+          [freevar_cost] forcing the exhaustive strategy. Empty when the
+          query ran exactly as configured. *)
 }
 
-val freeze : ?edge_cost:(Elem.t -> int) -> Graph.t -> Graph.frozen
+val freeze : Graph.t -> Graph.frozen
 (** The query-time snapshot of a builder graph: the [void] pseudo-node is
     interned first (a no-op on graphs from {!Sig_graph.build}, which intern
-    it up front), then {!Graph.freeze} bakes [edge_cost] into the weighted
-    lanes. Beside {!engine}, the one place a builder graph becomes a
-    snapshot: freeze once per model and pass [~frozen] to every query. *)
+    it up front), then {!Graph.freeze}. Beside {!engine}, the one place a
+    builder graph becomes a snapshot: freeze once per model and pass
+    [~frozen] to every query. *)
 
 val run_info :
   ?settings:settings ->
   ?reach:Reach.t ->
   frozen:Graph.frozen ->
-  ?edge_cost:(Elem.t -> int) ->
   hierarchy:Hierarchy.t ->
   t ->
   result list * info
@@ -144,7 +122,6 @@ val run :
   ?settings:settings ->
   ?reach:Reach.t ->
   frozen:Graph.frozen ->
-  ?edge_cost:(Elem.t -> int) ->
   hierarchy:Hierarchy.t ->
   t ->
   result list
@@ -162,13 +139,6 @@ val run :
     a search; every other query runs exactly as without the index, so the
     result list is the same either way. A stale index is ignored, never
     misapplied.
-
-    [?edge_cost] is the mined usage model ([Mining.Usage.edge_cost]),
-    consulted only when [settings.ranking = Mined]. It must be
-    non-negative, and [frozen] must have been taken under the {e same}
-    model ([freeze ~edge_cost]) — the weighted best-first search reads the
-    snapshot's baked cost arrays. Engine snapshots maintain this invariant
-    automatically.
 
     No query vets its answers against the mined call-order model: the
     daemon's [lint] op and [lint --pass query] report those findings
@@ -196,7 +166,6 @@ val run_multi :
   ?settings:settings ->
   ?reach:Reach.t ->
   frozen:Graph.frozen ->
-  ?edge_cost:(Elem.t -> int) ->
   hierarchy:Hierarchy.t ->
   vars:(string * Jtype.t) list ->
   tout:Jtype.t ->
@@ -228,8 +197,8 @@ val run_multi :
     {!engine_frozen} ([test_cache.ml] checks the equivalence over the full
     Table 1 workload, [test_reload.ml] across random reload sequences).
     Content assist has no engine entry point: a multi-source search runs
-    {!run_multi} on {!engine_frozen} with {!engine_reach} and
-    {!engine_edge_cost}, as the server's readers do. *)
+    {!run_multi} on {!engine_frozen} with {!engine_reach}, as the server's
+    readers do. *)
 
 type engine
 
@@ -251,15 +220,9 @@ val engine :
     do not reach it — build a new engine, or {!engine_reload} a {!Delta}
     patch, to change the model.
 
-    [?edge_cost] installs the mined usage model ({!Mining.Usage.edge_cost}
-    in practice) for queries with [settings.ranking = Mined]; the engine's
-    snapshot bakes this model into its weighted-cost arrays, so weighted
-    search and the rank layer always agree. Without
-    it, [Mined] requests fall back to [Paper] with an {!info.warnings}
-    entry.
-
-    [?protocol_check] is ignored; the parameter stays only because
-    [perfbench/model.ml] still passes one, and goes with that call. *)
+    [?edge_cost] and [?protocol_check] are ignored; the parameters stay
+    only because [perfbench/model.ml] still passes them, and go with those
+    calls. *)
 
 val engine_of_frozen :
   ?cache_capacity:int ->
@@ -269,8 +232,7 @@ val engine_of_frozen :
   hierarchy:Hierarchy.t ->
   unit ->
   engine
-(** An engine over a CSR snapshot the caller already froze, under the
-    default cost model (no mined ranking): benchmarks
+(** An engine over a CSR snapshot the caller already froze: benchmarks
     and tests that freeze once and build several engines over the result
     start here. The reach index is built from this snapshot on first use
     ({!Reach.build_frozen}; about 18 ms at 100k methods). {!engine} ends in
@@ -281,12 +243,6 @@ val engine_of_frozen :
     {!engine}. *)
 
 val engine_hierarchy : engine -> Javamodel.Hierarchy.t
-
-val engine_edge_cost : engine -> (Elem.t -> int) option
-(** The usage model installed at engine creation, if any. Lock-free readers
-    that run on {!engine_frozen} snapshots pass this as their [?edge_cost]:
-    the snapshot's baked weighted costs and the rank layer's model are then
-    the same by construction. *)
 
 val engine_frozen : engine -> Graph.frozen
 (** The engine's CSR snapshot: the one it was built with, or the last
@@ -312,8 +268,8 @@ val run_batch :
   (t * result list) list
 (** Answer many queries through one engine — the reach index is built once
     and every repeated [(tin, tout)] pair after the first is a cache hit
-    (one hash lookup; a miss runs {!run} on the engine's snapshot, reach
-    index and models, and stores the result). Results are in input order,
+    (one hash lookup; a miss runs {!run} on the engine's snapshot and reach
+    index, and stores the result). Results are in input order,
     duplicates included. [run_batch e [q]] is the one-query form.
 
     The distinct cache misses are computed in one fan-out over the engine's
@@ -331,11 +287,8 @@ val engine_reload : engine -> Delta.patch -> unit
     ({!Reach.patch} — only components that reach the source of an added
     or removed edge are re-closed; a [Rebuilt] patch's is rebuilt on next
     use), and the cache
-    is cleared (one invalidation in {!engine_stats}). The usage model
-    ({!engine_edge_cost}) is the one installed at creation, for the
-    engine's whole life: the patch must have been
-    built under the same usage model ({!Delta.apply}'s [wcost]). Subsequent
-    queries answer over the patched model. *)
+    is cleared (one invalidation in {!engine_stats}). Subsequent queries
+    answer over the patched model. *)
 
 val engine_stats : engine -> Qcache.stats
 (** Hit/miss/eviction/invalidation counters of the result cache; render

@@ -11,7 +11,6 @@ let default_weights =
   { freevar_cost = 2; package_tiebreak = true; generality_tiebreak = true }
 
 type key = {
-  weighted : int;
   length : int;
   crossings : int;
   specificity : int;
@@ -53,7 +52,7 @@ let type_depth h ty =
   | Jtype.Array _ -> 1
   | Jtype.Prim _ | Jtype.Void -> 0
 
-let key ?(weights = default_weights) ?freevar_cost_of ?edge_cost h j =
+let key ?(weights = default_weights) ?freevar_cost_of h j =
   (* Only reference-typed free variables need a follow-up jungloid; a
      primitive slot is filled with a literal and costs nothing. The charge
      is the constant estimate (paper: 2) unless a per-type estimator is
@@ -67,17 +66,6 @@ let key ?(weights = default_weights) ?freevar_cost_of ?edge_cost h j =
     | Some cost_of -> List.fold_left (fun acc (_, ty) -> acc + cost_of ty) 0 ref_frees
   in
   let length = Jungloid.length j + freevar_charge in
-  (* Mined mode: the weighted component is the sum of learned edge costs
-     plus the free-variable charge in the same fixed-point unit. In paper
-     mode ([edge_cost] absent) it is 0 for every jungloid, so the
-     comparison falls through to the paper key unchanged. *)
-  let weighted =
-    match edge_cost with
-    | None -> 0
-    | Some cost ->
-        List.fold_left (fun acc e -> acc + cost e) 0 j.Jungloid.elems
-        + (Elem.cost_scale * freevar_charge)
-  in
   let crossings = if weights.package_tiebreak then package_crossings j else 0 in
   let specificity =
     if weights.generality_tiebreak then type_depth h (pre_widening_output j) else 0
@@ -92,7 +80,7 @@ let key ?(weights = default_weights) ?freevar_cost_of ?edge_cost h j =
         0 j.Jungloid.elems
     else 0
   in
-  { weighted; length; crossings; specificity; interior; tie = j }
+  { length; crossings; specificity; interior; tie = j }
 
 let compare_paper a b =
   match compare a.length b.length with
@@ -105,16 +93,11 @@ let compare_paper a b =
       | c -> c)
   | c -> c
 
-let compare_numeric a b =
-  match compare a.weighted b.weighted with
-  | 0 -> compare_paper a b
-  | c -> c
-
 (* The textual tiebreak is rendered only when all four numeric components
    tie — on realistic workloads the overwhelmingly common case is that they
    do not, so most comparisons never pay for [Jungloid.to_string]. *)
 let compare_key a b =
-  match compare_numeric a b with
+  match compare_paper a b with
   | 0 -> compare (Jungloid.to_string a.tie) (Jungloid.to_string b.tie)
   | c -> c
 
@@ -127,10 +110,10 @@ let sort_by key_of xs =
       (k, lazy (Jungloid.to_string k.tie), x))
     xs
   |> List.stable_sort (fun (a, ta, _) (b, tb, _) ->
-         match compare_numeric a b with
+         match compare_paper a b with
          | 0 -> compare (Lazy.force ta) (Lazy.force tb)
          | c -> c)
   |> List.map (fun (_, _, x) -> x)
 
-let sort ?weights ?freevar_cost_of ?edge_cost h js =
-  sort_by (key ?weights ?freevar_cost_of ?edge_cost h) js
+let sort ?weights ?freevar_cost_of h js =
+  sort_by (key ?weights ?freevar_cost_of h) js

@@ -32,11 +32,6 @@ val default_weights : weights
 (** [{ freevar_cost = 2; package_tiebreak = true; generality_tiebreak = true }] *)
 
 type key = {
-  weighted : int;
-      (** mined usage-weighted cost in {!Elem.cost_scale} fixed-point units
-          (learned edge costs plus the scaled free-variable charge);
-          always 0 in paper mode, so the comparison below degenerates to
-          the paper's rule *)
   length : int;
   crossings : int;
   specificity : int;  (** hierarchy depth of the pre-widening output type *)
@@ -53,24 +48,17 @@ val text : key -> string
 val key :
   ?weights:weights ->
   ?freevar_cost_of:(Javamodel.Jtype.t -> int) ->
-  ?edge_cost:(Elem.t -> int) ->
   Hierarchy.t ->
   Jungloid.t ->
   key
 (** [freevar_cost_of] overrides the constant free-variable charge with a
     per-type estimate — the "more precise, systematic estimation" the paper
     leaves as future work. {!Query} supplies the actual shortest production
-    cost from the graph when [estimate_freevars] is set.
-
-    [edge_cost] switches on the {e mined} (usage-weighted) mode: the [weighted]
-    component becomes the sum of the learned per-elem costs plus
-    [Elem.cost_scale] times the free-variable charge, and takes precedence
-    over every paper component; the paper key remains as the deterministic
-    tiebreak. Without it [weighted] is 0 and the order is the paper's. *)
+    cost from the graph when [estimate_freevars] is set. *)
 
 val compare_key : key -> key -> int
-(** Lexicographic over (weighted, length, crossings, specificity, interior,
-    text); the text is rendered only on a full numeric tie. *)
+(** Lexicographic over (length, crossings, specificity, interior, text);
+    the text is rendered only on a full numeric tie. *)
 
 val type_depth : Hierarchy.t -> Javamodel.Jtype.t -> int
 (** Hierarchy depth of a reference type, 1 for arrays, 0 otherwise — the
@@ -81,7 +69,6 @@ val type_depth : Hierarchy.t -> Javamodel.Jtype.t -> int
 val sort :
   ?weights:weights ->
   ?freevar_cost_of:(Javamodel.Jtype.t -> int) ->
-  ?edge_cost:(Elem.t -> int) ->
   Hierarchy.t ->
   Jungloid.t list ->
   Jungloid.t list

@@ -175,90 +175,11 @@ module Scratch = struct
     Fun.protect ~finally:(fun () -> leave t) f
 end
 
-(* Dijkstra for the weighted (mined) cost model, where edge costs are
-   arbitrary non-negative ints and the 0-1 deque trick no longer applies.
-   The heap holds (dist, node) in two parallel arrays — unpacked, because
-   weighted distances need not fit the 31-bit packing of the 0-1 deque.
-   Lazy deletion: stale entries (dist no longer current) are skipped.
-   Distances live in an epoch-stamped lane so it can be recycled across
-   queries. *)
-let dijkstra_into (lane : Scratch.lane) n ~starts ~next =
-  let dist = lane.Scratch.ld
-  and stamp = lane.Scratch.lstamp
-  and epoch = lane.Scratch.lepoch in
-  let hd = ref (Array.make 64 0) in
-  (* distances *)
-  let hn = ref (Array.make 64 0) in
-  (* nodes *)
-  let len = ref 0 in
-  let swap i j =
-    let d = !hd.(i) in
-    !hd.(i) <- !hd.(j);
-    !hd.(j) <- d;
-    let v = !hn.(i) in
-    !hn.(i) <- !hn.(j);
-    !hn.(j) <- v
-  in
-  let push d u =
-    if !len = Array.length !hd then begin
-      let cap' = !len * 2 in
-      let hd' = Array.make cap' 0 and hn' = Array.make cap' 0 in
-      Array.blit !hd 0 hd' 0 !len;
-      Array.blit !hn 0 hn' 0 !len;
-      hd := hd';
-      hn := hn'
-    end;
-    !hd.(!len) <- d;
-    !hn.(!len) <- u;
-    let i = ref !len in
-    incr len;
-    while !i > 0 && !hd.((!i - 1) / 2) > !hd.(!i) do
-      swap !i ((!i - 1) / 2);
-      i := (!i - 1) / 2
-    done
-  in
-  let pop () =
-    let d = !hd.(0) and u = !hn.(0) in
-    decr len;
-    swap 0 !len;
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let s = ref !i in
-      if l < !len && !hd.(l) < !hd.(!s) then s := l;
-      if r < !len && !hd.(r) < !hd.(!s) then s := r;
-      if !s = !i then continue := false
-      else begin
-        swap !i !s;
-        i := !s
-      end
-    done;
-    (d, u)
-  in
-  List.iter
-    (fun s ->
-      if s >= 0 && s < n && (stamp.(s) <> epoch || dist.(s) > 0) then begin
-        dist.(s) <- 0;
-        stamp.(s) <- epoch;
-        push 0 s
-      end)
-    starts;
-  while !len > 0 do
-    let du, u = pop () in
-    if du = dist.(u) then
-      next u (fun cost v ->
-          let d = du + cost in
-          let dv =
-            if Array.unsafe_get stamp v = epoch then Array.unsafe_get dist v
-            else max_int
-          in
-          if d < dv then begin
-            dist.(v) <- d;
-            stamp.(v) <- epoch;
-            push d v
-          end)
-  done
+(* [shortest + slack] would wrap to a negative budget for a slack near
+   [max_int]; every path costs less than [max_int], so saturating there
+   keeps "no bound" meaning no bound. *)
+let budget ~shortest ~slack =
+  if slack > max_int - shortest then max_int else shortest + slack
 
 (* When the DFS stops at [limit] the enumeration is clipped mid-flight; the
    [?truncated] flag (OR-ed, never cleared) lets callers surface that the
@@ -350,22 +271,6 @@ module Csr = struct
     bfs ?scratch ?cone fz.Graph.f_nodes ~starts:[ target ] ~off:fz.Graph.f_bwd_off
       ~fin:fz.Graph.f_bwd_end ~adj:fz.Graph.f_bwd_src ~cost:fz.Graph.f_bwd_cost
 
-  (* Weighted (mined) distances to the target, over the baked-in
-     [f_bwd_wcost] — the backward rows carry no [edge], so the cost model
-     must have been supplied at freeze time. *)
-  let weighted_distances_to ?scratch fz ~target =
-    let off = fz.Graph.f_bwd_off in
-    let fin = fz.Graph.f_bwd_end in
-    let adj = fz.Graph.f_bwd_src in
-    let wcost = fz.Graph.f_bwd_wcost in
-    let n = fz.Graph.f_nodes in
-    let lane = lane_of scratch n in
-    dijkstra_into lane n ~starts:[ target ] ~next:(fun u f ->
-        for k = off.{u} to fin.{u} - 1 do
-          f wcost.(k) adj.{k}
-        done);
-    dist_of lane
-
   let distances_from ?scratch fz ~sources =
     bfs ?scratch fz.Graph.f_nodes ~starts:sources ~off:fz.Graph.f_fwd_off
       ~fin:fz.Graph.f_fwd_end ~adj:fz.Graph.f_fwd_dst ~cost:fz.Graph.f_fwd_cost
@@ -440,7 +345,7 @@ module Csr = struct
         (fun source ->
           if source < n && Dist.get dist_to source < max_int then
             dfs_from fz ~target ~dist_to ~on_path
-              ~budget:(Dist.get dist_to source + slack)
+              ~budget:(budget ~shortest:(Dist.get dist_to source) ~slack)
               ~limit ~count ~results source)
         (List.sort_uniq compare sources);
       flag_truncated truncated ~count ~limit;

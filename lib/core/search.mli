@@ -71,6 +71,13 @@ end
 val path_cost : path -> int
 (** Sum of the edge costs (widening free). *)
 
+val budget : shortest:int -> slack:int -> int
+(** The cost budget [shortest + slack] of a source whose cheapest path to
+    the target costs [shortest], saturating at [max_int] instead of
+    overflowing: a budget larger than every path means no bound. Both
+    candidate sources ({!Csr.enumerate_per_source} and {!Query}'s
+    best-first budgets) go through it. *)
+
 (** {2 The search kernels}
 
     Every query runs on a {!Graph.frozen} snapshot ({!Graph.t} is only the
@@ -115,17 +122,6 @@ module Csr : sig
     sources:Graph.node list ->
     Dist.t
   (** Cost of the cheapest path from the nearest source to each node. *)
-
-  val weighted_distances_to :
-    ?scratch:Scratch.t ->
-    Graph.frozen ->
-    target:Graph.node ->
-    Dist.t
-  (** Exact cheapest weighted cost from each node to [target] under the
-      cost model baked into the snapshot's [f_bwd_wcost] at freeze time
-      (Dijkstra); [max_int] when unreachable. Used as the admissible
-      heuristic of weighted best-first search: exact distances satisfy the
-      triangle inequality, so the resulting priority is consistent. *)
 
   val shortest_cost :
     ?scratch:Scratch.t ->

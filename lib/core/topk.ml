@@ -234,7 +234,7 @@ type candidate = {
    memo so that [Query] can reuse one per domain.
 
    Row lanes, aligned with the arena's rows (the arena's three, the edge
-   array, the heap's two and the eight rank lanes below — 14 words per row
+   array, the heap's two and the seven rank lanes below — 13 words per row
    of capacity). A taken memo empties them by resetting their lengths, so
    they stay at their high-water mark and a steady-state query allocates
    none of them: a lane past the 256-word minor-heap limit is allocated
@@ -258,7 +258,6 @@ type memo = {
   arena : Arena.t;
   heap : Heap.t;
   r_cost : Ivec.t;  (* sum of edge costs *)
-  r_wcost : Ivec.t;  (* sum of weighted edge costs (0 in paper mode) *)
   r_charge : Ivec.t;  (* free-variable charge so far *)
   r_cross : Ivec.t;  (* package crossings so far *)
   r_lastpkg : Ivec.t;  (* interned id of the last package seen; -1 none *)
@@ -280,7 +279,6 @@ module Memo = struct
       arena = Arena.create ();
       heap = Heap.create ();
       r_cost = Ivec.create ();
-      r_wcost = Ivec.create ();
       r_charge = Ivec.create ();
       r_cross = Ivec.create ();
       r_lastpkg = Ivec.create ();
@@ -318,7 +316,6 @@ module Memo = struct
     Arena.clear t.arena;
     Heap.clear t.heap;
     Ivec.clear t.r_cost;
-    Ivec.clear t.r_wcost;
     Ivec.clear t.r_charge;
     Ivec.clear t.r_cross;
     Ivec.clear t.r_lastpkg;
@@ -327,23 +324,6 @@ module Memo = struct
     Ivec.clear t.r_budget;
     t.epoch
 end
-
-(* Mined (usage-weighted) mode. The heap priority becomes
-
-       f_w(prefix) = wcost(prefix) + cost_scale*charge(prefix) + wdist_to(head)
-
-   with [wdist_to] the exact weighted Dijkstra distance to the target —
-   consistent for the same reason the 0-1 distances are, so completed paths
-   pop in nondecreasing weighted total. The *budget prune* stays on the
-   paper cost (see [expand]): the candidate set must be byte-identical to
-   the exhaustive enumeration, which budgets on paper cost regardless of
-   ranking mode; only the emission order changes. *)
-type weighted_mode = {
-  wdist_to : Search.Dist.t;
-  edge_wcost : int -> Graph.edge -> int;
-      (** global CSR edge index + edge -> learned cost; {!Query} reads
-          the snapshot's baked [f_fwd_wcost] lane at that index *)
-}
 
 type t = {
   (* The workspace this enumeration owns while [ws.epoch = epoch]. *)
@@ -359,7 +339,6 @@ type t = {
   iter_succs : Graph.node -> (int -> Graph.edge -> unit) -> unit;
   materialize : Search.path -> Jungloid.t;
   dist_to : Search.Dist.t;
-  weighted : weighted_mode option;
   target : Graph.node;
   limit : int;
   (* Completion staging: [pending] holds completed arena rows of length
@@ -440,7 +419,6 @@ let add_root st node budget =
   let ws = st.ws in
   let id = Arena.add_root ws.arena node in
   Ivec.push ws.r_cost 0;
-  Ivec.push ws.r_wcost 0;
   Ivec.push ws.r_charge 0;
   Ivec.push ws.r_cross 0;
   Ivec.push ws.r_lastpkg
@@ -455,25 +433,14 @@ let add_root st node budget =
      else 0);
   Ivec.push ws.r_interior 0;
   Ivec.push ws.r_budget budget;
-  let prio =
-    match st.weighted with
-    | None -> Search.Dist.get st.dist_to node
-    | Some w -> Search.Dist.get w.wdist_to node
-  in
-  Heap.add ws.heap ~prio id
+  Heap.add ws.heap ~prio:(Search.Dist.get st.dist_to node) id
 
 let append st parent ord (e : Graph.edge) =
   let ws = st.ws in
   let id = Arena.append ws.arena ~parent ~ord e in
   let cost = Ivec.get ws.r_cost parent + Elem.cost e.Graph.elem in
-  let wcost =
-    match st.weighted with
-    | None -> 0
-    | Some w -> Ivec.get ws.r_wcost parent + w.edge_wcost ord e
-  in
   let charge = Ivec.get ws.r_charge parent + edge_charge st ord e in
   Ivec.push ws.r_cost cost;
-  Ivec.push ws.r_wcost wcost;
   Ivec.push ws.r_charge charge;
   (if st.weights.Rank.package_tiebreak then begin
      let pkg = edge_pkg st ord e in
@@ -508,13 +475,7 @@ let append st parent ord (e : Graph.edge) =
      Ivec.push ws.r_interior 0
    end);
   Ivec.push ws.r_budget (Ivec.get ws.r_budget parent);
-  let prio =
-    match st.weighted with
-    | None -> cost + charge + Search.Dist.get st.dist_to e.Graph.dst
-    | Some w ->
-        wcost + (Elem.cost_scale * charge) + Search.Dist.get w.wdist_to e.Graph.dst
-  in
-  Heap.add ws.heap ~prio id
+  Heap.add ws.heap ~prio:(cost + charge + Search.Dist.get st.dist_to e.Graph.dst) id
 
 (* Expansion mirrors the DFS push guard exactly: skip nodes already on the
    chain, unreachable nodes, and extensions whose optimistic total cost
@@ -545,26 +506,19 @@ let cmp_ords (a : int array) (b : int array) =
   in
   go 0
 
-(* Move the pending batch — every completed path of priority [pending_len] —
-   into numeric-tie groups. In paper mode the batch shares its length, so
-   the sort key is the gated (crossings, specificity, interior) triple; in
-   weighted mode it shares only the weighted total, so the paper length
-   (cost + charge) is compared first — which is a no-op for paper batches.
-   Nothing is materialized yet. *)
+(* Move the pending batch — every completed path of priority [pending_len],
+   which at the target is its length — into numeric-tie groups by the gated
+   (crossings, specificity, interior) triple. Nothing is materialized yet. *)
 let flush_pending st =
   let ws = st.ws in
-  let length id = Ivec.get ws.r_cost id + Ivec.get ws.r_charge id in
   let arr = Array.of_list (List.rev st.pending) in
   st.pending <- [];
   Array.sort
     (fun a b ->
-      match compare (length a) (length b) with
+      match compare (Ivec.get ws.r_cross a) (Ivec.get ws.r_cross b) with
       | 0 -> (
-          match compare (Ivec.get ws.r_cross a) (Ivec.get ws.r_cross b) with
-          | 0 -> (
-              match compare (Ivec.get ws.r_spec a) (Ivec.get ws.r_spec b) with
-              | 0 -> compare (Ivec.get ws.r_interior a) (Ivec.get ws.r_interior b)
-              | c -> c)
+          match compare (Ivec.get ws.r_spec a) (Ivec.get ws.r_spec b) with
+          | 0 -> compare (Ivec.get ws.r_interior a) (Ivec.get ws.r_interior b)
           | c -> c)
       | c -> c)
     arr;
@@ -575,7 +529,6 @@ let flush_pending st =
     let j = ref (!i + 1) in
     while
       !j < n
-      && length arr.(!i) = length arr.(!j)
       && Ivec.get ws.r_cross arr.(!i) = Ivec.get ws.r_cross arr.(!j)
       && Ivec.get ws.r_spec arr.(!i) = Ivec.get ws.r_spec arr.(!j)
       && Ivec.get ws.r_interior arr.(!i) = Ivec.get ws.r_interior arr.(!j)
@@ -597,15 +550,9 @@ let resolve_group st ids =
     let p = Arena.path ws.arena id in
     let j = st.materialize p in
     st.materialized_n <- st.materialized_n + 1;
-    let weighted =
-      match st.weighted with
-      | None -> 0
-      | Some _ -> Ivec.get ws.r_wcost id + (Elem.cost_scale * Ivec.get ws.r_charge id)
-    in
     let key =
       {
-        Rank.weighted;
-        length = Ivec.get ws.r_cost id + Ivec.get ws.r_charge id;
+        Rank.length = Ivec.get ws.r_cost id + Ivec.get ws.r_charge id;
         crossings = Ivec.get ws.r_cross id;
         specificity = Ivec.get ws.r_spec id;
         interior = Ivec.get ws.r_interior id;
@@ -695,7 +642,7 @@ let materialized st = st.materialized_n
 
 let truncated st = st.truncated_f
 
-let start ?freevar_cost_of ?weighted ~memo:ws ~weights ~hierarchy ~node_type
+let start ?freevar_cost_of ~memo:ws ~weights ~hierarchy ~node_type
     ~iter_succs ~edge_slots ~materialize ~dist_to ~sources ~target ~limit () =
   let epoch = Memo.take ws ~slots:edge_slots in
   let st =
@@ -711,7 +658,6 @@ let start ?freevar_cost_of ?weighted ~memo:ws ~weights ~hierarchy ~node_type
       iter_succs;
       materialize;
       dist_to;
-      weighted;
       target;
       limit;
       pending = [];

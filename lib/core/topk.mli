@@ -89,7 +89,7 @@ type t
 (** A running best-first enumeration. *)
 
 (** A reusable best-first workspace: the arena's lanes, the heap's two
-    lanes and the eight per-row rank lanes, plus an epoch-stamped memo of
+    lanes and the seven per-row rank lanes, plus an epoch-stamped memo of
     per-edge rank contributions (charge, package, output depth) keyed by
     global CSR edge index. Only the {e allocation} is shared across
     queries; contents are per-query (charge depends on the free-variable
@@ -97,7 +97,7 @@ type t
 
     {!start} takes the memo: it resets the row lanes' lengths, sizes the
     edge lanes to [edge_slots], and bumps the epoch, which invalidates
-    every edge entry at once. Lanes stay at their high-water mark, 14
+    every edge entry at once. Lanes stay at their high-water mark, 13
     words per row of capacity (measured: 2,731 rows serving the bundled
     model, 111,577 on a 100k-method world), so a steady-state query
     allocates none of them.
@@ -117,25 +117,8 @@ module Memo : sig
   (** This domain's memo (domain-local storage). *)
 end
 
-type weighted_mode = {
-  wdist_to : Search.Dist.t;
-      (** exact weighted Dijkstra distances to the target
-          ({!Search.Csr.weighted_distances_to}), [max_int] = unreachable *)
-  edge_wcost : int -> Graph.edge -> int;
-      (** [(ord, edge)] -> learned non-negative cost in {!Elem.cost_scale}
-          units, [ord] being the global CSR edge index [iter_succs]
-          reports; must agree with the [edge_cost] the consumer passes to
-          {!Rank.key}, and with the model [wdist_to] was computed under *)
-}
-(** Mined-ranking mode: the heap priority becomes weighted cost + scaled
-    charge + [wdist_to], so candidates are certified in exact weighted
-    {!Rank.compare_key} order. The enumeration budget stays on the paper
-    cost, keeping the candidate {e set} byte-identical to the exhaustive
-    pipeline's — only the order changes. *)
-
 val start :
   ?freevar_cost_of:(Javamodel.Jtype.t -> int) ->
-  ?weighted:weighted_mode ->
   memo:Memo.t ->
   weights:Rank.weights ->
   hierarchy:Javamodel.Hierarchy.t ->

@@ -61,16 +61,11 @@ let contexts ~api sources = holes (Minijava.Resolve.parse_program ~api sources)
 
 let to_context h = { Prospector.Assist.vars = h.vars; expected = h.expected }
 
-(* One snapshot and one reach index serve every hole in the buffer. The
-   snapshot bakes [edge_cost] whatever the ranking, so under [Mined] the
-   weighted search reads the same model the rank keys apply; under [Paper]
-   the query layer ignores it. *)
-let suggest_all ?settings ?edge_cost ~graph ~hierarchy holes =
-  let frozen = Prospector.Query.freeze ?edge_cost graph in
+(* One snapshot and one reach index serve every hole in the buffer. *)
+let suggest_all ?settings ~graph ~hierarchy holes =
+  let frozen = Prospector.Query.freeze graph in
   let reach = Prospector.Reach.build_frozen frozen in
   List.map
     (fun h ->
-      ( h,
-        Prospector.Assist.suggest ?settings ~frozen ~reach ?edge_cost ~hierarchy
-          (to_context h) ))
+      (h, Prospector.Assist.suggest ?settings ~frozen ~reach ~hierarchy (to_context h)))
     holes

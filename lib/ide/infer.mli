@@ -44,13 +44,12 @@ val to_context : hole -> Prospector.Assist.context
 
 val suggest_all :
   ?settings:Prospector.Query.settings ->
-  ?edge_cost:(Prospector.Elem.t -> int) ->
   graph:Prospector.Graph.t ->
   hierarchy:Javamodel.Hierarchy.t ->
   hole list ->
   (hole * Prospector.Assist.suggestion list) list
 (** Content-assist suggestions for every hole of a buffer, in source
-    order. [graph] is frozen once ({!Prospector.Query.freeze}, baking the
-    mined [?edge_cost]) and indexed once ({!Prospector.Reach.build_frozen});
+    order. [graph] is frozen once ({!Prospector.Query.freeze}) and indexed
+    once ({!Prospector.Reach.build_frozen});
     each hole then runs its own {!Prospector.Assist.suggest} on that
     snapshot. *)

@@ -49,22 +49,16 @@ let visible ~include_protected (ex : Extract.example) =
       | Some (Javamodel.Member.Private | Javamodel.Member.Package) -> false)
     ex.Extract.elems
 
-let examples ?max_per_cast ?max_len ?(include_protected = false)
-    ?(flow_sensitive = false) ?pool prog =
-  let df = Dataflow.build ~flow_sensitive prog in
-  List.filter (visible ~include_protected)
-    (Extract.extract ?max_per_cast ?max_len ?pool df)
-
+(* [?on_examples] is ignored: [perfbench/model.ml] still passes one. *)
 let enrich ?max_per_cast ?max_len ?(generalize = true) ?min_keep
-    ?(include_protected = false) ?(flow_sensitive = false) ?pool ?on_examples g
-    prog =
+    ?(include_protected = false) ?(flow_sensitive = false) ?pool ?on_examples:_ g prog
+    =
   let df = Dataflow.build ~flow_sensitive prog in
   let casts = List.length (Dataflow.casts df) in
   let examples =
     List.filter (visible ~include_protected)
       (Extract.extract ?max_per_cast ?max_len ?pool df)
   in
-  (match on_examples with Some f -> f examples | None -> ());
   let final =
     if generalize then Generalize.run ?min_keep examples else examples
   in

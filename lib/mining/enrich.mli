@@ -19,19 +19,6 @@ type stats = {
 val add_examples : Prospector.Graph.t -> Extract.example list -> int * int
 (** Returns [(edges_added, typestate_nodes_added)]. *)
 
-val examples :
-  ?max_per_cast:int ->
-  ?max_len:int ->
-  ?include_protected:bool ->
-  ?flow_sensitive:bool ->
-  ?pool:Prospector_parallel.Pool.t ->
-  Minijava.Tast.program ->
-  Extract.example list
-(** The extraction front half of {!enrich} alone: visibility-filtered,
-    pre-generalization examples, exactly what [enrich]'s [on_examples] hook
-    reports — without touching any graph. Callers that want only the
-    {!Usage} model ([Apidata.Api.usage]) use this. *)
-
 val enrich :
   ?max_per_cast:int ->
   ?max_len:int ->
@@ -54,7 +41,5 @@ val enrich :
     flow-insensitive; the ablation measures the precision gap). [?pool]
     parallelizes the extraction stage (see {!Extract.extract}); splicing
     stays sequential, so the resulting graph is identical at any job
-    count. [on_examples] is called once with the visibility-filtered,
-    pre-generalization examples — the raw usage evidence
-    {!Usage.of_examples} counts (generalization dedups, which would skew
-    frequencies). *)
+    count. [?on_examples] is ignored; it stays only for the caller in
+    [perfbench/model.ml]. *)

@@ -309,10 +309,9 @@ type overrides = {
   max_results : int option;
   slack : int option;
   strategy : Prospector.Query.strategy option;
-  ranking : Prospector.Query.ranking option;
 }
 
-let defaults = { max_results = None; slack = None; strategy = None; ranking = None }
+let defaults = { max_results = None; slack = None; strategy = None }
 
 type request =
   | Query of {
@@ -371,15 +370,9 @@ let field_string_opt j k =
 
 (* The per-request settings, decoded and validated in one place: a
    negative count (the same rule the CLI applies to its flags) or an
-   unknown strategy or ranking spelling is the requester's mistake,
-   answered with the accepted spellings before any engine work. *)
+   unknown strategy spelling is the requester's mistake, answered with the
+   accepted spellings before any engine work. *)
 let field_overrides j =
-  let spelled k of_string =
-    let* s = field_string_opt j k in
-    match s with
-    | None -> Ok None
-    | Some s -> Result.map Option.some (of_string s)
-  in
   let* max_results = field_int_opt j "max_results" in
   let* slack = field_int_opt j "slack" in
   let* () =
@@ -387,9 +380,13 @@ let field_overrides j =
       ~max_results:(Option.value max_results ~default:0)
       ~slack:(Option.value slack ~default:0)
   in
-  let* strategy = spelled "strategy" Prospector.Query.strategy_of_string in
-  let* ranking = spelled "ranking" Prospector.Query.ranking_of_string in
-  Ok { max_results; slack; strategy; ranking }
+  let* strategy = field_string_opt j "strategy" in
+  let* strategy =
+    match strategy with
+    | None -> Ok None
+    | Some s -> Result.map Option.some (Prospector.Query.strategy_of_string s)
+  in
+  Ok { max_results; slack; strategy }
 
 (* A type-name field: a blank name is the requester's mistake, answered
    before any engine work like a negative count. *)
@@ -432,7 +429,7 @@ let parse_pair = function
 
 (* Each op's own fields, besides "id" and "op". *)
 let op_fields op =
-  let settings = [ "max_results"; "slack"; "strategy"; "ranking" ] in
+  let settings = [ "max_results"; "slack"; "strategy" ] in
   match op with
   | "query" -> "tin" :: "tout" :: settings
   | "assist" -> "tout" :: "vars" :: settings
@@ -557,11 +554,9 @@ let envelope_to_json { id; req } =
   let id_field = match id with Null -> [] | id -> [ ("id", id) ] in
   let opt k = function Some i -> [ (k, Int i) ] | None -> [] in
   let opt_s k = function Some s -> [ (k, Str s) ] | None -> [] in
-  let spelled k to_string v = opt_s k (Option.map to_string v) in
   let overrides o =
     opt "max_results" o.max_results @ opt "slack" o.slack
-    @ spelled "strategy" Prospector.Query.strategy_to_string o.strategy
-    @ spelled "ranking" Prospector.Query.ranking_to_string o.ranking
+    @ opt_s "strategy" (Option.map Prospector.Query.strategy_to_string o.strategy)
   in
   let vars_field = function
     | [] -> []

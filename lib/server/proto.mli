@@ -28,7 +28,7 @@
     v}
     where SETTINGS stands for the optional fields of {!overrides}:
     {v
-       "max_results"?: I, "slack"?: I, "strategy"?: S, "ranking"?: S
+       "max_results"?: I, "slack"?: I, "strategy"?: S
     v}
     The grammar is closed: a request, a [vars] item or a [queries] item
     that carries any other field is a [bad_request] naming that field, so
@@ -79,14 +79,12 @@ type overrides = {
   max_results : int option;  (** non-negative *)
   slack : int option;  (** non-negative *)
   strategy : Prospector.Query.strategy option;
-  ranking : Prospector.Query.ranking option;
 }
 (** The per-request settings a [query], [assist], [batch] or
     [refine_start] may carry, each overriding the server's base setting
-    when present. On the wire they are four optional fields, spelled as
-    {!Prospector.Query.strategy_to_string} and
-    {!Prospector.Query.ranking_to_string} spell them; {!request_of_json}
-    validates all four. *)
+    when present. On the wire they are three optional fields, the strategy
+    spelled as {!Prospector.Query.strategy_to_string} spells it;
+    {!request_of_json} validates all three. *)
 
 val defaults : overrides
 (** Every field absent: the server's base settings apply. *)
@@ -144,8 +142,8 @@ val request_of_json : json -> (envelope, string) result
     ["tin"], ["tout"] or var ["type"] field
     ({!Prospector.Query.check_type_name}), on a negative ["max_results"]
     or ["slack"] ({!Prospector.Query.check_limits}), on an unknown
-    ["strategy"] or ["ranking"] spelling (the message lists the accepted
-    ones), on a reload that carries a ["corpus"] field, and
+    ["strategy"] spelling (the message lists the accepted ones), on a
+    reload that carries a ["corpus"] field, and
     on any field outside the grammar above — ["unknown field "K" in
     ..."], followed by the fields that object takes. *)
 

@@ -10,8 +10,7 @@ module Hierarchy = Javamodel.Hierarchy
 (* What a reader needs, captured at one graph generation: the graph, its
    reach index, and the model that ranks and lints answers over it — the
    hierarchy (warmed before publication, so readers on many domains only
-   read its memos), the usage model baked into the snapshot's weighted
-   lanes, and the lint op's protocol vetting pass. Readers take the
+   read its memos) and the lint op's protocol vetting pass. Readers take the
    whole record with one [Atomic.get] and never look back at the engine, so
    a concurrent reload can at worst give them the previous, internally
    consistent, snapshot. *)
@@ -20,7 +19,6 @@ type snapshot = {
   s_frozen : Graph.frozen;
   s_reach : Prospector.Reach.t option;
   s_hierarchy : Hierarchy.t;
-  s_edge_cost : (Prospector.Elem.t -> int) option;
   s_vet : (Jungloid.t -> Analysis.Diagnostic.t list) option;
 }
 
@@ -100,7 +98,6 @@ let take_snapshot ~vet engine =
     s_frozen = frozen;
     s_reach = Query.engine_reach engine;
     s_hierarchy = hierarchy;
-    s_edge_cost = Query.engine_edge_cost engine;
     s_vet = vet;
   }
 
@@ -260,10 +257,8 @@ let memo local snap key compute =
 let query_results t local snap ~settings q =
   let compute () =
     let rs, info =
-      (* The engine froze this snapshot with the usage model captured next
-         to it, so the model passed here matches the baked weighted costs. *)
       Query.run_info ~settings ?reach:snap.s_reach ~frozen:snap.s_frozen
-        ?edge_cost:snap.s_edge_cost ~hierarchy:snap.s_hierarchy q
+        ~hierarchy:snap.s_hierarchy q
     in
     if info.Query.truncated then Atomic.incr t.truncated_queries;
     Vresults (rs, info.Query.truncated)
@@ -277,7 +272,7 @@ let assist_suggestions local snap ~settings (ctx : Prospector.Assist.context) =
   let compute () =
     Vsuggest
       (Prospector.Assist.suggest ~settings ~frozen:snap.s_frozen ?reach:snap.s_reach
-         ?edge_cost:snap.s_edge_cost ~hierarchy:snap.s_hierarchy ctx)
+         ~hierarchy:snap.s_hierarchy ctx)
   in
   let key =
     Lassist
@@ -458,13 +453,8 @@ let reload_locked t ~id ~japi ~remove =
   match ops_of_reload t ~japi ~remove with
   | Error msg -> Proto.error_response ~id Proto.Bad_request msg
   | Ok ops -> (
-      let wcost =
-        match Query.engine_edge_cost t.eng with
-        | Some f -> f
-        | None -> Graph.default_wcost
-      in
       match
-        Delta.apply ~config:t.graph_config ~wcost ?rebuild:t.rebuild
+        Delta.apply ~config:t.graph_config ?rebuild:t.rebuild
           ~hierarchy:(Query.engine_hierarchy t.eng) ~frozen:(Query.engine_frozen t.eng)
           ops
       with
@@ -514,7 +504,6 @@ let settings_for t (o : Proto.overrides) =
     Query.max_results = Option.value o.Proto.max_results ~default:s.Query.max_results;
     slack = Option.value o.Proto.slack ~default:s.Query.slack;
     strategy = Option.value o.Proto.strategy ~default:s.Query.strategy;
-    ranking = Option.value o.Proto.ranking ~default:s.Query.ranking;
   }
 
 let context ~tout vars =

@@ -8,8 +8,8 @@
     Concurrency model (snapshot publication, no read lock): the service
     keeps an {!Stdlib.Atomic} pointer to an immutable {e snapshot} — the
     engine's CSR-frozen graph, its reachability index and the model that
-    ranks and lints answers over that graph (the warmed hierarchy, the
-    usage model, the lint op's protocol vetting pass), stamped with the
+    ranks and lints answers over that graph (the warmed hierarchy and the
+    lint op's protocol vetting pass), stamped with the
     graph generation. Every read op (query, assist, batch, lint,
     refine_start, stats) loads the pointer once and runs entirely on that
     snapshot, which no one ever mutates — so reads take no lock, scale
@@ -62,8 +62,8 @@ val create :
     graph was built with — {!Prospector.Delta.apply} rebuilds under it when
     a delta cannot be spliced. [rebuild] is the cold {e enriched} build the
     server would do at startup, from a patched hierarchy: it re-resolves
-    the startup corpus against that hierarchy and freezes under the
-    engine's usage model. When present it is {!Prospector.Delta.apply}'s
+    the startup corpus against that hierarchy and freezes the result. When
+    present it is {!Prospector.Delta.apply}'s
     [?rebuild], replacing the signature-only build on the fallback path, so
     mined (spliced) nodes and edges survive a reload and a structural
     reload builds one graph. A [Japi.Error.E] it raises (a delta that

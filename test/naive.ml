@@ -284,11 +284,9 @@ let distances_from g ~sources =
   fixpoint g ~starts:sources ~dir:(fun e ->
       (e.Graph.src, e.Graph.dst, Elem.cost e.Graph.elem))
 
-let weighted_distances_to g ~target ~cost =
+let distances_to g ~target =
   fixpoint g ~starts:[ target ] ~dir:(fun e ->
-      (e.Graph.dst, e.Graph.src, cost e.Graph.elem))
-
-let distances_to g ~target = weighted_distances_to g ~target ~cost:Elem.cost
+      (e.Graph.dst, e.Graph.src, Elem.cost e.Graph.elem))
 
 let shortest_cost g ~sources ~target =
   let d = distances_from g ~sources in
@@ -342,9 +340,9 @@ let enumerate_per_source g ~sources ~target ?(slack = 1) ?(limit = 4096)
    each (variable, [to_expression] rendering) is kept, and the first
    [max_results] of those are the answer. *)
 let numeric (k : Prospector.Rank.key) =
-  Prospector.Rank.(k.weighted, k.length, k.crossings, k.specificity, k.interior)
+  Prospector.Rank.(k.length, k.crossings, k.specificity, k.interior)
 
-let pipeline ~settings ?edge_cost g ~hierarchy ~inputs ~target =
+let pipeline ~settings g ~hierarchy ~inputs ~target =
   let first_by key xs =
     let seen = Hashtbl.create 16 in
     List.filter
@@ -363,7 +361,7 @@ let pipeline ~settings ?edge_cost g ~hierarchy ~inputs ~target =
            inputs)
   |> first_by Fun.id
   |> List.map (fun (var, j) ->
-         (Prospector.Rank.key ~weights:settings.Query.weights ?edge_cost hierarchy j, var, j))
+         (Prospector.Rank.key ~weights:settings.Query.weights hierarchy j, var, j))
   |> List.stable_sort (fun (ka, va, ja) (kb, vb, jb) ->
          match compare (numeric ka) (numeric kb) with
          | 0 -> compare (to_string ja, va) (to_string jb, vb)
@@ -373,16 +371,15 @@ let pipeline ~settings ?edge_cost g ~hierarchy ~inputs ~target =
   |> List.filteri (fun i _ -> i < settings.Query.max_results)
 
 (* [Query.run]'s answer: the one-input pipeline from [tin]. *)
-let run ?(settings = Query.default_settings) ?edge_cost g ~hierarchy (q : Query.t) =
+let run ?(settings = Query.default_settings) g ~hierarchy (q : Query.t) =
   match (Graph.find_type_node g q.tin, Graph.find_type_node g q.tout) with
   | Some src, Some dst ->
-      List.map snd
-        (pipeline ~settings ?edge_cost g ~hierarchy ~inputs:[ (src, None) ] ~target:dst)
+      List.map snd (pipeline ~settings g ~hierarchy ~inputs:[ (src, None) ] ~target:dst)
   | _ -> []
 
 (* [Query.run_multi]'s answer: the pipeline from [void] and every variable
    whose type has a node. *)
-let run_multi ?(settings = Query.default_settings) ?edge_cost g ~hierarchy ~vars ~tout =
+let run_multi ?(settings = Query.default_settings) g ~hierarchy ~vars ~tout =
   match Graph.find_type_node g tout with
   | None -> []
   | Some dst ->
@@ -392,4 +389,4 @@ let run_multi ?(settings = Query.default_settings) ?edge_cost g ~hierarchy ~vars
           ((Javamodel.Jtype.Void, None)
           :: List.map (fun (name, ty) -> (ty, Some name)) vars)
       in
-      pipeline ~settings ?edge_cost g ~hierarchy ~inputs ~target:dst
+      pipeline ~settings g ~hierarchy ~inputs ~target:dst

@@ -266,6 +266,39 @@ let test_assist_two_vars_same_type () =
   check_bool "editor1 suggested" true (List.mem "editor1" vars);
   check_bool "editor2 suggested" true (List.mem "editor2" vars)
 
+(* A slack near [max_int] must not wrap [m + slack] to a negative budget
+   that answers nothing: saturated, it means no bound, which a slack of the
+   node count already means, since edge costs are 0 or 1 and no acyclic
+   path costs more than the node count. *)
+let test_query_unbounded_slack () =
+  let hierarchy = Apidata.Api.hierarchy () in
+  let frozen = Query.freeze (Apidata.Api.default_graph ()) in
+  let n = Graph.frozen_node_count frozen in
+  let tin = Jtype.ref_of_string "org.eclipse.core.resources.IFile"
+  and tout = Jtype.ref_of_string "org.eclipse.jdt.core.dom.ASTNode" in
+  List.iter
+    (fun strategy ->
+      let name = Query.strategy_to_string strategy in
+      let settings slack = { Query.default_settings with slack; strategy } in
+      let single slack =
+        let rs, info =
+          Query.run_info ~settings:(settings slack) ~frozen ~hierarchy { Query.tin; tout }
+        in
+        (List.map (fun (r : Query.result) -> r.Query.code) rs, info.Query.truncated)
+      in
+      let multi slack =
+        Query.run_multi ~settings:(settings slack) ~frozen ~hierarchy ~vars:[ ("f", tin) ]
+          ~tout ()
+        |> List.map (fun (m : Query.multi_result) ->
+               (m.Query.source_var, m.Query.result.Query.code))
+      in
+      check_bool (name ^ ": answers") true (fst (single n) <> []);
+      check_bool (name ^ ": run, max_int = node count") true (single max_int = single n);
+      check_bool (name ^ ": run_multi answers") true (multi n <> []);
+      check_bool (name ^ ": run_multi, max_int = node count") true
+        (multi max_int = multi n))
+    [ Query.BestFirst; Query.Exhaustive ]
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "core_query"
@@ -285,6 +318,7 @@ let () =
           tc "unknown type" test_query_unknown_type;
           tc "max results" test_query_max_results;
           tc "results sorted" test_query_results_sorted;
+          tc "slack past max_int is no bound" test_query_unbounded_slack;
         ] );
       ( "assist",
         [

@@ -160,13 +160,10 @@ let test_no_holes () =
   in
   check_int "none" 0 (List.length (Infer.contexts ~api:(api ()) [ ("s", src) ]))
 
-(* [suggest_all] freezes the graph once for the whole buffer. Under the
-   mined ranking that snapshot must bake the usage model, or the weighted
-   search and the rank keys disagree; hole by hole it must answer as
-   [Assist.suggest] on a snapshot frozen under the model, without a reach
-   index. The mined order differs from the paper order on this buffer, so
-   a snapshot without the model shows here. *)
-let test_suggest_all_mined () =
+(* [suggest_all] freezes the graph once and builds one reach index for the
+   whole buffer; hole by hole it must answer as [Assist.suggest] on its own
+   snapshot, without a reach index. *)
+let test_suggest_all_equals_suggest () =
   let src =
     {|
     package client;
@@ -182,29 +179,20 @@ let test_suggest_all_mined () =
   let graph = graph () and hierarchy = api () in
   let hs = Infer.contexts ~api:hierarchy [ ("snippet", src) ] in
   check_int "three holes" 3 (List.length hs);
-  let edge_cost = Mining.Usage.edge_cost (Apidata.Api.usage ()) in
-  let at ranking = { Prospector.Query.default_settings with ranking } in
   let titles = List.map (fun (s : Prospector.Assist.suggestion) -> s.title) in
-  let all ranking =
-    Infer.suggest_all ~settings:(at ranking) ~edge_cost ~graph ~hierarchy hs
-  in
-  let mined = all Prospector.Query.Mined in
   List.iter2
     (fun h (h', got) ->
       check_bool "holes in source order" true (h == h');
       let want =
-        Prospector.Assist.suggest ~settings:(at Prospector.Query.Mined)
-          ~frozen:(Prospector.Query.freeze ~edge_cost graph) ~edge_cost
-          ~hierarchy (Infer.to_context h)
+        Prospector.Assist.suggest ~frozen:(Prospector.Query.freeze graph) ~hierarchy
+          (Infer.to_context h)
       in
       Alcotest.(check (list string))
         (Jtype.to_string h.Infer.expected)
         (titles want) (titles got);
       check_bool "same suggestions, keys and code" true (want = got))
-    hs mined;
-  check_bool "the mined order is not the paper order" true
-    (List.map (fun (_, ss) -> titles ss) mined
-    <> List.map (fun (_, ss) -> titles ss) (all Prospector.Query.Paper))
+    hs
+    (Infer.suggest_all ~graph ~hierarchy hs)
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -221,6 +209,6 @@ let () =
           tc "branch locals scoped" test_branch_locals_scoped;
           tc "static method no this" test_static_method_no_this;
           tc "no holes" test_no_holes;
-          tc "suggest_all = suggest, mined" test_suggest_all_mined;
+          tc "suggest_all = suggest" test_suggest_all_equals_suggest;
         ] );
     ]

@@ -84,8 +84,7 @@ let gen_overrides =
   QCheck2.Gen.(
     let* max_results = gen_opt_int and* slack = gen_opt_int in
     let* strategy = opt (oneofl [ Query.BestFirst; Query.Exhaustive ]) in
-    let* ranking = opt (oneofl [ Query.Paper; Query.Mined ]) in
-    return { Proto.max_results; slack; strategy; ranking })
+    return { Proto.max_results; slack; strategy })
 
 (* Type names likewise: the decoder rejects a blank one
    ([test_blank_type_names]), so the round-trip covers the others. *)
@@ -142,7 +141,7 @@ let prop_envelope_wire_roundtrip =
 (* Each op's fields besides "id" and "op", as proto.mli's grammar spells
    them. *)
 let grammar (req : Proto.request) =
-  let settings = [ "max_results"; "slack"; "strategy"; "ranking" ] in
+  let settings = [ "max_results"; "slack"; "strategy" ] in
   match req with
   | Proto.Query _ -> [ "tin"; "tout" ] @ settings
   | Proto.Assist _ -> [ "tout"; "vars" ] @ settings
@@ -162,9 +161,9 @@ let gen_stray_key =
         gen_string;
         oneofl
           [
-            "max_result"; "cluster"; "corpus"; "protocol"; "vars"; "tin"; "tout";
-            "queries"; "session"; "choice"; "japi"; "remove"; "name"; "type"; "Op";
-            "";
+            "max_result"; "cluster"; "corpus"; "protocol"; "ranking"; "vars"; "tin";
+            "tout"; "queries"; "session"; "choice"; "japi"; "remove"; "name"; "type";
+            "Op"; "";
           ];
       ])
 
@@ -344,17 +343,14 @@ let test_service_errors () =
       "{\"op\": \"batch\", \"queries\": [], \"slack\": -1}";
       "{\"op\": \"refine_start\", \"tout\": \"java.io.File\", \"max_results\": -2}";
     ];
-  (* so is a misspelled strategy or ranking, on every op that takes them:
-     the decoder rejects it before any engine work *)
+  (* so is a misspelled strategy, on every op that takes one: the decoder
+     rejects it before any engine work *)
   List.iter
     (fun (op, fields) ->
-      List.iter
-        (fun setting ->
-          expect_error_code
-            (Service.handle_line svc
-               (Printf.sprintf "{\"op\": \"%s\", %s, \"%s\": \"bogus\"}" op fields setting))
-            "bad_request")
-        [ "strategy"; "ranking" ])
+      expect_error_code
+        (Service.handle_line svc
+           (Printf.sprintf "{\"op\": \"%s\", %s, \"strategy\": \"bogus\"}" op fields))
+        "bad_request")
     [
       ("query", "\"tin\": \"void\", \"tout\": \"java.io.File\"");
       ("assist", "\"tout\": \"java.io.File\"");

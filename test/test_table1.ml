@@ -84,33 +84,6 @@ let test_table1_interactive_latency () =
         true (m.Problems.time_s < 1.1))
     ms
 
-let test_mined_ranking_no_worse () =
-  (* The usage-weighted order is mined from the same corpus the Table 1
-     idioms come from, so every known solution must surface at least as
-     high under [Mined] as under [Paper] — the regression that pins the
-     model actually helping on the curated workload rather than shuffling
-     it. (A problem Paper cannot find may stay unfound.) *)
-  let g = graph () and h = hierarchy () in
-  let mined =
-    Problems.run_all
-      ~settings:{ Query.default_settings with ranking = Query.Mined }
-      ~edge_cost:(Mining.Usage.edge_cost (Apidata.Api.usage ()))
-      ~graph:g ~hierarchy:h ()
-  in
-  List.iter2
-    (fun (p : Problems.measured) (m : Problems.measured) ->
-      match (p.Problems.rank, m.Problems.rank) with
-      | Some pr, Some mr ->
-          check_bool
-            (Printf.sprintf "problem %d: mined rank %d <= paper rank %d"
-               p.problem.Problems.id mr pr)
-            true (mr <= pr)
-      | Some pr, None ->
-          Alcotest.failf "problem %d: found at %d under paper, lost under mined"
-            p.problem.Problems.id pr
-      | None, _ -> ())
-    (Lazy.force measured) mined
-
 (* ---------- specific rows the paper narrates ---------- *)
 
 let result_of id =
@@ -245,7 +218,6 @@ let () =
           tc "rank-1 majority" test_table1_rank_one_majority;
           tc "found within five" test_table1_found_within_five;
           tc "interactive latency" test_table1_interactive_latency;
-          tc "mined ranking no worse" test_mined_ranking_no_worse;
         ] );
       ( "rows",
         [

@@ -358,96 +358,6 @@ let test_multi_equivalence () =
       ([], "org.w3c.dom.NodeList");
     ]
 
-(* ---------- usage-weighted ranking: the same differential harness ---------- *)
-
-(* [Mined] must preserve the headline contract verbatim: BestFirst+Mined is
-   byte-identical to Exhaustive+Mined (the oracle re-sorts the same
-   paper-budget candidate set by the weighted key). The bundled corpus
-   supplies a real model for the Eclipse graph; synthetic worlds get a
-   deterministic pseudo-random non-negative model — the equivalence must
-   hold for any such model, not just −log frequencies. *)
-
-let mined_at ~k strategy =
-  { Query.default_settings with max_results = k; strategy; ranking = Query.Mined }
-
-(* Widen stays free, matching the Usage invariant the rank layer assumes. *)
-let synthetic_cost ~seed e =
-  if Prospector.Elem.is_widen e then 0
-  else Hashtbl.hash (seed, e) mod (3 * Prospector.Elem.cost_scale)
-
-let test_bundled_mined_equivalence () =
-  let hierarchy = Apidata.Api.hierarchy () in
-  let edge_cost = Mining.Usage.edge_cost (Apidata.Api.usage ()) in
-  let frozen = Query.freeze ~edge_cost (Apidata.Api.default_graph ()) in
-  List.iter
-    (fun (p : Problems.t) ->
-      let q = Query.query p.Problems.tin p.Problems.tout in
-      let ex =
-        Query.run ~settings:(mined_at ~k:10 Query.Exhaustive) ~edge_cost ~frozen
-          ~hierarchy q
-      in
-      let bf =
-        Query.run ~settings:(mined_at ~k:10 Query.BestFirst) ~edge_cost ~frozen
-          ~hierarchy q
-      in
-      check_bool
-        (Printf.sprintf "problem %d identical under mined ranking" p.Problems.id)
-        true (results_equal ex bf))
-    Problems.all
-
-let test_layered_mined_equivalence () =
-  let h = Workload.layered_api ~classes:300 in
-  let g = Sig_graph.build h in
-  let edge_cost = synthetic_cost ~seed:42 in
-  (* the snapshot must be frozen under the same model the rank layer uses *)
-  let frozen = Graph.freeze ~wcost:edge_cost g in
-  List.iter
-    (fun q ->
-      let ex =
-        Query.run ~settings:(mined_at ~k:10 Query.Exhaustive) ~edge_cost
-          ~frozen:(Query.freeze ~edge_cost g) ~hierarchy:h q
-      in
-      let bf =
-        Query.run ~settings:(mined_at ~k:10 Query.BestFirst) ~edge_cost ~frozen
-          ~hierarchy:h q
-      in
-      check_bool "layered mined: best-first = exhaustive" true
-        (results_equal ex bf);
-      check_bool "layered mined: best-first = naive pipeline" true
-        (List.map (fun (r : Query.result) -> r.Query.jungloid) bf
-        = Naive.run ~settings:(mined_at ~k:10 Query.BestFirst) ~edge_cost g
-            ~hierarchy:h q))
-    (Workload.random_queries h g ~count:10 ~seed:11)
-
-let test_multi_mined_equivalence () =
-  let graph = Apidata.Api.default_graph () in
-  let hierarchy = Apidata.Api.hierarchy () in
-  let edge_cost = Mining.Usage.edge_cost (Apidata.Api.usage ()) in
-  let vars =
-    [
-      ("ep", Jtype.ref_of_string "org.eclipse.ui.IEditorPart");
-      ("page", Jtype.ref_of_string "org.eclipse.ui.IWorkbenchPage");
-    ]
-  in
-  let tout = Jtype.ref_of_string "org.eclipse.ui.texteditor.IDocumentProvider" in
-  let at strategy =
-    Query.run_multi
-      ~settings:{ Query.default_settings with strategy; ranking = Query.Mined }
-      ~edge_cost ~frozen:(Query.freeze ~edge_cost graph) ~hierarchy ~vars ~tout ()
-  in
-  let ex = at Query.Exhaustive and bf = at Query.BestFirst in
-  check_int "mined multi: same count" (List.length ex) (List.length bf);
-  List.iter2
-    (fun (a : Query.multi_result) (b : Query.multi_result) ->
-      check_bool "mined multi: same source var" true
-        (a.Query.source_var = b.Query.source_var);
-      check_bool "mined multi: same jungloid" true
-        (Prospector.Jungloid.equal a.Query.result.Query.jungloid
-           b.Query.result.Query.jungloid);
-      check_bool "mined multi: same code" true
-        (a.Query.result.Query.code = b.Query.result.Query.code))
-    ex bf
-
 (* ---------- configuration-fallback warnings ---------- *)
 
 let test_fallback_warnings () =
@@ -484,24 +394,7 @@ let test_fallback_warnings () =
       ~frozen:(Query.freeze graph) ~hierarchy q
   in
   check_bool "fallback answers = exhaustive answers" true
-    (results_equal rs_ex rs_bf);
-  (* Mined without a loaded model reverts to Paper, with its own warning *)
-  let rs_m, info_m =
-    Query.run_info
-      ~settings:{ Query.default_settings with ranking = Query.Mined }
-      ~frozen:(Query.freeze graph) ~hierarchy q
-  in
-  check_int "mined without model: one warning" 1 (List.length info_m.Query.warnings);
-  check_bool "warning names the paper fallback" true
-    (let w = List.hd info_m.Query.warnings in
-     let n = String.length "paper ranking" and m = String.length w in
-     let rec go i =
-       i + n <= m && (String.sub w i n = "paper ranking" || go (i + 1))
-     in
-     go 0);
-  let rs_p = Query.run ~frozen:(Query.freeze graph) ~hierarchy q in
-  check_bool "modelless mined answers = paper answers" true
-    (results_equal rs_p rs_m)
+    (results_equal rs_ex rs_bf)
 
 (* ---------- qcheck: random Apigen worlds ---------- *)
 
@@ -551,35 +444,6 @@ let prop_best_first_equals_exhaustive =
               || results_equal ex bf
                  && results_equal ex bz
                  && bfi.Query.candidates <= exi.Query.candidates)
-            [ 1; 3; 10 ])
-        (Corpusgen.Workload.random_queries h g ~count:3 ~seed:7))
-
-let prop_mined_equals_exhaustive =
-  QCheck2.Test.make
-    ~name:"BestFirst+Mined = Exhaustive+Mined (random APIs, random models)"
-    ~count:25 world_gen (fun (h, g) ->
-      let edge_cost = synthetic_cost ~seed:7 in
-      let frozen = Graph.freeze ~wcost:edge_cost g in
-      List.for_all
-        (fun q ->
-          List.for_all
-            (fun k ->
-              let ex, exi =
-                Query.run_info
-                  ~settings:(mined_at ~k Query.Exhaustive)
-                  ~edge_cost ~frozen:(Query.freeze ~edge_cost g) ~hierarchy:h q
-              in
-              let bf =
-                Query.run
-                  ~settings:(mined_at ~k Query.BestFirst)
-                  ~edge_cost ~frozen:(Query.freeze ~edge_cost g) ~hierarchy:h q
-              in
-              let bz =
-                Query.run
-                  ~settings:(mined_at ~k Query.BestFirst)
-                  ~edge_cost ~frozen ~hierarchy:h q
-              in
-              exi.Query.truncated || (results_equal ex bf && results_equal ex bz))
             [ 1; 3; 10 ])
         (Corpusgen.Workload.random_queries h g ~count:3 ~seed:7))
 
@@ -644,18 +508,17 @@ let prop_estimated_freevars_equal =
    in its dedup, truncation, keys or codegen: it would show on both sides
    alike. [Naive.run] and [Naive.run_multi] rebuild that pipeline from the
    naive enumeration instead, and the code of each result is held against
-   [Naive.to_java], the key against [Rank.key] under the snapshot's own
-   cost model. The limit stays far above the few thousand paths these
-   worlds have at slack 2, so no run stops at the path cap. *)
+   [Naive.to_java], the key against [Rank.key]. The limit stays far above
+   the few thousand paths these worlds have at slack 2, so no run stops at
+   the path cap. *)
 let key_fields (k : Rank.key) =
-  Rank.(k.weighted, k.length, k.crossings, k.specificity, k.interior, k.tie)
+  Rank.(k.length, k.crossings, k.specificity, k.interior, k.tie)
 
 let prop_consumer_equals_naive =
   QCheck2.Test.make
-    ~name:"run and run_multi = the naive pipeline (k, slack, ranking)"
+    ~name:"run and run_multi = the naive pipeline (k, slack)"
     ~count:20 world_gen (fun (h, g) ->
-      let model = synthetic_cost ~seed:11 in
-      let frozen = Graph.freeze ~wcost:model g in
+      let frozen = Graph.freeze g in
       let qs = Corpusgen.Workload.random_queries h g ~count:3 ~seed:23 in
       let code var j =
         let input = Option.map (fun n -> (n, Prospector.Jungloid.input_type j)) var in
@@ -670,28 +533,26 @@ let prop_consumer_equals_naive =
             [ ("c", q.Query.tin); ("b", (List.hd qs).Query.tin); ("a", q.Query.tin) ]
           in
           List.for_all
-            (fun (ranking, strategy, max_results, slack) ->
+            (fun (strategy, max_results, slack) ->
               let settings =
                 {
                   Query.default_settings with
                   strategy;
-                  ranking;
                   max_results;
                   slack;
                   limit = 100_000;
                 }
               in
-              let edge_cost = match ranking with Query.Mined -> Some model | Query.Paper -> None in
               let result (r : Query.result) =
                 (r.Query.jungloid, r.Query.code, key_fields r.Query.key)
               in
-              let expected j = key_fields (Rank.key ?edge_cost h j) in
+              let expected j = key_fields (Rank.key h j) in
               let single =
-                Query.run ~settings ~edge_cost:model ~frozen ~hierarchy:h q
+                Query.run ~settings ~frozen ~hierarchy:h q
                 |> List.map result
               in
               let multi =
-                Query.run_multi ~settings ~edge_cost:model ~frozen ~hierarchy:h ~vars
+                Query.run_multi ~settings ~frozen ~hierarchy:h ~vars
                   ~tout:q.Query.tout ()
                 |> List.map (fun (m : Query.multi_result) ->
                        (m.Query.source_var, result m.Query.result))
@@ -699,21 +560,18 @@ let prop_consumer_equals_naive =
               single
               = List.map
                   (fun j -> (j, code None j, expected j))
-                  (Naive.run ~settings ?edge_cost g ~hierarchy:h q)
+                  (Naive.run ~settings g ~hierarchy:h q)
               && multi
                  = List.map
                      (fun (var, j) -> (var, (j, code var j, expected j)))
-                     (Naive.run_multi ~settings ?edge_cost g ~hierarchy:h ~vars
+                     (Naive.run_multi ~settings g ~hierarchy:h ~vars
                         ~tout:q.Query.tout))
             (List.concat_map
-               (fun ranking ->
+               (fun strategy ->
                  List.concat_map
-                   (fun strategy ->
-                     List.concat_map
-                       (fun k -> List.map (fun slack -> (ranking, strategy, k, slack)) [ 0; 1; 2 ])
-                       [ 0; 1; 10 ])
-                   [ Query.BestFirst; Query.Exhaustive ])
-               [ Query.Paper; Query.Mined ]))
+                   (fun k -> List.map (fun slack -> (strategy, k, slack)) [ 0; 1; 2 ])
+                   [ 0; 1; 10 ])
+               [ Query.BestFirst; Query.Exhaustive ]))
         qs)
 
 (* ---------- the renderers against their references ---------- *)
@@ -819,7 +677,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_shared_memo_equals_fresh;
         ] );
       ( "strategy",
-        [ Alcotest.test_case "spellings round-trip" `Quick test_strategy_strings ] );
+        [
+          Alcotest.test_case "spellings round-trip" `Quick test_strategy_strings;
+          Alcotest.test_case "configuration fallbacks warn" `Quick test_fallback_warnings;
+        ] );
       ( "equivalence",
         [
           Alcotest.test_case "bundled Eclipse graph, Table 1" `Quick
@@ -834,18 +695,6 @@ let () =
         ]
         @ List.map QCheck_alcotest.to_alcotest
             [ prop_best_first_equals_exhaustive; prop_estimated_freevars_equal ] );
-      ( "mined",
-        [
-          Alcotest.test_case "bundled Eclipse graph, Table 1, usage model"
-            `Quick test_bundled_mined_equivalence;
-          Alcotest.test_case "layered synthetic, CSR view, synthetic model"
-            `Quick test_layered_mined_equivalence;
-          Alcotest.test_case "multi-source assist path, usage model" `Quick
-            test_multi_mined_equivalence;
-          Alcotest.test_case "configuration fallbacks warn" `Quick
-            test_fallback_warnings;
-        ]
-        @ List.map QCheck_alcotest.to_alcotest [ prop_mined_equals_exhaustive ] );
       ( "consumer",
         Alcotest.test_case "cross-source full-key ties order by variable" `Quick
           test_cross_source_ties
