@@ -513,7 +513,7 @@ let section_cache () =
   let reach = Prospector.Reach.build_frozen frozen in
   (* The index only rejects: a solvable query runs the same search with or
      without it, so on Table 1 (all solvable) both sides should tie. *)
-  let base_t, baseline, pruned_t, pruned =
+  let no_index_t, baseline, index_t, indexed =
     ab_medians ~rounds
       (fun () -> List.map (fun q -> Query.run ~frozen ~hierarchy q) qs)
       (fun () -> List.map (fun q -> Query.run ~reach ~frozen ~hierarchy q) qs)
@@ -533,14 +533,14 @@ let section_cache () =
     List.fold_left ( +. ) 0.0 fractions /. float_of_int (max 1 (List.length fractions))
   in
   let cone = avg_cone ~reach ~frozen qs in
-  let same = baseline = pruned in
+  let same = baseline = indexed in
   Printf.printf "one warm-up pass, then medians of %d alternating rounds\n" rounds;
   Printf.printf "reach index: %d nodes, %d SCCs, built in %.4f s\n" n_nodes
     (Prospector.Reach.scc_count reach) build_t;
   Printf.printf "average cone of a target: %.1f%% of the graph\n" (100.0 *. cone);
   Printf.printf "Table 1 workload (%d queries), uncached:\n" nq;
-  Printf.printf "  no index: %.4f s    with index: %.4f s    ratio %.2fx\n" base_t
-    pruned_t (base_t /. pruned_t);
+  Printf.printf "  no index: %.4f s    with index: %.4f s    ratio %.2fx\n" no_index_t
+    index_t (no_index_t /. index_t);
   Printf.printf "  results with index identical to without: %b\n" same;
   (* The same on a large layered synthetic graph, where a target's cone is a
      small fraction of the graph. Its queries are all solvable too. *)
@@ -555,30 +555,30 @@ let section_cache () =
   let run_all ?reach qs () =
     List.map (fun q -> Query.run ?reach ~frozen:synth_fz ~hierarchy:synth_h q) qs
   in
-  let sbase_t, sbase, spruned_t, spruned =
+  let s_no_index_t, sbase, s_index_t, sindexed =
     ab_medians ~rounds (run_all synth_qs) (run_all ~reach:synth_reach synth_qs)
   in
   let sn = Prospector.Reach.node_count synth_reach in
   let savg_cone = avg_cone ~reach:synth_reach ~frozen:synth_fz synth_qs in
-  let ssame = sbase = spruned in
+  let ssame = sbase = sindexed in
   Printf.printf
     "synthetic graph (%d nodes, %d queries): average cone %.1f%%\n" sn
     (List.length synth_qs) (100.0 *. savg_cone);
   Printf.printf
     "  no index: %.4f s    with index: %.4f s    ratio %.2fx (index built in %.4f s)\n"
-    sbase_t spruned_t (sbase_t /. spruned_t) sbuild_t;
+    s_no_index_t s_index_t (s_no_index_t /. s_index_t) sbuild_t;
   Printf.printf "  results with index identical to without: %b\n" ssame;
   (* Unsolvable queries — the common case when exploring an unfamiliar API,
      and the one the index is for. Without it each costs a search that
      finds nothing; with it, one bitset probe. *)
   let miss_qs = Corpusgen.Workload.random_misses synth_g ~count:40 ~seed:29 in
-  let mbase_t, mbase, mpruned_t, mpruned =
+  let m_no_index_t, mbase, m_index_t, mindexed =
     ab_medians ~rounds (run_all miss_qs) (run_all ~reach:synth_reach miss_qs)
   in
-  let msame = mbase = mpruned && List.for_all (fun r -> r = []) mpruned in
+  let msame = mbase = mindexed && List.for_all (fun r -> r = []) mindexed in
   Printf.printf "unsolvable queries (%d), O(1) rejection:\n" (List.length miss_qs);
-  Printf.printf "  no index: %.4f s    with index: %.4f s    speedup %.0fx\n" mbase_t
-    mpruned_t (mbase_t /. mpruned_t);
+  Printf.printf "  no index: %.4f s    with index: %.4f s    speedup %.0fx\n" m_no_index_t
+    m_index_t (m_no_index_t /. m_index_t);
   Printf.printf "  results with index identical to without (all empty): %b\n" msame;
   (* The LRU cache: the first pass of a fresh engine (which also builds its
      index), then many warm passes over one of those engines. *)
@@ -608,9 +608,9 @@ let section_cache () =
     Printf.sprintf
       "{\n\
       \  \"queries\": %d,\n\
-      \  \"unpruned_s\": %.6f,\n\
-      \  \"pruned_s\": %.6f,\n\
-      \  \"prune_speedup\": %.3f,\n\
+      \  \"no_index_s\": %.6f,\n\
+      \  \"index_s\": %.6f,\n\
+      \  \"index_ratio\": %.3f,\n\
       \  \"reach_build_s\": %.6f,\n\
       \  \"reach_nodes\": %d,\n\
       \  \"reach_sccs\": %d,\n\
@@ -622,22 +622,22 @@ let section_cache () =
       \  \"synthetic\": {\n\
       \    \"nodes\": %d,\n\
       \    \"queries\": %d,\n\
-      \    \"unpruned_s\": %.6f,\n\
-      \    \"pruned_s\": %.6f,\n\
-      \    \"prune_speedup\": %.3f,\n\
+      \    \"no_index_s\": %.6f,\n\
+      \    \"index_s\": %.6f,\n\
+      \    \"index_ratio\": %.3f,\n\
       \    \"reach_build_s\": %.6f,\n\
       \    \"avg_cone_fraction\": %.4f,\n\
       \    \"miss_queries\": %d,\n\
-      \    \"miss_unpruned_s\": %.6f,\n\
-      \    \"miss_pruned_s\": %.6f,\n\
+      \    \"miss_no_index_s\": %.6f,\n\
+      \    \"miss_index_s\": %.6f,\n\
       \    \"miss_speedup\": %.1f\n\
       \  }\n\
        }\n"
-      nq base_t pruned_t (base_t /. pruned_t) build_t n_nodes
+      nq no_index_t index_t (no_index_t /. index_t) build_t n_nodes
       (Prospector.Reach.scc_count reach)
-      cone cold_t warm_t warm_passes speedup sn (List.length synth_qs) sbase_t
-      spruned_t (sbase_t /. spruned_t) sbuild_t savg_cone (List.length miss_qs)
-      mbase_t mpruned_t (mbase_t /. mpruned_t)
+      cone cold_t warm_t warm_passes speedup sn (List.length synth_qs) s_no_index_t
+      s_index_t (s_no_index_t /. s_index_t) sbuild_t savg_cone (List.length miss_qs)
+      m_no_index_t m_index_t (m_no_index_t /. m_index_t)
   in
   write_bench ~model_methods:(hier_methods hierarchy) "BENCH_cache.json" json;
   if not (same && ssame && msame && csame) then begin
@@ -999,22 +999,32 @@ let major_direct_words f =
   f ();
   read () -. w0
 
-(* Words one best-first query allocates straight into the major heap, over
-   one pass of [qs]. A warm-up pass runs first, so the domain's Topk
-   workspace and scratch lanes are at their high-water mark, as in a
-   serving process. *)
-let major_direct_words_per_query ~settings ~frozen ~hierarchy qs =
+(* The measured pass of the allocation gates: one best-first pass of [qs]
+   after a warm-up pass, so the domain's Topk workspace and scratch lanes
+   are at their high-water mark, as in a serving process. Returns the
+   words per query allocated straight into the major heap and how many
+   times the domain's Topk workspace reallocated a table during the
+   measured pass. *)
+let measured_pass ~settings ~frozen ~hierarchy qs =
   let pass () =
     List.iter (fun q -> ignore (Query.run_info ~settings ~frozen ~hierarchy q)) qs
   in
   pass ();
-  major_direct_words pass /. float_of_int (List.length qs)
+  let memo = Prospector.Topk.Memo.domain () in
+  let g0 = Prospector.Topk.Memo.growths memo in
+  let words = major_direct_words pass in
+  (words /. float_of_int (List.length qs), Prospector.Topk.Memo.growths memo - g0)
 
 (* The allocation gate: at k = 100 a best-first query may allocate at most
    this many words directly in the major heap. On this world it measures 0
    with the reused Topk workspace, and measured 6228 when the workspace was
    rebuilt per query. *)
 let topk_major_words_limit = 1024.
+
+(* The exact workspace gate beside it: the measured k = 100 pass must not
+   reallocate any table of the Topk workspace. Unlike the words gate it
+   does not read the GC schedule. *)
+let topk_growths_limit = 0
 
 (* Minor-heap words one rendered result costs: [Codegen.to_java],
    [Jungloid.to_expression] and [Jungloid.to_string] over every k = 100
@@ -1047,99 +1057,152 @@ let render_words_per_result ~frozen ~hierarchy qs =
    those replaced. *)
 let topk_render_words_limit = 1000.
 
-(* The laziness claim of the BestFirst strategy, measured: identical output
-   to the exhaustive oracle at every k, while materializing candidates
-   proportional to k instead of the full within-budget path set, and with
-   no per-query workspace arrays in the major heap. The `identical`
-   booleans and the two k = 100 allocation figures gate `make check` — a
-   false, a figure over [topk_major_words_limit] or a rendering over
-   [topk_render_words_limit] exits nonzero. *)
-let section_topk () =
-  rule "Best-first top-k vs exhaustive enumeration";
-  let h = Corpusgen.Workload.layered_api ~classes:2000 in
-  let g = Sig_graph.build h in
-  let frozen = Prospector.Graph.freeze g in
-  let qs = Corpusgen.Workload.random_queries h g ~count:40 ~seed:31 in
-  let nq = List.length qs in
-  let passes = 3 in
+(* Methods in the second world [bench topk] times: an [Apigen.mega] world,
+   where (node, room) pairs repeat within a query far more than on the
+   layered world. *)
+let topk_mega_methods = 10_000
+
+type topk_row = {
+  k : int;
+  ex_t : float;
+  ex_c : int;
+  bf_t : float;
+  bf_c : int;
+  alloc : (float * int) option;  (* major words per query, workspace growths *)
+  capped : int;  (* queries whose exhaustive run stopped at the path limit *)
+  identical : bool;
+}
+
+(* Both strategies over [qs] at k = 1, 10 and 100, [passes] times each;
+   with [alloc], also the k's measured pass of the allocation gates. The
+   strategies agree byte for byte below the path limit: a query whose
+   exhaustive run stopped at the limit certifies nothing, so it is counted
+   in [capped] and left out of [identical]. *)
+let topk_rows ~alloc ~passes ~h ~frozen qs =
   let run_at ~strategy ~k =
     let settings = { Query.default_settings with max_results = k; strategy } in
     time_of (fun () ->
         let last = ref [] in
         for _ = 1 to passes do
-          last :=
-            List.map
-              (fun q -> Query.run_info ~settings ~frozen ~hierarchy:h q)
-              qs
+          last := List.map (fun q -> Query.run_info ~settings ~frozen ~hierarchy:h q) qs
         done;
         !last)
   in
-  Printf.printf
-    "layered synthetic (%d queries x %d passes, frozen CSR, uncached):\n" nq
-    passes;
-  let all_identical = ref true in
-  let rows =
-    List.map
-      (fun k ->
-        let ex_t, ex = run_at ~strategy:Query.Exhaustive ~k in
-        let bf_t, bf = run_at ~strategy:Query.BestFirst ~k in
-        let identical = List.map fst ex = List.map fst bf in
-        if not identical then all_identical := false;
-        let candidates rs =
-          List.fold_left
-            (fun acc (_, (i : Query.info)) -> acc + i.Query.candidates)
-            0 rs
-        in
-        let ex_c = candidates ex and bf_c = candidates bf in
-        let major_words =
-          major_direct_words_per_query
-            ~settings:{ Query.default_settings with max_results = k }
-            ~frozen ~hierarchy:h qs
-        in
-        Printf.printf
-          "  k=%-4d exhaustive: %.4f s (%6d candidates)   best-first: %.4f s \
-           (%6d candidates, %.0f words/query direct to the major heap)   \
-           speedup %.2fx   identical: %b\n"
-          k ex_t ex_c bf_t bf_c major_words (ex_t /. bf_t) identical;
-        (k, ex_t, ex_c, bf_t, bf_c, major_words, identical))
-      [ 1; 10; 100 ]
-  in
-  Printf.printf "  all identical: %b\n" !all_identical;
-  let over_limit =
-    List.exists
-      (fun (k, _, _, _, _, w, _) -> k = 100 && w > topk_major_words_limit)
-      rows
-  in
+  List.map
+    (fun k ->
+      let ex_t, ex = run_at ~strategy:Query.Exhaustive ~k in
+      let bf_t, bf = run_at ~strategy:Query.BestFirst ~k in
+      let candidates rs =
+        List.fold_left (fun acc (_, (i : Query.info)) -> acc + i.Query.candidates) 0 rs
+      in
+      let alloc =
+        if alloc then
+          Some
+            (measured_pass
+               ~settings:{ Query.default_settings with max_results = k }
+               ~frozen ~hierarchy:h qs)
+        else None
+      in
+      let row =
+        {
+          k;
+          ex_t;
+          ex_c = candidates ex;
+          bf_t;
+          bf_c = candidates bf;
+          alloc;
+          capped = List.length (List.filter (fun (_, (i : Query.info)) -> i.Query.truncated) ex);
+          identical =
+            List.for_all2
+              (fun (re, (ie : Query.info)) (rb, _) -> ie.Query.truncated || re = rb)
+              ex bf;
+        }
+      in
+      Printf.printf
+        "  k=%-4d exhaustive: %.4f s (%6d candidates)   best-first: %.4f s (%6d candidates%s)   \
+         speedup %.2fx   identical: %b%s\n"
+        k ex_t row.ex_c bf_t row.bf_c
+        (match alloc with
+        | Some (w, g) ->
+            Printf.sprintf ", %.0f words/query direct to the major heap, %d workspace growths" w g
+        | None -> "")
+        (ex_t /. bf_t) row.identical
+        (if row.capped > 0 then Printf.sprintf " (%d capped queries left out)" row.capped else "");
+      row)
+    [ 1; 10; 100 ]
+
+let topk_row_json r =
+  Printf.sprintf
+    "{\"k\": %d, \"exhaustive_s\": %.6f, \"exhaustive_candidates\": %d, \"best_first_s\": %.6f, \
+     \"best_first_candidates\": %d, %s\"capped_queries\": %d, \"identical\": %b}"
+    r.k r.ex_t r.ex_c r.bf_t r.bf_c
+    (match r.alloc with
+    | Some (w, g) ->
+        Printf.sprintf
+          "\"best_first_major_words_per_query\": %.1f, \"best_first_memo_growths\": %d, " w g
+    | None -> "")
+    r.capped r.identical
+
+(* The laziness claim of the BestFirst strategy, measured: identical output
+   to the exhaustive oracle at every k, while materializing candidates
+   proportional to k instead of the full within-budget path set, and with
+   no per-query workspace arrays in the major heap. Two worlds: the layered
+   synthetic one, which also carries the allocation figures, and a mega
+   world. The `identical` booleans of both and the k = 100 allocation
+   figures gate `make check` — a false, a figure over
+   [topk_major_words_limit], a workspace growth in the measured k = 100
+   pass or a rendering over [topk_render_words_limit] exits nonzero. *)
+let section_topk () =
+  rule "Best-first top-k vs exhaustive enumeration";
+  let passes = 3 in
+  let h = Corpusgen.Workload.layered_api ~classes:2000 in
+  let g = Sig_graph.build h in
+  let frozen = Prospector.Graph.freeze g in
+  let qs = Corpusgen.Workload.random_queries h g ~count:40 ~seed:31 in
+  let nq = List.length qs in
+  Printf.printf "layered synthetic (%d queries x %d passes, frozen CSR, uncached):\n" nq passes;
+  let rows = topk_rows ~alloc:true ~passes ~h ~frozen qs in
+  let mh = Corpusgen.Workload.mega_api ~methods:topk_mega_methods in
+  let mg = Sig_graph.build mh in
+  let mfrozen = Prospector.Graph.freeze mg in
+  let mqs = Corpusgen.Workload.random_queries mh mg ~count:40 ~seed:31 in
+  Printf.printf "mega world, %d methods (%d queries x %d passes):\n" topk_mega_methods
+    (List.length mqs) passes;
+  let mrows = topk_rows ~alloc:false ~passes ~h:mh ~frozen:mfrozen mqs in
+  let all_identical = List.for_all (fun r -> r.identical) (rows @ mrows) in
+  Printf.printf "  all identical: %b\n" all_identical;
+  let k100 = List.find (fun r -> r.k = 100) rows in
+  let words100, growths100 = Option.get k100.alloc in
   let render_words = render_words_per_result ~frozen ~hierarchy:h qs in
   Printf.printf "  rendering a k=100 result: %.0f minor-heap words (limit %.0f)\n"
     render_words topk_render_words_limit;
   let json =
     Printf.sprintf
-      "{\n  \"queries\": %d,\n  \"passes\": %d,\n  \"rows\": [\n%s\n  ],\n  \"render_minor_words_per_result\": %.1f,\n  \"identical\": %b\n}\n"
+      "{\n  \"queries\": %d,\n  \"passes\": %d,\n  \"rows\": [\n%s\n  ],\n  \"mega\": {\n    \"methods\": %d,\n    \"queries\": %d,\n    \"rows\": [\n%s\n    ]\n  },\n  \"render_minor_words_per_result\": %.1f,\n  \"identical\": %b\n}\n"
       nq passes
-      (String.concat ",\n"
-         (List.map
-            (fun (k, ex_t, ex_c, bf_t, bf_c, w, id) ->
-              Printf.sprintf
-                "    {\"k\": %d, \"exhaustive_s\": %.6f, \
-                 \"exhaustive_candidates\": %d, \"best_first_s\": %.6f, \
-                 \"best_first_candidates\": %d, \
-                 \"best_first_major_words_per_query\": %.1f, \"identical\": %b}"
-                k ex_t ex_c bf_t bf_c w id)
-            rows))
-      render_words !all_identical
+      (String.concat ",\n" (List.map (fun r -> "    " ^ topk_row_json r) rows))
+      topk_mega_methods (List.length mqs)
+      (String.concat ",\n" (List.map (fun r -> "      " ^ topk_row_json r) mrows))
+      render_words all_identical
   in
   write_bench ~model_methods:(hier_methods h) "BENCH_topk.json" json;
-  if not !all_identical then begin
+  if not all_identical then begin
     prerr_endline
       "error: best-first results diverged from the exhaustive oracle";
     exit 1
   end;
-  if over_limit then begin
+  if words100 > topk_major_words_limit then begin
     Printf.eprintf
       "error: a best-first query at k=100 allocated more than %.0f words \
        directly in the major heap\n"
       topk_major_words_limit;
+    exit 1
+  end;
+  if growths100 > topk_growths_limit then begin
+    Printf.eprintf
+      "error: the Topk workspace reallocated %d times in the measured k=100 pass, \
+       after a warm-up pass over the same queries (limit %d)\n"
+      growths100 topk_growths_limit;
     exit 1
   end;
   if render_words > topk_render_words_limit then begin

@@ -5,7 +5,8 @@
     (parent-pointer rows in flat int arrays) under a binary min-heap ordered
     by the admissible priority [cost + free-variable charge + dist_to], and
     the Rank tiebreak components are maintained incrementally per appended
-    edge. Completed paths are therefore delivered in {e exact}
+    edge. Each (node, budget room) pair's passing successors are filtered
+    once per query, and a prefix's rows are written only when it pops. Completed paths are therefore delivered in {e exact}
     {!Rank.compare_key} order — the order a stable sort of the exhaustive
     enumeration gives — while the search touches about [k] candidates
     instead of materializing thousands. {!Query} uses this as its candidate
@@ -19,9 +20,10 @@
     text ({!Jungloid.to_string}) and collect edge ordinals. *)
 
 module Heap : sig
-  (** Binary min-heap over [(priority, payload)] int pairs in parallel
-      arrays. Pop order among equal priorities is unspecified but
-      deterministic. *)
+  (** Binary min-heap over [(priority, payload)] int pairs, stored side by
+      side in one array. Pop order among equal priorities is unspecified
+      but deterministic: it depends only on the priorities pushed and
+      popped, in order. *)
 
   type t
 
@@ -66,7 +68,8 @@ module Arena : sig
   val on_path : t -> int -> Graph.node -> bool
   (** Does the prefix ending at this row visit the node? (The acyclicity
       check — a chain walk, since heap prefixes are not nested the way DFS
-      stack prefixes are.) *)
+      stack prefixes are. Each row summarizes its chain's nodes in 62
+      bits, so a node outside the summary needs no walk.) *)
 
   val path : t -> int -> Search.path
   (** Reconstruct the full path, root first. *)
@@ -88,19 +91,36 @@ type candidate = {
 type t
 (** A running best-first enumeration. *)
 
-(** A reusable best-first workspace: the arena's lanes, the heap's two
-    lanes and the seven per-row rank lanes, plus an epoch-stamped memo of
-    per-edge rank contributions (charge, package, output depth) keyed by
-    global CSR edge index. Only the {e allocation} is shared across
-    queries; contents are per-query (charge depends on the free-variable
-    estimator, package ids on the intern table).
+(** A reusable best-first workspace. Every table in it is one flat [int]
+    array of fixed-width records, beside two edge arrays. It holds:
+    - the rows, one per popped prefix: the arena's 4-int link record
+      (parent, head, edge ordinal, chain summary), its edge, and a 7-int
+      rank row, 12 words per row of capacity. A prefix's rows are written
+      when the prefix pops, not when it is pushed;
+    - the heap, 2 words per pushed prefix. An entry's payload packs its
+      parent row and its successor record into one [int], 31 bits each; a
+      root's payload is negative;
+    - the successor memo. The first expansion of a (node, room) pair in a
+      query records the successors that pass the reach and budget filter,
+      in adjacency order: ordinal, head, edge cost and priority increment,
+      one 4-int record each, and the edge. Later expansions of the pair
+      walk that slice. A node table (per node: a stamp and a chain head)
+      links a node's (room, first record, length, next) entries; it grows
+      on demand;
+    - an epoch-stamped memo of per-edge rank contributions keyed by global
+      CSR edge index, 4 words per edge: a stamp, the charge (filled when a
+      successor record needs it), and the package and output depth
+      (filled when a row needs them).
 
-    {!start} takes the memo: it resets the row lanes' lengths, sizes the
-    edge lanes to [edge_slots], and bumps the epoch, which invalidates
-    every edge entry at once. Lanes stay at their high-water mark, 13
-    words per row of capacity (measured: 2,731 rows serving the bundled
-    model, 111,577 on a 100k-method world), so a steady-state query
-    allocates none of them.
+    Only the {e allocation} is shared across queries; contents are
+    per-query (charge depends on the free-variable estimator, package ids
+    on the intern table, a successor slice on the distance lanes).
+
+    {!start} takes the memo: it resets every table's length, sizes the
+    edge memo to [edge_slots], and bumps the epoch, which invalidates every
+    edge entry and every node's entry chain at once. Tables stay at their
+    high-water mark, so a steady-state query allocates none of them;
+    {!growths} counts their reallocations.
 
     Lifetime: one live enumeration per memo. The enumeration started last
     owns it; {!next} on an earlier one raises [Invalid_argument] instead of
@@ -115,6 +135,11 @@ module Memo : sig
 
   val domain : unit -> t
   (** This domain's memo (domain-local storage). *)
+
+  val growths : t -> int
+  (** How many times any of the memo's tables has been reallocated since
+      {!create}. A workload whose queries have all run once on the memo
+      adds 0 when it runs again. *)
 end
 
 val start :

@@ -5,9 +5,11 @@
    oracle — over the bundled Eclipse graph (Table 1, mined typestate
    duplicates included), the layered synthetic workload, random Apigen
    worlds (qcheck), and the multi-source assist path, while materializing
-   no more candidates than the oracle does. Since both strategies share
-   one consumer, that consumer is held against [Naive]'s pipeline on its
-   own. *)
+   no more candidates than the oracle does. At the path cap the oracle
+   certifies nothing, so the whole stream, truncated runs included, is
+   also held against the replaced implementation in [Ref_topk]. Since both
+   strategies share one consumer, that consumer is held against [Naive]'s
+   pipeline on its own. *)
 
 module Jtype = Javamodel.Jtype
 module Graph = Prospector.Graph
@@ -502,6 +504,88 @@ let prop_estimated_freevars_equal =
           results_equal ex bf)
         (Corpusgen.Workload.random_queries h g ~count:3 ~seed:13))
 
+(* ---------- the replaced Topk as an oracle ---------- *)
+
+(* [Ref_topk] is the search as it was before successor reuse, lazy rows
+   and the flat tables: it rescans a node's whole adjacency row on every
+   expansion and writes each prefix's row at its push. The heap
+   receives the same priorities in the same order in both, so their whole
+   streams agree — which paths complete before [limit] stops the search
+   included, where no exhaustive oracle certifies anything. One memo serves
+   every production run of the property, across worlds, so its node
+   chains, successor slices, rows and edge stamps are always stale; the
+   reference gets a fresh memo per run. *)
+let shared_memo = Topk.Memo.create ()
+
+let stream next materialized truncated st =
+  let rec go acc = match next st with None -> List.rev acc | Some c -> go (c :: acc) in
+  let cs = go [] in
+  (cs, materialized st, truncated st)
+
+(* A free-variable estimator that gives the charge, and with it each
+   successor's priority increment, a per-type spread. *)
+let spread_estimator ty = 1 + (Hashtbl.hash (Jtype.to_string ty) mod 3)
+
+let prop_matches_reference =
+  QCheck2.Test.make
+    ~name:"Topk = the reference Topk, drained (limit, slack, sources)" ~count:15
+    world_gen (fun (h, g) ->
+      let fz = Graph.freeze g in
+      let qs = Workload.random_queries h g ~count:4 ~seed:41 in
+      let off = fz.Graph.f_fwd_off and fin = fz.Graph.f_fwd_end in
+      let iter_succs u f =
+        for k = off.{u} to fin.{u} - 1 do
+          f k fz.Graph.f_fwd_edge.(k)
+        done
+      in
+      let weights = Query.default_settings.Query.weights in
+      let node_type = Graph.frozen_node_type fz in
+      let edge_slots = Array.length fz.Graph.f_fwd_edge in
+      let materialize = Prospector.Jungloid.of_frozen_path fz in
+      let tins =
+        List.sort_uniq compare
+          (List.filter_map (fun (q : Query.t) -> Graph.frozen_find_type_node fz q.Query.tin) qs)
+      in
+      List.for_all
+        (fun (q : Query.t) ->
+          match
+            (Graph.frozen_find_type_node fz q.Query.tin, Graph.frozen_find_type_node fz q.Query.tout)
+          with
+          | Some src, Some target ->
+              let dist_to = Search.Csr.distances_to fz ~target in
+              let d s = Search.Dist.get dist_to s in
+              (* every sampled input that reaches [target], each with its
+                 own slack, so the roots' budgets differ *)
+              let reaching = List.filter (fun s -> d s < max_int) tins in
+              List.for_all
+                (fun (slack, limit, multi) ->
+                  let sources =
+                    if multi then List.mapi (fun i s -> (s, d s + ((slack + i) mod 4))) reaching
+                    else [ (src, d src + slack) ]
+                  in
+                  let freevar_cost_of = if multi then Some spread_estimator else None in
+                  let got =
+                    stream Topk.next Topk.materialized Topk.truncated
+                      (Topk.start ?freevar_cost_of ~memo:shared_memo ~weights ~hierarchy:h
+                         ~node_type ~iter_succs ~edge_slots ~materialize ~dist_to ~sources
+                         ~target ~limit ())
+                  in
+                  let want =
+                    stream Ref_topk.next Ref_topk.materialized Ref_topk.truncated
+                      (Ref_topk.start ?freevar_cost_of ~memo:(Ref_topk.Memo.create ()) ~weights
+                         ~hierarchy:h ~node_type ~iter_succs ~edge_slots ~materialize
+                         ~dist_to ~sources ~target ~limit ())
+                  in
+                  same_drain got want)
+                (List.concat_map
+                   (fun slack ->
+                     List.concat_map
+                       (fun limit -> [ (slack, limit, false); (slack, limit, true) ])
+                       [ 1; 3; 20; 4096 ])
+                   [ 0; 1; 2; 3 ])
+          | _ -> true)
+        qs)
+
 (* ---------- the shared consumer against the naive pipeline ---------- *)
 
 (* Both strategies feed one consumer, so the suites above cannot see a bug
@@ -675,6 +759,7 @@ let () =
           Alcotest.test_case "a later start retires the memo's enumeration"
             `Quick test_memo_epoch_guard;
           QCheck_alcotest.to_alcotest prop_shared_memo_equals_fresh;
+          QCheck_alcotest.to_alcotest prop_matches_reference;
         ] );
       ( "strategy",
         [
